@@ -77,6 +77,9 @@ fn write_summary(
 }
 
 fn main() -> ExitCode {
+    if let Err(code) = bench::check_env() {
+        return code;
+    }
     let scale = scale_from_env(64);
     let jobs = pool::jobs();
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -16,11 +16,10 @@
 //! after the parallel batch, and excludes it from byte-identity claims.
 
 use crate::harness::Stopwatch;
-use crate::synthfs::{SynthFs, SYNTH_ROOT};
+use crate::synthfs::{drain, SynthEvents, SynthFs, SYNTH_ROOT};
 use crate::{f2, BenchResult, Report, Sink};
 use duet::{Duet, DuetConfig, EventMask, TaskScope};
-use sim_cache::{PageEvent, PageKey, PageMeta};
-use sim_core::{BlockNr, InodeNr, PageIndex, SimResult};
+use sim_core::SimResult;
 
 const EVENTS_PER_MS: u64 = 12;
 const SIM_MS: u64 = 20_000;
@@ -40,41 +39,15 @@ fn run_case(mask: EventMask, fetch_every_ms: Option<u64>) -> SimResult<f64> {
         mask,
         &fs,
     )?;
-    let files = 512u64;
-    let pages = 64u64;
     let total_events = SIM_MS * EVENTS_PER_MS;
     let t0 = Stopwatch::start();
-    let mut cursor = 0u64;
+    let mut events = SynthEvents::default();
     for ms in 0..SIM_MS {
-        for _ in 0..EVENTS_PER_MS {
-            cursor = cursor
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let ino = InodeNr(2 + (cursor >> 33) % files);
-            let idx = PageIndex((cursor >> 20) % pages);
-            let meta = PageMeta {
-                key: PageKey::new(ino, idx),
-                block: Some(BlockNr((ino.raw() << 20) + idx.raw())),
-                dirty: false,
-            };
-            // Mix of adds, removes and dirties (removes let state
-            // notifications cancel).
-            let ev = match cursor % 4 {
-                0 | 1 => PageEvent::Added,
-                2 => PageEvent::Dirtied,
-                _ => PageEvent::Removed,
-            };
+        for (meta, ev) in events.by_ref().take(EVENTS_PER_MS as usize) {
             duet.handle_page_event(meta, ev, &fs);
         }
-        if let Some(every) = fetch_every_ms {
-            if ms % every == 0 {
-                loop {
-                    let items = duet.fetch(sid, 256, &fs)?;
-                    if items.len() < 256 {
-                        break;
-                    }
-                }
-            }
+        if fetch_every_ms.is_some_and(|every| ms % every == 0) {
+            drain(&mut duet, sid)?;
         }
     }
     Ok(t0.elapsed_ns() as f64 / total_events as f64)

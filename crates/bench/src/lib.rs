@@ -11,6 +11,7 @@
 //! independent sweep cells out across cores (results are byte-identical
 //! at any width; see DESIGN.md §8).
 
+use sim_core::knobs::Knob;
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -19,11 +20,28 @@ use std::process::ExitCode;
 
 /// Reads the scale factor from `DUET_SCALE`, with a per-harness default.
 pub fn scale_from_env(default: u64) -> u64 {
-    std::env::var("DUET_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(default)
+    knob(Knob::Scale).unwrap_or(default)
+}
+
+/// A knob's value, `None` when unset.
+///
+/// # Panics
+///
+/// On a malformed value. Entry points rule that out up front with
+/// [`check_env`]; anywhere else a panic beats a silent default.
+pub(crate) fn knob(knob: Knob) -> Option<u64> {
+    knob.read().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Start-up check shared by every bench entry point: a malformed
+/// `DUET_SCALE`, `DUET_JOBS` or `DUET_SNAPSHOT` is reported on stderr,
+/// naming the variable and the value, and becomes exit status 2 —
+/// before any work is done, never a silent default.
+pub fn check_env() -> Result<(), ExitCode> {
+    sim_core::knobs::check_all().map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
 }
 
 /// Errors a harness can produce.
@@ -69,6 +87,9 @@ pub type BenchResult<T> = Result<T, BenchError>;
 /// sink, and maps errors to a message on stderr plus a nonzero exit —
 /// a failed sweep cell must not abort mid-CSV with a panic.
 pub fn run_main(default_scale: u64, run: fn(u64, &mut Sink) -> BenchResult<()>) -> ExitCode {
+    if let Err(code) = check_env() {
+        return code;
+    }
     let mut sink = Sink::live();
     match run(scale_from_env(default_scale), &mut sink) {
         Ok(()) => ExitCode::SUCCESS,

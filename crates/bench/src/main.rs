@@ -3,7 +3,8 @@
 //!
 //! - `bench micro` runs deterministic op mixes against the hot-path
 //!   containers (dmap, slab, page cache, priority queue, block table,
-//!   sparse bitmap) and writes `results/BENCH_micro.json`.
+//!   sparse bitmap) and the Duet framework's event→hint path, and
+//!   writes `results/BENCH_micro.json`.
 //! - `bench gate` compares `results/BENCH_sweeps.json` and
 //!   `results/BENCH_micro.json` against the committed
 //!   `results/BENCH_baseline.json` and exits nonzero on a regression
@@ -20,7 +21,8 @@
 //! workspace's single sanctioned wall-clock gateway (lint rule D1).
 
 use bench::harness::Stopwatch;
-use duet::PrioQueue;
+use bench::synthfs::{drain, SynthEvents, SynthFs, SYNTH_ROOT};
+use duet::{Duet, EventMask, PrioQueue, TaskScope};
 use sim_btrfs::BlockTable;
 use sim_cache::{PageCache, PageKey};
 use sim_core::{BlockNr, DMap, DOrdMap, DSet, InodeNr, PageIndex, SimRng, Slab, SparseBitmap};
@@ -311,6 +313,31 @@ fn micro_bitmap() -> MicroResult {
     })
 }
 
+/// The framework's event→hint path on the §6.4 stream (the one fig9
+/// and the benchmark's `duet.k_*` kernels replay): every page event
+/// through one file session, drained every 120 events — fig9's 10 ms
+/// fetch interval.
+fn micro_duet(name: &'static str, mask: EventMask) -> MicroResult {
+    const OPS: u64 = 120_000;
+    measure(name, OPS, || {
+        let mut duet = Duet::with_defaults();
+        let scope = TaskScope::File {
+            registered_dir: SYNTH_ROOT,
+        };
+        let sid = duet
+            .register(scope, mask, &SynthFs)
+            .expect("a fresh framework has a free slot");
+        let mut fetched = 0;
+        for (i, (meta, ev)) in SynthEvents::default().take(OPS as usize).enumerate() {
+            duet.handle_page_event(meta, ev, &SynthFs);
+            if i % 120 == 119 {
+                fetched += drain(&mut duet, sid).expect("the session is live");
+            }
+        }
+        fetched + duet.descriptor_count()
+    })
+}
+
 fn run_micro() -> std::io::Result<Vec<MicroResult>> {
     let results = vec![
         micro_dmap(),
@@ -322,6 +349,14 @@ fn run_micro() -> std::io::Result<Vec<MicroResult>> {
         micro_prioqueue(),
         micro_blocktable(),
         micro_bitmap(),
+        micro_duet(
+            "duet/event_fetch",
+            EventMask::ADDED | EventMask::REMOVED | EventMask::DIRTIED,
+        ),
+        micro_duet(
+            "duet/state_event_fetch",
+            EventMask::EXISTS | EventMask::MODIFIED,
+        ),
     ];
     let mut s = String::new();
     s.push_str("{\n  \"schema_version\": 1,\n  \"benches\": [\n");
@@ -542,6 +577,9 @@ fn run_gate() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    if let Err(code) = bench::check_env() {
+        return code;
+    }
     let cmd = std::env::args().nth(1).unwrap_or_default();
     let outcome = match cmd.as_str() {
         "micro" => run_micro().map(|_| ()).map_err(|e| e.to_string()),

@@ -26,14 +26,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count: `DUET_JOBS` if set (minimum 1), else the machine's
-/// available parallelism, else 1.
+/// Worker count: `DUET_JOBS` if set (a positive integer — see
+/// `sim_core::knobs`), else the machine's available parallelism,
+/// else 1.
 pub fn jobs() -> usize {
-    if let Some(j) = std::env::var("DUET_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return j.max(1);
+    if let Some(j) = crate::knob(sim_core::knobs::Knob::Jobs) {
+        return usize::try_from(j).unwrap_or(usize::MAX);
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

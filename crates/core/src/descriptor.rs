@@ -10,9 +10,14 @@
 //! on the page and deallocated when none has — including by
 //! *cancellation*, when opposing events revert a page to its
 //! last-reported state for every state session.
+//!
+//! All descriptors live in one [`DescriptorTable`]: a flat hash table
+//! keyed by (inode, page index), the paper's single global hash table
+//! (§4.2, §6.4), so a page event or a fetched item costs one probe.
 
 use crate::events::{EventMask, ItemFlags};
-use sim_core::BlockNr;
+use sim_cache::PageKey;
+use sim_core::{BlockNr, DMap, InodeNr, PageIndex};
 
 /// Per-session flag byte within a merged descriptor.
 ///
@@ -93,6 +98,58 @@ impl SessFlags {
     }
 }
 
+/// The paper's `N`: how many sessions a merged descriptor carries a
+/// flag byte for, and so the most a framework instance can host.
+pub(crate) const MAX_SESSIONS: usize = 16;
+
+/// The occupied session slots and their event masks: what decides
+/// whether a descriptor still has anything pending. The framework
+/// keeps one in lockstep with its sessions (a mask never changes while
+/// its session lives). Every page event walks it twice or more, so it
+/// is compact and yields occupied slots only.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SlotMasks {
+    /// Bit per occupied slot.
+    live: u16,
+    masks: [EventMask; MAX_SESSIONS],
+}
+
+impl SlotMasks {
+    /// Occupies `slot` with `mask`, or frees it with `None`.
+    pub(crate) fn set(&mut self, slot: usize, mask: Option<EventMask>) {
+        match mask {
+            Some(mask) => {
+                self.live |= 1 << slot;
+                self.masks[slot] = mask;
+            }
+            None => self.live &= !(1 << slot),
+        }
+    }
+
+    /// Whether no slot is occupied.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Number of occupied slots.
+    pub(crate) fn len(&self) -> usize {
+        self.live.count_ones() as usize
+    }
+
+    /// The occupied slots and their masks, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, EventMask)> + '_ {
+        let mut live = self.live;
+        std::iter::from_fn(move || {
+            if live == 0 {
+                return None;
+            }
+            let slot = live.trailing_zeros() as usize;
+            live &= live - 1;
+            Some((slot, self.masks[slot]))
+        })
+    }
+}
+
 /// A merged item descriptor for one page.
 #[derive(Debug, Clone)]
 pub(crate) struct Descriptor {
@@ -103,36 +160,44 @@ pub(crate) struct Descriptor {
     pub cur_exists: bool,
     /// Current modification (dirty) state of the page.
     pub cur_modified: bool,
-    /// Per-session flag bytes (the paper's N-byte array).
-    pub sess: Box<[SessFlags]>,
+    /// Position of this page in its file's [`DescriptorTable`] index
+    /// vector (the table's bookkeeping, not logical state).
+    ino_pos: u32,
+    /// Per-session flag bytes (the paper's N-byte array), inline.
+    pub sess: [SessFlags; MAX_SESSIONS],
 }
 
 impl Descriptor {
-    pub(crate) fn new(
-        max_sessions: usize,
-        exists: bool,
-        modified: bool,
-        block: Option<BlockNr>,
-    ) -> Self {
+    pub(crate) fn new(exists: bool, modified: bool, block: Option<BlockNr>) -> Self {
         Descriptor {
             block,
             cur_exists: exists,
             cur_modified: modified,
-            sess: vec![SessFlags::default(); max_sessions].into_boxed_slice(),
+            ino_pos: 0,
+            sess: [SessFlags::default(); MAX_SESSIONS],
         }
     }
 
-    /// Feeds the descriptor's complete state (including every
-    /// per-session flag byte) into a fork-equivalence digest.
-    pub(crate) fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
+    /// Feeds the descriptor's logical state (including the flag byte of
+    /// each of the `nsess` configured slots) into a fork-equivalence
+    /// digest.
+    pub(crate) fn digest_state(&self, nsess: usize, d: &mut sim_core::snapshot::Digest) {
         d.write_bool(self.block.is_some());
         d.write_u64(self.block.map_or(0, |b| b.raw()));
         d.write_bool(self.cur_exists);
         d.write_bool(self.cur_modified);
-        d.write_usize(self.sess.len());
-        for f in self.sess.iter() {
+        for f in &self.sess[..nsess] {
             d.write_u32(f.0 as u32);
         }
+    }
+
+    /// Marks the session up-to-date with the page's current state:
+    /// nothing stays pending for it.
+    pub(crate) fn mark_reported(&mut self, slot: usize) {
+        let f = &mut self.sess[slot];
+        f.clear_evt();
+        f.clear_force_not_exists();
+        f.set_reported(self.cur_exists, self.cur_modified);
     }
 
     /// Whether the given session has anything pending on this page.
@@ -152,19 +217,199 @@ impl Descriptor {
         false
     }
 
-    /// Whether any session in `masks` (indexed by slot, `None` for free
-    /// slots) has pending notifications.
-    pub(crate) fn pending_any(&self, masks: &[Option<EventMask>]) -> bool {
-        masks
+    /// Whether any session has pending notifications.
+    pub(crate) fn pending_any(&self, slots: &SlotMasks) -> bool {
+        slots
             .iter()
-            .enumerate()
-            .any(|(slot, m)| m.is_some_and(|mask| self.pending_for(slot, mask)))
+            .any(|(slot, mask)| self.pending_for(slot, mask))
+    }
+
+    /// The notifications owed to the session, which is marked
+    /// up-to-date: what `duet_fetch` returns for this page (§3.2).
+    pub(crate) fn deliver(&mut self, slot: usize, mask: EventMask) -> ItemFlags {
+        let f = self.sess[slot];
+        let mut flags = ItemFlags::from_evt_bits(f.evt_bits());
+        if f.force_not_exists() {
+            flags |= ItemFlags::NOT_EXISTS;
+        } else if f.state_init() {
+            if mask.contains(EventMask::EXISTS) && f.reported_exists() != self.cur_exists {
+                flags |= if self.cur_exists {
+                    ItemFlags::EXISTS
+                } else {
+                    ItemFlags::NOT_EXISTS
+                };
+            }
+            if mask.contains(EventMask::MODIFIED) && f.reported_modified() != self.cur_modified {
+                flags |= if self.cur_modified {
+                    ItemFlags::MODIFIED
+                } else {
+                    ItemFlags::NOT_MODIFIED
+                };
+            }
+        }
+        self.mark_reported(slot);
+        flags
     }
 
     /// Bytes of memory this descriptor accounts for in the §6.4 model:
     /// item id (8) + offset (8) + N-byte flag array + hash node (8).
     pub(crate) fn memory_bytes(max_sessions: usize) -> u64 {
         8 + 8 + max_sessions as u64 + 8
+    }
+}
+
+/// The framework's descriptor store: one flat hashed table of merged
+/// descriptors, plus a per-file index of the pages that have one, so
+/// that `set_done` on a file touches that file's descriptors only.
+///
+/// Invariant (kept here, behind private fields): `per_ino[ino]` lists
+/// exactly the page indexes of `ino` present in `table`, each
+/// descriptor's `ino_pos` is its position in that list, and no list is
+/// empty. Upkeep is O(1) per insert/remove (swap-remove).
+///
+/// Dense order is a function of arrival order, which a forked and a
+/// fresh run need not share; whatever observes an order takes
+/// [`DescriptorTable::sorted`].
+#[derive(Clone, Default)]
+pub(crate) struct DescriptorTable {
+    table: DMap<PageKey, Descriptor>,
+    per_ino: DMap<InodeNr, Vec<PageIndex>>,
+    /// High-water mark of `table.len()`.
+    peak: usize,
+}
+
+impl DescriptorTable {
+    pub(crate) fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Most descriptors ever live at once.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak
+    }
+
+    pub(crate) fn get_mut(&mut self, key: &PageKey) -> Option<&mut Descriptor> {
+        self.table.get_mut(key)
+    }
+
+    /// The page's descriptor, allocated by `init` if absent — one
+    /// probe either way. The flag says whether it already existed.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        key: PageKey,
+        init: impl FnOnce() -> Descriptor,
+    ) -> (&mut Descriptor, bool) {
+        let live = self.table.len();
+        let mut created = false;
+        let d = self.table.get_or_insert_with(key, || {
+            created = true;
+            init()
+        });
+        if created {
+            self.peak = self.peak.max(live + 1);
+            let pages = self.per_ino.get_or_insert_with(key.ino, Vec::new);
+            d.ino_pos = pages.len() as u32;
+            pages.push(key.index);
+        }
+        (d, !created)
+    }
+
+    /// Frees the page's descriptor, if it has one.
+    pub(crate) fn remove(&mut self, key: &PageKey) {
+        let Some(d) = self.table.remove(key) else {
+            return;
+        };
+        let pos = d.ino_pos as usize;
+        let Some(pages) = self.per_ino.get_mut(&key.ino) else {
+            debug_assert!(false, "per-inode index underflow");
+            return;
+        };
+        pages.swap_remove(pos);
+        if let Some(&moved) = pages.get(pos) {
+            if let Some(m) = self.table.get_mut(&PageKey::new(key.ino, moved)) {
+                m.ino_pos = pos as u32;
+            }
+        } else if pages.is_empty() {
+            self.per_ino.remove(&key.ino);
+        }
+    }
+
+    /// Shows `keep` every descriptor of one file and frees those it
+    /// rejects. Cost is proportional to that file's descriptors, not
+    /// to the table.
+    pub(crate) fn retain_file(
+        &mut self,
+        ino: InodeNr,
+        mut keep: impl FnMut(&mut Descriptor) -> bool,
+    ) {
+        let Some(mut pages) = self.per_ino.remove(&ino) else {
+            return;
+        };
+        let mut kept = 0;
+        for i in 0..pages.len() {
+            let index = pages[i];
+            let key = PageKey::new(ino, index);
+            let Some(d) = self.table.get_mut(&key) else {
+                debug_assert!(false, "per-inode index lists a page with no descriptor");
+                continue;
+            };
+            if keep(d) {
+                d.ino_pos = kept as u32;
+                pages[kept] = index;
+                kept += 1;
+            } else {
+                self.table.remove(&key);
+            }
+        }
+        pages.truncate(kept);
+        if !pages.is_empty() {
+            self.per_ino.insert(ino, pages);
+        }
+    }
+
+    /// Shows `keep` every descriptor in the table and frees those it
+    /// rejects. A full walk: for `deregister` only.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut Descriptor) -> bool) {
+        let dead: Vec<PageKey> = self
+            .table
+            .iter_mut()
+            .filter_map(|(key, d)| (!keep(d)).then_some(*key))
+            .collect();
+        for key in &dead {
+            self.remove(key);
+        }
+    }
+
+    /// Panics unless the per-inode index and the table agree.
+    #[cfg(test)]
+    pub(crate) fn assert_consistent(&self) {
+        let indexed: usize = self.per_ino.values().map(Vec::len).sum();
+        assert_eq!(indexed, self.table.len(), "index lists every descriptor");
+        for (&ino, pages) in self.per_ino.iter() {
+            assert!(!pages.is_empty(), "{ino} has an empty index entry");
+            for (pos, &index) in pages.iter().enumerate() {
+                let d = self.table.get(&PageKey::new(ino, index));
+                assert_eq!(d.map(|d| d.ino_pos as usize), Some(pos), "{ino} {index:?}");
+            }
+        }
+    }
+
+    /// Every descriptor in dense (arrival-dependent) order: only for
+    /// uses that do not observe the order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&PageKey, &Descriptor)> {
+        self.table.iter()
+    }
+
+    /// Every descriptor in `(inode, index)` order.
+    pub(crate) fn sorted(&self) -> Vec<(PageKey, &Descriptor)> {
+        let mut all: Vec<(PageKey, &Descriptor)> =
+            self.table.iter().map(|(k, d)| (*k, d)).collect();
+        all.sort_unstable_by_key(|&(key, _)| key);
+        all
     }
 }
 
@@ -203,7 +448,7 @@ mod tests {
 
     #[test]
     fn pending_logic() {
-        let mut d = Descriptor::new(2, true, false, None);
+        let mut d = Descriptor::new(true, false, None);
         let mask = EventMask::EXISTS;
         assert!(!d.pending_for(0, mask), "untouched slot is idle");
         // Initialized at reported=not-exists while page exists: pending.
@@ -219,8 +464,17 @@ mod tests {
         // Event bits always pending.
         d.sess[1].set_evt(ItemFlags::FLUSHED);
         assert!(d.pending_for(1, EventMask::FLUSHED));
-        assert!(d.pending_any(&[Some(EventMask::EXISTS), Some(EventMask::FLUSHED)]));
-        assert!(!d.pending_any(&[Some(EventMask::EXISTS), None]));
+        let mut slots = SlotMasks::default();
+        assert!(slots.is_empty() && !d.pending_any(&slots));
+        slots.set(0, Some(EventMask::EXISTS));
+        slots.set(1, Some(EventMask::FLUSHED));
+        slots.set(9, Some(EventMask::ADDED));
+        assert_eq!(slots.len(), 3);
+        assert!(slots.iter().map(|(slot, _)| slot).eq([0, 1, 9]));
+        assert!(d.pending_any(&slots));
+        slots.set(1, None);
+        assert!(slots.iter().map(|(slot, _)| slot).eq([0, 9]));
+        assert!(!d.pending_any(&slots), "a freed slot is not consulted");
     }
 
     #[test]
@@ -229,5 +483,63 @@ mod tests {
         // (inode number, offset, 16-byte flag array and hash node)."
         // The paper counts 32-bit id+offset; our 64-bit fields give 40.
         assert_eq!(Descriptor::memory_bytes(16), 40);
+    }
+
+    fn table_of(files: u64, pages: u64) -> DescriptorTable {
+        let mut t = DescriptorTable::default();
+        for n in 0..files * pages {
+            let key = PageKey::new(InodeNr(n % files), PageIndex(n / files));
+            let (_, existed) = t.get_or_insert_with(key, || Descriptor::new(true, false, None));
+            assert!(!existed);
+        }
+        t.assert_consistent();
+        t
+    }
+
+    #[test]
+    fn retain_file_visits_that_files_descriptors_only() {
+        let mut t = table_of(1000, 100);
+        assert_eq!((t.len(), t.peak()), (100_000, 100_000));
+        // A file with none: nothing is visited, nothing moves.
+        let before: Vec<PageKey> = t.iter().map(|(key, _)| *key).collect();
+        t.retain_file(InodeNr(5000), |_| unreachable!("no descriptor to show"));
+        assert!(t.iter().map(|(key, _)| key).eq(&before));
+        // A file with a hundred: a hundred visits; the odd pages go.
+        let mut visits = 0;
+        t.retain_file(InodeNr(7), |d| {
+            visits += 1;
+            d.cur_modified = true;
+            visits % 2 == 0
+        });
+        assert_eq!(visits, 100);
+        assert_eq!((t.len(), t.peak()), (100_000 - 50, 100_000));
+        assert_eq!(t.iter().filter(|(_, d)| d.cur_modified).count(), 50);
+        t.assert_consistent();
+        t.retain_file(InodeNr(7), |_| false);
+        assert_eq!(t.len(), 100_000 - 100);
+        t.assert_consistent();
+    }
+
+    #[test]
+    fn index_survives_interleaved_inserts_and_removes() {
+        let mut t = table_of(7, 9);
+        let key = |n: u64| PageKey::new(InodeNr(n % 7), PageIndex(n / 7));
+        for n in (0..63).step_by(2) {
+            t.remove(&key(n));
+            t.assert_consistent();
+        }
+        t.remove(&key(0));
+        assert_eq!(t.len(), 31);
+        for n in 0..63 {
+            let (_, existed) = t.get_or_insert_with(key(n), || Descriptor::new(true, false, None));
+            assert_eq!(existed, n % 2 == 1);
+            t.assert_consistent();
+        }
+        let sorted: Vec<PageKey> = t.sorted().into_iter().map(|(key, _)| key).collect();
+        assert!(sorted.is_sorted() && sorted.len() == 63);
+        t.retain(|_| false);
+        assert!(t.is_empty());
+        t.assert_consistent();
+        assert_eq!(t.peak(), 63);
     }
 }

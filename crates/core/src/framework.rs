@@ -1,7 +1,7 @@
 //! The Duet framework core: registration, event handling, fetch, done
 //! tracking and namespace-change handling (§4 of the paper).
 
-use crate::descriptor::Descriptor;
+use crate::descriptor::{Descriptor, DescriptorTable, SlotMasks, MAX_SESSIONS};
 use crate::events::{transition, EventMask, ItemFlags};
 use crate::session::{Item, ItemId, Session, SessionId, TaskScope};
 use sim_cache::FsIntrospect;
@@ -9,13 +9,13 @@ use sim_cache::{PageEvent, PageKey, PageMeta};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{InodeNr, SimError, SimResult, PAGE_SIZE};
-use std::collections::BTreeMap;
 
 /// Framework configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DuetConfig {
     /// Maximum concurrent sessions (the `N` of the merged descriptor's
-    /// flag array; configured "at module load time", §4.2).
+    /// flag array; configured "at module load time", §4.2). At most 16,
+    /// the paper's N: descriptors carry that many flag bytes inline.
     pub max_sessions: usize,
     /// Per-session cap on queued pending descriptors; beyond it, new
     /// events for event-only sessions are dropped (DoS bound, §4.2).
@@ -34,7 +34,7 @@ impl Default for DuetConfig {
 }
 
 /// Operational statistics (used by the §6.4 overhead evaluation).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DuetStats {
     /// Page events processed.
     pub events_processed: u64,
@@ -53,19 +53,16 @@ pub struct DuetStats {
 pub struct Duet {
     cfg: DuetConfig,
     sessions: Vec<Option<Session>>,
-    /// Per-slot event masks, kept in lockstep with `sessions` (a mask
-    /// never changes while its session lives). Derived state — the
-    /// event intake and descriptor GC consult it on every page event,
-    /// and rebuilding it there dominated those paths.
-    masks: Vec<Option<EventMask>>,
-    /// Reusable pass-1/pass-2 buffers for [`Duet::handle_page_event`]
-    /// (always empty between calls; excluded from digests).
-    scratch_interested: Vec<usize>,
-    scratch_pending: Vec<usize>,
-    /// Merged descriptors: inode → page index → descriptor. Ordered so
-    /// that iteration (e.g. [`Duet::pending_pages`]) is deterministic.
-    descriptors: BTreeMap<InodeNr, BTreeMap<u64, Descriptor>>,
-    ndesc: usize,
+    /// The occupied slots and their masks, kept in lockstep with
+    /// `sessions`. Derived state: the event intake and descriptor
+    /// freeing consult it on every page event, and walking `sessions`
+    /// there (sixteen mostly empty, cache-line-sized slots) was a
+    /// measurable share of those paths.
+    slots: SlotMasks,
+    /// Merged descriptors, one per page with anything pending.
+    descs: DescriptorTable,
+    /// Counters; `peak_descriptors` is kept by `descs` and filled in by
+    /// [`Duet::stats`].
     stats: DuetStats,
     /// Fault-injection handle; `None` (or a quiet plan) behaves
     /// byte-identically to an unfaulted framework.
@@ -88,21 +85,17 @@ impl sim_core::snapshot::StateDigest for Duet {
                 s.digest_state(d);
             }
         }
-        d.write_usize(self.ndesc);
-        d.write_usize(self.descriptors.len());
-        for (ino, pages) in &self.descriptors {
-            d.write_u64(ino.raw());
-            d.write_usize(pages.len());
-            for (idx, desc) in pages {
-                d.write_u64(*idx);
-                desc.digest_state(d);
-            }
+        d.write_usize(self.descs.len());
+        for (key, desc) in self.descs.sorted() {
+            d.write_u64(key.ino.raw());
+            d.write_u64(key.index.raw());
+            desc.digest_state(self.cfg.max_sessions, d);
         }
         d.write_u64(self.stats.events_processed);
         d.write_u64(self.stats.events_dropped);
         d.write_u64(self.stats.fetch_calls);
         d.write_u64(self.stats.items_fetched);
-        d.write_usize(self.stats.peak_descriptors);
+        d.write_usize(self.descs.peak());
         d.write_bool(self.faults.is_some());
         d.write_bool(self.trace.is_some());
     }
@@ -110,16 +103,23 @@ impl sim_core::snapshot::StateDigest for Duet {
 
 impl Duet {
     /// Creates a framework instance.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.max_sessions` is 0 or exceeds 16.
     pub fn new(cfg: DuetConfig) -> Self {
         assert!(cfg.max_sessions > 0, "need at least one session slot");
+        assert!(
+            cfg.max_sessions <= MAX_SESSIONS,
+            "max_sessions = {} exceeds the cap of {MAX_SESSIONS} sessions \
+             (the descriptor's inline flag array, the paper's N)",
+            cfg.max_sessions
+        );
         Duet {
             sessions: (0..cfg.max_sessions).map(|_| None).collect(),
-            masks: (0..cfg.max_sessions).map(|_| None).collect(),
-            scratch_interested: Vec::new(),
-            scratch_pending: Vec::new(),
+            slots: SlotMasks::default(),
             cfg,
-            descriptors: BTreeMap::new(),
-            ndesc: 0,
+            descs: DescriptorTable::default(),
             stats: DuetStats::default(),
             faults: None,
             trace: None,
@@ -146,24 +146,27 @@ impl Duet {
 
     /// Current statistics.
     pub fn stats(&self) -> DuetStats {
-        self.stats
+        DuetStats {
+            peak_descriptors: self.descs.peak(),
+            ..self.stats
+        }
     }
 
     /// Number of live item descriptors.
     pub fn descriptor_count(&self) -> usize {
-        self.ndesc
+        self.descs.len()
     }
 
     /// Number of active sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.iter().filter(|s| s.is_some()).count()
+        self.slots.len()
     }
 
     /// Memory footprint in the paper's §6.4 accounting model:
     /// descriptors (id + offset + N-byte flag array + hash node) plus
     /// the sessions' sparse bitmaps.
     pub fn memory_bytes(&self) -> u64 {
-        let desc = self.ndesc as u64 * Descriptor::memory_bytes(self.cfg.max_sessions);
+        let desc = self.descs.len() as u64 * Descriptor::memory_bytes(self.cfg.max_sessions);
         let bitmaps: u64 = self
             .sessions
             .iter()
@@ -223,7 +226,7 @@ impl Duet {
             .ok_or(SimError::TooManySessions)?;
         let sid = SessionId(slot as u32);
         self.sessions[slot] = Some(Session::new(scope, mask));
-        self.masks[slot] = Some(mask);
+        self.slots.set(slot, Some(mask));
         if let Some(trace) = &self.trace {
             trace.tick(TraceLayer::Duet, "register");
         }
@@ -238,19 +241,19 @@ impl Duet {
     /// Seeds one cached page into a session, as the registration scan
     /// and move-into-directory handling do.
     fn scan_page(&mut self, slot: usize, meta: PageMeta, fs: &dyn FsIntrospect) {
-        if !self.session_accepts(slot, meta, fs) {
-            return;
-        }
-        let Some(mask) = self.sessions[slot].as_ref().map(|s| s.mask) else {
+        let Some(sess) = self.sessions[slot].as_mut() else {
             return;
         };
-        let d = self.descriptor_entry(meta.key, true, meta.dirty, meta.block);
+        if !Self::session_accepts(sess, meta, fs) {
+            return;
+        }
+        let mask = sess.mask;
+        let (d, _) = self
+            .descs
+            .get_or_insert_with(meta.key, || Descriptor::new(true, meta.dirty, meta.block));
         let was_pending = d.pending_for(slot, mask);
-        {
-            let f = &mut d.sess[slot];
-            if !f.state_init() {
-                f.set_reported(false, false);
-            }
+        if !d.sess[slot].state_init() {
+            d.sess[slot].set_reported(false, false);
         }
         if mask.contains(EventMask::ADDED) {
             d.sess[slot].set_evt(ItemFlags::ADDED);
@@ -258,11 +261,12 @@ impl Duet {
         if meta.dirty && mask.contains(EventMask::DIRTIED) {
             d.sess[slot].set_evt(ItemFlags::DIRTIED);
         }
-        let now_pending = d.pending_for(slot, mask);
-        if now_pending && !was_pending {
-            self.enqueue(slot, meta.key);
+        if !was_pending && d.pending_for(slot, mask) {
+            sess.queue.push_back(meta.key);
         }
-        self.gc_descriptor(meta.key);
+        if !d.pending_any(&self.slots) {
+            self.descs.remove(&meta.key);
+        }
     }
 
     /// `duet_deregister`: releases all session state (§3.2).
@@ -270,26 +274,17 @@ impl Duet {
         let slot = sid.0 as usize;
         self.session_ref(sid)?;
         self.sessions[slot] = None;
-        self.masks[slot] = None;
+        self.slots.set(slot, None);
         if let Some(trace) = &self.trace {
             trace.tick(TraceLayer::Duet, "deregister");
         }
         // Strip the session's flags from every descriptor; free those
         // left with nothing pending.
-        let masks = &self.masks;
-        let mut freed = 0usize;
-        self.descriptors.retain(|_, pages| {
-            pages.retain(|_, d| {
-                d.sess[slot].clear_all();
-                let keep = d.pending_any(masks);
-                if !keep {
-                    freed += 1;
-                }
-                keep
-            });
-            !pages.is_empty()
+        let slots = &self.slots;
+        self.descs.retain(|d| {
+            d.sess[slot].clear_all();
+            d.pending_any(slots)
         });
-        self.ndesc -= freed;
         Ok(())
     }
 
@@ -308,7 +303,7 @@ impl Duet {
         self.deregister(sid)?;
         let slot = sid.0 as usize;
         self.sessions[slot] = Some(Session::new(scope, mask));
-        self.masks[slot] = Some(mask);
+        self.slots.set(slot, Some(mask));
         if let Some(trace) = &self.trace {
             trace.tick(TraceLayer::Duet, "churn");
         }
@@ -348,11 +343,7 @@ impl Duet {
     /// (scope + relevance + done filtering, §4.1). May update the
     /// session's `relevant`/`done` bitmaps as a side effect of the
     /// first-access path walk.
-    fn session_accepts(&mut self, slot: usize, meta: PageMeta, fs: &dyn FsIntrospect) -> bool {
-        let sess = match self.sessions[slot].as_mut() {
-            Some(s) => s,
-            None => return false,
-        };
+    fn session_accepts(sess: &mut Session, meta: PageMeta, fs: &dyn FsIntrospect) -> bool {
         let ino = meta.key.ino;
         match sess.scope {
             TaskScope::Block { .. } => {
@@ -393,52 +384,8 @@ impl Duet {
         }
     }
 
-    fn descriptor_entry(
-        &mut self,
-        key: PageKey,
-        exists: bool,
-        modified: bool,
-        block: Option<sim_core::BlockNr>,
-    ) -> &mut Descriptor {
-        let pages = self.descriptors.entry(key.ino).or_default();
-        let max_sessions = self.cfg.max_sessions;
-        let mut created = false;
-        let d = pages.entry(key.index.raw()).or_insert_with(|| {
-            created = true;
-            Descriptor::new(max_sessions, exists, modified, block)
-        });
-        if created {
-            self.ndesc += 1;
-            self.stats.peak_descriptors = self.stats.peak_descriptors.max(self.ndesc);
-        }
-        d
-    }
-
-    fn descriptor_get(&mut self, key: PageKey) -> Option<&mut Descriptor> {
-        self.descriptors
-            .get_mut(&key.ino)
-            .and_then(|pages| pages.get_mut(&key.index.raw()))
-    }
-
-    /// Frees the descriptor if no session has anything pending on it.
-    fn gc_descriptor(&mut self, key: PageKey) {
-        let masks = &self.masks;
-        let Some(pages) = self.descriptors.get_mut(&key.ino) else {
-            return;
-        };
-        if let Some(d) = pages.get(&key.index.raw()) {
-            if !d.pending_any(masks) {
-                pages.remove(&key.index.raw());
-                self.ndesc -= 1;
-            }
-        }
-        if pages.is_empty() {
-            self.descriptors.remove(&key.ino);
-        }
-    }
-
-    fn enqueue(&mut self, slot: usize, key: PageKey) {
-        if let Some(sess) = self.sessions[slot].as_mut() {
+    fn enqueue(sessions: &mut [Option<Session>], slot: usize, key: PageKey) {
+        if let Some(sess) = sessions[slot].as_mut() {
             sess.queue.push_back(key);
         }
     }
@@ -451,7 +398,7 @@ impl Duet {
         // bump the event counter and tick the trace — do exactly that.
         // Baseline (non-Duet) experiment cells still pump every cache
         // event through here, so this is their per-event cost.
-        if self.ndesc == 0 && self.faults.is_none() && self.sessions.iter().all(Option::is_none) {
+        if self.descs.is_empty() && self.faults.is_none() && self.slots.is_empty() {
             self.stats.events_processed += 1;
             if let Some(trace) = &self.trace {
                 trace.tick(TraceLayer::Duet, "event");
@@ -465,91 +412,75 @@ impl Duet {
         }
         let ((pre_e, pre_m), (post_e, post_m)) = transition(ev, meta.dirty);
         let interest = Self::interest_of(ev);
-        // Pass 1: which sessions want this event?
-        let mut interested = std::mem::take(&mut self.scratch_interested);
-        for slot in 0..self.cfg.max_sessions {
-            let Some(sess) = self.sessions[slot].as_ref() else {
+        // Pass 1: which sessions want this event? (A bit per slot.)
+        let mut interested = 0u16;
+        for (slot, mask) in self.slots.iter() {
+            if !mask.intersects(interest) {
+                continue;
+            }
+            let Some(sess) = self.sessions[slot].as_mut() else {
                 continue;
             };
-            if !sess.mask.intersects(interest) {
-                continue;
-            }
             // DoS bound: drop events for event-only sessions over limit.
-            if !sess.mask.has_state() && sess.queue.len() >= self.cfg.descriptor_limit {
+            if !mask.has_state() && sess.queue.len() >= self.cfg.descriptor_limit {
                 self.stats.events_dropped += 1;
-                if let Some(s) = self.sessions[slot].as_mut() {
-                    s.dropped += 1;
-                }
+                sess.dropped += 1;
                 continue;
             }
-            if self.session_accepts(slot, meta, fs) {
-                interested.push(slot);
+            if Self::session_accepts(sess, meta, fs) {
+                interested |= 1 << slot;
             }
         }
-        // Pass 2: update the descriptor.
+        // Pass 2: one probe finds the page's descriptor, or allocates
+        // it if some session wants the event.
         let key = meta.key;
-        let exists_already = self
-            .descriptors
-            .get(&key.ino)
-            .is_some_and(|p| p.contains_key(&key.index.raw()));
-        if !exists_already && interested.is_empty() {
-            self.scratch_interested = interested;
-            return;
-        }
-        // `descriptor_entry` needs `&mut self`, so the masks cache is
-        // moved out for the scope of pass 2 and restored after (no
-        // callee in between reads it).
-        let masks = std::mem::take(&mut self.masks);
-        let mut newly_pending = std::mem::take(&mut self.scratch_pending);
-        if exists_already {
+        let (d, existed) = if interested == 0 {
+            match self.descs.get_mut(&key) {
+                Some(d) => (d, true),
+                None => return,
+            }
+        } else {
+            self.descs
+                .get_or_insert_with(key, || Descriptor::new(post_e, post_m, meta.block))
+        };
+        if existed {
             // The event folds into an existing descriptor: the state
             // merge of §4.2 (one descriptor accumulates many events).
             if let Some(trace) = &self.trace {
                 trace.tick(TraceLayer::Duet, "merge");
             }
-        }
-        {
-            let d = self.descriptor_entry(key, post_e, post_m, meta.block);
-            if exists_already {
-                d.cur_exists = post_e;
-                d.cur_modified = post_m;
-                if meta.block.is_some() {
-                    d.block = meta.block;
-                }
-            }
-            for &slot in &interested {
-                let Some(mask) = masks[slot] else {
-                    continue;
-                };
-                let was = d.pending_for(slot, mask);
-                if !d.sess[slot].state_init() {
-                    d.sess[slot].set_reported(pre_e, pre_m);
-                }
-                let evt_bit = match ev {
-                    PageEvent::Added => (EventMask::ADDED, ItemFlags::ADDED),
-                    PageEvent::Removed => (EventMask::REMOVED, ItemFlags::REMOVED),
-                    PageEvent::Dirtied => (EventMask::DIRTIED, ItemFlags::DIRTIED),
-                    PageEvent::Flushed => (EventMask::FLUSHED, ItemFlags::FLUSHED),
-                };
-                if mask.contains(evt_bit.0) {
-                    d.sess[slot].set_evt(evt_bit.1);
-                }
-                let now = d.pending_for(slot, mask);
-                if now && !was {
-                    newly_pending.push(slot);
-                }
+            d.cur_exists = post_e;
+            d.cur_modified = post_m;
+            if meta.block.is_some() {
+                d.block = meta.block;
             }
         }
-        self.masks = masks;
-        for slot in newly_pending.drain(..) {
-            self.enqueue(slot, key);
+        let (evt_mask, evt_flag) = match ev {
+            PageEvent::Added => (EventMask::ADDED, ItemFlags::ADDED),
+            PageEvent::Removed => (EventMask::REMOVED, ItemFlags::REMOVED),
+            PageEvent::Dirtied => (EventMask::DIRTIED, ItemFlags::DIRTIED),
+            PageEvent::Flushed => (EventMask::FLUSHED, ItemFlags::FLUSHED),
+        };
+        for (slot, mask) in self.slots.iter() {
+            if interested & (1 << slot) == 0 {
+                continue;
+            }
+            let was = d.pending_for(slot, mask);
+            if !d.sess[slot].state_init() {
+                d.sess[slot].set_reported(pre_e, pre_m);
+            }
+            if mask.contains(evt_mask) {
+                d.sess[slot].set_evt(evt_flag);
+            }
+            if !was && d.pending_for(slot, mask) {
+                Self::enqueue(&mut self.sessions, slot, key);
+            }
         }
-        interested.clear();
-        self.scratch_interested = interested;
-        self.scratch_pending = newly_pending;
         // Cancellation: opposing events may have reverted the page to
         // its reported state for every session.
-        self.gc_descriptor(key);
+        if !d.pending_any(&self.slots) {
+            self.descs.remove(&key);
+        }
     }
 
     // ----- fetch -------------------------------------------------------------
@@ -563,127 +494,69 @@ impl Duet {
         fs: &dyn FsIntrospect,
     ) -> SimResult<Vec<Item>> {
         let slot = sid.0 as usize;
+        let sess = self
+            .sessions
+            .get_mut(slot)
+            .and_then(|s| s.as_mut())
+            .ok_or(SimError::InvalidSession(sid.0))?;
+        let (scope, mask) = (sess.scope, sess.mask);
         // Bound the walk by the current queue length so deferred items
         // (e.g. blockless pages re-queued) cannot spin the loop.
-        let mut budget = self.session_ref(sid)?.queue.len();
+        let mut budget = sess.queue.len();
         self.stats.fetch_calls += 1;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(max.min(budget));
         while out.len() < max && budget > 0 {
             budget -= 1;
-            let (key, sess_scope, sess_mask) = {
-                let Some(sess) = self.sessions[slot].as_mut() else {
-                    break;
-                };
-                let Some(key) = sess.queue.pop_front() else {
-                    break;
-                };
-                (key, sess.scope, sess.mask)
+            let Some(key) = sess.queue.pop_front() else {
+                break;
             };
-            let Some(d) = self.descriptor_get(key) else {
+            // One probe per queued page; a stale entry (already
+            // delivered, cancelled or freed) just falls through.
+            let Some(d) = self.descs.get_mut(&key) else {
                 continue;
             };
-            if !d.pending_for(slot, sess_mask) {
-                self.gc_descriptor(key);
-                continue;
-            }
-            // Resolve the block for block tasks (FIBMAP bridging, §4.2).
-            let block = match sess_scope {
-                TaskScope::Block { .. } => {
-                    let b = match d.block {
-                        Some(b) => Some(b),
-                        None => {
-                            let resolved = fs.fibmap(key.ino, key.index);
-                            if let Some(b) = resolved {
-                                d.block = Some(b);
-                            }
-                            resolved
+            if d.pending_for(slot, mask) {
+                match scope {
+                    TaskScope::File { .. } => out.push(Item {
+                        id: ItemId::Inode(key.ino),
+                        offset: key.index.raw() * PAGE_SIZE,
+                        flags: d.deliver(slot, mask),
+                        moved_to: None,
+                    }),
+                    TaskScope::Block { .. } => {
+                        // Resolve the block (FIBMAP bridging, §4.2).
+                        if d.block.is_none() {
+                            d.block = fs.fibmap(key.ino, key.index);
                         }
-                    };
-                    match b {
-                        Some(b) => Some(b),
-                        None => {
+                        let Some(b) = d.block else {
                             // Still unallocated: defer to a later fetch.
-                            self.enqueue(slot, key);
+                            sess.queue.push_back(key);
                             continue;
+                        };
+                        // Done filtering at delivery time. File tasks
+                        // need no check here: `set_done` already marked
+                        // their descriptors up-to-date. Block tasks have
+                        // no per-block descriptor index, so "marked
+                        // up-to-date" is applied lazily now.
+                        if sess.done.test(b.raw()) {
+                            d.mark_reported(slot);
+                        } else {
+                            out.push(Item {
+                                id: ItemId::Block(b),
+                                offset: 0,
+                                flags: d.deliver(slot, mask),
+                                // Surface a post-event migration
+                                // (log-structured flush) for the GC's
+                                // segment counters.
+                                moved_to: fs.fibmap(key.ino, key.index).filter(|&cur| cur != b),
+                            });
                         }
                     }
                 }
-                TaskScope::File { .. } => None,
-            };
-            // Done filtering at delivery time. File tasks need no check
-            // here: `set_done` already marked their descriptors
-            // up-to-date. Block tasks have no per-block descriptor
-            // index, so "marked up-to-date" is applied lazily now.
-            let skip = match (sess_scope, block) {
-                (TaskScope::File { .. }, _) | (TaskScope::Block { .. }, None) => false,
-                (TaskScope::Block { .. }, Some(b)) => self.sessions[slot]
-                    .as_ref()
-                    .is_some_and(|sess| sess.done.test(b.raw())),
-            };
-            let Some(d) = self.descriptor_get(key) else {
-                continue;
-            };
-            if skip {
-                // Mark up-to-date without delivering.
-                d.sess[slot].clear_evt();
-                d.sess[slot].clear_force_not_exists();
-                let (e, m) = (d.cur_exists, d.cur_modified);
-                d.sess[slot].set_reported(e, m);
-                self.gc_descriptor(key);
-                continue;
             }
-            // Build the flags.
-            let mut flags = ItemFlags::empty();
-            let f = d.sess[slot];
-            flags |= crate::events::ItemFlags::from_evt_bits(f.evt_bits());
-            if f.force_not_exists() {
-                flags |= ItemFlags::NOT_EXISTS;
-            } else if f.state_init() {
-                if sess_mask.contains(EventMask::EXISTS) && f.reported_exists() != d.cur_exists {
-                    flags |= if d.cur_exists {
-                        ItemFlags::EXISTS
-                    } else {
-                        ItemFlags::NOT_EXISTS
-                    };
-                }
-                if sess_mask.contains(EventMask::MODIFIED)
-                    && f.reported_modified() != d.cur_modified
-                {
-                    flags |= if d.cur_modified {
-                        ItemFlags::MODIFIED
-                    } else {
-                        ItemFlags::NOT_MODIFIED
-                    };
-                }
+            if !d.pending_any(&self.slots) {
+                self.descs.remove(&key);
             }
-            // Mark up-to-date.
-            d.sess[slot].clear_evt();
-            d.sess[slot].clear_force_not_exists();
-            let (e, m) = (d.cur_exists, d.cur_modified);
-            d.sess[slot].set_reported(e, m);
-            let item = match (sess_scope, block) {
-                (TaskScope::File { .. }, _) => Item {
-                    id: ItemId::Inode(key.ino),
-                    offset: key.index.raw() * PAGE_SIZE,
-                    flags,
-                    moved_to: None,
-                },
-                (TaskScope::Block { .. }, Some(b)) => {
-                    // Surface a post-event migration (log-structured
-                    // flush) for the GC's segment counters.
-                    let moved_to = fs.fibmap(key.ino, key.index).filter(|&cur| cur != b);
-                    Item {
-                        id: ItemId::Block(b),
-                        offset: 0,
-                        flags,
-                        moved_to,
-                    }
-                }
-                // Block tasks resolved (or deferred on) the block above.
-                (TaskScope::Block { .. }, None) => continue,
-            };
-            out.push(item);
-            self.gc_descriptor(key);
         }
         self.stats.items_fetched += out.len() as u64;
         if let Some(trace) = &self.trace {
@@ -723,25 +596,11 @@ impl Duet {
             }
         }
         if let ItemId::Inode(ino) = item {
-            let masks = &self.masks;
-            if let Some(pages) = self.descriptors.get_mut(&ino) {
-                let mut freed = 0usize;
-                pages.retain(|_, d| {
-                    d.sess[slot].clear_evt();
-                    d.sess[slot].clear_force_not_exists();
-                    let (e, m) = (d.cur_exists, d.cur_modified);
-                    d.sess[slot].set_reported(e, m);
-                    let keep = d.pending_any(masks);
-                    if !keep {
-                        freed += 1;
-                    }
-                    keep
-                });
-                if pages.is_empty() {
-                    self.descriptors.remove(&ino);
-                }
-                self.ndesc -= freed;
-            }
+            let slots = &self.slots;
+            self.descs.retain_file(ino, |d| {
+                d.mark_reported(slot);
+                d.pending_any(slots)
+            });
         }
         Ok(())
     }
@@ -862,7 +721,9 @@ impl Duet {
                     continue;
                 };
                 for meta in fs.cached_pages_of(ino) {
-                    let d = self.descriptor_entry(meta.key, true, meta.dirty, meta.block);
+                    let (d, _) = self.descs.get_or_insert_with(meta.key, || {
+                        Descriptor::new(true, meta.dirty, meta.block)
+                    });
                     let was = d.pending_for(slot, mask);
                     if mask.contains(EventMask::REMOVED) {
                         d.sess[slot].set_evt(ItemFlags::REMOVED);
@@ -870,11 +731,12 @@ impl Duet {
                     if mask.contains(EventMask::EXISTS) {
                         d.sess[slot].set_force_not_exists();
                     }
-                    let now = d.pending_for(slot, mask);
-                    if now && !was {
-                        self.enqueue(slot, meta.key);
+                    if !was && d.pending_for(slot, mask) {
+                        Self::enqueue(&mut self.sessions, slot, meta.key);
                     }
-                    self.gc_descriptor(meta.key);
+                    if !d.pending_any(&self.slots) {
+                        self.descs.remove(&meta.key);
+                    }
                 }
                 // Mark the file done while keeping the farewell
                 // notifications pending: future events are filtered at
@@ -913,7 +775,7 @@ impl Duet {
             out,
             "duet: {} session(s), {} descriptor(s), {} B tracked memory",
             self.session_count(),
-            self.ndesc,
+            self.descs.len(),
             self.memory_bytes()
         );
         for (slot, sess) in self.sessions.iter().enumerate() {
@@ -943,7 +805,7 @@ impl Duet {
             self.stats.events_dropped,
             self.stats.fetch_calls,
             self.stats.items_fetched,
-            self.stats.peak_descriptors
+            self.descs.peak()
         );
         out
     }
@@ -954,19 +816,33 @@ impl Duet {
     /// future work in §2 of the paper): the cache can deprioritize
     /// evicting pages whose hints no task has consumed yet.
     pub fn pending_pages(&self, max: usize) -> Vec<PageKey> {
-        let masks = &self.masks;
-        let mut out = Vec::new();
-        'outer: for (&ino, pages) in &self.descriptors {
-            for (&idx, d) in pages {
-                if d.pending_any(masks) {
-                    out.push(PageKey::new(ino, sim_core::PageIndex(idx)));
-                    if out.len() >= max {
-                        break 'outer;
-                    }
-                }
-            }
+        let mut out: Vec<PageKey> = self
+            .descs
+            .iter()
+            .filter(|(_, d)| d.pending_any(&self.slots))
+            .map(|(key, _)| *key)
+            .collect();
+        // The first `max` in (inode, index) order, whatever order the
+        // descriptors arrived in.
+        if max < out.len() {
+            out.select_nth_unstable(max);
+            out.truncate(max);
         }
+        out.sort_unstable();
         out
+    }
+
+    /// Panics unless `descriptor_count`, the table and its per-inode
+    /// index agree.
+    #[cfg(test)]
+    pub(crate) fn assert_index_consistent(&self) {
+        self.descs.assert_consistent();
+    }
+
+    /// The pages with a descriptor, in the table's dense order.
+    #[cfg(test)]
+    pub(crate) fn dense_order(&self) -> Vec<PageKey> {
+        self.descs.iter().map(|(key, _)| *key).collect()
     }
 
     /// Events dropped for a session (DoS-bound accounting).

@@ -2,7 +2,7 @@
 
 use crate::events::{EventMask, ItemFlags};
 use crate::framework::{Duet, DuetConfig};
-use crate::session::{ItemId, TaskScope};
+use crate::session::{ItemId, SessionId, TaskScope};
 use sim_cache::FsIntrospect;
 use sim_cache::{PageEvent, PageKey, PageMeta};
 use sim_core::{BlockNr, DeviceId, InodeNr, PageIndex, SimError};
@@ -961,4 +961,112 @@ mod faults {
             .unwrap_err();
         assert_eq!(err, SimError::InvalidSession(9));
     }
+}
+
+// ----- the flat descriptor table ------------------------------------------------
+
+/// Builds the descriptor set {(f, 1), (f, 2), (f, 3)} for a session on
+/// `/a`, with a second session on `/b` whose only descriptor is freed
+/// by its deregistration — either first in the table's dense storage
+/// (so freeing it swap-fills a survivor into its place) or last.
+fn three_descriptors(other_arrives_first: bool) -> Duet {
+    let mut fs = MockFs::new();
+    let a = fs.add(2, ROOT, "a");
+    let b = fs.add(3, ROOT, "b");
+    let f = fs.add(10, a, "f");
+    let g = fs.add(11, b, "g");
+    let mut duet = Duet::with_defaults();
+    for dir in [a, b] {
+        duet.register(
+            TaskScope::File {
+                registered_dir: dir,
+            },
+            EventMask::EXISTS,
+            &fs,
+        )
+        .unwrap();
+    }
+    let other = meta(g, 0, Some(50), false);
+    if other_arrives_first {
+        duet.handle_page_event(other, PageEvent::Added, &fs);
+    }
+    for i in 1..=3 {
+        duet.handle_page_event(meta(f, i, Some(i), false), PageEvent::Added, &fs);
+    }
+    if !other_arrives_first {
+        duet.handle_page_event(other, PageEvent::Added, &fs);
+    }
+    duet.deregister(SessionId(1)).unwrap();
+    duet.assert_index_consistent();
+    duet
+}
+
+#[test]
+fn digest_and_pending_pages_do_not_depend_on_arrival_order() {
+    use sim_core::snapshot::StateDigest;
+    let (x, y) = (three_descriptors(true), three_descriptors(false));
+    // Not vacuous: the two tables really are laid out differently, so
+    // walking them in dense order would give different answers.
+    assert_ne!(x.dense_order(), y.dense_order());
+    assert_eq!(x.state_digest_hex(), y.state_digest_hex());
+    let first_two: Vec<PageKey> = (1..=2)
+        .map(|i| PageKey::new(InodeNr(10), PageIndex(i)))
+        .collect();
+    for duet in [&x, &y] {
+        assert_eq!(duet.descriptor_count(), 3);
+        assert_eq!(duet.pending_pages(2), first_two, "first two in key order");
+        assert_eq!(duet.pending_pages(0), []);
+        assert_eq!(duet.pending_pages(usize::MAX).len(), 3);
+    }
+}
+
+#[test]
+fn session_cap_is_the_flag_arrays_sixteen() {
+    let fs = MockFs::new();
+    for max_sessions in [1, 2, 16] {
+        let mut duet = Duet::new(DuetConfig {
+            max_sessions,
+            descriptor_limit: 100,
+        });
+        for _ in 0..max_sessions {
+            duet.register(TaskScope::Block { device: DEV }, EventMask::ADDED, &fs)
+                .unwrap();
+        }
+        assert_eq!(
+            duet.register(TaskScope::Block { device: DEV }, EventMask::ADDED, &fs),
+            Err(SimError::TooManySessions)
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "max_sessions = 17 exceeds the cap of 16")]
+fn seventeen_sessions_are_rejected_loudly() {
+    Duet::new(DuetConfig {
+        max_sessions: 17,
+        descriptor_limit: 100,
+    });
+}
+
+#[test]
+fn set_done_on_a_file_without_descriptors_leaves_a_large_table_untouched() {
+    let fs = MockFs::new();
+    let mut duet = Duet::with_defaults();
+    let sid = duet
+        .register(TaskScope::Block { device: DEV }, EventMask::ADDED, &fs)
+        .unwrap();
+    for n in 0..100_000u64 {
+        let page = meta(InodeNr(10 + n / 100), n % 100, Some(n), false);
+        duet.handle_page_event(page, PageEvent::Added, &fs);
+    }
+    assert_eq!(duet.descriptor_count(), 100_000);
+    let before = duet.dense_order();
+    duet.set_done(sid, ItemId::Inode(InodeNr(5))).unwrap();
+    assert_eq!(duet.dense_order(), before);
+    duet.assert_index_consistent();
+    // A file that has descriptors loses exactly its own.
+    duet.set_done(sid, ItemId::Inode(InodeNr(10))).unwrap();
+    assert_eq!(duet.descriptor_count(), 100_000 - 100);
+    assert!(duet.dense_order().iter().all(|key| key.ino != InodeNr(10)));
+    duet.assert_index_consistent();
 }

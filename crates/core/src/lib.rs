@@ -73,6 +73,8 @@ pub use session::{Item, ItemId, SessionId, TaskScope};
 pub use sim_cache::FsIntrospect;
 
 #[cfg(test)]
+mod differential_tests;
+#[cfg(test)]
 mod framework_tests;
 #[cfg(test)]
 mod property_tests;

@@ -201,6 +201,7 @@ fn state_session_matches_reference() {
                     assert_eq!(got, expected);
                 }
             }
+            duet.assert_index_consistent();
         }
         // Final fetch must also agree, and leave nothing allocated.
         let final_items = duet.fetch(sid, 64, &fs).expect("fetch");
@@ -287,6 +288,7 @@ fn event_session_matches_reference() {
                     assert_eq!(got, expected);
                 }
             }
+            duet.assert_index_consistent();
         }
         Ok(())
     })

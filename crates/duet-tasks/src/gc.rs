@@ -17,7 +17,6 @@ use sim_core::trace::TraceLayer;
 use sim_core::{SegmentNr, SimError, SimInstant, SimResult};
 use sim_disk::IoClass;
 use sim_f2fs::{cleaning_cost, CleanResult, F2fsSim, SegState, VictimPolicy};
-use std::collections::BTreeMap;
 
 const FETCH_BATCH: usize = 256;
 
@@ -40,8 +39,10 @@ pub struct GarbageCollector {
     /// Segments examined per invocation (the paper's 4096).
     window: u32,
     cursor: u32,
-    /// Event-derived cached-valid-block counts per segment.
-    cached: BTreeMap<u32, i64>,
+    /// Event-derived cached-valid-block counts, indexed by segment
+    /// (grown on demand; victim selection reads one per segment of its
+    /// window on every step).
+    cached: Vec<i64>,
     /// Cleaning outcomes, in order (Table 6's raw data).
     pub results: Vec<CleanResult>,
     /// Test-only defect switch: lose one block per cleaning (oracle
@@ -60,7 +61,7 @@ impl GarbageCollector {
             sid: None,
             window: 4096,
             cursor: 0,
-            cached: BTreeMap::new(),
+            cached: Vec::new(),
             results: Vec::new(),
             sabotage: false,
             started: false,
@@ -115,8 +116,11 @@ impl GarbageCollector {
     }
 
     fn bump(&mut self, seg: u32, delta: i64) {
-        let e = self.cached.entry(seg).or_insert(0);
-        *e = (*e + delta).max(0);
+        let seg = seg as usize;
+        if seg >= self.cached.len() {
+            self.cached.resize(seg + 1, 0);
+        }
+        self.cached[seg] = (self.cached[seg] + delta).max(0);
     }
 
     fn drain_events(&mut self, ctx: &mut GcCtx<'_>) -> SimResult<()> {
@@ -162,9 +166,8 @@ impl GarbageCollector {
     /// Event-derived cached count for a segment (0 in baseline mode).
     pub fn cached_estimate(&self, seg: SegmentNr) -> u32 {
         self.cached
-            .get(&seg.raw())
-            .map(|&c| c.max(0) as u32)
-            .unwrap_or(0)
+            .get(seg.raw() as usize)
+            .map_or(0, |&c| c.max(0) as u32)
     }
 
     /// Picks a victim in the current window and cleans it. Returns the

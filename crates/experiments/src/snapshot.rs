@@ -181,7 +181,7 @@ thread_local! {
 /// memoized) build otherwise. With `DUET_SNAPSHOT=0` every call builds
 /// from scratch and nothing is memoized.
 pub fn obtain(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
-    if !sim_core::snapshot::enabled() {
+    if !sim_core::snapshot::enabled()? {
         return prepare(cfg);
     }
     STORE.with(|s| {
@@ -258,7 +258,7 @@ mod tests {
         // Counters only move when warm-start is on; the digest
         // equalities above must hold either way (that is the point of
         // the `DUET_SNAPSHOT=0` escape hatch).
-        if sim_core::snapshot::enabled() {
+        if sim_core::snapshot::enabled().expect("well-formed DUET_SNAPSHOT") {
             let (hits, misses) = warm_stats();
             assert!(hits >= 2, "hits {hits}");
             assert!(misses >= 1, "misses {misses}");

@@ -40,6 +40,8 @@
 //!   plus the incremental state digest ([`snapshot::Digest`],
 //!   [`snapshot::StateDigest`]) behind the fork-equivalence oracle,
 //!   gated by `DUET_SNAPSHOT`.
+//! - [`knobs`]: the strict parser behind the `DUET_SCALE`, `DUET_JOBS`
+//!   and `DUET_SNAPSHOT` environment knobs.
 //! - [`omap`]: the deterministic **ordered** companion
 //!   ([`omap::DOrdMap`]): a chunked sorted vector with O(log n)
 //!   lookups, `range`/`next_back` and neighbour queries, and sorted
@@ -53,6 +55,7 @@ pub mod dmap;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod knobs;
 pub mod omap;
 pub mod rng;
 pub mod snapshot;

@@ -28,13 +28,14 @@
 //! behind a shared lock.
 
 /// Returns `false` when `DUET_SNAPSHOT=0`: the warm-start escape
-/// hatch. Any other value (including unset) leaves snapshotting on.
-/// Read per call so tests and harness drivers can flip it between
-/// runs.
-pub fn enabled() -> bool {
-    std::env::var("DUET_SNAPSHOT")
-        .map(|v| v != "0")
-        .unwrap_or(true)
+/// hatch. Unset or `1` leaves snapshotting on; anything else is an
+/// error (see [`crate::knobs`]). Read per call so tests and harness
+/// drivers can flip it between runs.
+pub fn enabled() -> crate::SimResult<bool> {
+    crate::knobs::Knob::Snapshot
+        .read()
+        .map(|value| value != Some(0))
+        .map_err(crate::SimError::InvalidArgument)
 }
 
 /// Incremental 128-bit FNV-1a digest: two independent 64-bit streams

@@ -3,9 +3,11 @@
 # has no external dependencies, so no registry access is needed).
 #
 #   fmt --check  →  clippy -D warnings  →  xtask lint  →  cargo test
+#   →  differential fuzz (pinned seed: containers, Duet vs reference)
 #   →  fault matrix (pinned seed)  →  oracle sabotage localization
 #   →  trace compile-out check  →  repro_all smoke (tiny scale, 2 jobs)
 #   →  microbenchmarks + perf-regression gate (committed baseline)
+#   →  duetbench package gate + benchmark-contract smoke
 #
 # Each step must pass before the next runs; the script exits non-zero
 # on the first failure.
@@ -39,6 +41,12 @@ echo "==> differential container fuzz (fixed seed)"
 # rotating (but logged) DUET_CHECK_SEED, mirroring the fault-matrix
 # split below.
 DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p sim-core --release --test omap_differential
+
+echo "==> Duet framework vs naive reference (fixed seed)"
+# The framework's flat descriptor table against the ordered-map
+# reference model, every observable compared after every op
+# (DESIGN.md §15.2); same pinned/rotating seed split.
+DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p duet --release differential_tests
 
 echo "==> fault matrix (fixed seed)"
 # The deterministic anchor: the full task × fault-plan grid under a
@@ -84,5 +92,19 @@ echo "==> microbenchmarks + perf-regression gate"
 cargo build -q --release -p bench --bin bench
 timeout 600 ./target/release/bench micro
 ./target/release/bench gate
+
+echo "==> duetbench: package gate + benchmark-contract smoke"
+# The benchmark (BENCHMARK.json, benchmark/) measures this workspace
+# from outside through a bound set of public APIs and pins every
+# simulated statistic at seed 42. Gate it here so a change that breaks
+# that API surface or moves a pinned statistic fails now, not in the
+# next performance PR: the package's own checks, then one workload
+# under the contract's invocation — pins, mirror ≡ entry point, fsck.
+benchmark/check.sh
+smoke=$(benchmark/run.sh --workload write_cow_duet --seed 42 --seconds 3 --trace 1 | tail -n 1)
+if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$smoke"; then
+    echo "duetbench contract smoke failed: ${smoke:0:160}" >&2
+    exit 1
+fi
 
 echo "==> all checks passed"
