@@ -1,12 +1,13 @@
-//! Regenerates the committed golden-determinism fixtures.
+//! `bench golden`: regenerates the committed golden-determinism
+//! fixtures.
 //!
-//! The fixtures pin every output the dmap-era container migration must
-//! keep byte-identical: experiment golden CSVs, the rsync line, the
-//! trace JSONL digest, the parallel sweep grids (bit patterns), and
-//! the scripted cache/prioqueue op-mix logs. Run from the repo root:
+//! The fixtures pin every output that must stay byte-identical:
+//! experiment golden CSVs, the rsync line, the trace JSONL digest, the
+//! parallel sweep grids (bit patterns), and the scripted
+//! cache/prioqueue/extent op-mix logs. Run from the repo root:
 //!
 //! ```text
-//! cargo run --release -p bench --bin dump_golden
+//! cargo run --release -p bench -- golden
 //! ```
 //!
 //! Only do this deliberately (see DESIGN.md §12): rewriting the
@@ -18,10 +19,10 @@ use experiments::golden::{
     cache_event_log, extent_oplog, fnv128_hex, golden_csv, golden_rsync_line, prioqueue_pop_log,
 };
 use experiments::{
-    paper_scaled, run_experiment, run_experiment_traced, run_rsync_experiment, DeviceKind, TaskKind,
+    paper_scaled, run_experiment, run_experiment_with, run_rsync_experiment, DeviceKind,
+    RunOptions, TaskKind,
 };
 use sim_core::trace::TraceHandle;
-use std::process::ExitCode;
 use workloads::{DistKind, Personality};
 
 const SCALE: u64 = 512;
@@ -68,8 +69,10 @@ fn traced_cfg() -> experiments::ExperimentConfig {
     c
 }
 
-fn grid_lines(grid: &[Vec<f64>]) -> String {
-    grid.iter()
+/// A row-major grid, `per_row` cells a line, as hex `f64` bit patterns.
+fn grid_lines(cells: &[f64], per_row: usize) -> String {
+    cells
+        .chunks(per_row)
         .map(|row| {
             row.iter()
                 .map(|v| format!("{:016x}", v.to_bits()))
@@ -81,14 +84,13 @@ fn grid_lines(grid: &[Vec<f64>]) -> String {
         + "\n"
 }
 
-fn main() -> ExitCode {
+/// Rewrites every fixture under `tests/fixtures/` and
+/// `crates/bench/tests/fixtures/` (relative to the current directory).
+pub fn run() -> Result<(), String> {
     let root_fixtures = std::path::Path::new("tests/fixtures");
     let bench_fixtures = std::path::Path::new("crates/bench/tests/fixtures");
     for d in [root_fixtures, bench_fixtures] {
-        if let Err(e) = std::fs::create_dir_all(d) {
-            eprintln!("error: creating {}: {e}", d.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(d).map_err(|e| format!("creating {}: {e}", d.display()))?;
     }
     let write = |path: &std::path::Path, name: &str, contents: &str| {
         let p = path.join(name);
@@ -132,7 +134,11 @@ fn main() -> ExitCode {
     let mut trace_out = String::new();
     if TraceHandle::compiled_in() {
         let t = TraceHandle::with_default_capacity();
-        let r = run_experiment_traced(&traced_cfg(), Some(&t)).expect("traced preset");
+        let traced = RunOptions {
+            trace: Some(&t),
+            ..RunOptions::default()
+        };
+        let r = run_experiment_with(&traced_cfg(), &traced).expect("traced preset");
         let jsonl = t.dump_jsonl();
         trace_out.push_str(&format!(
             "golden_csv_digest {}\n",
@@ -161,9 +167,14 @@ fn main() -> ExitCode {
         &[TaskKind::Scrub],
         None,
         1,
+        false,
     )
     .expect("saved sweep");
-    write(bench_fixtures, "golden_saved_grid.txt", &grid_lines(&saved));
+    write(
+        bench_fixtures,
+        "golden_saved_grid.txt",
+        &grid_lines(&saved.values, 2),
+    );
     let completed = completed_cells(
         SCALE,
         Personality::WebServer,
@@ -171,12 +182,13 @@ fn main() -> ExitCode {
         &[TaskKind::Scrub, TaskKind::Backup],
         None,
         1,
+        false,
     )
     .expect("completed sweep");
     write(
         bench_fixtures,
         "golden_completed_grid.txt",
-        &grid_lines(&completed),
+        &grid_lines(&completed.values, 2),
     );
 
     // 5. Structure-level op-mix logs: the exact event/pop sequences the
@@ -198,5 +210,5 @@ fn main() -> ExitCode {
     );
 
     println!("all fixtures written");
-    ExitCode::SUCCESS
+    Ok(())
 }

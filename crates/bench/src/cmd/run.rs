@@ -1,5 +1,6 @@
-//! Runs every table/figure harness **in-process**, writing all CSVs
-//! under `results/` plus a machine-readable timing summary in
+//! `bench run [harness…]`: runs the named table/figure harnesses (no
+//! names = all of them) **in-process**, writing their CSVs under
+//! `results/` plus a machine-readable timing summary in
 //! `results/BENCH_sweeps.json`.
 //!
 //! Harnesses fan out across cores (bounded by `DUET_JOBS`); each runs
@@ -10,14 +11,13 @@
 //! cannot skew its measurement; its CSV is excluded from byte-identity
 //! claims (it reports hardware timings).
 //!
-//! Usage: `repro_all [harness...]` — with arguments, runs only the
-//! named harnesses. Control fidelity with `DUET_SCALE` (default here:
-//! 64, which keeps the full reproduction to a few minutes).
+//! Fidelity is `DUET_SCALE`; unset, each harness runs at its own
+//! `default_scale` (`DUET_SCALE=64` keeps the full reproduction to a few
+//! minutes).
 
 use bench::figs::{self, HarnessSpec};
 use bench::harness::Stopwatch;
 use bench::{pool, scale_from_env, BenchError, Sink};
-use std::process::ExitCode;
 
 struct Outcome {
     spec: &'static HarnessSpec,
@@ -29,10 +29,16 @@ struct Outcome {
     ops: u64,
 }
 
-fn run_buffered(spec: &'static HarnessSpec, scale: u64) -> Outcome {
-    let mut sink = Sink::buffer();
+/// The scale `spec` runs at: `DUET_SCALE`, else its own default.
+fn scale_of(spec: &HarnessSpec) -> u64 {
+    scale_from_env(spec.default_scale)
+}
+
+fn run_one(spec: &'static HarnessSpec, mut sink: Sink) -> Outcome {
     let sw = Stopwatch::start();
-    let err = (spec.run)(scale, &mut sink).err().map(|e| e.to_string());
+    let err = (spec.run)(scale_of(spec), &mut sink)
+        .err()
+        .map(|e| e.to_string());
     let wall_ms = sw.elapsed_ns() as f64 / 1e6;
     Outcome {
         spec,
@@ -43,12 +49,16 @@ fn run_buffered(spec: &'static HarnessSpec, scale: u64) -> Outcome {
     }
 }
 
-fn write_summary(
-    scale: u64,
-    jobs: usize,
-    outcomes: &[Outcome],
-    total_ms: f64,
-) -> std::io::Result<()> {
+fn write_summary(jobs: usize, outcomes: &[Outcome], total_ms: f64) -> std::io::Result<()> {
+    // The one scale every harness ran at, or `null` when `DUET_SCALE`
+    // is unset and their defaults differ — which `bench gate` then
+    // refuses to compare against a baseline.
+    let mut scales: Vec<u64> = outcomes.iter().map(|o| scale_of(o.spec)).collect();
+    scales.dedup();
+    let scale = match scales[..] {
+        [one] => one.to_string(),
+        _ => "null".to_string(),
+    };
     // Hand-rolled JSON: names are static identifiers, nothing needs
     // escaping.
     let mut s = String::new();
@@ -76,43 +86,41 @@ fn write_summary(
     std::fs::write("results/BENCH_sweeps.json", s)
 }
 
-fn main() -> ExitCode {
-    if let Err(code) = bench::check_env() {
-        return code;
-    }
-    let scale = scale_from_env(64);
-    let jobs = pool::jobs();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let selected: Vec<&'static HarnessSpec> = if args.is_empty() {
+/// Runs the harnesses named in `names` (all when empty).
+pub fn run(names: &[&str]) -> Result<(), String> {
+    let selected: Vec<&'static HarnessSpec> = if names.is_empty() {
         figs::ALL.iter().collect()
     } else {
-        let mut v = Vec::new();
-        for a in &args {
-            match figs::find(a) {
-                Some(h) => v.push(h),
-                None => {
-                    eprintln!("error: {}", BenchError::UnknownHarness(a.clone()));
+        names
+            .iter()
+            .map(|name| {
+                figs::find(name).ok_or_else(|| {
                     let known: Vec<&str> = figs::ALL.iter().map(|h| h.name).collect();
-                    eprintln!("known harnesses: {}", known.join(" "));
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        v
+                    format!(
+                        "{}\nknown harnesses: {}",
+                        BenchError::UnknownHarness(name.to_string()),
+                        known.join(" ")
+                    )
+                })
+            })
+            .collect::<Result<_, _>>()?
     };
+    let jobs = pool::jobs();
     println!(
-        "repro_all: {} harnesses in-process, DUET_SCALE={scale}, DUET_JOBS={jobs}",
+        "bench run: {} harnesses in-process, DUET_JOBS={jobs}",
         selected.len()
     );
     let total = Stopwatch::start();
-    let parallel: Vec<&'static HarnessSpec> =
-        selected.iter().copied().filter(|h| !h.wall_clock).collect();
-    let serial: Vec<&'static HarnessSpec> =
-        selected.iter().copied().filter(|h| h.wall_clock).collect();
-    let mut outcomes =
-        pool::run_indexed(parallel.len(), jobs, |i| run_buffered(parallel[i], scale));
+    let (serial, parallel): (Vec<_>, Vec<_>) = selected.iter().copied().partition(|h| h.wall_clock);
+    let mut outcomes = pool::run_indexed(parallel.len(), jobs, |i| {
+        run_one(parallel[i], Sink::buffer())
+    });
     for o in &outcomes {
-        println!("\n===== {} (DUET_SCALE={scale}) =====", o.spec.name);
+        println!(
+            "\n===== {} (DUET_SCALE={}) =====",
+            o.spec.name,
+            scale_of(o.spec)
+        );
         for line in &o.lines {
             println!("{line}");
         }
@@ -123,44 +131,34 @@ fn main() -> ExitCode {
     // Wall-clock harnesses run alone, after the parallel load drains.
     for spec in serial {
         println!(
-            "\n===== {} (DUET_SCALE={scale}, wall-clock, runs alone) =====",
-            spec.name
+            "\n===== {} (DUET_SCALE={}, wall-clock, runs alone) =====",
+            spec.name,
+            scale_of(spec)
         );
-        let mut sink = Sink::live();
-        let sw = Stopwatch::start();
-        let err = (spec.run)(scale, &mut sink).err().map(|e| e.to_string());
-        if let Some(e) = &err {
+        let o = run_one(spec, Sink::live());
+        if let Some(e) = &o.err {
             eprintln!("{} failed: {e}", spec.name);
         }
-        outcomes.push(Outcome {
-            spec,
-            lines: Vec::new(),
-            err,
-            wall_ms: sw.elapsed_ns() as f64 / 1e6,
-            ops: sink.ops(),
-        });
+        outcomes.push(o);
     }
     // Report in registry order regardless of execution order.
     outcomes.sort_by_key(|o| figs::ALL.iter().position(|h| h.name == o.spec.name));
     let total_ms = total.elapsed_ns() as f64 / 1e6;
-    if let Err(e) = write_summary(scale, jobs, &outcomes, total_ms) {
-        eprintln!("error: writing results/BENCH_sweeps.json failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let failed: Vec<&str> = outcomes
-        .iter()
-        .filter(|o| o.err.is_some())
-        .map(|o| o.spec.name)
-        .collect();
+    write_summary(jobs, &outcomes, total_ms)
+        .map_err(|e| format!("writing results/BENCH_sweeps.json failed: {e}"))?;
     println!(
         "\nAll harnesses done in {:.1}s; CSVs in ./results/, timings in \
          ./results/BENCH_sweeps.json",
         total_ms / 1e3
     );
+    let failed: Vec<&str> = outcomes
+        .iter()
+        .filter(|o| o.err.is_some())
+        .map(|o| o.spec.name)
+        .collect();
     if failed.is_empty() {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        eprintln!("failed harnesses: {}", failed.join(" "));
-        ExitCode::FAILURE
+        Err(format!("failed harnesses: {}", failed.join(" ")))
     }
 }

@@ -8,10 +8,10 @@
 //!    observation): Duet with a tiny cache still saves most of its I/O,
 //!    showing the benefit comes from reordering, not from caching.
 
+use crate::sweeps::PROFILED;
 use crate::{f2, pct, pool, BenchResult, Report, Sink};
 use experiments::{
-    paper_scaled, run_experiment_cached, run_gc_experiment, GcExperimentConfig, ProfileCache,
-    TaskKind,
+    paper_scaled, run_experiment_with, run_gc_experiment, GcExperimentConfig, TaskKind,
 };
 use sim_core::{SimDuration, SimResult};
 use sim_disk::SchedulerPolicy;
@@ -20,8 +20,6 @@ use workloads::{DistKind, FileSetConfig, Personality, WorkloadConfig};
 
 /// Runs the harness at 1/`scale` of the paper setup.
 pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
-    let profiles = ProfileCache::global();
-
     // 1. Victim policy ablation.
     let mut gc = Report::new(
         "ablation_gc_policy",
@@ -95,7 +93,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         cfg.policy = SchedulerPolicy::CfqIdle {
             grace: SimDuration::from_millis(graces[i]),
         };
-        run_experiment_cached(&cfg, profiles)
+        run_experiment_with(&cfg, &PROFILED)
     })?;
     for (&grace_ms, r) in graces.iter().zip(&grace_runs) {
         grace.row(
@@ -128,7 +126,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             true,
         );
         cfg.cache_pages = (cfg.cache_pages as u64 / divisors[i]).max(128) as usize;
-        Ok((cfg.cache_pages, run_experiment_cached(&cfg, profiles)?))
+        Ok((cfg.cache_pages, run_experiment_with(&cfg, &PROFILED)?))
     })?;
     for (cache_pages, r) in &cache_runs {
         cache.row(
@@ -172,7 +170,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             );
             cfg.poll_period = SimDuration::from_millis(poll_ms);
             cfg.informed_replacement = inf;
-            Ok(run_experiment_cached(&cfg, profiles)?.io_saved())
+            Ok(run_experiment_with(&cfg, &PROFILED)?.io_saved())
         })?;
     for (&poll_ms, pair) in polls.iter().zip(informed_runs.chunks(2)) {
         informed.row(sink, &[poll_ms.to_string(), pct(pair[0]), pct(pair[1])]);
@@ -209,7 +207,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         );
         cfg.fragmentation = Some((1.0, 8));
         cfg.defrag_file_granularity = file_gran;
-        Ok(run_experiment_cached(&cfg, profiles)?.io_saved())
+        Ok(run_experiment_with(&cfg, &PROFILED)?.io_saved())
     })?;
     for (&util, pair) in utils.iter().zip(gran_runs.chunks(2)) {
         gran.row(sink, &[f2(util), pct(pair[0]), pct(pair[1])]);

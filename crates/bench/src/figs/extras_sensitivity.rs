@@ -10,15 +10,15 @@
 //!    marginal effect on savings (out-of-order processing, not cache
 //!    locality, provides most of the benefit).
 
+use crate::sweeps::PROFILED;
 use crate::{f2, pct, pool, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_cached, ProfileCache, TaskKind};
+use experiments::{paper_scaled, run_experiment_with, TaskKind};
 use sim_disk::SchedulerPolicy;
 use workloads::{DistKind, Personality};
 
 /// Runs the harness at 1/`scale` of the paper setup.
 pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     sink.line(format!("extras: §6.5 sensitivity, scale 1/{scale}"));
-    let profiles = ProfileCache::global();
 
     // 1. Workload latency impact at 50 % utilization: the paper reports
     //    11.67 ± 0.12 ms without maintenance, 11.60 ± 0.25 ms with
@@ -49,7 +49,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             setups[i].1.to_vec(),
             true,
         );
-        run_experiment_cached(&cfg, profiles)
+        run_experiment_with(&cfg, &PROFILED)
     })?;
     for ((label, _), r) in setups.iter().zip(&lat_runs) {
         lat.row(
@@ -86,7 +86,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             true,
         );
         cfg.policy = policies[i].1;
-        run_experiment_cached(&cfg, profiles)
+        run_experiment_with(&cfg, &PROFILED)
     })?;
     for ((label, _), r) in policies.iter().zip(&prio_runs) {
         prio.row(
@@ -121,7 +121,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
         cfg.cache_pages =
             ((data_bytes as f64 * fracs[i]) as u64 / sim_core::PAGE_SIZE).max(256) as usize;
-        run_experiment_cached(&cfg, profiles)
+        run_experiment_with(&cfg, &PROFILED)
     })?;
     for (&frac, r) in fracs.iter().zip(&cache_runs) {
         cache.row(

@@ -6,14 +6,10 @@
 //! because the workload's higher throughput creates more overlap while
 //! the backup's 64 KiB random reads run no faster.
 
-use crate::sweeps::util_grid;
-use crate::trace::{self, TraceAgg};
-use crate::{f2, pool, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_cached_traced, DeviceKind, ProfileCache, TaskKind};
+use crate::sweeps::{cells, util_grid, util_rows};
+use crate::{BenchResult, Report, Sink};
+use experiments::{paper_scaled, run_experiment_with, DeviceKind, TaskKind};
 use workloads::{DistKind, Personality};
-
-/// Per-cell outcome: metric value, simulated ops, harvested counters.
-type CellOutcome = sim_core::SimResult<(f64, u64, Vec<(String, u64)>)>;
 
 /// Runs the harness at 1/`scale` of the paper setup.
 pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
@@ -38,14 +34,12 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         (TaskKind::Backup, DeviceKind::Hdd),
         (TaskKind::Backup, DeviceKind::Ssd),
     ];
-    let cells: Vec<(f64, TaskKind, DeviceKind)> = utils
+    let grid: Vec<(f64, TaskKind, DeviceKind)> = utils
         .iter()
         .flat_map(|&u| variants.iter().map(move |&(t, d)| (u, t, d)))
         .collect();
-    let profiles = ProfileCache::global();
-    let traced = trace::enabled();
-    let ran = pool::try_run_indexed(cells.len(), pool::jobs(), |i| -> CellOutcome {
-        let (util, task, device) = cells[i];
+    let saved = cells("fig10_ssd", grid.len(), sink, |i, opts| {
+        let (util, task, device) = grid[i];
         let mut cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -56,29 +50,10 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             true,
         );
         cfg.device = device;
-        let handle = trace::cell(traced);
-        let result = run_experiment_cached_traced(&cfg, profiles, handle.as_ref())?;
-        Ok((
-            result.io_saved(),
-            result.workload_ops,
-            trace::harvest(handle),
-        ))
+        let result = run_experiment_with(&cfg, opts)?;
+        Ok((result.io_saved(), result.workload_ops))
     })?;
-    let mut traces = TraceAgg::new(traced);
-    let saved: Vec<f64> = ran
-        .into_iter()
-        .map(|(v, ops, counters)| {
-            sink.add_ops(ops);
-            traces.merge(counters);
-            v
-        })
-        .collect();
-    for (util, vals) in utils.iter().zip(saved.chunks(variants.len())) {
-        let mut row = vec![f2(*util)];
-        row.extend(vals.iter().map(|&v| f2(v)));
-        report.row(sink, &row);
-    }
+    util_rows(&mut report, sink, &utils, &saved, variants.len());
     report.save(sink)?;
-    traces.save("fig10_ssd", sink)?;
     Ok(())
 }

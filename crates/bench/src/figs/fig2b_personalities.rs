@@ -12,13 +12,10 @@
 //! - both: "using the skewed file access distribution reduces the I/O
 //!   saved by 15-30 %".
 
-use crate::trace::{self, TraceAgg};
-use crate::{f2, pool, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_cached_traced, ProfileCache, TaskKind};
+use crate::sweeps::cells;
+use crate::{f2, BenchResult, Report, Sink};
+use experiments::{paper_scaled, run_experiment_with, TaskKind};
 use workloads::{DistKind, Personality};
-
-/// Per-cell outcome: metric value, simulated ops, harvested counters.
-type CellOutcome = sim_core::SimResult<(f64, u64, Vec<(String, u64)>)>;
 
 /// Runs the harness at 1/`scale` of the paper setup.
 pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
@@ -47,32 +44,16 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         (Personality::WebServer, DistKind::MsTrace(0)),
     ];
     let tasks = [TaskKind::Scrub, TaskKind::Backup];
-    let cells: Vec<(TaskKind, Personality, DistKind)> = tasks
+    let grid: Vec<(TaskKind, Personality, DistKind)> = tasks
         .iter()
         .flat_map(|&t| combos.iter().map(move |&(p, d)| (t, p, d)))
         .collect();
-    let profiles = ProfileCache::global();
-    let traced = trace::enabled();
-    let ran = pool::try_run_indexed(cells.len(), pool::jobs(), |i| -> CellOutcome {
-        let (task, personality, dist) = cells[i];
+    let saved = cells("fig2b_personalities", grid.len(), sink, |i, opts| {
+        let (task, personality, dist) = grid[i];
         let cfg = paper_scaled(scale, personality, dist, 1.0, util, vec![task], true);
-        let handle = trace::cell(traced);
-        let result = run_experiment_cached_traced(&cfg, profiles, handle.as_ref())?;
-        Ok((
-            result.io_saved(),
-            result.workload_ops,
-            trace::harvest(handle),
-        ))
+        let result = run_experiment_with(&cfg, opts)?;
+        Ok((result.io_saved(), result.workload_ops))
     })?;
-    let mut traces = TraceAgg::new(traced);
-    let saved: Vec<f64> = ran
-        .into_iter()
-        .map(|(v, ops, counters)| {
-            sink.add_ops(ops);
-            traces.merge(counters);
-            v
-        })
-        .collect();
     for (task, s) in tasks.iter().zip(saved.chunks(combos.len())) {
         let (web, proxy, file, web_ms) = (s[0], s[1], s[2], s[3]);
         report.row(
@@ -89,7 +70,6 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         );
     }
     report.save(sink)?;
-    traces.save("fig2b_personalities", sink)?;
     sink.line(
         "\nPaper shape: webproxy ≈ webserver; fileserver well below both \
          (~40%); the skewed distribution costs 15-30% of the savings.",

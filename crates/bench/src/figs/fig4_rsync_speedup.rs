@@ -4,9 +4,9 @@
 //! Expected shape (§6.2): speedup grows with overlap, reaching about
 //! 2× at 100 % (all source reads saved; destination writes remain).
 
-use crate::trace::{self, TraceAgg};
-use crate::{f2, pool, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_rsync_experiment_traced, speedup};
+use crate::sweeps::cells;
+use crate::{f2, BenchResult, Report, Sink};
+use experiments::{paper_scaled, run_rsync_experiment_with, speedup};
 use workloads::{DistKind, Personality};
 
 /// Runs the harness at 1/`scale` of the paper setup.
@@ -26,13 +26,12 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     );
     report.print_header(sink);
     let overlaps = [0.25, 0.5, 0.75, 1.0];
-    let cells: Vec<(f64, bool)> = overlaps
+    let grid: Vec<(f64, bool)> = overlaps
         .iter()
         .flat_map(|&o| [false, true].into_iter().map(move |d| (o, d)))
         .collect();
-    let traced = trace::enabled();
-    let ran = pool::try_run_indexed(cells.len(), pool::jobs(), |i| {
-        let (overlap, duet) = cells[i];
+    let runs = cells("fig4_rsync_speedup", grid.len(), sink, |i, opts| {
+        let (overlap, duet) = grid[i];
         let cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -42,18 +41,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             vec![],
             true,
         );
-        let handle = trace::cell(traced);
-        let r = run_rsync_experiment_traced(&cfg, duet, handle.as_ref())?;
-        sim_core::SimResult::Ok((r, trace::harvest(handle)))
+        // 0: this harness credits no simulated ops to its sink.
+        Ok((run_rsync_experiment_with(&cfg, duet, opts)?, 0))
     })?;
-    let mut traces = TraceAgg::new(traced);
-    let runs: Vec<_> = ran
-        .into_iter()
-        .map(|(r, counters)| {
-            traces.merge(counters);
-            r
-        })
-        .collect();
     for (&overlap, pair) in overlaps.iter().zip(runs.chunks(2)) {
         let (base, duet) = (&pair[0], &pair[1]);
         report.row(
@@ -68,6 +58,5 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         );
     }
     report.save(sink)?;
-    traces.save("fig4_rsync_speedup", sink)?;
     Ok(())
 }

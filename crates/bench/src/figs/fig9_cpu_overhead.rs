@@ -12,7 +12,7 @@
 //! them as the CPU share a 12 events/ms stream would consume.
 //!
 //! This is the one *wall-clock* harness (`HarnessSpec::wall_clock`):
-//! its CSV is a hardware measurement, so `repro_all` runs it alone,
+//! its CSV is a hardware measurement, so `bench run` runs it alone,
 //! after the parallel batch, and excludes it from byte-identity claims.
 
 use crate::harness::Stopwatch;

@@ -9,8 +9,9 @@
 //! This harness runs exactly that scrub experiment and reports the
 //! measured Duet memory against the worst-case estimates.
 
+use crate::sweeps::PROFILED;
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_cached, ProfileCache, TaskKind};
+use experiments::{paper_scaled, run_experiment_with, TaskKind};
 use sim_core::{SimError, PAGE_SIZE};
 use workloads::{DistKind, Personality};
 
@@ -29,7 +30,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         true,
     );
     let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
-    let r = run_experiment_cached(&cfg, ProfileCache::global())?;
+    let r = run_experiment_with(&cfg, &PROFILED)?;
     // Worst-case block-task bitmap: 1 bit per device block.
     let bitmap_worst = cfg.capacity_blocks / 8;
     // Worst-case descriptors: 2 × cache pages × descriptor size (N=16).

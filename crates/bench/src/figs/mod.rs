@@ -1,9 +1,8 @@
 //! Harness bodies for every table and figure, callable in-process.
 //!
-//! Each submodule exposes `run(scale, sink) -> BenchResult<()>` with
-//! the exact behaviour of the corresponding `src/bin/` binary (which is
-//! now a thin wrapper around it). The [`ALL`] registry lets `repro_all`
-//! fan the harnesses out across cores instead of spawning subprocesses.
+//! Each submodule exposes `run(scale, sink) -> BenchResult<()>`; the
+//! [`ALL`] registry is what `bench run [harness…]` selects from and
+//! fans out across cores.
 
 use crate::{BenchResult, Sink};
 
@@ -31,103 +30,57 @@ pub type Harness = fn(u64, &mut Sink) -> BenchResult<()>;
 /// One registered harness.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessSpec {
-    /// Binary/CSV name.
+    /// Harness/CSV name.
     pub name: &'static str,
     /// The harness body.
     pub run: Harness,
+    /// The scale the harness runs at when `DUET_SCALE` is unset.
+    pub default_scale: u64,
     /// Whether the harness *measures wall-clock time* (fig9): its CSV
     /// is a hardware measurement, inherently non-reproducible byte for
     /// byte, and it must run alone — concurrent load would skew it.
     pub wall_clock: bool,
 }
 
-/// Every harness, in the canonical `repro_all` order.
+const fn spec(name: &'static str, run: Harness, default_scale: u64) -> HarnessSpec {
+    HarnessSpec {
+        name,
+        run,
+        default_scale,
+        wall_clock: false,
+    }
+}
+
+/// Every harness, in the canonical `bench run` order.
 pub const ALL: &[HarnessSpec] = &[
+    spec("fig1_distributions", fig1_distributions::run, 32),
+    spec("fig2_scrub_saved", fig2_scrub_saved::run, 32),
+    spec("fig2b_personalities", fig2b_personalities::run, 64),
+    spec("fig3_backup_saved", fig3_backup_saved::run, 32),
+    spec("fig4_rsync_speedup", fig4_rsync_speedup::run, 64),
+    spec("fig5_scrub_backup_saved", fig5_scrub_backup_saved::run, 32),
+    spec(
+        "fig6_scrub_backup_completed",
+        fig6_scrub_backup_completed::run,
+        32,
+    ),
+    spec("fig7_three_tasks_saved", fig7_three_tasks_saved::run, 32),
+    spec(
+        "fig8_three_tasks_completed",
+        fig8_three_tasks_completed::run,
+        32,
+    ),
     HarnessSpec {
-        name: "fig1_distributions",
-        run: fig1_distributions::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig2_scrub_saved",
-        run: fig2_scrub_saved::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig2b_personalities",
-        run: fig2b_personalities::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig3_backup_saved",
-        run: fig3_backup_saved::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig4_rsync_speedup",
-        run: fig4_rsync_speedup::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig5_scrub_backup_saved",
-        run: fig5_scrub_backup_saved::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig6_scrub_backup_completed",
-        run: fig6_scrub_backup_completed::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig7_three_tasks_saved",
-        run: fig7_three_tasks_saved::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig8_three_tasks_completed",
-        run: fig8_three_tasks_completed::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "fig9_cpu_overhead",
-        run: fig9_cpu_overhead::run,
         wall_clock: true,
+        ..spec("fig9_cpu_overhead", fig9_cpu_overhead::run, 32)
     },
-    HarnessSpec {
-        name: "fig10_ssd",
-        run: fig10_ssd::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "table5_max_util",
-        run: table5_max_util::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "table6_gc_cleaning",
-        run: table6_gc_cleaning::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "mem_overhead",
-        run: mem_overhead::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "extras_sensitivity",
-        run: extras_sensitivity::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "extras_ablations",
-        run: extras_ablations::run,
-        wall_clock: false,
-    },
-    HarnessSpec {
-        name: "extras_f2fs_ssr",
-        run: extras_f2fs_ssr::run,
-        wall_clock: false,
-    },
+    spec("fig10_ssd", fig10_ssd::run, 32),
+    spec("table5_max_util", table5_max_util::run, 64),
+    spec("table6_gc_cleaning", table6_gc_cleaning::run, 32),
+    spec("mem_overhead", mem_overhead::run, 32),
+    spec("extras_sensitivity", extras_sensitivity::run, 32),
+    spec("extras_ablations", extras_ablations::run, 64),
+    spec("extras_f2fs_ssr", extras_f2fs_ssr::run, 32),
 ];
 
 /// Looks a harness up by name.
@@ -149,5 +102,22 @@ mod tests {
         assert!(find("fig9_cpu_overhead").is_some_and(|h| h.wall_clock));
         assert!(find("fig2_scrub_saved").is_some_and(|h| !h.wall_clock));
         assert!(find("nope").is_none());
+    }
+
+    /// What `bench run <name>` runs at with `DUET_SCALE` unset: 64 for
+    /// the four long harnesses, 32 otherwise — the values the former
+    /// one-harness binaries hard-coded.
+    #[test]
+    fn default_scales_are_the_wrappers() {
+        let at_64 = [
+            "fig2b_personalities",
+            "fig4_rsync_speedup",
+            "table5_max_util",
+            "extras_ablations",
+        ];
+        for h in ALL {
+            let want = if at_64.contains(&h.name) { 64 } else { 32 };
+            assert_eq!(h.default_scale, want, "{}", h.name);
+        }
     }
 }

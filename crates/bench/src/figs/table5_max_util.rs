@@ -9,48 +9,17 @@
 //!
 //! Each of the 54 cells is an independent bisection (a dozen or so
 //! experiment runs), so the cells — not the inner runs — are the unit
-//! of parallelism. All cells share one [`ProfileCache`]: the workload
-//! profile depends only on the (personality, distribution) shape, so 5
-//! calibration runs serve the whole table.
+//! of parallelism. The workload profile depends only on the
+//! (personality, distribution) shape, so 5 memoized calibration runs
+//! serve the whole table.
 
-use crate::trace::{self, TraceAgg};
-use crate::{pct, pool, BenchResult, Report, Sink};
-use experiments::{
-    max_utilization, paper_scaled, run_completion_probe_cached, ProfileCache, TaskKind,
-};
+use crate::sweeps::cells;
+use crate::{pct, BenchResult, Report, Sink};
+use experiments::{max_utilization, paper_scaled, run_experiment_with, RunOptions, TaskKind};
 use sim_core::SimResult;
 use workloads::{DistKind, Personality};
 
 type CellSpec = (Personality, DistKind, f64, TaskKind, bool);
-
-fn cell(
-    scale: u64,
-    spec: CellSpec,
-    profiles: &ProfileCache,
-    traced: bool,
-) -> SimResult<(String, Vec<(String, u64)>)> {
-    let (personality, dist, overlap, task, duet) = spec;
-    // One handle per cell: the bisection's inner runs accumulate into
-    // the same counters.
-    let handle = trace::cell(traced);
-    let completes = |util: f64| -> SimResult<bool> {
-        let mut cfg = paper_scaled(scale, personality, dist, overlap, util, vec![task], duet);
-        if task == TaskKind::Defrag {
-            cfg.fragmentation = Some((0.1, 5));
-        }
-        // The completion probe stops simulating the moment the last
-        // task finishes — the bit it returns is exactly what the full
-        // run's `all_completed()` would be, for a fraction of the wall
-        // time. Forked setup prefixes (experiments::snapshot) make the
-        // bisection's repeat builds nearly free on top of that.
-        run_completion_probe_cached(&cfg, profiles, handle.as_ref())
-    };
-    let label = match max_utilization(completes)? {
-        Some(u) => pct(u),
-        None => "never".into(),
-    };
-    Ok((label, trace::harvest(handle)))
-}
 
 /// Runs the harness at 1/`scale` of the paper setup.
 pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
@@ -127,7 +96,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     );
     report.print_header(sink);
     let tasks = [TaskKind::Scrub, TaskKind::Backup, TaskKind::Defrag];
-    let cells: Vec<CellSpec> = rows
+    let grid: Vec<CellSpec> = rows
         .iter()
         .flat_map(|&(_, personality, overlap, dist)| {
             tasks.iter().flat_map(move |&task| {
@@ -137,19 +106,32 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             })
         })
         .collect();
-    let profiles = ProfileCache::global();
-    let traced = trace::enabled();
-    let ran = pool::try_run_indexed(cells.len(), pool::jobs(), |i| {
-        cell(scale, cells[i], profiles, traced)
+    let values = cells("table5_max_util", grid.len(), sink, |i, opts| {
+        let (personality, dist, overlap, task, duet) = grid[i];
+        // The completion probe stops simulating the moment the last
+        // task finishes — `all_completed()` is exactly the full run's,
+        // for a fraction of the wall time. Forked setup prefixes
+        // (experiments::snapshot) make the bisection's repeat builds
+        // nearly free on top of that. The inner runs share the cell's
+        // trace handle, so their counters accumulate.
+        let probe = RunOptions {
+            stop_when_tasks_done: true,
+            ..*opts
+        };
+        let completes = |util: f64| -> SimResult<bool> {
+            let mut cfg = paper_scaled(scale, personality, dist, overlap, util, vec![task], duet);
+            if task == TaskKind::Defrag {
+                cfg.fragmentation = Some((0.1, 5));
+            }
+            Ok(run_experiment_with(&cfg, &probe)?.all_completed())
+        };
+        let label = match max_utilization(completes)? {
+            Some(u) => pct(u),
+            None => "never".into(),
+        };
+        // No ops credited: a probe's truncated window has none to report.
+        Ok((label, 0))
     })?;
-    let mut traces = TraceAgg::new(traced);
-    let values: Vec<String> = ran
-        .into_iter()
-        .map(|(label, counters)| {
-            traces.merge(counters);
-            label
-        })
-        .collect();
     let per_row = tasks.len() * 2;
     for ((label, ..), vals) in rows.iter().zip(values.chunks(per_row)) {
         let mut row = vec![label.to_string()];
@@ -157,6 +139,5 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         report.row(sink, &row);
     }
     report.save(sink)?;
-    traces.save("table5_max_util", sink)?;
     Ok(())
 }

@@ -6,9 +6,9 @@
 //! grows, because more of the victim segments' valid blocks are cached
 //! and need no synchronous read.
 
-use crate::trace::{self, TraceAgg};
-use crate::{f2, pool, BenchResult, Report, Sink};
-use experiments::{run_gc_experiment_traced, GcExperimentConfig};
+use crate::sweeps::cells;
+use crate::{f2, BenchResult, Report, Sink};
+use experiments::{run_gc_experiment_with, GcExperimentConfig};
 use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
@@ -67,25 +67,15 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     );
     report.print_header(sink);
     let utils = [0.4, 0.5, 0.6, 0.7];
-    let cells: Vec<(f64, bool)> = utils
+    let grid: Vec<(f64, bool)> = utils
         .iter()
         .flat_map(|&u| [false, true].into_iter().map(move |d| (u, d)))
         .collect();
-    let traced = trace::enabled();
-    let ran = pool::try_run_indexed(cells.len(), pool::jobs(), |i| {
-        let (util, duet) = cells[i];
-        let handle = trace::cell(traced);
-        let r = run_gc_experiment_traced(&gc_cfg(scale, util, duet), handle.as_ref())?;
-        sim_core::SimResult::Ok((r, trace::harvest(handle)))
+    let runs = cells("table6_gc_cleaning", grid.len(), sink, |i, opts| {
+        let (util, duet) = grid[i];
+        // 0: this harness credits no simulated ops to its sink.
+        Ok((run_gc_experiment_with(&gc_cfg(scale, util, duet), opts)?, 0))
     })?;
-    let mut traces = TraceAgg::new(traced);
-    let runs: Vec<_> = ran
-        .into_iter()
-        .map(|(r, counters)| {
-            traces.merge(counters);
-            r
-        })
-        .collect();
     for (&util, pair) in utils.iter().zip(runs.chunks(2)) {
         let (base, duet) = (&pair[0], &pair[1]);
         report.row(
@@ -101,6 +91,5 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         );
     }
     report.save(sink)?;
-    traces.save("table6_gc_cleaning", sink)?;
     Ok(())
 }

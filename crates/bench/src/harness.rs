@@ -1,21 +1,13 @@
-//! A minimal wall-clock benchmark harness.
+//! The workspace's wall-clock gateway.
 //!
-//! The workspace builds fully offline, so the microbenchmarks cannot
-//! depend on criterion. This module provides the small subset the
-//! benches need: warmup, repeated timed samples, and a median /
-//! throughput report. Wall-clock time is fine here — the harness runs
-//! only under `cargo bench`, never inside the simulation (see the D1
-//! lint rule).
+//! Wall-clock time is fine here — it times the simulator from outside
+//! (`bench run`'s per-harness wall, `bench micro`, fig9, duetbench),
+//! never inside the simulation (see the D1 lint rule).
 
 use std::time::Instant;
 
-/// Number of timed samples per benchmark.
-const SAMPLES: usize = 20;
-/// Warmup iterations before sampling.
-const WARMUP: usize = 3;
-
 /// A wall-clock stopwatch. The single sanctioned gateway to real time:
-/// every bench binary measures through this type, so `xtask lint`'s D1
+/// every timing in the workspace goes through this type, so `xtask lint`'s D1
 /// waiver for this file covers all wall-clock access in the workspace.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
@@ -32,61 +24,4 @@ impl Stopwatch {
     pub fn elapsed_ns(&self) -> u128 {
         self.t0.elapsed().as_nanos()
     }
-}
-
-/// Times `routine` on a fresh `setup()` value per iteration and prints
-/// the per-element cost, criterion-style. `elements` is the work count
-/// per iteration (for ns/element and Melem/s reporting).
-pub fn bench_batched<S, T, R>(name: &str, elements: u64, mut setup: S, mut routine: R)
-where
-    S: FnMut() -> T,
-    R: FnMut(T) -> T,
-{
-    for _ in 0..WARMUP {
-        let input = setup();
-        std::hint::black_box(routine(input));
-    }
-    let mut samples_ns: Vec<u128> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let input = setup();
-        let t0 = Stopwatch::start();
-        let out = routine(input);
-        samples_ns.push(t0.elapsed_ns());
-        std::hint::black_box(out);
-    }
-    report(name, elements, &mut samples_ns);
-}
-
-/// Times `routine` alone (no per-iteration setup).
-pub fn bench_loop<R, O>(name: &str, elements: u64, mut routine: R)
-where
-    R: FnMut() -> O,
-{
-    bench_batched(
-        name,
-        elements,
-        || (),
-        |()| {
-            std::hint::black_box(routine());
-        },
-    );
-}
-
-fn report(name: &str, elements: u64, samples_ns: &mut [u128]) {
-    samples_ns.sort_unstable();
-    let median = samples_ns[samples_ns.len() / 2];
-    let min = samples_ns[0];
-    let max = samples_ns[samples_ns.len() - 1];
-    let per_elem = median as f64 / elements.max(1) as f64;
-    let melem_s = if median > 0 {
-        elements as f64 * 1e3 / median as f64
-    } else {
-        f64::INFINITY
-    };
-    println!(
-        "{name:<40} median {:>10.1} us  [{:>8.1} .. {:>8.1}]  {per_elem:>8.1} ns/elem  {melem_s:>8.2} Melem/s",
-        median as f64 / 1e3,
-        min as f64 / 1e3,
-        max as f64 / 1e3,
-    );
 }

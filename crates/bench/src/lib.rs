@@ -1,15 +1,14 @@
-//! Shared plumbing for the experiment harness binaries.
+//! Shared plumbing for the `bench` binary.
 //!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's experiment index);
-//! the body of each harness lives in [`figs`] so `repro_all` can run
-//! them all in-process. Binaries print the series/rows to stdout and
-//! write a CSV under `results/`. The experiment scale (relative to the
-//! paper's 50 GB / 30 min setup) is controlled by the `DUET_SCALE`
-//! environment variable; larger values run faster at lower fidelity.
-//! `DUET_JOBS` bounds the worker threads used by [`pool`] to fan
-//! independent sweep cells out across cores (results are byte-identical
-//! at any width; see DESIGN.md §8).
+//! Every table and figure of the paper's evaluation has a harness in
+//! [`figs`] that regenerates it (see DESIGN.md's experiment index);
+//! `bench run [harness…]` runs them in-process. Harnesses print the
+//! series/rows to their [`Sink`] and write a CSV under `results/`. The
+//! experiment scale (relative to the paper's 50 GB / 30 min setup) is
+//! controlled by the `DUET_SCALE` environment variable; larger values
+//! run faster at lower fidelity. `DUET_JOBS` bounds the worker threads
+//! used by [`pool`] to fan independent sweep cells out across cores
+//! (results are byte-identical at any width; see DESIGN.md §8).
 
 use sim_core::knobs::Knob;
 use std::fmt;
@@ -33,8 +32,8 @@ pub(crate) fn knob(knob: Knob) -> Option<u64> {
     knob.read().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Start-up check shared by every bench entry point: a malformed
-/// `DUET_SCALE`, `DUET_JOBS` or `DUET_SNAPSHOT` is reported on stderr,
+/// Start-up check of the `bench` binary: a malformed `DUET_SCALE`,
+/// `DUET_JOBS`, `DUET_SNAPSHOT` or `DUET_TRACE` is reported on stderr,
 /// naming the variable and the value, and becomes exit status 2 —
 /// before any work is done, never a silent default.
 pub fn check_env() -> Result<(), ExitCode> {
@@ -51,7 +50,7 @@ pub enum BenchError {
     Sim(sim_core::SimError),
     /// Writing results failed.
     Io(std::io::Error),
-    /// `repro_all` was asked for a harness that does not exist.
+    /// `bench run` was asked for a harness that does not exist.
     UnknownHarness(String),
 }
 
@@ -82,32 +81,14 @@ impl From<std::io::Error> for BenchError {
 /// Result alias for harness code.
 pub type BenchResult<T> = Result<T, BenchError>;
 
-/// Entry point shared by the harness binaries: reads `DUET_SCALE`
-/// (with the harness's default), runs the body against a live console
-/// sink, and maps errors to a message on stderr plus a nonzero exit —
-/// a failed sweep cell must not abort mid-CSV with a panic.
-pub fn run_main(default_scale: u64, run: fn(u64, &mut Sink) -> BenchResult<()>) -> ExitCode {
-    if let Err(code) = check_env() {
-        return code;
-    }
-    let mut sink = Sink::live();
-    match run(scale_from_env(default_scale), &mut sink) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Console output sink. Harness binaries write straight to stdout
-/// (live); the in-process `repro_all` gives each harness a buffered
-/// sink and prints the captured lines in a fixed order afterwards, so
-/// parallel harnesses cannot interleave output.
+/// Console output sink. `bench run` gives each parallel harness a
+/// buffered sink and prints the captured lines in a fixed order
+/// afterwards, so harnesses cannot interleave output; the wall-clock
+/// harness, which runs alone, writes straight to stdout (live).
 ///
-/// The sink also carries a simulated-operation counter: sweep drivers
-/// call [`Sink::add_ops`] with each cell's `workload_ops`, and
-/// `repro_all` reads the per-harness total into
+/// The sink also carries a simulated-operation counter: the sweep-cell
+/// driver calls [`Sink::add_ops`] with the cells' `workload_ops`, and
+/// `bench run` reads the per-harness total into
 /// `results/BENCH_sweeps.json`. Ops are simulated work — deterministic
 /// at every job count — so they give the perf gate a wall-clock-free
 /// denominator.

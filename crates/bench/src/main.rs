@@ -1,6 +1,13 @@
-//! The `bench` CLI: zero-dependency microbenchmarks and the
-//! perf-regression gate.
+//! The `bench` CLI — the workspace's one binary: the table/figure
+//! harnesses, the golden-fixture regenerator, zero-dependency
+//! microbenchmarks and the perf-regression gate.
 //!
+//! - `bench run [harness…]` runs the named harnesses of
+//!   [`bench::figs::ALL`] in-process (no names = the full
+//!   reproduction) and writes their CSVs plus
+//!   `results/BENCH_sweeps.json` (see [`cmd::run`]).
+//! - `bench golden` rewrites the committed golden fixtures (see
+//!   [`cmd::golden`]; deliberate, like `baseline`).
 //! - `bench micro` runs deterministic op mixes against the hot-path
 //!   containers (dmap, slab, page cache, priority queue, block table,
 //!   sparse bitmap) and the Duet framework's event→hint path, and
@@ -27,6 +34,8 @@ use sim_btrfs::BlockTable;
 use sim_cache::{PageCache, PageKey};
 use sim_core::{BlockNr, DMap, DOrdMap, DSet, InodeNr, PageIndex, SimRng, Slab, SparseBitmap};
 use std::process::ExitCode;
+
+mod cmd;
 
 /// Timed samples per microbenchmark (median reported).
 const SAMPLES: usize = 15;
@@ -387,7 +396,7 @@ fn run_micro() -> std::io::Result<Vec<MicroResult>> {
 }
 
 // --- Minimal extraction of the JSON this workspace writes itself. ---
-// The files are machine-written with known shapes (`repro_all`,
+// The files are machine-written with known shapes (`bench run`,
 // `run_micro`, `write_baseline`), so targeted scanning is sufficient
 // and keeps the gate dependency-free.
 
@@ -580,15 +589,21 @@ fn main() -> ExitCode {
     if let Err(code) = bench::check_env() {
         return code;
     }
-    let cmd = std::env::args().nth(1).unwrap_or_default();
-    let outcome = match cmd.as_str() {
-        "micro" => run_micro().map(|_| ()).map_err(|e| e.to_string()),
-        "gate" => run_gate(),
-        "baseline" => write_baseline(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let outcome = match args.as_slice() {
+        ["run", names @ ..] => cmd::run::run(names),
+        ["golden"] => cmd::golden::run(),
+        ["micro"] => run_micro().map(|_| ()).map_err(|e| e.to_string()),
+        ["gate"] => run_gate(),
+        ["baseline"] => write_baseline(),
         _ => {
             eprintln!(
-                "usage: bench <micro|gate|baseline>\n\
+                "usage: bench <run [harness...]|golden|micro|gate|baseline>\n\
                  \n\
+                 run       run the named table/figure harnesses (default: all), write\n\
+                 \x20         results/<name>.csv and results/BENCH_sweeps.json\n\
+                 golden    rewrite the golden fixtures under tests/fixtures/ (repo root)\n\
                  micro     run container microbenchmarks, write results/BENCH_micro.json\n\
                  gate      compare sweeps+micro results against results/BENCH_baseline.json\n\
                  baseline  rewrite results/BENCH_baseline.json from current results"

@@ -16,7 +16,7 @@
 //! (`lint.allow` carries the D4 waiver for this file only); simulation
 //! crates stay thread-free.
 //!
-//! Nesting note: `repro_all` fans out whole harnesses while each
+//! Nesting note: `bench run` fans out whole harnesses while each
 //! harness fans out its own cells, so up to `jobs²` threads can briefly
 //! coexist. Worker threads only pull work and block on the slot mutex,
 //! so oversubscription costs scheduling overhead, not correctness; with

@@ -1,19 +1,21 @@
-//! Reusable sweep drivers for the figure harnesses.
+//! The sweep-cell driver and the two sweep shapes built on it.
 //!
-//! A sweep is a grid of independent experiment cells. The `*_cells`
-//! functions run the grid through [`pool::try_run_indexed`] — cells
-//! execute on up to `jobs` workers, results come back in grid order, so
-//! the rendered report is byte-identical to a sequential run. Each
-//! sweep shares one [`ProfileCache`], so the §6.1.2 calibration pass
-//! runs once per workload shape instead of once per cell. When
-//! `DUET_TRACE` is set, each cell additionally runs with a private
-//! trace handle and the sweep saves the merged per-layer counters as
-//! `results/<name>_trace.csv` (see [`crate::trace`]).
+//! A sweep is a grid of independent experiment cells. [`run_cells`] is
+//! the one place that runs such a grid: cells execute on up to `jobs`
+//! workers through [`pool::try_run_indexed`] and come back in grid
+//! order, so the rendered report is byte-identical to a sequential run.
+//! Every cell runs [`PROFILED`] and, when `traced`, with a private
+//! trace handle whose counters are merged in cell-index order.
+//! [`Swept::credit`] then books the simulated ops on the harness's
+//! [`Sink`] and saves the merged counters as `results/<name>_trace.csv`
+//! (see [`crate::trace`]). Harnesses call [`cells`], which does both at
+//! the `DUET_JOBS` / `DUET_TRACE` settings.
 
 use crate::pool;
 use crate::trace::{self, TraceAgg};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_cached_traced, DeviceKind, ProfileCache, TaskKind};
+use experiments::{paper_scaled, run_experiment_with, DeviceKind, RunOptions, TaskKind};
+use sim_core::trace::TraceHandle;
 use sim_core::SimResult;
 use workloads::{DistKind, Personality};
 
@@ -22,9 +24,86 @@ pub fn util_grid() -> Vec<f64> {
     (0..=10).map(|i| i as f64 / 10.0).collect()
 }
 
-/// Runs the `utilization × overlap` grid of a saved-style sweep on up
-/// to `jobs` workers, returning `io_saved` per cell as
-/// `rows[util][overlap]` — in grid order regardless of worker count.
+/// How every harness runs its experiments: with the §6.1.2 profiled
+/// throttle (one memoized calibration pass per workload shape, not one
+/// per cell).
+pub const PROFILED: RunOptions<'static> = RunOptions {
+    trace: None,
+    profiled: true,
+    stop_when_tasks_done: false,
+};
+
+/// A finished grid: the cells' values in cell order, plus the two
+/// aggregates folded in cell-index order (so both are byte-identical at
+/// any worker count).
+#[derive(Debug)]
+pub struct Swept<T> {
+    /// One value per cell, in cell order.
+    pub values: Vec<T>,
+    /// Summed simulated operations the cells reported.
+    pub ops: u64,
+    /// Merged trace counters (inert unless the sweep was traced).
+    pub traces: TraceAgg,
+}
+
+impl<T> Swept<T> {
+    /// Books the sweep on its harness: credits the ops to `sink` and
+    /// saves the trace counters (when traced) under `name`.
+    pub fn credit(self, name: &str, sink: &mut Sink) -> std::io::Result<Vec<T>> {
+        sink.add_ops(self.ops);
+        self.traces.save(name, sink)?;
+        Ok(self.values)
+    }
+}
+
+/// Runs `cell(0..n)` on up to `jobs` workers. Each cell gets the
+/// [`RunOptions`] to run its experiment(s) under — profiled, and armed
+/// with the cell's own trace handle when `traced` — and returns its
+/// value plus the simulated ops to credit.
+pub fn run_cells<T, F>(n: usize, jobs: usize, traced: bool, cell: F) -> SimResult<Swept<T>>
+where
+    T: Send,
+    F: Fn(usize, &RunOptions<'_>) -> SimResult<(T, u64)> + Sync,
+{
+    let ran = pool::try_run_indexed(n, jobs, |i| {
+        // Handles are `Rc`-based and deliberately not `Send`: each is
+        // built on the worker that runs the cell, and only its counters
+        // (plain data) travel back.
+        let handle = traced.then(TraceHandle::with_default_capacity);
+        let opts = RunOptions {
+            trace: handle.as_ref(),
+            ..PROFILED
+        };
+        let (value, ops) = cell(i, &opts)?;
+        let counters = handle.map(|h| h.counters()).unwrap_or_default();
+        SimResult::Ok((value, ops, counters))
+    })?;
+    let mut swept = Swept {
+        values: Vec::with_capacity(ran.len()),
+        ops: 0,
+        traces: TraceAgg::new(traced),
+    };
+    for (value, ops, counters) in ran {
+        swept.values.push(value);
+        swept.ops += ops;
+        swept.traces.merge(counters);
+    }
+    Ok(swept)
+}
+
+/// [`run_cells`] as a harness runs it: at `DUET_JOBS` width, traced iff
+/// `DUET_TRACE=1`, and credited to `sink` under `name`.
+pub fn cells<T, F>(name: &str, n: usize, sink: &mut Sink, cell: F) -> BenchResult<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize, &RunOptions<'_>) -> SimResult<(T, u64)> + Sync,
+{
+    Ok(run_cells(n, pool::jobs(), trace::enabled(), cell)?.credit(name, sink)?)
+}
+
+/// Runs the `utilization × overlap` grid of a saved-style sweep,
+/// returning `io_saved` per cell, row-major (`overlaps.len()` cells per
+/// utilization).
 #[allow(clippy::too_many_arguments)]
 pub fn saved_cells(
     scale: u64,
@@ -36,46 +115,14 @@ pub fn saved_cells(
     tasks: &[TaskKind],
     fragmentation: Option<(f64, u64)>,
     jobs: usize,
-) -> SimResult<Vec<Vec<f64>>> {
-    Ok(saved_cells_traced(
-        scale,
-        device,
-        personality,
-        dist,
-        utils,
-        overlaps,
-        tasks,
-        fragmentation,
-        jobs,
-        false,
-    )?
-    .0)
-}
-
-/// [`saved_cells`] plus the summed `workload_ops` of every cell and the
-/// merged trace counters (empty unless `traced`). Both aggregates are
-/// folded in cell-index order, so they are byte-identical at any worker
-/// count.
-#[allow(clippy::too_many_arguments)]
-pub fn saved_cells_traced(
-    scale: u64,
-    device: DeviceKind,
-    personality: Personality,
-    dist: DistKind,
-    utils: &[f64],
-    overlaps: &[f64],
-    tasks: &[TaskKind],
-    fragmentation: Option<(f64, u64)>,
-    jobs: usize,
     traced: bool,
-) -> SimResult<(Vec<Vec<f64>>, u64, TraceAgg)> {
-    let cells: Vec<(f64, f64)> = utils
+) -> SimResult<Swept<f64>> {
+    let grid: Vec<(f64, f64)> = utils
         .iter()
         .flat_map(|&u| overlaps.iter().map(move |&o| (u, o)))
         .collect();
-    let profiles = ProfileCache::global();
-    let ran = pool::try_run_indexed(cells.len(), jobs, |i| {
-        let (util, overlap) = cells[i];
+    run_cells(grid.len(), jobs, traced, |i, opts| {
+        let (util, overlap) = grid[i];
         let mut cfg = paper_scaled(
             scale,
             personality,
@@ -87,30 +134,24 @@ pub fn saved_cells_traced(
         );
         cfg.device = device;
         cfg.fragmentation = fragmentation;
-        let handle = trace::cell(traced);
-        let result = run_experiment_cached_traced(&cfg, profiles, handle.as_ref())?;
-        Ok((
-            result.io_saved(),
-            result.workload_ops,
-            trace::harvest(handle),
-        ))
-    })?;
-    let mut agg = TraceAgg::new(traced);
-    let mut ops = 0u64;
-    let mut saved = Vec::with_capacity(ran.len());
-    for (v, cell_ops, counters) in ran {
-        saved.push(v);
-        ops += cell_ops;
-        agg.merge(counters);
+        let result = run_experiment_with(&cfg, opts)?;
+        Ok((result.io_saved(), result.workload_ops))
+    })
+}
+
+/// Renders a row-major grid as report rows, one per utilization.
+pub(crate) fn util_rows(
+    report: &mut Report,
+    sink: &mut Sink,
+    utils: &[f64],
+    values: &[f64],
+    per_row: usize,
+) {
+    for (util, vals) in utils.iter().zip(values.chunks(per_row)) {
+        let mut row = vec![f2(*util)];
+        row.extend(vals.iter().map(|&v| f2(v)));
+        report.row(sink, &row);
     }
-    Ok((
-        saved
-            .chunks(overlaps.len().max(1))
-            .map(<[f64]>::to_vec)
-            .collect(),
-        ops,
-        agg,
-    ))
 }
 
 /// Sweeps `utilization × overlap` and reports the I/O-saved fraction of
@@ -135,7 +176,7 @@ pub fn saved_sweep(
     let mut report = Report::new(name, &hdr_refs);
     report.print_header(sink);
     let utils = util_grid();
-    let (grid, ops, traces) = saved_cells_traced(
+    let saved = saved_cells(
         scale,
         device,
         personality,
@@ -146,20 +187,15 @@ pub fn saved_sweep(
         fragmentation,
         pool::jobs(),
         trace::enabled(),
-    )?;
-    sink.add_ops(ops);
-    for (util, saved) in utils.iter().zip(grid) {
-        let mut row = vec![f2(*util)];
-        row.extend(saved.iter().map(|&v| f2(v)));
-        report.row(sink, &row);
-    }
-    traces.save(name, sink)?;
+    )?
+    .credit(name, sink)?;
+    util_rows(&mut report, sink, &utils, &saved, overlaps.len().max(1));
     Ok(report)
 }
 
 /// Runs the `utilization × {baseline, duet}` grid of a completed-style
-/// sweep on up to `jobs` workers, returning `work_completed` per cell
-/// as `rows[util] = [baseline, duet]`.
+/// sweep, returning `work_completed` per cell, row-major (baseline then
+/// Duet per utilization).
 pub fn completed_cells(
     scale: u64,
     personality: Personality,
@@ -167,28 +203,14 @@ pub fn completed_cells(
     tasks: &[TaskKind],
     fragmentation: Option<(f64, u64)>,
     jobs: usize,
-) -> SimResult<Vec<Vec<f64>>> {
-    Ok(completed_cells_traced(scale, personality, utils, tasks, fragmentation, jobs, false)?.0)
-}
-
-/// [`completed_cells`] plus the summed `workload_ops` of every cell and
-/// the merged trace counters (empty unless `traced`).
-pub fn completed_cells_traced(
-    scale: u64,
-    personality: Personality,
-    utils: &[f64],
-    tasks: &[TaskKind],
-    fragmentation: Option<(f64, u64)>,
-    jobs: usize,
     traced: bool,
-) -> SimResult<(Vec<Vec<f64>>, u64, TraceAgg)> {
-    let cells: Vec<(f64, bool)> = utils
+) -> SimResult<Swept<f64>> {
+    let grid: Vec<(f64, bool)> = utils
         .iter()
         .flat_map(|&u| [false, true].into_iter().map(move |d| (u, d)))
         .collect();
-    let profiles = ProfileCache::global();
-    let ran = pool::try_run_indexed(cells.len(), jobs, |i| {
-        let (util, duet) = cells[i];
+    run_cells(grid.len(), jobs, traced, |i, opts| {
+        let (util, duet) = grid[i];
         let mut cfg = paper_scaled(
             scale,
             personality,
@@ -199,23 +221,9 @@ pub fn completed_cells_traced(
             duet,
         );
         cfg.fragmentation = fragmentation;
-        let handle = trace::cell(traced);
-        let result = run_experiment_cached_traced(&cfg, profiles, handle.as_ref())?;
-        Ok((
-            result.work_completed(),
-            result.workload_ops,
-            trace::harvest(handle),
-        ))
-    })?;
-    let mut agg = TraceAgg::new(traced);
-    let mut ops = 0u64;
-    let mut completed = Vec::with_capacity(ran.len());
-    for (v, cell_ops, counters) in ran {
-        completed.push(v);
-        ops += cell_ops;
-        agg.merge(counters);
-    }
-    Ok((completed.chunks(2).map(<[f64]>::to_vec).collect(), ops, agg))
+        let result = run_experiment_with(&cfg, opts)?;
+        Ok((result.work_completed(), result.workload_ops))
+    })
 }
 
 /// Sweeps utilization and reports the work-completed fraction for
@@ -234,7 +242,7 @@ pub fn completed_sweep(
     );
     report.print_header(sink);
     let utils = util_grid();
-    let (grid, ops, traces) = completed_cells_traced(
+    let completed = completed_cells(
         scale,
         personality,
         &utils,
@@ -242,13 +250,8 @@ pub fn completed_sweep(
         fragmentation,
         pool::jobs(),
         trace::enabled(),
-    )?;
-    sink.add_ops(ops);
-    for (util, done) in utils.iter().zip(grid) {
-        let mut row = vec![f2(*util)];
-        row.extend(done.iter().map(|&v| f2(v)));
-        report.row(sink, &row);
-    }
-    traces.save(name, sink)?;
+    )?
+    .credit(name, sink)?;
+    util_rows(&mut report, sink, &utils, &completed, 2);
     Ok(report)
 }

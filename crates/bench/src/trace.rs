@@ -1,40 +1,27 @@
 //! Opt-in trace aggregation for the figure harnesses.
 //!
-//! Setting `DUET_TRACE=1` makes every experiment-running harness arm a
-//! fresh [`TraceHandle`] per sweep cell and merge the per-layer/
-//! per-kind counters into a `results/<name>_trace.csv` next to the
-//! figure's CSV. Handles are `Rc`-based and deliberately not `Send`, so
-//! each pool worker constructs its own inside the cell closure; the
-//! merge happens afterwards in cell-index order, which keeps the
-//! aggregate byte-identical at any `DUET_JOBS` width (the same argument
-//! as for the result grids, see DESIGN.md §8).
+//! Setting `DUET_TRACE=1` makes the sweep-cell driver
+//! ([`crate::sweeps::run_cells`]) arm a fresh trace handle per cell and
+//! merge the per-layer/per-kind counters into a
+//! `results/<name>_trace.csv` next to the figure's CSV. The merge
+//! happens in cell-index order, which keeps the aggregate
+//! byte-identical at any `DUET_JOBS` width (the same argument as for
+//! the result grids, see DESIGN.md §8).
 //!
 //! With the `trace` feature compiled out, or `DUET_TRACE` unset, the
 //! harnesses behave — and their CSVs read — exactly as before.
 
 use crate::Sink;
-use sim_core::trace::TraceHandle;
+use sim_core::knobs::Knob;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Whether trace aggregation was requested (`DUET_TRACE` set to
-/// anything but empty or `0`).
+/// Whether trace aggregation was requested (`DUET_TRACE=1`; see
+/// `sim_core::knobs` — anything but `0`/`1` is rejected at start-up).
 pub fn enabled() -> bool {
-    std::env::var("DUET_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// A fresh per-cell handle when `traced` asks for one. Constructed
-/// inside the worker closure: the handle is not `Send` by design.
-pub fn cell(traced: bool) -> Option<TraceHandle> {
-    traced.then(TraceHandle::with_default_capacity)
-}
-
-/// The counters of a finished cell, ready to travel back to the
-/// aggregator (plain data, `Send`).
-pub fn harvest(handle: Option<TraceHandle>) -> Vec<(String, u64)> {
-    handle.map(|h| h.counters()).unwrap_or_default()
+    crate::knob(Knob::Trace) == Some(1)
 }
 
 /// Deterministic union of per-cell counters, keyed `layer.kind`.
@@ -115,12 +102,5 @@ mod tests {
         let saved = agg.save("unit_test_trace", &mut sink).expect("io");
         assert!(saved.is_none());
         assert!(sink.lines().is_empty());
-    }
-
-    #[test]
-    fn cell_handles_follow_the_request() {
-        assert!(cell(false).is_none());
-        assert!(cell(true).is_some());
-        assert!(harvest(None).is_empty());
     }
 }

@@ -1,23 +1,23 @@
-//! The three knobs every run reads are checked at start-up by every
-//! bench entry point: a malformed `DUET_SCALE`, `DUET_JOBS` or
-//! `DUET_SNAPSHOT` exits with status 2 and names the variable and the
-//! value, before any work is done. (Each used to be silently ignored;
-//! the parser's own cases are in `sim_core::knobs`.)
+//! The `bench` binary end to end: strict env knobs, the harness
+//! registry behind `bench run`, and the summary it writes.
+//!
+//! The four knobs a run reads are checked at start-up, whatever the
+//! subcommand: a malformed `DUET_SCALE`, `DUET_JOBS`, `DUET_SNAPSHOT` or
+//! `DUET_TRACE` exits with status 2 and names the variable and the
+//! value, before any work is done. (Each used to be silently ignored —
+//! `DUET_TRACE=off` even turned tracing *on*; the parser's own cases
+//! are in `sim_core::knobs`.)
 
 use std::process::{Command, Output};
 
-/// One entry point of each kind: the `bench` CLI, `repro_all`, and a
-/// harness binary that goes through `bench::run_main`.
-const ENTRY_POINTS: [&str; 3] = [
-    env!("CARGO_BIN_EXE_bench"),
-    env!("CARGO_BIN_EXE_repro_all"),
-    env!("CARGO_BIN_EXE_fig9_cpu_overhead"),
-];
+const KNOBS: [&str; 4] = ["DUET_SCALE", "DUET_JOBS", "DUET_SNAPSHOT", "DUET_TRACE"];
 
-fn run(bin: &str, arg: &str, env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(bin);
-    cmd.arg(arg);
-    for var in ["DUET_SCALE", "DUET_JOBS", "DUET_SNAPSHOT"] {
+/// Runs `bench <args>` in cargo's per-test scratch directory (`bench
+/// run` writes `results/` under its cwd) with only `env`'s knobs set.
+fn bench(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bench"));
+    cmd.args(args).current_dir(env!("CARGO_TARGET_TMPDIR"));
+    for var in KNOBS {
         cmd.env_remove(var);
     }
     cmd.envs(env.iter().copied())
@@ -27,22 +27,29 @@ fn run(bin: &str, arg: &str, env: &[(&str, &str)]) -> Output {
 
 #[test]
 fn malformed_knobs_exit_2_naming_variable_and_value() {
-    for bin in ENTRY_POINTS {
+    for sub in ["run", "micro", "golden"] {
         for (var, value) in [
             ("DUET_SCALE", "abc"),
             ("DUET_SCALE", "0"),
             ("DUET_JOBS", "x"),
             ("DUET_JOBS", "0"),
             ("DUET_SNAPSHOT", "off"),
+            ("DUET_TRACE", "off"),
+            ("DUET_TRACE", "false"),
+            ("DUET_TRACE", ""),
         ] {
-            let out = run(bin, "no-such-command", &[(var, value)]);
+            let out = bench(&[sub], &[(var, value)]);
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{bin} {var}={value}: {stderr}");
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "bench {sub} {var}={value}: {stderr}"
+            );
             assert!(
                 stderr.contains(var) && stderr.contains(&format!("{value:?}")),
-                "{bin} {var}={value}: {stderr}"
+                "bench {sub} {var}={value}: {stderr}"
             );
-            assert!(out.stdout.is_empty(), "{bin} {var}={value} did work");
+            assert!(out.stdout.is_empty(), "bench {sub} {var}={value} did work");
         }
     }
 }
@@ -53,11 +60,53 @@ fn the_values_the_gate_and_the_benchmark_use_stay_valid() {
         ("DUET_SCALE", "512"),
         ("DUET_JOBS", "2"),
         ("DUET_SNAPSHOT", "0"),
+        ("DUET_TRACE", "0"),
     ];
     // Past the knob check, an unknown command is the ordinary usage
-    // error (status 1) of the two CLIs that take one.
-    for bin in &ENTRY_POINTS[..2] {
-        let out = run(bin, "no-such-command", &env);
-        assert_eq!(out.status.code(), Some(1), "{bin}");
+    // error (status 1).
+    let out = bench(&["no-such-command"], &env);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: bench"));
+}
+
+#[test]
+fn an_unknown_harness_exits_1_listing_the_registry() {
+    let out = bench(&["run", "fig2_scrub_saved", "no_such_harness"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no_such_harness"), "{stderr}");
+    for h in bench::figs::ALL {
+        assert!(stderr.contains(h.name), "{} not listed: {stderr}", h.name);
+    }
+    assert!(out.stdout.is_empty(), "ran something: {out:?}");
+}
+
+/// `bench run` of two harnesses at the gate's settings writes their
+/// CSVs and a summary carrying the gate's exact simulated-op counts.
+#[test]
+fn run_writes_csvs_and_the_sweeps_summary() {
+    let out = bench(
+        &["run", "fig2_scrub_saved", "fig6_scrub_backup_completed"],
+        &[("DUET_SCALE", "512"), ("DUET_JOBS", "2")],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let results = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("results");
+    let summary = std::fs::read_to_string(results.join("BENCH_sweeps.json")).expect("summary");
+    assert!(summary.contains("\"scale\": 512,"), "{summary}");
+    assert!(summary.contains("\"jobs\": 2,"), "{summary}");
+    for (name, ops) in [
+        ("fig2_scrub_saved", 32058),
+        ("fig6_scrub_backup_completed", 16821),
+    ] {
+        let row = summary
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .unwrap_or_else(|| panic!("{name} missing: {summary}"));
+        assert!(
+            row.contains(&format!("\"ops\": {ops},")) && row.contains("\"ok\": true"),
+            "{row}"
+        );
+        let csv = std::fs::read_to_string(results.join(format!("{name}.csv"))).expect("csv");
+        assert_eq!(csv.lines().count(), 12, "header + 11 utilizations: {csv}");
     }
 }

@@ -6,9 +6,9 @@
 //! `f64`s (compared via `to_bits`, not approximate equality) and in the
 //! formatted report rows that become the CSVs.
 
-use bench::sweeps::{completed_cells, saved_cells, saved_cells_traced};
+use bench::sweeps::{completed_cells, saved_cells};
 use bench::{f2, pool};
-use experiments::{paper_scaled, run_experiment_traced, DeviceKind, TaskKind};
+use experiments::{paper_scaled, run_experiment_with, DeviceKind, RunOptions, TaskKind};
 use sim_core::trace::TraceHandle;
 use workloads::{DistKind, Personality};
 
@@ -16,16 +16,16 @@ use workloads::{DistKind, Personality};
 /// milliseconds while still exercising the full runner.
 const SCALE: u64 = 512;
 
-fn bits(grid: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    grid.iter()
-        .map(|row| row.iter().map(|v| v.to_bits()).collect())
-        .collect()
+fn bits(cells: &[f64]) -> Vec<u64> {
+    cells.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Renders a grid in the committed fixture format: one row per line,
-/// cells as hex `f64` bit patterns (the `dump_golden` serialization).
-fn grid_lines(grid: &[Vec<f64>]) -> String {
-    grid.iter()
+/// Renders a row-major grid in the committed fixture format: `per_row`
+/// cells a line, as hex `f64` bit patterns (the `bench golden`
+/// serialization).
+fn grid_lines(cells: &[f64], per_row: usize) -> String {
+    cells
+        .chunks(per_row)
         .map(|row| {
             row.iter()
                 .map(|v| format!("{:016x}", v.to_bits()))
@@ -37,10 +37,10 @@ fn grid_lines(grid: &[Vec<f64>]) -> String {
         + "\n"
 }
 
-fn render(grid: &[Vec<f64>], utils: &[f64]) -> Vec<String> {
+fn render(cells: &[f64], utils: &[f64]) -> Vec<String> {
     utils
         .iter()
-        .zip(grid)
+        .zip(cells.chunks(cells.len() / utils.len()))
         .map(|(u, row)| {
             let mut cols = vec![f2(*u)];
             cols.extend(row.iter().map(|&v| f2(v)));
@@ -64,8 +64,10 @@ fn saved_sweep_is_byte_identical_at_any_width() {
             &[TaskKind::Scrub],
             None,
             jobs,
+            false,
         )
         .expect("sweep")
+        .values
     };
     let sequential = run(1);
     let parallel = run(4);
@@ -80,12 +82,21 @@ fn saved_sweep_is_byte_identical_at_any_width() {
         "formatted report rows differ between jobs=1 and jobs=4"
     );
     // And the grid is not degenerate: some cell saved some I/O.
-    assert!(sequential.iter().flatten().any(|&v| v > 0.0));
+    assert!(sequential.iter().any(|&v| v > 0.0));
     // Both widths must also reproduce the committed fixture, so the
     // grid is pinned across builds, not merely self-consistent.
     let fixture = include_str!("fixtures/golden_saved_grid.txt");
-    assert_eq!(grid_lines(&sequential), fixture, "jobs=1 grid vs fixture");
-    assert_eq!(grid_lines(&parallel), fixture, "jobs=4 grid vs fixture");
+    let per_row = overlaps.len();
+    assert_eq!(
+        grid_lines(&sequential, per_row),
+        fixture,
+        "jobs=1 grid vs fixture"
+    );
+    assert_eq!(
+        grid_lines(&parallel, per_row),
+        fixture,
+        "jobs=4 grid vs fixture"
+    );
 }
 
 #[test]
@@ -99,17 +110,23 @@ fn completed_sweep_is_byte_identical_at_any_width() {
             &[TaskKind::Scrub, TaskKind::Backup],
             None,
             jobs,
+            false,
         )
         .expect("sweep")
+        .values
     };
     let sequential = run(1);
     let parallel = run(4);
     assert_eq!(bits(&sequential), bits(&parallel));
     assert_eq!(render(&sequential, &utils), render(&parallel, &utils));
-    assert!(sequential.iter().flatten().any(|&v| v > 0.0));
+    assert!(sequential.iter().any(|&v| v > 0.0));
     let fixture = include_str!("fixtures/golden_completed_grid.txt");
-    assert_eq!(grid_lines(&sequential), fixture, "jobs=1 grid vs fixture");
-    assert_eq!(grid_lines(&parallel), fixture, "jobs=4 grid vs fixture");
+    assert_eq!(
+        grid_lines(&sequential, 2),
+        fixture,
+        "jobs=1 grid vs fixture"
+    );
+    assert_eq!(grid_lines(&parallel, 2), fixture, "jobs=4 grid vs fixture");
 }
 
 /// The aggregated trace counters of a traced sweep must also be
@@ -120,7 +137,7 @@ fn traced_sweep_counters_are_byte_identical_at_any_width() {
     let utils = [0.2, 0.6];
     let overlaps = [1.0];
     let run = |jobs: usize| {
-        let (grid, ops, agg) = saved_cells_traced(
+        let swept = saved_cells(
             SCALE,
             DeviceKind::Hdd,
             Personality::WebServer,
@@ -133,8 +150,12 @@ fn traced_sweep_counters_are_byte_identical_at_any_width() {
             true,
         )
         .expect("sweep");
-        let rows: Vec<(String, u64)> = agg.rows().map(|(k, n)| (k.to_string(), n)).collect();
-        (bits(&grid), ops, rows)
+        let rows: Vec<(String, u64)> = swept
+            .traces
+            .rows()
+            .map(|(k, n)| (k.to_string(), n))
+            .collect();
+        (bits(&swept.values), swept.ops, rows)
     };
     let sequential = run(1);
     let parallel = run(4);
@@ -166,7 +187,11 @@ fn traced_cell_jsonl_is_byte_identical_at_any_width() {
             );
             cfg.seed = 7;
             let t = TraceHandle::with_default_capacity();
-            run_experiment_traced(&cfg, Some(&t))?;
+            let traced = RunOptions {
+                trace: Some(&t),
+                ..RunOptions::default()
+            };
+            run_experiment_with(&cfg, &traced)?;
             sim_core::SimResult::Ok(t.dump_jsonl())
         })
         .expect("sweep")

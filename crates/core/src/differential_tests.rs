@@ -890,7 +890,7 @@ fn replay(log: &[Op], skip_cancellation: bool) -> Result<(), String> {
 
 #[test]
 fn duet_matches_the_naive_reference() {
-    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E);
+    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E).unwrap_or_else(|e| panic!("{e}"));
     differential(
         &DiffConfig::new("duet-vs-reference", seed)
             .cases(24)

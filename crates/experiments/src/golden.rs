@@ -4,9 +4,8 @@
 //! (`tests/fixtures/`), so the serialization itself is part of the
 //! golden contract: floats are rendered from their bit patterns, never
 //! through display rounding, and every observable field is included.
-//! The `dump_golden` bench binary regenerates the fixtures with the
-//! exact same code path (see DESIGN.md §12 for the re-baselining
-//! procedure).
+//! `bench golden` regenerates the fixtures with the exact same code
+//! path (see DESIGN.md §12 for the re-baselining procedure).
 
 use crate::metrics::ExperimentResult;
 use crate::runner::RsyncResult;

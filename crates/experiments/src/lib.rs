@@ -7,14 +7,16 @@
 //! - [`runner`]: the virtual-time execution loops —
 //!   [`runner::run_experiment`] for the Btrfs tasks (Figures 2, 3, 5–8,
 //!   10 and Table 5), [`runner::run_rsync_experiment`] for Figure 4,
-//!   [`runner::run_gc_experiment`] for Table 6;
+//!   [`runner::run_gc_experiment`] for Table 6 — each with a `_with`
+//!   form taking [`runner::RunOptions`] (trace, profiled throttle,
+//!   completion probe);
 //! - [`metrics`]: the Table 4 metrics — *I/O saved*, *maximum
 //!   utilization* and *speedup*;
 //! - [`presets`]: scaled-down versions of the paper's 50 GB / 300 GB /
 //!   2 GB / 30-minute setup that keep its ratios;
 //! - [`profile`]: the §6.1.2 unthrottled profiling pass and its memo
-//!   ([`profile::ProfileCache`]), used by the sweep drivers to seed the
-//!   workload throttle once per workload shape instead of
+//!   ([`profile::ProfileCache`]), which seeds the workload throttle of
+//!   every `profiled` run once per workload shape instead of
 //!   re-calibrating in every cell.
 
 pub mod config;
@@ -33,20 +35,18 @@ pub use oracle::{
     OracleReport, OracleTask,
 };
 pub use presets::paper_scaled;
-pub use profile::{
-    profile_unthrottled, run_completion_probe_cached, run_experiment_cached,
-    run_experiment_cached_traced, ProfileCache, ProfileKey,
-};
+pub use profile::{profile_unthrottled, ProfileCache, ProfileKey};
 pub use runner::{
     run_experiment,
-    run_experiment_traced,
+    run_experiment_with,
     run_gc_experiment,
-    run_gc_experiment_traced,
+    run_gc_experiment_with,
     run_rsync_experiment,
-    run_rsync_experiment_traced,
+    run_rsync_experiment_with,
     GcExperimentConfig,
     GcResult,
-    RsyncResult, //
+    RsyncResult,
+    RunOptions, //
 };
 pub use snapshot::PreparedStack;
 

@@ -17,8 +17,7 @@
 //! may race to fill an entry without affecting results.
 
 use crate::config::{DeviceKind, ExperimentConfig};
-use crate::metrics::ExperimentResult;
-use crate::runner::{build_disk, run_experiment_seeded};
+use crate::runner::build_disk;
 use sim_btrfs::BtrfsSim;
 use sim_core::{SimError, SimInstant, SimResult};
 use sim_disk::IoClass;
@@ -169,13 +168,14 @@ impl ProfileCache {
         ProfileCache::default()
     }
 
-    /// The process-wide cache, shared across harnesses. A profile
-    /// depends only on its [`ProfileKey`] and is bit-identical however
-    /// many times it is computed, so sharing entries across sweeps
-    /// (e.g. every `table5_max_util` cell, or a figure harness re-run
-    /// in the same process) is byte-safe and saves re-calibration.
-    /// Tests that assert on `len` should use [`ProfileCache::new`] for
-    /// an isolated instance instead.
+    /// The process-wide cache every profiled run
+    /// ([`crate::RunOptions::profiled`]) reads. A profile depends only
+    /// on its [`ProfileKey`] and is bit-identical however many times it
+    /// is computed, so sharing entries across sweeps (e.g. every
+    /// `table5_max_util` cell, or a figure harness re-run in the same
+    /// process) is byte-safe and saves re-calibration. Tests that
+    /// assert on `len` should use [`ProfileCache::new`] for an isolated
+    /// instance instead.
     pub fn global() -> &'static ProfileCache {
         static GLOBAL: OnceLock<ProfileCache> = OnceLock::new();
         GLOBAL.get_or_init(ProfileCache::new)
@@ -216,45 +216,6 @@ impl ProfileCache {
         self.guard().insert(key, value.to_bits());
         Ok(Some(value))
     }
-}
-
-/// [`crate::run_experiment`] with the §6.1.2 profile-then-throttle
-/// methodology: the workload's throttle is seeded from a (memoized)
-/// calibration pass instead of bootstrapping from its first operation.
-pub fn run_experiment_cached(
-    cfg: &ExperimentConfig,
-    profiles: &ProfileCache,
-) -> SimResult<ExperimentResult> {
-    run_experiment_cached_traced(cfg, profiles, None)
-}
-
-/// [`run_experiment_cached`] with structured tracing armed on the whole
-/// stack (see [`crate::runner::run_experiment_traced`]). The profile
-/// pass itself is never traced: it is calibration, not the measured
-/// window.
-pub fn run_experiment_cached_traced(
-    cfg: &ExperimentConfig,
-    profiles: &ProfileCache,
-    trace: Option<&sim_core::trace::TraceHandle>,
-) -> SimResult<ExperimentResult> {
-    let seed = profiles.get_or_profile(cfg)?;
-    run_experiment_seeded(cfg, seed, trace)
-}
-
-/// [`run_experiment_cached_traced`] truncated to the completion
-/// question: runs the identical simulation but stops as soon as the
-/// last maintenance task completes, returning what `all_completed()`
-/// of the full run would be (see
-/// [`crate::runner::run_completion_probe_seeded`]). The fast path for
-/// bisection sweeps like `table5_max_util`, whose cells only consume
-/// the completion bit.
-pub fn run_completion_probe_cached(
-    cfg: &ExperimentConfig,
-    profiles: &ProfileCache,
-    trace: Option<&sim_core::trace::TraceHandle>,
-) -> SimResult<bool> {
-    let seed = profiles.get_or_profile(cfg)?;
-    crate::runner::run_completion_probe_seeded(cfg, seed, trace)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::config::{DeviceKind, ExperimentConfig, TaskKind};
 use crate::metrics::{since_epoch, ExperimentResult, TaskOutcome};
+use crate::profile::ProfileCache;
 use duet::Duet;
 use duet_tasks::{
     pump_btrfs,
@@ -66,6 +67,19 @@ fn build_task(kind: TaskKind, mode: TaskMode, cfg: &ExperimentConfig) -> Box<dyn
     }
 }
 
+/// Whether the background flusher is due at `now`: dirty pages past the
+/// high-water mark, or a flusher period elapsed with anything dirty.
+/// The one piece the three virtual-time loops share.
+fn writeback_due(
+    dirty: usize,
+    cache_capacity: usize,
+    now: SimInstant,
+    last_wb: SimInstant,
+) -> bool {
+    dirty > cache_capacity / WB_HIGH_FRACTION
+        || (now.saturating_duration_since(last_wb) >= WB_PERIOD && dirty > 0)
+}
+
 /// Flushes dirty pages when due; returns the updated last-writeback
 /// time.
 fn maybe_writeback(
@@ -74,9 +88,7 @@ fn maybe_writeback(
     now: SimInstant,
     last_wb: SimInstant,
 ) -> SimResult<SimInstant> {
-    let due = fs.dirty_pages() > fs.cache().capacity() / WB_HIGH_FRACTION
-        || (now.saturating_duration_since(last_wb) >= WB_PERIOD && fs.dirty_pages() > 0);
-    if due {
+    if writeback_due(fs.dirty_pages(), fs.cache().capacity(), now, last_wb) {
         fs.background_writeback(WB_BATCH, IoClass::Normal, now)?;
         pump_btrfs(fs, duet);
         Ok(now)
@@ -85,60 +97,56 @@ fn maybe_writeback(
     }
 }
 
+/// How a run is driven: the switches that are independent of *what* is
+/// simulated. `RunOptions::default()` is the plain run — untraced,
+/// throttle bootstrapped from the first operation, full window — which
+/// is what [`run_experiment`], [`run_rsync_experiment`] and
+/// [`run_gc_experiment`] pass, so every result, traced or probed, comes
+/// out of the same loop as the plain one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Arms structured tracing on the whole stack (disk, cache,
+    /// filesystem, Duet, tasks) for the measurement window. The caller
+    /// owns the handle: read [`TraceHandle::counters`] or dump
+    /// JSONL/Chrome after the run. Results are byte-identical with and
+    /// without it — tracing never touches simulated state.
+    pub trace: Option<&'a TraceHandle>,
+    /// §6.1.2 profile-then-throttle: seed the workload throttle's
+    /// busy-per-op estimate from the memoized calibration pass
+    /// ([`crate::profile`]) instead of bootstrapping it from the first
+    /// operation. The calibration pass itself is never traced. Read by
+    /// [`run_experiment_with`] only: rsync is unthrottled and the
+    /// calibration models Btrfs.
+    pub profiled: bool,
+    /// Stop the virtual-time loop the moment the last maintenance task
+    /// completes (or at the window end, whichever is first). Up to that
+    /// instant the simulation is step-for-step the full run, and
+    /// completion times are decided by then, so `all_completed()` is
+    /// exactly the full run's; every other metric covers a truncated
+    /// window and must not be used. Bisection drivers
+    /// ([`crate::max_utilization`]) probe with this and skip the dead
+    /// tail of every completing run. Read by [`run_experiment_with`]
+    /// only: rsync always stops when done, the cleaner never is.
+    pub stop_when_tasks_done: bool,
+}
+
 /// Runs one Btrfs-model experiment to completion of the window (or of
 /// all maintenance work, when there is no foreground workload).
 pub fn run_experiment(cfg: &ExperimentConfig) -> SimResult<ExperimentResult> {
-    run_experiment_seeded(cfg, None, None)
+    run_experiment_with(cfg, &RunOptions::default())
 }
 
-/// [`run_experiment`] with structured tracing armed on the whole stack
-/// (disk, cache, filesystem, Duet, tasks) for the duration of the
-/// measurement window. The caller owns the handle: read
-/// [`TraceHandle::counters`] or dump JSONL/Chrome after the run. With
-/// `None` this is exactly [`run_experiment`] — the results are
-/// byte-identical either way (tracing never touches simulated state).
-pub fn run_experiment_traced(
+/// [`run_experiment`] under `opts`.
+pub fn run_experiment_with(
     cfg: &ExperimentConfig,
-    trace: Option<&TraceHandle>,
+    opts: &RunOptions<'_>,
 ) -> SimResult<ExperimentResult> {
-    run_experiment_seeded(cfg, None, trace)
-}
-
-/// [`run_experiment`] with an optional profiled busy-per-op seed for
-/// the workload throttle (see [`crate::profile`]). `None` preserves the
-/// legacy bootstrap-from-first-op behaviour exactly.
-pub(crate) fn run_experiment_seeded(
-    cfg: &ExperimentConfig,
-    profiled_busy_per_op: Option<f64>,
-    trace: Option<&TraceHandle>,
-) -> SimResult<ExperimentResult> {
-    run_experiment_inner(cfg, profiled_busy_per_op, trace, false)
-}
-
-/// Answers "does every maintenance task complete within the window?"
-/// without simulating past the answer: the virtual-time loop stops the
-/// moment the last task completes (or at the window end, whichever is
-/// first). Up to that instant the simulation is step-for-step identical
-/// to [`run_experiment_seeded`] — completion times are decided by then,
-/// so the returned bit is exactly `all_completed()` of the full run.
-/// Only the completion bit is valid; utilization/latency metrics cover
-/// a truncated window, which is why this returns `bool` and not an
-/// [`ExperimentResult`]. Bisection drivers ([`crate::max_utilization`])
-/// probe with this and skip the dead tail of every completing run.
-pub(crate) fn run_completion_probe_seeded(
-    cfg: &ExperimentConfig,
-    profiled_busy_per_op: Option<f64>,
-    trace: Option<&TraceHandle>,
-) -> SimResult<bool> {
-    Ok(run_experiment_inner(cfg, profiled_busy_per_op, trace, true)?.all_completed())
-}
-
-fn run_experiment_inner(
-    cfg: &ExperimentConfig,
-    profiled_busy_per_op: Option<f64>,
-    trace: Option<&TraceHandle>,
-    stop_when_tasks_done: bool,
-) -> SimResult<ExperimentResult> {
+    let profiled_busy_per_op = if opts.profiled {
+        ProfileCache::global().get_or_profile(cfg)?
+    } else {
+        None
+    };
+    let trace = opts.trace;
     // Setup prefix (population, layout aging, event drain, metric
     // reset): forked from a warm per-thread snapshot when an identical
     // prefix was already built, rebuilt from scratch otherwise — the
@@ -279,7 +287,7 @@ fn run_experiment_inner(
                 // Completion probes have their answer the moment the
                 // last task finishes; the rest of the window cannot
                 // change it.
-                if stop_when_tasks_done && completion.iter().all(Option::is_some) {
+                if opts.stop_when_tasks_done && completion.iter().all(Option::is_some) {
                     break;
                 }
             }
@@ -366,17 +374,18 @@ pub struct RsyncResult {
 /// workload on the source device, as in §6.2: one workload operation
 /// and one rsync chunk alternate until the transfer completes.
 pub fn run_rsync_experiment(cfg: &ExperimentConfig, duet_mode: bool) -> SimResult<RsyncResult> {
-    run_rsync_experiment_traced(cfg, duet_mode, None)
+    run_rsync_experiment_with(cfg, duet_mode, &RunOptions::default())
 }
 
-/// [`run_rsync_experiment`] with structured tracing armed on the source
+/// [`run_rsync_experiment`] under `opts`: tracing is armed on the source
 /// stack and the Duet framework (the destination device is write-only
 /// mirroring; tracing it would double-count every shipped block).
-pub fn run_rsync_experiment_traced(
+pub fn run_rsync_experiment_with(
     cfg: &ExperimentConfig,
     duet_mode: bool,
-    trace: Option<&TraceHandle>,
+    opts: &RunOptions<'_>,
 ) -> SimResult<RsyncResult> {
+    let trace = opts.trace;
     let src_disk = build_disk(cfg.device, cfg.capacity_blocks);
     let dst_disk = build_disk(cfg.device, cfg.capacity_blocks);
     let mut src = BtrfsSim::new(sim_core::DeviceId(0), src_disk, cfg.cache_pages);
@@ -508,15 +517,16 @@ pub struct GcResult {
 
 /// Runs the F2fs cleaner under a foreground workload (Table 6).
 pub fn run_gc_experiment(cfg: &GcExperimentConfig) -> SimResult<GcResult> {
-    run_gc_experiment_traced(cfg, None)
+    run_gc_experiment_with(cfg, &RunOptions::default())
 }
 
-/// [`run_gc_experiment`] with structured tracing armed on the F2fs
+/// [`run_gc_experiment`] under `opts`: tracing is armed on the F2fs
 /// stack and the Duet framework.
-pub fn run_gc_experiment_traced(
+pub fn run_gc_experiment_with(
     cfg: &GcExperimentConfig,
-    trace: Option<&TraceHandle>,
+    opts: &RunOptions<'_>,
 ) -> SimResult<GcResult> {
+    let trace = opts.trace;
     let capacity = cfg.nsegs as u64 * cfg.seg_blocks;
     let disk = Disk::new(Box::new(HddModel::sas_10k(capacity)));
     let mut fs = F2fsSim::new(sim_core::DeviceId(1), disk, cfg.cache_pages, cfg.seg_blocks);
@@ -548,9 +558,7 @@ pub fn run_gc_experiment_traced(
     let mut first_gc_done = false;
     while now < end {
         // Writeback.
-        let wb_due = fs.dirty_pages() > fs.cache().capacity() / WB_HIGH_FRACTION
-            || (now.saturating_duration_since(last_wb) >= WB_PERIOD && fs.dirty_pages() > 0);
-        if wb_due {
+        if writeback_due(fs.dirty_pages(), fs.cache().capacity(), now, last_wb) {
             fs.background_writeback(WB_BATCH, IoClass::Normal, now)?;
             pump_f2fs(&mut fs, &mut duet);
             last_wb = now;

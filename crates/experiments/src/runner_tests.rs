@@ -2,7 +2,11 @@
 
 use crate::config::{DeviceKind, ExperimentConfig, TaskKind};
 use crate::metrics::max_utilization;
-use crate::runner::{run_experiment, run_gc_experiment, run_rsync_experiment, GcExperimentConfig};
+use crate::presets::paper_scaled;
+use crate::runner::{
+    run_experiment, run_experiment_with, run_gc_experiment, run_rsync_experiment,
+    GcExperimentConfig, RunOptions,
+};
 use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
@@ -271,4 +275,56 @@ fn no_priority_policy_reduces_savings() {
         b.workload_ops,
         a.workload_ops
     );
+}
+
+/// The completion probe answers exactly what the full run would: over
+/// table5's cell shapes, `stop_when_tasks_done` changes how far the
+/// loop runs, never the completion bit.
+#[test]
+fn completion_probe_equals_the_full_run() {
+    let full = RunOptions {
+        profiled: true,
+        ..RunOptions::default()
+    };
+    let probe = RunOptions {
+        stop_when_tasks_done: true,
+        ..full
+    };
+    let (mut completed, mut incomplete, mut stopped_early) = (0, 0, 0);
+    for task in [TaskKind::Scrub, TaskKind::Backup, TaskKind::Defrag] {
+        for util in [0.2, 0.5, 0.8] {
+            for duet in [false, true] {
+                let mut cfg = paper_scaled(
+                    512,
+                    Personality::WebServer,
+                    DistKind::Uniform,
+                    1.0,
+                    util,
+                    vec![task],
+                    duet,
+                );
+                if task == TaskKind::Defrag {
+                    cfg.fragmentation = Some((0.1, 5));
+                }
+                let whole = run_experiment_with(&cfg, &full).unwrap();
+                let probed = run_experiment_with(&cfg, &probe).unwrap();
+                assert_eq!(
+                    probed.all_completed(),
+                    whole.all_completed(),
+                    "{task:?} util {util} duet {duet}"
+                );
+                if whole.all_completed() {
+                    completed += 1;
+                } else {
+                    incomplete += 1;
+                }
+                if probed.workload_ops < whole.workload_ops {
+                    stopped_early += 1;
+                }
+            }
+        }
+    }
+    // Non-vacuity: both answers occur, and the probe really truncates.
+    assert!(completed > 0 && incomplete > 0, "{completed}/{incomplete}");
+    assert!(stopped_early > 0, "no probe stopped before the window end");
 }

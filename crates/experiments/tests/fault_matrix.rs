@@ -22,7 +22,7 @@ use sim_core::SimError;
 const DEFAULT_SEED: u64 = 0xD0E7_F457;
 
 fn seed() -> u64 {
-    seed_from_env("DUET_FAULT_SEED", DEFAULT_SEED)
+    seed_from_env("DUET_FAULT_SEED", DEFAULT_SEED).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The full grid: 5 tasks × 5 preset plans (1 quiet + 4 adversarial).

@@ -243,22 +243,30 @@ pub fn replay_line(seed: u64, plan: &FaultPlan) -> String {
     )
 }
 
-/// Reads a fault seed from the environment variable `var` (decimal or
-/// `0x`-prefixed hex), falling back to `default` when unset or malformed.
-/// Used by the fault-matrix suite to honour `DUET_FAULT_SEED`.
-pub fn seed_from_env(var: &str, default: u64) -> u64 {
+/// Reads a replay seed from the environment variable `var` (decimal or
+/// `0x`-prefixed hex); `default` when the variable is unset. The
+/// fault-matrix and differential suites honour `DUET_FAULT_SEED` /
+/// `DUET_CHECK_SEED` through this.
+///
+/// # Errors
+///
+/// A malformed value is an error naming the variable and the value,
+/// never the default: a mistyped replay seed must not "reproduce" a
+/// different run.
+pub fn seed_from_env(var: &str, default: u64) -> Result<u64, String> {
     match std::env::var(var) {
-        Ok(raw) => {
-            let raw = raw.trim();
-            let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                raw.parse()
-            };
-            parsed.unwrap_or(default)
-        }
-        Err(_) => default,
+        Ok(raw) => parse_seed(var, &raw),
+        Err(std::env::VarError::NotPresent) => Ok(default),
+        Err(std::env::VarError::NotUnicode(raw)) => Err(format!("{var}={raw:?}: not valid UTF-8")),
     }
+}
+
+fn parse_seed(var: &str, raw: &str) -> Result<u64, String> {
+    let parsed = match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    parsed.map_err(|_| format!("{var}={raw:?}: expected a decimal or 0x-prefixed hex u64 seed"))
 }
 
 /// Turns a `(seed, plan)` pair into concrete, replayable injection
@@ -473,8 +481,18 @@ mod tests {
 
     #[test]
     fn seed_env_parsing() {
-        // No env var set in tests: fall back to the default.
-        assert_eq!(seed_from_env("DUET_FAULT_SEED_UNSET_FOR_TEST", 42), 42);
+        // Unset is the one case that yields the default.
+        assert_eq!(seed_from_env("DUET_FAULT_SEED_UNSET_FOR_TEST", 42), Ok(42));
+        assert_eq!(parse_seed("DUET_FAULT_SEED", "12"), Ok(12));
+        assert_eq!(parse_seed("DUET_CHECK_SEED", "0xd1ffba5e"), Ok(0xD1FF_BA5E));
+        // A malformed seed used to fall back to the default silently.
+        for bad in ["0xZZ", "", "12 ", " 12", "0x", "-1", "1e3"] {
+            let err = parse_seed("DUET_FAULT_SEED", bad).unwrap_err();
+            assert!(
+                err.contains("DUET_FAULT_SEED") && err.contains(&format!("{bad:?}")),
+                "{bad:?}: {err}"
+            );
+        }
     }
 
     #[test]

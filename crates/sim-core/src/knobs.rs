@@ -1,13 +1,14 @@
-//! The three environment knobs every run reads — `DUET_SCALE`,
-//! `DUET_JOBS`, `DUET_SNAPSHOT` — behind one strict parser.
+//! The four environment knobs a run reads — `DUET_SCALE`, `DUET_JOBS`,
+//! `DUET_SNAPSHOT`, `DUET_TRACE` — behind one strict parser.
 //!
 //! A malformed value is never ignored: `DUET_SCALE=abc` quietly running
-//! at the default scale, or `DUET_SNAPSHOT=off` quietly leaving
-//! warm-start on, produces numbers for a configuration nobody asked
-//! for. Entry points call [`check_all`] before doing any work and exit
-//! with status 2 on an error; the readers go through the same parser
-//! ([`Knob::read`]), so code reached without that check (tests,
-//! library users) still gets an error instead of a fallback.
+//! at the default scale, `DUET_SNAPSHOT=off` quietly leaving warm-start
+//! on, or `DUET_TRACE=off` turning tracing *on* produces numbers for a
+//! configuration nobody asked for. Entry points call [`check_all`]
+//! before doing any work and exit with status 2 on an error; the
+//! readers go through the same parser ([`Knob::read`]), so code reached
+//! without that check (tests, library users) still gets an error
+//! instead of a fallback.
 
 /// One environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,11 +20,14 @@ pub enum Knob {
     /// `DUET_SNAPSHOT`: `0` turns the warm-start plane off, `1` (or
     /// unset) leaves it on.
     Snapshot,
+    /// `DUET_TRACE`: `1` makes the sweep harnesses aggregate per-layer
+    /// trace counters next to their CSVs, `0` (or unset) does not.
+    Trace,
 }
 
 impl Knob {
     /// Every knob, in the order [`check_all`] reports them.
-    pub const ALL: [Knob; 3] = [Knob::Scale, Knob::Jobs, Knob::Snapshot];
+    pub const ALL: [Knob; 4] = [Knob::Scale, Knob::Jobs, Knob::Snapshot, Knob::Trace];
 
     /// The environment variable's name.
     pub fn var(self) -> &'static str {
@@ -31,6 +35,7 @@ impl Knob {
             Knob::Scale => "DUET_SCALE",
             Knob::Jobs => "DUET_JOBS",
             Knob::Snapshot => "DUET_SNAPSHOT",
+            Knob::Trace => "DUET_TRACE",
         }
     }
 
@@ -42,7 +47,7 @@ impl Knob {
         };
         let (accepted, wants) = match self {
             Knob::Scale | Knob::Jobs => (1..=u64::MAX, "a positive integer"),
-            Knob::Snapshot => (0..=1, "0 (off) or 1 (on)"),
+            Knob::Snapshot | Knob::Trace => (0..=1, "0 (off) or 1 (on)"),
         };
         match raw.parse::<u64>() {
             Ok(v) if accepted.contains(&v) => Ok(Some(v)),
@@ -114,5 +119,19 @@ mod tests {
         assert!(Knob::Scale.parse(Some("0")).is_err());
         // `DUET_SNAPSHOT=2` used to mean "on".
         assert!(Knob::Snapshot.parse(Some("2")).is_err());
+    }
+
+    #[test]
+    fn trace_knob_is_a_strict_switch() {
+        assert_eq!(Knob::Trace.parse(Some("0")), Ok(Some(0)));
+        assert_eq!(Knob::Trace.parse(Some("1")), Ok(Some(1)));
+        // Anything non-empty but "0" used to *enable* tracing.
+        for bad in ["off", "false", "no", "true", "2"] {
+            let err = Knob::Trace.parse(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("DUET_TRACE") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
     }
 }

@@ -229,7 +229,7 @@ fn replay(log: &[Op]) -> Result<(), String> {
 /// against the `BTreeMap` oracle op by op.
 #[test]
 fn dordmap_matches_btreemap_oracle() {
-    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E);
+    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E).unwrap_or_else(|e| panic!("{e}"));
     let cfg = DiffConfig::new("dordmap-vs-btreemap", seed)
         .cases(12)
         .ops(3000);
@@ -242,7 +242,7 @@ fn dordmap_matches_btreemap_oracle() {
 /// log shrunk to the single triggering insert.
 #[test]
 fn differential_harness_detects_sabotage() {
-    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E);
+    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E).unwrap_or_else(|e| panic!("{e}"));
     let cfg = DiffConfig::new("sabotage", seed).cases(4).ops(500);
     let failure = differential(&cfg, gen_op, |log: &[Op]| {
         let mut m: DOrdMap<u64, u64> = DOrdMap::with_chunk_max(8);

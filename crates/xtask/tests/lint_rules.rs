@@ -157,7 +157,7 @@ fn scoping_matches_policy() {
     // Bench harness: wall-clock and ambient-state rules (the pool's
     // `thread::scope` is waived centrally, not descoped).
     assert_eq!(
-        classify("crates/bench/src/bin/fig9_cpu_overhead.rs"),
+        classify("crates/bench/src/figs/fig9_cpu_overhead.rs"),
         Some(RuleSet::BENCH)
     );
     assert_eq!(classify("crates/bench/src/pool.rs"), Some(RuleSet::BENCH));

@@ -5,7 +5,7 @@
 #   fmt --check  →  clippy -D warnings  →  xtask lint  →  cargo test
 #   →  differential fuzz (pinned seed: containers, Duet vs reference)
 #   →  fault matrix (pinned seed)  →  oracle sabotage localization
-#   →  trace compile-out check  →  repro_all smoke (tiny scale, 2 jobs)
+#   →  trace compile-out check  →  bench run smoke (tiny scale, 2 jobs)
 #   →  microbenchmarks + perf-regression gate (committed baseline)
 #   →  duetbench package gate + benchmark-contract smoke
 #
@@ -75,9 +75,10 @@ echo "==> snapshot/fork equivalence (digest oracle + cold-path goldens)"
 cargo test -q -p experiments --release snapshot::
 DUET_SNAPSHOT=0 cargo test -q --release --test determinism
 
-echo "==> repro_all smoke (DUET_SCALE=512 DUET_JOBS=2, time-bounded)"
-cargo build -q --release -p bench --bin repro_all
-timeout 600 env DUET_SCALE=512 DUET_JOBS=2 ./target/release/repro_all \
+echo "==> bench run smoke (DUET_SCALE=512 DUET_JOBS=2, time-bounded)"
+# crates/bench builds one binary; everything below is a subcommand.
+cargo build -q --release -p bench
+timeout 600 env DUET_SCALE=512 DUET_JOBS=2 ./target/release/bench run \
     fig2_scrub_saved fig6_scrub_backup_completed fig9_cpu_overhead > /dev/null
 test -s results/BENCH_sweeps.json
 
@@ -89,7 +90,6 @@ echo "==> microbenchmarks + perf-regression gate"
 # the baseline exactly — they are deterministic, so drift means the
 # simulation changed, not the machine. Re-baseline deliberately with
 # `cargo run --release -p bench -- baseline` (DESIGN.md §12).
-cargo build -q --release -p bench --bin bench
 timeout 600 ./target/release/bench micro
 ./target/release/bench gate
 

@@ -4,8 +4,8 @@
 //! (`cargo run -p xtask -- lint`) exist to protect.
 
 use duet_repro::experiments::{
-    paper_scaled, run_experiment, run_experiment_traced, run_rsync_experiment, ExperimentResult,
-    TaskKind,
+    paper_scaled, run_experiment, run_experiment_with, run_rsync_experiment, ExperimentResult,
+    RunOptions, TaskKind,
 };
 use duet_repro::sim_core::trace::TraceHandle;
 use duet_repro::workloads::{DistKind, Personality};
@@ -55,6 +55,13 @@ fn golden_csv(r: &ExperimentResult) -> String {
         ));
     }
     out
+}
+
+fn traced_opts(t: &TraceHandle) -> RunOptions<'_> {
+    RunOptions {
+        trace: Some(t),
+        ..RunOptions::default()
+    }
 }
 
 /// The same preset, run twice, must emit a byte-identical golden CSV —
@@ -124,7 +131,7 @@ fn traced_run_is_byte_identical_and_does_not_perturb_results() {
     let plain = golden_csv(&run_experiment(&cfg()).expect("untraced run"));
     let traced = || {
         let t = TraceHandle::with_default_capacity();
-        let r = run_experiment_traced(&cfg(), Some(&t)).expect("traced run");
+        let r = run_experiment_with(&cfg(), &traced_opts(&t)).expect("traced run");
         (
             golden_csv(&r),
             t.dump_jsonl(),
@@ -180,7 +187,7 @@ fn rsync_preset_is_byte_identical_across_runs() {
 // fixtures, so a change in behaviour — a container swapped under the
 // hood, an iteration order leak — fails the build even if it is
 // self-consistent. Regenerate deliberately with
-// `cargo run --release -p bench --bin dump_golden` (DESIGN.md §12).
+// `cargo run --release -p bench -- golden` (DESIGN.md §12).
 // ---------------------------------------------------------------------
 
 /// The seed-7 experiment preset must match the committed fixture
@@ -202,6 +209,14 @@ fn experiment_preset_matches_committed_fixture() {
         got,
         include_str!("fixtures/golden_experiment_seed7.csv"),
         "seed-7 experiment diverged from the committed golden fixture"
+    );
+    // The options entry point at its defaults *is* the plain run: every
+    // traced, profiled or probed result comes from the validated path.
+    let with_defaults = run_experiment_with(&c, &RunOptions::default()).expect("run");
+    assert_eq!(
+        duet_repro::experiments::golden::golden_csv(&with_defaults),
+        got,
+        "RunOptions::default() is not run_experiment"
     );
 }
 
@@ -362,7 +377,7 @@ fn trace_digests_match_committed_fixture() {
     );
     c.seed = 7;
     let t = TraceHandle::with_default_capacity();
-    let r = run_experiment_traced(&c, Some(&t)).expect("traced run");
+    let r = run_experiment_with(&c, &traced_opts(&t)).expect("traced run");
     let jsonl = t.dump_jsonl();
     let golden = duet_repro::experiments::golden::golden_csv(&r);
     let fnv = duet_repro::experiments::golden::fnv128_hex;
