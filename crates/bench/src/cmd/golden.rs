@@ -129,30 +129,21 @@ pub fn run() -> Result<(), String> {
         &(golden_rsync_line(&rs) + "\n"),
     );
 
-    // 3. Trace JSONL digest + counters (only meaningful when the trace
-    // feature is compiled in; the fixture records which).
-    let mut trace_out = String::new();
-    if TraceHandle::compiled_in() {
-        let t = TraceHandle::with_default_capacity();
-        let traced = RunOptions {
-            trace: Some(&t),
-            ..RunOptions::default()
-        };
-        let r = run_experiment_with(&traced_cfg(), &traced).expect("traced preset");
-        let jsonl = t.dump_jsonl();
-        trace_out.push_str(&format!(
-            "golden_csv_digest {}\n",
-            fnv128_hex(golden_csv(&r).as_bytes())
-        ));
-        trace_out.push_str(&format!("jsonl_lines {}\n", jsonl.lines().count()));
-        trace_out.push_str(&format!("jsonl_digest {}\n", fnv128_hex(jsonl.as_bytes())));
-        trace_out.push_str(&format!(
-            "counters_digest {}\n",
-            fnv128_hex(format!("{:?}", t.counters()).as_bytes())
-        ));
-    } else {
-        trace_out.push_str("trace_compiled_out\n");
-    }
+    // 3. Trace JSONL digest + counters.
+    let t = TraceHandle::with_default_capacity();
+    let traced = RunOptions {
+        trace: Some(&t),
+        ..RunOptions::default()
+    };
+    let r = run_experiment_with(&traced_cfg(), &traced).expect("traced preset");
+    let jsonl = t.dump_jsonl();
+    let trace_out = format!(
+        "golden_csv_digest {}\njsonl_lines {}\njsonl_digest {}\ncounters_digest {}\n",
+        fnv128_hex(golden_csv(&r).as_bytes()),
+        jsonl.lines().count(),
+        fnv128_hex(jsonl.as_bytes()),
+        fnv128_hex(format!("{:?}", t.counters()).as_bytes())
+    );
     write(root_fixtures, "golden_trace_seed7.txt", &trace_out);
 
     // 4. Parallel sweep grids (the parallel_determinism.rs scenarios),

@@ -51,8 +51,7 @@ fn run_one(spec: &'static HarnessSpec, mut sink: Sink) -> Outcome {
 
 fn write_summary(jobs: usize, outcomes: &[Outcome], total_ms: f64) -> std::io::Result<()> {
     // The one scale every harness ran at, or `null` when `DUET_SCALE`
-    // is unset and their defaults differ — which `bench gate` then
-    // refuses to compare against a baseline.
+    // is unset and their defaults differ.
     let mut scales: Vec<u64> = outcomes.iter().map(|o| scale_of(o.spec)).collect();
     scales.dedup();
     let scale = match scales[..] {
@@ -88,6 +87,15 @@ fn write_summary(jobs: usize, outcomes: &[Outcome], total_ms: f64) -> std::io::R
 
 /// Runs the harnesses named in `names` (all when empty).
 pub fn run(names: &[&str]) -> Result<(), String> {
+    // Two copies of one harness would run concurrently on the pool and
+    // both write `results/<name>.csv`.
+    if let Some(dup) = names
+        .iter()
+        .enumerate()
+        .find_map(|(i, n)| names[..i].contains(n).then_some(n))
+    {
+        return Err(format!("harness named twice: {dup}"));
+    }
     let selected: Vec<&'static HarnessSpec> = if names.is_empty() {
         figs::ALL.iter().collect()
     } else {

@@ -1,8 +1,8 @@
 //! The workspace's wall-clock gateway.
 //!
 //! Wall-clock time is fine here — it times the simulator from outside
-//! (`bench run`'s per-harness wall, `bench micro`, fig9, duetbench),
-//! never inside the simulation (see the D1 lint rule).
+//! (`bench run`'s per-harness wall, fig9, duetbench), never inside the
+//! simulation (see the D1 lint rule).
 
 use std::time::Instant;
 

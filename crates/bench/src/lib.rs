@@ -90,8 +90,8 @@ pub type BenchResult<T> = Result<T, BenchError>;
 /// driver calls [`Sink::add_ops`] with the cells' `workload_ops`, and
 /// `bench run` reads the per-harness total into
 /// `results/BENCH_sweeps.json`. Ops are simulated work — deterministic
-/// at every job count — so they give the perf gate a wall-clock-free
-/// denominator.
+/// at every job count — so an exact comparison of them catches
+/// behaviour drift that wall time cannot.
 #[derive(Debug)]
 pub struct Sink {
     out: SinkOut,
@@ -228,10 +228,11 @@ mod tests {
 
     #[test]
     fn scale_default_applies() {
-        // The env var is not set under `cargo test`.
-        if std::env::var("DUET_SCALE").is_err() {
-            assert_eq!(scale_from_env(32), 32);
-        }
+        // `scale_from_env` is `Knob::Scale` read from the environment,
+        // else the default; drive the parse with explicit values.
+        assert_eq!(Knob::Scale.parse(None).unwrap().unwrap_or(32), 32);
+        assert_eq!(Knob::Scale.parse(Some("512")).unwrap().unwrap_or(32), 512);
+        assert!(Knob::Scale.parse(Some("+512")).is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! byte-identical at any `DUET_JOBS` width (the same argument as for
 //! the result grids, see DESIGN.md §8).
 //!
-//! With the `trace` feature compiled out, or `DUET_TRACE` unset, the
-//! harnesses behave — and their CSVs read — exactly as before.
+//! With `DUET_TRACE` unset the harnesses write no `_trace.csv`; their
+//! own CSVs read the same either way.
 
 use crate::Sink;
 use sim_core::knobs::Knob;

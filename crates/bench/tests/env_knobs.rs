@@ -27,7 +27,7 @@ fn bench(args: &[&str], env: &[(&str, &str)]) -> Output {
 
 #[test]
 fn malformed_knobs_exit_2_naming_variable_and_value() {
-    for sub in ["run", "micro", "golden"] {
+    for sub in ["run", "golden"] {
         for (var, value) in [
             ("DUET_SCALE", "abc"),
             ("DUET_SCALE", "0"),
@@ -55,7 +55,7 @@ fn malformed_knobs_exit_2_naming_variable_and_value() {
 }
 
 #[test]
-fn the_values_the_gate_and_the_benchmark_use_stay_valid() {
+fn the_values_the_smoke_and_the_benchmark_use_stay_valid() {
     let env = [
         ("DUET_SCALE", "512"),
         ("DUET_JOBS", "2"),
@@ -81,8 +81,49 @@ fn an_unknown_harness_exits_1_listing_the_registry() {
     assert!(out.stdout.is_empty(), "ran something: {out:?}");
 }
 
-/// `bench run` of two harnesses at the gate's settings writes their
-/// CSVs and a summary carrying the gate's exact simulated-op counts.
+/// `bench run` is the only way to run a harness: the deleted `micro`,
+/// `gate` and `baseline` subcommands are usage errors, not aliases.
+#[test]
+fn removed_subcommands_are_usage_errors() {
+    for sub in ["micro", "gate", "baseline"] {
+        let out = bench(&[sub], &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "bench {sub}: {stderr}");
+        assert!(
+            stderr.contains("usage: bench <run [harness...]|golden>\n"),
+            "bench {sub}: {stderr}"
+        );
+        assert!(!stderr.contains(sub), "usage still lists {sub}: {stderr}");
+        assert!(out.stdout.is_empty(), "bench {sub} did work");
+    }
+}
+
+/// Two copies of one harness would run concurrently and both write
+/// `results/<name>.csv`; the repeat is refused before any work.
+#[test]
+fn a_repeated_harness_exits_1_naming_it() {
+    let out = bench(
+        &[
+            "run",
+            "fig2_scrub_saved",
+            "fig1_distributions",
+            "fig2_scrub_saved",
+        ],
+        &[("DUET_SCALE", "512")],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("harness named twice: fig2_scrub_saved"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "ran something: {out:?}");
+}
+
+/// `bench run` of two harnesses at `scripts/check.sh`'s smoke settings
+/// writes their CSVs and a summary carrying their exact simulated-op
+/// counts. Ops are deterministic, so any drift is a behaviour change;
+/// this is the one place the two numbers are pinned.
 #[test]
 fn run_writes_csvs_and_the_sweeps_summary() {
     let out = bench(

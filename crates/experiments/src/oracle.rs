@@ -157,8 +157,8 @@ pub struct Divergence {
     /// The task under check.
     pub task: OracleTask,
     /// Effect kind that diverged (e.g. `"scrub.verify"`), or
-    /// `"digest"` when only the digest comparison caught it (tracing
-    /// compiled out, or a divergence outside the effect vocabulary).
+    /// `"digest"` when only the digest comparison caught it (a
+    /// divergence outside the effect vocabulary).
     pub kind: String,
     /// Diverging entity: a block number for scrub/backup, an inode
     /// number for defrag/rsync/GC, 0 for a digest-only divergence.
@@ -206,8 +206,8 @@ impl Divergence {
 /// streams are then replayed in lockstep over the ordered entity space
 /// and the first differing entity is reported together with the causal
 /// span chain of the event that produced (or should have produced) it.
-/// With the `trace` feature compiled out both projections are empty and
-/// the check degrades to the digest comparison (`kind == "digest"`).
+/// When the projections agree but the digests differ, the check
+/// degrades to the digest comparison (`kind == "digest"`).
 pub fn localize_pair(
     task: OracleTask,
     seed: u64,
@@ -274,8 +274,8 @@ pub fn localize_pair(
         }));
     }
     if duet_digest != base_digest {
-        // Outside the effect vocabulary (or tracing compiled out):
-        // still report the divergence, just without localization.
+        // Outside the effect vocabulary: still report the divergence,
+        // just without localization.
         return Ok(Some(Divergence {
             task,
             kind: "digest".into(),

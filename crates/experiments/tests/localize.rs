@@ -9,7 +9,6 @@
 
 use experiments::{localize_pair, OracleTask};
 use sim_core::fault::FaultPlan;
-use sim_core::trace::TraceHandle;
 
 const QUIET_SEED: u64 = 0x0DDB411;
 const SABOTAGE_SEED: u64 = 0xBAD5EED;
@@ -36,12 +35,6 @@ fn sabotage_is_localized_to_the_defective_site_for_every_task() {
         let d = localize_pair(task, SABOTAGE_SEED, &plan, true)
             .unwrap_or_else(|e| panic!("{}: localize run failed:\n{e}", task.name()))
             .unwrap_or_else(|| panic!("{}: sabotage went undetected", task.name()));
-        if !TraceHandle::compiled_in() {
-            // Tracing compiled out: the localizer degrades to the
-            // digest comparison but must still catch the defect.
-            assert_eq!(d.kind, "digest", "{}", d.render());
-            continue;
-        }
         let expected_kind = match task {
             OracleTask::Scrub => "scrub.verify",
             OracleTask::Backup => "backup.ship",

@@ -17,6 +17,7 @@
 //! [`spec`]: FaultPlan::spec
 
 use crate::error::{SimError, SimResult};
+use crate::knobs::strict_u64;
 use crate::rng::SimRng;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -263,10 +264,10 @@ pub fn seed_from_env(var: &str, default: u64) -> Result<u64, String> {
 
 fn parse_seed(var: &str, raw: &str) -> Result<u64, String> {
     let parsed = match raw.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => raw.parse(),
+        Some(hex) => strict_u64(hex, 16),
+        None => strict_u64(raw, 10),
     };
-    parsed.map_err(|_| format!("{var}={raw:?}: expected a decimal or 0x-prefixed hex u64 seed"))
+    parsed.ok_or_else(|| format!("{var}={raw:?}: expected a decimal or 0x-prefixed hex u64 seed"))
 }
 
 /// Turns a `(seed, plan)` pair into concrete, replayable injection
@@ -486,7 +487,7 @@ mod tests {
         assert_eq!(parse_seed("DUET_FAULT_SEED", "12"), Ok(12));
         assert_eq!(parse_seed("DUET_CHECK_SEED", "0xd1ffba5e"), Ok(0xD1FF_BA5E));
         // A malformed seed used to fall back to the default silently.
-        for bad in ["0xZZ", "", "12 ", " 12", "0x", "-1", "1e3"] {
+        for bad in ["0xZZ", "", "12 ", " 12", "0x", "-1", "+7", "0x+ff", "1e3"] {
             let err = parse_seed("DUET_FAULT_SEED", bad).unwrap_err();
             assert!(
                 err.contains("DUET_FAULT_SEED") && err.contains(&format!("{bad:?}")),

@@ -49,8 +49,8 @@ impl Knob {
             Knob::Scale | Knob::Jobs => (1..=u64::MAX, "a positive integer"),
             Knob::Snapshot | Knob::Trace => (0..=1, "0 (off) or 1 (on)"),
         };
-        match raw.parse::<u64>() {
-            Ok(v) if accepted.contains(&v) => Ok(Some(v)),
+        match strict_u64(raw, 10) {
+            Some(v) if accepted.contains(&v) => Ok(Some(v)),
             _ => Err(format!("{}={raw:?}: expected {wants}", self.var())),
         }
     }
@@ -65,6 +65,15 @@ impl Knob {
             }
         }
     }
+}
+
+/// Parses `digits` in `radix` when it is digits and nothing else: the
+/// std parsers alone would also take a leading `+`.
+pub(crate) fn strict_u64(digits: &str, radix: u32) -> Option<u64> {
+    if !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    u64::from_str_radix(digits, radix).ok()
 }
 
 /// Validates every knob; the first malformed one is the error.
@@ -106,7 +115,16 @@ mod tests {
             "{err}"
         );
         for knob in Knob::ALL {
-            for bad in ["", " 1", "1 ", "-1", "1.0", "0x10", "99999999999999999999"] {
+            for bad in [
+                "",
+                " 1",
+                "1 ",
+                "-1",
+                "+1",
+                "1.0",
+                "0x10",
+                "99999999999999999999",
+            ] {
                 assert!(knob.parse(Some(bad)).is_err(), "{knob:?} {bad:?}");
             }
         }

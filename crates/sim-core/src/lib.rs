@@ -28,8 +28,7 @@
 //!   deterministic case generation and seed-reporting failures.
 //! - [`trace`]: the virtual-time structured tracing plane — ring-buffered
 //!   events and spans from every layer, with JSONL / Chrome `trace_event`
-//!   dumps and whole-run counters; compiled out entirely when the `trace`
-//!   cargo feature is disabled.
+//!   dumps and whole-run counters.
 //! - [`dmap`]: deterministic O(1) hash containers ([`dmap::DMap`],
 //!   [`dmap::DSet`]) with seeded hashing and insertion-order iteration,
 //!   plus a slab arena ([`dmap::Slab`]) with stable `u32` handles — the

@@ -17,18 +17,12 @@
 //! - **Pure observation.** Emitting a trace never changes simulation
 //!   state, consumes randomness or returns information to the caller
 //!   that could steer control flow, so an armed trace cannot perturb a
-//!   run: CSV outputs are byte-identical with tracing on, off, or
-//!   compiled out.
+//!   run: CSV outputs are byte-identical with tracing on or off.
 //! - **Bounded memory.** The ring keeps the newest `capacity` events;
 //!   older ones are dropped (and counted in [`TraceBuffer::dropped`]).
 //!   Per-`(layer, kind)` aggregate counters are updated on *every* emit
 //!   and survive ring rotation, so cheap whole-run statistics remain
 //!   exact even when the event window does not cover the whole run.
-//! - **Compile-out-able.** With the `trace` cargo feature disabled
-//!   (enabled by default), [`TraceHandle`] becomes an empty shell: every
-//!   emit method has an empty body and takes its fields as a closure, so
-//!   call sites construct nothing and the optimizer removes the calls
-//!   entirely.
 //!
 //! The sharing pattern mirrors [`crate::fault`]: one cloneable
 //! [`TraceHandle`] is handed to the disk, the cache, the filesystems and
@@ -42,12 +36,9 @@
 //! `chrome://tracing` / Perfetto for flamegraph viewing, with one track
 //! per layer.
 
-#[cfg(feature = "trace")]
 use std::cell::RefCell;
-#[cfg(feature = "trace")]
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-#[cfg(feature = "trace")]
 use std::rc::Rc;
 
 use crate::clock::{SimDuration, SimInstant};
@@ -97,7 +88,6 @@ impl TraceLayer {
     }
 
     /// The Chrome `tid` of this layer's track.
-    #[cfg(feature = "trace")]
     fn track(self) -> usize {
         match self {
             TraceLayer::Disk => 1,
@@ -117,8 +107,7 @@ impl fmt::Display for TraceLayer {
 }
 
 /// Identifier of a span within one [`TraceBuffer`]. Ids start at 1;
-/// `SpanId(0)` is never assigned (and is what the compiled-out stub
-/// returns).
+/// `SpanId(0)` is never assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
@@ -269,7 +258,6 @@ fn json_value(v: &FieldValue) -> String {
 }
 
 /// An open context span (begun, not yet ended).
-#[cfg(feature = "trace")]
 #[derive(Debug, Clone)]
 struct OpenSpan {
     layer: TraceLayer,
@@ -280,9 +268,7 @@ struct OpenSpan {
 }
 
 /// The ring-buffered event store plus whole-run aggregate counters.
-/// Only compiled with the `trace` feature; use the always-available
-/// [`TraceHandle`] at call sites.
-#[cfg(feature = "trace")]
+/// Call sites hold a [`TraceHandle`] to it.
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
     capacity: usize,
@@ -295,7 +281,6 @@ pub struct TraceBuffer {
     open: BTreeMap<u64, OpenSpan>,
 }
 
-#[cfg(feature = "trace")]
 impl TraceBuffer {
     /// A buffer keeping the newest `capacity` events (min 1).
     pub fn new(capacity: usize) -> TraceBuffer {
@@ -309,7 +294,6 @@ impl TraceBuffer {
         self.ctx.last().copied()
     }
 
-    #[cfg(feature = "trace")]
     fn push(&mut self, ev: TraceEvent) {
         *self
             .counters
@@ -334,7 +318,6 @@ impl TraceBuffer {
     }
 
     /// Records an instant event under the current context span.
-    #[cfg(feature = "trace")]
     pub fn event(
         &mut self,
         layer: TraceLayer,
@@ -358,7 +341,6 @@ impl TraceBuffer {
 
     /// Records a completed span (known start and extent) under the
     /// current context span, returning its id.
-    #[cfg(feature = "trace")]
     pub fn span(
         &mut self,
         layer: TraceLayer,
@@ -387,7 +369,6 @@ impl TraceBuffer {
     /// Opens a context span: until the matching [`TraceBuffer::ctx_end`],
     /// every emitted record carries this span as its parent. Used by
     /// tasks to bracket one work item (with its provenance fields).
-    #[cfg(feature = "trace")]
     pub fn ctx_begin(
         &mut self,
         layer: TraceLayer,
@@ -414,7 +395,6 @@ impl TraceBuffer {
     /// Closes a context span, emitting its record with the measured
     /// extent. Closing out of order is tolerated (the id is removed
     /// from wherever it sits in the context stack).
-    #[cfg(feature = "trace")]
     pub fn ctx_end(&mut self, id: SpanId, at: SimInstant) {
         self.ctx.retain(|&s| s != id);
         let Some(open) = self.open.remove(&id.0) else {
@@ -531,22 +511,16 @@ impl TraceBuffer {
 }
 
 /// A cloneable, shared handle to one [`TraceBuffer`] — the tracing
-/// analogue of [`crate::fault::FaultHandle`]. Emit methods take their
-/// fields as a closure so that, with the `trace` feature disabled, call
-/// sites construct nothing and compile to nothing.
+/// analogue of [`crate::fault::FaultHandle`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle {
-    #[cfg(feature = "trace")]
     inner: Rc<RefCell<TraceBuffer>>,
 }
 
 impl TraceHandle {
     /// A new shared buffer with the given ring capacity.
     pub fn new(capacity: usize) -> TraceHandle {
-        #[cfg(not(feature = "trace"))]
-        let _ = capacity;
         TraceHandle {
-            #[cfg(feature = "trace")]
             inner: Rc::new(RefCell::new(TraceBuffer::new(capacity))),
         }
     }
@@ -558,29 +532,19 @@ impl TraceHandle {
 
     /// See [`TraceBuffer::tick`].
     pub fn tick(&self, layer: TraceLayer, kind: &'static str) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (layer, kind);
-        #[cfg(feature = "trace")]
         self.inner.borrow_mut().tick(layer, kind);
     }
 
     /// See [`TraceBuffer::tick_n`].
     pub fn tick_n(&self, layer: TraceLayer, kind: &'static str, n: u64) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (layer, kind, n);
-        #[cfg(feature = "trace")]
         self.inner.borrow_mut().tick_n(layer, kind, n);
     }
 
-    /// See [`TraceBuffer::event`]. `fields` is only evaluated when the
-    /// `trace` feature is compiled in.
+    /// See [`TraceBuffer::event`].
     pub fn event<F>(&self, layer: TraceLayer, kind: &'static str, at: SimInstant, fields: F)
     where
         F: FnOnce() -> Vec<Field>,
     {
-        #[cfg(not(feature = "trace"))]
-        let _ = (layer, kind, at, fields);
-        #[cfg(feature = "trace")]
         self.inner.borrow_mut().event(layer, kind, at, fields());
     }
 
@@ -596,12 +560,6 @@ impl TraceHandle {
     where
         F: FnOnce() -> Vec<Field>,
     {
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (layer, kind, start, dur, fields);
-            SpanId(0)
-        }
-        #[cfg(feature = "trace")]
         self.inner
             .borrow_mut()
             .span(layer, kind, start, dur, fields())
@@ -618,36 +576,21 @@ impl TraceHandle {
     where
         F: FnOnce() -> Vec<Field>,
     {
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (layer, kind, at, fields);
-            SpanId(0)
-        }
-        #[cfg(feature = "trace")]
         self.inner.borrow_mut().ctx_begin(layer, kind, at, fields())
     }
 
     /// See [`TraceBuffer::ctx_end`].
     pub fn ctx_end(&self, id: SpanId, at: SimInstant) {
-        #[cfg(not(feature = "trace"))]
-        let _ = (id, at);
-        #[cfg(feature = "trace")]
         self.inner.borrow_mut().ctx_end(id, at);
     }
 
     /// See [`TraceBuffer::events`].
     pub fn events(&self) -> Vec<TraceEvent> {
-        #[cfg(not(feature = "trace"))]
-        return Vec::new();
-        #[cfg(feature = "trace")]
         self.inner.borrow().events()
     }
 
     /// See [`TraceBuffer::len`].
     pub fn len(&self) -> usize {
-        #[cfg(not(feature = "trace"))]
-        return 0;
-        #[cfg(feature = "trace")]
         self.inner.borrow().len()
     }
 
@@ -658,49 +601,31 @@ impl TraceHandle {
 
     /// See [`TraceBuffer::dropped`].
     pub fn dropped(&self) -> u64 {
-        #[cfg(not(feature = "trace"))]
-        return 0;
-        #[cfg(feature = "trace")]
         self.inner.borrow().dropped()
     }
 
     /// See [`TraceBuffer::counters`].
     pub fn counters(&self) -> Vec<(String, u64)> {
-        #[cfg(not(feature = "trace"))]
-        return Vec::new();
-        #[cfg(feature = "trace")]
         self.inner.borrow().counters()
     }
 
     /// See [`TraceBuffer::clear`].
     pub fn clear(&self) {
-        #[cfg(feature = "trace")]
         self.inner.borrow_mut().clear();
     }
 
     /// See [`TraceBuffer::dump_jsonl`].
     pub fn dump_jsonl(&self) -> String {
-        #[cfg(not(feature = "trace"))]
-        return String::new();
-        #[cfg(feature = "trace")]
         self.inner.borrow().dump_jsonl()
     }
 
     /// See [`TraceBuffer::dump_chrome`].
     pub fn dump_chrome(&self) -> String {
-        #[cfg(not(feature = "trace"))]
-        return "[\n]\n".to_string();
-        #[cfg(feature = "trace")]
         self.inner.borrow().dump_chrome()
-    }
-
-    /// True when tracing is compiled in (the `trace` cargo feature).
-    pub const fn compiled_in() -> bool {
-        cfg!(feature = "trace")
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -398,7 +398,6 @@ mod tests {
         assert_eq!(request_end(BlockNr(10), 5), BlockNr(15));
     }
 
-    #[cfg(feature = "trace")]
     mod trace {
         use super::*;
         use sim_core::fault::{FaultHandle, FaultPlan, FaultSite};

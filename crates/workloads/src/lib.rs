@@ -20,13 +20,11 @@
 pub mod distribution;
 pub mod fsops;
 pub mod personality;
-pub mod trace;
 pub mod workload;
 
 pub use distribution::{cdf_at, ms_trace_weights, DistKind, FileSelector};
 pub use fsops::WorkloadFs;
 pub use personality::{Personality, WorkloadOp};
-pub use trace::{Trace, TraceOp, TracePlayer};
 pub use workload::{
     populate_fileset, FileInfo, FileSetConfig, Workload, WorkloadConfig, WorkloadStats,
 };

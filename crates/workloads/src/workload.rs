@@ -12,7 +12,6 @@
 use crate::distribution::{DistKind, FileSelector};
 use crate::fsops::WorkloadFs;
 use crate::personality::{Personality, WorkloadOp};
-use crate::trace::{Trace, TraceOp};
 use sim_core::stats::OnlineStats;
 use sim_core::{InodeNr, SimDuration, SimInstant, SimResult, SimRng, PAGE_SIZE};
 
@@ -153,8 +152,6 @@ pub struct Workload {
     /// the quantity §6.1.3 reports to show maintenance has
     /// "insignificant impact on workload latency".
     latency_ms: OnlineStats,
-    /// Optional trace recording (see [`crate::trace`]).
-    recorder: Option<Trace>,
     name_counter: u64,
     stats: WorkloadStats,
 }
@@ -219,10 +216,6 @@ impl sim_core::snapshot::StateDigest for Workload {
         d.write_u64(self.latency_ms.count());
         d.write_f64(self.latency_ms.mean());
         d.write_f64(self.latency_ms.variance());
-        d.write_bool(self.recorder.is_some());
-        if let Some(t) = &self.recorder {
-            d.write_str(&t.to_text());
-        }
         d.write_u64(self.name_counter);
         d.write_u64(self.stats.ops);
         d.write_u64(self.stats.bytes_read);
@@ -271,7 +264,6 @@ impl Workload {
             in_burst: 0,
             burst_start: SimInstant::EPOCH,
             latency_ms: OnlineStats::new(),
-            recorder: None,
             name_counter: 0,
             stats: WorkloadStats::default(),
         })
@@ -327,30 +319,6 @@ impl Workload {
         }
         let op = Personality::draw_from_mix(&self.mix, &mut self.rng);
         let slot = self.accessible[self.selector.pick(&mut self.rng)];
-        if let Some(trace) = self.recorder.as_mut() {
-            let rec = match op {
-                WorkloadOp::ReadWholeFile => TraceOp::Read { file: slot },
-                WorkloadOp::AppendLog => TraceOp::AppendLog {
-                    len: self.cfg.append_bytes,
-                },
-                WorkloadOp::AppendFile => TraceOp::Append {
-                    file: slot,
-                    len: self.cfg.append_bytes,
-                },
-                // Offsets for region overwrites are drawn inside
-                // `execute`; record a whole-file overwrite of equal
-                // volume (replay fidelity is at the op/byte level).
-                WorkloadOp::OverwriteWholeFile | WorkloadOp::OverwriteRegion => {
-                    TraceOp::Overwrite {
-                        file: slot,
-                        offset: 0,
-                        len: self.files[slot].size.max(1),
-                    }
-                }
-                WorkloadOp::ReplaceFile => TraceOp::Replace { file: slot },
-            };
-            trace.ops.push((now, rec));
-        }
         let finish = self.execute(fs, op, slot, now)?;
         self.latency_ms
             .push(finish.saturating_duration_since(now).as_millis_f64());
@@ -456,20 +424,6 @@ impl Workload {
     /// Per-operation latency statistics (milliseconds).
     pub fn latency_ms(&self) -> &OnlineStats {
         &self.latency_ms
-    }
-
-    /// Starts recording executed operations into a [`Trace`] (the file
-    /// population is captured immediately; ops accumulate as they run).
-    pub fn enable_recording(&mut self) {
-        self.recorder = Some(Trace {
-            files: self.files.iter().map(|f| f.size).collect(),
-            ops: Vec::new(),
-        });
-    }
-
-    /// Takes the recorded trace, ending recording.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.recorder.take()
     }
 
     /// Achieved foreground utilization since the epoch.
@@ -719,40 +673,52 @@ mod tests {
         assert!((2.0..8.0).contains(&ratio), "r:w {ratio:.2}");
     }
 
+    /// Fork ≡ fresh compares live digests, so a field the digest forgets
+    /// makes that check pass vacuously: every piece of mutable state
+    /// must move the digest on its own.
     #[test]
-    fn record_and_replay_round_trip() {
-        // Record a short run, then replay the trace on a fresh
-        // filesystem: the same operations and byte volumes execute.
-        let mut fs = btrfs(1 << 16, 512);
-        let cfg = WorkloadConfig {
-            personality: Personality::WebProxy,
-            target_util: 1.0,
-            ..Default::default()
+    fn digest_covers_every_piece_of_mutable_state() {
+        use sim_core::snapshot::StateDigest;
+        let build = || {
+            let mut fs = btrfs(1 << 16, 1024);
+            Workload::setup(&mut fs, WorkloadConfig::default(), small_fileset()).unwrap()
         };
-        let mut wl = Workload::setup(&mut fs, cfg, small_fileset()).unwrap();
-        wl.enable_recording();
-        let mut now = SimInstant::EPOCH;
-        for _ in 0..200 {
-            now = now.max(wl.next_op_time());
-            now = wl.run_op(&mut fs, now).unwrap();
+        let base = build();
+        assert_eq!(
+            base.state_digest_hex(),
+            build().state_digest_hex(),
+            "identical builds must digest equal"
+        );
+        type Perturb = fn(&mut Workload);
+        let perturbations: [(&str, Perturb); 14] = [
+            ("rng draw", |w| {
+                w.rng.next_u64();
+            }),
+            ("next_issue", |w| w.next_issue += SimDuration::from_nanos(1)),
+            ("busy_per_op_ema", |w| w.busy_per_op_ema += 1.0),
+            ("profiled", |w| w.profiled = !w.profiled),
+            ("prev_busy", |w| w.prev_busy = SimDuration::from_nanos(1)),
+            ("in_burst", |w| w.in_burst += 1),
+            ("burst_start", |w| {
+                w.burst_start += SimDuration::from_nanos(1)
+            }),
+            ("latency_ms", |w| w.latency_ms.push(1.5)),
+            ("name_counter", |w| w.name_counter += 1),
+            ("stats.ops", |w| w.stats.ops += 1),
+            ("stats.bytes_read", |w| w.stats.bytes_read += 1),
+            ("stats.bytes_written", |w| w.stats.bytes_written += 1),
+            ("stats.files_replaced", |w| w.stats.files_replaced += 1),
+            ("one file's size", |w| w.files[7].size += 1),
+        ];
+        for (what, perturb) in perturbations {
+            let mut w = base.clone();
+            perturb(&mut w);
+            assert_ne!(
+                w.state_digest_hex(),
+                base.state_digest_hex(),
+                "{what} is not digested"
+            );
         }
-        let trace = wl.take_trace().expect("recording enabled");
-        assert_eq!(trace.ops.len(), 200);
-        assert_eq!(trace.files.len(), 50);
-        // Serialize + parse + replay.
-        let parsed = crate::trace::Trace::from_text(&trace.to_text()).unwrap();
-        let mut fs2 = btrfs(1 << 16, 512);
-        let mut player = crate::trace::TracePlayer::new(parsed);
-        player.setup(&mut fs2).unwrap();
-        let mut t = SimInstant::EPOCH;
-        let mut replayed = 0;
-        while let Some(sched) = player.next_op_time() {
-            t = t.max(sched);
-            t = player.run_op(&mut fs2, t).unwrap();
-            replayed += 1;
-        }
-        assert_eq!(replayed, 200);
-        assert!(fs2.disk().metrics().normal.blocks_read > 0);
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //!
 //! Structure: `lexer` turns source into tokens; `model` builds the
 //! shared [`model::WorkspaceModel`] (file set, crate graph, symbol
-//! tables) once per run, lexing files in parallel via `pool`; the
-//! `passes` run over the model; `rules` owns rule identity, waivers
-//! and the driver; `output` renders text/JSON/SARIF.
+//! tables) once per run; the `passes` run over the model; `rules` owns
+//! rule identity, waivers and the driver; `output` renders text/JSON.
 
 pub mod lexer;
 pub mod model;
 pub mod output;
 pub mod passes;
-pub mod pool;
 pub mod rules;

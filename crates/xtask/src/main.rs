@@ -1,14 +1,14 @@
 //! `cargo run -p xtask -- lint`: the workspace static analyzer.
 //!
 //! ```text
-//! xtask lint [--format=text|json|sarif] [--jobs=N]
+//! xtask lint [--format=text|json]
 //! xtask lint --explain <RULE|all>
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::output::{render_json, render_sarif};
-use xtask::rules::{run_lint_with, Rule};
+use xtask::output::render_json;
+use xtask::rules::{run_lint, Rule};
 
 fn workspace_root() -> PathBuf {
     // crates/xtask → workspace root. CARGO_MANIFEST_DIR is compiled in,
@@ -21,7 +21,7 @@ fn workspace_root() -> PathBuf {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo run -p xtask -- lint [--format=text|json|sarif] [--jobs=N]");
+    eprintln!("usage: cargo run -p xtask -- lint [--format=text|json]");
     eprintln!("       cargo run -p xtask -- lint --explain <RULE|all>");
     eprintln!();
     eprintln!("Rule families:");
@@ -63,18 +63,12 @@ fn main() -> ExitCode {
         return usage();
     }
     let mut format = "text".to_string();
-    let mut jobs = xtask::pool::jobs();
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         if let Some(f) = arg.strip_prefix("--format=") {
             format = f.to_string();
         } else if arg == "--format" {
             format = rest.next().cloned().unwrap_or_default();
-        } else if let Some(j) = arg.strip_prefix("--jobs=") {
-            match j.parse::<usize>() {
-                Ok(n) if n >= 1 => jobs = n,
-                _ => return usage(),
-            }
         } else if let Some(r) = arg.strip_prefix("--explain=") {
             return explain(r);
         } else if arg == "--explain" {
@@ -86,17 +80,16 @@ fn main() -> ExitCode {
             return usage();
         }
     }
-    if !matches!(format.as_str(), "text" | "json" | "sarif") {
-        eprintln!("xtask lint: unknown format `{format}` (text, json or sarif)");
+    if !matches!(format.as_str(), "text" | "json") {
+        eprintln!("xtask lint: unknown format `{format}` (text or json)");
         return ExitCode::from(2);
     }
 
     let root = workspace_root();
-    match run_lint_with(&root, jobs) {
+    match run_lint(&root) {
         Ok(report) => {
             match format.as_str() {
                 "json" => print!("{}", render_json(&report)),
-                "sarif" => print!("{}", render_sarif(&report)),
                 _ => {
                     for w in &report.warnings {
                         eprintln!("warning: {w}");

@@ -22,7 +22,6 @@
 //! fixture tests use the latter to exercise every pass hermetically.
 
 use crate::lexer::{lex, Lexed};
-use crate::pool;
 use crate::rules::{classify, RuleSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -163,11 +162,9 @@ pub fn crate_of_ident(ident: &str) -> Option<&'static str> {
 
 impl WorkspaceModel {
     /// Builds the model from `(repo-relative path, contents)` pairs.
-    /// `.rs` entries are lexed (in parallel across `jobs` workers,
-    /// index-keyed so the result is order-independent), `Cargo.toml`
-    /// entries feed the crate graph, and a `DESIGN.md` entry feeds the
-    /// kind registry.
-    pub fn from_sources(sources: &[(String, String)], jobs: usize) -> WorkspaceModel {
+    /// `.rs` entries are lexed in path order, `Cargo.toml` entries feed
+    /// the crate graph, and a `DESIGN.md` entry feeds the kind registry.
+    pub fn from_sources(sources: &[(String, String)]) -> WorkspaceModel {
         let mut model = WorkspaceModel::default();
 
         // Crate graph first: file → crate attribution needs it.
@@ -191,8 +188,8 @@ impl WorkspaceModel {
             .map(|(rel, text)| (rel, text))
             .collect();
         rs.sort_by(|a, b| a.0.cmp(b.0));
-        let lexed = pool::run_indexed(rs.len(), jobs, |i| lex(rs[i].1));
-        for ((rel, _), lexed) in rs.iter().zip(lexed) {
+        for (rel, text) in rs {
+            let lexed = lex(text);
             let rules = classify(rel);
             let crate_name = dir_to_crate
                 .iter()
@@ -202,7 +199,7 @@ impl WorkspaceModel {
                 model.files_checked += 1;
             }
             model.files.push(SourceFile {
-                rel: (*rel).clone(),
+                rel: rel.clone(),
                 lexed,
                 rules,
                 crate_name,
@@ -222,7 +219,7 @@ impl WorkspaceModel {
     }
 
     /// Builds the model from the workspace on disk.
-    pub fn from_root(root: &Path, jobs: usize) -> Result<WorkspaceModel, String> {
+    pub fn from_root(root: &Path) -> Result<WorkspaceModel, String> {
         let mut paths: Vec<PathBuf> = Vec::new();
         collect_sources(root, &mut paths)
             .map_err(|e| format!("walking {}: {e}", root.display()))?;
@@ -236,7 +233,7 @@ impl WorkspaceModel {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {rel}: {e}"))?;
             sources.push((rel, text));
         }
-        Ok(WorkspaceModel::from_sources(&sources, jobs))
+        Ok(WorkspaceModel::from_sources(&sources))
     }
 
     fn build_symbols(&mut self) {
@@ -732,18 +729,15 @@ mod tests {
 
     #[test]
     fn manifest_and_crate_attribution() {
-        let m = WorkspaceModel::from_sources(
-            &src(&[
-                ("Cargo.toml", "[package]\nname = \"root\"\n"),
-                (
-                    "crates/a/Cargo.toml",
-                    "[package]\nname = \"a\"\n[dependencies]\nsim-core = { workspace = true }\n",
-                ),
-                ("crates/a/src/lib.rs", "pub fn f() {}"),
-                ("src/lib.rs", "pub fn g() {}"),
-            ]),
-            1,
-        );
+        let m = WorkspaceModel::from_sources(&src(&[
+            ("Cargo.toml", "[package]\nname = \"root\"\n"),
+            (
+                "crates/a/Cargo.toml",
+                "[package]\nname = \"a\"\n[dependencies]\nsim-core = { workspace = true }\n",
+            ),
+            ("crates/a/src/lib.rs", "pub fn f() {}"),
+            ("src/lib.rs", "pub fn g() {}"),
+        ]));
         assert_eq!(m.crates["a"].deps, vec![("sim-core".to_string(), 4)]);
         assert_eq!(
             m.file("crates/a/src/lib.rs").unwrap().crate_name.as_deref(),
@@ -757,16 +751,13 @@ mod tests {
 
     #[test]
     fn simresult_symbols_found() {
-        let m = WorkspaceModel::from_sources(
-            &src(&[(
-                "crates/a/src/lib.rs",
-                "pub fn ok(x: u32) -> SimResult<()> { Ok(()) }\n\
+        let m = WorkspaceModel::from_sources(&src(&[(
+            "crates/a/src/lib.rs",
+            "pub fn ok(x: u32) -> SimResult<()> { Ok(()) }\n\
                  pub fn plain() -> u32 { 0 }\n\
                  pub fn qualified() -> sim_core::SimResult<bool> { Ok(true) }\n\
                  pub fn generic<F: Fn(usize) -> T, T>(f: F) -> SimResult<T> { Err(()) }",
-            )]),
-            1,
-        );
+        )]));
         assert!(m.simresult_fns.contains("ok"));
         assert!(m.simresult_fns.contains("qualified"));
         assert!(m.simresult_fns.contains("generic"));
@@ -783,9 +774,7 @@ mod tests {
                  FaultSite::DiskBoom => \"disk-boom\",\nFaultSite::CacheFizzle => \"cache-fizzle\",\n}\n}\n}\n\
                  impl FaultPlan {\n  pub fn preset(name: &str) -> Option<FaultPlan> {\n\
                  let p = q().with_ppm(FaultSite::DiskBoom, 10);\n Some(p)\n}\n}",
-            )]),
-            1,
-        );
+            )]));
         let variants: Vec<&str> = m.fault_sites.iter().map(|s| s.variant.as_str()).collect();
         assert_eq!(variants, vec!["DiskBoom", "CacheFizzle"]);
         assert_eq!(m.fault_sites[0].label.as_deref(), Some("disk-boom"));
@@ -803,21 +792,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].layer, "disk");
         assert_eq!(rows[1].kind, "scrub.verify");
-    }
-
-    #[test]
-    fn model_identical_at_any_worker_count() {
-        let sources = src(&[
-            ("crates/a/src/lib.rs", "pub fn f() -> SimResult<()> {}"),
-            ("crates/a/src/x.rs", "pub fn g() {}"),
-            ("crates/b/src/lib.rs", "pub fn h() {}"),
-        ]);
-        let a = WorkspaceModel::from_sources(&sources, 1);
-        let b = WorkspaceModel::from_sources(&sources, 4);
-        let paths = |m: &WorkspaceModel| -> Vec<String> {
-            m.files.iter().map(|f| f.rel.clone()).collect::<Vec<_>>()
-        };
-        assert_eq!(paths(&a), paths(&b));
-        assert_eq!(a.simresult_fns, b.simresult_fns);
     }
 }

@@ -1,11 +1,11 @@
-//! Report renderers: human text, stable JSON, and SARIF 2.1.0.
+//! The machine-readable report renderer: stable JSON (the text form
+//! is printed by `main`).
 //!
-//! Both machine formats are built by deterministic string assembly
-//! (no maps, violations pre-sorted by the driver), so the output is
-//! byte-identical across runs and worker counts — CI diffs the JSON
-//! form directly.
+//! Built by deterministic string assembly (no maps, violations
+//! pre-sorted by the driver), so the output is byte-identical across
+//! runs — CI diffs it directly.
 
-use crate::rules::{LintReport, Rule};
+use crate::rules::LintReport;
 use std::fmt::Write as _;
 
 /// JSON string escaping per RFC 8259 (the control-character subset
@@ -70,60 +70,10 @@ pub fn render_json(report: &LintReport) -> String {
     out
 }
 
-/// Minimal SARIF 2.1.0: one run, one rule descriptor per rule id, one
-/// result per violation. Enough for CI annotation uploaders.
-pub fn render_sarif(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str(
-        "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"runs\": [\n    {\n",
-    );
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"xtask-lint\",\n");
-    out.push_str("          \"informationUri\": \"DESIGN.md\",\n");
-    out.push_str("          \"rules\": [");
-    for (i, r) in Rule::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            r,
-            esc(r.summary())
-        );
-    }
-    out.push_str("\n          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \
-             \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-             {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
-            v.rule,
-            esc(&v.message),
-            esc(&v.path),
-            v.line
-        );
-    }
-    if report.violations.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n      ]\n");
-    }
-    out.push_str("    }\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{LintReport, Violation};
+    use crate::rules::{LintReport, Rule, Violation};
 
     fn report() -> LintReport {
         LintReport {
@@ -148,19 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn sarif_has_rule_table_and_result() {
-        let s = render_sarif(&report());
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"id\": \"W1\""));
-        assert!(s.contains("\"uri\": \"crates/a/src/lib.rs\""));
-        assert!(s.contains("\"startLine\": 7"));
-    }
-
-    #[test]
     fn empty_report_renders_empty_arrays() {
         let j = render_json(&LintReport::default());
         assert!(j.contains("\"violations\": [],"));
-        let s = render_sarif(&LintReport::default());
-        assert!(s.contains("\"results\": []"));
     }
 }

@@ -97,6 +97,16 @@ pub fn find(t: &[Token], rules: RuleSet) -> Vec<(usize, Rule, String, String)> {
                     "`thread::scope` outside the sanctioned `bench::pool` breaks determinism"
                         .into(),
                 )),
+                "env" if tok(i + 1) == ":" && matches!(tok(i + 3), "var" | "var_os") => raw.push((
+                    i,
+                    Rule::D4,
+                    format!("env::{}", tok(i + 3)),
+                    format!(
+                        "`env::{}` reads ambient configuration — go through `sim_core::knobs` \
+                         (or `sim_core::fault::seed_from_env`)",
+                        tok(i + 3)
+                    ),
+                )),
                 "process" if tok(i + 1) == ":" && tok(i + 3) == "exit" => raw.push((
                     i,
                     Rule::D4,

@@ -100,7 +100,7 @@ impl Rule {
             Rule::D1 => "no wall-clock time sources — virtual clock only",
             Rule::D2 => "no hash-ordered collections where iteration order can leak",
             Rule::D3 => "no panics in library code",
-            Rule::D4 => "no ambient state (static mut, threads, process exit)",
+            Rule::D4 => "no ambient state (static mut, threads, process exit, env reads)",
             Rule::L1 => "crate dependencies point strictly down the layer stack",
             Rule::S1 => "every ctx_begin pairs with a ctx_end in the same function",
             Rule::S2 => "emitted trace kinds are literals listed in the DESIGN.md registry",
@@ -139,7 +139,12 @@ impl Rule {
                 "`static mut`, `thread::spawn`/`thread::scope` and `process::exit` \
                  are ambient state: they bypass the simulation's single-threaded \
                  deterministic event loop. The one sanctioned exception is the \
-                 index-keyed worker pool in `bench::pool`, waived in lint.allow."
+                 index-keyed worker pool in `bench::pool`, waived in lint.allow. \
+                 `env::var`/`env::var_os` are ambient configuration: an ad-hoc \
+                 reader is where `DUET_JOBS=abc` got silently ignored. Every \
+                 environment read goes through the strict parsers in \
+                 `sim_core::knobs` and `sim_core::fault::seed_from_env`, the two \
+                 files waived in lint.allow."
             }
             Rule::L1 => {
                 "The stack is layered: sim-core < sim-disk/sim-cache < \
@@ -666,20 +671,13 @@ pub fn analyze(model: &WorkspaceModel, allow: &[AllowEntry]) -> LintReport {
     report
 }
 
-/// Lints the whole workspace rooted at `root` with an explicit worker
-/// count (`jobs`). The report is byte-identical at any width.
-pub fn run_lint_with(root: &Path, jobs: usize) -> Result<LintReport, String> {
+/// Lints the whole workspace rooted at `root`.
+pub fn run_lint(root: &Path) -> Result<LintReport, String> {
     let allow_path = root.join("crates/xtask/lint.allow");
     let allow = match std::fs::read_to_string(&allow_path) {
         Ok(text) => parse_allowlist(&text)?,
         Err(_) => Vec::new(),
     };
-    let model = WorkspaceModel::from_root(root, jobs)?;
+    let model = WorkspaceModel::from_root(root)?;
     Ok(analyze(&model, &allow))
-}
-
-/// Lints the whole workspace rooted at `root` (worker count from
-/// `DUET_JOBS` / available parallelism).
-pub fn run_lint(root: &Path) -> Result<LintReport, String> {
-    run_lint_with(root, crate::pool::jobs())
 }

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use xtask::model::WorkspaceModel;
 use xtask::output::render_json;
-use xtask::rules::{analyze, run_lint_with, AllowEntry, LintReport, Rule};
+use xtask::rules::{analyze, run_lint, AllowEntry, LintReport, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -15,7 +15,7 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 fn lint_fixture(name: &str, allow: &[AllowEntry]) -> LintReport {
-    let model = WorkspaceModel::from_root(&fixture(name), 1).expect("fixture loads");
+    let model = WorkspaceModel::from_root(&fixture(name)).expect("fixture loads");
     analyze(&model, allow)
 }
 
@@ -222,11 +222,28 @@ fn lexer_keeps_rule_tokens_in_literals_and_comments_inert() {
 }
 
 #[test]
-fn json_report_is_byte_identical_across_runs_and_widths() {
+fn json_report_is_byte_identical_across_runs() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let one = render_json(&run_lint_with(&root, 1).expect("lint at width 1"));
-    let four = render_json(&run_lint_with(&root, 4).expect("lint at width 4"));
-    let again = render_json(&run_lint_with(&root, 4).expect("lint at width 4, rerun"));
-    assert_eq!(one, four, "report must not depend on worker count");
-    assert_eq!(four, again, "report must not vary between runs");
+    let first = render_json(&run_lint(&root).expect("lint"));
+    let again = render_json(&run_lint(&root).expect("lint, rerun"));
+    assert_eq!(first, again, "report must not vary between runs");
+}
+
+/// The CLI speaks text and JSON and takes no worker count: the removed
+/// `--jobs` flag and `sarif` format are usage errors, not aliases.
+#[test]
+fn removed_flags_are_rejected() {
+    for (arg, expect) in [
+        ("--jobs=2", "lint [--format=text|json]\n"),
+        ("--format=sarif", "unknown format `sarif` (text or json)"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .args(["lint", arg])
+            .output()
+            .expect("the binary was built for this test");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{arg}: {stderr}");
+        assert!(stderr.contains(expect), "{arg}: {stderr}");
+        assert!(out.stdout.is_empty(), "{arg} produced a report");
+    }
 }

@@ -101,6 +101,18 @@ fn d4_flags_scoped_threads() {
 }
 
 #[test]
+fn d4_flags_env_reads_outside_tests_and_honours_waivers() {
+    let v = lint_fixture("d4_env_var.rs");
+    assert!(v.iter().all(|x| x.rule == Rule::D4), "{v:?}");
+    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
+    assert_eq!(tokens, vec!["env::var", "env::var_os"]);
+    assert!(v[0].message.contains("sim_core::knobs"), "{v:?}");
+    // Inline-waived, `env::args`, `env!` and test code: nothing fires.
+    let v = lint_fixture("d4_env_var_waived.rs");
+    assert!(v.is_empty(), "false positives: {v:?}");
+}
+
+#[test]
 fn clean_code_passes_and_waivers_apply() {
     let v = lint_fixture("clean.rs");
     assert!(v.is_empty(), "false positives: {v:?}");
@@ -187,6 +199,30 @@ fn rules_skip_cfg_test_items() {
     "#;
     let v = lint_source("lib.rs", src, RuleSet::FULL, &[]);
     assert!(v.is_empty(), "{v:?}");
+}
+
+/// The `trace` cargo feature is gone and nothing may grow another: a
+/// feature is an on/off option every test and benchmark would have to
+/// cover twice.
+#[test]
+fn no_manifest_declares_a_cargo_feature() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        manifests.push(entry.expect("dir entry").path().join("Cargo.toml"));
+    }
+    assert!(manifests.len() >= 12, "{manifests:?}");
+    for path in manifests {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        for needle in ["[features]", "default-features", "features ="] {
+            assert!(
+                !text.contains(needle),
+                "{} contains `{needle}`",
+                path.display()
+            );
+        }
+    }
 }
 
 /// The acceptance criterion: the workspace itself lints clean. This

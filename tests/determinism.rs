@@ -142,14 +142,10 @@ fn traced_run_is_byte_identical_and_does_not_perturb_results() {
     let second = traced();
     assert_eq!(first, second, "traced run is not deterministic");
     assert_eq!(first.0, plain, "tracing perturbed the simulation");
-    if TraceHandle::compiled_in() {
-        assert!(
-            !first.1.is_empty() && first.1.lines().count() > 16,
-            "a traced window this busy must produce events"
-        );
-    } else {
-        assert!(first.1.is_empty(), "compiled-out tracing must be silent");
-    }
+    assert!(
+        first.1.lines().count() > 16,
+        "a traced window this busy must produce events"
+    );
 }
 
 /// Rsync drives two filesystems plus the residency priority queue; its
@@ -357,15 +353,10 @@ fn dordmap_iteration_is_seed_and_insertion_order_independent() {
 }
 
 /// The traced seed-7 run's digests (golden CSV, JSONL stream, counters)
-/// must match the committed fixture. The fixture records whether it was
-/// produced with tracing compiled in; a mismatched build skips rather
-/// than producing a false failure.
+/// must match the committed fixture.
 #[test]
 fn trace_digests_match_committed_fixture() {
     let fixture = include_str!("fixtures/golden_trace_seed7.txt");
-    if !TraceHandle::compiled_in() || fixture.trim() == "trace_compiled_out" {
-        return;
-    }
     let mut c = paper_scaled(
         512,
         Personality::WebServer,
