@@ -33,7 +33,7 @@ pub(crate) fn knob(knob: Knob) -> Option<u64> {
 }
 
 /// Start-up check of the `bench` binary: a malformed `DUET_SCALE`,
-/// `DUET_JOBS`, `DUET_SNAPSHOT` or `DUET_TRACE` is reported on stderr,
+/// `DUET_JOBS` or `DUET_TRACE` is reported on stderr,
 /// naming the variable and the value, and becomes exit status 2 —
 /// before any work is done, never a silent default.
 pub fn check_env() -> Result<(), ExitCode> {

@@ -10,6 +10,9 @@
 //! [`Sink`] and saves the merged counters as `results/<name>_trace.csv`
 //! (see [`crate::trace`]). Harnesses call [`cells`], which does both at
 //! the `DUET_JOBS` / `DUET_TRACE` settings.
+//!
+//! [`GOLDEN_GRIDS`] pins one small grid of each shape against a
+//! committed fixture, at any worker count.
 
 use crate::pool;
 use crate::trace::{self, TraceAgg};
@@ -254,4 +257,57 @@ pub fn completed_sweep(
     .credit(name, sink)?;
     util_rows(&mut report, sink, &utils, &completed, 2);
     Ok(report)
+}
+
+/// One committed sweep-grid fixture: its file name and the function
+/// producing its bytes on `jobs` workers.
+pub type GridFixture = (&'static str, fn(jobs: usize) -> SimResult<String>);
+
+/// Every committed fixture under `crates/bench/tests/fixtures/`.
+/// `bench golden` writes them from one worker; the tests demand the
+/// same bytes from one and from four.
+pub const GOLDEN_GRIDS: [GridFixture; 2] = [
+    ("golden_saved_grid.txt", |jobs| {
+        let overlaps = [0.5, 1.0];
+        let saved = saved_cells(
+            512,
+            DeviceKind::Hdd,
+            Personality::WebServer,
+            DistKind::Uniform,
+            &[0.2, 0.6],
+            &overlaps,
+            &[TaskKind::Scrub],
+            None,
+            jobs,
+            false,
+        )?;
+        Ok(grid_lines(&saved.values, overlaps.len()))
+    }),
+    ("golden_completed_grid.txt", |jobs| {
+        let completed = completed_cells(
+            512,
+            Personality::WebServer,
+            &[0.0, 0.3, 0.6],
+            &[TaskKind::Scrub, TaskKind::Backup],
+            None,
+            jobs,
+            false,
+        )?;
+        Ok(grid_lines(&completed.values, 2))
+    }),
+];
+
+/// A row-major grid, `per_row` cells a line, as hex `f64` bit patterns.
+fn grid_lines(cells: &[f64], per_row: usize) -> String {
+    cells
+        .chunks(per_row)
+        .map(|row| {
+            row.iter()
+                .map(|v| format!("{:016x}", v.to_bits()))
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+        + "\n"
 }

@@ -1,16 +1,16 @@
 //! The `bench` binary end to end: strict env knobs, the harness
 //! registry behind `bench run`, and the summary it writes.
 //!
-//! The four knobs a run reads are checked at start-up, whatever the
-//! subcommand: a malformed `DUET_SCALE`, `DUET_JOBS`, `DUET_SNAPSHOT` or
-//! `DUET_TRACE` exits with status 2 and names the variable and the
-//! value, before any work is done. (Each used to be silently ignored —
+//! The three knobs a run reads are checked at start-up, whatever the
+//! subcommand: a malformed `DUET_SCALE`, `DUET_JOBS` or `DUET_TRACE`
+//! exits with status 2 and names the variable and the value, before
+//! any work is done. (Each used to be silently ignored —
 //! `DUET_TRACE=off` even turned tracing *on*; the parser's own cases
 //! are in `sim_core::knobs`.)
 
 use std::process::{Command, Output};
 
-const KNOBS: [&str; 4] = ["DUET_SCALE", "DUET_JOBS", "DUET_SNAPSHOT", "DUET_TRACE"];
+const KNOBS: [&str; 3] = ["DUET_SCALE", "DUET_JOBS", "DUET_TRACE"];
 
 /// Runs `bench <args>` in cargo's per-test scratch directory (`bench
 /// run` writes `results/` under its cwd) with only `env`'s knobs set.
@@ -33,7 +33,6 @@ fn malformed_knobs_exit_2_naming_variable_and_value() {
             ("DUET_SCALE", "0"),
             ("DUET_JOBS", "x"),
             ("DUET_JOBS", "0"),
-            ("DUET_SNAPSHOT", "off"),
             ("DUET_TRACE", "off"),
             ("DUET_TRACE", "false"),
             ("DUET_TRACE", ""),
@@ -59,7 +58,6 @@ fn the_values_the_smoke_and_the_benchmark_use_stay_valid() {
     let env = [
         ("DUET_SCALE", "512"),
         ("DUET_JOBS", "2"),
-        ("DUET_SNAPSHOT", "0"),
         ("DUET_TRACE", "0"),
     ];
     // Past the knob check, an unknown command is the ordinary usage
@@ -124,14 +122,25 @@ fn a_repeated_harness_exits_1_naming_it() {
 /// writes their CSVs and a summary carrying their exact simulated-op
 /// counts. Ops are deterministic, so any drift is a behaviour change;
 /// this is the one place the two numbers are pinned.
+///
+/// The second run carries `DUET_SNAPSHOT=off`: the variable was the
+/// warm-start escape hatch (and that value an exit-2 error) until the
+/// knob was deleted. Set, it is read by nothing: same exit status,
+/// same CSVs, and the summary checked below is that run's.
 #[test]
 fn run_writes_csvs_and_the_sweeps_summary() {
-    let out = bench(
-        &["run", "fig2_scrub_saved", "fig6_scrub_backup_completed"],
-        &[("DUET_SCALE", "512"), ("DUET_JOBS", "2")],
-    );
-    assert!(out.status.success(), "{out:?}");
+    let harnesses = ["fig2_scrub_saved", "fig6_scrub_backup_completed"];
     let results = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("results");
+    let run = |snapshot: &[(&str, &str)]| {
+        let mut env = vec![("DUET_SCALE", "512"), ("DUET_JOBS", "2")];
+        env.extend_from_slice(snapshot);
+        let out = bench(&[&["run"][..], &harnesses[..]].concat(), &env);
+        assert!(out.status.success(), "{snapshot:?}: {out:?}");
+        harnesses
+            .map(|name| std::fs::read_to_string(results.join(format!("{name}.csv"))).expect("csv"))
+    };
+    let unset = run(&[]);
+    assert_eq!(run(&[("DUET_SNAPSHOT", "off")]), unset);
     let summary = std::fs::read_to_string(results.join("BENCH_sweeps.json")).expect("summary");
     assert!(summary.contains("\"scale\": 512,"), "{summary}");
     assert!(summary.contains("\"jobs\": 2,"), "{summary}");
@@ -147,7 +156,8 @@ fn run_writes_csvs_and_the_sweeps_summary() {
             row.contains(&format!("\"ops\": {ops},")) && row.contains("\"ok\": true"),
             "{row}"
         );
-        let csv = std::fs::read_to_string(results.join(format!("{name}.csv"))).expect("csv");
+    }
+    for csv in unset {
         assert_eq!(csv.lines().count(), 12, "header + 11 utilizations: {csv}");
     }
 }

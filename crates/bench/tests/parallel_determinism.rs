@@ -2,12 +2,11 @@
 //! results at any worker count. Each cell is a self-contained seeded
 //! simulation, results are collected by cell index, so `DUET_JOBS=1`
 //! and `DUET_JOBS=4` (here: explicit `jobs` arguments 1 and 4, which is
-//! what the env var feeds) must agree to the last bit — both in the raw
-//! `f64`s (compared via `to_bits`, not approximate equality) and in the
-//! formatted report rows that become the CSVs.
+//! what the env var feeds) must agree to the last bit (`f64`s compared
+//! via `to_bits`, not approximate equality).
 
-use bench::sweeps::{completed_cells, saved_cells};
-use bench::{f2, pool};
+use bench::pool;
+use bench::sweeps::{saved_cells, GOLDEN_GRIDS};
 use experiments::{paper_scaled, run_experiment_with, DeviceKind, RunOptions, TaskKind};
 use sim_core::trace::TraceHandle;
 use workloads::{DistKind, Personality};
@@ -20,113 +19,33 @@ fn bits(cells: &[f64]) -> Vec<u64> {
     cells.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Renders a row-major grid in the committed fixture format: `per_row`
-/// cells a line, as hex `f64` bit patterns (the `bench golden`
-/// serialization).
-fn grid_lines(cells: &[f64], per_row: usize) -> String {
-    cells
-        .chunks(per_row)
-        .map(|row| {
-            row.iter()
-                .map(|v| format!("{:016x}", v.to_bits()))
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
-}
-
-fn render(cells: &[f64], utils: &[f64]) -> Vec<String> {
-    utils
-        .iter()
-        .zip(cells.chunks(cells.len() / utils.len()))
-        .map(|(u, row)| {
-            let mut cols = vec![f2(*u)];
-            cols.extend(row.iter().map(|&v| f2(v)));
-            cols.join("\t")
-        })
-        .collect()
-}
-
+/// Every grid row reproduces its committed fixture — `f64` bit patterns,
+/// so the CSV rows formatted from them too — from one worker and from
+/// four: the grids are pinned across builds, not merely
+/// self-consistent. And the table is the directory: a fixture without
+/// a row would be a golden nobody checks.
 #[test]
-fn saved_sweep_is_byte_identical_at_any_width() {
-    let utils = [0.2, 0.6];
-    let overlaps = [0.5, 1.0];
-    let run = |jobs: usize| {
-        saved_cells(
-            SCALE,
-            DeviceKind::Hdd,
-            Personality::WebServer,
-            DistKind::Uniform,
-            &utils,
-            &overlaps,
-            &[TaskKind::Scrub],
-            None,
-            jobs,
-            false,
-        )
-        .expect("sweep")
-        .values
-    };
-    let sequential = run(1);
-    let parallel = run(4);
-    assert_eq!(
-        bits(&sequential),
-        bits(&parallel),
-        "raw f64 bits differ between jobs=1 and jobs=4"
-    );
-    assert_eq!(
-        render(&sequential, &utils),
-        render(&parallel, &utils),
-        "formatted report rows differ between jobs=1 and jobs=4"
-    );
-    // And the grid is not degenerate: some cell saved some I/O.
-    assert!(sequential.iter().any(|&v| v > 0.0));
-    // Both widths must also reproduce the committed fixture, so the
-    // grid is pinned across builds, not merely self-consistent.
-    let fixture = include_str!("fixtures/golden_saved_grid.txt");
-    let per_row = overlaps.len();
-    assert_eq!(
-        grid_lines(&sequential, per_row),
-        fixture,
-        "jobs=1 grid vs fixture"
-    );
-    assert_eq!(
-        grid_lines(&parallel, per_row),
-        fixture,
-        "jobs=4 grid vs fixture"
-    );
-}
-
-#[test]
-fn completed_sweep_is_byte_identical_at_any_width() {
-    let utils = [0.0, 0.3, 0.6];
-    let run = |jobs: usize| {
-        completed_cells(
-            SCALE,
-            Personality::WebServer,
-            &utils,
-            &[TaskKind::Scrub, TaskKind::Backup],
-            None,
-            jobs,
-            false,
-        )
-        .expect("sweep")
-        .values
-    };
-    let sequential = run(1);
-    let parallel = run(4);
-    assert_eq!(bits(&sequential), bits(&parallel));
-    assert_eq!(render(&sequential, &utils), render(&parallel, &utils));
-    assert!(sequential.iter().any(|&v| v > 0.0));
-    let fixture = include_str!("fixtures/golden_completed_grid.txt");
-    assert_eq!(
-        grid_lines(&sequential, 2),
-        fixture,
-        "jobs=1 grid vs fixture"
-    );
-    assert_eq!(grid_lines(&parallel, 2), fixture, "jobs=4 grid vs fixture");
+fn golden_grids_match_their_fixtures_at_any_width() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (file, produce) in GOLDEN_GRIDS {
+        let fixture = std::fs::read_to_string(dir.join(file)).expect(file);
+        for jobs in [1, 4] {
+            assert_eq!(produce(jobs).expect(file), fixture, "{file} at jobs={jobs}");
+        }
+        // And the grid is not degenerate: some cell is non-zero.
+        assert!(
+            fixture.split_whitespace().any(|c| c != "0000000000000000"),
+            "{file}"
+        );
+    }
+    let mut committed: Vec<String> = std::fs::read_dir(&dir)
+        .expect("fixture directory")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    committed.sort();
+    let mut rows = GOLDEN_GRIDS.map(|(file, _)| file);
+    rows.sort();
+    assert_eq!(committed, rows, "fixture directory vs GOLDEN_GRIDS");
 }
 
 /// The aggregated trace counters of a traced sweep must also be

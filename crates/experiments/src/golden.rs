@@ -1,14 +1,132 @@
-//! Golden serialization of experiment results.
+//! The golden contract: what is pinned, and how it is serialized.
 //!
-//! The determinism tests pin these strings against committed fixtures
-//! (`tests/fixtures/`), so the serialization itself is part of the
-//! golden contract: floats are rendered from their bit patterns, never
-//! through display rounding, and every observable field is included.
-//! `bench golden` regenerates the fixtures with the exact same code
-//! path (see DESIGN.md §12 for the re-baselining procedure).
+//! [`FIXTURES`] is the table of committed root fixtures
+//! (`tests/fixtures/`): one row per file, naming the function that
+//! produces its bytes. The presets behind the rows are declared here
+//! and nowhere else. `bench golden` is "for each row, write";
+//! `tests/determinism.rs` is "for each row, produce twice, both equal
+//! the committed file" — so re-baselining (DESIGN.md §12.2) is `bench
+//! golden` plus a reviewed diff, and a fixture cannot be checked
+//! against anything but the code that writes it.
+//!
+//! The serialization itself is part of the contract: floats are
+//! rendered from their bit patterns, never through display rounding,
+//! and every observable field is included.
 
+use crate::config::{ExperimentConfig, TaskKind};
 use crate::metrics::ExperimentResult;
-use crate::runner::RsyncResult;
+use crate::presets::paper_scaled;
+use crate::runner::{
+    run_experiment, run_experiment_with, run_rsync_experiment, RsyncResult, RunOptions,
+};
+use sim_core::trace::TraceHandle;
+use sim_core::SimResult;
+use workloads::{DistKind, Personality};
+
+/// One committed fixture: its file name and the function that
+/// produces its bytes.
+pub type Fixture = (&'static str, fn() -> SimResult<String>);
+
+/// Every committed fixture under `tests/fixtures/`.
+pub const FIXTURES: [Fixture; 7] = [
+    ("golden_experiment_seed7.csv", || {
+        Ok(golden_csv(&run_experiment(&experiment_preset())?))
+    }),
+    ("golden_baseline_seed21.csv", || {
+        Ok(golden_csv(&run_experiment(&baseline_preset())?))
+    }),
+    ("golden_rsync.txt", || {
+        let r = run_rsync_experiment(&rsync_preset(), true)?;
+        Ok(golden_rsync_line(&r) + "\n")
+    }),
+    ("golden_trace_seed7.txt", trace_digests),
+    ("golden_cache_events.txt", || {
+        Ok(cache_event_log(0xCAFE, 4000))
+    }),
+    ("golden_prioqueue_pops.txt", || {
+        Ok(prioqueue_pop_log(0x9A11, 4000))
+    }),
+    ("golden_extent_oplog.txt", || Ok(extent_oplog(0xE47E, 4000))),
+];
+
+/// The paper setup shrunk 512×: each preset runs in well under a second.
+const SCALE: u64 = 512;
+
+/// Webserver at 40 % utilization with scrub + backup on Duet, seed 7.
+fn seed7_preset(dist: DistKind) -> ExperimentConfig {
+    let mut c = paper_scaled(
+        SCALE,
+        Personality::WebServer,
+        dist,
+        1.0,
+        0.4,
+        vec![TaskKind::Scrub, TaskKind::Backup],
+        true,
+    );
+    c.seed = 7;
+    c
+}
+
+/// The seed-7 experiment preset (MS-trace file popularity).
+pub fn experiment_preset() -> ExperimentConfig {
+    seed7_preset(DistKind::MsTrace(0))
+}
+
+/// The traced seed-7 preset (uniform file popularity).
+pub fn traced_preset() -> ExperimentConfig {
+    seed7_preset(DistKind::Uniform)
+}
+
+/// The seed-21 baseline preset: fileserver at 60 % with a scrubber and
+/// no Duet session — the virtual clock and seeded RNG are the only
+/// level the stack draws on there too.
+pub fn baseline_preset() -> ExperimentConfig {
+    let mut c = paper_scaled(
+        SCALE,
+        Personality::FileServer,
+        DistKind::Uniform,
+        1.0,
+        0.6,
+        vec![TaskKind::Scrub],
+        false,
+    );
+    c.seed = 21;
+    c
+}
+
+/// The rsync preset: two filesystems plus the residency priority queue
+/// under a saturating webserver.
+pub fn rsync_preset() -> ExperimentConfig {
+    paper_scaled(
+        SCALE,
+        Personality::WebServer,
+        DistKind::Uniform,
+        1.0,
+        1.0,
+        vec![],
+        true,
+    )
+}
+
+/// The traced seed-7 run, pinned by digest: its golden CSV (tracing is
+/// pure observation, so this is the untraced run's too), the JSONL
+/// event stream and the aggregated counters.
+fn trace_digests() -> SimResult<String> {
+    let t = TraceHandle::with_default_capacity();
+    let traced = RunOptions {
+        trace: Some(&t),
+        ..RunOptions::default()
+    };
+    let r = run_experiment_with(&traced_preset(), &traced)?;
+    let jsonl = t.dump_jsonl();
+    Ok(format!(
+        "golden_csv_digest {}\njsonl_lines {}\njsonl_digest {}\ncounters_digest {}\n",
+        fnv128_hex(golden_csv(&r).as_bytes()),
+        jsonl.lines().count(),
+        fnv128_hex(jsonl.as_bytes()),
+        fnv128_hex(format!("{:?}", t.counters()).as_bytes())
+    ))
+}
 
 /// Serializes every observable field of a result, exactly. Floats are
 /// rendered from their bit patterns so the comparison cannot be fooled

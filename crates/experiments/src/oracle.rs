@@ -16,12 +16,10 @@
 //! - **GC**: logical file state (name → size, every page mapped to a
 //!   valid block) plus the filesystem's own consistency check.
 //!
-//! Both runs of a pair construct a fresh [`FaultInjector`] from the
+//! Both runs of a pair construct a fresh [`FaultHandle`] from the
 //! same `(seed, plan)` pair, so each run is bit-replayable on its own;
 //! every failure message embeds [`replay_line`] so a CI hit can be
 //! reproduced locally with `DUET_FAULT_SEED`.
-//!
-//! [`FaultInjector`]: sim_core::fault::FaultInjector
 
 use duet::{Duet, EventMask, SessionId, TaskScope};
 use duet_tasks::{
@@ -31,7 +29,7 @@ use duet_tasks::{
 use sim_btrfs::BtrfsSim;
 use sim_core::fault::{replay_line, FaultHandle, FaultPlan, FaultSite};
 use sim_core::trace::{TraceEvent, TraceHandle, TraceLayer};
-use sim_core::{BlockNr, DeviceId, InodeNr, SimError, SimInstant, SimRng, PAGE_SIZE};
+use sim_core::{BlockNr, DeviceId, InodeNr, SimError, SimInstant, SimResult, SimRng, PAGE_SIZE};
 use sim_disk::{Disk, HddModel, IoClass, IoKind, IoRequest, RetryPolicy};
 use sim_f2fs::{F2fsSim, VictimPolicy};
 use std::collections::{BTreeMap, BTreeSet};
@@ -480,9 +478,9 @@ fn run_digest(
     trace: Option<&TraceHandle>,
 ) -> Result<(String, u64), String> {
     match task {
-        OracleTask::Scrub => run_scrub(mode, seed, plan, sabotage, trace),
-        OracleTask::Backup => run_backup(mode, seed, plan, sabotage, trace),
-        OracleTask::Defrag => run_defrag(mode, seed, plan, sabotage, trace),
+        OracleTask::Scrub => run_btrfs(&SCRUB_RUN, mode, seed, plan, sabotage, trace),
+        OracleTask::Backup => run_btrfs(&BACKUP_RUN, mode, seed, plan, sabotage, trace),
+        OracleTask::Defrag => run_btrfs(&DEFRAG_RUN, mode, seed, plan, sabotage, trace),
         OracleTask::Rsync => run_rsync(mode, seed, plan, sabotage, trace),
         OracleTask::Gc => run_gc(mode, seed, plan, sabotage, trace),
     }
@@ -528,65 +526,94 @@ fn drive_btrfs(
     }
 }
 
-fn run_scrub(
-    mode: TaskMode,
-    seed: u64,
-    plan: &FaultPlan,
-    sabotage: bool,
-    trace: Option<&TraceHandle>,
-) -> Result<(String, u64), String> {
-    let mut fs = BtrfsSim::new(DeviceId(0), hdd(1 << 14), 128);
-    let mut duet = Duet::with_defaults();
-    if let Some(t) = trace {
-        fs.set_trace(Some(t.clone()));
-        duet.set_trace(Some(t.clone()));
-    }
-    let mut files = Vec::new();
-    for i in 0..4u64 {
-        files.push(
-            fs.populate_file(fs.root(), &format!("f{i}"), 64 * PAGE_SIZE)
-                .map_err(|e| e.to_string())?,
-        );
-    }
+/// What differs between the oracle runs of the three [`BtrfsTask`]
+/// tasks; [`run_btrfs`] is everything they share.
+struct BtrfsRun<T> {
+    /// Pages in each of the four populated files.
+    file_pages: u64,
+    /// Pre-step on the populated, still unfaulted filesystem.
+    age: fn(&mut BtrfsSim, &[InodeNr]) -> SimResult<()>,
+    /// Salt of the op-mix seed.
+    op_salt: u64,
+    /// Whether the op mix writes. Defrag's must not: writes would
+    /// re-fragment files concurrently with the rewrite, making the
+    /// final layout timing-dependent.
+    writes: bool,
+    /// The task's constructor, and its silent-failure switch.
+    task: fn(TaskMode) -> T,
+    sabotage: fn(&mut T),
+    /// The final logical state the two runs of a pair must agree on.
+    digest: fn(&T, &BtrfsSim, &[InodeNr]) -> Result<String, String>,
+}
+
+const SCRUB_RUN: BtrfsRun<Scrubber> = BtrfsRun {
+    file_pages: 64,
     // Latent corruption for the scrubber to find (and the workload to
     // trip over — its repair-and-retry path is part of the check).
-    for b in [BlockNr(3), BlockNr(70), BlockNr(155)] {
-        fs.inject_corruption(b).map_err(|e| e.to_string())?;
-    }
-    let ops = gen_ops(&mut SimRng::new(seed ^ 0x5C0B), 4, 64, true);
-    let mut task = Scrubber::new(mode);
-    if sabotage {
-        task.sabotage_skip_repair();
-    }
-    let handle = FaultHandle::new(seed, plan.clone());
-    fs.set_faults(Some(handle.clone()));
-    fs.set_retry_policy(oracle_retry());
-    duet.set_faults(Some(handle.clone()));
-    task.start(BtrfsCtx {
-        fs: &mut fs,
-        duet: &mut duet,
-        now: T0,
-    })
-    .map_err(|e| e.to_string())?;
-    pump_btrfs(&mut fs, &mut duet);
-    drive_btrfs(&mut task, &mut fs, &mut duet, &files, &ops)?;
-    task.stop(BtrfsCtx {
-        fs: &mut fs,
-        duet: &mut duet,
-        now: T0,
-    })
-    .map_err(|e| e.to_string())?;
-    // The digest is the verified-block set alone: latent-error faults
-    // can corrupt freshly-written blocks at times that differ between
-    // the two runs, so the residual corruption count is not part of
-    // the task's contract — full scrub coverage is.
-    Ok((
-        format!("verified={:?}", task.verified_blocks()),
-        handle.total_fired(),
-    ))
-}
+    age: |fs, _| {
+        [BlockNr(3), BlockNr(70), BlockNr(155)]
+            .into_iter()
+            .try_for_each(|b| fs.inject_corruption(b))
+    },
+    op_salt: 0x5C0B,
+    writes: true,
+    task: Scrubber::new,
+    sabotage: Scrubber::sabotage_skip_repair,
+    // The verified-block set alone: latent-error faults can corrupt
+    // freshly-written blocks at times that differ between the two
+    // runs, so the residual corruption count is not part of the task's
+    // contract — full scrub coverage is.
+    digest: |task, _, _| Ok(format!("verified={:?}", task.verified_blocks())),
+};
 
-fn run_backup(
+const BACKUP_RUN: BtrfsRun<Backup> = BtrfsRun {
+    file_pages: 32,
+    age: |_, _| Ok(()),
+    op_salt: 0xBAC0,
+    writes: true,
+    task: Backup::new,
+    sabotage: Backup::sabotage_skip_ship,
+    digest: |task, _, _| {
+        Ok(format!(
+            "backed={:?} sent={}",
+            task.backed_blocks(),
+            task.sent_bytes
+        ))
+    },
+};
+
+const DEFRAG_RUN: BtrfsRun<Defrag> = BtrfsRun {
+    file_pages: 32,
+    age: |fs, files| {
+        files[..3]
+            .iter()
+            .try_for_each(|&ino| fs.fragment_file(ino, 4))
+    },
+    op_salt: 0xDEF4,
+    writes: false,
+    task: Defrag::new,
+    sabotage: Defrag::sabotage_skip_files,
+    digest: |task, fs, files| {
+        fs.check_consistency()
+            .map_err(|e| format!("consistency check failed: {e}"))?;
+        let mut layout = Vec::new();
+        for &ino in files {
+            layout.push((
+                ino.raw(),
+                fs.file_extent_count(ino).map_err(|e| e.to_string())?,
+            ));
+        }
+        Ok(format!(
+            "extents={layout:?} defragged={}",
+            task.files_defragged
+        ))
+    },
+};
+
+/// One oracle run of a [`BtrfsTask`] task: populate, age, arm faults,
+/// drive the task to completion under the op mix, digest.
+fn run_btrfs<T: BtrfsTask>(
+    run: &BtrfsRun<T>,
     mode: TaskMode,
     seed: u64,
     plan: &FaultPlan,
@@ -602,14 +629,20 @@ fn run_backup(
     let mut files = Vec::new();
     for i in 0..4u64 {
         files.push(
-            fs.populate_file(fs.root(), &format!("f{i}"), 32 * PAGE_SIZE)
+            fs.populate_file(fs.root(), &format!("f{i}"), run.file_pages * PAGE_SIZE)
                 .map_err(|e| e.to_string())?,
         );
     }
-    let ops = gen_ops(&mut SimRng::new(seed ^ 0xBAC0), 4, 32, true);
-    let mut task = Backup::new(mode);
+    (run.age)(&mut fs, &files).map_err(|e| e.to_string())?;
+    let ops = gen_ops(
+        &mut SimRng::new(seed ^ run.op_salt),
+        4,
+        run.file_pages,
+        run.writes,
+    );
+    let mut task = (run.task)(mode);
     if sabotage {
-        task.sabotage_skip_ship();
+        (run.sabotage)(&mut task);
     }
     let handle = FaultHandle::new(seed, plan.clone());
     fs.set_faults(Some(handle.clone()));
@@ -629,73 +662,7 @@ fn run_backup(
         now: T0,
     })
     .map_err(|e| e.to_string())?;
-    Ok((
-        format!("backed={:?} sent={}", task.backed_blocks(), task.sent_bytes),
-        handle.total_fired(),
-    ))
-}
-
-fn run_defrag(
-    mode: TaskMode,
-    seed: u64,
-    plan: &FaultPlan,
-    sabotage: bool,
-    trace: Option<&TraceHandle>,
-) -> Result<(String, u64), String> {
-    let mut fs = BtrfsSim::new(DeviceId(0), hdd(1 << 14), 128);
-    let mut duet = Duet::with_defaults();
-    if let Some(t) = trace {
-        fs.set_trace(Some(t.clone()));
-        duet.set_trace(Some(t.clone()));
-    }
-    let mut files = Vec::new();
-    for i in 0..4u64 {
-        let ino = fs
-            .populate_file(fs.root(), &format!("f{i}"), 32 * PAGE_SIZE)
-            .map_err(|e| e.to_string())?;
-        files.push(ino);
-    }
-    for &ino in &files[..3] {
-        fs.fragment_file(ino, 4).map_err(|e| e.to_string())?;
-    }
-    // Read-only workload: writes would re-fragment files concurrently
-    // with the rewrite, making the final layout timing-dependent.
-    let ops = gen_ops(&mut SimRng::new(seed ^ 0xDEF4), 4, 32, false);
-    let mut task = Defrag::new(mode);
-    if sabotage {
-        task.sabotage_skip_files();
-    }
-    let handle = FaultHandle::new(seed, plan.clone());
-    fs.set_faults(Some(handle.clone()));
-    fs.set_retry_policy(oracle_retry());
-    duet.set_faults(Some(handle.clone()));
-    task.start(BtrfsCtx {
-        fs: &mut fs,
-        duet: &mut duet,
-        now: T0,
-    })
-    .map_err(|e| e.to_string())?;
-    pump_btrfs(&mut fs, &mut duet);
-    drive_btrfs(&mut task, &mut fs, &mut duet, &files, &ops)?;
-    task.stop(BtrfsCtx {
-        fs: &mut fs,
-        duet: &mut duet,
-        now: T0,
-    })
-    .map_err(|e| e.to_string())?;
-    fs.check_consistency()
-        .map_err(|e| format!("consistency check failed: {e}"))?;
-    let mut layout = Vec::new();
-    for &ino in &files {
-        layout.push((
-            ino.raw(),
-            fs.file_extent_count(ino).map_err(|e| e.to_string())?,
-        ));
-    }
-    Ok((
-        format!("extents={layout:?} defragged={}", task.files_defragged),
-        handle.total_fired(),
-    ))
+    Ok(((run.digest)(&task, &fs, &files)?, handle.total_fired()))
 }
 
 fn run_rsync(

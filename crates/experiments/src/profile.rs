@@ -17,7 +17,7 @@
 //! may race to fill an entry without affecting results.
 
 use crate::config::{DeviceKind, ExperimentConfig};
-use crate::runner::build_disk;
+use crate::runner::{build_disk, WB_BATCH, WB_HIGH_FRACTION};
 use sim_btrfs::BtrfsSim;
 use sim_core::{SimError, SimInstant, SimResult};
 use sim_disk::IoClass;
@@ -142,10 +142,11 @@ pub fn profile_unthrottled(cfg: &ExperimentConfig) -> SimResult<f64> {
     for _ in 0..PROFILE_OPS {
         now = now.max(wl.next_op_time());
         now = wl.run_op(&mut fs, now)?;
-        // Periodic writeback, as in the real run: its cost is part of
-        // what the throttle must account for.
-        if fs.dirty_pages() > cache_pages / 8 {
-            fs.background_writeback(1024, IoClass::Normal, now)?;
+        // The real run's writeback policy (its high-water mark, not
+        // its timer): the cost is part of what the throttle must
+        // account for.
+        if fs.dirty_pages() > cache_pages / WB_HIGH_FRACTION {
+            fs.background_writeback(WB_BATCH, IoClass::Normal, now)?;
         }
     }
     Ok(fs.foreground_busy().as_nanos() as f64 / PROFILE_OPS as f64)

@@ -35,11 +35,11 @@ use sim_f2fs::{F2fsSim, VictimPolicy};
 use workloads::{populate_fileset, Workload, WorkloadFs};
 
 /// Dirty pages beyond this fraction of the cache force writeback.
-const WB_HIGH_FRACTION: usize = 8; // 1/8 of the cache
+pub(crate) const WB_HIGH_FRACTION: usize = 8; // 1/8 of the cache
 /// Background flusher period.
 const WB_PERIOD: SimDuration = SimDuration::from_secs(1);
 /// Pages per writeback batch.
-const WB_BATCH: usize = 1024;
+pub(crate) const WB_BATCH: usize = 1024;
 
 pub(crate) fn build_disk(kind: DeviceKind, capacity: u64) -> Disk {
     match kind {
@@ -107,8 +107,8 @@ fn maybe_writeback(
 pub struct RunOptions<'a> {
     /// Arms structured tracing on the whole stack (disk, cache,
     /// filesystem, Duet, tasks) for the measurement window. The caller
-    /// owns the handle: read [`TraceHandle::counters`] or dump
-    /// JSONL/Chrome after the run. Results are byte-identical with and
+    /// owns the handle: read [`TraceHandle::counters`] or dump JSONL
+    /// after the run. Results are byte-identical with and
     /// without it — tracing never touches simulated state.
     pub trace: Option<&'a TraceHandle>,
     /// §6.1.2 profile-then-throttle: seed the workload throttle's
@@ -146,16 +146,29 @@ pub fn run_experiment_with(
     } else {
         None
     };
-    let trace = opts.trace;
     // Setup prefix (population, layout aging, event drain, metric
     // reset): forked from a warm per-thread snapshot when an identical
     // prefix was already built, rebuilt from scratch otherwise — the
     // two are byte-identical (see [`crate::snapshot`]).
+    let stack = crate::snapshot::obtain(cfg)?;
+    run_prepared(cfg, opts, profiled_busy_per_op, stack)
+}
+
+/// The run proper, on a prepared stack. The entry point hands it a
+/// fork from the snapshot store; a test also hands it the stack
+/// [`crate::snapshot::prepare`] just built, to hold the two together.
+pub(crate) fn run_prepared(
+    cfg: &ExperimentConfig,
+    opts: &RunOptions<'_>,
+    profiled_busy_per_op: Option<f64>,
+    stack: crate::snapshot::PreparedStack,
+) -> SimResult<ExperimentResult> {
+    let trace = opts.trace;
     let crate::snapshot::PreparedStack {
         mut fs,
         mut duet,
         mut workload,
-    } = crate::snapshot::obtain(cfg)?;
+    } = stack;
     // Per-cell throttle knobs the shared prefix deliberately excludes;
     // neither is read during setup, so applying them after the fork is
     // indistinguishable from applying them before it.

@@ -4,7 +4,7 @@ use crate::config::{DeviceKind, ExperimentConfig, TaskKind};
 use crate::metrics::max_utilization;
 use crate::presets::paper_scaled;
 use crate::runner::{
-    run_experiment, run_experiment_with, run_gc_experiment, run_rsync_experiment,
+    run_experiment, run_experiment_with, run_gc_experiment, run_prepared, run_rsync_experiment,
     GcExperimentConfig, RunOptions,
 };
 use sim_core::SimDuration;
@@ -327,4 +327,21 @@ fn completion_probe_equals_the_full_run() {
     // Non-vacuity: both answers occur, and the probe really truncates.
     assert!(completed > 0 && incomplete > 0, "{completed}/{incomplete}");
     assert!(stopped_early > 0, "no probe stopped before the window end");
+}
+
+/// Fork ≡ fresh, end to end. Every run the entry points make is on a
+/// clone out of the snapshot store; the same run on the stack `prepare`
+/// builds — never stored, never cloned — must serialize to the same
+/// golden bytes. (The root golden table pins those bytes to the
+/// committed fixtures; this is what re-running it with the store
+/// switched off used to check.)
+#[test]
+fn a_never_cloned_stack_runs_to_the_forked_runs_golden_bytes() {
+    use crate::golden::{baseline_preset, experiment_preset, golden_csv, traced_preset};
+    for cfg in [experiment_preset(), baseline_preset(), traced_preset()] {
+        let fresh = crate::snapshot::prepare(&cfg).unwrap();
+        let fresh = run_prepared(&cfg, &RunOptions::default(), None, fresh).unwrap();
+        let forked = run_experiment(&cfg).unwrap();
+        assert_eq!(golden_csv(&fresh), golden_csv(&forked), "seed {}", cfg.seed);
+    }
 }

@@ -15,8 +15,9 @@
 //! Equivalence is not assumed, it is checked: [`PreparedStack`]
 //! implements [`StateDigest`] over the whole stack (disk model, cache,
 //! filesystem trees, Duet, workload RNG streams), and the tests in this
-//! module plus the `DUET_SNAPSHOT=0` escape hatch (see
-//! [`sim_core::snapshot::enabled`]) pin fork ≡ fresh, byte for byte.
+//! module pin fork ≡ fresh by digest. End to end, the runner's tests
+//! run the golden presets on the stack [`prepare`] builds — never
+//! stored, never cloned — and demand the forked run's golden bytes.
 //!
 //! Two per-cell knobs are deliberately excluded from the prefix and
 //! applied *after* the fork by the runner:
@@ -177,13 +178,9 @@ thread_local! {
 }
 
 /// The prepared stack for `cfg`: a fork of this thread's pristine
-/// snapshot when an identical prefix was already built, a fresh (and
-/// memoized) build otherwise. With `DUET_SNAPSHOT=0` every call builds
-/// from scratch and nothing is memoized.
+/// snapshot when an identical prefix was already built, a fork of the
+/// fresh (and now memoized) build otherwise.
 pub fn obtain(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
-    if !sim_core::snapshot::enabled()? {
-        return prepare(cfg);
-    }
     STORE.with(|s| {
         s.borrow_mut()
             .fork_or_build(setup_key(cfg), || prepare(cfg))
@@ -255,14 +252,9 @@ mod tests {
         // And the pristine state was not tainted by handing out forks.
         let again = obtain(&cfg(0.3)).expect("fork again");
         assert_eq!(warm.state_digest_hex(), again.state_digest_hex());
-        // Counters only move when warm-start is on; the digest
-        // equalities above must hold either way (that is the point of
-        // the `DUET_SNAPSHOT=0` escape hatch).
-        if sim_core::snapshot::enabled().expect("well-formed DUET_SNAPSHOT") {
-            let (hits, misses) = warm_stats();
-            assert!(hits >= 2, "hits {hits}");
-            assert!(misses >= 1, "misses {misses}");
-        }
+        let (hits, misses) = warm_stats();
+        assert!(hits >= 2, "hits {hits}");
+        assert!(misses >= 1, "misses {misses}");
     }
 
     #[test]

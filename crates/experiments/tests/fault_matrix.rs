@@ -83,7 +83,7 @@ fn sabotaged_task_is_caught_with_replay_line() {
             err.contains("replay: DUET_FAULT_SEED="),
             "failure must embed the replay contract, got:\n{err}"
         );
-        assert!(err.contains("DUET_FAULT_PLAN="), "{err}");
+        assert!(err.contains(&format!("plan=\"{}\"", plan.spec())), "{err}");
     }
 }
 

@@ -226,11 +226,6 @@ impl FreeSpace {
         }
         out
     }
-
-    /// Largest contiguous free run, in blocks.
-    pub fn largest_free_run(&self) -> u64 {
-        self.free.values().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +246,10 @@ mod tests {
         assert_eq!(fs.free_blocks(), 90);
         fs.free_range(r.start, r.len);
         assert_eq!(fs.free_blocks(), 100);
-        assert_eq!(fs.largest_free_run(), 100, "coalesced back to one run");
+        assert!(
+            fs.alloc_contiguous(100).is_ok(),
+            "coalesced back to one run"
+        );
     }
 
     #[test]

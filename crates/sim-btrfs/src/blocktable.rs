@@ -102,11 +102,6 @@ impl BlockTable {
         Ok(v)
     }
 
-    /// Content version of a block (0 if never written).
-    pub fn version_of(&self, b: BlockNr) -> SimResult<u64> {
-        Ok(self.version[self.check_range(b)?])
-    }
-
     /// Verifies the block's checksum against its content, as the Btrfs
     /// read path does. Fails for corrupted blocks.
     pub fn verify_checksum(&self, b: BlockNr) -> SimResult<()> {
@@ -224,7 +219,6 @@ mod tests {
     fn write_then_verify() {
         let mut t = BlockTable::new(16);
         let b = BlockNr(3);
-        assert_eq!(t.version_of(b).unwrap(), 0);
         let v1 = t.write_block(b).unwrap();
         let v2 = t.write_block(b).unwrap();
         assert!(v2 > v1, "versions increase");

@@ -936,8 +936,9 @@ impl BtrfsSim {
         let cached_pages = self.cache.pages_of(ino) as u64;
         let already_dirty = self
             .cache
+            .pages_of_file(ino)
             .iter()
-            .filter(|m| m.key.ino == ino && m.dirty)
+            .filter(|m| m.dirty)
             .count() as u64;
         // Phase 1: bring the file into memory.
         let mut stats = self.read(ino, 0, size, class, now)?;

@@ -680,11 +680,6 @@ impl PageCache {
             self.events = buf;
         }
     }
-
-    /// Number of undrained events (for overhead accounting).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
 }
 
 impl sim_core::snapshot::StateDigest for PageCache {

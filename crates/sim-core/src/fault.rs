@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] names the *sites* in the simulated stack where faults
 //! may fire and the per-opportunity rate at which each one does. A
-//! [`FaultInjector`] turns a `(seed, plan)` pair into concrete injection
+//! [`FaultHandle`] turns a `(seed, plan)` pair into concrete injection
 //! decisions: every site draws from its own [`SimRng`] stream (derived
 //! from the seed and a per-site salt), so arming or firing one site never
 //! perturbs the decisions made at another, and a failing run replays
@@ -10,8 +10,8 @@
 //!
 //! Rates are stored in parts-per-million so a plan's textual [`spec`]
 //! round-trips exactly — no floating-point formatting is involved in the
-//! replay contract. Components share one injector through a cloneable
-//! [`FaultHandle`]; a component whose handle is `None` (or whose site has
+//! replay contract. Components share one injector through clones of
+//! the handle; a component whose handle is `None` (or whose site has
 //! rate zero) behaves byte-identically to an unfaulted run.
 //!
 //! [`spec`]: FaultPlan::spec
@@ -233,12 +233,16 @@ impl fmt::Display for FaultPlan {
 
 /// The replay contract: everything needed to reproduce a faulted run.
 ///
-/// Printed on any fault-related failure; feed the seed back through
-/// `DUET_FAULT_SEED` (or construct the injector directly) to replay the
-/// run bit-identically.
+/// Printed on any fault-related failure. The seed is an environment
+/// assignment: the fault matrix reads `DUET_FAULT_SEED`, so re-running
+/// it with that seed replays every preset-plan cell bit-identically.
+/// The plan is *not* — nothing reads a plan from the environment. It
+/// is the spec [`FaultPlan::parse`] takes; to replay a plan that is not
+/// one of [`FaultPlan::PRESETS`], parse it and pass it with the seed to
+/// the check that failed (e.g. `experiments::oracle::check_pair`).
 pub fn replay_line(seed: u64, plan: &FaultPlan) -> String {
     format!(
-        "replay: DUET_FAULT_SEED={:#x} DUET_FAULT_PLAN=\"{}\"",
+        "replay: DUET_FAULT_SEED={:#x} plan=\"{}\"",
         seed,
         plan.spec()
     )
@@ -270,10 +274,10 @@ fn parse_seed(var: &str, raw: &str) -> Result<u64, String> {
     parsed.ok_or_else(|| format!("{var}={raw:?}: expected a decimal or 0x-prefixed hex u64 seed"))
 }
 
-/// Turns a `(seed, plan)` pair into concrete, replayable injection
-/// decisions. Each site draws from an independent RNG stream.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
+/// What a [`FaultHandle`]'s clones share: the replay pair, one lazily
+/// created RNG stream per site, and the per-site tallies.
+#[derive(Debug)]
+struct FaultState {
     seed: u64,
     plan: FaultPlan,
     streams: BTreeMap<FaultSite, SimRng>,
@@ -281,132 +285,75 @@ pub struct FaultInjector {
     trials: BTreeMap<FaultSite, u64>,
 }
 
-impl FaultInjector {
-    /// A new injector for the given replay pair.
-    pub fn new(seed: u64, plan: FaultPlan) -> FaultInjector {
-        FaultInjector {
-            seed,
-            plan,
-            streams: BTreeMap::new(),
-            fired: BTreeMap::new(),
-            trials: BTreeMap::new(),
-        }
-    }
-
+impl FaultState {
     fn stream(&mut self, site: FaultSite) -> &mut SimRng {
         let seed = self.seed;
         self.streams
             .entry(site)
             .or_insert_with(|| SimRng::new(seed ^ site.salt()))
     }
-
-    /// Decide whether a fault fires at this opportunity. A site with
-    /// rate zero never fires and never consumes randomness, so quiet
-    /// runs are byte-identical to unfaulted ones.
-    pub fn fire(&mut self, site: FaultSite) -> bool {
-        *self.trials.entry(site).or_insert(0) += 1;
-        let ppm = self.plan.ppm(site) as u64;
-        if ppm == 0 {
-            return false;
-        }
-        let hit = self.stream(site).gen_range(0, PPM_SCALE) < ppm;
-        if hit {
-            *self.fired.entry(site).or_insert(0) += 1;
-        }
-        hit
-    }
-
-    /// A deterministic magnitude draw in `lo..hi` from the site's own
-    /// stream (e.g. how many extra pages an eviction storm sheds).
-    pub fn amplitude(&mut self, site: FaultSite, lo: u64, hi: u64) -> u64 {
-        self.stream(site).gen_range(lo, hi)
-    }
-
-    /// How many times a site has fired so far.
-    pub fn fired(&self, site: FaultSite) -> u64 {
-        self.fired.get(&site).copied().unwrap_or(0)
-    }
-
-    /// How many opportunities a site has seen so far.
-    pub fn trials(&self, site: FaultSite) -> u64 {
-        self.trials.get(&site).copied().unwrap_or(0)
-    }
-
-    /// Total faults fired across all sites.
-    pub fn total_fired(&self) -> u64 {
-        self.fired.values().sum()
-    }
-
-    /// The seed of the replay pair.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan of the replay pair.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The `(seed, plan)` line to print on failure.
-    pub fn replay_line(&self) -> String {
-        replay_line(self.seed, &self.plan)
-    }
 }
 
-/// A cloneable, shared handle to one [`FaultInjector`]. Hand clones to
-/// the disk, the page cache and the Duet framework so a single
-/// `(seed, plan)` pair drives the whole stack.
+/// Turns a `(seed, plan)` pair into concrete, replayable injection
+/// decisions; each site draws from an independent RNG stream. The
+/// handle is cloneable and every clone shares the one injector: hand
+/// clones to the disk, the page cache and the Duet framework so a
+/// single `(seed, plan)` pair drives the whole stack.
 #[derive(Debug, Clone)]
 pub struct FaultHandle {
-    inner: Rc<RefCell<FaultInjector>>,
+    inner: Rc<RefCell<FaultState>>,
 }
 
 impl FaultHandle {
     /// A new shared injector for the given replay pair.
     pub fn new(seed: u64, plan: FaultPlan) -> FaultHandle {
         FaultHandle {
-            inner: Rc::new(RefCell::new(FaultInjector::new(seed, plan))),
+            inner: Rc::new(RefCell::new(FaultState {
+                seed,
+                plan,
+                streams: BTreeMap::new(),
+                fired: BTreeMap::new(),
+                trials: BTreeMap::new(),
+            })),
         }
     }
 
-    /// See [`FaultInjector::fire`].
+    /// Decide whether a fault fires at this opportunity. A site with
+    /// rate zero never fires and never consumes randomness, so quiet
+    /// runs are byte-identical to unfaulted ones.
     pub fn fire(&self, site: FaultSite) -> bool {
-        self.inner.borrow_mut().fire(site)
+        let mut st = self.inner.borrow_mut();
+        *st.trials.entry(site).or_insert(0) += 1;
+        let ppm = st.plan.ppm(site) as u64;
+        if ppm == 0 {
+            return false;
+        }
+        let hit = st.stream(site).gen_range(0, PPM_SCALE) < ppm;
+        if hit {
+            *st.fired.entry(site).or_insert(0) += 1;
+        }
+        hit
     }
 
-    /// See [`FaultInjector::amplitude`].
+    /// A deterministic magnitude draw in `lo..hi` from the site's own
+    /// stream (e.g. how many extra pages an eviction storm sheds).
     pub fn amplitude(&self, site: FaultSite, lo: u64, hi: u64) -> u64 {
-        self.inner.borrow_mut().amplitude(site, lo, hi)
+        self.inner.borrow_mut().stream(site).gen_range(lo, hi)
     }
 
-    /// See [`FaultInjector::fired`].
+    /// How many times a site has fired so far.
     pub fn fired(&self, site: FaultSite) -> u64 {
-        self.inner.borrow().fired(site)
+        self.inner.borrow().fired.get(&site).copied().unwrap_or(0)
     }
 
-    /// See [`FaultInjector::trials`].
+    /// How many opportunities a site has seen so far.
     pub fn trials(&self, site: FaultSite) -> u64 {
-        self.inner.borrow().trials(site)
+        self.inner.borrow().trials.get(&site).copied().unwrap_or(0)
     }
 
-    /// See [`FaultInjector::total_fired`].
+    /// Total faults fired across all sites.
     pub fn total_fired(&self) -> u64 {
-        self.inner.borrow().total_fired()
-    }
-
-    /// See [`FaultInjector::seed`].
-    pub fn seed(&self) -> u64 {
-        self.inner.borrow().seed()
-    }
-
-    /// A clone of the plan.
-    pub fn plan(&self) -> FaultPlan {
-        self.inner.borrow().plan().clone()
-    }
-
-    /// See [`FaultInjector::replay_line`].
-    pub fn replay_line(&self) -> String {
-        self.inner.borrow().replay_line()
+        self.inner.borrow().fired.values().sum()
     }
 }
 
@@ -430,21 +377,21 @@ mod tests {
 
     #[test]
     fn quiet_sites_never_fire_or_draw() {
-        let mut inj = FaultInjector::new(7, FaultPlan::quiet());
+        let inj = FaultHandle::new(7, FaultPlan::quiet());
         for _ in 0..1000 {
             assert!(!inj.fire(FaultSite::DiskTransientIo));
         }
         assert_eq!(inj.total_fired(), 0);
         assert_eq!(inj.trials(FaultSite::DiskTransientIo), 1000);
         // No stream was ever created, so no randomness was consumed.
-        assert!(inj.streams.is_empty());
+        assert!(inj.inner.borrow().streams.is_empty());
     }
 
     #[test]
     fn replay_is_bit_identical() {
         let plan = FaultPlan::preset("kitchen-sink").unwrap();
-        let mut a = FaultInjector::new(0xDEAD_BEEF, plan.clone());
-        let mut b = FaultInjector::new(0xDEAD_BEEF, plan);
+        let a = FaultHandle::new(0xDEAD_BEEF, plan.clone());
+        let b = FaultHandle::new(0xDEAD_BEEF, plan);
         for i in 0..4096u64 {
             let site = FaultSite::ALL[(i % 9) as usize];
             assert_eq!(a.fire(site), b.fire(site));
@@ -460,8 +407,8 @@ mod tests {
         let plan = FaultPlan::quiet()
             .with_ppm(FaultSite::DiskTransientIo, 500_000)
             .with_ppm(FaultSite::CacheEvictionStorm, 500_000);
-        let mut interleaved = FaultInjector::new(99, plan.clone());
-        let mut solo = FaultInjector::new(99, plan);
+        let interleaved = FaultHandle::new(99, plan.clone());
+        let solo = FaultHandle::new(99, plan);
         let mut got = Vec::new();
         let mut want = Vec::new();
         for _ in 0..256 {
@@ -477,7 +424,10 @@ mod tests {
         let plan = FaultPlan::preset("disk-grief").unwrap();
         let line = replay_line(0xABC, &plan);
         assert!(line.contains("DUET_FAULT_SEED=0xabc"), "{line}");
-        assert!(line.contains("disk-eio=80000"), "{line}");
+        assert!(line.contains("plan=\"disk-eio=80000,"), "{line}");
+        // The plan is what `FaultPlan::parse` takes, not an env assignment.
+        let spec = line.split('"').nth(1).expect("quoted plan");
+        assert_eq!(FaultPlan::parse(spec), Ok(plan));
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The four environment knobs a run reads — `DUET_SCALE`, `DUET_JOBS`,
-//! `DUET_SNAPSHOT`, `DUET_TRACE` — behind one strict parser.
+//! The three environment knobs a run reads — `DUET_SCALE`, `DUET_JOBS`,
+//! `DUET_TRACE` — behind one strict parser.
 //!
 //! A malformed value is never ignored: `DUET_SCALE=abc` quietly running
-//! at the default scale, `DUET_SNAPSHOT=off` quietly leaving warm-start
-//! on, or `DUET_TRACE=off` turning tracing *on* produces numbers for a
-//! configuration nobody asked for. Entry points call [`check_all`]
+//! at the default scale or `DUET_TRACE=off` turning tracing *on*
+//! produces numbers for a configuration nobody asked for. Entry points call [`check_all`]
 //! before doing any work and exit with status 2 on an error; the
 //! readers go through the same parser ([`Knob::read`]), so code reached
 //! without that check (tests, library users) still gets an error
@@ -17,9 +16,6 @@ pub enum Knob {
     Scale,
     /// `DUET_JOBS`: sweep worker threads, a positive integer.
     Jobs,
-    /// `DUET_SNAPSHOT`: `0` turns the warm-start plane off, `1` (or
-    /// unset) leaves it on.
-    Snapshot,
     /// `DUET_TRACE`: `1` makes the sweep harnesses aggregate per-layer
     /// trace counters next to their CSVs, `0` (or unset) does not.
     Trace,
@@ -27,14 +23,13 @@ pub enum Knob {
 
 impl Knob {
     /// Every knob, in the order [`check_all`] reports them.
-    pub const ALL: [Knob; 4] = [Knob::Scale, Knob::Jobs, Knob::Snapshot, Knob::Trace];
+    pub const ALL: [Knob; 3] = [Knob::Scale, Knob::Jobs, Knob::Trace];
 
     /// The environment variable's name.
     pub fn var(self) -> &'static str {
         match self {
             Knob::Scale => "DUET_SCALE",
             Knob::Jobs => "DUET_JOBS",
-            Knob::Snapshot => "DUET_SNAPSHOT",
             Knob::Trace => "DUET_TRACE",
         }
     }
@@ -47,7 +42,7 @@ impl Knob {
         };
         let (accepted, wants) = match self {
             Knob::Scale | Knob::Jobs => (1..=u64::MAX, "a positive integer"),
-            Knob::Snapshot | Knob::Trace => (0..=1, "0 (off) or 1 (on)"),
+            Knob::Trace => (0..=1, "0 (off) or 1 (on)"),
         };
         match strict_u64(raw, 10) {
             Some(v) if accepted.contains(&v) => Ok(Some(v)),
@@ -97,7 +92,6 @@ mod tests {
         // What `scripts/check.sh` and duetbench's children pass.
         assert_eq!(Knob::Scale.parse(Some("512")), Ok(Some(512)));
         assert_eq!(Knob::Jobs.parse(Some("2")), Ok(Some(2)));
-        assert_eq!(Knob::Snapshot.parse(Some("0")), Ok(Some(0)));
     }
 
     #[test]
@@ -109,11 +103,6 @@ mod tests {
         );
         let err = Knob::Jobs.parse(Some("x")).unwrap_err();
         assert!(err.contains("DUET_JOBS") && err.contains("\"x\""), "{err}");
-        let err = Knob::Snapshot.parse(Some("off")).unwrap_err();
-        assert!(
-            err.contains("DUET_SNAPSHOT") && err.contains("\"off\""),
-            "{err}"
-        );
         for knob in Knob::ALL {
             for bad in [
                 "",
@@ -135,8 +124,6 @@ mod tests {
         // Zero workers or a zero scale used to be clamped to 1.
         assert!(Knob::Jobs.parse(Some("0")).is_err());
         assert!(Knob::Scale.parse(Some("0")).is_err());
-        // `DUET_SNAPSHOT=2` used to mean "on".
-        assert!(Knob::Snapshot.parse(Some("2")).is_err());
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! - [`check`]: a zero-dependency property-test helper with
 //!   deterministic case generation and seed-reporting failures.
 //! - [`trace`]: the virtual-time structured tracing plane — ring-buffered
-//!   events and spans from every layer, with JSONL / Chrome `trace_event`
-//!   dumps and whole-run counters.
+//!   events and spans from every layer, with a JSONL dump and whole-run
+//!   counters.
 //! - [`dmap`]: deterministic O(1) hash containers ([`dmap::DMap`],
 //!   [`dmap::DSet`]) with seeded hashing and insertion-order iteration,
 //!   plus a slab arena ([`dmap::Slab`]) with stable `u32` handles — the
@@ -37,10 +37,9 @@
 //! - [`snapshot`]: the snapshot/fork warm-start plane — a bounded
 //!   memo of pristine simulated-stack states ([`snapshot::SnapshotStore`])
 //!   plus the incremental state digest ([`snapshot::Digest`],
-//!   [`snapshot::StateDigest`]) behind the fork-equivalence oracle,
-//!   gated by `DUET_SNAPSHOT`.
+//!   [`snapshot::StateDigest`]) behind the fork-equivalence oracle.
 //! - [`knobs`]: the strict parser behind the `DUET_SCALE`, `DUET_JOBS`
-//!   and `DUET_SNAPSHOT` environment knobs.
+//!   and `DUET_TRACE` environment knobs.
 //! - [`omap`]: the deterministic **ordered** companion
 //!   ([`omap::DOrdMap`]): a chunked sorted vector with O(log n)
 //!   lookups, `range`/`next_back` and neighbour queries, and sorted
@@ -65,7 +64,7 @@ pub use bitmap::SparseBitmap;
 pub use clock::{Clock, SimDuration, SimInstant};
 pub use dmap::{DMap, DSet, DetHash, Slab};
 pub use error::{SimError, SimResult};
-pub use fault::{FaultHandle, FaultInjector, FaultPlan, FaultSite};
+pub use fault::{FaultHandle, FaultPlan, FaultSite};
 pub use ids::{
     BlockNr,
     DeviceId,

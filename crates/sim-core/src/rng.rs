@@ -89,11 +89,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p
-    }
-
     /// Standard normal via Box–Muller.
     pub fn normal(&mut self) -> f64 {
         // Avoid ln(0) by shifting u1 away from zero.

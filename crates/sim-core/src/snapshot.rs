@@ -14,8 +14,6 @@
 //!   digest over simulated state, used by the fork-equivalence oracle
 //!   (`experiments`): digest(forked stack) must equal digest(freshly
 //!   built stack), proving warm-start cannot change results.
-//! - [`enabled`]: the `DUET_SNAPSHOT` escape hatch — `0` bypasses
-//!   warm-start entirely and every cell rebuilds from scratch.
 //!
 //! Determinism: a fork is a deep clone of deterministic state, so a
 //! forked run and a fresh run consume identical RNG streams and
@@ -26,17 +24,6 @@
 //! (`Rc`-based trace/fault handles), so stores are expected to live in
 //! `thread_local!` storage — one memo per sweep worker — rather than
 //! behind a shared lock.
-
-/// Returns `false` when `DUET_SNAPSHOT=0`: the warm-start escape
-/// hatch. Unset or `1` leaves snapshotting on; anything else is an
-/// error (see [`crate::knobs`]). Read per call so tests and harness
-/// drivers can flip it between runs.
-pub fn enabled() -> crate::SimResult<bool> {
-    crate::knobs::Knob::Snapshot
-        .read()
-        .map(|value| value != Some(0))
-        .map_err(crate::SimError::InvalidArgument)
-}
 
 /// Incremental 128-bit FNV-1a digest: two independent 64-bit streams
 /// (distinct offset bases) rendered side by side, matching the
@@ -112,7 +99,7 @@ impl Digest {
 }
 
 /// Simulated state that can feed a [`Digest`] — implemented by each
-/// stack layer (disk, cache, filesystems, framework, workload) so the
+/// layer of the forked stack (disk, cache, btrfs, framework, workload) so the
 /// fork-equivalence oracle can compare a forked stack against a
 /// freshly built one field by field.
 pub trait StateDigest {

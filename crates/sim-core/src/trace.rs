@@ -2,7 +2,7 @@
 //!
 //! Every layer of the simulated stack — disk, page cache, filesystems,
 //! the Duet framework and the maintenance tasks — can emit structured
-//! [`TraceEvent`]s into one shared, ring-buffered [`TraceBuffer`]. The
+//! [`TraceEvent`]s into one shared, ring-buffered [`TraceHandle`]. The
 //! plane exists for one purpose: when a Duet run and its baseline twin
 //! disagree, the event streams say *where* — the equivalence oracle
 //! replays both and localizes the first divergent effect together with
@@ -19,7 +19,7 @@
 //!   that could steer control flow, so an armed trace cannot perturb a
 //!   run: CSV outputs are byte-identical with tracing on or off.
 //! - **Bounded memory.** The ring keeps the newest `capacity` events;
-//!   older ones are dropped (and counted in [`TraceBuffer::dropped`]).
+//!   older ones are dropped (and counted in [`TraceHandle::dropped`]).
 //!   Per-`(layer, kind)` aggregate counters are updated on *every* emit
 //!   and survive ring rotation, so cheap whole-run statistics remain
 //!   exact even when the event window does not cover the whole run.
@@ -29,12 +29,8 @@
 //! the framework (`set_trace(Some(handle.clone()))`); a component whose
 //! handle is `None` pays one `Option` check per hook.
 //!
-//! Two dump formats are provided: line-delimited JSON
-//! ([`TraceBuffer::dump_jsonl`], one event per line, stable field
-//! order — the replay/diff format) and the Chrome `trace_event` JSON
-//! array ([`TraceBuffer::dump_chrome`]) which loads directly into
-//! `chrome://tracing` / Perfetto for flamegraph viewing, with one track
-//! per layer.
+//! The dump format is line-delimited JSON ([`TraceHandle::dump_jsonl`]):
+//! one event per line, stable field order — the replay/diff format.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -47,7 +43,7 @@ use crate::clock::{SimDuration, SimInstant};
 /// never rotate, small enough (a few MB) to arm casually.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
-/// The stack layer an event originates from. One Chrome track each.
+/// The stack layer an event originates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLayer {
     /// Block device: I/O service spans, retries.
@@ -65,7 +61,7 @@ pub enum TraceLayer {
 }
 
 impl TraceLayer {
-    /// Every layer, in a fixed order (also the Chrome track order).
+    /// Every layer, in a fixed order.
     pub const ALL: [TraceLayer; 6] = [
         TraceLayer::Disk,
         TraceLayer::Cache,
@@ -86,18 +82,6 @@ impl TraceLayer {
             TraceLayer::Task => "task",
         }
     }
-
-    /// The Chrome `tid` of this layer's track.
-    fn track(self) -> usize {
-        match self {
-            TraceLayer::Disk => 1,
-            TraceLayer::Cache => 2,
-            TraceLayer::Btrfs => 3,
-            TraceLayer::F2fs => 4,
-            TraceLayer::Duet => 5,
-            TraceLayer::Task => 6,
-        }
-    }
 }
 
 impl fmt::Display for TraceLayer {
@@ -106,7 +90,7 @@ impl fmt::Display for TraceLayer {
     }
 }
 
-/// Identifier of a span within one [`TraceBuffer`]. Ids start at 1;
+/// Identifier of a span within one [`TraceHandle`]'s buffer. Ids start at 1;
 /// `SpanId(0)` is never assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
@@ -258,7 +242,7 @@ fn json_value(v: &FieldValue) -> String {
 }
 
 /// An open context span (begun, not yet ended).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenSpan {
     layer: TraceLayer,
     kind: &'static str,
@@ -267,10 +251,10 @@ struct OpenSpan {
     fields: Vec<Field>,
 }
 
-/// The ring-buffered event store plus whole-run aggregate counters.
-/// Call sites hold a [`TraceHandle`] to it.
-#[derive(Debug, Default)]
-pub struct TraceBuffer {
+/// What a [`TraceHandle`]'s clones share: the ring, the whole-run
+/// counters and the context-span bookkeeping.
+#[derive(Debug)]
+struct TraceState {
     capacity: usize,
     ring: VecDeque<TraceEvent>,
     next_seq: u64,
@@ -281,247 +265,70 @@ pub struct TraceBuffer {
     open: BTreeMap<u64, OpenSpan>,
 }
 
-impl TraceBuffer {
-    /// A buffer keeping the newest `capacity` events (min 1).
-    pub fn new(capacity: usize) -> TraceBuffer {
-        TraceBuffer {
+impl TraceState {
+    fn new(capacity: usize) -> TraceState {
+        TraceState {
             capacity: capacity.max(1),
-            ..TraceBuffer::default()
+            ring: VecDeque::new(),
+            next_seq: 0,
+            next_span: 0,
+            dropped: 0,
+            counters: BTreeMap::new(),
+            ctx: Vec::new(),
+            open: BTreeMap::new(),
         }
     }
 
-    fn current_parent(&self) -> Option<SpanId> {
-        self.ctx.last().copied()
+    fn new_span(&mut self) -> SpanId {
+        self.next_span += 1;
+        SpanId(self.next_span)
     }
 
-    fn push(&mut self, ev: TraceEvent) {
-        *self
-            .counters
-            .entry((ev.layer.label(), ev.kind))
-            .or_insert(0) += 1;
+    /// Stamps the record with the next sequence number, counts it and
+    /// appends it to the ring, rotating the oldest event out when full.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        layer: TraceLayer,
+        kind: &'static str,
+        at: SimInstant,
+        dur: SimDuration,
+        span: Option<SpanId>,
+        parent: Option<SpanId>,
+        fields: Vec<Field>,
+    ) {
+        *self.counters.entry((layer.label(), kind)).or_insert(0) += 1;
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
         }
-        self.ring.push_back(ev);
-    }
-
-    /// Counts an occurrence without storing an event — for hooks too
-    /// hot to keep in the ring (per-page checksums, hint deliveries).
-    pub fn tick(&mut self, layer: TraceLayer, kind: &'static str) {
-        *self.counters.entry((layer.label(), kind)).or_insert(0) += 1;
-    }
-
-    /// Counts `n` occurrences at once (batched hint deliveries).
-    pub fn tick_n(&mut self, layer: TraceLayer, kind: &'static str, n: u64) {
-        *self.counters.entry((layer.label(), kind)).or_insert(0) += n;
-    }
-
-    /// Records an instant event under the current context span.
-    pub fn event(
-        &mut self,
-        layer: TraceLayer,
-        kind: &'static str,
-        at: SimInstant,
-        fields: Vec<Field>,
-    ) {
-        let ev = TraceEvent {
+        self.ring.push_back(TraceEvent {
             seq: self.next_seq,
             at,
-            dur: SimDuration::ZERO,
-            layer,
-            kind,
-            span: None,
-            parent: self.current_parent(),
-            fields,
-        };
-        self.next_seq += 1;
-        self.push(ev);
-    }
-
-    /// Records a completed span (known start and extent) under the
-    /// current context span, returning its id.
-    pub fn span(
-        &mut self,
-        layer: TraceLayer,
-        kind: &'static str,
-        start: SimInstant,
-        dur: SimDuration,
-        fields: Vec<Field>,
-    ) -> SpanId {
-        self.next_span += 1;
-        let id = SpanId(self.next_span);
-        let ev = TraceEvent {
-            seq: self.next_seq,
-            at: start,
             dur,
             layer,
             kind,
-            span: Some(id),
-            parent: self.current_parent(),
+            span,
+            parent,
             fields,
-        };
+        });
         self.next_seq += 1;
-        self.push(ev);
-        id
-    }
-
-    /// Opens a context span: until the matching [`TraceBuffer::ctx_end`],
-    /// every emitted record carries this span as its parent. Used by
-    /// tasks to bracket one work item (with its provenance fields).
-    pub fn ctx_begin(
-        &mut self,
-        layer: TraceLayer,
-        kind: &'static str,
-        at: SimInstant,
-        fields: Vec<Field>,
-    ) -> SpanId {
-        self.next_span += 1;
-        let id = SpanId(self.next_span);
-        self.open.insert(
-            id.0,
-            OpenSpan {
-                layer,
-                kind,
-                start: at,
-                parent: self.current_parent(),
-                fields,
-            },
-        );
-        self.ctx.push(id);
-        id
-    }
-
-    /// Closes a context span, emitting its record with the measured
-    /// extent. Closing out of order is tolerated (the id is removed
-    /// from wherever it sits in the context stack).
-    pub fn ctx_end(&mut self, id: SpanId, at: SimInstant) {
-        self.ctx.retain(|&s| s != id);
-        let Some(open) = self.open.remove(&id.0) else {
-            return;
-        };
-        let ev = TraceEvent {
-            seq: self.next_seq,
-            at: open.start,
-            dur: at.saturating_duration_since(open.start),
-            layer: open.layer,
-            kind: open.kind,
-            span: Some(id),
-            parent: open.parent,
-            fields: open.fields,
-        };
-        self.next_seq += 1;
-        self.push(ev);
-    }
-
-    /// The buffered events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.ring.iter().cloned().collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no event is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Events dropped to ring rotation so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Whole-run aggregate counters as sorted `("layer.kind", count)`
-    /// rows. Exact even after ring rotation.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.counters
-            .iter()
-            .map(|(&(layer, kind), &n)| (format!("{layer}.{kind}"), n))
-            .collect()
-    }
-
-    /// Forgets buffered events and counters (capacity is kept).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.counters.clear();
-        self.ctx.clear();
-        self.open.clear();
-        self.next_seq = 0;
-        self.next_span = 0;
-        self.dropped = 0;
-    }
-
-    /// The JSONL dump: one event per line, oldest first, stable field
-    /// order — byte-identical for byte-identical runs.
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.ring.iter() {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The Chrome `trace_event` dump (a JSON array of complete/instant
-    /// events, one track per layer; virtual µs on the time axis). Load
-    /// in `chrome://tracing` or Perfetto.
-    pub fn dump_chrome(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        for ev in self.ring.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let ph = if ev.span.is_some() { "X" } else { "i" };
-            let us = ev.at.as_nanos() / 1_000;
-            let frac = ev.at.as_nanos() % 1_000;
-            out.push_str(&format!(
-                "\n{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{us}.{frac:03}",
-                json_escape(ev.kind),
-                ev.layer.label(),
-                ev.layer.track(),
-            ));
-            if ev.span.is_some() {
-                let dur_us = ev.dur.as_nanos() / 1_000;
-                let dur_frac = ev.dur.as_nanos() % 1_000;
-                out.push_str(&format!(",\"dur\":{dur_us}.{dur_frac:03}"));
-            } else {
-                out.push_str(",\"s\":\"t\"");
-            }
-            if !ev.fields.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (name, value)) in ev.fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{}\":{}", json_escape(name), json_value(value)));
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("\n]\n");
-        out
     }
 }
 
-/// A cloneable, shared handle to one [`TraceBuffer`] — the tracing
-/// analogue of [`crate::fault::FaultHandle`].
-#[derive(Debug, Clone, Default)]
+/// The ring-buffered event store plus whole-run aggregate counters,
+/// behind a cloneable handle: every clone shares the one buffer — the
+/// tracing analogue of [`crate::fault::FaultHandle`].
+#[derive(Debug, Clone)]
 pub struct TraceHandle {
-    inner: Rc<RefCell<TraceBuffer>>,
+    inner: Rc<RefCell<TraceState>>,
 }
 
 impl TraceHandle {
-    /// A new shared buffer with the given ring capacity.
+    /// A new shared buffer keeping the newest `capacity` events (min 1).
     pub fn new(capacity: usize) -> TraceHandle {
         TraceHandle {
-            inner: Rc::new(RefCell::new(TraceBuffer::new(capacity))),
+            inner: Rc::new(RefCell::new(TraceState::new(capacity))),
         }
     }
 
@@ -530,25 +337,34 @@ impl TraceHandle {
         TraceHandle::new(DEFAULT_TRACE_CAPACITY)
     }
 
-    /// See [`TraceBuffer::tick`].
+    /// Counts an occurrence without storing an event — for hooks too
+    /// hot to keep in the ring (per-page checksums, hint deliveries).
     pub fn tick(&self, layer: TraceLayer, kind: &'static str) {
-        self.inner.borrow_mut().tick(layer, kind);
+        self.tick_n(layer, kind, 1);
     }
 
-    /// See [`TraceBuffer::tick_n`].
+    /// Counts `n` occurrences at once (batched hint deliveries).
     pub fn tick_n(&self, layer: TraceLayer, kind: &'static str, n: u64) {
-        self.inner.borrow_mut().tick_n(layer, kind, n);
+        *self
+            .inner
+            .borrow_mut()
+            .counters
+            .entry((layer.label(), kind))
+            .or_insert(0) += n;
     }
 
-    /// See [`TraceBuffer::event`].
+    /// Records an instant event under the current context span.
     pub fn event<F>(&self, layer: TraceLayer, kind: &'static str, at: SimInstant, fields: F)
     where
         F: FnOnce() -> Vec<Field>,
     {
-        self.inner.borrow_mut().event(layer, kind, at, fields());
+        let mut st = self.inner.borrow_mut();
+        let parent = st.ctx.last().copied();
+        st.record(layer, kind, at, SimDuration::ZERO, None, parent, fields());
     }
 
-    /// See [`TraceBuffer::span`].
+    /// Records a completed span (known start and extent) under the
+    /// current context span, returning its id.
     pub fn span<F>(
         &self,
         layer: TraceLayer,
@@ -560,12 +376,16 @@ impl TraceHandle {
     where
         F: FnOnce() -> Vec<Field>,
     {
-        self.inner
-            .borrow_mut()
-            .span(layer, kind, start, dur, fields())
+        let mut st = self.inner.borrow_mut();
+        let id = st.new_span();
+        let parent = st.ctx.last().copied();
+        st.record(layer, kind, start, dur, Some(id), parent, fields());
+        id
     }
 
-    /// See [`TraceBuffer::ctx_begin`].
+    /// Opens a context span: until the matching [`TraceHandle::ctx_end`],
+    /// every emitted record carries this span as its parent. Used by
+    /// tasks to bracket one work item (with its provenance fields).
     pub fn ctx_begin<F>(
         &self,
         layer: TraceLayer,
@@ -576,52 +396,86 @@ impl TraceHandle {
     where
         F: FnOnce() -> Vec<Field>,
     {
-        self.inner.borrow_mut().ctx_begin(layer, kind, at, fields())
+        let mut st = self.inner.borrow_mut();
+        let id = st.new_span();
+        let open = OpenSpan {
+            layer,
+            kind,
+            start: at,
+            parent: st.ctx.last().copied(),
+            fields: fields(),
+        };
+        st.open.insert(id.0, open);
+        st.ctx.push(id);
+        id
     }
 
-    /// See [`TraceBuffer::ctx_end`].
+    /// Closes a context span, emitting its record with the measured
+    /// extent. Closing out of order is tolerated (the id is removed
+    /// from wherever it sits in the context stack).
     pub fn ctx_end(&self, id: SpanId, at: SimInstant) {
-        self.inner.borrow_mut().ctx_end(id, at);
+        let mut st = self.inner.borrow_mut();
+        st.ctx.retain(|&s| s != id);
+        let Some(open) = st.open.remove(&id.0) else {
+            return;
+        };
+        st.record(
+            open.layer,
+            open.kind,
+            open.start,
+            at.saturating_duration_since(open.start),
+            Some(id),
+            open.parent,
+            open.fields,
+        );
     }
 
-    /// See [`TraceBuffer::events`].
+    /// The buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.borrow().events()
+        self.inner.borrow().ring.iter().cloned().collect()
     }
 
-    /// See [`TraceBuffer::len`].
+    /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.inner.borrow().len()
+        self.inner.borrow().ring.len()
     }
 
-    /// See [`TraceBuffer::is_empty`].
+    /// True when no event is buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// See [`TraceBuffer::dropped`].
+    /// Events dropped to ring rotation so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped()
+        self.inner.borrow().dropped
     }
 
-    /// See [`TraceBuffer::counters`].
+    /// Whole-run aggregate counters as sorted `("layer.kind", count)`
+    /// rows. Exact even after ring rotation.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner.borrow().counters()
+        self.inner
+            .borrow()
+            .counters
+            .iter()
+            .map(|(&(layer, kind), &n)| (format!("{layer}.{kind}"), n))
+            .collect()
     }
 
-    /// See [`TraceBuffer::clear`].
+    /// Forgets buffered events and counters (capacity is kept).
     pub fn clear(&self) {
-        self.inner.borrow_mut().clear();
+        let mut st = self.inner.borrow_mut();
+        *st = TraceState::new(st.capacity);
     }
 
-    /// See [`TraceBuffer::dump_jsonl`].
+    /// The JSONL dump: one event per line, oldest first, stable field
+    /// order — byte-identical for byte-identical runs.
     pub fn dump_jsonl(&self) -> String {
-        self.inner.borrow().dump_jsonl()
-    }
-
-    /// See [`TraceBuffer::dump_chrome`].
-    pub fn dump_chrome(&self) -> String {
-        self.inner.borrow().dump_chrome()
+        let mut out = String::new();
+        for ev in self.inner.borrow().ring.iter() {
+            out.push_str(&ev.to_jsonl());
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -689,19 +543,6 @@ mod tests {
             "{\"seq\":0,\"t\":1000000,\"dur\":3000000,\"layer\":\"disk\",\"kind\":\"io\",\
              \"span\":1,\"args\":{\"kind\":\"read\",\"block\":42,\"path\":\"a\\\"b\\\\c\"}}\n"
         );
-    }
-
-    #[test]
-    fn chrome_dump_has_complete_and_instant_phases() {
-        let tr = TraceHandle::new(16);
-        tr.span(TraceLayer::Disk, "io", T0, ms(1), Vec::new);
-        tr.event(TraceLayer::Duet, "churn", T0 + ms(2), Vec::new);
-        let dump = tr.dump_chrome();
-        assert!(dump.starts_with('[') && dump.ends_with("]\n"), "{dump}");
-        assert!(dump.contains("\"ph\":\"X\""), "{dump}");
-        assert!(dump.contains("\"ph\":\"i\""), "{dump}");
-        assert!(dump.contains("\"dur\":1000.000"), "{dump}");
-        assert!(dump.contains("\"tid\":5"), "{dump}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use ssd::SsdModel;
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::snapshot::{Digest, StateDigest};
 use sim_core::trace::{TraceHandle, TraceLayer};
-use sim_core::{BlockNr, SimDuration, SimError, SimInstant, SimResult, PAGE_SIZE};
+use sim_core::{BlockNr, SimDuration, SimError, SimInstant, SimResult};
 
 /// Mechanical breakdown of one request's service time. The trace plane
 /// records the three parts separately so seek-bound and transfer-bound
@@ -172,16 +172,6 @@ impl Disk {
     /// Device capacity in blocks.
     pub fn capacity_blocks(&self) -> u64 {
         self.model.capacity_blocks()
-    }
-
-    /// Device capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.model.capacity_blocks() * PAGE_SIZE
-    }
-
-    /// Model name for reports.
-    pub fn model_name(&self) -> &'static str {
-        self.model.name()
     }
 
     /// Submits a request at time `now` and returns its completion time.
@@ -335,11 +325,6 @@ impl Disk {
     }
 }
 
-/// Convenience: total blocks needed for a byte count.
-pub fn blocks_for_bytes(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE)
-}
-
 /// Convenience: block number after the last block of a request.
 pub fn request_end(start: BlockNr, nblocks: u64) -> BlockNr {
     BlockNr(start.raw() + nblocks)
@@ -393,8 +378,6 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert_eq!(blocks_for_bytes(1), 1);
-        assert_eq!(blocks_for_bytes(PAGE_SIZE * 3), 3);
         assert_eq!(request_end(BlockNr(10), 5), BlockNr(15));
     }
 

@@ -63,11 +63,6 @@ impl DiskMetrics {
         class.busy_time += service;
     }
 
-    /// Total busy time across classes.
-    pub fn total_busy(&self) -> SimDuration {
-        self.normal.busy_time + self.idle.busy_time
-    }
-
     /// Total blocks transferred across classes.
     pub fn total_blocks(&self) -> u64 {
         self.normal.blocks() + self.idle.blocks()
@@ -96,7 +91,6 @@ mod tests {
         assert_eq!(m.idle.write_ops, 1);
         assert_eq!(m.idle.blocks_written, 2);
         assert_eq!(m.total_blocks(), 6);
-        assert_eq!(m.total_busy(), SimDuration::from_millis(3));
         assert_eq!(m.normal.ops(), 1);
         assert_eq!(m.idle.blocks(), 2);
     }

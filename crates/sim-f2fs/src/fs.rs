@@ -96,59 +96,6 @@ struct F2fsInode {
 
 const NO_OWNER: u64 = u64::MAX;
 
-impl sim_core::snapshot::StateDigest for F2fsSim {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_u32(self.device.raw());
-        self.disk.digest_state(d);
-        self.cache.digest_state(d);
-        d.write_u64(self.seg_blocks);
-        d.write_u32(self.nsegs);
-        for seg in &self.segs {
-            d.write_u32(seg.valid);
-            d.write_u64(seg.mtime);
-            d.write_u32(match seg.state {
-                SegState::Free => 0,
-                SegState::Open => 1,
-                SegState::Full => 2,
-            });
-        }
-        d.write_usize(self.valid.len());
-        for (i, &v) in self.valid.iter().enumerate() {
-            d.write_bool(v);
-            d.write_u64(self.owner_ino[i]);
-            d.write_u64(self.owner_idx[i]);
-        }
-        // Inode-number order, like `files`, so the digest is
-        // independent of hash-map iteration order.
-        let mut inos: Vec<InodeNr> = self.inodes.keys().copied().collect();
-        inos.sort_unstable();
-        d.write_usize(inos.len());
-        for ino in inos {
-            let Some(inode) = self.inodes.get(&ino) else {
-                continue;
-            };
-            d.write_u64(ino.raw());
-            d.write_str(&inode.name);
-            d.write_u64(inode.size_bytes);
-            d.write_usize(inode.map.len());
-            for b in &inode.map {
-                d.write_bool(b.is_some());
-                d.write_u64(b.map_or(0, |b| b.raw()));
-            }
-        }
-        d.write_u64(self.next_ino);
-        d.write_u32(self.head_seg.raw());
-        d.write_u64(self.head_off);
-        d.write_u64(self.write_clock);
-        d.write_u32(self.free_segs);
-        d.write_u32(self.ssr_threshold);
-        d.write_u32(self.retry.max_attempts);
-        d.write_u64(self.retry.base_backoff.as_nanos());
-        d.write_u64(self.retry.max_backoff.as_nanos());
-        d.write_bool(self.trace.is_some());
-    }
-}
-
 /// The simulated log-structured filesystem.
 #[derive(Clone)]
 pub struct F2fsSim {

@@ -5,7 +5,7 @@
 #   fmt --check  →  clippy -D warnings  →  xtask lint  →  cargo test
 #   →  differential fuzz (pinned seed: containers, Duet vs reference)
 #   →  fault matrix (pinned seed)  →  oracle sabotage localization
-#   →  snapshot/fork cold path  →  bench run smoke (tiny scale, 2 jobs)
+#   →  snapshot/fork digests  →  bench run smoke (tiny scale, 2 jobs)
 #   →  duetbench package gate + benchmark-contract smoke
 #
 # Host cost (wall time, per-layer attribution, kernels) is duetbench's
@@ -48,7 +48,9 @@ DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p duet --release differential_tests
 echo "==> fault matrix (fixed seed)"
 # The deterministic anchor: the full task × fault-plan grid under a
 # pinned seed. CI runs a second pass with a rotating (but logged) seed;
-# replay any failure with the printed DUET_FAULT_SEED / DUET_FAULT_PLAN.
+# replay any failure by re-running this with the DUET_FAULT_SEED it
+# printed (the line's plan="…" is a FaultPlan::parse spec for replaying
+# a non-preset plan from code, not an environment variable).
 DUET_FAULT_SEED=0xd0e7f457 cargo test -q -p experiments --test fault_matrix
 
 echo "==> oracle sabotage localization smoke (pinned seed)"
@@ -57,14 +59,12 @@ echo "==> oracle sabotage localization smoke (pinned seed)"
 # detect it; the seeds are pinned inside the test.
 cargo test -q -p experiments --test localize
 
-echo "==> snapshot/fork equivalence (digest oracle + cold-path goldens)"
+echo "==> snapshot/fork equivalence (digest oracle)"
 # The warm-start plane (DESIGN.md §14) must be invisible: the digest
-# tests pin fork ≡ fresh over the whole stack, and the golden-fixture
-# suite re-runs with DUET_SNAPSHOT=0 so the cold build-every-cell path
-# produces the same committed bytes as the forked one exercised by the
-# workspace pass above.
+# tests pin fork ≡ fresh over the whole stack. (End to end, the golden
+# table in the workspace pass above already produced every fixture
+# once on freshly built stacks and once on forks of them.)
 cargo test -q -p experiments --release snapshot::
-DUET_SNAPSHOT=0 cargo test -q --release --test determinism
 
 echo "==> bench run smoke (DUET_SCALE=512 DUET_JOBS=2, time-bounded)"
 cargo build -q --release -p bench
