@@ -7,6 +7,10 @@
 //! 3. **Opportunistic processing vs cache locality** (§6.5's closing
 //!    observation): Duet with a tiny cache still saves most of its I/O,
 //!    showing the benefit comes from reordering, not from caching.
+//! 4. **Informed cache replacement** (the paper's §2 future-work
+//!    note): protecting pages with unconsumed hints from eviction.
+//! 5. **Hint granularity**: page-level hints vs the file-level hints an
+//!    inotify-based task could build (§3.3).
 
 use crate::sweeps::PROFILED;
 use crate::{f2, pct, pool, BenchResult, Report, Sink};

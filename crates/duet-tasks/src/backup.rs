@@ -9,8 +9,8 @@
 //! dirty, and confirming via back-references that it still belongs to
 //! the snapshot.
 
-use crate::task::{BtrfsCtx, BtrfsTask, StepResult, TaskMetrics, TaskMode};
-use duet::{EventMask, ItemFlags, ItemId, SessionId, TaskScope};
+use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
+use duet::{EventMask, ItemFlags, ItemId, TaskScope};
 use sim_btrfs::SnapshotId;
 use sim_cache::PageKey;
 use sim_core::trace::TraceLayer;
@@ -26,13 +26,12 @@ use sim_disk::IoClass;
 /// let the backup finish only ~1.2× behind the scrubber and pushed the
 /// Fig. 3 plateau too early; 64 restores the intended pacing.
 const CHUNK_PAGES: u64 = 64;
-const FETCH_BATCH: usize = 256;
 
 /// The snapshot-backup task.
 pub struct Backup {
     mode: TaskMode,
     class: IoClass,
-    sid: Option<SessionId>,
+    hints: HintSession,
     snap: Option<SnapshotId>,
     /// Snapshot files in inode order (the plan).
     files: Vec<InodeNr>,
@@ -50,7 +49,6 @@ pub struct Backup {
     /// Test-only defect switch: silently drop a deterministic subset of
     /// blocks from the backup stream (oracle self-test).
     skip_ship: bool,
-    started: bool,
 }
 
 impl Backup {
@@ -60,7 +58,7 @@ impl Backup {
         Backup {
             mode,
             class: IoClass::Idle,
-            sid: None,
+            hints: HintSession::default(),
             snap: None,
             files: Vec::new(),
             file_idx: 0,
@@ -73,7 +71,6 @@ impl Backup {
             own_written: 0,
             sent_bytes: 0,
             skip_ship: false,
-            started: false,
         }
     }
 
@@ -103,21 +100,13 @@ impl Backup {
 
     /// Opportunistic path: copy cached, snapshot-shared pages.
     fn drain_events(&mut self, ctx: &mut BtrfsCtx<'_>) -> SimResult<()> {
-        let (Some(sid), Some(snap)) = (self.sid, self.snap) else {
+        let Some(snap) = self.snap else {
             return Ok(());
         };
-        loop {
-            let items = match ctx.duet.fetch(sid, FETCH_BATCH, ctx.fs) {
-                Ok(items) => items,
-                Err(SimError::InvalidSession(_)) => {
-                    // Session vanished: degrade to the plan order.
-                    self.sid = None;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
+        while let Some(sid) = self.hints.id() {
+            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
             if items.is_empty() {
-                return Ok(());
+                break;
             }
             for item in items {
                 if !item.flags.contains(ItemFlags::EXISTS) {
@@ -159,15 +148,13 @@ impl Backup {
                 ctx.duet.set_done(sid, ItemId::Block(block))?;
             }
         }
+        Ok(())
     }
 }
 
 impl BtrfsTask for Backup {
     fn name(&self) -> String {
-        match self.mode {
-            TaskMode::Baseline => "backup(baseline)".into(),
-            TaskMode::Duet => "backup(duet)".into(),
-        }
+        format!("backup({})", self.mode.label())
     }
 
     fn start(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
@@ -178,26 +165,15 @@ impl BtrfsTask for Backup {
             self.files = s.files.keys().copied().collect();
             self.total_pages = s.total_pages();
         }
-        if self.mode == TaskMode::Duet {
-            match ctx.duet.register(
-                TaskScope::Block {
-                    device: ctx.fs.device(),
-                },
-                EventMask::EXISTS,
-                ctx.fs,
-            ) {
-                Ok(sid) => self.sid = Some(sid),
-                // All session slots taken: back up in plan order only.
-                Err(SimError::TooManySessions) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.started = true;
+        let scope = TaskScope::Block {
+            device: ctx.fs.device(),
+        };
+        self.hints
+            .open(self.mode, ctx.duet, scope, EventMask::EXISTS, ctx.fs)?;
         Ok(())
     }
 
     fn step(&mut self, mut ctx: BtrfsCtx<'_>) -> SimResult<StepResult> {
-        assert!(self.started, "step before start");
         self.drain_events(&mut ctx)?;
         let Some(snap) = self.snap else {
             return Err(SimError::InvalidArgument(
@@ -262,7 +238,7 @@ impl BtrfsTask for Backup {
                     vec![("block", sb.raw().into()), ("src", "scan".into())]
                 });
             }
-            if let Some(sid) = self.sid {
+            if let Some(sid) = self.hints.id() {
                 ctx.duet.set_done(sid, ItemId::Block(sb))?;
             }
             processed += 1;
@@ -280,16 +256,9 @@ impl BtrfsTask for Backup {
         self.drain_events(&mut ctx)
     }
 
-    fn stop(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
-        self.poll(BtrfsCtx {
-            fs: ctx.fs,
-            duet: ctx.duet,
-            now: ctx.now,
-        })?;
-        if let Some(sid) = self.sid.take() {
-            ctx.duet.deregister(sid)?;
-        }
-        Ok(())
+    fn stop(&mut self, mut ctx: BtrfsCtx<'_>) -> SimResult<()> {
+        self.drain_events(&mut ctx)?;
+        self.hints.close(ctx.duet)
     }
 
     fn metrics(&self) -> TaskMetrics {

@@ -10,20 +10,18 @@
 //! the pages already in memory (reads avoided) plus the pages already
 //! dirty (writes that the flusher would perform anyway, §6.2).
 
-use crate::task::{BtrfsCtx, BtrfsTask, StepResult, TaskMetrics, TaskMode};
-use duet::{EventMask, ItemId, Priority, ResidencyTracker, SessionId, TaskScope};
+use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
+use duet::{EventMask, ItemId, Priority, ResidencyTracker, TaskScope};
 use sim_core::trace::TraceLayer;
-use sim_core::{InodeNr, SimError, SimResult};
+use sim_core::{InodeNr, SimResult};
 use sim_disk::IoClass;
 use std::collections::BTreeSet;
-
-const FETCH_BATCH: usize = 256;
 
 /// The defragmentation task.
 pub struct Defrag {
     mode: TaskMode,
     class: IoClass,
-    sid: Option<SessionId>,
+    hints: HintSession,
     /// Fragmented files at start, in inode order (the plan).
     plan: Vec<InodeNr>,
     plan_set: BTreeSet<InodeNr>,
@@ -50,7 +48,6 @@ pub struct Defrag {
     /// Test-only defect switch: silently skip rewriting a deterministic
     /// subset of files (oracle self-test).
     skip_some: bool,
-    started: bool,
 }
 
 impl Defrag {
@@ -59,7 +56,7 @@ impl Defrag {
         Defrag {
             mode,
             class: IoClass::Idle,
-            sid: None,
+            hints: HintSession::default(),
             plan: Vec::new(),
             plan_set: BTreeSet::new(),
             plan_idx: 0,
@@ -74,7 +71,6 @@ impl Defrag {
             threshold: 1,
             file_granularity: false,
             skip_some: false,
-            started: false,
         }
     }
 
@@ -104,19 +100,8 @@ impl Defrag {
     }
 
     fn update_queue(&mut self, ctx: &mut BtrfsCtx<'_>) -> SimResult<()> {
-        let Some(sid) = self.sid else {
-            return Ok(());
-        };
         loop {
-            let items = match ctx.duet.fetch(sid, FETCH_BATCH, ctx.fs) {
-                Ok(items) => items,
-                Err(SimError::InvalidSession(_)) => {
-                    // Session vanished: degrade to the plan order.
-                    self.sid = None;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
+            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
             if items.is_empty() {
                 return Ok(());
             }
@@ -143,9 +128,11 @@ impl Defrag {
         // planned I/O is complete by other means.
         let planned_io = match ctx.fs.inodes().get(ino) {
             Ok(n) => 2 * n.size_pages(),
+            // Per-file planned sizes are not retained: a deleted file's
+            // residual I/O is credited as zero, keeping the metric
+            // conservative.
             Err(_) => {
                 self.files_skipped += 1;
-                self.done_io += self.planned_io_of(ino);
                 return Ok(finish);
             }
         };
@@ -178,17 +165,8 @@ impl Defrag {
         Ok(finish)
     }
 
-    /// Planned I/O for a file recorded at start (2 × pages). Used when
-    /// the file has since been deleted.
-    fn planned_io_of(&self, _ino: InodeNr) -> u64 {
-        // Per-file planned sizes are not retained; deleted files are
-        // rare in the workloads and their residual I/O is credited as
-        // zero to keep the metric conservative.
-        0
-    }
-
     fn mark_done(&mut self, ctx: &mut BtrfsCtx<'_>, ino: InodeNr) -> SimResult<()> {
-        if let Some(sid) = self.sid {
+        if let Some(sid) = self.hints.id() {
             ctx.duet.set_done(sid, ItemId::Inode(ino))?;
         }
         self.tracker.forget(ino);
@@ -196,22 +174,13 @@ impl Defrag {
     }
 
     fn is_done(&self, ctx: &BtrfsCtx<'_>, ino: InodeNr) -> bool {
-        match self.sid {
-            Some(sid) => ctx
-                .duet
-                .check_done(sid, ItemId::Inode(ino))
-                .unwrap_or(false),
-            None => false,
-        }
+        self.hints.is_done(ctx.duet, ItemId::Inode(ino))
     }
 }
 
 impl BtrfsTask for Defrag {
     fn name(&self) -> String {
-        match self.mode {
-            TaskMode::Baseline => "defrag(baseline)".into(),
-            TaskMode::Duet => "defrag(duet)".into(),
-        }
+        format!("defrag({})", self.mode.label())
     }
 
     fn start(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
@@ -223,26 +192,15 @@ impl BtrfsTask for Defrag {
                 self.total_io += 2 * node.size_pages();
             }
         }
-        if self.mode == TaskMode::Duet {
-            match ctx.duet.register(
-                TaskScope::File {
-                    registered_dir: ctx.fs.root(),
-                },
-                EventMask::EXISTS,
-                ctx.fs,
-            ) {
-                Ok(sid) => self.sid = Some(sid),
-                // All session slots taken: defrag in plan order only.
-                Err(SimError::TooManySessions) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.started = true;
+        let scope = TaskScope::File {
+            registered_dir: ctx.fs.root(),
+        };
+        self.hints
+            .open(self.mode, ctx.duet, scope, EventMask::EXISTS, ctx.fs)?;
         Ok(())
     }
 
     fn step(&mut self, mut ctx: BtrfsCtx<'_>) -> SimResult<StepResult> {
-        assert!(self.started, "step before start");
         self.update_queue(&mut ctx)?;
         let span = ctx
             .fs
@@ -289,16 +247,9 @@ impl BtrfsTask for Defrag {
         self.update_queue(&mut ctx)
     }
 
-    fn stop(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
-        self.poll(BtrfsCtx {
-            fs: ctx.fs,
-            duet: ctx.duet,
-            now: ctx.now,
-        })?;
-        if let Some(sid) = self.sid.take() {
-            ctx.duet.deregister(sid)?;
-        }
-        Ok(())
+    fn stop(&mut self, mut ctx: BtrfsCtx<'_>) -> SimResult<()> {
+        self.update_queue(&mut ctx)?;
+        self.hints.close(ctx.duet)
     }
 
     fn metrics(&self) -> TaskMetrics {

@@ -11,14 +11,12 @@
 //! segment. "The notion of completed work does not apply to the garbage
 //! collector" — the done primitives are unused.
 
-use crate::task::{StepResult, TaskMode};
-use duet::{Duet, EventMask, ItemFlags, SessionId, TaskScope};
+use crate::task::{HintSession, StepResult, TaskMode};
+use duet::{Duet, EventMask, ItemFlags, TaskScope};
 use sim_core::trace::TraceLayer;
-use sim_core::{SegmentNr, SimError, SimInstant, SimResult};
+use sim_core::{SegmentNr, SimInstant, SimResult};
 use sim_disk::IoClass;
 use sim_f2fs::{cleaning_cost, CleanResult, F2fsSim, SegState, VictimPolicy};
-
-const FETCH_BATCH: usize = 256;
 
 /// Execution context for the garbage collector.
 pub struct GcCtx<'a> {
@@ -35,7 +33,7 @@ pub struct GarbageCollector {
     mode: TaskMode,
     class: IoClass,
     policy: VictimPolicy,
-    sid: Option<SessionId>,
+    hints: HintSession,
     /// Segments examined per invocation (the paper's 4096).
     window: u32,
     cursor: u32,
@@ -48,7 +46,6 @@ pub struct GarbageCollector {
     /// Test-only defect switch: lose one block per cleaning (oracle
     /// self-test).
     sabotage: bool,
-    started: bool,
 }
 
 impl GarbageCollector {
@@ -58,13 +55,12 @@ impl GarbageCollector {
             mode,
             class: IoClass::Idle,
             policy,
-            sid: None,
+            hints: HintSession::default(),
             window: 4096,
             cursor: 0,
             cached: Vec::new(),
             results: Vec::new(),
             sabotage: false,
-            started: false,
         }
     }
 
@@ -84,30 +80,16 @@ impl GarbageCollector {
 
     /// Display name.
     pub fn name(&self) -> String {
-        match self.mode {
-            TaskMode::Baseline => "gc(baseline)".into(),
-            TaskMode::Duet => "gc(duet)".into(),
-        }
+        format!("gc({})", self.mode.label())
     }
 
     /// One-time setup; registers the Duet session in Duet mode.
     pub fn start(&mut self, ctx: GcCtx<'_>) -> SimResult<()> {
-        if self.mode == TaskMode::Duet {
-            match ctx.duet.register(
-                TaskScope::Block {
-                    device: ctx.fs.device(),
-                },
-                EventMask::EXISTS | EventMask::FLUSHED,
-                ctx.fs,
-            ) {
-                Ok(sid) => self.sid = Some(sid),
-                // All session slots taken: clean greedily without
-                // cache-residency hints.
-                Err(SimError::TooManySessions) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.started = true;
+        let scope = TaskScope::Block {
+            device: ctx.fs.device(),
+        };
+        let mask = EventMask::EXISTS | EventMask::FLUSHED;
+        self.hints.open(self.mode, ctx.duet, scope, mask, ctx.fs)?;
         Ok(())
     }
 
@@ -124,19 +106,8 @@ impl GarbageCollector {
     }
 
     fn drain_events(&mut self, ctx: &mut GcCtx<'_>) -> SimResult<()> {
-        let Some(sid) = self.sid else {
-            return Ok(());
-        };
         loop {
-            let items = match ctx.duet.fetch(sid, FETCH_BATCH, ctx.fs) {
-                Ok(items) => items,
-                Err(SimError::InvalidSession(_)) => {
-                    // Session vanished: degrade to cost-only cleaning.
-                    self.sid = None;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
+            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
             if items.is_empty() {
                 return Ok(());
             }
@@ -173,7 +144,6 @@ impl GarbageCollector {
     /// Picks a victim in the current window and cleans it. Returns the
     /// result, or `None` when no full segment is available to clean.
     pub fn step(&mut self, mut ctx: GcCtx<'_>) -> SimResult<Option<StepResult>> {
-        assert!(self.started, "step before start");
         self.drain_events(&mut ctx)?;
         let nsegs = ctx.fs.nsegs();
         let window = self.window.min(nsegs);

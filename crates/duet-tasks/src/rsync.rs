@@ -15,8 +15,8 @@
 //! reports its benefit as runtime speedup rather than maximum
 //! utilization.
 
-use crate::task::{StepResult, TaskMetrics, TaskMode};
-use duet::{Duet, EventMask, ItemId, Priority, ResidencyTracker, SessionId, TaskScope};
+use crate::task::{HintSession, StepResult, TaskMetrics, TaskMode};
+use duet::{Duet, EventMask, ItemId, Priority, ResidencyTracker, TaskScope};
 use sim_btrfs::BtrfsSim;
 use sim_core::trace::TraceLayer;
 use sim_core::{InodeNr, SimError, SimInstant, SimResult, PAGE_SIZE};
@@ -25,7 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Pages per step: rsync "processes files in 32KB chunks" (§5.6).
 const CHUNK_PAGES: u64 = 8;
-const FETCH_BATCH: usize = 256;
 
 /// Execution context: source and destination filesystems. Duet watches
 /// the source.
@@ -54,7 +53,7 @@ struct ActiveFile {
 pub struct Rsync {
     mode: TaskMode,
     class: IoClass,
-    sid: Option<SessionId>,
+    hints: HintSession,
     src_dir: InodeNr,
     /// Files in depth-first traversal order (the sender's order).
     plan: Vec<InodeNr>,
@@ -77,7 +76,6 @@ pub struct Rsync {
     /// Test-only defect switch: silently skip sending a deterministic
     /// subset of files (oracle self-test).
     skip_some: bool,
-    started: bool,
 }
 
 impl Rsync {
@@ -86,7 +84,7 @@ impl Rsync {
         Rsync {
             mode,
             class: IoClass::Normal,
-            sid: None,
+            hints: HintSession::default(),
             src_dir,
             plan: Vec::new(),
             plan_set: BTreeSet::new(),
@@ -101,7 +99,6 @@ impl Rsync {
             dst_written: 0,
             read_saved: 0,
             skip_some: false,
-            started: false,
         }
     }
 
@@ -115,10 +112,7 @@ impl Rsync {
 
     /// Display name.
     pub fn name(&self) -> String {
-        match self.mode {
-            TaskMode::Baseline => "rsync(baseline)".into(),
-            TaskMode::Duet => "rsync(duet)".into(),
-        }
+        format!("rsync({})", self.mode.label())
     }
 
     /// One-time setup: traverse the source, replicate the directory
@@ -138,21 +132,11 @@ impl Rsync {
                 self.total_pages += pages;
             }
         }
-        if self.mode == TaskMode::Duet {
-            match ctx.duet.register(
-                TaskScope::File {
-                    registered_dir: self.src_dir,
-                },
-                EventMask::EXISTS,
-                ctx.src,
-            ) {
-                Ok(sid) => self.sid = Some(sid),
-                // All session slots taken: copy in plan order only.
-                Err(SimError::TooManySessions) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.started = true;
+        let scope = TaskScope::File {
+            registered_dir: self.src_dir,
+        };
+        self.hints
+            .open(self.mode, ctx.duet, scope, EventMask::EXISTS, ctx.src)?;
         Ok(())
     }
 
@@ -169,21 +153,8 @@ impl Rsync {
     }
 
     fn update_queue(&mut self, ctx: &mut RsyncCtx<'_>) -> SimResult<()> {
-        let Some(sid) = self.sid else {
-            return Ok(());
-        };
         loop {
-            let items = match ctx.duet.fetch(sid, FETCH_BATCH, ctx.src) {
-                Ok(items) => items,
-                Err(SimError::InvalidSession(_)) => {
-                    // The session vanished out from under us (external
-                    // deregistration): degrade to the baseline
-                    // traversal rather than abandoning the copy.
-                    self.sid = None;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
+            let items = self.hints.next_batch(ctx.duet, ctx.src)?;
             if items.is_empty() {
                 return Ok(());
             }
@@ -192,15 +163,9 @@ impl Rsync {
         }
     }
 
+    /// Baseline mode tracks completion via `transferred` instead.
     fn is_done(&self, ctx: &RsyncCtx<'_>, ino: InodeNr) -> bool {
-        match self.sid {
-            Some(sid) => ctx
-                .duet
-                .check_done(sid, ItemId::Inode(ino))
-                .unwrap_or(false),
-            // Baseline mode tracks completion via `transferred`.
-            None => false,
-        }
+        self.hints.is_done(ctx.duet, ItemId::Inode(ino))
     }
 
     /// Opens the destination file for a source file, sending metadata
@@ -244,7 +209,7 @@ impl Rsync {
                 self.meta_sent.insert(ino);
                 continue;
             }
-            if let Some(sid) = self.sid {
+            if let Some(sid) = self.hints.id() {
                 match ctx.duet.get_path(sid, ino, ctx.src) {
                     Ok(_) => {}
                     Err(SimError::PathNotAvailable(_)) => {
@@ -258,7 +223,7 @@ impl Rsync {
                     Err(SimError::InvalidSession(_)) => {
                         // Session gone: degrade to the baseline
                         // traversal. The hint itself is still good.
-                        self.sid = None;
+                        self.hints.forget();
                     }
                     Err(e) => {
                         backed_out.push(ino);
@@ -315,7 +280,6 @@ impl Rsync {
 
     /// Transfers one chunk of the active file.
     pub fn step(&mut self, mut ctx: RsyncCtx<'_>) -> SimResult<StepResult> {
-        assert!(self.started, "step before start");
         self.update_queue(&mut ctx)?;
         if self.active.is_none() && !self.pick_next(&mut ctx)? {
             return Ok(StepResult {
@@ -377,7 +341,7 @@ impl Rsync {
             let f = ctx.dst.fsync(dst_ino, self.class, finish)?;
             self.dst_written += f.blocks_written;
             finish = finish.max(f.finish);
-            if let Some(sid) = self.sid {
+            if let Some(sid) = self.hints.id() {
                 ctx.duet.set_done(sid, ItemId::Inode(ino))?;
             }
             self.tracker.forget(ino);
@@ -666,7 +630,7 @@ mod tests {
         // The session disappears out from under the task (external
         // deregistration). The task must degrade to the baseline
         // traversal instead of failing the whole transfer.
-        duet.deregister(SessionId(0)).unwrap();
+        duet.deregister(duet::SessionId(0)).unwrap();
         drive(&mut task, &mut src, &mut dst, &mut duet);
         let m = task.metrics();
         assert_eq!(m.done_units, m.total_units);

@@ -13,23 +13,21 @@
 //! `Dirtied` events for blocks it has already marked, and Duet filters
 //! all events for done items (§4.1).
 
-use crate::task::{BtrfsCtx, BtrfsTask, StepResult, TaskMetrics, TaskMode};
-use duet::{EventMask, ItemFlags, SessionId, TaskScope};
+use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
+use duet::{EventMask, ItemFlags, TaskScope};
 use sim_btrfs::Run;
 use sim_core::trace::TraceLayer;
-use sim_core::{BlockNr, SimError, SimResult, SparseBitmap, PAGE_SIZE};
+use sim_core::{BlockNr, SimResult, SparseBitmap, PAGE_SIZE};
 use sim_disk::IoClass;
 
 /// Blocks examined per step (1 MiB chunks).
 const CHUNK_BLOCKS: u64 = 256;
-/// Items drained from Duet per step.
-const FETCH_BATCH: usize = 256;
 
 /// The scrubbing task.
 pub struct Scrubber {
     mode: TaskMode,
     class: IoClass,
-    sid: Option<SessionId>,
+    hints: HintSession,
     /// Allocated ranges at start, in physical order (the scan plan).
     plan: Vec<Run>,
     range_idx: usize,
@@ -46,7 +44,6 @@ pub struct Scrubber {
     /// but never repairs them (used to prove the equivalence oracle
     /// catches a broken task).
     skip_repair: bool,
-    started: bool,
 }
 
 impl Scrubber {
@@ -56,7 +53,7 @@ impl Scrubber {
         Scrubber {
             mode,
             class: IoClass::Idle,
-            sid: None,
+            hints: HintSession::default(),
             plan: Vec::new(),
             range_idx: 0,
             off_in_range: 0,
@@ -67,7 +64,6 @@ impl Scrubber {
             opportunistic: 0,
             corruptions_fixed: 0,
             skip_repair: false,
-            started: false,
         }
     }
 
@@ -130,19 +126,8 @@ impl Scrubber {
     }
 
     fn drain_events(&mut self, ctx: &mut BtrfsCtx<'_>) -> SimResult<()> {
-        let Some(sid) = self.sid else {
-            return Ok(());
-        };
         loop {
-            let items = match ctx.duet.fetch(sid, FETCH_BATCH, ctx.fs) {
-                Ok(items) => items,
-                Err(SimError::InvalidSession(_)) => {
-                    // Session vanished: degrade to the plain scan.
-                    self.sid = None;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
+            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
             if items.is_empty() {
                 return Ok(());
             }
@@ -183,36 +168,21 @@ impl Scrubber {
 
 impl BtrfsTask for Scrubber {
     fn name(&self) -> String {
-        match self.mode {
-            TaskMode::Baseline => "scrub(baseline)".into(),
-            TaskMode::Duet => "scrub(duet)".into(),
-        }
+        format!("scrub({})", self.mode.label())
     }
 
     fn start(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
         self.plan = ctx.fs.allocated_ranges();
         self.total = self.plan.iter().map(|r| r.len).sum();
-        if self.mode == TaskMode::Duet {
-            match ctx.duet.register(
-                TaskScope::Block {
-                    device: ctx.fs.device(),
-                },
-                EventMask::ADDED | EventMask::DIRTIED,
-                ctx.fs,
-            ) {
-                Ok(sid) => self.sid = Some(sid),
-                // All session slots taken: scrub still runs, just
-                // without opportunistic savings.
-                Err(SimError::TooManySessions) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.started = true;
+        let scope = TaskScope::Block {
+            device: ctx.fs.device(),
+        };
+        let mask = EventMask::ADDED | EventMask::DIRTIED;
+        self.hints.open(self.mode, ctx.duet, scope, mask, ctx.fs)?;
         Ok(())
     }
 
     fn step(&mut self, mut ctx: BtrfsCtx<'_>) -> SimResult<StepResult> {
-        assert!(self.started, "step before start");
         self.drain_events(&mut ctx)?;
         // Work-item context span: every record emitted below (disk I/O,
         // checksum checks, effect events) is parented to this step.
@@ -315,16 +285,9 @@ impl BtrfsTask for Scrubber {
         self.drain_events(&mut ctx)
     }
 
-    fn stop(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
-        self.poll(BtrfsCtx {
-            fs: ctx.fs,
-            duet: ctx.duet,
-            now: ctx.now,
-        })?;
-        if let Some(sid) = self.sid.take() {
-            ctx.duet.deregister(sid)?;
-        }
-        Ok(())
+    fn stop(&mut self, mut ctx: BtrfsCtx<'_>) -> SimResult<()> {
+        self.drain_events(&mut ctx)?;
+        self.hints.close(ctx.duet)
     }
 
     fn metrics(&self) -> TaskMetrics {

@@ -7,9 +7,9 @@
 //! maintenance work is usually partitioned in small chunks that can be
 //! scheduled around workloads" (§5.6).
 
-use duet::Duet;
+use duet::{Duet, EventMask, FsIntrospect, Item, ItemId, SessionId, TaskScope};
 use sim_btrfs::BtrfsSim;
-use sim_core::{SimInstant, SimResult};
+use sim_core::{SimError, SimInstant, SimResult};
 
 /// Whether a task runs with or without the Duet framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +19,110 @@ pub enum TaskMode {
     /// The opportunistic task: registered with Duet, processes cached
     /// data out of order.
     Duet,
+}
+
+impl TaskMode {
+    /// The parenthesised part of a task's display name.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            TaskMode::Baseline => "baseline",
+            TaskMode::Duet => "duet",
+        }
+    }
+}
+
+/// Items drained from Duet per fetch.
+const FETCH_BATCH: usize = 256;
+
+/// A task's Duet session — or its absence. Hints are advisory (§3.2):
+/// a task that cannot get a session, or whose session vanishes under
+/// it, carries on in its baseline order, so every task holds one of
+/// these and asks it for work instead of matching on session errors.
+#[derive(Default)]
+pub(crate) enum HintSession {
+    /// The task has not been started.
+    #[default]
+    Unopened,
+    /// Started, working in baseline order.
+    NoHints,
+    /// Started, with hints flowing.
+    Live(SessionId),
+}
+
+impl HintSession {
+    /// Marks the task started and, in [`TaskMode::Duet`], registers
+    /// with Duet; when every session slot is taken the task runs
+    /// without hints.
+    pub(crate) fn open(
+        &mut self,
+        mode: TaskMode,
+        duet: &mut Duet,
+        scope: TaskScope,
+        mask: EventMask,
+        fs: &dyn FsIntrospect,
+    ) -> SimResult<()> {
+        *self = match mode {
+            TaskMode::Baseline => HintSession::NoHints,
+            TaskMode::Duet => match duet.register(scope, mask, fs) {
+                Ok(sid) => HintSession::Live(sid),
+                Err(SimError::TooManySessions) => HintSession::NoHints,
+                Err(e) => return Err(e),
+            },
+        };
+        Ok(())
+    }
+
+    /// The live session, if hints are flowing.
+    pub(crate) fn id(&self) -> Option<SessionId> {
+        match *self {
+            HintSession::Live(sid) => Some(sid),
+            _ => None,
+        }
+    }
+
+    /// The session vanished under the task (external deregistration):
+    /// degrade to the baseline order.
+    pub(crate) fn forget(&mut self) {
+        *self = HintSession::NoHints;
+    }
+
+    /// The next batch of pending hints; empty once drained, and from
+    /// then on if there is no session or it has vanished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task was never started.
+    pub(crate) fn next_batch(
+        &mut self,
+        duet: &mut Duet,
+        fs: &dyn FsIntrospect,
+    ) -> SimResult<Vec<Item>> {
+        assert!(!matches!(self, HintSession::Unopened), "step before start");
+        let Some(sid) = self.id() else {
+            return Ok(Vec::new());
+        };
+        match duet.fetch(sid, FETCH_BATCH, fs) {
+            Err(SimError::InvalidSession(_)) => {
+                self.forget();
+                Ok(Vec::new())
+            }
+            fetched => fetched,
+        }
+    }
+
+    /// Whether Duet has `item` marked done for this session.
+    pub(crate) fn is_done(&self, duet: &Duet, item: ItemId) -> bool {
+        self.id()
+            .is_some_and(|sid| duet.check_done(sid, item).unwrap_or(false))
+    }
+
+    /// Ends the session (`duet_deregister`), if there is one.
+    pub(crate) fn close(&mut self, duet: &mut Duet) -> SimResult<()> {
+        match std::mem::replace(self, HintSession::NoHints) {
+            HintSession::Live(sid) => duet.deregister(sid),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Result of one task step.

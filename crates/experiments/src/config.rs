@@ -5,7 +5,7 @@ use sim_disk::SchedulerPolicy;
 use workloads::{FileSetConfig, WorkloadConfig};
 
 /// Which device model backs the filesystem (§6.1.3 vs §6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceKind {
     /// The 10K-RPM SAS drive of the main evaluation.
     Hdd,

@@ -355,9 +355,9 @@ pub fn extent_oplog(seed: u64, ops: u64) -> String {
     let mut m = ExtentMap::new();
     let mut next_block: u64 = 0;
     let mut out = String::new();
-    let blocks_str = |blocks: &[BlockNr]| {
-        blocks
-            .iter()
+    let blocks_str = |runs: &[Run]| {
+        runs.iter()
+            .flat_map(|r| r.blocks())
             .map(|b| b.raw().to_string())
             .collect::<Vec<_>>()
             .join(",")

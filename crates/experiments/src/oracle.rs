@@ -21,10 +21,10 @@
 //! every failure message embeds [`replay_line`] so a CI hit can be
 //! reproduced locally with `DUET_FAULT_SEED`.
 
-use duet::{Duet, EventMask, SessionId, TaskScope};
+use duet::{Duet, EventMask, FsIntrospect, SessionId, TaskScope};
 use duet_tasks::{
     pump_btrfs, pump_f2fs, Backup, BtrfsCtx, BtrfsTask, Defrag, GarbageCollector, GcCtx, Rsync,
-    RsyncCtx, Scrubber, TaskMode,
+    RsyncCtx, Scrubber, StepResult, TaskMode,
 };
 use sim_btrfs::BtrfsSim;
 use sim_core::fault::{replay_line, FaultHandle, FaultPlan, FaultSite};
@@ -33,6 +33,7 @@ use sim_core::{BlockNr, DeviceId, InodeNr, SimError, SimInstant, SimResult, SimR
 use sim_disk::{Disk, HddModel, IoClass, IoKind, IoRequest, RetryPolicy};
 use sim_f2fs::{F2fsSim, VictimPolicy};
 use std::collections::{BTreeMap, BTreeSet};
+use workloads::WorkloadFs;
 
 const T0: SimInstant = SimInstant::EPOCH;
 /// Workload operations interleaved with each run.
@@ -104,19 +105,64 @@ pub struct OracleReport {
 /// fault plan, and compares final-state digests. `Err` carries a
 /// human-readable diagnosis ending in the replay line.
 pub fn check_pair(task: OracleTask, seed: u64, plan: &FaultPlan) -> Result<OracleReport, String> {
-    check_pair_with(task, seed, plan, false)
+    check_pair_with(task, seed, plan, Meddle::None)
 }
 
-/// [`check_pair`] with an optional deliberate defect injected into the
-/// Duet run — every task has a silent-failure switch (skipped repairs,
-/// dropped backup blocks, un-rewritten files, unsent files, a lost GC
-/// migration). Used to prove the oracle actually discriminates: a
-/// sabotaged pair must come back `Err`.
+/// What is done to the Duet run of a pair beyond the fault plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Meddle {
+    /// Nothing.
+    None,
+    /// A deliberate defect — every task has a silent-failure switch
+    /// (skipped repairs, dropped backup blocks, un-rewritten files,
+    /// unsent files, a lost GC migration). Proves the oracle
+    /// discriminates: a sabotaged pair must come back `Err`.
+    Sabotage,
+    /// Every session slot is taken before the task starts. Hints are
+    /// advisory (§3.2): the pair must still match.
+    SlotsFull,
+    /// The task's session is deregistered behind its back after its
+    /// first step; the pair must still match.
+    SessionLost,
+}
+
+impl Meddle {
+    /// [`Meddle::SlotsFull`], before the task starts: registers
+    /// sessions until the framework has no slot left.
+    fn before_start(self, duet: &mut Duet, fs: &dyn FsIntrospect) -> Result<(), String> {
+        let scope = TaskScope::Block {
+            device: fs.device(),
+        };
+        if self != Meddle::SlotsFull {
+            return Ok(());
+        }
+        loop {
+            match duet.register(scope, EventMask::ADDED, fs) {
+                Ok(_) => {}
+                Err(SimError::TooManySessions) => return Ok(()),
+                Err(e) => return Err(e.to_string()),
+            }
+        }
+    }
+
+    /// [`Meddle::SessionLost`], after a step: deregisters the task's
+    /// session — the first slot of the run's fresh framework — once.
+    fn after_step(&mut self, duet: &mut Duet) -> Result<(), String> {
+        if *self == Meddle::SessionLost {
+            *self = Meddle::None;
+            duet.deregister(SessionId(0))
+                .map_err(|e| format!("the task held no session to lose: {e}"))?;
+        }
+        Ok(())
+    }
+}
+
+/// [`check_pair`] with the Duet run meddled with.
 pub fn check_pair_with(
     task: OracleTask,
     seed: u64,
     plan: &FaultPlan,
-    sabotage_duet: bool,
+    meddle: Meddle,
 ) -> Result<OracleReport, String> {
     let fail = |phase: &str, msg: String| {
         format!(
@@ -125,9 +171,9 @@ pub fn check_pair_with(
             replay_line(seed, plan)
         )
     };
-    let (duet, duet_fired) = run_digest(task, TaskMode::Duet, seed, plan, sabotage_duet, None)
-        .map_err(|e| fail("duet", e))?;
-    let (base, base_fired) = run_digest(task, TaskMode::Baseline, seed, plan, false, None)
+    let (duet, duet_fired) =
+        run_digest(task, TaskMode::Duet, seed, plan, meddle, None).map_err(|e| fail("duet", e))?;
+    let (base, base_fired) = run_digest(task, TaskMode::Baseline, seed, plan, Meddle::None, None)
         .map_err(|e| fail("baseline", e))?;
     if duet != base {
         return Err(fail(
@@ -219,23 +265,21 @@ pub fn localize_pair(
             replay_line(seed, plan)
         )
     };
+    let meddle = if sabotage_duet {
+        Meddle::Sabotage
+    } else {
+        Meddle::None
+    };
     let duet_trace = TraceHandle::new(LOCALIZE_TRACE_CAPACITY);
     let base_trace = TraceHandle::new(LOCALIZE_TRACE_CAPACITY);
-    let (duet_digest, _) = run_digest(
-        task,
-        TaskMode::Duet,
-        seed,
-        plan,
-        sabotage_duet,
-        Some(&duet_trace),
-    )
-    .map_err(|e| fail("duet", e))?;
+    let (duet_digest, _) = run_digest(task, TaskMode::Duet, seed, plan, meddle, Some(&duet_trace))
+        .map_err(|e| fail("duet", e))?;
     let (base_digest, _) = run_digest(
         task,
         TaskMode::Baseline,
         seed,
         plan,
-        false,
+        Meddle::None,
         Some(&base_trace),
     )
     .map_err(|e| fail("baseline", e))?;
@@ -423,6 +467,25 @@ fn gen_ops(rng: &mut SimRng, nfiles: usize, pages_each: u64, writes: bool) -> Ve
         .collect()
 }
 
+/// Issues one workload op at foreground priority on either filesystem;
+/// `wb_batch` is the page budget of a [`WlOp::Writeback`].
+fn issue_op(
+    fs: &mut impl WorkloadFs,
+    files: &[InodeNr],
+    op: WlOp,
+    wb_batch: usize,
+) -> SimResult<()> {
+    let bytes = |pages: u64| pages * PAGE_SIZE;
+    match op {
+        WlOp::Read { file, page, pages } => fs.wl_read(files[file], bytes(page), bytes(pages), T0),
+        WlOp::Write { file, page, pages } => {
+            fs.wl_write(files[file], bytes(page), bytes(pages), T0)
+        }
+        WlOp::Writeback => fs.wl_writeback(wb_batch, T0),
+    }
+    .map(|_| ())
+}
+
 /// Applies one workload op to a Btrfs filesystem, recovering from the
 /// two injectable failures a foreground application would survive:
 /// checksum mismatches (repair-and-retry, as Btrfs does from a good
@@ -430,28 +493,7 @@ fn gen_ops(rng: &mut SimRng, nfiles: usize, pages_each: u64, writes: bool) -> Ve
 fn apply_btrfs_op(fs: &mut BtrfsSim, files: &[InodeNr], op: WlOp) -> Result<(), String> {
     let mut attempts = 0;
     loop {
-        let r = match op {
-            WlOp::Read { file, page, pages } => fs
-                .read(
-                    files[file],
-                    page * PAGE_SIZE,
-                    pages * PAGE_SIZE,
-                    IoClass::Normal,
-                    T0,
-                )
-                .map(|_| ()),
-            WlOp::Write { file, page, pages } => fs
-                .write(
-                    files[file],
-                    page * PAGE_SIZE,
-                    pages * PAGE_SIZE,
-                    IoClass::Normal,
-                    T0,
-                )
-                .map(|_| ()),
-            WlOp::Writeback => fs.background_writeback(32, IoClass::Normal, T0).map(|_| ()),
-        };
-        match r {
+        match issue_op(fs, files, op, 32) {
             Ok(()) => return Ok(()),
             Err(SimError::ChecksumMismatch(b)) if attempts < 16 => {
                 attempts += 1;
@@ -474,26 +516,28 @@ fn run_digest(
     mode: TaskMode,
     seed: u64,
     plan: &FaultPlan,
-    sabotage: bool,
+    meddle: Meddle,
     trace: Option<&TraceHandle>,
 ) -> Result<(String, u64), String> {
     match task {
-        OracleTask::Scrub => run_btrfs(&SCRUB_RUN, mode, seed, plan, sabotage, trace),
-        OracleTask::Backup => run_btrfs(&BACKUP_RUN, mode, seed, plan, sabotage, trace),
-        OracleTask::Defrag => run_btrfs(&DEFRAG_RUN, mode, seed, plan, sabotage, trace),
-        OracleTask::Rsync => run_rsync(mode, seed, plan, sabotage, trace),
-        OracleTask::Gc => run_gc(mode, seed, plan, sabotage, trace),
+        OracleTask::Scrub => run_btrfs(&SCRUB_RUN, mode, seed, plan, meddle, trace),
+        OracleTask::Backup => run_btrfs(&BACKUP_RUN, mode, seed, plan, meddle, trace),
+        OracleTask::Defrag => run_btrfs(&DEFRAG_RUN, mode, seed, plan, meddle, trace),
+        OracleTask::Rsync => run_rsync(mode, seed, plan, meddle, trace),
+        OracleTask::Gc => run_gc(mode, seed, plan, meddle, trace),
     }
 }
 
-/// Drives a Btrfs task to completion, interleaving workload ops and
-/// retrying steps that die on exhausted transient-I/O budgets.
+/// Drives a task over a Btrfs filesystem to completion — `step` is its
+/// step function — interleaving workload ops and retrying steps that
+/// die on exhausted transient-I/O budgets.
 fn drive_btrfs(
-    task: &mut dyn BtrfsTask,
+    step: &mut dyn FnMut(&mut BtrfsSim, &mut Duet) -> SimResult<StepResult>,
     fs: &mut BtrfsSim,
     duet: &mut Duet,
     files: &[InodeNr],
     ops: &[WlOp],
+    mut meddle: Meddle,
 ) -> Result<(), String> {
     let mut steps = 0u32;
     let mut op_idx = 0usize;
@@ -504,10 +548,11 @@ fn drive_btrfs(
             op_idx += 1;
             pump_btrfs(fs, duet);
         }
-        match task.step(BtrfsCtx { fs, duet, now: T0 }) {
+        match step(fs, duet) {
             Ok(r) => {
                 retries = 0;
                 pump_btrfs(fs, duet);
+                meddle.after_step(duet)?;
                 if r.complete && op_idx >= ops.len() {
                     return Ok(());
                 }
@@ -617,7 +662,7 @@ fn run_btrfs<T: BtrfsTask>(
     mode: TaskMode,
     seed: u64,
     plan: &FaultPlan,
-    sabotage: bool,
+    meddle: Meddle,
     trace: Option<&TraceHandle>,
 ) -> Result<(String, u64), String> {
     let mut fs = BtrfsSim::new(DeviceId(0), hdd(1 << 14), 128);
@@ -641,12 +686,13 @@ fn run_btrfs<T: BtrfsTask>(
         run.writes,
     );
     let mut task = (run.task)(mode);
-    if sabotage {
+    if meddle == Meddle::Sabotage {
         (run.sabotage)(&mut task);
     }
     let handle = FaultHandle::new(seed, plan.clone());
     fs.set_faults(Some(handle.clone()));
     fs.set_retry_policy(oracle_retry());
+    meddle.before_start(&mut duet, &fs)?;
     duet.set_faults(Some(handle.clone()));
     task.start(BtrfsCtx {
         fs: &mut fs,
@@ -655,7 +701,8 @@ fn run_btrfs<T: BtrfsTask>(
     })
     .map_err(|e| e.to_string())?;
     pump_btrfs(&mut fs, &mut duet);
-    drive_btrfs(&mut task, &mut fs, &mut duet, &files, &ops)?;
+    let mut step = |fs: &mut BtrfsSim, duet: &mut Duet| task.step(BtrfsCtx { fs, duet, now: T0 });
+    drive_btrfs(&mut step, &mut fs, &mut duet, &files, &ops, meddle)?;
     task.stop(BtrfsCtx {
         fs: &mut fs,
         duet: &mut duet,
@@ -669,7 +716,7 @@ fn run_rsync(
     mode: TaskMode,
     seed: u64,
     plan: &FaultPlan,
-    sabotage: bool,
+    meddle: Meddle,
     trace: Option<&TraceHandle>,
 ) -> Result<(String, u64), String> {
     let mut src = BtrfsSim::new(DeviceId(0), hdd(1 << 14), 128);
@@ -694,13 +741,14 @@ fn run_rsync(
     // make the captured image size timing-dependent.
     let ops = gen_ops(&mut SimRng::new(seed ^ 0x55C1), 4, 8, false);
     let mut task = Rsync::new(mode, src.root());
-    if sabotage {
+    if meddle == Meddle::Sabotage {
         task.sabotage_skip_files();
     }
     let handle = FaultHandle::new(seed, plan.clone());
     src.set_faults(Some(handle.clone()));
     src.set_retry_policy(oracle_retry());
     dst.set_retry_policy(oracle_retry());
+    meddle.before_start(&mut duet, &src)?;
     duet.set_faults(Some(handle.clone()));
     task.start(RsyncCtx {
         src: &mut src,
@@ -710,40 +758,16 @@ fn run_rsync(
     })
     .map_err(|e| e.to_string())?;
     pump_btrfs(&mut src, &mut duet);
-    let mut steps = 0u32;
-    let mut op_idx = 0usize;
-    let mut retries = 0u32;
-    loop {
-        if op_idx < ops.len() {
-            apply_btrfs_op(&mut src, &files, ops[op_idx])?;
-            op_idx += 1;
-            pump_btrfs(&mut src, &mut duet);
-        }
-        match task.step(RsyncCtx {
-            src: &mut src,
-            dst: &mut dst,
-            duet: &mut duet,
-            now: T0,
-        }) {
-            Ok(r) => {
-                retries = 0;
-                pump_btrfs(&mut src, &mut duet);
-                if r.complete && op_idx >= ops.len() {
-                    break;
-                }
-            }
-            Err(SimError::TransientIo(_)) if retries < 16 => retries += 1,
-            Err(SimError::ChecksumMismatch(b)) if retries < 16 => {
-                retries += 1;
-                src.verify_and_repair(b).map_err(|e| e.to_string())?;
-            }
-            Err(e) => return Err(format!("task step failed: {e}")),
-        }
-        steps += 1;
-        if steps > MAX_STEPS {
-            return Err("task did not terminate".into());
-        }
-    }
+    let mut step = |src: &mut BtrfsSim, duet: &mut Duet| {
+        let (dst, now) = (&mut dst, T0);
+        task.step(RsyncCtx {
+            src,
+            dst,
+            duet,
+            now,
+        })
+    };
+    drive_btrfs(&mut step, &mut src, &mut duet, &files, &ops, meddle)?;
     dst.check_consistency()
         .map_err(|e| format!("dst consistency check failed: {e}"))?;
     let mut image = Vec::new();
@@ -764,7 +788,7 @@ fn run_gc(
     mode: TaskMode,
     seed: u64,
     plan: &FaultPlan,
-    sabotage: bool,
+    mut meddle: Meddle,
     trace: Option<&TraceHandle>,
 ) -> Result<(String, u64), String> {
     let mut fs = F2fsSim::new(DeviceId(1), hdd(256), 64, 8);
@@ -783,12 +807,13 @@ fn run_gc(
     let mut rng = SimRng::new(seed ^ 0x6C6C);
     let ops = gen_ops(&mut rng, 4, 8, true);
     let mut task = GarbageCollector::new(mode, VictimPolicy::Greedy).with_window(32);
-    if sabotage {
+    if meddle == Meddle::Sabotage {
         task.sabotage_lose_block();
     }
     let handle = FaultHandle::new(seed, plan.clone());
     fs.set_faults(Some(handle.clone()));
     fs.set_retry_policy(oracle_retry());
+    meddle.before_start(&mut duet, &fs)?;
     duet.set_faults(Some(handle.clone()));
     task.start(GcCtx {
         fs: &mut fs,
@@ -802,28 +827,7 @@ fn run_gc(
         // writeback retires dirty pages, cleaning runs every few ops.
         let mut attempts = 0;
         loop {
-            let r = match op {
-                WlOp::Read { file, page, pages } => fs
-                    .read(
-                        files[file],
-                        page * PAGE_SIZE,
-                        pages * PAGE_SIZE,
-                        IoClass::Normal,
-                        T0,
-                    )
-                    .map(|_| ()),
-                WlOp::Write { file, page, pages } => fs
-                    .write(
-                        files[file],
-                        page * PAGE_SIZE,
-                        pages * PAGE_SIZE,
-                        IoClass::Normal,
-                        T0,
-                    )
-                    .map(|_| ()),
-                WlOp::Writeback => fs.background_writeback(16, IoClass::Normal, T0).map(|_| ()),
-            };
-            match r {
+            match issue_op(&mut fs, &files, op, 16) {
                 Ok(()) => break,
                 Err(SimError::TransientIo(_)) if attempts < 16 => attempts += 1,
                 Err(e) => return Err(format!("workload op {op:?} failed: {e}")),
@@ -843,6 +847,7 @@ fn run_gc(
             }
         }
         pump_f2fs(&mut fs, &mut duet);
+        meddle.after_step(&mut duet)?;
     }
     fs.check_consistency()
         .map_err(|e| format!("consistency check failed: {e}"))?;
@@ -1055,7 +1060,8 @@ mod tests {
 
     #[test]
     fn sabotaged_scrubber_is_caught() {
-        let err = check_pair_with(OracleTask::Scrub, 0xBAD5EED, &FaultPlan::quiet(), true)
+        let quiet = FaultPlan::quiet();
+        let err = check_pair_with(OracleTask::Scrub, 0xBAD5EED, &quiet, Meddle::Sabotage)
             .expect_err("skip-repair defect must diverge");
         assert!(err.contains("replay:"), "failure must be replayable: {err}");
         assert!(err.contains("DUET_FAULT_SEED=0xbad5eed"), "{err}");

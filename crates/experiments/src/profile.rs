@@ -41,9 +41,9 @@ const PROFILE_MAX_FILES: usize = 96;
 /// knobs do not affect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ProfileKey {
-    personality: u8,
-    dist: (u8, u8),
-    device: u8,
+    personality: Personality,
+    dist: DistKind,
+    device: DeviceKind,
     num_files: u64,
     mean_file_bytes: u64,
     sigma_bits: u64,
@@ -52,28 +52,6 @@ pub struct ProfileKey {
     cache_pages: u64,
     capacity_blocks: u64,
     seed: u64,
-}
-
-pub(crate) fn personality_tag(p: Personality) -> u8 {
-    match p {
-        Personality::WebServer => 0,
-        Personality::WebProxy => 1,
-        Personality::FileServer => 2,
-    }
-}
-
-pub(crate) fn dist_tag(d: DistKind) -> (u8, u8) {
-    match d {
-        DistKind::Uniform => (0, 0),
-        DistKind::MsTrace(dev) => (1, dev),
-    }
-}
-
-fn device_tag(d: DeviceKind) -> u8 {
-    match d {
-        DeviceKind::Hdd => 0,
-        DeviceKind::Ssd => 1,
-    }
 }
 
 /// Calibration dimensions: the file set capped at [`PROFILE_MAX_FILES`]
@@ -97,9 +75,9 @@ pub fn profile_key(cfg: &ExperimentConfig) -> Option<ProfileKey> {
     }
     let (files, cache_pages, capacity) = profile_dimensions(cfg);
     Some(ProfileKey {
-        personality: personality_tag(w.personality),
-        dist: dist_tag(w.dist),
-        device: device_tag(cfg.device),
+        personality: w.personality,
+        dist: w.dist,
+        device: cfg.device,
         num_files: files as u64,
         mean_file_bytes: cfg.fileset.mean_file_bytes,
         sigma_bits: cfg.fileset.sigma.to_bits(),

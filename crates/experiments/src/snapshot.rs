@@ -29,7 +29,6 @@
 //!   reads.
 
 use crate::config::ExperimentConfig;
-use crate::profile::{dist_tag, personality_tag};
 use crate::runner::build_disk;
 use duet::Duet;
 use sim_btrfs::BtrfsSim;
@@ -64,8 +63,8 @@ struct SetupKey {
 /// Workload shape minus `target_util` (see [`SetupKey`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WorkloadShape {
-    personality: u8,
-    dist: (u8, u8),
+    personality: workloads::Personality,
+    dist: workloads::DistKind,
     coverage_bits: u64,
     burst: u32,
     append_bytes: u64,
@@ -81,8 +80,8 @@ fn setup_key(cfg: &ExperimentConfig) -> SetupKey {
         mean_file_bytes: cfg.fileset.mean_file_bytes,
         sigma_bits: cfg.fileset.sigma.to_bits(),
         workload: cfg.workload.map(|w| WorkloadShape {
-            personality: personality_tag(w.personality),
-            dist: dist_tag(w.dist),
+            personality: w.personality,
+            dist: w.dist,
             coverage_bits: w.coverage.to_bits(),
             burst: w.burst,
             append_bytes: w.append_bytes,

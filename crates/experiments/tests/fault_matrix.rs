@@ -15,7 +15,9 @@
 //! DUET_FAULT_SEED=0x1bad5eed cargo test -p experiments --test fault_matrix
 //! ```
 
-use experiments::oracle::{check_pair, check_pair_with, exercise_error_vocabulary, OracleTask};
+use experiments::oracle::{
+    check_pair, check_pair_with, exercise_error_vocabulary, Meddle, OracleTask,
+};
 use sim_core::fault::{seed_from_env, FaultHandle, FaultPlan, FaultSite};
 use sim_core::SimError;
 
@@ -77,7 +79,7 @@ fn sabotaged_task_is_caught_with_replay_line() {
     let seed = seed();
     for name in ["quiet", "disk-grief"] {
         let plan = FaultPlan::preset(name).unwrap_or_else(|| panic!("unknown preset {name}"));
-        let err = check_pair_with(OracleTask::Scrub, seed, &plan, true)
+        let err = check_pair_with(OracleTask::Scrub, seed, &plan, Meddle::Sabotage)
             .expect_err("broken scrubber must diverge from baseline");
         assert!(
             err.contains("replay: DUET_FAULT_SEED="),
@@ -198,6 +200,22 @@ fn full_stale_hint_pressure_still_converges() {
     for task in OracleTask::ALL {
         if let Err(e) = check_pair(task, seed, &plan) {
             panic!("[stale-hints × {}] {e}", task.name());
+        }
+    }
+}
+
+/// Degrade-to-baseline matrix: hints are advisory (§3.2), so a task
+/// that finds every session slot taken at `start`, or whose session is
+/// deregistered behind its back after its first step, still completes
+/// without error and ends in the baseline's final state.
+#[test]
+fn every_task_without_hints_ends_in_the_baseline_state() {
+    let (seed, quiet) = (seed(), FaultPlan::quiet());
+    for task in OracleTask::ALL {
+        for degrade in [Meddle::SlotsFull, Meddle::SessionLost] {
+            if let Err(e) = check_pair_with(task, seed, &quiet, degrade) {
+                panic!("[{degrade:?} × {}] {e}", task.name());
+            }
         }
     }
 }

@@ -10,15 +10,7 @@
 
 use sim_core::omap::DOrdMap;
 use sim_core::{BlockNr, SimError, SimResult};
-
-/// An allocated contiguous run of blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
-    /// First block.
-    pub start: BlockNr,
-    /// Length in blocks.
-    pub len: u64,
-}
+use sim_disk::Run;
 
 /// First-fit extent allocator.
 ///
@@ -136,29 +128,16 @@ impl FreeSpace {
         Ok(runs)
     }
 
-    /// Allocates a contiguous run of exactly `want` blocks, or fails.
-    /// Used by defragmentation, which needs one extent.
+    /// Allocates a contiguous run of exactly `want` blocks, or fails:
+    /// first fit either finds such a run or settles for a shorter one,
+    /// which goes straight back.
     pub fn alloc_contiguous(&mut self, want: u64) -> SimResult<Run> {
-        assert!(want > 0, "zero-length allocation");
-        let found = self
-            .free
-            .iter()
-            .find(|(_, &len)| len >= want)
-            .map(|(&s, _)| s);
-        let Some(start) = found else {
+        let run = self.alloc(want)?;
+        if run.len < want {
+            self.free_range(run.start, run.len);
             return Err(SimError::NoSpace);
-        };
-        let Some(len) = self.free.remove(&start) else {
-            return Err(SimError::NoSpace);
-        };
-        if want < len {
-            self.free.insert(start + want, len - want);
         }
-        self.free_blocks -= want;
-        Ok(Run {
-            start: BlockNr(start),
-            len: want,
-        })
+        Ok(run)
     }
 
     /// Returns a range to the free pool, coalescing with neighbours.
@@ -197,11 +176,6 @@ impl FreeSpace {
         }
         self.free.insert(new_start, new_len);
         self.free_blocks += len;
-    }
-
-    /// Frees a single block.
-    pub fn free_block(&mut self, b: BlockNr) {
-        self.free_range(b, 1);
     }
 
     /// Iterates over allocated ranges in ascending physical order — the

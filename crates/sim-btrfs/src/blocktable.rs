@@ -23,6 +23,7 @@
 
 use sim_core::dmap::DSet;
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult};
+use sim_disk::{coalesce, Run};
 
 /// Back-reference from a block to the live file page it backs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,16 +91,79 @@ impl BlockTable {
         }
     }
 
-    /// Stamps a freshly written block: assigns a new content version and
-    /// matching checksum, and clears any corruption.
-    pub fn write_block(&mut self, b: BlockNr) -> SimResult<u64> {
-        let i = self.check_range(b)?;
+    /// The one range check of a run-level operation.
+    fn check_run(&self, run: Run) -> SimResult<std::ops::Range<usize>> {
+        let end = run.start.raw() + run.len;
+        if end > self.capacity() {
+            return Err(SimError::BlockOutOfRange(BlockNr(end - 1)));
+        }
+        Ok(run.start.raw() as usize..end as usize)
+    }
+
+    /// Gives slot `i` the next content version and a matching checksum,
+    /// clearing any corruption.
+    fn write_slot(&mut self, i: usize) -> u64 {
         let v = self.next_version;
         self.next_version += 1;
         self.version[i] = v;
         self.checksum[i] = checksum_of(v);
-        self.corrupted.remove(&b.raw());
-        Ok(v)
+        self.corrupted.remove(&(i as u64));
+        v
+    }
+
+    /// Stamps a freshly written block: assigns a new content version and
+    /// matching checksum, and clears any corruption.
+    pub fn write_block(&mut self, b: BlockNr) -> SimResult<u64> {
+        let i = self.check_range(b)?;
+        Ok(self.write_slot(i))
+    }
+
+    /// Stamps a freshly allocated run backing pages `first_page..` of
+    /// live file `ino`: every block is written (versions ascend along
+    /// the run), gains one reference and points back at its page.
+    pub fn stamp_run(&mut self, run: Run, ino: InodeNr, first_page: u64) -> SimResult<()> {
+        for (i, page) in self.check_run(run)?.zip(first_page..) {
+            self.write_slot(i);
+            self.refcount[i] += 1;
+            self.backref_ino[i] = ino.raw();
+            self.backref_idx[i] = page;
+        }
+        Ok(())
+    }
+
+    /// Adds one reference to every block of a run (a snapshot starts
+    /// sharing it).
+    pub fn ref_run(&mut self, run: Run) -> SimResult<()> {
+        for i in self.check_run(run)? {
+            self.refcount[i] += 1;
+        }
+        Ok(())
+    }
+
+    /// Drops one reference per block of a run — the live tree's if
+    /// `live`, which also clears the back-references; a snapshot's
+    /// otherwise — and returns the maximal sub-runs nobody references
+    /// any more. Snapshots may hold on to any subset of the run, so
+    /// the count is per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a count is already zero — that is a filesystem
+    /// accounting bug, not a runtime condition.
+    pub fn release_run(&mut self, run: Run, live: bool) -> SimResult<Vec<Run>> {
+        let mut freed = Vec::new();
+        for i in self.check_run(run)? {
+            let b = BlockNr(i as u64);
+            assert!(self.refcount[i] > 0, "refcount underflow at {b}");
+            self.refcount[i] -= 1;
+            if live {
+                self.backref_ino[i] = NO_BACKREF;
+            }
+            if self.refcount[i] == 0 {
+                freed.push(b);
+            }
+        }
+        Ok(coalesce(freed))
     }
 
     /// Verifies the block's checksum against its content, as the Btrfs

@@ -21,9 +21,10 @@
 //! the cache never does I/O itself, so this layer charges the device for
 //! misses, writeback and dirty evictions.
 
-use crate::alloc::{FreeSpace, Run};
+use crate::alloc::FreeSpace;
 use crate::blocktable::{BackRef, BlockTable};
 use crate::events::FsEvent;
+use crate::extent::Extent;
 use crate::inode::{InodeKind, InodeTable};
 use crate::snapshot::{SnapFile, Snapshot, SnapshotId};
 use sim_cache::{PageCache, PageKey, PageMeta};
@@ -39,55 +40,8 @@ use sim_core::{
     SimResult,
     PAGE_SIZE, //
 };
-use sim_disk::{Disk, IoClass, IoKind, IoRequest, RetryPolicy};
+use sim_disk::{coalesce, Disk, IoClass, IoKind, OpStats, RetryPolicy, Run};
 use std::collections::{BTreeMap, VecDeque};
-
-/// I/O accounting for one filesystem operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpStats {
-    /// Blocks read from the device.
-    pub blocks_read: u64,
-    /// Blocks written to the device.
-    pub blocks_written: u64,
-    /// Read requests issued.
-    pub read_reqs: u64,
-    /// Write requests issued.
-    pub write_reqs: u64,
-    /// Pages served from the cache without I/O.
-    pub cache_hits: u64,
-    /// Completion time of the last request (equals the submission time
-    /// if no I/O was needed).
-    pub finish: SimInstant,
-}
-
-impl OpStats {
-    /// Stats for an operation that did no I/O, completing at `now`.
-    pub fn none(now: SimInstant) -> Self {
-        OpStats {
-            blocks_read: 0,
-            blocks_written: 0,
-            read_reqs: 0,
-            write_reqs: 0,
-            cache_hits: 0,
-            finish: now,
-        }
-    }
-
-    /// Folds another operation's stats into this one.
-    pub fn merge(&mut self, other: &OpStats) {
-        self.blocks_read += other.blocks_read;
-        self.blocks_written += other.blocks_written;
-        self.read_reqs += other.read_reqs;
-        self.write_reqs += other.write_reqs;
-        self.cache_hits += other.cache_hits;
-        self.finish = self.finish.max(other.finish);
-    }
-
-    /// Total blocks transferred.
-    pub fn total_blocks(&self) -> u64 {
-        self.blocks_read + self.blocks_written
-    }
-}
 
 /// Result of defragmenting one file (see
 /// [`BtrfsSim::defrag_file`]).
@@ -347,9 +301,7 @@ impl BtrfsSim {
         let parent = node.parent;
         self.cache.remove_file(ino);
         let mut node = self.inodes.remove(ino)?;
-        for b in node.extents.clear() {
-            self.release_block(b)?;
-        }
+        self.release(&node.extents.clear(), true)?;
         self.fs_events.push_back(FsEvent::Deleted { ino, parent });
         Ok(())
     }
@@ -381,64 +333,42 @@ impl BtrfsSim {
 
     // ----- block bookkeeping -----------------------------------------
 
-    /// Releases one reference to a block, freeing it when the count
-    /// reaches zero and always clearing the live back-reference.
-    fn release_block(&mut self, b: BlockNr) -> SimResult<()> {
-        self.blocks.clear_backref(b)?;
-        if self.blocks.ref_dec(b)? {
-            self.alloc.free_block(b);
+    /// One referent — the live tree if `live`, else a snapshot — lets
+    /// go of `runs`; what nobody references any more goes back to the
+    /// allocator.
+    fn release(&mut self, runs: &[Run], live: bool) -> SimResult<()> {
+        for &run in runs {
+            for freed in self.blocks.release_run(run, live)? {
+                self.alloc.free_range(freed.start, freed.len);
+            }
         }
         Ok(())
     }
 
-    /// Allocates and stamps fresh blocks for `npages` pages of file
-    /// `ino` starting at logical page `page0`, and maps them.
+    /// Installs freshly allocated `runs` as pages `page0..` of file
+    /// `ino`: stamps them, maps them and releases what they displace.
+    fn install(&mut self, ino: InodeNr, page0: u64, runs: &[Run]) -> SimResult<()> {
+        let mut page = page0;
+        for &run in runs {
+            self.blocks.stamp_run(run, ino, page)?;
+            page += run.len;
+        }
+        let displaced = self.inodes.get_mut(ino)?.extents.map_range(page0, runs);
+        self.release(&displaced, true)
+    }
+
+    /// Allocates and installs fresh blocks for `npages` pages of file
+    /// `ino` starting at logical page `page0`.
     fn cow_allocate(&mut self, ino: InodeNr, page0: u64, npages: u64) -> SimResult<Vec<Run>> {
         let runs = self.alloc.alloc_exact(npages)?;
         if let Some(trace) = &self.trace {
             trace.tick(TraceLayer::Btrfs, "alloc");
         }
-        let mut logical = page0;
-        for run in &runs {
-            for i in 0..run.len {
-                let b = run.start.offset(i);
-                self.blocks.write_block(b)?;
-                self.blocks.ref_inc(b)?;
-                self.blocks.set_backref(
-                    b,
-                    BackRef {
-                        ino,
-                        index: PageIndex(logical + i),
-                    },
-                )?;
-            }
-            logical += run.len;
-        }
-        let displaced = {
-            let node = self.inodes.get_mut(ino)?;
-            node.extents.map_range(page0, &runs)
-        };
-        for b in displaced {
-            self.release_block(b)?;
-        }
+        self.install(ino, page0, &runs)?;
         Ok(runs)
     }
 
     // ----- I/O helpers ------------------------------------------------
-
-    /// Coalesces block numbers into maximal contiguous ascending runs.
-    fn coalesce(mut blocks: Vec<BlockNr>) -> Vec<Run> {
-        blocks.sort_unstable();
-        blocks.dedup();
-        let mut runs: Vec<Run> = Vec::new();
-        for b in blocks {
-            match runs.last_mut() {
-                Some(r) if r.start.raw() + r.len == b.raw() => r.len += 1,
-                _ => runs.push(Run { start: b, len: 1 }),
-            }
-        }
-        runs
-    }
 
     fn submit_runs(
         &mut self,
@@ -458,54 +388,67 @@ impl BtrfsSim {
                 ]
             });
         }
-        for run in runs {
-            let req = IoRequest::new(kind, run.start, run.len, class);
-            let (finish, _) = self.disk.submit_with_retry(&req, now, self.retry)?;
-            stats.finish = stats.finish.max(finish);
-            match kind {
-                IoKind::Read => {
-                    stats.blocks_read += run.len;
-                    stats.read_reqs += 1;
-                }
-                IoKind::Write => {
-                    stats.blocks_written += run.len;
-                    stats.write_reqs += 1;
-                    // A latent error corrupts one block of the run as
-                    // it lands; nothing notices until a later read or
-                    // scrub verifies the checksum.
-                    let corrupt_off = self.faults.as_ref().and_then(|faults| {
-                        faults
-                            .fire(FaultSite::DiskLatentError)
-                            .then(|| faults.amplitude(FaultSite::DiskLatentError, 0, run.len))
-                    });
-                    if let Some(off) = corrupt_off {
-                        // lint: allow(E1): corrupting an unmapped block is a no-op by design
-                        let _ = self.blocks.inject_corruption(run.start.offset(off));
-                    }
+        for &run in runs {
+            self.disk
+                .submit_run(run, kind, class, now, self.retry, stats)?;
+            if kind == IoKind::Write {
+                // A latent error corrupts one block of the run as it
+                // lands; nothing notices until a later read or scrub
+                // verifies the checksum.
+                let corrupt_off = self.faults.as_ref().and_then(|faults| {
+                    faults
+                        .fire(FaultSite::DiskLatentError)
+                        .then(|| faults.amplitude(FaultSite::DiskLatentError, 0, run.len))
+                });
+                if let Some(off) = corrupt_off {
+                    // lint: allow(E1): corrupting an unmapped block is a no-op by design
+                    let _ = self.blocks.inject_corruption(run.start.offset(off));
                 }
             }
         }
         Ok(())
     }
 
-    /// Writes out dirty pages evicted by cache pressure.
-    fn write_evicted(
+    /// Writes the blocks behind `pages` — flushed by the cache, or
+    /// evicted dirty — to the device, coalesced.
+    fn write_pages(
         &mut self,
-        evicted: Vec<PageMeta>,
+        pages: &[PageMeta],
         class: IoClass,
         now: SimInstant,
         stats: &mut OpStats,
     ) -> SimResult<()> {
-        let blocks: Vec<BlockNr> = evicted
-            .into_iter()
-            .filter(|m| m.dirty)
-            .filter_map(|m| m.block)
-            .collect();
+        let blocks: Vec<BlockNr> = pages.iter().filter_map(|m| m.block).collect();
         if blocks.is_empty() {
             return Ok(());
         }
-        let runs = Self::coalesce(blocks);
-        self.submit_runs(&runs, IoKind::Write, class, now, stats)
+        self.submit_runs(&coalesce(blocks), IoKind::Write, class, now, stats)
+    }
+
+    /// Enters pages `page0..` of `ino` into the cache dirty, backed by
+    /// `runs`, charging dirty evictions to `stats`. Per page on
+    /// purpose: LRU order and the cache's events are per page.
+    fn cache_dirty(
+        &mut self,
+        ino: InodeNr,
+        page0: u64,
+        runs: &[Run],
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
+        let mut evicted_all = Vec::new();
+        let mut logical = page0;
+        for run in runs {
+            for i in 0..run.len {
+                let key = PageKey::new(ino, PageIndex(logical + i));
+                self.cache
+                    .insert_into(key, Some(run.start.offset(i)), true, &mut evicted_all);
+            }
+            logical += run.len;
+        }
+        evicted_all.retain(|m| m.dirty);
+        self.write_pages(&evicted_all, class, now, stats)
     }
 
     // ----- data path ---------------------------------------------------
@@ -556,7 +499,7 @@ impl BtrfsSim {
                 trace.tick(TraceLayer::Btrfs, "checksum.ok");
             }
         }
-        let runs = Self::coalesce(missing.iter().map(|(_, b)| *b).collect());
+        let runs = coalesce(missing.iter().map(|(_, b)| *b).collect());
         self.submit_runs(&runs, IoKind::Read, class, now, &mut stats)?;
         // Populate the cache; dirty evictions are charged to this op.
         let mut evicted_all = Vec::new();
@@ -564,7 +507,8 @@ impl BtrfsSim {
             self.cache
                 .insert_into(PageKey::new(ino, idx), Some(b), false, &mut evicted_all);
         }
-        self.write_evicted(evicted_all, class, now, &mut stats)?;
+        evicted_all.retain(|m| m.dirty);
+        self.write_pages(&evicted_all, class, now, &mut stats)?;
         Ok(stats)
     }
 
@@ -598,17 +542,7 @@ impl BtrfsSim {
             node.size_bytes = node.size_bytes.max(offset + len_bytes);
         }
         // Dirty pages enter the cache with their new blocks.
-        let mut evicted_all = Vec::new();
-        let mut logical = p0;
-        for run in &runs {
-            for i in 0..run.len {
-                let key = PageKey::new(ino, PageIndex(logical + i));
-                self.cache
-                    .insert_into(key, Some(run.start.offset(i)), true, &mut evicted_all);
-            }
-            logical += run.len;
-        }
-        self.write_evicted(evicted_all, class, now, &mut stats)?;
+        self.cache_dirty(ino, p0, &runs, class, now, &mut stats)?;
         Ok(stats)
     }
 
@@ -631,11 +565,7 @@ impl BtrfsSim {
     pub fn fsync(&mut self, ino: InodeNr, class: IoClass, now: SimInstant) -> SimResult<OpStats> {
         let mut stats = OpStats::none(now);
         let flushed = self.cache.flush_file(ino);
-        let blocks: Vec<BlockNr> = flushed.into_iter().filter_map(|m| m.block).collect();
-        if !blocks.is_empty() {
-            let runs = Self::coalesce(blocks);
-            self.submit_runs(&runs, IoKind::Write, class, now, &mut stats)?;
-        }
+        self.write_pages(&flushed, class, now, &mut stats)?;
         Ok(stats)
     }
 
@@ -650,11 +580,7 @@ impl BtrfsSim {
     ) -> SimResult<OpStats> {
         let mut stats = OpStats::none(now);
         let flushed = self.cache.writeback_batch(max_pages);
-        let blocks: Vec<BlockNr> = flushed.into_iter().filter_map(|m| m.block).collect();
-        if !blocks.is_empty() {
-            let runs = Self::coalesce(blocks);
-            self.submit_runs(&runs, IoKind::Write, class, now, &mut stats)?;
-        }
+        self.write_pages(&flushed, class, now, &mut stats)?;
         Ok(stats)
     }
 
@@ -702,13 +628,8 @@ impl BtrfsSim {
         let pieces = pieces.min(npages);
         let per = npages.div_ceil(pieces);
         // Free the current layout.
-        let old = {
-            let node = self.inodes.get_mut(ino)?;
-            node.extents.clear()
-        };
-        for b in old {
-            self.release_block(b)?;
-        }
+        let old = self.inodes.get_mut(ino)?.extents.clear();
+        self.release(&old, true)?;
         // Allocate scattered runs. Each piece is carved with a trailing
         // gap from one contiguous allocation; freeing the gaps afterward
         // leaves the pieces physically separated, so the extent map
@@ -734,21 +655,7 @@ impl BtrfsSim {
                 Err(SimError::NoSpace) => (self.alloc.alloc(want)?, None),
                 Err(e) => return Err(e),
             };
-            for i in 0..run.len {
-                let b = run.start.offset(i);
-                self.blocks.write_block(b)?;
-                self.blocks.ref_inc(b)?;
-                self.blocks.set_backref(
-                    b,
-                    BackRef {
-                        ino,
-                        index: PageIndex(logical + i),
-                    },
-                )?;
-            }
-            let node = self.inodes.get_mut(ino)?;
-            let displaced = node.extents.map_range(logical, &[run]);
-            debug_assert!(displaced.is_empty());
+            self.install(ino, logical, &[run])?;
             logical += run.len;
             remaining -= run.len;
             if let Some(g) = gap {
@@ -781,15 +688,8 @@ impl BtrfsSim {
             };
             files.insert(ino, snap);
         }
-        for f in files.values() {
-            let blocks: Vec<BlockNr> = f
-                .extents
-                .iter()
-                .flat_map(|e| (0..e.len).map(move |i| e.physical.offset(i)))
-                .collect();
-            for b in blocks {
-                self.blocks.ref_inc(b)?;
-            }
+        for e in files.values().flat_map(|f| f.extents.iter()) {
+            self.blocks.ref_run(e.run())?;
         }
         self.snapshots.insert(id, Snapshot { id, files });
         Ok(id)
@@ -802,14 +702,8 @@ impl BtrfsSim {
             .remove(&id)
             .ok_or_else(|| SimError::InvalidArgument(format!("{id} does not exist")))?;
         for f in snap.files.values() {
-            for e in f.extents.iter() {
-                for i in 0..e.len {
-                    let b = e.physical.offset(i);
-                    if self.blocks.ref_dec(b)? {
-                        self.alloc.free_block(b);
-                    }
-                }
-            }
+            let runs: Vec<Run> = f.extents.iter().map(Extent::run).collect();
+            self.release(&runs, false)?;
         }
         Ok(())
     }
@@ -942,51 +836,12 @@ impl BtrfsSim {
             .count() as u64;
         // Phase 1: bring the file into memory.
         let mut stats = self.read(ino, 0, size, class, now)?;
-        // Phase 2: rewrite into fresh (contiguous if possible) space.
-        let runs = match self.alloc.alloc_contiguous(pages) {
-            Ok(run) => vec![run],
-            Err(SimError::NoSpace) => self.alloc.alloc_exact(pages)?,
-            Err(e) => return Err(e),
-        };
-        for run in &runs {
-            for i in 0..run.len {
-                let b = run.start.offset(i);
-                self.blocks.write_block(b)?;
-                self.blocks.ref_inc(b)?;
-            }
-        }
-        let mut logical = 0u64;
-        for run in &runs {
-            for i in 0..run.len {
-                self.blocks.set_backref(
-                    run.start.offset(i),
-                    BackRef {
-                        ino,
-                        index: PageIndex(logical + i),
-                    },
-                )?;
-            }
-            logical += run.len;
-        }
-        let displaced = {
-            let node = self.inodes.get_mut(ino)?;
-            node.extents.map_range(0, &runs)
-        };
-        for b in displaced {
-            self.release_block(b)?;
-        }
+        // Phase 2: rewrite into fresh space — first fit hands back one
+        // contiguous run whenever one exists.
+        let runs = self.alloc.alloc_exact(pages)?;
+        self.install(ino, 0, &runs)?;
         // Refresh cached pages onto the new blocks, dirty.
-        let mut evicted_all = Vec::new();
-        let mut logical = 0u64;
-        for run in &runs {
-            for i in 0..run.len {
-                let key = PageKey::new(ino, PageIndex(logical + i));
-                self.cache
-                    .insert_into(key, Some(run.start.offset(i)), true, &mut evicted_all);
-            }
-            logical += run.len;
-        }
-        self.write_evicted(evicted_all, class, now, &mut stats)?;
+        self.cache_dirty(ino, 0, &runs, class, now, &mut stats)?;
         // Phase 3: commit the transaction.
         let flush = self.fsync(ino, class, now)?;
         stats.merge(&flush);

@@ -30,12 +30,13 @@ pub mod fs;
 pub mod inode;
 pub mod snapshot;
 
-pub use alloc::{FreeSpace, Run};
+pub use alloc::FreeSpace;
 pub use blocktable::{BackRef, BlockTable};
 pub use events::FsEvent;
 pub use extent::{Extent, ExtentMap};
-pub use fs::{BtrfsSim, DefragResult, OpStats};
+pub use fs::{BtrfsSim, DefragResult};
 pub use inode::{Inode, InodeKind, InodeTable};
+pub use sim_disk::{OpStats, Run};
 pub use snapshot::{SnapFile, Snapshot, SnapshotId};
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Every latency in the reproduction — disk service times, workload
 //! inter-arrival gaps, idle-grace windows — is expressed in virtual
-//! nanoseconds. Experiments advance a [`Clock`] instead of sleeping, so
-//! a 30-minute run (the paper's experiment length, §6.1.3) finishes in
+//! nanoseconds. Experiments advance a [`SimInstant`] instead of sleeping,
+//! so a 30-minute run (the paper's experiment length, §6.1.3) finishes in
 //! milliseconds of wall-clock time and is perfectly reproducible.
 
 use std::fmt;
@@ -244,55 +244,6 @@ impl Sub<SimDuration> for SimInstant {
     }
 }
 
-/// The virtual clock driving a simulation.
-///
-/// The clock only moves forward, via [`Clock::advance`] or
-/// [`Clock::advance_to`]. All components of a simulation share one clock
-/// through `Rc<RefCell<Clock>>` or by explicit threading; the experiment
-/// runner owns it.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::{Clock, SimDuration};
-///
-/// let mut clock = Clock::new();
-/// clock.advance(SimDuration::from_millis(5));
-/// assert_eq!(clock.now().as_nanos(), 5_000_000);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Clock {
-    now: SimInstant,
-}
-
-impl Clock {
-    /// Creates a clock at the epoch.
-    pub fn new() -> Self {
-        Clock {
-            now: SimInstant::EPOCH,
-        }
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> SimInstant {
-        self.now
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
-        self.now += d;
-    }
-
-    /// Advances the clock to `t` if `t` is in the future; otherwise a
-    /// no-op. Returns the (possibly unchanged) current time.
-    pub fn advance_to(&mut self, t: SimInstant) -> SimInstant {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,18 +305,5 @@ mod tests {
         let t0 = SimInstant::EPOCH;
         let t1 = t0 + SimDuration::from_secs(1);
         let _ = t0.duration_since(t1);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), SimInstant::EPOCH);
-        c.advance(SimDuration::from_millis(10));
-        let t = c.now();
-        // advance_to into the past is a no-op.
-        c.advance_to(SimInstant::EPOCH);
-        assert_eq!(c.now(), t);
-        c.advance_to(t + SimDuration::from_millis(5));
-        assert_eq!(c.now().duration_since(t), SimDuration::from_millis(5));
     }
 }

@@ -61,7 +61,7 @@ pub mod stats;
 pub mod trace;
 
 pub use bitmap::SparseBitmap;
-pub use clock::{Clock, SimDuration, SimInstant};
+pub use clock::{SimDuration, SimInstant};
 pub use dmap::{DMap, DSet, DetHash, Slab};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultHandle, FaultPlan, FaultSite};

@@ -11,7 +11,9 @@
 //! - [`Disk`] — a single-queue device executing requests serially,
 //!   tracking busy time and per-class (foreground vs maintenance) I/O
 //!   counters. Utilization is reported the way `iostat %util` reports it
-//!   (§6.1.2): fraction of elapsed time the device was busy.
+//!   (§6.1.2): fraction of elapsed time the device was busy;
+//! - [`run`] — the vocabulary the filesystems above speak to it:
+//!   [`Run`], [`OpStats`], [`coalesce`] and [`Disk::submit_run`].
 //!
 //! Scheduling policy (CFQ idle class vs the Deadline scheduler of §6.5)
 //! is represented by [`scheduler::SchedulerPolicy`]; the experiments
@@ -23,12 +25,14 @@
 pub mod hdd;
 pub mod metrics;
 pub mod request;
+pub mod run;
 pub mod scheduler;
 pub mod ssd;
 
 pub use hdd::HddModel;
 pub use metrics::{ClassMetrics, DiskMetrics};
 pub use request::{IoClass, IoKind, IoRequest};
+pub use run::{coalesce, OpStats, Run};
 pub use scheduler::{RetryPolicy, SchedulerPolicy};
 pub use ssd::SsdModel;
 

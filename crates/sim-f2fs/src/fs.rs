@@ -32,41 +32,7 @@ use sim_core::{
     SimResult,
     PAGE_SIZE, //
 };
-use sim_disk::{Disk, IoClass, IoKind, IoRequest, RetryPolicy};
-
-/// I/O accounting for one operation (mirror of the Btrfs-side struct,
-/// kept separate so the crates stay independent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpStats {
-    /// Blocks read from the device.
-    pub blocks_read: u64,
-    /// Blocks written to the device.
-    pub blocks_written: u64,
-    /// Pages served from cache.
-    pub cache_hits: u64,
-    /// Completion time of the last request.
-    pub finish: SimInstant,
-}
-
-impl OpStats {
-    /// No-I/O stats completing at `now`.
-    pub fn none(now: SimInstant) -> Self {
-        OpStats {
-            blocks_read: 0,
-            blocks_written: 0,
-            cache_hits: 0,
-            finish: now,
-        }
-    }
-
-    /// Folds another operation's stats into this one.
-    pub fn merge(&mut self, other: &OpStats) {
-        self.blocks_read += other.blocks_read;
-        self.blocks_written += other.blocks_written;
-        self.cache_hits += other.cache_hits;
-        self.finish = self.finish.max(other.finish);
-    }
-}
+use sim_disk::{coalesce, Disk, IoClass, IoKind, OpStats, RetryPolicy};
 
 /// Result of cleaning one segment (Table 6's measured quantity).
 #[derive(Debug, Clone, Copy)]
@@ -457,6 +423,38 @@ impl F2fsSim {
         self.log_alloc()
     }
 
+    /// Points page `idx` of `ino` at `block`, growing the map as needed,
+    /// and returns the block it pointed at before.
+    fn set_mapping(
+        &mut self,
+        ino: InodeNr,
+        idx: PageIndex,
+        block: BlockNr,
+    ) -> SimResult<Option<BlockNr>> {
+        let node = self.get_mut(ino)?;
+        let i = idx.raw() as usize;
+        if node.map.len() <= i {
+            node.map.resize(i + 1, None);
+        }
+        Ok(node.map[i].replace(block))
+    }
+
+    /// Submits `blocks` as maximal ascending runs, charging `stats`.
+    fn submit_blocks(
+        &mut self,
+        blocks: Vec<BlockNr>,
+        kind: IoKind,
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
+        for run in coalesce(blocks) {
+            self.disk
+                .submit_run(run, kind, class, now, self.retry, stats)?;
+        }
+        Ok(())
+    }
+
     /// Migrates a flushed page to the log: allocates a new block,
     /// invalidates the old copy, updates the mapping and returns the new
     /// block plus whether SSR was used.
@@ -468,15 +466,7 @@ impl F2fsSim {
                 trace.tick(TraceLayer::F2fs, "ssr");
             }
         }
-        let old = {
-            let node = self.get_mut(ino)?;
-            let i = idx.raw() as usize;
-            if node.map.len() <= i {
-                node.map.resize(i + 1, None);
-            }
-            node.map[i].replace(new_block)
-        };
-        if let Some(old_b) = old {
+        if let Some(old_b) = self.set_mapping(ino, idx, new_block)? {
             self.invalidate(old_b);
         }
         self.mark_valid(new_block, ino, idx);
@@ -514,28 +504,7 @@ impl F2fsSim {
                 ]
             });
         }
-        blocks.sort_unstable();
-        let mut run_start = blocks[0];
-        let mut run_len = 1u64;
-        let submit =
-            |fs: &mut Self, start: BlockNr, len: u64, stats: &mut OpStats| -> SimResult<()> {
-                let req = IoRequest::new(IoKind::Write, start, len, class);
-                let (finish, _) = fs.disk.submit_with_retry(&req, now, fs.retry)?;
-                stats.blocks_written += len;
-                stats.finish = stats.finish.max(finish);
-                Ok(())
-            };
-        for &b in &blocks[1..] {
-            if b.raw() == run_start.raw() + run_len {
-                run_len += 1;
-            } else {
-                submit(self, run_start, run_len, stats)?;
-                run_start = b;
-                run_len = 1;
-            }
-        }
-        submit(self, run_start, run_len, stats)?;
-        Ok(())
+        self.submit_blocks(blocks, IoKind::Write, class, now, stats)
     }
 
     // ----- data path -----------------------------------------------------
@@ -577,22 +546,8 @@ impl F2fsSim {
                 ]
             });
         }
-        let mut blocks: Vec<BlockNr> = missing.iter().map(|(_, b)| *b).collect();
-        blocks.sort_unstable();
-        let mut i = 0;
-        while i < blocks.len() {
-            let start = blocks[i];
-            let mut len = 1u64;
-            while i + 1 < blocks.len() && blocks[i + 1].raw() == start.raw() + len {
-                len += 1;
-                i += 1;
-            }
-            let req = IoRequest::new(IoKind::Read, start, len, class);
-            let (finish, _) = self.disk.submit_with_retry(&req, now, self.retry)?;
-            stats.blocks_read += len;
-            stats.finish = stats.finish.max(finish);
-            i += 1;
-        }
+        let blocks = missing.iter().map(|(_, b)| *b).collect();
+        self.submit_blocks(blocks, IoKind::Read, class, now, &mut stats)?;
         let mut evicted_all = Vec::new();
         for (idx, b) in missing {
             self.cache
@@ -677,12 +632,7 @@ impl F2fsSim {
         let npages = sim_core::ids::pages_for_bytes(size_bytes);
         for p in 0..npages {
             let (b, _) = self.log_alloc()?;
-            let node = self.get_mut(ino)?;
-            let i = p as usize;
-            if node.map.len() <= i {
-                node.map.resize(i + 1, None);
-            }
-            node.map[i] = Some(b);
+            self.set_mapping(ino, PageIndex(p), b)?;
             self.mark_valid(b, ino, PageIndex(p));
         }
         self.get_mut(ino)?.size_bytes = size_bytes;
@@ -709,30 +659,17 @@ impl F2fsSim {
             });
         }
         let mut cached_blocks = 0u32;
-        let mut to_read: Vec<(BlockNr, InodeNr, PageIndex)> = Vec::new();
+        let mut to_read: Vec<BlockNr> = Vec::new();
         for (b, ino, idx) in &victims {
             if self.cache.contains(PageKey::new(*ino, *idx)) {
                 cached_blocks += 1;
             } else {
-                to_read.push((*b, *ino, *idx));
+                to_read.push(*b);
             }
         }
         let mut stats = OpStats::none(now);
-        // Synchronous read phase (coalesced: victims are block-sorted).
-        let mut i = 0;
-        while i < to_read.len() {
-            let start = to_read[i].0;
-            let mut len = 1u64;
-            while i + 1 < to_read.len() && to_read[i + 1].0.raw() == start.raw() + len {
-                len += 1;
-                i += 1;
-            }
-            let req = IoRequest::new(IoKind::Read, start, len, class);
-            let (finish, _) = self.disk.submit_with_retry(&req, now, self.retry)?;
-            stats.blocks_read += len;
-            stats.finish = stats.finish.max(finish);
-            i += 1;
-        }
+        // Synchronous read phase, coalesced.
+        self.submit_blocks(to_read, IoKind::Read, class, now, &mut stats)?;
         // Mark every valid block dirty in memory for migration.
         let mut evicted_all = Vec::new();
         for (b, ino, idx) in &victims {

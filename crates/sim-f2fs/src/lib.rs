@@ -22,5 +22,6 @@ pub mod duet_glue;
 pub mod fs;
 pub mod segment;
 
-pub use fs::{CleanResult, F2fsSim, OpStats};
+pub use fs::{CleanResult, F2fsSim};
 pub use segment::{cleaning_cost, segment_of, segment_start, SegState, SegmentInfo, VictimPolicy};
+pub use sim_disk::OpStats;

@@ -13,7 +13,7 @@ use sim_core::rng::{zipf_weights, CdfSampler};
 use sim_core::SimRng;
 
 /// Which file-popularity distribution drives the workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DistKind {
     /// Filebench's default: uniform over the accessible files.
     Uniform,

@@ -19,7 +19,7 @@
 use sim_core::SimRng;
 
 /// The Filebench personality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Personality {
     /// Read-mostly, 10:1, appends to one log file.
     WebServer,
