@@ -107,7 +107,7 @@ pub(crate) const MAX_SESSIONS: usize = 16;
 /// keeps one in lockstep with its sessions (a mask never changes while
 /// its session lives). Every page event walks it twice or more, so it
 /// is compact and yields occupied slots only.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct SlotMasks {
     /// Bit per occupied slot.
     live: u16,
@@ -150,8 +150,12 @@ impl SlotMasks {
     }
 }
 
+/// `(block, cur_exists, cur_modified, sess)` of a [`Descriptor`].
+#[cfg(test)]
+pub(crate) type LogicalDescriptor = (Option<BlockNr>, bool, bool, [SessFlags; MAX_SESSIONS]);
+
 /// A merged item descriptor for one page.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Descriptor {
     /// Physical block backing the page as of the latest event (`None`
     /// under delayed allocation).
@@ -178,17 +182,12 @@ impl Descriptor {
         }
     }
 
-    /// Feeds the descriptor's logical state (including the flag byte of
-    /// each of the `nsess` configured slots) into a fork-equivalence
-    /// digest.
-    pub(crate) fn digest_state(&self, nsess: usize, d: &mut sim_core::snapshot::Digest) {
-        d.write_bool(self.block.is_some());
-        d.write_u64(self.block.map_or(0, |b| b.raw()));
-        d.write_bool(self.cur_exists);
-        d.write_bool(self.cur_modified);
-        for f in &self.sess[..nsess] {
-            d.write_u32(f.0 as u32);
-        }
+    /// The descriptor without the table's `ino_pos` bookkeeping: what
+    /// the reference model of `differential_tests`, which keeps no
+    /// per-inode index, can be compared on.
+    #[cfg(test)]
+    pub(crate) fn logical(&self) -> LogicalDescriptor {
+        (self.block, self.cur_exists, self.cur_modified, self.sess)
     }
 
     /// Marks the session up-to-date with the page's current state:
@@ -267,10 +266,11 @@ impl Descriptor {
 /// descriptor's `ino_pos` is its position in that list, and no list is
 /// empty. Upkeep is O(1) per insert/remove (swap-remove).
 ///
-/// Dense order is a function of arrival order, which a forked and a
-/// fresh run need not share; whatever observes an order takes
-/// [`DescriptorTable::sorted`].
-#[derive(Clone, Default)]
+/// Dense order is a function of arrival order, which two runs that
+/// reach the same descriptors need not share: whatever observes an
+/// order sorts by key first, and `==` compares the maps' entries, not
+/// their order.
+#[derive(Clone, Default, PartialEq)]
 pub(crate) struct DescriptorTable {
     table: DMap<PageKey, Descriptor>,
     per_ino: DMap<InodeNr, Vec<PageIndex>>,
@@ -405,6 +405,7 @@ impl DescriptorTable {
     }
 
     /// Every descriptor in `(inode, index)` order.
+    #[cfg(test)]
     pub(crate) fn sorted(&self) -> Vec<(PageKey, &Descriptor)> {
         let mut all: Vec<(PageKey, &Descriptor)> =
             self.table.iter().map(|(k, d)| (*k, d)).collect();

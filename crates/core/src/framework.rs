@@ -11,7 +11,7 @@ use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{InodeNr, SimError, SimResult, PAGE_SIZE};
 
 /// Framework configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DuetConfig {
     /// Maximum concurrent sessions (the `N` of the merged descriptor's
     /// flag array; configured "at module load time", §4.2). At most 16,
@@ -49,7 +49,7 @@ pub struct DuetStats {
 }
 
 /// The Duet framework instance for one device's storage stack.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Duet {
     cfg: DuetConfig,
     sessions: Vec<Option<Session>>,
@@ -72,33 +72,6 @@ pub struct Duet {
     /// `duet.churn` / `duet.event` / `duet.merge` / `duet.fetch` /
     /// `duet.hint`.
     trace: Option<TraceHandle>,
-}
-
-impl sim_core::snapshot::StateDigest for Duet {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_usize(self.cfg.max_sessions);
-        d.write_usize(self.cfg.descriptor_limit);
-        d.write_usize(self.sessions.len());
-        for slot in &self.sessions {
-            d.write_bool(slot.is_some());
-            if let Some(s) = slot {
-                s.digest_state(d);
-            }
-        }
-        d.write_usize(self.descs.len());
-        for (key, desc) in self.descs.sorted() {
-            d.write_u64(key.ino.raw());
-            d.write_u64(key.index.raw());
-            desc.digest_state(self.cfg.max_sessions, d);
-        }
-        d.write_u64(self.stats.events_processed);
-        d.write_u64(self.stats.events_dropped);
-        d.write_u64(self.stats.fetch_calls);
-        d.write_u64(self.stats.items_fetched);
-        d.write_usize(self.descs.peak());
-        d.write_bool(self.faults.is_some());
-        d.write_bool(self.trace.is_some());
-    }
 }
 
 impl Duet {
@@ -837,6 +810,25 @@ impl Duet {
     #[cfg(test)]
     pub(crate) fn assert_index_consistent(&self) {
         self.descs.assert_consistent();
+    }
+
+    /// The framework's state in the shape the reference model of
+    /// `differential_tests` also builds: descriptors in key order and
+    /// without the table's index bookkeeping.
+    #[cfg(test)]
+    pub(crate) fn canonical(&self) -> crate::differential_tests::Canonical<'_> {
+        use crate::differential_tests::Canonical;
+        Canonical {
+            cfg: self.cfg,
+            sessions: &self.sessions,
+            descs: self
+                .descs
+                .sorted()
+                .into_iter()
+                .map(|(key, d)| (key, d.logical()))
+                .collect(),
+            stats: self.stats(),
+        }
     }
 
     /// The pages with a descriptor, in the table's dense order.

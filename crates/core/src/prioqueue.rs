@@ -11,15 +11,15 @@
 //! item (Algorithm 1). Priorities are updatable: re-upserting a key
 //! replaces its priority.
 //!
-//! The implementation is a binary max-heap over `(priority, key)` with
-//! a [`DMap`] position index, so upsert, remove and pop are all
-//! O(log n) with dense array storage instead of the old pair of
-//! B-trees. Because keys are unique, `(priority, key)` is a strict
-//! total order: the pop sequence is a pure function of the queue's
-//! contents — same documented tie-break (max priority, ties by largest
-//! key), independent of insertion history and of heap layout.
+//! The implementation is the paper's: an ordered tree of
+//! `(priority, key)` pairs (Rust's B-tree standing in for the red-black
+//! tree) beside a key → priority map that finds a key's pair for
+//! update and removal. Because keys are unique, `(priority, key)` is a
+//! strict total order: the pop sequence is a pure function of the
+//! queue's contents — max priority, ties by largest key — independent
+//! of insertion history.
 
-use sim_core::dmap::{DMap, DetHash};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An updatable max-priority queue over unique keys.
 ///
@@ -38,154 +38,83 @@ use sim_core::dmap::{DMap, DetHash};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrioQueue<K: Ord + Copy, P: Ord + Copy> {
-    /// Binary max-heap ordered by `(P, K)` tuple order — priority
-    /// first, then key, which *is* the documented tie-break.
-    heap: Vec<(P, K)>,
-    /// Key → current index in `heap`, maintained across sifts so
-    /// `upsert`/`remove` find their element in O(1).
-    pos: DMap<K, u32>,
+    /// Ordered by `(P, K)` tuple order — priority first, then key,
+    /// which *is* the documented tie-break.
+    by_prio: BTreeSet<(P, K)>,
+    /// Key → its current priority, i.e. its pair in `by_prio`.
+    prio_of: BTreeMap<K, P>,
 }
 
-impl<K: Ord + Copy + DetHash, P: Ord + Copy> Default for PrioQueue<K, P> {
+impl<K: Ord + Copy, P: Ord + Copy> Default for PrioQueue<K, P> {
     fn default() -> Self {
         PrioQueue::new()
     }
 }
 
-impl<K: Ord + Copy + DetHash, P: Ord + Copy> PrioQueue<K, P> {
+impl<K: Ord + Copy, P: Ord + Copy> PrioQueue<K, P> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         PrioQueue {
-            heap: Vec::new(),
-            pos: DMap::new(),
+            by_prio: BTreeSet::new(),
+            prio_of: BTreeMap::new(),
         }
     }
 
     /// Number of queued keys.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.prio_of.len()
     }
 
     /// Returns `true` if the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    #[inline]
-    fn set_pos(&mut self, i: usize) {
-        let k = self.heap[i].1;
-        self.pos.insert(k, i as u32);
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i] <= self.heap[parent] {
-                break;
-            }
-            self.heap.swap(i, parent);
-            self.set_pos(i);
-            i = parent;
-        }
-        self.set_pos(i);
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let left = 2 * i + 1;
-            if left >= self.heap.len() {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < self.heap.len() && self.heap[right] > self.heap[left] {
-                right
-            } else {
-                left
-            };
-            if self.heap[child] <= self.heap[i] {
-                break;
-            }
-            self.heap.swap(i, child);
-            self.set_pos(i);
-            i = child;
-        }
-        self.set_pos(i);
-    }
-
-    /// Restores the heap property at `i` after an arbitrary value
-    /// change (the element may need to move either direction).
-    fn fix(&mut self, i: usize) {
-        if i > 0 && self.heap[i] > self.heap[(i - 1) / 2] {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
-        }
+        self.prio_of.is_empty()
     }
 
     /// Inserts a key or updates its priority. Returns the previous
     /// priority if the key was present.
     pub fn upsert(&mut self, key: K, prio: P) -> Option<P> {
-        if let Some(&i) = self.pos.get(&key) {
-            let i = i as usize;
-            let old = self.heap[i].0;
-            self.heap[i].0 = prio;
-            self.fix(i);
-            Some(old)
-        } else {
-            let i = self.heap.len();
-            self.heap.push((prio, key));
-            self.pos.insert(key, i as u32);
-            self.sift_up(i);
-            None
+        let old = self.prio_of.insert(key, prio);
+        if let Some(old) = old {
+            self.by_prio.remove(&(old, key));
         }
+        self.by_prio.insert((prio, key));
+        old
     }
 
     /// The current priority of a key.
     pub fn priority_of(&self, key: K) -> Option<P> {
-        self.pos.get(&key).map(|&i| self.heap[i as usize].0)
+        self.prio_of.get(&key).copied()
     }
 
     /// Removes a key. Returns its priority if present.
     pub fn remove(&mut self, key: K) -> Option<P> {
-        let i = self.pos.remove(&key)? as usize;
-        let (p, _) = self.heap[i];
-        self.heap.swap_remove(i);
-        if i < self.heap.len() {
-            self.fix(i);
-        }
-        Some(p)
+        let prio = self.prio_of.remove(&key)?;
+        self.by_prio.remove(&(prio, key));
+        Some(prio)
     }
 
     /// Removes and returns the highest-priority entry (ties broken by
     /// largest key).
     pub fn pop_max(&mut self) -> Option<(K, P)> {
-        let &(p, k) = self.heap.first()?;
-        self.pos.remove(&k);
-        self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let (p, k) = self.by_prio.pop_last()?;
+        self.prio_of.remove(&k);
         Some((k, p))
     }
 
     /// Returns the highest-priority entry without removing it.
     pub fn peek_max(&self) -> Option<(K, P)> {
-        self.heap.first().map(|&(p, k)| (k, p))
+        self.by_prio.last().map(|&(p, k)| (k, p))
     }
 
-    /// Iterates entries in descending priority order. The heap is
-    /// unsorted below its root, so this sorts a snapshot — O(n log n)
-    /// on this diagnostic path, never on pop.
+    /// Iterates entries in descending priority order.
     pub fn iter_desc(&self) -> impl Iterator<Item = (K, P)> + '_ {
-        let mut all = self.heap.clone();
-        all.sort_unstable_by(|a, b| b.cmp(a));
-        all.into_iter().map(|(p, k)| (k, p))
+        self.by_prio.iter().rev().map(|&(p, k)| (k, p))
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
-        self.heap.clear();
-        self.pos.clear();
+        self.by_prio.clear();
+        self.prio_of.clear();
     }
 }
 

@@ -39,7 +39,7 @@ pub enum TaskScope {
 }
 
 /// Per-session state inside the framework.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Session {
     pub scope: TaskScope,
     pub mask: EventMask,
@@ -69,30 +69,6 @@ impl Session {
     /// Bitmap memory charged to this session (§6.4 accounting).
     pub(crate) fn bitmap_bytes(&self) -> u64 {
         self.done.memory_bytes() + self.relevant.memory_bytes()
-    }
-
-    /// Feeds the session's complete deterministic state into a
-    /// fork-equivalence digest.
-    pub(crate) fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        match self.scope {
-            TaskScope::Block { device } => {
-                d.write_u32(0);
-                d.write_u32(device.raw());
-            }
-            TaskScope::File { registered_dir } => {
-                d.write_u32(1);
-                d.write_u64(registered_dir.raw());
-            }
-        }
-        d.write_u32(self.mask.bits() as u32);
-        self.done.digest_state(d);
-        self.relevant.digest_state(d);
-        d.write_usize(self.queue.len());
-        for k in &self.queue {
-            d.write_u64(k.ino.raw());
-            d.write_u64(k.index.raw());
-        }
-        d.write_u64(self.dropped);
     }
 }
 

@@ -29,7 +29,7 @@ use duet_tasks::{
 };
 use sim_btrfs::BtrfsSim;
 use sim_core::trace::TraceHandle;
-use sim_core::{SimDuration, SimInstant, SimResult};
+use sim_core::{SimDuration, SimError, SimInstant, SimResult};
 use sim_disk::{Disk, HddModel, IoClass, SchedulerPolicy, SsdModel};
 use sim_f2fs::{F2fsSim, VictimPolicy};
 use workloads::{populate_fileset, Workload, WorkloadFs};
@@ -434,9 +434,11 @@ pub fn run_rsync_experiment_with(
 
     let mut now = SimInstant::EPOCH;
     let mut last_wb = now;
-    let hard_end = SimInstant::EPOCH + cfg.duration * 20; // Safety cap.
-    let completion;
-    loop {
+    // Safety cap: a transfer still running here is reported as an
+    // error, never as a completion time.
+    let cap = cfg.duration * 20;
+    let hard_end = SimInstant::EPOCH + cap;
+    let completion = loop {
         last_wb = maybe_writeback(&mut src, &mut duet, now, last_wb)?;
         // One foreground op (unthrottled workloads go back to back).
         if let Some(w) = workload.as_mut() {
@@ -456,14 +458,15 @@ pub fn run_rsync_experiment_with(
             .max(r.finish)
             .max(workload.as_ref().map(|w| w.next_op_time()).unwrap_or(now));
         if r.complete {
-            completion = r.finish;
-            break;
+            break r.finish;
         }
         if now >= hard_end {
-            completion = now;
-            break;
+            return Err(SimError::InvalidArgument(format!(
+                "rsync incomplete at the safety cap of 20 × duration ({cap}); \
+                 a truncated transfer has no completion time"
+            )));
         }
-    }
+    };
     let wl_stats = workload.as_ref().map(|w| w.stats());
     Ok(RsyncResult {
         completion: since_epoch(completion),

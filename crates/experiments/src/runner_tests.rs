@@ -163,6 +163,22 @@ fn rsync_duet_speeds_up_transfer() {
     assert!(duet.metrics.saved_units >= base.metrics.saved_units);
 }
 
+/// A transfer cut off by the `20 × duration` safety cap is an error,
+/// not a completion time a speedup could be computed from.
+#[test]
+fn rsync_cut_off_by_the_safety_cap_is_an_error() {
+    let mut cfg = small_cfg(vec![], false, 1.0);
+    cfg.duration = SimDuration::from_millis(1);
+    for duet in [false, true] {
+        match run_rsync_experiment(&cfg, duet) {
+            Err(sim_core::SimError::InvalidArgument(why)) => {
+                assert!(why.contains("safety cap of 20 × duration"), "{why}")
+            }
+            other => panic!("expected the cap error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn ssd_experiment_runs() {
     let mut cfg = small_cfg(vec![TaskKind::Scrub], true, 0.4);

@@ -12,10 +12,10 @@
 //! This module captures the prefix **once** per distinct [`SetupKey`]
 //! (the setup-relevant slice of [`ExperimentConfig`]) in a per-thread
 //! [`SnapshotStore`] and hands every subsequent cell a deep fork.
-//! Equivalence is not assumed, it is checked: [`PreparedStack`]
-//! implements [`StateDigest`] over the whole stack (disk model, cache,
-//! filesystem trees, Duet, workload RNG streams), and the tests in this
-//! module pin fork ≡ fresh by digest. End to end, the runner's tests
+//! Equivalence is not assumed, it is checked: [`PreparedStack`] and
+//! every type under it (disk model, cache, filesystem trees, Duet,
+//! workload RNG streams) derive `PartialEq`, and the tests in this
+//! module pin fork ≡ fresh with `==`. End to end, the runner's tests
 //! run the golden presets on the stack [`prepare`] builds — never
 //! stored, never cloned — and demand the forked run's golden bytes.
 //!
@@ -32,7 +32,7 @@ use crate::config::ExperimentConfig;
 use crate::runner::build_disk;
 use duet::Duet;
 use sim_btrfs::BtrfsSim;
-use sim_core::snapshot::{Digest, SnapshotStore, StateDigest};
+use sim_core::snapshot::SnapshotStore;
 use sim_core::{SimResult, SimRng};
 use std::cell::RefCell;
 use workloads::{populate_fileset, Workload};
@@ -98,7 +98,7 @@ fn setup_key(cfg: &ExperimentConfig) -> SetupKey {
 /// streams advanced. Tracing and fault handles are deliberately
 /// disarmed here (the runner arms them per cell, after the fork), so a
 /// clone shares no live `Rc` buffers with other forks.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct PreparedStack {
     /// The populated, aged filesystem (metrics freshly reset).
     pub fs: BtrfsSim,
@@ -106,17 +106,6 @@ pub struct PreparedStack {
     pub duet: Duet,
     /// The foreground workload, when the configuration has one.
     pub workload: Option<Workload>,
-}
-
-impl StateDigest for PreparedStack {
-    fn digest_state(&self, d: &mut Digest) {
-        self.fs.digest_state(d);
-        self.duet.digest_state(d);
-        d.write_bool(self.workload.is_some());
-        if let Some(w) = &self.workload {
-            w.digest_state(d);
-        }
-    }
 }
 
 /// Builds the setup prefix from scratch: population (free of simulated
@@ -206,6 +195,9 @@ mod tests {
     use super::*;
     use crate::config::TaskKind;
     use crate::presets::paper_scaled;
+    use duet::{EventMask, TaskScope};
+    use sim_cache::PageKey;
+    use sim_core::{InodeNr, PageIndex, SimInstant};
     use workloads::{DistKind, Personality};
 
     fn cfg(util: f64) -> ExperimentConfig {
@@ -234,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_digest_equals_fresh_build() {
+    fn fork_equals_fresh_build() {
         clear_store();
         // Pristine built at target 0.3, forked for a 0.6 cell.
         let warm = obtain(&cfg(0.3)).expect("build");
@@ -243,14 +235,13 @@ mod tests {
             w.set_target_util(0.6);
         }
         let fresh = prepare(&cfg(0.6)).expect("fresh");
-        assert_eq!(
-            fork.state_digest_hex(),
-            fresh.state_digest_hex(),
+        assert!(
+            fork == fresh,
             "fork + retarget must be indistinguishable from a fresh build"
         );
         // And the pristine state was not tainted by handing out forks.
         let again = obtain(&cfg(0.3)).expect("fork again");
-        assert_eq!(warm.state_digest_hex(), again.state_digest_hex());
+        assert!(warm == again);
         let (hits, misses) = warm_stats();
         assert!(hits >= 2, "hits {hits}");
         assert!(misses >= 1, "misses {misses}");
@@ -264,10 +255,35 @@ mod tests {
         let a = obtain(&c).expect("build");
         let b = obtain(&c).expect("fork");
         assert!(a.workload.is_none());
-        assert_eq!(a.state_digest_hex(), b.state_digest_hex());
-        assert_eq!(
-            a.state_digest_hex(),
-            prepare(&c).expect("fresh").state_digest_hex()
-        );
+        assert!(a == b);
+        assert!(a == prepare(&c).expect("fresh"));
+    }
+
+    /// The fork tests cannot pass vacuously at any layer: exactly one
+    /// mutation in the filesystem, the framework or the workload makes
+    /// the stacks unequal.
+    #[test]
+    fn one_mutation_in_any_layer_breaks_equality() {
+        let base = prepare(&cfg(0.5)).expect("fresh");
+        assert!(base.clone() == base);
+
+        let mut s = base.clone();
+        let key = PageKey::new(InodeNr(1), PageIndex(0));
+        s.fs.cache_mut().insert(key, None, false);
+        assert!(s != base, "one cache insert");
+
+        let mut s = base.clone();
+        let device = sim_core::DeviceId(0);
+        s.duet
+            .register(TaskScope::Block { device }, EventMask::ADDED, &s.fs)
+            .expect("register");
+        assert!(s != base, "one registered session");
+
+        let mut s = base.clone();
+        let w = s.workload.as_mut().expect("the preset has a workload");
+        w.run_op(&mut s.fs, SimInstant::EPOCH).expect("run_op");
+        // Put the filesystem back: the workload alone must differ.
+        s.fs = base.fs.clone();
+        assert!(s != base, "one run_op");
     }
 }

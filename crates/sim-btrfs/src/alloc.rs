@@ -18,24 +18,12 @@ use sim_disk::Run;
 /// it front to back, and `free_range` coalesces with the neighbouring
 /// ranges found by predecessor/successor queries — ordered-map
 /// operations, served by [`DOrdMap`] (DESIGN.md §13).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreeSpace {
     /// Free ranges: start -> len, non-adjacent (always coalesced).
     free: DOrdMap<u64, u64>,
     free_blocks: u64,
     capacity: u64,
-}
-
-impl sim_core::snapshot::StateDigest for FreeSpace {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_u64(self.capacity);
-        d.write_u64(self.free_blocks);
-        d.write_usize(self.free.len());
-        for (&start, &len) in self.free.iter() {
-            d.write_u64(start);
-            d.write_u64(len);
-        }
-    }
 }
 
 impl FreeSpace {

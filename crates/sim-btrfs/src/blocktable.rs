@@ -37,7 +37,7 @@ pub struct BackRef {
 const NO_BACKREF: u64 = u64::MAX;
 
 /// Flat per-block state for one device.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockTable {
     /// Content version of each block (0 = never written).
     version: Vec<u64>,
@@ -250,27 +250,6 @@ impl BlockTable {
                 ino: InodeNr(self.backref_ino[i]),
                 index: PageIndex(self.backref_idx[i]),
             }))
-        }
-    }
-}
-
-impl sim_core::snapshot::StateDigest for BlockTable {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_u64(self.next_version);
-        d.write_usize(self.version.len());
-        for i in 0..self.version.len() {
-            d.write_u64(self.version[i]);
-            d.write_u64(self.checksum[i]);
-            d.write_u32(self.refcount[i]);
-            d.write_u64(self.backref_ino[i]);
-            d.write_u64(self.backref_idx[i]);
-        }
-        // Hash-set membership, sorted for iteration-order independence.
-        let mut corrupted: Vec<u64> = self.corrupted.iter().copied().collect();
-        corrupted.sort_unstable();
-        d.write_usize(corrupted.len());
-        for b in corrupted {
-            d.write_u64(b);
         }
     }
 }

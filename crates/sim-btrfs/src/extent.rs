@@ -48,21 +48,10 @@ impl Extent {
 /// (`range(..=p).next_back()`) and COW splits walk neighbours, so the
 /// map must stay ordered; the chunked-sorted-vector layout keeps those
 /// queries O(log n) with dense iteration (DESIGN.md §13).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtentMap {
     /// logical start -> extent.
     map: DOrdMap<u64, Extent>,
-}
-
-impl sim_core::snapshot::StateDigest for ExtentMap {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_usize(self.map.len());
-        for e in self.map.values() {
-            d.write_u64(e.logical);
-            d.write_u64(e.physical.raw());
-            d.write_u64(e.len);
-        }
-    }
 }
 
 impl ExtentMap {

@@ -64,6 +64,11 @@ pub struct DefragResult {
 }
 
 /// The simulated copy-on-write filesystem.
+///
+/// `Clone` deep-copies the whole filesystem image for the snapshot/fork
+/// plane. The fault and trace handles are `Rc`-shared; snapshots are
+/// captured with both disarmed and re-armed per fork.
+#[derive(Clone, PartialEq)]
 pub struct BtrfsSim {
     device: DeviceId,
     disk: Disk,
@@ -77,88 +82,6 @@ pub struct BtrfsSim {
     retry: RetryPolicy,
     faults: Option<FaultHandle>,
     trace: Option<TraceHandle>,
-}
-
-impl Clone for BtrfsSim {
-    /// Deep-copies the whole filesystem image for the snapshot/fork
-    /// plane. The fault and trace handles are `Rc`-shared; snapshots
-    /// are captured with both disarmed and re-armed per fork.
-    fn clone(&self) -> Self {
-        BtrfsSim {
-            device: self.device,
-            disk: self.disk.clone(),
-            cache: self.cache.clone(),
-            blocks: self.blocks.clone(),
-            alloc: self.alloc.clone(),
-            inodes: self.inodes.clone(),
-            snapshots: self.snapshots.clone(),
-            next_snap: self.next_snap,
-            fs_events: self.fs_events.clone(),
-            retry: self.retry,
-            faults: self.faults.clone(),
-            trace: self.trace.clone(),
-        }
-    }
-}
-
-impl sim_core::snapshot::StateDigest for BtrfsSim {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_u32(self.device.raw());
-        self.disk.digest_state(d);
-        self.cache.digest_state(d);
-        self.blocks.digest_state(d);
-        self.alloc.digest_state(d);
-        self.inodes.digest_state(d);
-        d.write_u32(self.next_snap);
-        d.write_usize(self.snapshots.len());
-        for (id, snap) in &self.snapshots {
-            d.write_u32(id.0);
-            d.write_usize(snap.files.len());
-            for (ino, f) in &snap.files {
-                d.write_u64(ino.raw());
-                f.extents.digest_state(d);
-                d.write_u64(f.size_bytes);
-                d.write_str(&f.path);
-            }
-        }
-        d.write_usize(self.fs_events.len());
-        for ev in &self.fs_events {
-            match *ev {
-                FsEvent::Created {
-                    ino,
-                    parent,
-                    is_dir,
-                } => {
-                    d.write_u32(0);
-                    d.write_u64(ino.raw());
-                    d.write_u64(parent.raw());
-                    d.write_bool(is_dir);
-                }
-                FsEvent::Deleted { ino, parent } => {
-                    d.write_u32(1);
-                    d.write_u64(ino.raw());
-                    d.write_u64(parent.raw());
-                }
-                FsEvent::Renamed {
-                    ino,
-                    old_parent,
-                    new_parent,
-                    is_dir,
-                } => {
-                    d.write_u32(2);
-                    d.write_u64(ino.raw());
-                    d.write_u64(old_parent.raw());
-                    d.write_u64(new_parent.raw());
-                    d.write_bool(is_dir);
-                }
-            }
-        }
-        d.write_u32(self.retry.max_attempts);
-        d.write_u64(self.retry.base_backoff.as_nanos());
-        d.write_u64(self.retry.max_backoff.as_nanos());
-        d.write_bool(self.faults.is_some());
-        d.write_bool(self.trace.is_some());
-    }
 }
 
 impl BtrfsSim {

@@ -9,7 +9,6 @@
 
 use crate::extent::ExtentMap;
 use sim_core::dmap::DMap;
-use sim_core::snapshot::StateDigest;
 use sim_core::{InodeNr, SimError, SimResult};
 
 /// Whether an inode is a regular file or a directory.
@@ -22,7 +21,7 @@ pub enum InodeKind {
 }
 
 /// One file or directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inode {
     /// Inode number.
     pub ino: InodeNr,
@@ -77,40 +76,11 @@ impl Inode {
 /// migration off `BTreeMap` left every observable order unchanged.
 ///
 /// [`files_by_inode`]: InodeTable::files_by_inode
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InodeTable {
     inodes: DMap<InodeNr, Inode>,
     next: u64,
     root: InodeNr,
-}
-
-impl StateDigest for InodeTable {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_u64(self.next);
-        d.write_u64(self.root.raw());
-        d.write_usize(self.inodes.len());
-        // Inode-number order, like `files_by_inode`, so the digest is
-        // independent of hash-map iteration order.
-        let mut inos: Vec<InodeNr> = self.inodes.keys().copied().collect();
-        inos.sort_unstable();
-        for ino in inos {
-            let Some(inode) = self.inodes.get(&ino) else {
-                continue;
-            };
-            d.write_u64(inode.ino.raw());
-            d.write_bool(inode.is_dir());
-            d.write_u64(inode.size_bytes);
-            inode.extents.digest_state(d);
-            d.write_u64(inode.parent.raw());
-            d.write_str(&inode.name);
-            let children = inode.children_sorted();
-            d.write_usize(children.len());
-            for (name, child) in children {
-                d.write_str(name);
-                d.write_u64(child.raw());
-            }
-        }
-    }
 }
 
 impl InodeTable {

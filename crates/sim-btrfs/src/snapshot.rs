@@ -24,7 +24,7 @@ impl fmt::Display for SnapshotId {
 }
 
 /// A file frozen in a snapshot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnapFile {
     /// Extent map at snapshot time.
     pub extents: ExtentMap,
@@ -42,7 +42,7 @@ impl SnapFile {
 }
 
 /// A read-only snapshot: the frozen file table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Snapshot identifier.
     pub id: SnapshotId,

@@ -40,7 +40,7 @@ pub struct CacheStats {
 /// order, replacing the old tick-keyed `BTreeMap` mirrors with O(1)
 /// splices. `ino_pos` is the page's position in its file's dense
 /// handle vector, kept current so removal is an O(1) swap-remove.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     key: PageKey,
     block: Option<BlockNr>,
@@ -68,7 +68,7 @@ struct Node {
 /// let events = cache.drain_events();
 /// assert_eq!(events[0].1, PageEvent::Added);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PageCache {
     capacity: usize,
     /// Backing store for resident pages; handles stay stable while a
@@ -679,59 +679,6 @@ impl PageCache {
         if self.events.is_empty() {
             self.events = buf;
         }
-    }
-}
-
-impl sim_core::snapshot::StateDigest for PageCache {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        // Logical state only, traversed in the orders that drive future
-        // behaviour (LRU eviction order, dirty writeback order): two
-        // caches that digest equal are behaviourally indistinguishable
-        // even if their slab handle numbering were to differ.
-        d.write_usize(self.capacity);
-        d.write_usize(self.index.len());
-        let walk = |mut h: u32, next: fn(&Node) -> u32, d: &mut sim_core::snapshot::Digest| {
-            while h != NIL {
-                let n = &self.slab[h];
-                d.write_u64(n.key.ino.raw());
-                d.write_u64(n.key.index.raw());
-                d.write_bool(n.block.is_some());
-                d.write_u64(n.block.map_or(0, |b| b.raw()));
-                d.write_bool(n.dirty);
-                h = next(n);
-            }
-        };
-        walk(self.lru_head, |n| n.next, d);
-        d.write_usize(self.dirty_count);
-        walk(self.dirty_head, |n| n.dnext, d);
-        d.write_usize(self.events.len());
-        for (meta, ev) in &self.events {
-            d.write_u64(meta.key.ino.raw());
-            d.write_u64(meta.key.index.raw());
-            d.write_bool(meta.dirty);
-            d.write_u32(match ev {
-                PageEvent::Added => 0,
-                PageEvent::Removed => 1,
-                PageEvent::Dirtied => 2,
-                PageEvent::Flushed => 3,
-            });
-        }
-        d.write_u64(self.stats.hits);
-        d.write_u64(self.stats.misses);
-        d.write_u64(self.stats.insertions);
-        d.write_u64(self.stats.evictions);
-        d.write_u64(self.stats.writebacks);
-        // Protection is advisory and replaced wholesale per scan; its
-        // membership (sorted for handle-independence) still matters.
-        let mut prot: Vec<PageKey> = self.protected.iter().copied().collect();
-        prot.sort_unstable();
-        d.write_usize(prot.len());
-        for k in prot {
-            d.write_u64(k.ino.raw());
-            d.write_u64(k.index.raw());
-        }
-        d.write_bool(self.faults.is_some());
-        d.write_bool(self.trace.is_some());
     }
 }
 

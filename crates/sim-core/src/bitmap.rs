@@ -36,7 +36,7 @@ const CHUNK_WORDS: usize = (CHUNK_BITS / 64) as usize;
 /// bm.clear(1_000_000);
 /// assert_eq!(bm.memory_bytes(), 0); // chunk freed
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseBitmap {
     chunks: BTreeMap<u64, Box<[u64; CHUNK_WORDS]>>,
     /// Number of set bits, maintained incrementally.
@@ -47,15 +47,6 @@ impl SparseBitmap {
     /// Creates an empty bitmap. No memory is allocated until a bit is set.
     pub fn new() -> Self {
         SparseBitmap::default()
-    }
-
-    /// Feeds the full membership (in ascending index order) into a
-    /// fork-equivalence digest.
-    pub fn digest_state(&self, d: &mut crate::snapshot::Digest) {
-        d.write_u64(self.count());
-        for i in self.iter() {
-            d.write_u64(i);
-        }
     }
 
     fn locate(index: u64) -> (u64, usize, u64) {

@@ -186,6 +186,20 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for DMap<K, V> {
     }
 }
 
+/// Same entries, whatever order they were inserted in: the seed, the
+/// bucket table and the dense order are layout (see the module docs'
+/// iteration-order caveat: a user whose order could show sorts first).
+impl<K: DetHash + Eq, V: PartialEq> PartialEq for DMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        let DMap {
+            seed: _,
+            entries,
+            buckets: _,
+        } = self;
+        entries.len() == other.len() && entries.iter().all(|(k, v)| other.get(k) == Some(v))
+    }
+}
+
 impl<K: DetHash + Eq, V> DMap<K, V> {
     /// Creates an empty map with the fixed default seed.
     pub fn new() -> Self {
@@ -439,6 +453,14 @@ pub struct DSet<K> {
     map: DMap<K, ()>,
 }
 
+/// Same members, whatever order they were inserted in (see [`DMap`]).
+impl<K: DetHash + Eq> PartialEq for DSet<K> {
+    fn eq(&self, other: &Self) -> bool {
+        let DSet { map } = self;
+        *map == other.map
+    }
+}
+
 impl<K: DetHash + Eq> Default for DSet<K> {
     fn default() -> Self {
         DSet::new()
@@ -506,7 +528,7 @@ impl<K: DetHash + Eq> DSet<K> {
 /// intrusive structures built over a [`Slab`].
 pub const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Slot<T> {
     Occupied(T),
     /// Free slot, holding the next free handle (or [`NIL`]).
@@ -532,7 +554,7 @@ enum Slot<T> {
 /// assert_eq!(slab.remove(h), Some("hello"));
 /// assert_eq!(slab.get(h), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free: u32,
@@ -698,6 +720,39 @@ mod tests {
                 "dense order must not depend on the seed"
             );
         }
+    }
+
+    #[test]
+    fn equality_is_insertion_order_independent_and_content_sensitive() {
+        let mut forward: DMap<u64, u64> = DMap::new();
+        let mut backward: DMap<u64, u64> = DMap::new();
+        for k in 0..40 {
+            forward.insert(k, k * 2);
+            backward.insert(39 - k, (39 - k) * 2);
+        }
+        assert_ne!(
+            forward.keys().collect::<Vec<_>>(),
+            backward.keys().collect::<Vec<_>>(),
+            "the two really are laid out differently"
+        );
+        assert!(forward == backward);
+        backward.insert(7, 15);
+        assert!(forward != backward, "one changed value");
+        backward.insert(7, 14);
+        backward.insert(40, 80);
+        assert!(forward != backward, "one extra key");
+
+        let mut a: DSet<u64> = DSet::new();
+        let mut b: DSet<u64> = DSet::new();
+        for k in 0..10 {
+            a.insert(k);
+            b.insert(9 - k);
+        }
+        assert!(a == b);
+        b.insert(10);
+        assert!(a != b, "one extra member");
+        a.insert(11);
+        assert!(a != b, "same size, one different member");
     }
 
     #[test]

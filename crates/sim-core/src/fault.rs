@@ -304,6 +304,15 @@ pub struct FaultHandle {
     inner: Rc<RefCell<FaultState>>,
 }
 
+/// A handle is an identity, not a value: two are equal when they share
+/// the one injector.
+impl PartialEq for FaultHandle {
+    fn eq(&self, other: &Self) -> bool {
+        let FaultHandle { inner } = self;
+        Rc::ptr_eq(inner, &other.inner)
+    }
+}
+
 impl FaultHandle {
     /// A new shared injector for the given replay pair.
     pub fn new(seed: u64, plan: FaultPlan) -> FaultHandle {

@@ -33,11 +33,11 @@
 //!   [`dmap::DSet`]) with seeded hashing and insertion-order iteration,
 //!   plus a slab arena ([`dmap::Slab`]) with stable `u32` handles — the
 //!   hot-path replacements for the B-tree maps that PR 1's determinism
-//!   pass left on the page-cache and priority-queue inner loops.
+//!   pass left on the page-cache inner loops.
 //! - [`snapshot`]: the snapshot/fork warm-start plane — a bounded
-//!   memo of pristine simulated-stack states ([`snapshot::SnapshotStore`])
-//!   plus the incremental state digest ([`snapshot::Digest`],
-//!   [`snapshot::StateDigest`]) behind the fork-equivalence oracle.
+//!   memo of pristine simulated-stack states
+//!   ([`snapshot::SnapshotStore`]); fork ≡ fresh is checked with the
+//!   `==` every type of the forked stack derives.
 //! - [`knobs`]: the strict parser behind the `DUET_SCALE`, `DUET_JOBS`
 //!   and `DUET_TRACE` environment knobs.
 //! - [`omap`]: the deterministic **ordered** companion

@@ -79,6 +79,19 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for DOrdMap<K, V> {
     }
 }
 
+/// Same entries in the same order: how the sequence is cut into chunks
+/// (and the threshold that cut it) is layout, not state.
+impl<K: PartialEq, V: PartialEq> PartialEq for DOrdMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        let DOrdMap {
+            chunks,
+            len,
+            chunk_max: _,
+        } = self;
+        *len == other.len && chunks.iter().flatten().eq(other.chunks.iter().flatten())
+    }
+}
+
 impl<K: Ord, V> DOrdMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
@@ -494,6 +507,11 @@ mod tests {
                 "iteration must not depend on chunk layout"
             );
         }
+        // Neither does `==` — which still sees a single changed value.
+        assert!(small.len() > 2 && small == big);
+        let (&k, &v) = big.first_key_value().expect("non-empty");
+        big.insert(k, v + 1);
+        assert!(small != big);
     }
 
     #[test]

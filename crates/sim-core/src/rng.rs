@@ -18,19 +18,12 @@
 //! - [`SimRng::lognormal`] — file-size sampling for the file set.
 
 /// A deterministic pseudo-random generator (xoshiro256**).
-#[derive(Debug, Clone)]
+///
+/// The four xoshiro words are the complete generator state: two equal
+/// generators produce identical future streams.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimRng {
     s: [u64; 4],
-}
-
-impl crate::snapshot::StateDigest for SimRng {
-    fn digest_state(&self, d: &mut crate::snapshot::Digest) {
-        // The four xoshiro words are the complete generator state: equal
-        // digests imply identical future random streams.
-        for w in self.s {
-            d.write_u64(w);
-        }
-    }
 }
 
 impl SimRng {
@@ -148,7 +141,7 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
 /// let idx = sampler.sample(&mut rng);
 /// assert!(idx == 0 || idx == 2); // index 1 has zero weight
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CdfSampler {
     cdf: Vec<f64>,
     total: f64,

@@ -10,112 +10,25 @@
 //! - [`SnapshotStore`]: a small bounded memo of pristine states. A hit
 //!   hands out a deep [`Clone`] (the fork); the stored pristine state
 //!   is never mutated, so every fork starts from byte-identical state.
-//! - [`Digest`] / [`StateDigest`]: an incremental 128-bit FNV-1a
-//!   digest over simulated state, used by the fork-equivalence oracle
-//!   (`experiments`): digest(forked stack) must equal digest(freshly
-//!   built stack), proving warm-start cannot change results.
+//!
+//! "Same simulated state" has one definition, `==`: every type under
+//! the forked stack derives [`PartialEq`], so the fork-equivalence
+//! tests (`experiments::snapshot`) compare a forked stack against a
+//! freshly built one field by field, and a field added later is
+//! compared without anyone remembering to. The few hand-written impls
+//! (`DMap`/`DSet`, `DOrdMap`, the trace and fault handles, `Disk`)
+//! exist where representation is not state, and destructure their type
+//! exhaustively so a new field does not compile until it is named.
 //!
 //! Determinism: a fork is a deep clone of deterministic state, so a
 //! forked run and a fresh run consume identical RNG streams and
 //! produce byte-identical results. The golden CSV fixtures pin this
-//! end to end; the state digests pin it at the fork point.
+//! end to end; `fork == fresh` pins it at the fork point.
 //!
 //! Thread-safety: simulated stacks hold non-`Send` handles
 //! (`Rc`-based trace/fault handles), so stores are expected to live in
 //! `thread_local!` storage — one memo per sweep worker — rather than
 //! behind a shared lock.
-
-/// Incremental 128-bit FNV-1a digest: two independent 64-bit streams
-/// (distinct offset bases) rendered side by side, matching the
-/// `fnv128_hex` fixture digests in `experiments::golden`. Collisions
-/// would need to defeat both streams.
-#[derive(Debug, Clone)]
-pub struct Digest {
-    a: u64,
-    b: u64,
-}
-
-impl Default for Digest {
-    fn default() -> Self {
-        Digest::new()
-    }
-}
-
-impl Digest {
-    /// A fresh digest at the FNV-1a offset bases.
-    pub fn new() -> Digest {
-        Digest {
-            a: 0xcbf29ce484222325,
-            b: 0x6c62272e07bb0142,
-        }
-    }
-
-    /// Feeds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a ^= byte as u64;
-            self.a = self.a.wrapping_mul(0x100000001b3);
-            self.b ^= byte as u64;
-            self.b = self.b.wrapping_mul(0x1000000000001b3);
-        }
-    }
-
-    /// Feeds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Feeds a `usize` as `u64`.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Feeds a `u32`.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Feeds a bool as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[v as u8]);
-    }
-
-    /// Feeds an `f64` by bit pattern (never display rounding).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Feeds a string (length-prefixed so concatenations cannot
-    /// collide).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// The 32-hex-character rendering of the current state.
-    pub fn hex(&self) -> String {
-        format!("{:016x}{:016x}", self.a, self.b)
-    }
-}
-
-/// Simulated state that can feed a [`Digest`] — implemented by each
-/// layer of the forked stack (disk, cache, btrfs, framework, workload) so the
-/// fork-equivalence oracle can compare a forked stack against a
-/// freshly built one field by field.
-pub trait StateDigest {
-    /// Feeds every deterministic observable of `self` into `d`.
-    /// Implementations must cover all state that can influence future
-    /// simulation (clocks, queues, indexes, RNG streams) and must not
-    /// read anything nondeterministic.
-    fn digest_state(&self, d: &mut Digest);
-
-    /// Convenience: the hex digest of `self` alone.
-    fn state_digest_hex(&self) -> String {
-        let mut d = Digest::new();
-        self.digest_state(&mut d);
-        d.hex()
-    }
-}
 
 /// A bounded memo of pristine snapshots, FIFO-evicted. `fork` clones
 /// the stored state; the pristine copy is never handed out mutably.
@@ -196,33 +109,6 @@ impl<K: PartialEq, T: Clone> SnapshotStore<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_is_deterministic_and_order_sensitive() {
-        let mut a = Digest::new();
-        a.write_u64(1);
-        a.write_u64(2);
-        let mut b = Digest::new();
-        b.write_u64(1);
-        b.write_u64(2);
-        assert_eq!(a.hex(), b.hex());
-        let mut c = Digest::new();
-        c.write_u64(2);
-        c.write_u64(1);
-        assert_ne!(a.hex(), c.hex(), "order must matter");
-        assert_eq!(a.hex().len(), 32);
-    }
-
-    #[test]
-    fn digest_length_prefix_prevents_concat_collisions() {
-        let mut a = Digest::new();
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = Digest::new();
-        b.write_str("a");
-        b.write_str("bc");
-        assert_ne!(a.hex(), b.hex());
-    }
 
     #[test]
     fn store_forks_are_independent_of_the_pristine_state() {

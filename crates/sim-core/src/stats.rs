@@ -18,7 +18,7 @@
 /// assert_eq!(s.mean(), 4.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,

@@ -324,6 +324,15 @@ pub struct TraceHandle {
     inner: Rc<RefCell<TraceState>>,
 }
 
+/// A handle is an identity, not a value: two are equal when they share
+/// the one buffer.
+impl PartialEq for TraceHandle {
+    fn eq(&self, other: &Self) -> bool {
+        let TraceHandle { inner } = self;
+        Rc::ptr_eq(inner, &other.inner)
+    }
+}
+
 impl TraceHandle {
     /// A new shared buffer keeping the newest `capacity` events (min 1).
     pub fn new(capacity: usize) -> TraceHandle {

@@ -2,9 +2,9 @@
 //!
 //! Driven by `sim_core::check::differential` — seeded op logs replayed
 //! against both maps, with shrink-on-failure. The base seed comes from
-//! `DUET_CHECK_SEED` (decimal or `0x`-hex): `scripts/check.sh` pins it,
-//! CI rotates it per run and logs the value, mirroring the fault-matrix
-//! split. Each test runs ≥ 10 independently seeded cases.
+//! `DUET_CHECK_SEED` (decimal or `0x`-hex): unset, the default below
+//! is the pinned seed; CI rotates it per run and logs the value,
+//! mirroring the fault-matrix split. Each test runs ≥ 10 independently seeded cases.
 
 use sim_core::check::{differential, DiffConfig};
 use sim_core::fault::seed_from_env;

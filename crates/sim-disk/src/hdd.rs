@@ -25,7 +25,7 @@ use crate::{DeviceModel, ServiceParts};
 use sim_core::{BlockNr, SimDuration, PAGE_SIZE};
 
 /// Seek + rotation + transfer hard-disk model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HddModel {
     capacity_blocks: u64,
     /// Track-to-track seek.
@@ -119,18 +119,6 @@ impl DeviceModel for HddModel {
 
     fn clone_box(&self) -> Box<dyn DeviceModel> {
         Box::new(self.clone())
-    }
-
-    fn digest_model(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_str(self.name());
-        d.write_u64(self.capacity_blocks);
-        d.write_u64(self.seek_min.as_nanos());
-        d.write_u64(self.seek_full_extra.as_nanos());
-        d.write_u64(self.rotational.as_nanos());
-        d.write_f64(self.transfer_bps);
-        d.write_u64(self.head.raw());
-        d.write_bool(self.prev_end.is_some());
-        d.write_u64(self.prev_end.map_or(0, BlockNr::raw));
     }
 }
 

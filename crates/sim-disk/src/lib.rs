@@ -37,7 +37,6 @@ pub use scheduler::{RetryPolicy, SchedulerPolicy};
 pub use ssd::SsdModel;
 
 use sim_core::fault::{FaultHandle, FaultSite};
-use sim_core::snapshot::{Digest, StateDigest};
 use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{BlockNr, SimDuration, SimError, SimInstant, SimResult};
 
@@ -62,8 +61,10 @@ impl ServiceParts {
 }
 
 /// A device model computes the service time of one request, given its
-/// own internal state (e.g. head position).
-pub trait DeviceModel {
+/// own internal state (e.g. head position). Its derived `Debug` output
+/// is its complete state (calibration constants and positioning):
+/// [`Disk`]'s `==` compares two boxed models through it.
+pub trait DeviceModel: std::fmt::Debug {
     /// Service time for `req`, broken into seek / rotation / transfer,
     /// updating internal state (head position, last-access block) as a
     /// side effect.
@@ -84,10 +85,6 @@ pub trait DeviceModel {
     /// Deep-copies the model, including positioning state (head, last
     /// request end) — the snapshot/fork plane clones whole devices.
     fn clone_box(&self) -> Box<dyn DeviceModel>;
-
-    /// Feeds the model's complete deterministic state (calibration
-    /// constants and positioning state) into a fork-equivalence digest.
-    fn digest_model(&self, d: &mut Digest);
 }
 
 /// A single-queue simulated block device.
@@ -132,19 +129,22 @@ impl Clone for Disk {
     }
 }
 
-impl StateDigest for Disk {
-    fn digest_state(&self, d: &mut Digest) {
-        self.model.digest_model(d);
-        d.write_u64(self.busy_until.as_nanos());
-        for class in [&self.metrics.normal, &self.metrics.idle] {
-            d.write_u64(class.read_ops);
-            d.write_u64(class.write_ops);
-            d.write_u64(class.blocks_read);
-            d.write_u64(class.blocks_written);
-            d.write_u64(class.busy_time.as_nanos());
-        }
-        d.write_bool(self.faults.is_some());
-        d.write_bool(self.trace.is_some());
+impl PartialEq for Disk {
+    /// Field by field, the boxed model through its derived `Debug`
+    /// rendering (type name, every constant, head position).
+    fn eq(&self, other: &Self) -> bool {
+        let Disk {
+            model,
+            busy_until,
+            metrics,
+            faults,
+            trace,
+        } = self;
+        *busy_until == other.busy_until
+            && *metrics == other.metrics
+            && *faults == other.faults
+            && *trace == other.trace
+            && format!("{model:?}") == format!("{:?}", other.model)
     }
 }
 
@@ -371,6 +371,21 @@ mod tests {
         disk.submit(&idle_req, f1);
         assert!((disk.foreground_utilization(elapsed) - 0.5).abs() < 1e-9);
         assert!(disk.metrics().idle.busy_time > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn equality_sees_the_models_head_position() {
+        let mut a = Disk::new(Box::new(HddModel::sas_10k(1 << 20)));
+        a.submit(&read(1000, 8), SimInstant::EPOCH);
+        let mut b = a.clone();
+        assert!(a == b);
+        // The same seek distance either side of the head costs the same
+        // service time: `busy_until` and the metrics agree, and only
+        // the boxed model's head position tells the two apart.
+        let fa = a.submit(&read(1008 + 500, 8), SimInstant::EPOCH);
+        let fb = b.submit(&read(1008 - 500, 8), SimInstant::EPOCH);
+        assert_eq!((fa, a.metrics().normal), (fb, b.metrics().normal));
+        assert!(a != b);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl ClassMetrics {
 /// The evaluation uses these to compute the paper's metrics (Table 4):
 /// maintenance I/O performed (the `Idle` class) and foreground
 /// utilization (busy time of the `Normal` class over elapsed time).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DiskMetrics {
     /// Foreground workload I/O.
     pub normal: ClassMetrics,

@@ -19,7 +19,7 @@ use crate::{DeviceModel, ServiceParts};
 use sim_core::{BlockNr, SimDuration, PAGE_SIZE};
 
 /// Per-operation-overhead SSD model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdModel {
     capacity_blocks: u64,
     /// Overhead charged to a read that does not continue the previous
@@ -98,16 +98,6 @@ impl DeviceModel for SsdModel {
 
     fn clone_box(&self) -> Box<dyn DeviceModel> {
         Box::new(self.clone())
-    }
-
-    fn digest_model(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_str(self.name());
-        d.write_u64(self.capacity_blocks);
-        d.write_u64(self.random_read_overhead.as_nanos());
-        d.write_u64(self.random_write_overhead.as_nanos());
-        d.write_f64(self.transfer_bps);
-        d.write_bool(self.prev_end.is_some());
-        d.write_u64(self.prev_end.map_or(0, BlockNr::raw));
     }
 }
 

@@ -41,7 +41,7 @@ pub fn ms_trace_weights(n_files: usize, device: u8) -> Vec<f64> {
 
 /// A file selector: maps RNG draws to indices into the accessible file
 /// list.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FileSelector {
     /// Uniform over `n` files.
     Uniform {

@@ -38,7 +38,7 @@ impl Default for FileSetConfig {
 }
 
 /// Workload parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Operation mix.
     pub personality: Personality,
@@ -78,7 +78,7 @@ impl Default for WorkloadConfig {
 }
 
 /// A populated file.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileInfo {
     /// Current inode (changes when the file is replaced).
     pub ino: InodeNr,
@@ -87,7 +87,7 @@ pub struct FileInfo {
 }
 
 /// Operation/byte counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkloadStats {
     /// Operations executed.
     pub ops: u64,
@@ -123,7 +123,7 @@ pub fn populate_fileset(
 }
 
 /// The foreground workload driver.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Workload {
     cfg: WorkloadConfig,
     /// Calibrated operation mix (byte ratios solved for this file set).
@@ -154,74 +154,6 @@ pub struct Workload {
     latency_ms: OnlineStats,
     name_counter: u64,
     stats: WorkloadStats,
-}
-
-impl sim_core::snapshot::StateDigest for Workload {
-    fn digest_state(&self, d: &mut sim_core::snapshot::Digest) {
-        d.write_u32(match self.cfg.personality {
-            Personality::WebServer => 0,
-            Personality::WebProxy => 1,
-            Personality::FileServer => 2,
-        });
-        match self.cfg.dist {
-            DistKind::Uniform => d.write_u32(0),
-            DistKind::MsTrace(dev) => {
-                d.write_u32(1);
-                d.write_u32(dev as u32);
-            }
-        }
-        d.write_f64(self.cfg.coverage);
-        d.write_f64(self.cfg.target_util);
-        d.write_u32(self.cfg.burst);
-        d.write_u64(self.cfg.append_bytes);
-        d.write_u64(self.cfg.seed);
-        d.write_usize(self.mix.len());
-        for &(op, w) in &self.mix {
-            d.write_u32(op as u32);
-            d.write_f64(w);
-        }
-        d.write_usize(self.files.len());
-        for f in &self.files {
-            d.write_u64(f.ino.raw());
-            d.write_u64(f.size);
-        }
-        d.write_usize(self.accessible.len());
-        for &i in &self.accessible {
-            d.write_usize(i);
-        }
-        // The selector is immutable after setup; its identity is pinned
-        // by the rank order (the sampler CDF is a pure function of the
-        // distribution kind and file count, both digested above).
-        match &self.selector {
-            FileSelector::Uniform { n } => {
-                d.write_u32(0);
-                d.write_usize(*n);
-            }
-            FileSelector::Weighted { order, .. } => {
-                d.write_u32(1);
-                d.write_usize(order.len());
-                for &r in order {
-                    d.write_usize(r);
-                }
-            }
-        }
-        self.rng.digest_state(d);
-        d.write_u64(self.log_ino.raw());
-        d.write_u64(self.next_issue.as_nanos());
-        d.write_f64(self.busy_per_op_ema);
-        d.write_bool(self.profiled);
-        d.write_u64(self.prev_busy.as_nanos());
-        d.write_u32(self.in_burst);
-        d.write_u64(self.burst_start.as_nanos());
-        d.write_u64(self.latency_ms.count());
-        d.write_f64(self.latency_ms.mean());
-        d.write_f64(self.latency_ms.variance());
-        d.write_u64(self.name_counter);
-        d.write_u64(self.stats.ops);
-        d.write_u64(self.stats.bytes_read);
-        d.write_u64(self.stats.bytes_written);
-        d.write_u64(self.stats.files_replaced);
-    }
 }
 
 impl Workload {
@@ -671,54 +603,6 @@ mod tests {
         assert!(s.files_replaced > 0, "webproxy deletes and re-creates");
         let ratio = s.bytes_read as f64 / s.bytes_written.max(1) as f64;
         assert!((2.0..8.0).contains(&ratio), "r:w {ratio:.2}");
-    }
-
-    /// Fork ≡ fresh compares live digests, so a field the digest forgets
-    /// makes that check pass vacuously: every piece of mutable state
-    /// must move the digest on its own.
-    #[test]
-    fn digest_covers_every_piece_of_mutable_state() {
-        use sim_core::snapshot::StateDigest;
-        let build = || {
-            let mut fs = btrfs(1 << 16, 1024);
-            Workload::setup(&mut fs, WorkloadConfig::default(), small_fileset()).unwrap()
-        };
-        let base = build();
-        assert_eq!(
-            base.state_digest_hex(),
-            build().state_digest_hex(),
-            "identical builds must digest equal"
-        );
-        type Perturb = fn(&mut Workload);
-        let perturbations: [(&str, Perturb); 14] = [
-            ("rng draw", |w| {
-                w.rng.next_u64();
-            }),
-            ("next_issue", |w| w.next_issue += SimDuration::from_nanos(1)),
-            ("busy_per_op_ema", |w| w.busy_per_op_ema += 1.0),
-            ("profiled", |w| w.profiled = !w.profiled),
-            ("prev_busy", |w| w.prev_busy = SimDuration::from_nanos(1)),
-            ("in_burst", |w| w.in_burst += 1),
-            ("burst_start", |w| {
-                w.burst_start += SimDuration::from_nanos(1)
-            }),
-            ("latency_ms", |w| w.latency_ms.push(1.5)),
-            ("name_counter", |w| w.name_counter += 1),
-            ("stats.ops", |w| w.stats.ops += 1),
-            ("stats.bytes_read", |w| w.stats.bytes_read += 1),
-            ("stats.bytes_written", |w| w.stats.bytes_written += 1),
-            ("stats.files_replaced", |w| w.stats.files_replaced += 1),
-            ("one file's size", |w| w.files[7].size += 1),
-        ];
-        for (what, perturb) in perturbations {
-            let mut w = base.clone();
-            perturb(&mut w);
-            assert_ne!(
-                w.state_digest_hex(),
-                base.state_digest_hex(),
-                "{what} is not digested"
-            );
-        }
     }
 
     #[test]
