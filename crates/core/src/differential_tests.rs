@@ -14,8 +14,7 @@
 //! Driven by `sim_core::check::differential`: seeded op logs replayed
 //! against both, every observable compared after every op, failing
 //! logs shrunk. `DUET_CHECK_SEED` overrides the base seed
-//! (unset, the default is the pinned seed; CI rotates it), as for
-//! `omap_differential`.
+//! (unset, the default is the pinned seed; CI rotates it).
 
 use crate::descriptor::{Descriptor, LogicalDescriptor, SlotMasks};
 use crate::events::{transition, EventMask, ItemFlags};

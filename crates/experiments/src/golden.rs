@@ -346,8 +346,7 @@ pub fn prioqueue_pop_log(seed: u64, ops: u64) -> String {
 /// `unmap_range` holes, FIBMAP translations and full clears, serialized
 /// op by op with every observable — displaced/unmapped physical blocks,
 /// extent count, mapped pages and the full in-order extent list. Pins
-/// the split/trim/merge behaviour of the `BTreeMap` → `DOrdMap`
-/// migration byte for byte.
+/// the split/trim/merge behaviour of `ExtentMap` byte for byte.
 pub fn extent_oplog(seed: u64, ops: u64) -> String {
     use sim_btrfs::{ExtentMap, Run};
     use sim_core::{BlockNr, PageIndex, SimRng};

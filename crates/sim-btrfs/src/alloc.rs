@@ -8,20 +8,20 @@
 //! file — exactly the condition the defragmentation task exists to fix
 //! (§5.3).
 
-use sim_core::omap::DOrdMap;
 use sim_core::{BlockNr, SimError, SimResult};
 use sim_disk::Run;
+use std::collections::BTreeMap;
 
 /// First-fit extent allocator.
 ///
 /// The free map is ordered by physical start address: first-fit scans
 /// it front to back, and `free_range` coalesces with the neighbouring
-/// ranges found by predecessor/successor queries — ordered-map
-/// operations, served by [`DOrdMap`] (DESIGN.md §13).
+/// ranges found by predecessor/successor queries — ordered state, so
+/// a [`BTreeMap`] (DESIGN.md §12.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FreeSpace {
     /// Free ranges: start -> len, non-adjacent (always coalesced).
-    free: DOrdMap<u64, u64>,
+    free: BTreeMap<u64, u64>,
     free_blocks: u64,
     capacity: u64,
 }
@@ -29,7 +29,7 @@ pub struct FreeSpace {
 impl FreeSpace {
     /// Creates an allocator with blocks `0..capacity` free.
     pub fn new(capacity: u64) -> Self {
-        let mut free = DOrdMap::new();
+        let mut free = BTreeMap::new();
         if capacity > 0 {
             free.insert(0, capacity);
         }
@@ -138,25 +138,21 @@ impl FreeSpace {
         assert!(len > 0, "zero-length free");
         let s = start.raw();
         assert!(s + len <= self.capacity, "free past end of device");
-        // Check overlap with the previous and next free ranges.
-        if let Some((&ps, &plen)) = self.free.range(..=s).next_back() {
-            assert!(ps + plen <= s, "double free at {start}");
-        }
-        if let Some((&ns, _)) = self.free.range(s..).next() {
-            assert!(s + len <= ns, "double free at {start}");
-        }
         let mut new_start = s;
         let mut new_len = len;
-        // Coalesce with predecessor.
-        if let Some((&ps, &plen)) = self.free.range(..s).next_back() {
+        // One predecessor and one successor lookup serve both the
+        // overlap check and the coalescing; a predecessor starting *at*
+        // `s` is the double free.
+        if let Some((&ps, &plen)) = self.free.range(..=s).next_back() {
+            assert!(ps + plen <= s, "double free at {start}");
             if ps + plen == s {
                 self.free.remove(&ps);
                 new_start = ps;
                 new_len += plen;
             }
         }
-        // Coalesce with successor.
-        if let Some((&ns, &nlen)) = self.free.range(s + len..).next() {
+        if let Some((&ns, &nlen)) = self.free.range(s..).next() {
+            assert!(s + len <= ns, "double free at {start}");
             if s + len == ns {
                 self.free.remove(&ns);
                 new_len += nlen;

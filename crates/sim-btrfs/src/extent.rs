@@ -7,9 +7,9 @@
 //! (§5.3: "Btrfs allows defragmenting a file by merging small extents
 //! with logically adjacent ones").
 
-use sim_core::omap::DOrdMap;
 use sim_core::{BlockNr, PageIndex};
 use sim_disk::Run;
+use std::collections::BTreeMap;
 
 /// One extent: `len` pages starting at logical page `logical`, stored at
 /// physical blocks `physical .. physical+len`.
@@ -44,14 +44,13 @@ impl Extent {
 
 /// Sorted extent map of one file.
 ///
-/// Backed by [`DOrdMap`] — the FIBMAP translation is a floor query
-/// (`range(..=p).next_back()`) and COW splits walk neighbours, so the
-/// map must stay ordered; the chunked-sorted-vector layout keeps those
-/// queries O(log n) with dense iteration (DESIGN.md §13).
+/// The FIBMAP translation is a floor query (`range(..=p).next_back()`)
+/// and COW splits walk neighbours — ordered state, so a [`BTreeMap`]
+/// (DESIGN.md §12.1).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtentMap {
     /// logical start -> extent.
-    map: DOrdMap<u64, Extent>,
+    map: BTreeMap<u64, Extent>,
 }
 
 impl ExtentMap {

@@ -6,7 +6,7 @@
 //! exactly the blocks that reached zero, and `sim_disk::coalesce` must
 //! turn any block list into its maximal ascending runs. Driven by
 //! `sim_core::check::differential`: a failure prints the replay seed
-//! and a shrunk op log, like `omap_differential`.
+//! and a shrunk op log.
 
 use sim_btrfs::{BackRef, BlockTable, Run};
 use sim_core::check::{differential, DiffConfig};

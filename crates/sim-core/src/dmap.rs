@@ -755,42 +755,67 @@ mod tests {
         assert!(a != b, "same size, one different member");
     }
 
+    /// The differential suite (DESIGN.md §13): seeded `(op, key, value)`
+    /// logs through `check::differential`, base seed from
+    /// `DUET_CHECK_SEED` (CI rotates it), failing logs shrunk.
+    fn diff_config(name: &'static str) -> crate::check::DiffConfig {
+        let seed = crate::fault::seed_from_env("DUET_CHECK_SEED", 0xD3A9)
+            .unwrap_or_else(|e| panic!("{e}"));
+        crate::check::DiffConfig::new(name, seed)
+    }
+
+    fn gen_op(rng: &mut SimRng, _i: u64) -> (u64, u64, u64) {
+        let k = rng.gen_range(0, 200);
+        let v = rng.gen_range(0, 1_000_000);
+        (rng.gen_range(0, 4), k, v)
+    }
+
+    /// Replays a log against a `DMap` and a `BTreeMap` oracle, every
+    /// result compared. `skip_one_remove` is the sabotage: the first
+    /// `remove` that hits is withheld from the `DMap`.
+    fn replay_against_btreemap(
+        log: &[(u64, u64, u64)],
+        mut skip_one_remove: bool,
+    ) -> Result<(), String> {
+        let mut m: DMap<u64, u64> = DMap::new();
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        for &(op, k, v) in log {
+            match op {
+                0 | 1 => assert_eq!(m.insert(k, v), reference.insert(k, v)),
+                2 if skip_one_remove && reference.contains_key(&k) => {
+                    skip_one_remove = false;
+                    reference.remove(&k);
+                }
+                2 => assert_eq!(m.remove(&k), reference.remove(&k)),
+                _ => assert_eq!(m.get(&k), reference.get(&k)),
+            }
+            assert_eq!(m.len(), reference.len(), "len diverged");
+        }
+        // Same contents, independent of order.
+        let mut got: Vec<(u64, u64)> = m.iter().map(|(k, v)| (*k, *v)).collect();
+        got.sort_unstable();
+        let want: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(got, want);
+        Ok(())
+    }
+
     #[test]
     fn matches_reference_map_under_random_ops() {
-        // The dmap reference-fuzz pattern, expressed through the
-        // generalized differential helper (op-log generation, BTreeMap
-        // oracle, shrink-on-failure).
-        use crate::check::{differential, DiffConfig};
-        let cfg = DiffConfig::new("dmap-vs-btreemap", 0xD3A9)
-            .cases(32)
-            .ops(1500);
-        differential(
-            &cfg,
-            |rng, _| {
-                let k = rng.gen_range(0, 200);
-                let v = rng.gen_range(0, 1_000_000);
-                (rng.gen_range(0, 4), k, v)
-            },
-            |log: &[(u64, u64, u64)]| {
-                let mut m: DMap<u64, u64> = DMap::new();
-                let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-                for &(op, k, v) in log {
-                    match op {
-                        0 | 1 => assert_eq!(m.insert(k, v), reference.insert(k, v)),
-                        2 => assert_eq!(m.remove(&k), reference.remove(&k)),
-                        _ => assert_eq!(m.get(&k), reference.get(&k)),
-                    }
-                    assert_eq!(m.len(), reference.len());
-                }
-                // Same contents, independent of order.
-                let mut got: Vec<(u64, u64)> = m.iter().map(|(k, v)| (*k, *v)).collect();
-                got.sort_unstable();
-                let want: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
-                assert_eq!(got, want);
-                Ok(())
-            },
-        )
-        .unwrap();
+        let cfg = diff_config("dmap-vs-btreemap").cases(32).ops(1500);
+        crate::check::differential(&cfg, gen_op, |log| replay_against_btreemap(log, false))
+            .unwrap();
+    }
+
+    /// The can-fail proof: one withheld `remove` must be caught, and the
+    /// failing log shrunk to the insert and the remove that expose it.
+    #[test]
+    fn differential_suite_detects_a_skipped_remove() {
+        let cfg = diff_config("dmap-sabotage").cases(4).ops(500);
+        let failure =
+            crate::check::differential(&cfg, gen_op, |log| replay_against_btreemap(log, true))
+                .unwrap_err();
+        assert_eq!(failure.ops.len(), 2, "insert + remove: {failure}");
+        assert!(failure.message.contains("len diverged"), "{failure}");
     }
 
     #[test]

@@ -40,11 +40,10 @@
 //!   `==` every type of the forked stack derives.
 //! - [`knobs`]: the strict parser behind the `DUET_SCALE`, `DUET_JOBS`
 //!   and `DUET_TRACE` environment knobs.
-//! - [`omap`]: the deterministic **ordered** companion
-//!   ([`omap::DOrdMap`]): a chunked sorted vector with O(log n)
-//!   lookups, `range`/`next_back` and neighbour queries, and sorted
-//!   cache-friendly iteration — for the extent-map and free-space hot
-//!   paths that need order, which [`dmap::DMap`] cannot provide.
+//!
+//! Ordered state (the Btrfs extent maps and free-space map) lives in
+//! std's `BTreeMap`; [`dmap`] is only for unordered point-lookup tables
+//! on a measured hot path (DESIGN.md §12.1).
 
 pub mod bitmap;
 pub mod check;
@@ -54,7 +53,6 @@ pub mod error;
 pub mod fault;
 pub mod ids;
 pub mod knobs;
-pub mod omap;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
@@ -72,9 +70,13 @@ pub use ids::{
     PageIndex,
     SegmentNr, //
 };
-pub use omap::DOrdMap;
 pub use rng::SimRng;
 pub use trace::{SpanId, TraceEvent, TraceHandle, TraceLayer};
+
+/// Kept only because the frozen `benchmark/src/kernels.rs` imports this
+/// name for its `k_omap_ns` kernel; the next `[benchmark]` PR deletes
+/// kernel and alias together. No other code may name it.
+pub type DOrdMap<K, V> = std::collections::BTreeMap<K, V>;
 
 /// Size of a page (and of a filesystem block) in bytes.
 ///

@@ -16,7 +16,7 @@
 //! tests (`experiments::snapshot`) compare a forked stack against a
 //! freshly built one field by field, and a field added later is
 //! compared without anyone remembering to. The few hand-written impls
-//! (`DMap`/`DSet`, `DOrdMap`, the trace and fault handles, `Disk`)
+//! (`DMap`/`DSet`, the trace and fault handles, `Disk`)
 //! exist where representation is not state, and destructure their type
 //! exhaustively so a new field does not compile until it is named.
 //!

@@ -41,16 +41,10 @@ pub fn find(t: &[Token], rules: RuleSet) -> Vec<(usize, Rule, String, String)> {
                 s.into(),
                 format!(
                     "hash-ordered `{s}` can leak iteration order into events/results — use \
-                     `BTree{0}`, the seeded `sim_core::dmap::{1}` (deterministic iteration){2}, \
+                     `BTree{0}`, the seeded `sim_core::dmap::{1}` (deterministic iteration), \
                      or waive with `// lint: sorted`",
                     &s[4..],
                     if s == "HashMap" { "DMap" } else { "DSet" },
-                    if s == "HashMap" {
-                        " or the ordered `sim_core::omap::DOrdMap` (sorted iteration, \
-                         range/neighbour queries)"
-                    } else {
-                        ""
-                    }
                 ),
             ));
         }

@@ -33,7 +33,10 @@ fn d2_flags_hash_collections() {
     assert!(v.iter().all(|x| x.rule == Rule::D2), "{v:?}");
     let maps = v.iter().filter(|x| x.token == "HashMap").count();
     let sets = v.iter().filter(|x| x.token == "HashSet").count();
-    assert_eq!(maps, 2, "declaration and parameter use: {v:?}");
+    assert_eq!(
+        maps, 2,
+        "declaration and parameter use (the trailing `// lint: sorted` field is waived): {v:?}"
+    );
     assert_eq!(sets, 2, "{v:?}");
 }
 
@@ -50,26 +53,6 @@ fn d2_sanctions_dmap_containers() {
     assert!(
         v.iter().all(|x| x.message.contains("dmap::DMap")),
         "the diagnostic must name the sanctioned container: {v:?}"
-    );
-}
-
-/// The ordered deterministic container (`sim_core::omap::DOrdMap`)
-/// iterates in key order, so D2 must sanction it the same way: never
-/// flag it, name it in the `HashMap` diagnostic as the ordered
-/// alternative, and still honour the `// lint: sorted` waiver.
-#[test]
-fn d2_sanctions_omap_ordered_container() {
-    let v = lint_fixture("d2_omap_sanctioned.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D2), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(
-        tokens,
-        vec!["HashMap", "HashMap"],
-        "import + unwaived field only (the `// lint: sorted` one is waived): {v:?}"
-    );
-    assert!(
-        v.iter().all(|x| x.message.contains("omap::DOrdMap")),
-        "the diagnostic must name the sanctioned ordered container: {v:?}"
     );
 }
 

@@ -105,7 +105,7 @@ fn traced_run_is_byte_identical_and_does_not_perturb_results() {
     );
 }
 
-/// `DOrdMap` must be seed-independent by construction: its iteration
+/// `ExtentMap` must be seed-independent by construction: its iteration
 /// order is the key order, whatever hash or fault seed the process
 /// carries. We pin that by replaying the extent op mix under several
 /// `DUET_FAULT_SEED` values — the env var every seeded component in
@@ -126,32 +126,55 @@ fn extent_oplog_is_independent_of_fault_seed_env() {
     }
 }
 
-/// The same seed-independence for `DOrdMap` directly: insertion order,
-/// hash-seed environment and chunk geometry are all unobservable — the
-/// sorted iteration, ranges and neighbour queries depend on the key
-/// set alone.
+/// The same independence for the two ordered structures directly (the
+/// test is named after the container they once shared; both hold a
+/// `BTreeMap`): the order in which runs are freed into a `FreeSpace`,
+/// or disjoint extents mapped into an `ExtentMap`, and the seed
+/// environment are all unobservable — the state, its sorted iteration
+/// and every later allocation depend on the key set alone.
 #[test]
 fn dordmap_iteration_is_seed_and_insertion_order_independent() {
-    use duet_repro::sim_core::omap::DOrdMap;
-    let keys: Vec<u64> = (0..257).map(|i| (i * 131) % 997).collect();
-    let collect =
-        |m: &DOrdMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
-    // Ascending insertion, no env seed.
-    let mut a = DOrdMap::new();
-    for &k in &keys {
-        a.insert(k, k * 2);
-    }
-    // Reversed insertion under a hostile env seed, tiny chunks.
+    use duet_repro::sim_btrfs::{Extent, ExtentMap, FreeSpace, Run};
+    use duet_repro::sim_core::BlockNr;
+    // 64 disjoint runs in 8-block slots; every third fills its slot and
+    // so touches its successor (coalescing / extent merging happens).
+    let runs: Vec<Run> = (0..64u64)
+        .map(|i| Run {
+            start: BlockNr(i * 8),
+            len: if i % 3 == 0 { 8 } else { 1 + i % 5 },
+        })
+        .collect();
+    let build = |order: &[Run]| {
+        let mut free = FreeSpace::new(512);
+        free.alloc_exact(512).expect("empty device");
+        let mut map = ExtentMap::new();
+        for r in order {
+            free.free_range(r.start, r.len);
+            // Logical page = physical block: touching runs merge.
+            map.map_range(r.start.raw(), &[*r]);
+        }
+        (free, map)
+    };
+    let (mut free_a, map_a) = build(&runs);
     std::env::set_var("DUET_FAULT_SEED", "0x5eed");
-    let mut b = DOrdMap::with_chunk_max(2);
-    for &k in keys.iter().rev() {
-        b.insert(k, k * 2);
-    }
+    let reversed: Vec<Run> = runs.iter().rev().copied().collect();
+    let (mut free_b, map_b) = build(&reversed);
     std::env::remove_var("DUET_FAULT_SEED");
-    assert_eq!(collect(&a), collect(&b));
-    let sorted: Vec<u64> = collect(&a).iter().map(|&(k, _)| k).collect();
-    let mut expect = keys.clone();
-    expect.sort_unstable();
-    expect.dedup();
-    assert_eq!(sorted, expect, "iteration is exactly the sorted key set");
+
+    assert_eq!(free_a, free_b);
+    assert_eq!(free_a.allocated_ranges(), free_b.allocated_ranges());
+    assert_eq!(map_a, map_b);
+    let extents = |m: &ExtentMap| -> Vec<Extent> { m.iter().copied().collect() };
+    assert_eq!(extents(&map_a), extents(&map_b));
+    assert!(
+        extents(&map_a)
+            .windows(2)
+            .all(|w| w[0].logical < w[1].logical),
+        "iteration is in key order"
+    );
+    assert!(map_a.extent_count() < runs.len(), "touching runs merged");
+    for want in [3, 8, 20, 1, 5] {
+        assert_eq!(free_a.alloc(want), free_b.alloc(want), "alloc({want})");
+    }
+    assert_eq!(free_a, free_b);
 }
