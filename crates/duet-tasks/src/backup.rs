@@ -14,7 +14,7 @@ use duet::{EventMask, ItemFlags, ItemId, TaskScope};
 use sim_btrfs::SnapshotId;
 use sim_cache::PageKey;
 use sim_core::trace::TraceLayer;
-use sim_core::{InodeNr, SimError, SimResult, SparseBitmap, PAGE_SIZE};
+use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult, SparseBitmap, PAGE_SIZE};
 use sim_disk::IoClass;
 
 /// Pages processed per dispatch. The paper's backup "issues 64KB random
@@ -190,58 +190,64 @@ impl BtrfsTask for Backup {
             let Some(&ino) = self.files.get(self.file_idx) else {
                 break;
             };
-            let (file_pages, snap_block) = {
-                let s = ctx.fs.snapshot(snap)?;
-                let f = &s.files[&ino];
-                (
-                    f.size_pages(),
-                    f.extents.block_of(sim_core::PageIndex(self.page_in_file)),
-                )
-            };
+            let f = &ctx.fs.snapshot(snap)?.files[&ino];
+            let file_pages = f.size_pages();
             if self.page_in_file >= file_pages {
                 self.file_idx += 1;
                 self.page_in_file = 0;
                 continue;
             }
-            let idx = sim_core::PageIndex(self.page_in_file);
-            self.page_in_file += 1;
-            let Some(sb) = snap_block else {
-                continue; // Hole in the snapshot file.
-            };
-            if self.backed.test(sb.raw()) {
+            // What this step reads of the file is settled before any
+            // I/O, with the snapshot file and the live inode resolved
+            // once: the snapshot is frozen, and reads leave the live
+            // extent map alone.
+            let mut reads: Vec<(PageIndex, BlockNr, bool)> = Vec::new();
+            let mut snap_extents = f.extents.cursor();
+            let mut live_extents = ctx.fs.inodes().get(ino).ok().map(|n| n.extents.cursor());
+            let mut next = self.page_in_file;
+            while next < file_pages && processed < CHUNK_PAGES {
+                let idx = PageIndex(next);
+                next += 1;
+                let Some(sb) = snap_extents.block_of(idx) else {
+                    continue; // Hole in the snapshot file.
+                };
                 processed += 1;
-                continue; // Already backed up opportunistically.
+                // Already backed up opportunistically — or, in sabotage
+                // mode, silently dropped from the stream but still
+                // counted as handled.
+                if self.backed.test(sb.raw()) || (self.skip_ship && sb.raw() % 7 == 0) {
+                    continue;
+                }
+                let live = live_extents.as_mut().and_then(|c| c.block_of(idx));
+                reads.push((idx, sb, live == Some(sb)));
             }
-            if self.skip_ship && sb.raw() % 7 == 0 {
-                // Sabotage mode: the block is silently dropped from the
-                // stream but still counted as handled.
-                processed += 1;
-                continue;
+            for (idx, sb, shared) in reads {
+                // A failed read leaves the scan just past its page.
+                self.page_in_file = idx.raw() + 1;
+                // Read the data: through the live page cache while the
+                // block is still shared with the live file; raw otherwise
+                // (the live copy diverged after the snapshot).
+                let stats = if shared {
+                    ctx.fs
+                        .read(ino, idx.byte_offset(), PAGE_SIZE, self.class, ctx.now)?
+                } else {
+                    ctx.fs.read_raw(sb, 1, self.class, ctx.now)?
+                };
+                self.own_read += stats.blocks_read;
+                self.own_written += stats.blocks_written;
+                finish = finish.max(stats.finish);
+                self.backed.set(sb.raw());
+                self.ship(1);
+                if let Some(t) = ctx.fs.trace() {
+                    t.event(TraceLayer::Task, "backup.ship", ctx.now, || {
+                        vec![("block", sb.raw().into()), ("src", "scan".into())]
+                    });
+                }
+                if let Some(sid) = self.hints.id() {
+                    ctx.duet.set_done(sid, ItemId::Block(sb))?;
+                }
             }
-            // Read the data: through the live page cache while the
-            // block is still shared with the live file; raw otherwise
-            // (the live copy diverged after the snapshot).
-            let shared = ctx.fs.shared_with_snapshot(snap, ino, idx)?;
-            let stats = if shared {
-                ctx.fs
-                    .read(ino, idx.byte_offset(), PAGE_SIZE, self.class, ctx.now)?
-            } else {
-                ctx.fs.read_raw(sb, 1, self.class, ctx.now)?
-            };
-            self.own_read += stats.blocks_read;
-            self.own_written += stats.blocks_written;
-            finish = finish.max(stats.finish);
-            self.backed.set(sb.raw());
-            self.ship(1);
-            if let Some(t) = ctx.fs.trace() {
-                t.event(TraceLayer::Task, "backup.ship", ctx.now, || {
-                    vec![("block", sb.raw().into()), ("src", "scan".into())]
-                });
-            }
-            if let Some(sid) = self.hints.id() {
-                ctx.duet.set_done(sid, ItemId::Block(sb))?;
-            }
-            processed += 1;
+            self.page_in_file = next;
         }
         if let (Some(t), Some(id)) = (ctx.fs.trace(), span) {
             t.ctx_end(id, finish);

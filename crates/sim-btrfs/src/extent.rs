@@ -84,6 +84,15 @@ impl ExtentMap {
             .and_then(|(_, e)| e.block_of(p))
     }
 
+    /// A lookup position for callers that translate many pages of this
+    /// file in a row.
+    pub fn cursor(&self) -> ExtentCursor<'_> {
+        ExtentCursor {
+            map: self,
+            last: None,
+        }
+    }
+
     /// Iterates extents in logical order.
     pub fn iter(&self) -> impl Iterator<Item = &Extent> + '_ {
         self.map.values()
@@ -202,6 +211,28 @@ impl ExtentMap {
     }
 }
 
+/// [`ExtentMap::block_of`] that remembers the extent it last landed
+/// in: a run of pages along a file pays the floor query once per
+/// extent, not once per page. Any page order is correct; ascending is
+/// the cheap one.
+#[derive(Debug)]
+pub struct ExtentCursor<'a> {
+    map: &'a ExtentMap,
+    last: Option<Extent>,
+}
+
+impl ExtentCursor<'_> {
+    /// Physical block of a logical page, if mapped.
+    pub fn block_of(&mut self, page: PageIndex) -> Option<BlockNr> {
+        let p = page.raw();
+        if let Some(b) = self.last.and_then(|e| e.block_of(p)) {
+            return Some(b);
+        }
+        self.last = self.map.map.range(..=p).next_back().map(|(_, e)| *e);
+        self.last.and_then(|e| e.block_of(p))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +258,17 @@ mod tests {
         assert_eq!(m.block_of(PageIndex(4)), None);
         assert_eq!(m.extent_count(), 1);
         assert_eq!(m.mapped_pages(), 4);
+    }
+
+    #[test]
+    fn cursor_agrees_with_block_of_in_any_order() {
+        let mut m = ExtentMap::new();
+        m.map_range(0, &[run(100, 4)]);
+        m.map_range(6, &[run(200, 2), run(300, 3)]); // 4..6 is a hole
+        let mut c = m.cursor();
+        for p in (0..13).chain([7, 0, 12, 5, 3]) {
+            assert_eq!(c.block_of(PageIndex(p)), m.block_of(PageIndex(p)), "{p}");
+        }
     }
 
     #[test]

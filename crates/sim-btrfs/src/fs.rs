@@ -63,6 +63,16 @@ pub struct DefragResult {
     pub extents_after: usize,
 }
 
+/// One past the last byte of a request. A range that wraps `u64` is a
+/// malformed request, not an empty one.
+fn byte_range_end(offset: u64, len_bytes: u64) -> SimResult<u64> {
+    offset.checked_add(len_bytes).ok_or_else(|| {
+        SimError::InvalidArgument(format!(
+            "byte range {offset} + {len_bytes} overflows the file offset space"
+        ))
+    })
+}
+
 /// The simulated copy-on-write filesystem.
 ///
 /// `Clone` deep-copies the whole filesystem image for the snapshot/fork
@@ -391,9 +401,10 @@ impl BtrfsSim {
         if len_bytes == 0 {
             return Ok(stats);
         }
+        let end = byte_range_end(offset, len_bytes)?;
         let size_pages = self.inodes.get(ino)?.size_pages();
         let p0 = offset / PAGE_SIZE;
-        let p1 = ((offset + len_bytes).div_ceil(PAGE_SIZE)).min(size_pages);
+        let p1 = end.div_ceil(PAGE_SIZE).min(size_pages);
         let mut missing: Vec<(PageIndex, BlockNr)> = Vec::new();
         for p in p0..p1 {
             let idx = PageIndex(p);
@@ -455,14 +466,15 @@ impl BtrfsSim {
         if !self.inodes.exists(ino) {
             return Err(SimError::NoSuchInode(ino));
         }
+        let end = byte_range_end(offset, len_bytes)?;
         let p0 = offset / PAGE_SIZE;
-        let p1 = (offset + len_bytes).div_ceil(PAGE_SIZE);
+        let p1 = end.div_ceil(PAGE_SIZE);
         let npages = p1 - p0;
         let runs = self.cow_allocate(ino, p0, npages)?;
         // Update the size.
         {
             let node = self.inodes.get_mut(ino)?;
-            node.size_bytes = node.size_bytes.max(offset + len_bytes);
+            node.size_bytes = node.size_bytes.max(end);
         }
         // Dirty pages enter the cache with their new blocks.
         self.cache_dirty(ino, p0, &runs, class, now, &mut stats)?;

@@ -55,6 +55,30 @@ fn read_miss_then_hit() {
 }
 
 #[test]
+fn byte_range_past_the_offset_space_is_rejected() {
+    let mut fs = make_fs(1024, 64);
+    let ino = fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
+    // In release a wrapped `offset + len` used to read or write nothing.
+    for (offset, len) in [(u64::MAX, 2), (u64::MAX - PAGE_SIZE, 2 * PAGE_SIZE)] {
+        let read = fs.read(ino, offset, len, NORMAL, T0);
+        assert!(
+            matches!(read, Err(SimError::InvalidArgument(_))),
+            "{read:?}"
+        );
+        let write = fs.write(ino, offset, len, NORMAL, T0);
+        assert!(
+            matches!(write, Err(SimError::InvalidArgument(_))),
+            "{write:?}"
+        );
+    }
+    assert_eq!(fs.inodes().get(ino).unwrap().size_bytes, page_bytes(4));
+    assert_eq!(fs.cache().len(), 0);
+    fs.check_consistency().unwrap();
+    // The last addressable byte is still a valid (if unmapped) request.
+    assert!(fs.read(ino, u64::MAX - 1, 1, NORMAL, T0).is_ok());
+}
+
+#[test]
 fn read_generates_added_events() {
     let mut fs = make_fs(1024, 64);
     let ino = fs.populate_file(fs.root(), "f", page_bytes(3)).unwrap();

@@ -16,7 +16,7 @@ use sim_core::dmap::{DMap, DSet, Slab, NIL};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{BlockNr, InodeNr, PageIndex};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cache hit/miss and traffic statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,8 +38,7 @@ pub struct CacheStats {
 /// `prev`/`next` chain the global LRU list (head = least recently
 /// used); `dprev`/`dnext` chain the dirty sublist in the same recency
 /// order, replacing the old tick-keyed `BTreeMap` mirrors with O(1)
-/// splices. `ino_pos` is the page's position in its file's dense
-/// handle vector, kept current so removal is an O(1) swap-remove.
+/// splices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     key: PageKey,
@@ -50,7 +49,38 @@ struct Node {
     in_dirty: bool,
     dprev: u32,
     dnext: u32,
-    ino_pos: u32,
+}
+
+/// A file's page table covers its index space in chunks of this many
+/// consecutive pages.
+const CHUNK_SHIFT: u32 = 6;
+const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;
+
+/// One chunk of a file's page table: the slab handles of the resident
+/// pages among 64 consecutive indices ([`NIL`] = not resident).
+#[derive(Debug, Clone, PartialEq)]
+struct Chunk {
+    slots: [u32; CHUNK_SLOTS],
+    used: u32,
+}
+
+/// The resident pages of one file, as the kernel keeps them: per inode
+/// (`address_space → i_pages`), not in one global hash. Chunks are keyed
+/// by `index >> CHUNK_SHIFT`, so chunk order is page order and memory
+/// follows the resident pages, not the span of their indices.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct FilePages {
+    /// Chunk number → handle into [`PageCache::chunks`].
+    chunks: BTreeMap<u64, u32>,
+    /// Resident pages across all chunks.
+    count: usize,
+}
+
+/// Splits a page index into its chunk number and the slot within it.
+#[inline]
+fn chunk_of(index: PageIndex) -> (u64, usize) {
+    let i = index.raw();
+    (i >> CHUNK_SHIFT, (i as usize) & (CHUNK_SLOTS - 1))
 }
 
 /// An LRU page cache with dirty tracking and an event queue.
@@ -74,11 +104,14 @@ pub struct PageCache {
     /// Backing store for resident pages; handles stay stable while a
     /// page is resident, so the intrusive lists can link by `u32`.
     slab: Slab<Node>,
-    /// O(1) page lookup: key → slab handle. Scans whose order reaches
-    /// the event queue (`iter`, `flush_file`, `remove_file`) sort a
-    /// snapshot instead, keeping the visiting order the B-tree cache
-    /// had.
-    index: DMap<PageKey, u32>,
+    /// The one index: inode → that file's page table → slab handle. A
+    /// request that runs along a file hashes one small key and then
+    /// walks neighbouring slots; per-file scans are in page order as
+    /// stored. An emptied chunk and an emptied file are dropped at
+    /// once.
+    files: DMap<InodeNr, FilePages>,
+    /// Backing store for the files' chunks.
+    chunks: Slab<Chunk>,
     /// Intrusive LRU list: head = least recently used. Touch is now an
     /// O(1) splice instead of a B-tree remove + insert.
     lru_head: u32,
@@ -92,9 +125,6 @@ pub struct PageCache {
     dirty_count: usize,
     events: VecDeque<(PageMeta, PageEvent)>,
     stats: CacheStats,
-    /// Cached-page handles per file, dense, for O(1) residency queries
-    /// and per-file scans proportional to the file, not the cache.
-    per_ino: DMap<InodeNr, Vec<u32>>,
     /// Pages deprioritized for eviction (informed replacement): pages
     /// whose Duet notifications have not been consumed yet. An
     /// *extension* beyond the paper, which names informed cache
@@ -123,7 +153,8 @@ impl PageCache {
         PageCache {
             capacity,
             slab: Slab::new(),
-            index: DMap::new(),
+            files: DMap::new(),
+            chunks: Slab::new(),
             lru_head: NIL,
             lru_tail: NIL,
             dirty_head: NIL,
@@ -131,7 +162,6 @@ impl PageCache {
             dirty_count: 0,
             events: VecDeque::new(),
             stats: CacheStats::default(),
-            per_ino: DMap::new(),
             protected: DSet::new(),
             faults: None,
             trace: None,
@@ -165,33 +195,44 @@ impl PageCache {
         self.protected.len()
     }
 
-    fn ino_track(&mut self, ino: InodeNr, h: u32) {
-        let v = self.per_ino.get_or_insert_with(ino, Vec::new);
-        let pos = v.len() as u32;
-        v.push(h);
-        self.slab[h].ino_pos = pos;
+    /// Resolves a key to its slab handle.
+    #[inline]
+    fn find(&self, key: PageKey) -> Option<u32> {
+        let (chunk, slot) = chunk_of(key.index);
+        let &c = self.files.get(&key.ino)?.chunks.get(&chunk)?;
+        let h = self.chunks[c].slots[slot];
+        (h != NIL).then_some(h)
     }
 
-    fn ino_untrack(&mut self, ino: InodeNr, h: u32) {
-        let pos = self.slab[h].ino_pos as usize;
-        let mut moved = None;
-        let mut empty = false;
-        match self.per_ino.get_mut(&ino) {
-            Some(v) => {
-                v.swap_remove(pos);
-                if pos < v.len() {
-                    moved = Some(v[pos]);
-                }
-                empty = v.is_empty();
-            }
-            None => debug_assert!(false, "per-inode index underflow"),
+    /// Clears a key's slot and returns the handle it held, if the key
+    /// is resident; drops the chunk and the file entry this empties.
+    fn index_take(&mut self, key: PageKey) -> Option<u32> {
+        let (chunk, slot) = chunk_of(key.index);
+        let file = self.files.get_mut(&key.ino)?;
+        let &c = file.chunks.get(&chunk)?;
+        let ch = &mut self.chunks[c];
+        let h = std::mem::replace(&mut ch.slots[slot], NIL);
+        if h == NIL {
+            return None;
         }
-        if let Some(m) = moved {
-            self.slab[m].ino_pos = pos as u32;
+        ch.used -= 1;
+        if ch.used == 0 {
+            self.chunks.remove(c);
+            file.chunks.remove(&chunk);
         }
-        if empty {
-            self.per_ino.remove(&ino);
+        file.count -= 1;
+        if file.count == 0 {
+            self.files.remove(&key.ino);
         }
+        Some(h)
+    }
+
+    /// The handles of one file's resident pages, in page order.
+    fn handles_of<'a>(&'a self, file: &'a FilePages) -> impl Iterator<Item = u32> + 'a {
+        file.chunks
+            .values()
+            .flat_map(|&c| self.chunks[c].slots.iter().copied())
+            .filter(|&h| h != NIL)
     }
 
     fn lru_unlink(&mut self, h: u32) {
@@ -272,12 +313,12 @@ impl PageCache {
 
     /// Current number of cached pages.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slab.len()
     }
 
     /// Returns `true` if the cache holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slab.is_empty()
     }
 
     /// Hit/miss statistics.
@@ -324,7 +365,7 @@ impl PageCache {
     /// Looks up a page, counting a hit or miss and refreshing LRU
     /// position on a hit.
     pub fn lookup(&mut self, key: PageKey) -> Option<PageMeta> {
-        if let Some(&h) = self.index.get(&key) {
+        if let Some(h) = self.find(key) {
             let m = Self::node_meta(&self.slab[h]);
             self.stats.hits += 1;
             self.touch_handle(h);
@@ -337,14 +378,12 @@ impl PageCache {
 
     /// Looks up a page without touching LRU order or statistics.
     pub fn peek(&self, key: PageKey) -> Option<PageMeta> {
-        self.index
-            .get(&key)
-            .map(|&h| Self::node_meta(&self.slab[h]))
+        self.find(key).map(|h| Self::node_meta(&self.slab[h]))
     }
 
     /// Returns `true` if the page is cached (no LRU side effects).
     pub fn contains(&self, key: PageKey) -> bool {
-        self.index.contains_key(&key)
+        self.find(key).is_some()
     }
 
     /// Inserts (or refreshes) a page and returns any pages evicted to
@@ -373,14 +412,28 @@ impl PageCache {
         dirty: bool,
         evicted: &mut Vec<PageMeta>,
     ) {
-        if let Some(&h) = self.index.get(&key) {
+        // One walk to the key's slot serves both outcomes; a chunk or
+        // file created here is filled below, so none lingers empty.
+        let (chunk, slot) = chunk_of(key.index);
+        let file = self.files.get_or_insert_with(key.ino, FilePages::default);
+        let chunks = &mut self.chunks;
+        let c = *file.chunks.entry(chunk).or_insert_with(|| {
+            chunks.insert(Chunk {
+                slots: [NIL; CHUNK_SLOTS],
+                used: 0,
+            })
+        });
+        let ch = &mut self.chunks[c];
+        let h = ch.slots[slot];
+        if h != NIL {
             if let Some(b) = block {
                 self.slab[h].block = Some(b);
             }
             if dirty {
-                self.mark_dirty(key);
+                self.dirty_handle(h);
+            } else {
+                self.touch_handle(h);
             }
-            self.touch_handle(h);
             return;
         }
         let h = self.slab.insert(Node {
@@ -392,14 +445,14 @@ impl PageCache {
             in_dirty: false,
             dprev: NIL,
             dnext: NIL,
-            ino_pos: 0,
         });
-        self.index.insert(key, h);
+        ch.slots[slot] = h;
+        ch.used += 1;
+        file.count += 1;
         self.lru_push_tail(h);
         if dirty {
             self.dirty_push_tail(h);
         }
-        self.ino_track(key.ino, h);
         self.stats.insertions += 1;
         let meta = Self::node_meta(&self.slab[h]);
         self.push_event(meta, PageEvent::Added);
@@ -412,7 +465,7 @@ impl PageCache {
         // for dirty victims, Removed for clean ones).
         let mut target = self.capacity;
         if let Some(faults) = &self.faults {
-            if self.index.len() > 1 && faults.fire(FaultSite::CacheEvictionStorm) {
+            if self.slab.len() > 1 && faults.fire(FaultSite::CacheEvictionStorm) {
                 let max_shed = ((self.capacity / 4).max(1)) as u64;
                 let shed = faults.amplitude(FaultSite::CacheEvictionStorm, 1, max_shed + 1);
                 target = self.capacity.saturating_sub(shed as usize).max(1);
@@ -428,13 +481,13 @@ impl PageCache {
     const CLEAN_SCAN: usize = 1024;
 
     fn evict_into(&mut self, target: usize, evicted: &mut Vec<PageMeta>) {
-        while self.index.len() > target {
+        while self.slab.len() > target {
             // Prefer the least-recently-used *clean, unprotected* page;
             // then clean protected; every entry except the most recent
             // (the page being inserted) is a candidate, up to a bounded
             // scan depth. Dirty LRU fallback last.
             let scan = Self::CLEAN_SCAN
-                .min(self.index.len().saturating_sub(1))
+                .min(self.slab.len().saturating_sub(1))
                 .max(1);
             let mut clean_protected = NIL;
             let mut chosen = NIL;
@@ -469,7 +522,9 @@ impl PageCache {
             if victim == NIL {
                 break;
             }
-            let node = self.detach(victim);
+            let taken = self.index_take(self.slab[victim].key);
+            debug_assert_eq!(taken, Some(victim), "page table out of step");
+            let node = self.unlink(victim);
             let before = Self::node_meta(&node);
             if node.dirty {
                 self.stats.writebacks += 1;
@@ -490,17 +545,15 @@ impl PageCache {
         }
     }
 
-    /// Fully removes a resident page: unlinks both intrusive lists,
-    /// drops the key index and per-file entry, frees the slab slot.
+    /// Takes a page out of both intrusive lists and frees its slab
+    /// slot; its page-table slot is the caller's to clear first.
     /// Returns the node's final state.
-    fn detach(&mut self, h: u32) -> Node {
+    fn unlink(&mut self, h: u32) -> Node {
         self.lru_unlink(h);
         if self.slab[h].in_dirty {
             self.dirty_unlink(h);
         }
         let node = self.slab[h];
-        self.index.remove(&node.key);
-        self.ino_untrack(node.key.ino, h);
         self.slab.remove(h);
         node
     }
@@ -508,18 +561,20 @@ impl PageCache {
     /// Sets the dirty bit. Returns `true` if the page was present and
     /// transitioned from clean to dirty (emitting `Dirtied`).
     pub fn mark_dirty(&mut self, key: PageKey) -> bool {
-        let Some(&h) = self.index.get(&key) else {
-            return false;
-        };
-        if self.slab[h].dirty {
-            self.touch_handle(h);
-            return false;
+        self.find(key).is_some_and(|h| self.dirty_handle(h))
+    }
+
+    /// [`PageCache::mark_dirty`] on a resolved handle: recency is
+    /// refreshed either way.
+    fn dirty_handle(&mut self, h: u32) -> bool {
+        let fresh = !self.slab[h].dirty;
+        if fresh {
+            self.slab[h].dirty = true;
+            let meta = Self::node_meta(&self.slab[h]);
+            self.push_event(meta, PageEvent::Dirtied);
         }
-        self.slab[h].dirty = true;
-        let meta = Self::node_meta(&self.slab[h]);
-        self.push_event(meta, PageEvent::Dirtied);
         self.touch_handle(h);
-        true
+        fresh
     }
 
     /// Resolves a delayed allocation: records the physical block backing
@@ -527,7 +582,7 @@ impl PageCache {
     /// next event's metadata (the paper defers such pages "to be
     /// returned by a later fetch operation", §4.2).
     pub fn set_block(&mut self, key: PageKey, block: BlockNr) {
-        if let Some(&h) = self.index.get(&key) {
+        if let Some(h) = self.find(key) {
             self.slab[h].block = Some(block);
         }
     }
@@ -570,19 +625,15 @@ impl PageCache {
     /// Flushes all dirty pages of one file (fsync-style). Marks them
     /// clean, emits `Flushed`, and returns them for the caller to write.
     pub fn flush_file(&mut self, ino: InodeNr) -> Vec<PageMeta> {
-        // The per-file index is in handle order; sort by page index so
-        // the events keep the key order the B-tree range scan had.
-        let mut victims: Vec<(PageIndex, u32)> = match self.per_ino.get(&ino) {
-            Some(v) => v
-                .iter()
-                .filter(|&&h| self.slab[h].dirty)
-                .map(|&h| (self.slab[h].key.index, h))
-                .collect(),
-            None => return Vec::new(),
+        let Some(file) = self.files.get(&ino) else {
+            return Vec::new();
         };
-        victims.sort_unstable_by_key(|&(idx, _)| idx);
+        let victims: Vec<u32> = self
+            .handles_of(file)
+            .filter(|&h| self.slab[h].dirty)
+            .collect();
         let mut out = Vec::with_capacity(victims.len());
-        for (_, h) in victims {
+        for h in victims {
             self.dirty_unlink(h);
             self.slab[h].dirty = false;
             self.stats.writebacks += 1;
@@ -597,15 +648,20 @@ impl PageCache {
     /// `Removed` for each and discards dirty data (the file is going
     /// away). Returns the removed pages.
     pub fn remove_file(&mut self, ino: InodeNr) -> Vec<PageMeta> {
-        let mut victims: Vec<PageKey> = match self.per_ino.get(&ino) {
-            Some(v) => v.iter().map(|&h| self.slab[h].key).collect(),
-            None => return Vec::new(),
+        // The whole page table goes at once; its pages leave in page
+        // order.
+        let Some(file) = self.files.remove(&ino) else {
+            return Vec::new();
         };
-        victims.sort_unstable();
-        let mut out = Vec::with_capacity(victims.len());
-        for key in victims {
-            if let Some(m) = self.remove(key) {
-                out.push(m);
+        let mut out = Vec::with_capacity(file.count);
+        for &c in file.chunks.values() {
+            let Some(chunk) = self.chunks.remove(c) else {
+                continue;
+            };
+            for h in chunk.slots.into_iter().filter(|&h| h != NIL) {
+                let meta = Self::node_meta(&self.unlink(h));
+                self.push_event(meta, PageEvent::Removed);
+                out.push(meta);
             }
         }
         out
@@ -614,40 +670,37 @@ impl PageCache {
     /// Invalidates a single page, emitting `Removed`. Returns its
     /// pre-removal metadata if it was present.
     pub fn remove(&mut self, key: PageKey) -> Option<PageMeta> {
-        let &h = self.index.get(&key)?;
-        let node = self.detach(h);
-        let meta = Self::node_meta(&node);
+        let h = self.index_take(key)?;
+        let meta = Self::node_meta(&self.unlink(h));
         self.push_event(meta, PageEvent::Removed);
         Some(meta)
     }
 
     /// Iterates over all cached pages in key order (used by the
-    /// Duet registration scan, §4.1). The resident set lives in hash
-    /// order now, so this sorts a snapshot — O(n log n) on this cold
-    /// path bought O(1) on every hot-path touch.
+    /// Duet registration scan, §4.1). Files sit in hash order, so
+    /// this sorts them; within a file, pages are stored in order.
     pub fn iter(&self) -> impl Iterator<Item = PageMeta> + '_ {
-        let mut metas: Vec<PageMeta> = self
-            .index
-            .values()
-            .map(|&h| Self::node_meta(&self.slab[h]))
-            .collect();
-        metas.sort_unstable_by_key(|m| m.key);
-        metas.into_iter()
+        let mut files: Vec<(&InodeNr, &FilePages)> = self.files.iter().collect();
+        files.sort_unstable_by_key(|&(ino, _)| *ino);
+        files
+            .into_iter()
+            .flat_map(|(_, file)| self.handles_of(file))
+            .map(|h| Self::node_meta(&self.slab[h]))
     }
 
     /// Number of cached pages belonging to `ino` (O(1)).
     pub fn pages_of(&self, ino: InodeNr) -> usize {
-        self.per_ino.get(&ino).map(|v| v.len()).unwrap_or(0)
+        self.files.get(&ino).map_or(0, |file| file.count)
     }
 
     /// Cached pages of one file, in key order.
     pub fn pages_of_file(&self, ino: InodeNr) -> Vec<PageMeta> {
-        let Some(v) = self.per_ino.get(&ino) else {
+        let Some(file) = self.files.get(&ino) else {
             return Vec::new();
         };
-        let mut out: Vec<PageMeta> = v.iter().map(|&h| Self::node_meta(&self.slab[h])).collect();
-        out.sort_unstable_by_key(|m| m.key);
-        out
+        self.handles_of(file)
+            .map(|h| Self::node_meta(&self.slab[h]))
+            .collect()
     }
 
     /// Number of dirty pages (O(1); the writeback high-water check runs
@@ -683,9 +736,47 @@ impl PageCache {
 }
 
 #[cfg(test)]
+impl PageCache {
+    /// Page-table slots currently allocated, over all files.
+    fn index_slots(&self) -> usize {
+        self.chunks.len() * CHUNK_SLOTS
+    }
+
+    /// The page table mirrors the slab exactly: every slot names a live
+    /// page with that key, the counters match a scan, and no empty
+    /// chunk or file lingers.
+    pub(crate) fn assert_index_consistent(&self) {
+        let mut pages = 0;
+        let mut chunks = 0;
+        for (&ino, file) in self.files.iter() {
+            assert!(file.count > 0, "empty page table kept for {ino}");
+            let mut in_file = 0;
+            for (&nr, &c) in &file.chunks {
+                let chunk = &self.chunks[c];
+                let mut used = 0;
+                for (slot, &h) in chunk.slots.iter().enumerate() {
+                    if h != NIL {
+                        let index = PageIndex((nr << CHUNK_SHIFT) | slot as u64);
+                        assert_eq!(self.slab[h].key, PageKey::new(ino, index));
+                        used += 1;
+                    }
+                }
+                assert!(used > 0, "empty chunk {nr} kept for {ino}");
+                assert_eq!(chunk.used, used);
+                in_file += used as usize;
+            }
+            assert_eq!(file.count, in_file);
+            pages += in_file;
+            chunks += file.chunks.len();
+        }
+        assert_eq!(pages, self.len());
+        assert_eq!(chunks, self.chunks.len(), "orphaned chunk");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::PageIndex;
 
     fn key(ino: u64, idx: u64) -> PageKey {
         PageKey::new(InodeNr(ino), PageIndex(idx))
@@ -898,6 +989,31 @@ mod tests {
         assert_eq!(c.iter().filter(|m| m.dirty).count(), 3);
     }
 
+    /// Memory follows the resident pages, not the span of their
+    /// indices: a table dense in the page index would need 2²⁴ slots
+    /// here.
+    #[test]
+    fn sparse_file_costs_chunks_not_span() {
+        let mut c = PageCache::new(8);
+        let sparse = [0, 63, 64, 1 << 24];
+        for idx in sparse {
+            c.insert(key(1, idx), None, false);
+        }
+        assert_eq!(c.pages_of(InodeNr(1)), 4);
+        assert!(c.index_slots() <= 3 * CHUNK_SLOTS, "{}", c.index_slots());
+        let in_order: Vec<u64> = c
+            .pages_of_file(InodeNr(1))
+            .iter()
+            .map(|m| m.key.index.raw())
+            .collect();
+        assert_eq!(in_order, sparse);
+        for idx in sparse {
+            assert!(c.remove(key(1, idx)).is_some());
+        }
+        assert!(c.files.is_empty(), "no file entry left");
+        assert!(c.chunks.is_empty(), "no chunk left");
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
@@ -922,7 +1038,9 @@ mod tests {
                 for _ in 0..rng.gen_range(0, 200) {
                     let op = rng.gen_range(0, 8);
                     let ino = rng.gen_range(0, 6);
-                    let idx = rng.gen_range(0, 4);
+                    // 62..66 straddles a chunk boundary of the page table.
+                    let step = rng.gen_range(0, 4);
+                    let idx = 62 + step;
                     let k = key(ino, idx);
                     match op {
                         0 => {
@@ -941,7 +1059,7 @@ mod tests {
                             c.remove(k);
                         }
                         5 => {
-                            c.writeback_batch(idx as usize + 1);
+                            c.writeback_batch(step as usize + 1);
                         }
                         6 => {
                             c.flush_file(InodeNr(ino));
@@ -959,6 +1077,7 @@ mod tests {
                     // The O(1) dirty counter agrees with a scan.
                     let dirty_scan = c.iter().filter(|m| m.dirty).count();
                     assert_eq!(c.dirty_len(), dirty_scan);
+                    c.assert_index_consistent();
                 }
                 Ok(())
             })

@@ -15,6 +15,8 @@
 //!   involved so the filesystem can charge the corresponding requests.
 
 pub mod cache;
+#[cfg(test)]
+mod differential_tests;
 pub mod introspect;
 pub mod page;
 
