@@ -11,7 +11,9 @@
 //!
 //! This module captures the prefix **once** per distinct [`SetupKey`]
 //! (the setup-relevant slice of [`ExperimentConfig`]) in a per-thread
-//! [`SnapshotStore`] and hands every subsequent cell a deep fork.
+//! [`SnapshotStore`] and hands every subsequent cell a fork: a `Clone`,
+//! independent by copy-on-write below `BlockTable` (a fork shares the
+//! pristine's block-table chunks until it writes one) and by copy above.
 //! Equivalence is not assumed, it is checked: [`PreparedStack`] and
 //! every type under it (disk model, cache, filesystem trees, Duet,
 //! workload RNG streams) derive `PartialEq`, and the tests in this
@@ -97,7 +99,8 @@ fn setup_key(cfg: &ExperimentConfig) -> SetupKey {
 /// filesystem, fresh framework, workload with its setup-time RNG
 /// streams advanced. Tracing and fault handles are deliberately
 /// disarmed here (the runner arms them per cell, after the fork), so a
-/// clone shares no live `Rc` buffers with other forks.
+/// clone shares no live trace or fault buffers with other forks (what
+/// it does share, block-table chunks, is copied before it is written).
 #[derive(Clone, PartialEq)]
 pub struct PreparedStack {
     /// The populated, aged filesystem (metrics freshly reset).
@@ -197,7 +200,8 @@ mod tests {
     use crate::presets::paper_scaled;
     use duet::{EventMask, TaskScope};
     use sim_cache::PageKey;
-    use sim_core::{InodeNr, PageIndex, SimInstant};
+    use sim_core::{InodeNr, PageIndex, SimInstant, PAGE_SIZE};
+    use sim_disk::IoClass;
     use workloads::{DistKind, Personality};
 
     fn cfg(util: f64) -> ExperimentConfig {
@@ -260,8 +264,8 @@ mod tests {
     }
 
     /// The fork tests cannot pass vacuously at any layer: exactly one
-    /// mutation in the filesystem, the framework or the workload makes
-    /// the stacks unequal.
+    /// mutation in the filesystem, the framework, the workload or the
+    /// copy-on-write block table makes the stacks unequal.
     #[test]
     fn one_mutation_in_any_layer_breaks_equality() {
         let base = prepare(&cfg(0.5)).expect("fresh");
@@ -285,5 +289,17 @@ mod tests {
         // Put the filesystem back: the workload alone must differ.
         s.fs = base.fs.clone();
         assert!(s != base, "one run_op");
+
+        // One write into a forked stack lands in a block-table chunk
+        // the pristine shares: the fork differs, and the pristine —
+        // forked again — still equals a fresh build, so the write
+        // copied the chunk instead of going through to it.
+        clear_store();
+        let mut s = obtain(&cfg(0.5)).expect("build");
+        let ino = s.fs.inodes().files_by_inode()[0];
+        s.fs.write(ino, 0, PAGE_SIZE, IoClass::Normal, SimInstant::EPOCH)
+            .expect("write");
+        assert!(s.fs.blocks() != base.fs.blocks(), "one write");
+        assert!(obtain(&cfg(0.5)).expect("fork") == base, "written through");
     }
 }

@@ -29,6 +29,7 @@ use crate::inode::{InodeKind, InodeTable};
 use crate::snapshot::{SnapFile, Snapshot, SnapshotId};
 use sim_cache::{PageCache, PageKey, PageMeta};
 use sim_core::fault::{FaultHandle, FaultSite};
+use sim_core::ids::byte_range_end;
 use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{
     BlockNr,
@@ -63,21 +64,12 @@ pub struct DefragResult {
     pub extents_after: usize,
 }
 
-/// One past the last byte of a request. A range that wraps `u64` is a
-/// malformed request, not an empty one.
-fn byte_range_end(offset: u64, len_bytes: u64) -> SimResult<u64> {
-    offset.checked_add(len_bytes).ok_or_else(|| {
-        SimError::InvalidArgument(format!(
-            "byte range {offset} + {len_bytes} overflows the file offset space"
-        ))
-    })
-}
-
 /// The simulated copy-on-write filesystem.
 ///
-/// `Clone` deep-copies the whole filesystem image for the snapshot/fork
-/// plane. The fault and trace handles are `Rc`-shared; snapshots are
-/// captured with both disarmed and re-armed per fork.
+/// `Clone` is the snapshot/fork plane's fork: an independent image,
+/// copy-on-write below the [`BlockTable`] and copied everywhere else.
+/// The fault and trace handles are `Rc`-shared; snapshots are captured
+/// with both disarmed and re-armed per fork.
 #[derive(Clone, PartialEq)]
 pub struct BtrfsSim {
     device: DeviceId,

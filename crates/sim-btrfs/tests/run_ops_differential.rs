@@ -1,19 +1,28 @@
-//! The run-level block-table operations against the per-block loops
-//! they replaced, kept here as the reference: `write_block`, `ref_inc`
-//! and `set_backref` per block for `stamp_run`, `ref_inc` per block for
-//! `ref_run`, `clear_backref` and `ref_dec` per block for `release_run`.
-//! The tables must be `==` after every op, the freed runs must be
-//! exactly the blocks that reached zero, and `sim_disk::coalesce` must
-//! turn any block list into its maximal ascending runs. Driven by
-//! `sim_core::check::differential`: a failure prints the replay seed
-//! and a shrunk op log.
+//! The block table against a naive flat model of it: the five
+//! per-block `Vec`s the table kept before it was chunked, each run
+//! operation a plain loop over them. Every op's window is drawn across
+//! a chunk boundary; after each op the two are compared through the
+//! public getters (`refcount_of`, `backref_of`, `verify_checksum`,
+//! `corrupted_count`) around every boundary, and over the whole device
+//! at the end. A `Fork` clones the table and the model; later ops
+//! mutate the clone, and the original must still match the model as
+//! it was at the fork — a fork never writes through. The freed runs
+//! must be exactly the blocks that reached zero, and
+//! `sim_disk::coalesce` must turn any block list into its maximal
+//! ascending runs. Driven by `sim_core::check::differential`: a failure
+//! prints the replay seed and a shrunk op log.
 
+use sim_btrfs::blocktable::CHUNK_BLOCKS;
 use sim_btrfs::{BackRef, BlockTable, Run};
 use sim_core::check::{differential, DiffConfig};
 use sim_core::fault::seed_from_env;
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimRng};
+use std::collections::BTreeSet;
 
-const CAPACITY: u64 = 96;
+/// Three full chunks and a partial fourth.
+const CAPACITY: u64 = 3 * CHUNK_BLOCKS + 40;
+/// Longest window; windows start within this of a chunk boundary.
+const REACH: u64 = 24;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -24,26 +33,171 @@ enum Op {
     /// The live tree (`true`) or a snapshot lets go of a window; after
     /// `Share` this is partial release under snapshot sharing.
     Release(Run, bool),
+    /// A latent error lands on a block.
+    Corrupt(BlockNr),
+    /// A block is rebuilt from a good copy.
+    Repair(BlockNr),
+    /// The table is forked; the clone carries on.
+    Fork,
     /// Unsorted block list with duplicates.
     Coalesce(Vec<u64>),
 }
 
+/// Blocks within reach of chunk boundary `k` (the device's first block
+/// is boundary 0; the last boundary is inside the partial chunk).
+fn near_boundary(k: u64) -> std::ops::Range<u64> {
+    let at = k * CHUNK_BLOCKS;
+    at.saturating_sub(REACH)..(at + 2 * REACH).min(CAPACITY)
+}
+
+/// Every block an op can touch.
+fn hot_blocks() -> impl Iterator<Item = BlockNr> {
+    (0..=3).flat_map(near_boundary).map(BlockNr)
+}
+
 fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
-    let start = rng.gen_range(0, CAPACITY);
+    let at = rng.gen_range(0, 4) * CHUNK_BLOCKS;
+    let start = (at + rng.gen_range(0, 2 * REACH)).saturating_sub(REACH);
     let window = Run {
         start: BlockNr(start),
-        len: rng.gen_range(1, 12).min(CAPACITY - start),
+        len: rng.gen_range(1, REACH + 1).min(CAPACITY - start),
     };
-    match rng.gen_range(0, 10) {
-        0..=3 => Op::Stamp(window, InodeNr(rng.gen_range(1, 5)), rng.gen_range(0, 64)),
-        4..=5 => Op::Share(window),
-        6..=8 => Op::Release(window, rng.gen_range(0, 2) == 0),
+    let block = window.start.offset(rng.gen_range(0, window.len));
+    match rng.gen_range(0, 20) {
+        0..=6 => Op::Stamp(window, InodeNr(rng.gen_range(1, 5)), rng.gen_range(0, 64)),
+        7..=9 => Op::Share(window),
+        10..=14 => Op::Release(window, rng.gen_range(0, 2) == 0),
+        15 => Op::Corrupt(block),
+        16 => Op::Repair(block),
+        17 => Op::Fork,
         _ => Op::Coalesce(
             (0..rng.gen_range(0, 24))
                 .map(|_| rng.gen_range(0, 32))
                 .collect(),
         ),
     }
+}
+
+const NO_BACKREF: u64 = u64::MAX;
+
+/// The flat layout: one slot per block in each of five columns.
+#[derive(Clone)]
+struct Flat {
+    version: Vec<u64>,
+    checksum: Vec<u64>,
+    refcount: Vec<u32>,
+    backref_ino: Vec<u64>,
+    backref_idx: Vec<u64>,
+    corrupted: BTreeSet<u64>,
+    next_version: u64,
+    /// The sabotage: a live release leaves the back-reference behind.
+    stale_backrefs: bool,
+}
+
+fn checksum_of(version: u64) -> u64 {
+    let mut z = version.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z ^ (z >> 27)
+}
+
+impl Flat {
+    fn new(capacity: u64, stale_backrefs: bool) -> Flat {
+        let n = capacity as usize;
+        Flat {
+            version: vec![0; n],
+            checksum: vec![0; n],
+            refcount: vec![0; n],
+            backref_ino: vec![NO_BACKREF; n],
+            backref_idx: vec![0; n],
+            corrupted: BTreeSet::new(),
+            next_version: 1,
+            stale_backrefs,
+        }
+    }
+
+    fn stamp_run(&mut self, run: Run, ino: InodeNr, first_page: u64) {
+        for (b, page) in run.blocks().zip(first_page..) {
+            let i = b.raw() as usize;
+            self.version[i] = self.next_version;
+            self.checksum[i] = checksum_of(self.next_version);
+            self.next_version += 1;
+            self.corrupted.remove(&b.raw());
+            self.refcount[i] += 1;
+            self.backref_ino[i] = ino.raw();
+            self.backref_idx[i] = page;
+        }
+    }
+
+    fn ref_run(&mut self, run: Run) {
+        for b in run.blocks() {
+            self.refcount[b.raw() as usize] += 1;
+        }
+    }
+
+    /// The blocks that reached zero, in order.
+    fn release_run(&mut self, run: Run, live: bool) -> Vec<BlockNr> {
+        let mut zeroed = Vec::new();
+        for b in run.blocks() {
+            let i = b.raw() as usize;
+            self.refcount[i] -= 1;
+            if live && !self.stale_backrefs {
+                self.backref_ino[i] = NO_BACKREF;
+            }
+            if self.refcount[i] == 0 {
+                zeroed.push(b);
+            }
+        }
+        zeroed
+    }
+
+    fn repair(&mut self, b: BlockNr) {
+        let i = b.raw() as usize;
+        self.corrupted.remove(&b.raw());
+        self.checksum[i] = checksum_of(self.version[i]);
+    }
+
+    /// What the getters must return for `b`.
+    fn observe(&self, b: BlockNr) -> Observed {
+        let i = b.raw() as usize;
+        let backref = (self.backref_ino[i] != NO_BACKREF).then(|| BackRef {
+            ino: InodeNr(self.backref_ino[i]),
+            index: PageIndex(self.backref_idx[i]),
+        });
+        let bad =
+            self.corrupted.contains(&b.raw()) || self.checksum[i] != checksum_of(self.version[i]);
+        let verified = if bad {
+            Err(SimError::ChecksumMismatch(b))
+        } else {
+            Ok(())
+        };
+        (Ok(self.refcount[i]), Ok(backref), verified)
+    }
+}
+
+type Observed = (
+    Result<u32, SimError>,
+    Result<Option<BackRef>, SimError>,
+    Result<(), SimError>,
+);
+
+fn observe(t: &BlockTable, b: BlockNr) -> Observed {
+    (t.refcount_of(b), t.backref_of(b), t.verify_checksum(b))
+}
+
+/// The first difference between table and model over `blocks`.
+fn diverged(
+    t: &BlockTable,
+    model: &Flat,
+    mut blocks: impl Iterator<Item = BlockNr>,
+) -> Option<String> {
+    if t.corrupted_count() != model.corrupted.len() {
+        let want = model.corrupted.len();
+        return Some(format!("corrupted_count {} vs {want}", t.corrupted_count()));
+    }
+    blocks.find_map(|b| {
+        let (got, want) = (observe(t, b), model.observe(b));
+        (got != want).then(|| format!("{b}: {got:?} vs {want:?}"))
+    })
 }
 
 /// `runs` must be ascending, non-touching, and expand to `blocks`.
@@ -53,44 +207,45 @@ fn is_maximal_cover(runs: &[Run], blocks: &[BlockNr]) -> bool {
     !runs.windows(2).any(touching) && expanded.eq(blocks.iter().copied())
 }
 
-fn replay(log: &[Op]) -> Result<(), String> {
-    let mut fast = BlockTable::new(CAPACITY);
-    let mut slow = BlockTable::new(CAPACITY);
+fn replay(log: &[Op], stale_backrefs: bool) -> Result<(), String> {
+    let mut table = BlockTable::new(CAPACITY);
+    let mut model = Flat::new(CAPACITY, stale_backrefs);
+    // Each fork's original, and the model as it was at the fork.
+    let mut forked: Vec<(BlockTable, Flat)> = Vec::new();
     for (i, op) in log.iter().enumerate() {
         let fail = |what: &str| format!("op {i} {op:?}: {what}");
         let err = |e: SimError| fail(&e.to_string());
         match op {
             &Op::Stamp(run, ino, page) => {
-                fast.stamp_run(run, ino, page).map_err(err)?;
-                for (b, p) in run.blocks().zip(page..) {
-                    slow.write_block(b).map_err(err)?;
-                    slow.ref_inc(b).map_err(err)?;
-                    let index = PageIndex(p);
-                    slow.set_backref(b, BackRef { ino, index }).map_err(err)?;
-                }
+                table.stamp_run(run, ino, page).map_err(err)?;
+                model.stamp_run(run, ino, page);
             }
             &Op::Share(run) => {
-                fast.ref_run(run).map_err(err)?;
-                for b in run.blocks() {
-                    slow.ref_inc(b).map_err(err)?;
-                }
+                table.ref_run(run).map_err(err)?;
+                model.ref_run(run);
             }
             // Only referenced blocks can be let go of.
-            Op::Release(run, _) if run.blocks().any(|b| slow.refcount_of(b) == Ok(0)) => continue,
+            Op::Release(run, _) if run.blocks().any(|b| model.refcount[b.raw() as usize] == 0) => {
+                continue
+            }
             &Op::Release(run, live) => {
-                let mut zeroed = Vec::new();
-                for b in run.blocks() {
-                    if live {
-                        slow.clear_backref(b).map_err(err)?;
-                    }
-                    if slow.ref_dec(b).map_err(err)? {
-                        zeroed.push(b);
-                    }
-                }
-                let freed = fast.release_run(run, live).map_err(err)?;
+                let freed = table.release_run(run, live).map_err(err)?;
+                let zeroed = model.release_run(run, live);
                 if !is_maximal_cover(&freed, &zeroed) {
-                    return Err(fail(&format!("freed {freed:?}")));
+                    return Err(fail(&format!("freed {freed:?}, model {zeroed:?}")));
                 }
+            }
+            &Op::Corrupt(b) => {
+                table.inject_corruption(b).map_err(err)?;
+                model.corrupted.insert(b.raw());
+            }
+            &Op::Repair(b) => {
+                table.repair(b).map_err(err)?;
+                model.repair(b);
+            }
+            Op::Fork => {
+                let clone = table.clone();
+                forked.push((std::mem::replace(&mut table, clone), model.clone()));
             }
             Op::Coalesce(blocks) => {
                 let mut sorted: Vec<BlockNr> = blocks.iter().copied().map(BlockNr).collect();
@@ -102,16 +257,38 @@ fn replay(log: &[Op]) -> Result<(), String> {
                 }
             }
         }
-        if fast != slow {
-            return Err(fail("block tables diverged"));
+        if let Some(what) = diverged(&table, &model, hot_blocks()) {
+            return Err(fail(&format!("table and model diverged at {what}")));
+        }
+    }
+    let everywhere = || (0..CAPACITY).map(BlockNr);
+    if let Some(what) = diverged(&table, &model, everywhere()) {
+        return Err(format!("end of log: table and model diverged at {what}"));
+    }
+    for (k, (original, then)) in forked.iter().enumerate() {
+        if let Some(what) = diverged(original, then, everywhere()) {
+            return Err(format!("fork {k}'s original diverged at {what}"));
         }
     }
     Ok(())
 }
 
 #[test]
-fn run_level_ops_match_the_per_block_loops() {
+fn block_table_matches_the_flat_model() {
     let seed = seed_from_env("DUET_CHECK_SEED", 0xB10C_7AB1).unwrap_or_else(|e| panic!("{e}"));
     let cfg = DiffConfig::new("run_ops_differential", seed).ops(400);
-    differential(&cfg, gen_op, replay).unwrap();
+    differential(&cfg, gen_op, |log| replay(log, false)).unwrap();
+}
+
+/// The harness can fail: a model whose live release forgets to clear
+/// the back-reference is caught, and the log shrinks to the stamps and
+/// the release that expose it.
+#[test]
+fn a_model_with_stale_backrefs_is_caught() {
+    let cfg = DiffConfig::new("run_ops_vs_stale_model", 0x57A1E)
+        .cases(4)
+        .ops(400);
+    let failure = differential(&cfg, gen_op, |log| replay(log, true)).unwrap_err();
+    assert!(failure.ops.len() <= 3, "{failure}");
+    assert!(failure.message.contains("diverged"), "{failure}");
 }

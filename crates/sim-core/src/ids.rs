@@ -7,7 +7,7 @@
 //! page index covering a byte offset) is provided as named methods rather
 //! than operator overloads, keeping call sites explicit.
 
-use crate::PAGE_SIZE;
+use crate::{SimError, SimResult, PAGE_SIZE};
 use std::fmt;
 
 macro_rules! id_newtype {
@@ -117,6 +117,16 @@ impl PageIndex {
 /// Number of pages needed to hold `bytes` bytes (rounding up).
 pub const fn pages_for_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(PAGE_SIZE)
+}
+
+/// One past the last byte of a request. A range that wraps `u64` is a
+/// malformed request, not an empty one.
+pub fn byte_range_end(offset: u64, len_bytes: u64) -> SimResult<u64> {
+    offset.checked_add(len_bytes).ok_or_else(|| {
+        SimError::InvalidArgument(format!(
+            "byte range {offset} + {len_bytes} overflows the file offset space"
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //! capturing the prefix **once** and forking it per cell:
 //!
 //! - [`SnapshotStore`]: a small bounded memo of pristine states. A hit
-//!   hands out a deep [`Clone`] (the fork); the stored pristine state
-//!   is never mutated, so every fork starts from byte-identical state.
+//!   hands out a [`Clone`] (the fork), independent of the pristine by
+//!   copy-on-write below `sim_btrfs::BlockTable` and by copy everywhere
+//!   else; the stored pristine state is never mutated, so every fork
+//!   starts from byte-identical state.
 //!
 //! "Same simulated state" has one definition, `==`: every type under
 //! the forked stack derives [`PartialEq`], so the fork-equivalence
@@ -20,7 +22,7 @@
 //! exist where representation is not state, and destructure their type
 //! exhaustively so a new field does not compile until it is named.
 //!
-//! Determinism: a fork is a deep clone of deterministic state, so a
+//! Determinism: a fork is an independent clone of deterministic state, so a
 //! forked run and a fresh run consume identical RNG streams and
 //! produce byte-identical results. The golden CSV fixtures pin this
 //! end to end; `fork == fresh` pins it at the fork point.
@@ -59,8 +61,8 @@ impl<K: PartialEq, T: Clone> SnapshotStore<K, T> {
 
     /// Returns a fork of the snapshot for `key`, building (and
     /// memoizing) the pristine state with `build` on a miss. The
-    /// returned value is always a fresh deep clone — mutating it
-    /// cannot affect later forks of the same key.
+    /// returned value is always a fresh, independent clone — mutating
+    /// it cannot affect later forks of the same key.
     pub fn fork_or_build<E>(
         &mut self,
         key: K,

@@ -20,6 +20,7 @@ use crate::segment::{segment_of, segment_start, SegState, SegmentInfo};
 use sim_cache::{PageCache, PageKey, PageMeta};
 use sim_core::dmap::DMap;
 use sim_core::fault::FaultHandle;
+use sim_core::ids::byte_range_end;
 use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{
     BlockNr,
@@ -522,9 +523,10 @@ impl F2fsSim {
         if len_bytes == 0 {
             return Ok(stats);
         }
+        let end = byte_range_end(offset, len_bytes)?;
         let size = self.get(ino)?.size_bytes;
         let p0 = offset / PAGE_SIZE;
-        let p1 = ((offset + len_bytes).div_ceil(PAGE_SIZE)).min(size.div_ceil(PAGE_SIZE));
+        let p1 = end.div_ceil(PAGE_SIZE).min(size.div_ceil(PAGE_SIZE));
         let mut missing: Vec<(PageIndex, BlockNr)> = Vec::new();
         for p in p0..p1 {
             let idx = PageIndex(p);
@@ -573,11 +575,12 @@ impl F2fsSim {
         if len_bytes == 0 {
             return Ok(stats);
         }
+        let end = byte_range_end(offset, len_bytes)?;
         let p0 = offset / PAGE_SIZE;
-        let p1 = (offset + len_bytes).div_ceil(PAGE_SIZE);
+        let p1 = end.div_ceil(PAGE_SIZE);
         {
             let node = self.get_mut(ino)?;
-            node.size_bytes = node.size_bytes.max(offset + len_bytes);
+            node.size_bytes = node.size_bytes.max(end);
         }
         let mut evicted_all = Vec::new();
         for p in p0..p1 {
@@ -819,6 +822,31 @@ mod tests {
             assert_eq!(o_ino, ino);
             assert_eq!(o_idx, PageIndex(p));
         }
+    }
+
+    #[test]
+    fn byte_range_past_the_offset_space_is_rejected() {
+        let mut fs = make_fs(8, 16, 64);
+        let ino = fs.populate_file("a", pb(4)).unwrap();
+        // In release a wrapped `offset + len` used to read nothing and
+        // write a page range that ends before it starts.
+        for (offset, len) in [(u64::MAX, 2), (u64::MAX - PAGE_SIZE, 2 * PAGE_SIZE)] {
+            let read = fs.read(ino, offset, len, NORMAL, T0);
+            assert!(
+                matches!(read, Err(SimError::InvalidArgument(_))),
+                "{read:?}"
+            );
+            let write = fs.write(ino, offset, len, NORMAL, T0);
+            assert!(
+                matches!(write, Err(SimError::InvalidArgument(_))),
+                "{write:?}"
+            );
+        }
+        assert_eq!(fs.size_of(ino).unwrap(), pb(4));
+        assert_eq!(fs.dirty_pages(), 0);
+        fs.check_consistency().unwrap();
+        // The last addressable byte is still a valid request.
+        assert!(fs.read(ino, u64::MAX - 1, 1, NORMAL, T0).is_ok());
     }
 
     #[test]
