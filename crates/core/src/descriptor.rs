@@ -11,13 +11,14 @@
 //! *cancellation*, when opposing events revert a page to its
 //! last-reported state for every state session.
 //!
-//! All descriptors live in one [`DescriptorTable`]: a flat hash table
-//! keyed by (inode, page index), the paper's single global hash table
-//! (§4.2, §6.4), so a page event or a fetched item costs one probe.
+//! All descriptors live in one [`DescriptorTable`], indexed per file
+//! like the page cache (a [`PageTable`] over a slab), so a page event or
+//! a fetched item resolves (inode, chunk, slot) and a per-file operation
+//! walks that file's chunks only.
 
 use crate::events::{EventMask, ItemFlags};
 use sim_cache::PageKey;
-use sim_core::{BlockNr, DMap, InodeNr, PageIndex};
+use sim_core::{BlockNr, InodeNr, PageTable, Slab};
 
 /// Per-session flag byte within a merged descriptor.
 ///
@@ -150,10 +151,6 @@ impl SlotMasks {
     }
 }
 
-/// `(block, cur_exists, cur_modified, sess)` of a [`Descriptor`].
-#[cfg(test)]
-pub(crate) type LogicalDescriptor = (Option<BlockNr>, bool, bool, [SessFlags; MAX_SESSIONS]);
-
 /// A merged item descriptor for one page.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Descriptor {
@@ -164,9 +161,6 @@ pub(crate) struct Descriptor {
     pub cur_exists: bool,
     /// Current modification (dirty) state of the page.
     pub cur_modified: bool,
-    /// Position of this page in its file's [`DescriptorTable`] index
-    /// vector (the table's bookkeeping, not logical state).
-    ino_pos: u32,
     /// Per-session flag bytes (the paper's N-byte array), inline.
     pub sess: [SessFlags; MAX_SESSIONS],
 }
@@ -177,17 +171,8 @@ impl Descriptor {
             block,
             cur_exists: exists,
             cur_modified: modified,
-            ino_pos: 0,
             sess: [SessFlags::default(); MAX_SESSIONS],
         }
-    }
-
-    /// The descriptor without the table's `ino_pos` bookkeeping: what
-    /// the reference model of `differential_tests`, which keeps no
-    /// per-inode index, can be compared on.
-    #[cfg(test)]
-    pub(crate) fn logical(&self) -> LogicalDescriptor {
-        (self.block, self.cur_exists, self.cur_modified, self.sess)
     }
 
     /// Marks the session up-to-date with the page's current state:
@@ -257,34 +242,44 @@ impl Descriptor {
     }
 }
 
-/// The framework's descriptor store: one flat hashed table of merged
-/// descriptors, plus a per-file index of the pages that have one, so
-/// that `set_done` on a file touches that file's descriptors only.
+/// The framework's descriptor store: merged descriptors in a slab,
+/// indexed per file by a [`PageTable`], so that `set_done` on a file
+/// walks that file's chunks only.
 ///
-/// Invariant (kept here, behind private fields): `per_ino[ino]` lists
-/// exactly the page indexes of `ino` present in `table`, each
-/// descriptor's `ino_pos` is its position in that list, and no list is
-/// empty. Upkeep is O(1) per insert/remove (swap-remove).
-///
-/// Dense order is a function of arrival order, which two runs that
-/// reach the same descriptors need not share: whatever observes an
-/// order sorts by key first, and `==` compares the maps' entries, not
-/// their order.
-#[derive(Clone, Default, PartialEq)]
+/// Which slab slot a descriptor lands in is a function of arrival
+/// order, which two runs that reach the same descriptors need not
+/// share: `iter` walks in key order, and `==` compares key →
+/// descriptor, not handles.
+#[derive(Clone, Default)]
 pub(crate) struct DescriptorTable {
-    table: DMap<PageKey, Descriptor>,
-    per_ino: DMap<InodeNr, Vec<PageIndex>>,
-    /// High-water mark of `table.len()`.
+    index: PageTable,
+    descs: Slab<Descriptor>,
+    /// High-water mark of `descs.len()`.
     peak: usize,
+}
+
+/// Same descriptors under the same keys, whatever slots they occupy:
+/// the index's handles and the slab's free list are layout.
+impl PartialEq for DescriptorTable {
+    fn eq(&self, other: &Self) -> bool {
+        let DescriptorTable {
+            index: _,
+            descs,
+            peak,
+        } = self;
+        *peak == other.peak
+            && descs.len() == other.descs.len()
+            && self.iter().all(|(key, d)| other.get(&key) == Some(d))
+    }
 }
 
 impl DescriptorTable {
     pub(crate) fn len(&self) -> usize {
-        self.table.len()
+        self.descs.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.descs.is_empty()
     }
 
     /// Most descriptors ever live at once.
@@ -292,131 +287,111 @@ impl DescriptorTable {
         self.peak
     }
 
-    pub(crate) fn get_mut(&mut self, key: &PageKey) -> Option<&mut Descriptor> {
-        self.table.get_mut(key)
+    fn get(&self, key: &PageKey) -> Option<&Descriptor> {
+        let h = self.index.get(key.ino, key.index)?;
+        Some(&self.descs[h])
     }
 
-    /// The page's descriptor, allocated by `init` if absent — one
-    /// probe either way. The flag says whether it already existed.
+    pub(crate) fn get_mut(&mut self, key: &PageKey) -> Option<&mut Descriptor> {
+        let h = self.index.get(key.ino, key.index)?;
+        Some(&mut self.descs[h])
+    }
+
+    /// The page's descriptor, allocated by `init` if absent — one walk
+    /// to its slot either way. The flag says whether it already existed.
     pub(crate) fn get_or_insert_with(
         &mut self,
         key: PageKey,
         init: impl FnOnce() -> Descriptor,
     ) -> (&mut Descriptor, bool) {
-        let live = self.table.len();
-        let mut created = false;
-        let d = self.table.get_or_insert_with(key, || {
-            created = true;
-            init()
-        });
-        if created {
-            self.peak = self.peak.max(live + 1);
-            let pages = self.per_ino.get_or_insert_with(key.ino, Vec::new);
-            d.ino_pos = pages.len() as u32;
-            pages.push(key.index);
+        let descs = &mut self.descs;
+        let (h, existed) = self
+            .index
+            .get_or_insert_with(key.ino, key.index, || descs.insert(init()));
+        if !existed {
+            self.peak = self.peak.max(self.descs.len());
         }
-        (d, !created)
+        (&mut self.descs[h], existed)
     }
 
     /// Frees the page's descriptor, if it has one.
     pub(crate) fn remove(&mut self, key: &PageKey) {
-        let Some(d) = self.table.remove(key) else {
-            return;
-        };
-        let pos = d.ino_pos as usize;
-        let Some(pages) = self.per_ino.get_mut(&key.ino) else {
-            debug_assert!(false, "per-inode index underflow");
-            return;
-        };
-        pages.swap_remove(pos);
-        if let Some(&moved) = pages.get(pos) {
-            if let Some(m) = self.table.get_mut(&PageKey::new(key.ino, moved)) {
-                m.ino_pos = pos as u32;
-            }
-        } else if pages.is_empty() {
-            self.per_ino.remove(&key.ino);
+        if let Some(h) = self.index.remove(key.ino, key.index) {
+            self.descs.remove(h);
         }
     }
 
     /// Shows `keep` every descriptor of one file and frees those it
-    /// rejects. Cost is proportional to that file's descriptors, not
-    /// to the table.
+    /// rejects. Cost is proportional to that file's chunks, not to the
+    /// table.
     pub(crate) fn retain_file(
         &mut self,
         ino: InodeNr,
         mut keep: impl FnMut(&mut Descriptor) -> bool,
     ) {
-        let Some(mut pages) = self.per_ino.remove(&ino) else {
-            return;
-        };
-        let mut kept = 0;
-        for i in 0..pages.len() {
-            let index = pages[i];
-            let key = PageKey::new(ino, index);
-            let Some(d) = self.table.get_mut(&key) else {
-                debug_assert!(false, "per-inode index lists a page with no descriptor");
-                continue;
-            };
-            if keep(d) {
-                d.ino_pos = kept as u32;
-                pages[kept] = index;
-                kept += 1;
-            } else {
-                self.table.remove(&key);
-            }
-        }
-        pages.truncate(kept);
-        if !pages.is_empty() {
-            self.per_ino.insert(ino, pages);
-        }
+        let descs = &mut self.descs;
+        self.index
+            .retain_file(ino, |_, h| Self::keep_or_free(descs, h, &mut keep));
     }
 
     /// Shows `keep` every descriptor in the table and frees those it
     /// rejects. A full walk: for `deregister` only.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut Descriptor) -> bool) {
-        let dead: Vec<PageKey> = self
-            .table
-            .iter_mut()
-            .filter_map(|(key, d)| (!keep(d)).then_some(*key))
-            .collect();
-        for key in &dead {
-            self.remove(key);
-        }
+        let descs = &mut self.descs;
+        self.index
+            .retain(|_, _, h| Self::keep_or_free(descs, h, &mut keep));
     }
 
-    /// Panics unless the per-inode index and the table agree.
+    fn keep_or_free(
+        descs: &mut Slab<Descriptor>,
+        h: u32,
+        keep: &mut impl FnMut(&mut Descriptor) -> bool,
+    ) -> bool {
+        let kept = keep(&mut descs[h]);
+        if !kept {
+            descs.remove(h);
+        }
+        kept
+    }
+
+    /// Panics unless the index is consistent in itself and names every
+    /// live descriptor exactly once.
     #[cfg(test)]
     pub(crate) fn assert_consistent(&self) {
-        let indexed: usize = self.per_ino.values().map(Vec::len).sum();
-        assert_eq!(indexed, self.table.len(), "index lists every descriptor");
-        for (&ino, pages) in self.per_ino.iter() {
-            assert!(!pages.is_empty(), "{ino} has an empty index entry");
-            for (pos, &index) in pages.iter().enumerate() {
-                let d = self.table.get(&PageKey::new(ino, index));
-                assert_eq!(d.map(|d| d.ino_pos as usize), Some(pos), "{ino} {index:?}");
-            }
-        }
-    }
-
-    /// Every descriptor in dense (arrival-dependent) order: only for
-    /// uses that do not observe the order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&PageKey, &Descriptor)> {
-        self.table.iter()
+        self.index.assert_consistent();
+        let mut handles: Vec<u32> = self.index.iter().map(|(_, _, h)| h).collect();
+        handles.sort_unstable();
+        handles.dedup();
+        assert_eq!(
+            handles.len(),
+            self.descs.len(),
+            "index names every descriptor once"
+        );
+        assert!(handles.iter().all(|&h| self.descs.get(h).is_some()));
     }
 
     /// Every descriptor in `(inode, index)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PageKey, &Descriptor)> {
+        self.index
+            .iter()
+            .map(|(ino, index, h)| (PageKey::new(ino, index), &self.descs[h]))
+    }
+
+    /// Every page with a descriptor, in key order, with the slab slot
+    /// it occupies: the table's layout.
     #[cfg(test)]
-    pub(crate) fn sorted(&self) -> Vec<(PageKey, &Descriptor)> {
-        let mut all: Vec<(PageKey, &Descriptor)> =
-            self.table.iter().map(|(k, d)| (*k, d)).collect();
-        all.sort_unstable_by_key(|&(key, _)| key);
-        all
+    pub(crate) fn layout(&self) -> Vec<(PageKey, u32)> {
+        self.index
+            .iter()
+            .map(|(ino, index, h)| (PageKey::new(ino, index), h))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::PageIndex;
 
     #[test]
     fn sess_flags_roundtrip() {
@@ -502,9 +477,9 @@ mod tests {
         let mut t = table_of(1000, 100);
         assert_eq!((t.len(), t.peak()), (100_000, 100_000));
         // A file with none: nothing is visited, nothing moves.
-        let before: Vec<PageKey> = t.iter().map(|(key, _)| *key).collect();
+        let before = t.layout();
         t.retain_file(InodeNr(5000), |_| unreachable!("no descriptor to show"));
-        assert!(t.iter().map(|(key, _)| key).eq(&before));
+        assert_eq!(t.layout(), before);
         // A file with a hundred: a hundred visits; the odd pages go.
         let mut visits = 0;
         t.retain_file(InodeNr(7), |d| {
@@ -536,11 +511,42 @@ mod tests {
             assert_eq!(existed, n % 2 == 1);
             t.assert_consistent();
         }
-        let sorted: Vec<PageKey> = t.sorted().into_iter().map(|(key, _)| key).collect();
-        assert!(sorted.is_sorted() && sorted.len() == 63);
+        let keys: Vec<PageKey> = t.iter().map(|(key, _)| key).collect();
+        assert!(keys.is_sorted() && keys.len() == 63);
         t.retain(|_| false);
         assert!(t.is_empty());
         t.assert_consistent();
         assert_eq!(t.peak(), 63);
+    }
+
+    /// `==` is key → descriptor: blind to which slots two arrival orders
+    /// filled, and it can fail — one flag, one extra page or a different
+    /// peak breaks it.
+    #[test]
+    fn equality_ignores_layout_and_sees_every_descriptor() {
+        let keys: Vec<PageKey> = (0..8)
+            .map(|n| PageKey::new(InodeNr(n % 3), PageIndex(n * 31)))
+            .collect();
+        let build = |order: &mut dyn Iterator<Item = &PageKey>| {
+            let mut t = DescriptorTable::default();
+            for &key in order {
+                t.get_or_insert_with(key, || Descriptor::new(true, false, None));
+            }
+            t
+        };
+        let forward = build(&mut keys.iter());
+        let mut backward = build(&mut keys.iter().rev());
+        assert_ne!(forward.layout(), backward.layout(), "not vacuous");
+        assert!(forward == backward);
+        let key = keys[5];
+        backward.get_mut(&key).unwrap().sess[3].set_evt(ItemFlags::ADDED);
+        assert!(forward != backward, "one flag");
+        backward.get_mut(&key).unwrap().sess[3].clear_all();
+        assert!(forward == backward);
+        let extra = PageKey::new(InodeNr(9), PageIndex(1 << 40));
+        backward.get_or_insert_with(extra, || Descriptor::new(true, false, None));
+        assert!(forward != backward, "one extra page");
+        backward.remove(&extra);
+        assert!(forward != backward, "the peak remembers it");
     }
 }

@@ -1,11 +1,11 @@
 //! Differential test: [`Duet`] against a naive reference framework.
 //!
-//! The reference ([`Model`]) is the two-level ordered table the flat
-//! descriptor table replaced, kept deliberately simple: one ordered map
-//! walked as often as is convenient (an existence pre-lookup, an entry
-//! lookup and a separate free pass per event), `set_done` on a file and
-//! `pending_pages` by scanning everything, no per-inode index, no
-//! cached masks. It shares the per-page flag arithmetic
+//! The reference ([`Model`]) is the two-level ordered table PR 12's
+//! flat descriptor table replaced, kept deliberately simple: one
+//! ordered map walked as often as is convenient (an existence
+//! pre-lookup, an entry lookup and a separate free pass per event),
+//! `set_done` on a file and `pending_pages` by scanning everything, no
+//! per-file index, no cached masks. It shares the per-page flag arithmetic
 //! ([`Descriptor`]) and the session record with the real framework —
 //! what it checks is everything the table rebuild touched: which
 //! descriptors exist, when they are freed, what each fetch returns and
@@ -16,7 +16,7 @@
 //! logs shrunk. `DUET_CHECK_SEED` overrides the base seed
 //! (unset, the default is the pinned seed; CI rotates it).
 
-use crate::descriptor::{Descriptor, LogicalDescriptor, SlotMasks};
+use crate::descriptor::{Descriptor, SlotMasks};
 use crate::events::{transition, EventMask, ItemFlags};
 use crate::framework::{Duet, DuetConfig, DuetStats};
 use crate::session::{Item, ItemId, Session, SessionId, TaskScope};
@@ -29,13 +29,12 @@ use std::collections::BTreeMap;
 // ----- the reference framework ---------------------------------------------
 
 /// What [`Duet`] and the differently-built [`Model`] are both projected
-/// onto, to be compared with `==`: descriptors in key order, without
-/// the flat table's index bookkeeping.
+/// onto, to be compared with `==`: descriptors in key order.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Canonical<'a> {
     pub cfg: DuetConfig,
     pub sessions: &'a [Option<Session>],
-    pub descs: Vec<(PageKey, LogicalDescriptor)>,
+    pub descs: Vec<(PageKey, &'a Descriptor)>,
     pub stats: DuetStats,
 }
 
@@ -467,11 +466,7 @@ impl Model {
         Canonical {
             cfg: self.cfg,
             sessions: &self.sessions,
-            descs: self
-                .descs
-                .iter()
-                .map(|(key, d)| (*key, d.logical()))
-                .collect(),
+            descs: self.descs.iter().map(|(key, d)| (*key, d)).collect(),
             stats: self.stats,
         }
     }

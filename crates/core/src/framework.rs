@@ -404,8 +404,8 @@ impl Duet {
                 interested |= 1 << slot;
             }
         }
-        // Pass 2: one probe finds the page's descriptor, or allocates
-        // it if some session wants the event.
+        // Pass 2: one walk to the page's slot finds its descriptor, or
+        // allocates it if some session wants the event.
         let key = meta.key;
         let (d, existed) = if interested == 0 {
             match self.descs.get_mut(&key) {
@@ -483,7 +483,7 @@ impl Duet {
             let Some(key) = sess.queue.pop_front() else {
                 break;
             };
-            // One probe per queued page; a stale entry (already
+            // One lookup per queued page; a stale entry (already
             // delivered, cancelled or freed) just falls through.
             let Some(d) = self.descs.get_mut(&key) else {
                 continue;
@@ -789,52 +789,39 @@ impl Duet {
     /// future work in §2 of the paper): the cache can deprioritize
     /// evicting pages whose hints no task has consumed yet.
     pub fn pending_pages(&self, max: usize) -> Vec<PageKey> {
-        let mut out: Vec<PageKey> = self
-            .descs
+        // The first `max` in (inode, index) order: the table walks in
+        // key order, whatever order the descriptors arrived in.
+        self.descs
             .iter()
             .filter(|(_, d)| d.pending_any(&self.slots))
-            .map(|(key, _)| *key)
-            .collect();
-        // The first `max` in (inode, index) order, whatever order the
-        // descriptors arrived in.
-        if max < out.len() {
-            out.select_nth_unstable(max);
-            out.truncate(max);
-        }
-        out.sort_unstable();
-        out
+            .map(|(key, _)| key)
+            .take(max)
+            .collect()
     }
 
-    /// Panics unless `descriptor_count`, the table and its per-inode
-    /// index agree.
+    /// Panics unless the descriptor table and its per-file index agree.
     #[cfg(test)]
     pub(crate) fn assert_index_consistent(&self) {
         self.descs.assert_consistent();
     }
 
     /// The framework's state in the shape the reference model of
-    /// `differential_tests` also builds: descriptors in key order and
-    /// without the table's index bookkeeping.
+    /// `differential_tests` also builds: descriptors in key order.
     #[cfg(test)]
     pub(crate) fn canonical(&self) -> crate::differential_tests::Canonical<'_> {
         use crate::differential_tests::Canonical;
         Canonical {
             cfg: self.cfg,
             sessions: &self.sessions,
-            descs: self
-                .descs
-                .sorted()
-                .into_iter()
-                .map(|(key, d)| (key, d.logical()))
-                .collect(),
+            descs: self.descs.iter().collect(),
             stats: self.stats(),
         }
     }
 
-    /// The pages with a descriptor, in the table's dense order.
+    /// The pages with a descriptor and the slab slots they occupy.
     #[cfg(test)]
-    pub(crate) fn dense_order(&self) -> Vec<PageKey> {
-        self.descs.iter().map(|(key, _)| *key).collect()
+    pub(crate) fn layout(&self) -> Vec<(PageKey, u32)> {
+        self.descs.layout()
     }
 
     /// Events dropped for a session (DoS-bound accounting).

@@ -963,12 +963,12 @@ mod faults {
     }
 }
 
-// ----- the flat descriptor table ------------------------------------------------
+// ----- the descriptor table ------------------------------------------------------
 
 /// Builds the descriptor set {(f, 1), (f, 2), (f, 3)} for a session on
 /// `/a`, with a second session on `/b` whose only descriptor is freed
-/// by its deregistration — either first in the table's dense storage
-/// (so freeing it swap-fills a survivor into its place) or last.
+/// by its deregistration — allocated either first (so its freed slot
+/// sits below the survivors') or last.
 fn three_descriptors(other_arrives_first: bool) -> Duet {
     let mut fs = MockFs::new();
     let a = fs.add(2, ROOT, "a");
@@ -1004,9 +1004,10 @@ fn three_descriptors(other_arrives_first: bool) -> Duet {
 #[test]
 fn equality_and_pending_pages_do_not_depend_on_arrival_order() {
     let (x, y) = (three_descriptors(true), three_descriptors(false));
-    // Not vacuous: the two tables really are laid out differently, so
-    // walking them in dense order would give different answers.
-    assert_ne!(x.dense_order(), y.dense_order());
+    // Not vacuous: the two tables really are laid out differently —
+    // the same pages sit in different slab slots, and the slot freed
+    // by the deregistration differs — so a derived `==` would fail.
+    assert_ne!(x.layout(), y.layout());
     assert!(x == y);
     let first_two: Vec<PageKey> = (1..=2)
         .map(|i| PageKey::new(InodeNr(10), PageIndex(i)))
@@ -1059,13 +1060,13 @@ fn set_done_on_a_file_without_descriptors_leaves_a_large_table_untouched() {
         duet.handle_page_event(page, PageEvent::Added, &fs);
     }
     assert_eq!(duet.descriptor_count(), 100_000);
-    let before = duet.dense_order();
+    let before = duet.layout();
     duet.set_done(sid, ItemId::Inode(InodeNr(5))).unwrap();
-    assert_eq!(duet.dense_order(), before);
+    assert_eq!(duet.layout(), before);
     duet.assert_index_consistent();
     // A file that has descriptors loses exactly its own.
     duet.set_done(sid, ItemId::Inode(InodeNr(10))).unwrap();
     assert_eq!(duet.descriptor_count(), 100_000 - 100);
-    assert!(duet.dense_order().iter().all(|key| key.ino != InodeNr(10)));
+    assert!(duet.layout().iter().all(|(key, _)| key.ino != InodeNr(10)));
     duet.assert_index_consistent();
 }

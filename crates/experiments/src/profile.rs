@@ -98,6 +98,12 @@ pub fn profile_key(cfg: &ExperimentConfig) -> Option<ProfileKey> {
 /// Returns [`SimError::Unsupported`] if the configuration has no
 /// foreground workload, and propagates simulation errors.
 pub fn profile_unthrottled(cfg: &ExperimentConfig) -> SimResult<f64> {
+    calibrate(cfg).map(|(busy_per_op, _)| busy_per_op)
+}
+
+/// The calibration pass: its busy-per-op result and the filesystem it
+/// ran on.
+fn calibrate(cfg: &ExperimentConfig) -> SimResult<(f64, BtrfsSim)> {
     let Some(wcfg) = cfg.workload else {
         return Err(SimError::Unsupported("profiling requires a workload"));
     };
@@ -126,8 +132,14 @@ pub fn profile_unthrottled(cfg: &ExperimentConfig) -> SimResult<f64> {
         if fs.dirty_pages() > cache_pages / WB_HIGH_FRACTION {
             fs.background_writeback(WB_BATCH, IoClass::Normal, now)?;
         }
+        // No Duet listens here: discard the operation's page events
+        // instead of buffering the whole pass's history (the queue's
+        // buffer is recycled, so this allocates nothing).
+        let events = fs.cache_mut().take_events();
+        fs.cache_mut().put_back_events(events);
     }
-    Ok(fs.foreground_busy().as_nanos() as f64 / PROFILE_OPS as f64)
+    let busy_per_op = fs.foreground_busy().as_nanos() as f64 / PROFILE_OPS as f64;
+    Ok((busy_per_op, fs))
 }
 
 /// Memoized profiles, shared by reference across sweep workers.
@@ -231,6 +243,15 @@ mod tests {
         assert_eq!(first.to_bits(), memoized.to_bits());
         assert_eq!(cache.len(), 1);
         assert!(first > 0.0, "busy per op {first}");
+    }
+
+    /// Nothing consumes the calibration's page events, so none may be
+    /// left queued when it ends: buffering all of them was half of
+    /// `sweep_table5`'s peak RSS.
+    #[test]
+    fn calibration_leaves_no_page_events_queued() {
+        let (_, mut fs) = calibrate(&cfg(0.5)).expect("calibration");
+        assert_eq!(fs.cache_mut().drain_events().len(), 0, "events left queued");
     }
 
     #[test]

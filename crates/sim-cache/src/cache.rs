@@ -12,11 +12,12 @@
 //! requests, then record the flush here.
 
 use crate::page::{PageEvent, PageKey, PageMeta};
-use sim_core::dmap::{DMap, DSet, Slab, NIL};
+use sim_core::dmap::{DSet, Slab, NIL};
 use sim_core::fault::{FaultHandle, FaultSite};
+use sim_core::pagetable::PageTable;
 use sim_core::trace::{TraceHandle, TraceLayer};
-use sim_core::{BlockNr, InodeNr, PageIndex};
-use std::collections::{BTreeMap, VecDeque};
+use sim_core::{BlockNr, InodeNr};
+use std::collections::VecDeque;
 
 /// Cache hit/miss and traffic statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,38 +52,6 @@ struct Node {
     dnext: u32,
 }
 
-/// A file's page table covers its index space in chunks of this many
-/// consecutive pages.
-const CHUNK_SHIFT: u32 = 6;
-const CHUNK_SLOTS: usize = 1 << CHUNK_SHIFT;
-
-/// One chunk of a file's page table: the slab handles of the resident
-/// pages among 64 consecutive indices ([`NIL`] = not resident).
-#[derive(Debug, Clone, PartialEq)]
-struct Chunk {
-    slots: [u32; CHUNK_SLOTS],
-    used: u32,
-}
-
-/// The resident pages of one file, as the kernel keeps them: per inode
-/// (`address_space → i_pages`), not in one global hash. Chunks are keyed
-/// by `index >> CHUNK_SHIFT`, so chunk order is page order and memory
-/// follows the resident pages, not the span of their indices.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct FilePages {
-    /// Chunk number → handle into [`PageCache::chunks`].
-    chunks: BTreeMap<u64, u32>,
-    /// Resident pages across all chunks.
-    count: usize,
-}
-
-/// Splits a page index into its chunk number and the slot within it.
-#[inline]
-fn chunk_of(index: PageIndex) -> (u64, usize) {
-    let i = index.raw();
-    (i >> CHUNK_SHIFT, (i as usize) & (CHUNK_SLOTS - 1))
-}
-
 /// An LRU page cache with dirty tracking and an event queue.
 ///
 /// # Examples
@@ -104,14 +73,11 @@ pub struct PageCache {
     /// Backing store for resident pages; handles stay stable while a
     /// page is resident, so the intrusive lists can link by `u32`.
     slab: Slab<Node>,
-    /// The one index: inode → that file's page table → slab handle. A
-    /// request that runs along a file hashes one small key and then
-    /// walks neighbouring slots; per-file scans are in page order as
-    /// stored. An emptied chunk and an emptied file are dropped at
-    /// once.
-    files: DMap<InodeNr, FilePages>,
-    /// Backing store for the files' chunks.
-    chunks: Slab<Chunk>,
+    /// The one index: (inode, page index) → slab handle, per file as
+    /// the kernel keeps it (`address_space → i_pages`). A request that
+    /// runs along a file hashes one small key and then walks
+    /// neighbouring slots; per-file scans are in page order as stored.
+    index: PageTable,
     /// Intrusive LRU list: head = least recently used. Touch is now an
     /// O(1) splice instead of a B-tree remove + insert.
     lru_head: u32,
@@ -153,8 +119,7 @@ impl PageCache {
         PageCache {
             capacity,
             slab: Slab::new(),
-            files: DMap::new(),
-            chunks: Slab::new(),
+            index: PageTable::new(),
             lru_head: NIL,
             lru_tail: NIL,
             dirty_head: NIL,
@@ -198,41 +163,12 @@ impl PageCache {
     /// Resolves a key to its slab handle.
     #[inline]
     fn find(&self, key: PageKey) -> Option<u32> {
-        let (chunk, slot) = chunk_of(key.index);
-        let &c = self.files.get(&key.ino)?.chunks.get(&chunk)?;
-        let h = self.chunks[c].slots[slot];
-        (h != NIL).then_some(h)
-    }
-
-    /// Clears a key's slot and returns the handle it held, if the key
-    /// is resident; drops the chunk and the file entry this empties.
-    fn index_take(&mut self, key: PageKey) -> Option<u32> {
-        let (chunk, slot) = chunk_of(key.index);
-        let file = self.files.get_mut(&key.ino)?;
-        let &c = file.chunks.get(&chunk)?;
-        let ch = &mut self.chunks[c];
-        let h = std::mem::replace(&mut ch.slots[slot], NIL);
-        if h == NIL {
-            return None;
-        }
-        ch.used -= 1;
-        if ch.used == 0 {
-            self.chunks.remove(c);
-            file.chunks.remove(&chunk);
-        }
-        file.count -= 1;
-        if file.count == 0 {
-            self.files.remove(&key.ino);
-        }
-        Some(h)
+        self.index.get(key.ino, key.index)
     }
 
     /// The handles of one file's resident pages, in page order.
-    fn handles_of<'a>(&'a self, file: &'a FilePages) -> impl Iterator<Item = u32> + 'a {
-        file.chunks
-            .values()
-            .flat_map(|&c| self.chunks[c].slots.iter().copied())
-            .filter(|&h| h != NIL)
+    fn handles_of(&self, ino: InodeNr) -> impl Iterator<Item = u32> + '_ {
+        self.index.file(ino).map(|(_, h)| h)
     }
 
     fn lru_unlink(&mut self, h: u32) {
@@ -412,20 +348,21 @@ impl PageCache {
         dirty: bool,
         evicted: &mut Vec<PageMeta>,
     ) {
-        // One walk to the key's slot serves both outcomes; a chunk or
-        // file created here is filled below, so none lingers empty.
-        let (chunk, slot) = chunk_of(key.index);
-        let file = self.files.get_or_insert_with(key.ino, FilePages::default);
-        let chunks = &mut self.chunks;
-        let c = *file.chunks.entry(chunk).or_insert_with(|| {
-            chunks.insert(Chunk {
-                slots: [NIL; CHUNK_SLOTS],
-                used: 0,
+        // One walk to the key's slot serves both outcomes.
+        let slab = &mut self.slab;
+        let (h, resident) = self.index.get_or_insert_with(key.ino, key.index, || {
+            slab.insert(Node {
+                key,
+                block,
+                dirty,
+                prev: NIL,
+                next: NIL,
+                in_dirty: false,
+                dprev: NIL,
+                dnext: NIL,
             })
         });
-        let ch = &mut self.chunks[c];
-        let h = ch.slots[slot];
-        if h != NIL {
+        if resident {
             if let Some(b) = block {
                 self.slab[h].block = Some(b);
             }
@@ -436,19 +373,6 @@ impl PageCache {
             }
             return;
         }
-        let h = self.slab.insert(Node {
-            key,
-            block,
-            dirty,
-            prev: NIL,
-            next: NIL,
-            in_dirty: false,
-            dprev: NIL,
-            dnext: NIL,
-        });
-        ch.slots[slot] = h;
-        ch.used += 1;
-        file.count += 1;
         self.lru_push_tail(h);
         if dirty {
             self.dirty_push_tail(h);
@@ -522,7 +446,8 @@ impl PageCache {
             if victim == NIL {
                 break;
             }
-            let taken = self.index_take(self.slab[victim].key);
+            let key = self.slab[victim].key;
+            let taken = self.index.remove(key.ino, key.index);
             debug_assert_eq!(taken, Some(victim), "page table out of step");
             let node = self.unlink(victim);
             let before = Self::node_meta(&node);
@@ -625,11 +550,8 @@ impl PageCache {
     /// Flushes all dirty pages of one file (fsync-style). Marks them
     /// clean, emits `Flushed`, and returns them for the caller to write.
     pub fn flush_file(&mut self, ino: InodeNr) -> Vec<PageMeta> {
-        let Some(file) = self.files.get(&ino) else {
-            return Vec::new();
-        };
         let victims: Vec<u32> = self
-            .handles_of(file)
+            .handles_of(ino)
             .filter(|&h| self.slab[h].dirty)
             .collect();
         let mut out = Vec::with_capacity(victims.len());
@@ -650,19 +572,16 @@ impl PageCache {
     pub fn remove_file(&mut self, ino: InodeNr) -> Vec<PageMeta> {
         // The whole page table goes at once; its pages leave in page
         // order.
-        let Some(file) = self.files.remove(&ino) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(file.count);
-        for &c in file.chunks.values() {
-            let Some(chunk) = self.chunks.remove(c) else {
-                continue;
-            };
-            for h in chunk.slots.into_iter().filter(|&h| h != NIL) {
-                let meta = Self::node_meta(&self.unlink(h));
-                self.push_event(meta, PageEvent::Removed);
-                out.push(meta);
-            }
+        let mut gone = Vec::with_capacity(self.index.len_of(ino));
+        self.index.retain_file(ino, |_, h| {
+            gone.push(h);
+            false
+        });
+        let mut out = Vec::with_capacity(gone.len());
+        for h in gone {
+            let meta = Self::node_meta(&self.unlink(h));
+            self.push_event(meta, PageEvent::Removed);
+            out.push(meta);
         }
         out
     }
@@ -670,35 +589,28 @@ impl PageCache {
     /// Invalidates a single page, emitting `Removed`. Returns its
     /// pre-removal metadata if it was present.
     pub fn remove(&mut self, key: PageKey) -> Option<PageMeta> {
-        let h = self.index_take(key)?;
+        let h = self.index.remove(key.ino, key.index)?;
         let meta = Self::node_meta(&self.unlink(h));
         self.push_event(meta, PageEvent::Removed);
         Some(meta)
     }
 
     /// Iterates over all cached pages in key order (used by the
-    /// Duet registration scan, §4.1). Files sit in hash order, so
-    /// this sorts them; within a file, pages are stored in order.
+    /// Duet registration scan, §4.1).
     pub fn iter(&self) -> impl Iterator<Item = PageMeta> + '_ {
-        let mut files: Vec<(&InodeNr, &FilePages)> = self.files.iter().collect();
-        files.sort_unstable_by_key(|&(ino, _)| *ino);
-        files
-            .into_iter()
-            .flat_map(|(_, file)| self.handles_of(file))
-            .map(|h| Self::node_meta(&self.slab[h]))
+        self.index
+            .iter()
+            .map(|(_, _, h)| Self::node_meta(&self.slab[h]))
     }
 
     /// Number of cached pages belonging to `ino` (O(1)).
     pub fn pages_of(&self, ino: InodeNr) -> usize {
-        self.files.get(&ino).map_or(0, |file| file.count)
+        self.index.len_of(ino)
     }
 
     /// Cached pages of one file, in key order.
     pub fn pages_of_file(&self, ino: InodeNr) -> Vec<PageMeta> {
-        let Some(file) = self.files.get(&ino) else {
-            return Vec::new();
-        };
-        self.handles_of(file)
+        self.handles_of(ino)
             .map(|h| Self::node_meta(&self.slab[h]))
             .collect()
     }
@@ -737,46 +649,23 @@ impl PageCache {
 
 #[cfg(test)]
 impl PageCache {
-    /// Page-table slots currently allocated, over all files.
-    fn index_slots(&self) -> usize {
-        self.chunks.len() * CHUNK_SLOTS
-    }
-
-    /// The page table mirrors the slab exactly: every slot names a live
-    /// page with that key, the counters match a scan, and no empty
-    /// chunk or file lingers.
+    /// The page table mirrors the slab exactly: the table is consistent
+    /// in itself, and every entry names a live page with that key.
     pub(crate) fn assert_index_consistent(&self) {
+        self.index.assert_consistent();
         let mut pages = 0;
-        let mut chunks = 0;
-        for (&ino, file) in self.files.iter() {
-            assert!(file.count > 0, "empty page table kept for {ino}");
-            let mut in_file = 0;
-            for (&nr, &c) in &file.chunks {
-                let chunk = &self.chunks[c];
-                let mut used = 0;
-                for (slot, &h) in chunk.slots.iter().enumerate() {
-                    if h != NIL {
-                        let index = PageIndex((nr << CHUNK_SHIFT) | slot as u64);
-                        assert_eq!(self.slab[h].key, PageKey::new(ino, index));
-                        used += 1;
-                    }
-                }
-                assert!(used > 0, "empty chunk {nr} kept for {ino}");
-                assert_eq!(chunk.used, used);
-                in_file += used as usize;
-            }
-            assert_eq!(file.count, in_file);
-            pages += in_file;
-            chunks += file.chunks.len();
+        for (ino, index, h) in self.index.iter() {
+            assert_eq!(self.slab[h].key, PageKey::new(ino, index));
+            pages += 1;
         }
         assert_eq!(pages, self.len());
-        assert_eq!(chunks, self.chunks.len(), "orphaned chunk");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::PageIndex;
 
     fn key(ino: u64, idx: u64) -> PageKey {
         PageKey::new(InodeNr(ino), PageIndex(idx))
@@ -987,31 +876,6 @@ mod tests {
         }
         assert_eq!(c.iter().count(), 5);
         assert_eq!(c.iter().filter(|m| m.dirty).count(), 3);
-    }
-
-    /// Memory follows the resident pages, not the span of their
-    /// indices: a table dense in the page index would need 2²⁴ slots
-    /// here.
-    #[test]
-    fn sparse_file_costs_chunks_not_span() {
-        let mut c = PageCache::new(8);
-        let sparse = [0, 63, 64, 1 << 24];
-        for idx in sparse {
-            c.insert(key(1, idx), None, false);
-        }
-        assert_eq!(c.pages_of(InodeNr(1)), 4);
-        assert!(c.index_slots() <= 3 * CHUNK_SLOTS, "{}", c.index_slots());
-        let in_order: Vec<u64> = c
-            .pages_of_file(InodeNr(1))
-            .iter()
-            .map(|m| m.key.index.raw())
-            .collect();
-        assert_eq!(in_order, sparse);
-        for idx in sparse {
-            assert!(c.remove(key(1, idx)).is_some());
-        }
-        assert!(c.files.is_empty(), "no file entry left");
-        assert!(c.chunks.is_empty(), "no chunk left");
     }
 
     #[test]

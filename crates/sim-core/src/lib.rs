@@ -34,6 +34,9 @@
 //!   plus a slab arena ([`dmap::Slab`]) with stable `u32` handles — the
 //!   hot-path replacements for the B-tree maps that PR 1's determinism
 //!   pass left on the page-cache inner loops.
+//! - [`pagetable`]: the per-file page table ([`pagetable::PageTable`],
+//!   `(inode, page index)` → `u32` handle in per-file 64-slot chunks)
+//!   that the page cache and Duet's descriptor table are both built on.
 //! - [`snapshot`]: the snapshot/fork warm-start plane — a bounded
 //!   memo of pristine simulated-stack states
 //!   ([`snapshot::SnapshotStore`]); fork ≡ fresh is checked with the
@@ -53,6 +56,7 @@ pub mod error;
 pub mod fault;
 pub mod ids;
 pub mod knobs;
+pub mod pagetable;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
@@ -70,6 +74,7 @@ pub use ids::{
     PageIndex,
     SegmentNr, //
 };
+pub use pagetable::PageTable;
 pub use rng::SimRng;
 pub use trace::{SpanId, TraceEvent, TraceHandle, TraceLayer};
 
