@@ -39,15 +39,17 @@ pub struct CacheStats {
 /// `prev`/`next` chain the global LRU list (head = least recently
 /// used); `dprev`/`dnext` chain the dirty sublist in the same recency
 /// order, replacing the old tick-keyed `BTreeMap` mirrors with O(1)
-/// splices.
+/// splices. A page is on the dirty sublist exactly while `dirty` is
+/// set. `seq` is the page's recency stamp: larger is younger, so two
+/// pages compare in LRU order without walking either list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     key: PageKey,
     block: Option<BlockNr>,
     dirty: bool,
+    seq: u64,
     prev: u32,
     next: u32,
-    in_dirty: bool,
     dprev: u32,
     dnext: u32,
 }
@@ -89,6 +91,15 @@ pub struct PageCache {
     dirty_head: u32,
     dirty_tail: u32,
     dirty_count: usize,
+    /// The next recency stamp; taken by every LRU push.
+    next_seq: u64,
+    /// The oldest clean page (`NIL` if none): every page ahead of it
+    /// on the LRU list is dirty.
+    first_clean: u32,
+    /// The `CLEAN_SCAN`-th oldest dirty page (`NIL` while fewer are
+    /// dirty): a clean page older than it has fewer than `CLEAN_SCAN`
+    /// pages ahead of it.
+    dirty_finger: u32,
     events: VecDeque<(PageMeta, PageEvent)>,
     stats: CacheStats,
     /// Pages deprioritized for eviction (informed replacement): pages
@@ -125,6 +136,9 @@ impl PageCache {
             dirty_head: NIL,
             dirty_tail: NIL,
             dirty_count: 0,
+            next_seq: 0,
+            first_clean: NIL,
+            dirty_finger: NIL,
             events: VecDeque::new(),
             stats: CacheStats::default(),
             protected: DSet::new(),
@@ -176,6 +190,15 @@ impl PageCache {
             let node = &self.slab[h];
             (node.prev, node.next)
         };
+        if h == self.first_clean {
+            // Everything ahead was dirty; the next clean page, if any,
+            // follows the dirty pages behind this one.
+            let mut c = n;
+            while c != NIL && self.slab[c].dirty {
+                c = self.slab[c].next;
+            }
+            self.first_clean = c;
+        }
         if p == NIL {
             self.lru_head = n;
         } else {
@@ -188,26 +211,40 @@ impl PageCache {
         }
     }
 
+    /// Appends a page, with its dirty bit already final, as the
+    /// youngest.
     fn lru_push_tail(&mut self, h: u32) {
         let t = self.lru_tail;
-        {
+        let clean = {
             let node = &mut self.slab[h];
+            node.seq = self.next_seq;
             node.prev = t;
             node.next = NIL;
-        }
+            !node.dirty
+        };
+        self.next_seq += 1;
         if t == NIL {
             self.lru_head = h;
         } else {
             self.slab[t].next = h;
         }
         self.lru_tail = h;
+        if clean && self.first_clean == NIL {
+            self.first_clean = h;
+        }
     }
 
     fn dirty_unlink(&mut self, h: u32) {
+        let f = self.dirty_finger;
+        if f != NIL && self.slab[h].seq <= self.slab[f].seq {
+            // A page no younger than the finger leaves: the finger's
+            // successor is now the `CLEAN_SCAN`-th. Read before the
+            // links below are cleared — `h` may be the finger itself.
+            self.dirty_finger = self.slab[f].dnext;
+        }
         let (p, n) = {
             let node = &mut self.slab[h];
             let pn = (node.dprev, node.dnext);
-            node.in_dirty = false;
             node.dprev = NIL;
             node.dnext = NIL;
             pn
@@ -229,7 +266,6 @@ impl PageCache {
         let t = self.dirty_tail;
         {
             let node = &mut self.slab[h];
-            node.in_dirty = true;
             node.dprev = t;
             node.dnext = NIL;
         }
@@ -240,6 +276,9 @@ impl PageCache {
         }
         self.dirty_tail = h;
         self.dirty_count += 1;
+        if self.dirty_count == Self::CLEAN_SCAN {
+            self.dirty_finger = h;
+        }
     }
 
     /// Maximum number of pages.
@@ -273,12 +312,20 @@ impl PageCache {
     /// Refreshes a page's recency: moves it to the LRU tail, and — as
     /// the tick-keyed maps did — to the dirty tail if dirty.
     fn touch_handle(&mut self, h: u32) {
-        self.lru_unlink(h);
-        self.lru_push_tail(h);
+        self.requeue(h, self.slab[h].dirty);
+    }
+
+    /// Moves a page to the LRU tail with its dirty bit set to `dirty`.
+    /// It leaves both lists under its old bit and old stamp, which is
+    /// what the cursor and the finger are kept by.
+    fn requeue(&mut self, h: u32, dirty: bool) {
         if self.slab[h].dirty {
-            if self.slab[h].in_dirty {
-                self.dirty_unlink(h);
-            }
+            self.dirty_unlink(h);
+        }
+        self.lru_unlink(h);
+        self.slab[h].dirty = dirty;
+        self.lru_push_tail(h);
+        if dirty {
             self.dirty_push_tail(h);
         }
     }
@@ -355,9 +402,9 @@ impl PageCache {
                 key,
                 block,
                 dirty,
+                seq: 0,
                 prev: NIL,
                 next: NIL,
-                in_dirty: false,
                 dprev: NIL,
                 dnext: NIL,
             })
@@ -398,54 +445,75 @@ impl PageCache {
         self.evict_into(target, evicted);
     }
 
-    /// How far down the LRU list eviction searches for a clean victim
-    /// before falling back to flushing the oldest (dirty) page. Page
-    /// reclaim prefers clean pages — dirty ones are left for the
-    /// batched background flusher — but the search must stay bounded.
-    const CLEAN_SCAN: usize = 1024;
+    /// Eviction's window: a clean page is taken only from the first
+    /// `CLEAN_SCAN` LRU positions, never the youngest (the page being
+    /// inserted); with none there, the oldest page is flush-evicted.
+    /// Page reclaim prefers clean pages — dirty ones are left for the
+    /// batched background flusher — but a cache whose head is all
+    /// dirty must still make progress. The window is a bound on what
+    /// the victim may be, not a walk: `first_clean` and `dirty_finger`
+    /// decide it in O(1).
+    pub(crate) const CLEAN_SCAN: usize = 1024;
+
+    /// The victim with nothing protected: the oldest clean page if it
+    /// lies inside the window, else the LRU head.
+    fn victim(&self) -> u32 {
+        let c = self.first_clean;
+        if c == NIL {
+            return self.lru_head;
+        }
+        let inside = if self.slab.len() > Self::CLEAN_SCAN {
+            // The window is the `CLEAN_SCAN` oldest pages: fewer than
+            // that many dirty pages lie ahead of `c`.
+            let f = self.dirty_finger;
+            f == NIL || self.slab[f].seq > self.slab[c].seq
+        } else {
+            // The window is every page but the youngest.
+            c != self.lru_tail
+        };
+        if inside {
+            c
+        } else {
+            self.lru_head
+        }
+    }
+
+    /// The victim under informed replacement: the oldest clean,
+    /// unprotected page within the window; then the oldest clean
+    /// protected one; then the LRU head.
+    fn protected_victim(&self) -> u32 {
+        let scan = Self::CLEAN_SCAN.min(self.slab.len() - 1);
+        let mut clean_protected = NIL;
+        let mut h = self.lru_head;
+        let mut seen = 0usize;
+        while h != NIL && seen < scan {
+            let node = &self.slab[h];
+            if !node.dirty {
+                if !self.protected.contains(&node.key) {
+                    return h;
+                }
+                if clean_protected == NIL {
+                    clean_protected = h;
+                }
+            }
+            h = node.next;
+            seen += 1;
+        }
+        if clean_protected != NIL {
+            clean_protected
+        } else {
+            self.lru_head
+        }
+    }
 
     fn evict_into(&mut self, target: usize, evicted: &mut Vec<PageMeta>) {
+        // `target` ≥ 1, so at least two pages are resident here.
         while self.slab.len() > target {
-            // Prefer the least-recently-used *clean, unprotected* page;
-            // then clean protected; every entry except the most recent
-            // (the page being inserted) is a candidate, up to a bounded
-            // scan depth. Dirty LRU fallback last.
-            let scan = Self::CLEAN_SCAN
-                .min(self.slab.len().saturating_sub(1))
-                .max(1);
-            let mut clean_protected = NIL;
-            let mut chosen = NIL;
-            let mut h = self.lru_head;
-            let mut seen = 0usize;
-            while h != NIL && seen < scan {
-                let node = &self.slab[h];
-                if !node.dirty {
-                    // `is_empty` first: without informed replacement the
-                    // protected set never fills, and hashing every
-                    // scanned key would be pure overhead on this path.
-                    if !self.protected.is_empty() && self.protected.contains(&node.key) {
-                        if clean_protected == NIL {
-                            clean_protected = h;
-                        }
-                    } else {
-                        chosen = h;
-                        break;
-                    }
-                }
-                h = node.next;
-                seen += 1;
-            }
-            let victim = if chosen != NIL {
-                chosen
-            } else if clean_protected != NIL {
-                clean_protected
+            let victim = if self.protected.is_empty() {
+                self.victim()
             } else {
-                // Fall back to the oldest page outright (all dirty).
-                self.lru_head
+                self.protected_victim()
             };
-            if victim == NIL {
-                break;
-            }
             let key = self.slab[victim].key;
             let taken = self.index.remove(key.ino, key.index);
             debug_assert_eq!(taken, Some(victim), "page table out of step");
@@ -474,10 +542,10 @@ impl PageCache {
     /// slot; its page-table slot is the caller's to clear first.
     /// Returns the node's final state.
     fn unlink(&mut self, h: u32) -> Node {
-        self.lru_unlink(h);
-        if self.slab[h].in_dirty {
+        if self.slab[h].dirty {
             self.dirty_unlink(h);
         }
+        self.lru_unlink(h);
         let node = self.slab[h];
         self.slab.remove(h);
         node
@@ -493,12 +561,11 @@ impl PageCache {
     /// refreshed either way.
     fn dirty_handle(&mut self, h: u32) -> bool {
         let fresh = !self.slab[h].dirty;
+        self.requeue(h, true);
         if fresh {
-            self.slab[h].dirty = true;
             let meta = Self::node_meta(&self.slab[h]);
             self.push_event(meta, PageEvent::Dirtied);
         }
-        self.touch_handle(h);
         fresh
     }
 
@@ -537,14 +604,24 @@ impl PageCache {
                     continue;
                 }
             }
-            self.dirty_unlink(h);
-            self.slab[h].dirty = false;
-            self.stats.writebacks += 1;
-            let meta = Self::node_meta(&self.slab[h]);
-            self.push_event(meta, PageEvent::Flushed);
-            out.push(meta);
+            out.push(self.clean_in_place(h));
         }
         out
+    }
+
+    /// Marks a dirty page clean where it stands in LRU order, counting
+    /// the writeback and emitting `Flushed`.
+    fn clean_in_place(&mut self, h: u32) -> PageMeta {
+        self.dirty_unlink(h);
+        self.slab[h].dirty = false;
+        let c = self.first_clean;
+        if c == NIL || self.slab[h].seq < self.slab[c].seq {
+            self.first_clean = h;
+        }
+        self.stats.writebacks += 1;
+        let meta = Self::node_meta(&self.slab[h]);
+        self.push_event(meta, PageEvent::Flushed);
+        meta
     }
 
     /// Flushes all dirty pages of one file (fsync-style). Marks them
@@ -554,16 +631,10 @@ impl PageCache {
             .handles_of(ino)
             .filter(|&h| self.slab[h].dirty)
             .collect();
-        let mut out = Vec::with_capacity(victims.len());
-        for h in victims {
-            self.dirty_unlink(h);
-            self.slab[h].dirty = false;
-            self.stats.writebacks += 1;
-            let meta = Self::node_meta(&self.slab[h]);
-            self.push_event(meta, PageEvent::Flushed);
-            out.push(meta);
-        }
-        out
+        victims
+            .into_iter()
+            .map(|h| self.clean_in_place(h))
+            .collect()
     }
 
     /// Invalidates every page of a file (delete/truncate): emits
@@ -650,8 +721,9 @@ impl PageCache {
 #[cfg(test)]
 impl PageCache {
     /// The page table mirrors the slab exactly: the table is consistent
-    /// in itself, and every entry names a live page with that key.
-    pub(crate) fn assert_index_consistent(&self) {
+    /// in itself, and every entry names a live page with that key. The
+    /// eviction cursor and finger name the pages a walk finds.
+    pub(crate) fn assert_consistent(&self) {
         self.index.assert_consistent();
         let mut pages = 0;
         for (ino, index, h) in self.index.iter() {
@@ -659,6 +731,25 @@ impl PageCache {
             pages += 1;
         }
         assert_eq!(pages, self.len());
+        let mut c = self.lru_head;
+        while c != NIL && self.slab[c].dirty {
+            c = self.slab[c].next;
+        }
+        assert_eq!(
+            self.first_clean, c,
+            "first_clean is not the oldest clean page"
+        );
+        let mut f = self.dirty_head;
+        for _ in 1..Self::CLEAN_SCAN {
+            if f == NIL {
+                break;
+            }
+            f = self.slab[f].dnext;
+        }
+        assert_eq!(
+            self.dirty_finger, f,
+            "dirty_finger is not the CLEAN_SCAN-th dirty page"
+        );
     }
 }
 
@@ -727,6 +818,98 @@ mod tests {
         assert_eq!(evicted[0].key, key(1, 0));
         assert!(evicted[0].dirty, "fallback flush-evicts the LRU page");
         assert!(c.contains(key(2, 0)), "incoming page survives");
+    }
+
+    /// A full cache of 1030 pages: `dirty_ahead` dirty pages, one file
+    /// each so any one can be flushed alone, then the clean page
+    /// `key(0, 0)`, then filler pages, dirty if `dirty_behind`.
+    fn window_cache(dirty_ahead: u64, dirty_behind: bool) -> PageCache {
+        let mut c = PageCache::new(1030);
+        for i in 0..dirty_ahead {
+            c.insert(key(1_000 + i, 0), Some(BlockNr(i)), true);
+        }
+        c.insert(key(0, 0), None, false);
+        for j in 0..1030 - dirty_ahead - 1 {
+            c.insert(key(1, j), None, dirty_behind);
+        }
+        c.assert_consistent();
+        c.drain_events();
+        c
+    }
+
+    /// What an insert that evicts one page did: the victim's key, its
+    /// dirty flag as reported to the caller, and the insert's events.
+    type Eviction = (PageKey, bool, Vec<PageEvent>);
+
+    /// Inserts a clean page into a full cache.
+    fn evict_one(c: &mut PageCache) -> Eviction {
+        let evicted = c.insert(key(2, 0), None, false);
+        assert_eq!(evicted.len(), 1);
+        c.assert_consistent();
+        let kinds = c.drain_events().into_iter().map(|(_, e)| e).collect();
+        (evicted[0].key, evicted[0].dirty, kinds)
+    }
+
+    fn clean_taken(victim: PageKey) -> Eviction {
+        (victim, false, vec![PageEvent::Added, PageEvent::Removed])
+    }
+
+    /// The dirty LRU head goes, and the caller must charge its write.
+    fn head_flushed() -> Eviction {
+        let events = vec![PageEvent::Added, PageEvent::Flushed, PageEvent::Removed];
+        (key(1_000, 0), true, events)
+    }
+
+    #[test]
+    fn the_clean_page_is_taken_only_inside_the_window() {
+        let w = PageCache::CLEAN_SCAN as u64;
+        for dirty_ahead in [w - 1, w, w + 1] {
+            let want = if dirty_ahead < w {
+                clean_taken(key(0, 0))
+            } else {
+                head_flushed()
+            };
+            for dirty_behind in [false, true] {
+                let mut c = window_cache(dirty_ahead, dirty_behind);
+                let why = format!("{dirty_ahead} dirty ahead, dirty behind: {dirty_behind}");
+                assert_eq!(evict_one(&mut c), want, "{why}");
+            }
+        }
+    }
+
+    /// The finger's own page, the `CLEAN_SCAN`-th oldest dirty one,
+    /// leaves the dirty run ahead of the clean page. Touched or removed,
+    /// it shortens the run by one; flushed, it is the oldest clean page
+    /// and inside the window. One more dirty page ahead keeps the run at
+    /// the edge, which only a finger that stepped to the right
+    /// successor sees.
+    #[test]
+    fn the_window_follows_the_fingers_page() {
+        let w = PageCache::CLEAN_SCAN as u64;
+        let finger = key(1_000 + w - 1, 0);
+        for dirty_ahead in [w, w + 1] {
+            let shortened = if dirty_ahead == w {
+                clean_taken(key(0, 0))
+            } else {
+                head_flushed()
+            };
+
+            let mut c = window_cache(dirty_ahead, true);
+            assert!(c.lookup(finger).is_some());
+            assert_eq!(evict_one(&mut c), shortened, "touched, {dirty_ahead} ahead");
+
+            let mut c = window_cache(dirty_ahead, true);
+            assert!(c.remove(finger).is_some());
+            assert!(c.insert(key(2, 1), None, false).is_empty());
+            c.drain_events();
+            assert_eq!(evict_one(&mut c), shortened, "removed, {dirty_ahead} ahead");
+
+            let mut c = window_cache(dirty_ahead, true);
+            assert_eq!(c.flush_file(finger.ino).len(), 1);
+            c.drain_events();
+            let flushed = clean_taken(finger);
+            assert_eq!(evict_one(&mut c), flushed, "flushed, {dirty_ahead} ahead");
+        }
     }
 
     #[test]
@@ -941,7 +1124,7 @@ mod tests {
                     // The O(1) dirty counter agrees with a scan.
                     let dirty_scan = c.iter().filter(|m| m.dirty).count();
                     assert_eq!(c.dirty_len(), dirty_scan);
-                    c.assert_index_consistent();
+                    c.assert_consistent();
                 }
                 Ok(())
             })

@@ -6,7 +6,9 @@
 //! The model states the contract the per-file page table must keep:
 //! recency order, victim choice, event order, key-ordered scans. Keys
 //! sit on both sides of a chunk boundary and at an index far beyond any
-//! dense table.
+//! dense table. One case is wider than eviction's window
+//! (`PageCache::CLEAN_SCAN`), with dirty pages piled at its LRU head, so
+//! the victim rule is checked at the window's edge.
 
 use crate::{CacheStats, PageCache, PageEvent, PageKey, PageMeta};
 use sim_core::check::{differential, DiffConfig};
@@ -65,6 +67,46 @@ fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
     }
 }
 
+/// Capacity of the case that reaches eviction's window: above
+/// `CLEAN_SCAN + 1`, so the window is `CLEAN_SCAN` pages and not
+/// everything but the incoming page.
+const WIDE: usize = PageCache::CLEAN_SCAN + 6;
+
+/// Ops per log of the [`WIDE`] case: the first ~3 000 fill the cache
+/// and pile up its dirty pages.
+const OPS_WIDE: u64 = 6_000;
+
+/// Ops for the [`WIDE`] cache: 8 192 keys, so nearly every insert
+/// misses; half the ops clean inserts, a third dirty ones, writeback
+/// only at 1 / 400. Dirty pages pile up at the LRU head until the
+/// oldest clean page sits at the window's edge, and it stays there.
+fn gen_dirty_heavy(rng: &mut SimRng, _i: u64) -> Op {
+    let ino = InodeNr(rng.gen_range(0, 64));
+    let key = PageKey::new(ino, PageIndex(rng.gen_range(0, 128)));
+    let block = BlockNr(rng.gen_range(0, 1000));
+    match rng.gen_range(0, 2400) {
+        0..=1199 => Op::Insert(key, None, false),
+        1200..=1999 => Op::Insert(key, Some(block), true),
+        2000..=2005 => Op::WritebackBatch(rng.gen_range(1, 8) as usize),
+        2006..=2189 => Op::Lookup(key),
+        2190..=2299 => Op::MarkDirty(key),
+        2300..=2359 => Op::Remove(key),
+        2360..=2397 => Op::Peek(key),
+        2398 => Op::FlushFile(ino),
+        _ => Op::RemoveFile(ino),
+    }
+}
+
+/// A deliberately wrong reference, to show the harness can fail.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sabotage {
+    None,
+    /// `lookup` hits without refreshing recency.
+    StaleLookup,
+    /// Eviction takes the oldest clean page however deep it lies.
+    NoWindow,
+}
+
 /// The reference: resident pages in recency order, index 0 = least
 /// recently used. Every operation is a linear scan.
 struct Model {
@@ -72,8 +114,7 @@ struct Model {
     pages: Vec<PageMeta>,
     events: Vec<(PageMeta, PageEvent)>,
     stats: CacheStats,
-    /// The sabotage: `lookup` hits without refreshing recency.
-    stale_lookup: bool,
+    sabotage: Sabotage,
 }
 
 impl Model {
@@ -107,10 +148,16 @@ impl Model {
         }
         let mut evicted = Vec::new();
         while self.pages.len() > self.capacity {
-            // Oldest clean page that is not the one just inserted; all
-            // dirty ⇒ the oldest outright, flushed on its way out.
+            // Oldest clean page among the `CLEAN_SCAN` oldest, never the
+            // one just inserted; none there ⇒ the oldest outright,
+            // flushed on its way out.
             let older = self.pages.len() - 1;
-            let at = self.pages[..older]
+            let window = if self.sabotage == Sabotage::NoWindow {
+                older
+            } else {
+                older.clamp(1, PageCache::CLEAN_SCAN)
+            };
+            let at = self.pages[..window]
                 .iter()
                 .position(|m| !m.dirty)
                 .unwrap_or(0);
@@ -137,7 +184,7 @@ impl Model {
         };
         self.stats.hits += 1;
         let meta = self.pages[at];
-        if !self.stale_lookup {
+        if self.sabotage != Sabotage::StaleLookup {
             self.touch(at);
         }
         Some(meta)
@@ -226,14 +273,14 @@ fn agree<T: PartialEq + std::fmt::Debug>(what: &str, i: usize, op: Op, got: T, w
     );
 }
 
-fn replay(log: &[Op], capacity: usize, stale_lookup: bool) -> Result<(), String> {
+fn replay(log: &[Op], capacity: usize, sabotage: Sabotage) -> Result<(), String> {
     let mut cache = PageCache::new(capacity);
     let mut model = Model {
         capacity,
         pages: Vec::new(),
         events: Vec::new(),
         stats: CacheStats::default(),
-        stale_lookup,
+        sabotage,
     };
     for (i, &op) in log.iter().enumerate() {
         match op {
@@ -297,26 +344,56 @@ fn replay(log: &[Op], capacity: usize, stale_lookup: bool) -> Result<(), String>
         agree("len", i, op, cache.len(), model.pages.len());
         let dirty = model.pages.iter().filter(|m| m.dirty).count();
         agree("dirty_len", i, op, cache.dirty_len(), dirty);
-        cache.assert_index_consistent();
+        cache.assert_consistent();
     }
     Ok(())
 }
 
+fn check_seed() -> u64 {
+    seed_from_env("DUET_CHECK_SEED", 0xCAC4_ED1F).unwrap_or_else(|e| panic!("{e}"))
+}
+
 #[test]
 fn cache_matches_the_naive_lru_model() {
-    let seed = seed_from_env("DUET_CHECK_SEED", 0xCAC4_ED1F).unwrap_or_else(|e| panic!("{e}"));
     // A cache that evicts on almost every insert, and one roomy enough
     // for a file to be resident on both sides of a chunk boundary.
     for capacity in [3, 24] {
         differential(
-            &DiffConfig::new("cache-vs-lru-model", seed)
+            &DiffConfig::new("cache-vs-lru-model", check_seed())
                 .cases(12)
                 .ops(1500),
             gen_op,
-            |log| replay(log, capacity, false),
+            |log| replay(log, capacity, Sabotage::None),
         )
         .unwrap();
     }
+}
+
+/// A cache wider than eviction's window, its LRU head piled with dirty
+/// pages: the clean page is taken only inside the window.
+#[test]
+fn a_wide_cache_matches_the_model_across_the_window() {
+    differential(
+        &DiffConfig::new("wide-cache-vs-lru-model", check_seed())
+            .cases(3)
+            .ops(OPS_WIDE),
+        gen_dirty_heavy,
+        |log| replay(log, WIDE, Sabotage::None),
+    )
+    .unwrap();
+}
+
+/// The wide case can fail: a reference that takes the oldest clean
+/// page however deep it lies diverges on one fixed log. Shrinking a
+/// log this size takes minutes, so the log is replayed once, unshrunk.
+#[test]
+#[should_panic(expected = "evicted diverged")]
+fn a_reference_without_the_window_is_caught() {
+    let mut rng = SimRng::new(0x3D0F_1024);
+    let log: Vec<Op> = (0..OPS_WIDE)
+        .map(|i| gen_dirty_heavy(&mut rng, i))
+        .collect();
+    replay(&log, WIDE, Sabotage::NoWindow).unwrap();
 }
 
 /// The harness can fail: a reference whose `lookup` forgets to refresh
@@ -330,7 +407,7 @@ fn a_reference_with_stale_lookups_is_caught() {
             .cases(4)
             .ops(400),
         gen_op,
-        |log| replay(log, 2, true),
+        |log| replay(log, 2, Sabotage::StaleLookup),
     )
     .unwrap_err();
     assert!(failure.ops.len() <= 6, "{failure}");
