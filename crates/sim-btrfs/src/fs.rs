@@ -3,8 +3,8 @@
 //!
 //! [`BtrfsSim`] glues the substrates together: the [`Disk`] executes
 //! block requests in virtual time, the [`PageCache`] holds file pages
-//! and emits Duet's page events, the [`BlockTable`] carries checksums /
-//! versions / refcounts, and [`FreeSpace`] + per-file
+//! and emits Duet's page events, the [`BlockTable`] carries checksum
+//! state / refcounts / back-references, and [`FreeSpace`] + per-file
 //! [`crate::extent::ExtentMap`]s
 //! implement copy-on-write allocation. The semantics the paper's tasks
 //! depend on:
@@ -811,9 +811,11 @@ impl BtrfsSim {
     /// Full-filesystem consistency check (fsck): verifies that
     ///
     /// - every block's reference count equals the number of live-tree
-    ///   and snapshot extents pointing at it;
+    ///   and snapshot extents pointing at it, so a block none claims
+    ///   has none;
     /// - no two live extents claim the same block;
-    /// - every live block's back-reference names the page that maps it;
+    /// - every live block's back-reference names the page that maps it,
+    ///   and a block the live tree does not map has none;
     /// - the allocator's allocated-block count equals the number of
     ///   referenced blocks;
     /// - every cached page's block mapping agrees with the extent tree.
@@ -847,6 +849,14 @@ impl BtrfsSim {
                 }
             }
         }
+        // So far `expect` holds the live blocks only.
+        for (b, br) in self.blocks.backrefs() {
+            if !expect.contains_key(&b) {
+                return fail(format!(
+                    "block {b}: backref {br:?}, the live tree does not map it"
+                ));
+            }
+        }
         // Snapshot references.
         for snap in self.snapshots.values() {
             for f in snap.files.values() {
@@ -862,6 +872,11 @@ impl BtrfsSim {
             let got = self.blocks.refcount_of(b)?;
             if got != want {
                 return fail(format!("block {b}: refcount {got}, expected {want}"));
+            }
+        }
+        for (b, got) in self.blocks.referenced() {
+            if !expect.contains_key(&b) {
+                return fail(format!("block {b}: refcount {got}, no extent claims it"));
             }
         }
         let referenced = expect.len() as u64;
@@ -898,5 +913,12 @@ impl BtrfsSim {
     #[cfg(test)]
     pub(crate) fn corrupt_refcount_for_test(&mut self, b: BlockNr) {
         self.blocks.ref_inc(b).expect("in range");
+    }
+
+    /// Test-only: leave a live back-reference on a block, whatever maps
+    /// it.
+    #[cfg(test)]
+    pub(crate) fn set_backref_for_test(&mut self, b: BlockNr, br: BackRef) {
+        self.blocks.set_backref(b, br).expect("in range");
     }
 }

@@ -1,6 +1,7 @@
 //! Behavioural tests of the full filesystem: COW semantics, snapshot
 //! sharing, verify-on-read, defragmentation and event generation.
 
+use crate::blocktable::BackRef;
 use crate::events::FsEvent;
 use crate::fs::BtrfsSim;
 use sim_cache::PageEvent;
@@ -452,6 +453,41 @@ fn fsck_passes_on_healthy_fs_and_catches_corruption() {
     fs.corrupt_refcount_for_test(b);
     let err = fs.check_consistency().unwrap_err();
     assert!(err.to_string().contains("fsck"), "{err}");
+}
+
+/// A reference on a block nobody claims is a leak, whether or not the
+/// allocator counts the block.
+#[test]
+fn fsck_catches_a_reference_on_a_free_block() {
+    let mut fs = make_fs(1024, 64);
+    fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
+    let free = BlockNr(1000);
+    let allocated = fs.allocated_ranges();
+    assert!(allocated.iter().all(|r| !r.blocks().any(|b| b == free)));
+    fs.check_consistency().unwrap();
+    fs.corrupt_refcount_for_test(free);
+    let err = fs.check_consistency().unwrap_err();
+    assert!(err.to_string().contains("no extent claims it"), "{err}");
+}
+
+/// A block the snapshot keeps after an overwrite must have lost its
+/// live back-reference.
+#[test]
+fn fsck_catches_a_backref_the_live_tree_no_longer_maps() {
+    let mut fs = make_fs(1024, 64);
+    let ino = fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
+    let old = fs.fibmap(ino, PageIndex(1)).unwrap().unwrap();
+    fs.create_snapshot().unwrap();
+    fs.write(ino, page_bytes(1), PAGE_SIZE, NORMAL, T0).unwrap();
+    assert_eq!(fs.backref_of(old).unwrap(), None);
+    fs.check_consistency().unwrap();
+    let stale = BackRef {
+        ino,
+        index: PageIndex(1),
+    };
+    fs.set_backref_for_test(old, stale);
+    let err = fs.check_consistency().unwrap_err();
+    assert!(err.to_string().contains("does not map it"), "{err}");
 }
 
 // Randomized churn test driven by the deterministic `SimRng` (the

@@ -1,10 +1,10 @@
-//! The block table against a naive flat model of it: the five
-//! per-block `Vec`s the table kept before it was chunked, each run
-//! operation a plain loop over them. Every op's window is drawn across
-//! a chunk boundary; after each op the two are compared through the
-//! public getters (`refcount_of`, `backref_of`, `verify_checksum`,
-//! `corrupted_count`) around every boundary, and over the whole device
-//! at the end. A `Fork` clones the table and the model; later ops
+//! The block table against a naive flat model of it: one per-block
+//! `Vec` per column (reference count, back-reference, checksum-good
+//! flag), each run operation a plain loop over them. Every op's window
+//! is drawn across a chunk boundary; after each op the two are compared
+//! through the public getters (`refcount_of`, `backref_of`,
+//! `verify_checksum`, `corrupted_count`) around every boundary, and
+//! over the whole device at the end. A `Fork` clones the table and the model; later ops
 //! mutate the clone, and the original must still match the model as
 //! it was at the fork — a fork never writes through. The freed runs
 //! must be exactly the blocks that reached zero, and
@@ -80,37 +80,29 @@ fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
 
 const NO_BACKREF: u64 = u64::MAX;
 
-/// The flat layout: one slot per block in each of five columns.
+/// The flat layout: one slot per block in each column.
 #[derive(Clone)]
 struct Flat {
-    version: Vec<u64>,
-    checksum: Vec<u64>,
     refcount: Vec<u32>,
     backref_ino: Vec<u64>,
     backref_idx: Vec<u64>,
+    /// The stored checksum is good: set by a write or a repair, never
+    /// cleared.
+    checksum_ok: Vec<bool>,
     corrupted: BTreeSet<u64>,
-    next_version: u64,
     /// The sabotage: a live release leaves the back-reference behind.
     stale_backrefs: bool,
-}
-
-fn checksum_of(version: u64) -> u64 {
-    let mut z = version.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z ^ (z >> 27)
 }
 
 impl Flat {
     fn new(capacity: u64, stale_backrefs: bool) -> Flat {
         let n = capacity as usize;
         Flat {
-            version: vec![0; n],
-            checksum: vec![0; n],
             refcount: vec![0; n],
             backref_ino: vec![NO_BACKREF; n],
             backref_idx: vec![0; n],
+            checksum_ok: vec![false; n],
             corrupted: BTreeSet::new(),
-            next_version: 1,
             stale_backrefs,
         }
     }
@@ -118,9 +110,7 @@ impl Flat {
     fn stamp_run(&mut self, run: Run, ino: InodeNr, first_page: u64) {
         for (b, page) in run.blocks().zip(first_page..) {
             let i = b.raw() as usize;
-            self.version[i] = self.next_version;
-            self.checksum[i] = checksum_of(self.next_version);
-            self.next_version += 1;
+            self.checksum_ok[i] = true;
             self.corrupted.remove(&b.raw());
             self.refcount[i] += 1;
             self.backref_ino[i] = ino.raw();
@@ -150,10 +140,11 @@ impl Flat {
         zeroed
     }
 
+    /// A repair makes the stored checksum good, even on a block never
+    /// written.
     fn repair(&mut self, b: BlockNr) {
-        let i = b.raw() as usize;
         self.corrupted.remove(&b.raw());
-        self.checksum[i] = checksum_of(self.version[i]);
+        self.checksum_ok[b.raw() as usize] = true;
     }
 
     /// What the getters must return for `b`.
@@ -163,9 +154,7 @@ impl Flat {
             ino: InodeNr(self.backref_ino[i]),
             index: PageIndex(self.backref_idx[i]),
         });
-        let bad =
-            self.corrupted.contains(&b.raw()) || self.checksum[i] != checksum_of(self.version[i]);
-        let verified = if bad {
+        let verified = if self.corrupted.contains(&b.raw()) || !self.checksum_ok[i] {
             Err(SimError::ChecksumMismatch(b))
         } else {
             Ok(())
