@@ -28,6 +28,10 @@ pub fn scale_from_env(default: u64) -> u64 {
 ///
 /// On a malformed value. Entry points rule that out up front with
 /// [`check_env`]; anywhere else a panic beats a silent default.
+#[expect(
+    clippy::panic,
+    reason = "a malformed knob fails loudly; `check_env` rules it out first"
+)]
 pub(crate) fn knob(knob: Knob) -> Option<u64> {
     knob.read().unwrap_or_else(|e| panic!("{e}"))
 }

@@ -13,8 +13,8 @@
 //! and `run_indexed` short-circuit to a plain loop when `jobs <= 1`).
 //!
 //! This is the single sanctioned use of OS threads in the workspace
-//! (`lint.allow` carries the D4 waiver for this file only); simulation
-//! crates stay thread-free.
+//! (the `#[expect]` on [`try_run_indexed`] is the one D4 thread
+//! waiver); simulation crates stay thread-free.
 //!
 //! Nesting note: `bench run` fans out whole harnesses while each
 //! harness fans out its own cells, so up to `jobs²` threads can briefly
@@ -59,6 +59,10 @@ enum Never {}
 /// Like [`run_indexed`], but `f` is fallible: returns the first error
 /// by *index* (not completion) order, after all in-flight work drains —
 /// so error reporting is as deterministic as the results.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D4: the one sanctioned pool; index-keyed slots keep output byte-identical at any width"
+)]
 pub fn try_run_indexed<T, E, F>(n: usize, jobs: usize, f: F) -> Result<Vec<T>, E>
 where
     T: Send,

@@ -107,7 +107,10 @@ where
 /// Runs the `utilization × overlap` grid of a saved-style sweep,
 /// returning `io_saved` per cell, row-major (`overlaps.len()` cells per
 /// utilization).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per sweep axis, as the figure harnesses call it"
+)]
 pub fn saved_cells(
     scale: u64,
     device: DeviceKind,
@@ -159,7 +162,10 @@ pub(crate) fn util_rows(
 
 /// Sweeps `utilization × overlap` and reports the I/O-saved fraction of
 /// Duet-enabled `tasks` (the Figure 2/3/5/7/10 shape).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per sweep axis, as the figure harnesses call it"
+)]
 pub fn saved_sweep(
     name: &'static str,
     scale: u64,

@@ -14,6 +14,10 @@ const KNOBS: [&str; 3] = ["DUET_SCALE", "DUET_JOBS", "DUET_TRACE"];
 
 /// Runs `bench <args>` in cargo's per-test scratch directory (`bench
 /// run` writes `results/` under its cwd) with only `env`'s knobs set.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a binary that cannot start fails the calling test"
+)]
 fn bench(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bench"));
     cmd.args(args).current_dir(env!("CARGO_TARGET_TMPDIR"));

@@ -92,8 +92,10 @@ impl SessFlags {
         self.0 = 0;
     }
 
-    // Used by unit tests to assert full resets.
-    #[cfg_attr(not(test), expect(dead_code))]
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "used by unit tests to assert full resets")
+    )]
     pub(crate) fn is_clear(self) -> bool {
         self.0 == 0
     }

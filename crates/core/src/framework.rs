@@ -306,7 +306,10 @@ impl Duet {
         let sid = SessionId(active[pick as usize]);
         // The session exists (picked from the active set), so the only
         // failure mode is a poisoned scan; churn is best-effort.
-        // lint: allow(E1): fault-driven churn must not fail the caller
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fault-driven churn must not fail the caller"
+        )]
         let _ = self.churn_session(sid, fs);
     }
 
@@ -742,11 +745,8 @@ impl Duet {
     /// and memory counters — analogous to the kernel module's debugfs
     /// interface.
     pub fn status(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "duet: {} session(s), {} descriptor(s), {} B tracked memory",
+        let mut out = format!(
+            "duet: {} session(s), {} descriptor(s), {} B tracked memory\n",
             self.session_count(),
             self.descs.len(),
             self.memory_bytes()
@@ -761,9 +761,8 @@ impl Duet {
                     format!("file task under {registered_dir}")
                 }
             };
-            let _ = writeln!(
-                out,
-                "  sid#{slot}: {scope}, mask {}, queue {}, done bits {}, relevant bits {}, dropped {}",
+            out += &format!(
+                "  sid#{slot}: {scope}, mask {}, queue {}, done bits {}, relevant bits {}, dropped {}\n",
                 s.mask,
                 s.queue.len(),
                 s.done.count(),
@@ -771,9 +770,8 @@ impl Duet {
                 s.dropped
             );
         }
-        let _ = writeln!(
-            out,
-            "  totals: {} events processed, {} dropped, {} fetches, {} items, peak {} descriptors",
+        out += &format!(
+            "  totals: {} events processed, {} dropped, {} fetches, {} items, peak {} descriptors\n",
             self.stats.events_processed,
             self.stats.events_dropped,
             self.stats.fetch_calls,

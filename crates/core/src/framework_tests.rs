@@ -6,7 +6,7 @@ use crate::session::{ItemId, SessionId, TaskScope};
 use sim_cache::FsIntrospect;
 use sim_cache::{PageEvent, PageKey, PageMeta};
 use sim_core::{BlockNr, DeviceId, InodeNr, PageIndex, SimError};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const DEV: DeviceId = DeviceId(0);
 const ROOT: InodeNr = InodeNr(1);
@@ -14,10 +14,10 @@ const ROOT: InodeNr = InodeNr(1);
 /// A minimal filesystem stand-in: a parent tree, a page map and fibmap.
 #[derive(Default)]
 struct MockFs {
-    parents: HashMap<InodeNr, InodeNr>,
-    names: HashMap<InodeNr, String>,
-    cache: HashMap<PageKey, PageMeta>,
-    fibmap: HashMap<(InodeNr, PageIndex), BlockNr>,
+    parents: BTreeMap<InodeNr, InodeNr>,
+    names: BTreeMap<InodeNr, String>,
+    cache: BTreeMap<PageKey, PageMeta>,
+    fibmap: BTreeMap<(InodeNr, PageIndex), BlockNr>,
 }
 
 impl MockFs {

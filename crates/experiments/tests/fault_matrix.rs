@@ -23,6 +23,10 @@ use sim_core::SimError;
 
 const DEFAULT_SEED: u64 = 0xD0E7_F457;
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: a malformed DUET_FAULT_SEED fails the calling test"
+)]
 fn seed() -> u64 {
     seed_from_env("DUET_FAULT_SEED", DEFAULT_SEED).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -326,7 +326,10 @@ impl BtrfsSim {
                         .then(|| faults.amplitude(FaultSite::DiskLatentError, 0, run.len))
                 });
                 if let Some(off) = corrupt_off {
-                    // lint: allow(E1): corrupting an unmapped block is a no-op by design
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "corrupting an unmapped block is a no-op by design"
+                    )]
                     let _ = self.blocks.inject_corruption(run.start.offset(off));
                 }
             }

@@ -14,8 +14,8 @@
 //!   no `RandomState`, no ASLR, no wall clock — and whose iteration
 //!   order is the **dense insertion order** of a side `Vec`, a pure
 //!   function of the operation sequence. Same ops, same order, on
-//!   every machine, forever. The D2 lint sanctions these as the
-//!   workspace's deterministic hash containers.
+//!   every machine, forever. D2 (`clippy.toml`) bans only the std
+//!   hash collections; these are the workspace's deterministic ones.
 //! - [`Slab`]: an arena with stable `u32` handles and a free list, the
 //!   backing store for intrusive structures (the page cache's
 //!   doubly-linked LRU chains index into one).

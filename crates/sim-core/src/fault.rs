@@ -49,6 +49,9 @@ pub enum FaultSite {
     /// queued events and progress bitmaps.
     DuetSessionChurn,
     /// Drives the API-misuse exerciser that walks every `SimError` arm.
+    /// Not plan-driven: the exerciser fires it at full rate, and in a
+    /// grid preset it would make the matrix's fired-faults guard vacuous.
+    // lint: allow(F1): fired by the error-vocabulary exerciser, not by a preset
     ApiChaos,
 }
 
@@ -258,6 +261,10 @@ pub fn replay_line(seed: u64, plan: &FaultPlan) -> String {
 /// A malformed value is an error naming the variable and the value,
 /// never the default: a mistyped replay seed must not "reproduce" a
 /// different run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D4: the one reader of DUET_FAULT_SEED/DUET_CHECK_SEED; a mistyped replay seed is an error"
+)]
 pub fn seed_from_env(var: &str, default: u64) -> Result<u64, String> {
     match std::env::var(var) {
         Ok(raw) => parse_seed(var, &raw),

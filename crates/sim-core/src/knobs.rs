@@ -51,6 +51,10 @@ impl Knob {
     }
 
     /// Reads and parses the variable from the process environment.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: the one reader of DUET_SCALE/JOBS/TRACE; malformed values are errors, never defaults"
+    )]
     pub fn read(self) -> Result<Option<u64>, String> {
         match std::env::var(self.var()) {
             Ok(raw) => self.parse(Some(&raw)),

@@ -128,7 +128,7 @@ mod tests {
     fn store_evicts_fifo_at_capacity() {
         let mut store: SnapshotStore<u32, u32> = SnapshotStore::with_capacity(2);
         for k in 0..3u32 {
-            let _: Result<u32, ()> = store.fork_or_build(k, || Ok(k * 10));
+            assert_eq!(store.fork_or_build(k, || Ok::<_, ()>(k * 10)), Ok(k * 10));
         }
         assert_eq!(store.len(), 2);
         // Key 0 was evicted: rebuilding it is a miss.

@@ -286,7 +286,10 @@ impl TraceState {
 
     /// Stamps the record with the next sequence number, counts it and
     /// appends it to the ring, rotating the oldest event out when full.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per record field, passed through from the emitters"
+    )]
     fn record(
         &mut self,
         layer: TraceLayer,

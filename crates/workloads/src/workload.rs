@@ -415,7 +415,7 @@ mod tests {
         let mut wl = Workload::setup(&mut fs, cfg, small_fileset()).unwrap();
         assert_eq!(wl.accessible().len(), 13); // round(50 * 0.25)
                                                // Ops only touch the accessible subset.
-        let allowed: std::collections::HashSet<usize> = wl.accessible().iter().copied().collect();
+        let allowed: std::collections::BTreeSet<usize> = wl.accessible().iter().copied().collect();
         let before: Vec<InodeNr> = wl.files().iter().map(|f| f.ino).collect();
         let mut t = SimInstant::EPOCH;
         for _ in 0..200 {

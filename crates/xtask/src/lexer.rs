@@ -2,8 +2,8 @@
 //! punctuation and comments from string/char literal noise, with line
 //! numbers.
 //!
-//! The lint pass only needs to answer questions like "does the token
-//! `unwrap` followed by `(` appear outside test code?" — so the lexer
+//! The lint passes only need to answer questions like "does the token
+//! `ctx_begin` followed by `(` appear outside test code?" — so the lexer
 //! does not classify keywords, numbers or operators precisely. It does
 //! handle the parts that would otherwise produce false positives:
 //! line and (nested) block comments, string literals, raw strings,
@@ -428,11 +428,11 @@ mod tests {
 
     #[test]
     fn comments_are_captured_not_tokenized() {
-        let l = lex("let x = 1; // lint: sorted\n/* unwrap() */ let y = 2;");
+        let l = lex("let x = 1; // lint: allow(S1): x\n/* unwrap() */ let y = 2;");
         let toks: Vec<&str> = l.tokens.iter().map(|t| t.text.as_str()).collect();
         assert!(!toks.contains(&"unwrap"));
         assert_eq!(l.comments.len(), 2);
-        assert_eq!(l.comments[0].text, "lint: sorted");
+        assert_eq!(l.comments[0].text, "lint: allow(S1): x");
         assert_eq!(l.comments[0].line, 1);
         assert_eq!(l.comments[1].text, "unwrap()");
         assert_eq!(l.comments[1].line, 2);

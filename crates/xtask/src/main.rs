@@ -10,6 +10,10 @@ use std::process::ExitCode;
 use xtask::output::render_json;
 use xtask::rules::{run_lint, Rule};
 
+/// Where the rules that moved out of this tool live.
+const CLIPPY_RULES: &str =
+    "D1-D4 and E1 are clippy lints: see clippy.toml and `cargo clippy -- -D warnings`.";
+
 fn workspace_root() -> PathBuf {
     // crates/xtask → workspace root. CARGO_MANIFEST_DIR is compiled in,
     // so the lint works from any working directory.
@@ -29,8 +33,8 @@ fn usage() -> ExitCode {
         eprintln!("  {r}  {}", r.summary());
     }
     eprintln!();
-    eprintln!("Waivers: inline `// lint: allow(XN): reason` (or `// lint: sorted` for D2),");
-    eprintln!("or crates/xtask/lint.allow. Stale waivers are W1 errors.");
+    eprintln!("Waivers: inline `// lint: allow(XN): reason`; stale ones are W1 errors.");
+    eprintln!("{CLIPPY_RULES}");
     ExitCode::from(2)
 }
 
@@ -41,7 +45,12 @@ fn explain(rule: &str) -> ExitCode {
         match Rule::parse(rule) {
             Some(r) => vec![r],
             None => {
-                eprintln!("xtask lint: unknown rule `{rule}` (try one of: D1 D2 D3 D4 L1 S1 S2 F1 F2 E1 W1, or `all`)");
+                let names: Vec<&str> = Rule::ALL.iter().map(|r| r.name()).collect();
+                eprintln!(
+                    "xtask lint: unknown rule `{rule}` (try one of: {}, or `all`)",
+                    names.join(" ")
+                );
+                eprintln!("{CLIPPY_RULES}");
                 return ExitCode::from(2);
             }
         }

@@ -5,24 +5,22 @@
 //! per run:
 //!
 //! - the **file set** — every `.rs` file in the workspace plus every
-//!   `Cargo.toml` and `DESIGN.md`, lexed up front (in parallel, with
-//!   index-keyed collection so the model — and therefore every report —
-//!   is byte-identical at any worker count);
+//!   `Cargo.toml` and `DESIGN.md`, lexed up front in path order, so the
+//!   model — and therefore every report — is byte-identical run to run;
 //! - the **crate graph** — package names and dependency edges parsed
 //!   from the manifests, which the L1 layering pass checks against the
 //!   sanctioned layer ranks;
-//! - **symbol tables** — the names of functions returning `SimResult`
-//!   (for the E1 discarded-error pass), the `FaultSite` variants with
-//!   their labels and preset mentions (F1/F2), the trace-kind emissions
-//!   at every `TraceHandle` call site (S2), and the kind registry rows
-//!   of DESIGN.md §10.1 that those emissions are checked against.
+//! - **symbol tables** — the `FaultSite` variants with their labels and
+//!   preset mentions (F1/F2), the trace-kind emissions at every
+//!   `TraceHandle` call site (S2), and the kind registry rows of
+//!   DESIGN.md §10.1 that those emissions are checked against.
 //!
 //! The model can be built from disk ([`WorkspaceModel::from_root`]) or
 //! from in-memory sources ([`WorkspaceModel::from_sources`]); the
 //! fixture tests use the latter to exercise every pass hermetically.
 
 use crate::lexer::{lex, Lexed};
-use crate::rules::{classify, RuleSet};
+use crate::rules::is_library;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -33,9 +31,9 @@ pub struct SourceFile {
     pub rel: String,
     /// Lexed tokens + comments.
     pub lexed: Lexed,
-    /// Which per-file rules apply (`None`: out of scope — tests,
-    /// fixtures, tooling).
-    pub rules: Option<RuleSet>,
+    /// Library code the passes cover (`false`: tests, fixtures,
+    /// tooling).
+    pub library: bool,
     /// The workspace package this file belongs to, if any.
     pub crate_name: Option<String>,
 }
@@ -90,8 +88,6 @@ pub struct WorkspaceModel {
     pub files: Vec<SourceFile>,
     /// Package name → manifest info.
     pub crates: BTreeMap<String, CrateInfo>,
-    /// Names of functions whose declared return type is `SimResult`.
-    pub simresult_fns: BTreeSet<String>,
     /// The `FaultSite` registry parsed from `sim_core::fault`.
     pub fault_sites: Vec<FaultSiteInfo>,
     /// Repo-relative path the registry was found under (F1/F2 reports
@@ -112,7 +108,7 @@ pub struct WorkspaceModel {
     /// Repo-relative path DESIGN.md was found under (reports anchor
     /// there), or `None` when absent.
     pub design_rel: Option<String>,
-    /// Files the per-file rule passes actually cover.
+    /// Library files the passes cover.
     pub files_checked: usize,
 }
 
@@ -190,18 +186,16 @@ impl WorkspaceModel {
         rs.sort_by(|a, b| a.0.cmp(b.0));
         for (rel, text) in rs {
             let lexed = lex(text);
-            let rules = classify(rel);
+            let library = is_library(rel);
             let crate_name = dir_to_crate
                 .iter()
                 .find(|(dir, _)| rel.starts_with(dir.as_str()))
                 .map(|(_, name)| name.clone());
-            if rules.is_some_and(|r| !r.is_empty()) {
-                model.files_checked += 1;
-            }
+            model.files_checked += usize::from(library);
             model.files.push(SourceFile {
                 rel: rel.clone(),
                 lexed,
-                rules,
+                library,
                 crate_name,
             });
         }
@@ -242,18 +236,9 @@ impl WorkspaceModel {
         for file in &self.files {
             let skip = test_ranges(&file.lexed);
             let in_test = |idx: usize| skip.iter().any(|&(a, b)| idx >= a && idx <= b);
-            let is_lib = file.rules.is_some();
+            let is_lib = file.library;
             let t = &file.lexed.tokens;
             let tok = |i: usize| t.get(i).map(|x| x.text.as_str()).unwrap_or("");
-
-            // Symbol table: `fn name(…) -> SimResult<…>` anywhere in the
-            // workspace (tests included — a discarded error is a
-            // discarded error regardless of where the callee lives).
-            for i in 0..t.len() {
-                if let Some(name) = simresult_fn_name(t, i) {
-                    self.simresult_fns.insert(name);
-                }
-            }
 
             // Trace-kind emissions: `recv.tick(TraceLayer::X, "kind", …)`
             // and friends, in non-test library code (the trace plane's
@@ -360,56 +345,6 @@ fn is_ident(s: &str) -> bool {
 
 fn is_emit_method(s: &str) -> bool {
     matches!(s, "tick" | "tick_n" | "event" | "span" | "ctx_begin")
-}
-
-/// If token `i` opens a `fn` item declaring a `SimResult` return type,
-/// the function's name.
-pub fn simresult_fn_name(t: &[crate::lexer::Token], i: usize) -> Option<String> {
-    if t.get(i)?.text != "fn" {
-        return None;
-    }
-    let name = t.get(i + 1)?.text.clone();
-    if !is_ident(&name) {
-        return None;
-    }
-    // Scan past the parameter list: first `(` after the name, to its
-    // matching `)` (generics like `<F: Fn(usize) -> T>` sit between —
-    // depth counting over all bracket kinds handles them).
-    let mut j = i + 2;
-    while j < t.len() && t[j].text != "(" {
-        if matches!(t[j].text.as_str(), "{" | ";") {
-            return None; // no parameter list: not a function after all
-        }
-        j += 1;
-    }
-    let mut depth = 0usize;
-    while j < t.len() {
-        match t[j].text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    // `-> …SimResult…` before the body/semicolon?
-    if t.get(j + 1).map(|x| x.text.as_str()) != Some("-")
-        || t.get(j + 2).map(|x| x.text.as_str()) != Some(">")
-    {
-        return None;
-    }
-    let mut k = j + 3;
-    while k < t.len() && !matches!(t[k].text.as_str(), "{" | ";" | "where") {
-        if t[k].text == "SimResult" {
-            return Some(name);
-        }
-        k += 1;
-    }
-    None
 }
 
 /// Token indices of `FaultSite :: Variant` starting at `i`, returning
@@ -747,21 +682,6 @@ mod tests {
             m.file("src/lib.rs").unwrap().crate_name.as_deref(),
             Some("root")
         );
-    }
-
-    #[test]
-    fn simresult_symbols_found() {
-        let m = WorkspaceModel::from_sources(&src(&[(
-            "crates/a/src/lib.rs",
-            "pub fn ok(x: u32) -> SimResult<()> { Ok(()) }\n\
-                 pub fn plain() -> u32 { 0 }\n\
-                 pub fn qualified() -> sim_core::SimResult<bool> { Ok(true) }\n\
-                 pub fn generic<F: Fn(usize) -> T, T>(f: F) -> SimResult<T> { Err(()) }",
-        )]));
-        assert!(m.simresult_fns.contains("ok"));
-        assert!(m.simresult_fns.contains("qualified"));
-        assert!(m.simresult_fns.contains("generic"));
-        assert!(!m.simresult_fns.contains("plain"));
     }
 
     #[test]

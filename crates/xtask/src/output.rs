@@ -6,7 +6,6 @@
 //! runs — CI diffs it directly.
 
 use crate::rules::LintReport;
-use std::fmt::Write as _;
 
 /// JSON string escaping per RFC 8259 (the control-character subset
 /// that can actually appear in messages and paths).
@@ -19,9 +18,7 @@ fn esc(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -30,16 +27,13 @@ fn esc(s: &str) -> String {
 
 /// The stable JSON form: one object, violations in report order.
 pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"files_checked\": {},", report.files_checked);
+    let mut out = format!("{{\n  \"files_checked\": {},\n", report.files_checked);
     out.push_str("  \"violations\": [");
     for (i, v) in report.violations.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
+        out.push_str(&format!(
             "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"token\": \"{}\", \
              \"message\": \"{}\"}}",
             v.rule,
@@ -47,7 +41,7 @@ pub fn render_json(report: &LintReport) -> String {
             v.line,
             esc(&v.token),
             esc(&v.message)
-        );
+        ));
     }
     if report.violations.is_empty() {
         out.push_str("],\n");
@@ -59,7 +53,7 @@ pub fn render_json(report: &LintReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n    \"{}\"", esc(w));
+        out.push_str(&format!("\n    \"{}\"", esc(w)));
     }
     if report.warnings.is_empty() {
         out.push_str("]\n");
@@ -78,11 +72,11 @@ mod tests {
     fn report() -> LintReport {
         LintReport {
             violations: vec![Violation {
-                rule: Rule::D2,
+                rule: Rule::S2,
                 path: "crates/a/src/lib.rs".into(),
                 line: 7,
-                token: "HashMap".into(),
-                message: "say \"no\" to\thash order".into(),
+                token: "rogue.kind".into(),
+                message: "say \"no\" to\tschema drift".into(),
             }],
             warnings: vec!["note".into()],
             files_checked: 3,
@@ -93,8 +87,8 @@ mod tests {
     fn json_escapes_and_shapes() {
         let j = render_json(&report());
         assert!(j.contains("\"files_checked\": 3"));
-        assert!(j.contains("\\\"no\\\" to\\thash"));
-        assert!(j.contains("\"rule\": \"D2\""));
+        assert!(j.contains("\\\"no\\\" to\\tschema"));
+        assert!(j.contains("\"rule\": \"S2\""));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   never names is untested by construction.
 //!
 //! All findings anchor at the variant's line in the registry enum, so
-//! a single inline waiver (or `lint.allow` entry keyed by the variant
-//! name) covers a deliberate exception.
+//! a single inline waiver above the variant covers a deliberate
+//! exception.
 
 use crate::model::WorkspaceModel;
 use crate::rules::{Finding, Rule};

@@ -66,7 +66,7 @@ pub fn find(model: &WorkspaceModel) -> Vec<Finding> {
     }
 
     for file in &model.files {
-        if file.rules.is_none() {
+        if !file.library {
             continue;
         }
         let Some(crate_name) = &file.crate_name else {

@@ -1,11 +1,8 @@
-//! The analysis passes. Each pass is a pure function over the lexed
-//! token stream of one file (token rules, S1, E1) or over the shared
-//! [`crate::model::WorkspaceModel`] (L1, S2 registry drift, F1/F2);
-//! the driver in [`crate::rules`] owns test-code exemption, waiver
-//! application and the W1 staleness audit.
+//! The analysis passes. Each pass is a pure function over the shared
+//! [`crate::model::WorkspaceModel`] (L1, S1, S2, F1/F2) and skips test
+//! items itself; the driver in [`crate::rules`] owns waiver application
+//! and the W1 staleness audit.
 
-pub mod errors;
 pub mod faults;
 pub mod layering;
 pub mod spans;
-pub mod tokens;

@@ -15,11 +15,36 @@
 //! the API and forwards computed kinds by design.
 
 use crate::lexer::Token;
-use crate::model::{fn_items, WorkspaceModel};
+use crate::model::{fn_items, test_ranges, WorkspaceModel, TRACE_PLANE};
 use crate::rules::{Finding, Rule};
 
-/// Raw S1 findings over one token stream.
-pub fn unpaired_contexts(t: &[Token]) -> Vec<(usize, Rule, String, String)> {
+/// S1 over every library file outside test items.
+pub fn unpaired_contexts(model: &WorkspaceModel) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for file in &model.files {
+        if !file.library || file.rel == TRACE_PLANE {
+            continue;
+        }
+        let t = &file.lexed.tokens;
+        let skip = test_ranges(&file.lexed);
+        for (b, message) in unpaired_in(t) {
+            if !skip.iter().any(|&(lo, hi)| b >= lo && b <= hi) {
+                out.push(Finding {
+                    rule: Rule::S1,
+                    rel: file.rel.clone(),
+                    line: t[b].line,
+                    token: "ctx_begin".into(),
+                    message,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// `(token index of the first ctx_begin, message)` for every function
+/// in `t` that opens a context and never closes one.
+fn unpaired_in(t: &[Token]) -> Vec<(usize, String)> {
     let mut raw = Vec::new();
     let tok = |i: usize| t.get(i).map(|x| x.text.as_str()).unwrap_or("");
     for (start, end) in fn_items(t) {
@@ -45,8 +70,6 @@ pub fn unpaired_contexts(t: &[Token]) -> Vec<(usize, Rule, String, String)> {
             if ends == 0 {
                 raw.push((
                     b,
-                    Rule::S1,
-                    "ctx_begin".into(),
                     format!(
                         "`ctx_begin` in `fn {fn_name}` with no `ctx_end` in the same function \
                          — an unclosed context corrupts causality for every later event"

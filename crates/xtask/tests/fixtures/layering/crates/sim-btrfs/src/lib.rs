@@ -5,7 +5,7 @@ use duet::FsIntrospect;
 // A waived upward reference on the next line.
 // lint: allow(L1): fixture — waived upward edge
 pub fn waived() -> duet::SessionId {
-    unimplemented!() // lint: allow(D3): fixture — keep D3 quiet here
+    unimplemented!()
 }
 
 pub struct Fs(pub u32);

@@ -1,14 +1,11 @@
 // Lexer regression fixture: rule tokens inside literals and comments
-// must produce no findings. The one real violation at the bottom
-// proves the file is actually scanned.
+// are inert. Leaked, `duet::` would be an upward L1 edge, `ctx_begin(`
+// an unpaired S1 context, and `fire(FaultSite::Ghost)` a hook that
+// silences the one real finding: F1 on `Ghost` in fault.rs.
 
 pub fn inert() -> &'static str {
-    /* outer /* Instant::now() SystemTime HashMap .unwrap() */ panic!() */
-    let bytes = b"std::time and thread::spawn stay inert in byte strings";
+    /* outer /* use duet::Duet; */ trace.ctx_begin(TraceLayer::Task, "k") */
+    let bytes = b"use duet::Duet; h.fire(FaultSite::Ghost)";
     let _ = bytes;
-    r#"Instant SystemTime HashMap .unwrap() panic! thread::spawn"#
-}
-
-pub fn control(map: &BTreeMap<u32, u32>) -> u32 {
-    *map.get(&0).unwrap()
+    r#"use duet::Duet; trace.ctx_begin(TraceLayer::Task, "k"); h.fire(FaultSite::Ghost)"#
 }

@@ -31,3 +31,9 @@ pub fn leaky_waived(trace: &TraceHandle) {
 pub fn undocumented_waived(trace: &TraceHandle) {
     trace.tick(TraceLayer::Task, "waived.kind"); // lint: allow(S2): fixture — off-registry kind
 }
+
+// Test items are exempt: no S1 here.
+#[cfg(test)]
+fn leaky_in_test(trace: &TraceHandle) {
+    let _id = trace.ctx_begin(TraceLayer::Task, "good.kind", 0, &[]);
+}

@@ -1,187 +1,210 @@
-//! The lint's own acceptance tests: each seeded fixture must trigger
-//! its rule, compliant code must not, waivers must work, and — the
-//! point of the exercise — the workspace itself must be clean.
+//! The lint's own acceptance tests: scope policy, the rules that moved
+//! to clippy still fail, and — the point of the exercise — the
+//! workspace itself is clean.
 
-use std::path::PathBuf;
-use xtask::rules::{classify, lint_source, parse_allowlist, run_lint, Rule, RuleSet, Violation};
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use xtask::rules::{is_library, run_lint};
 
-fn fixture(name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
-}
-
-fn lint_fixture(name: &str) -> Vec<Violation> {
-    lint_source(name, &fixture(name), RuleSet::FULL, &[])
-}
-
-#[test]
-fn d1_flags_wall_clock() {
-    let v = lint_fixture("d1_wall_clock.rs");
-    assert!(!v.is_empty());
-    assert!(v.iter().all(|x| x.rule == Rule::D1), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert!(tokens.contains(&"Instant"));
-    assert!(tokens.contains(&"SystemTime"));
-    assert!(tokens.contains(&"std::time"));
-}
-
-#[test]
-fn d2_flags_hash_collections() {
-    let v = lint_fixture("d2_hash_iteration.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D2), "{v:?}");
-    let maps = v.iter().filter(|x| x.token == "HashMap").count();
-    let sets = v.iter().filter(|x| x.token == "HashSet").count();
-    assert_eq!(
-        maps, 2,
-        "declaration and parameter use (the trailing `// lint: sorted` field is waived): {v:?}"
-    );
-    assert_eq!(sets, 2, "{v:?}");
-}
-
-/// The seeded deterministic containers (`sim_core::dmap`) iterate in
-/// insertion order, so D2 must leave them alone — and point at them as
-/// the sanctioned alternative when it does fire on a std hash
-/// collection in the same file.
-#[test]
-fn d2_sanctions_dmap_containers() {
-    let v = lint_fixture("d2_dmap_sanctioned.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D2), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(tokens, vec!["HashMap", "HashMap"], "import + field: {v:?}");
-    assert!(
-        v.iter().all(|x| x.message.contains("dmap::DMap")),
-        "the diagnostic must name the sanctioned container: {v:?}"
-    );
-}
-
-#[test]
-fn d3_flags_panic_paths() {
-    let v = lint_fixture("d3_panics.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D3), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(tokens, vec!["panic!", "unwrap", "expect", "todo!"]);
-}
-
-#[test]
-fn d4_flags_ambient_state() {
-    let v = lint_fixture("d4_ambient_state.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D4), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(tokens, vec!["static mut", "thread::spawn", "process::exit"]);
-}
-
-#[test]
-fn d4_flags_scoped_threads() {
-    // `thread::scope` is as ambient as `thread::spawn`; the `s.spawn`
-    // inside the scope body is a method call, not `thread::spawn`, and
-    // must not double-report.
-    let v = lint_fixture("d4_thread_scope.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D4), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(tokens, vec!["thread::scope"]);
-}
-
-#[test]
-fn d4_flags_env_reads_outside_tests_and_honours_waivers() {
-    let v = lint_fixture("d4_env_var.rs");
-    assert!(v.iter().all(|x| x.rule == Rule::D4), "{v:?}");
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(tokens, vec!["env::var", "env::var_os"]);
-    assert!(v[0].message.contains("sim_core::knobs"), "{v:?}");
-    // Inline-waived, `env::args`, `env!` and test code: nothing fires.
-    let v = lint_fixture("d4_env_var_waived.rs");
-    assert!(v.is_empty(), "false positives: {v:?}");
-}
-
-#[test]
-fn clean_code_passes_and_waivers_apply() {
-    let v = lint_fixture("clean.rs");
-    assert!(v.is_empty(), "false positives: {v:?}");
-}
-
-#[test]
-fn allowlist_suppresses_matching_violations() {
-    let allow = parse_allowlist(
-        "# comment line\n\
-         D3 d3_panics.rs unwrap   # demo waiver\n\
-         D3 d3_panics.rs expect   # demo waiver\n",
-    )
-    .expect("parse");
-    let v = lint_source(
-        "d3_panics.rs",
-        &fixture("d3_panics.rs"),
-        RuleSet::FULL,
-        &allow,
-    );
-    let tokens: Vec<&str> = v.iter().map(|x| x.token.as_str()).collect();
-    assert_eq!(tokens, vec!["panic!", "todo!"]);
-    assert!(allow.iter().all(|a| a.used.get()), "both entries consumed");
-}
-
-#[test]
-fn allowlist_wildcard_token() {
-    let allow = parse_allowlist("D3 d3_panics.rs *  # whole-file waiver\n").expect("parse");
-    let v = lint_source(
-        "d3_panics.rs",
-        &fixture("d3_panics.rs"),
-        RuleSet::FULL,
-        &allow,
-    );
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
-fn allowlist_rejects_missing_justification() {
-    assert!(parse_allowlist("D3 path.rs unwrap\n").is_err());
-    assert!(parse_allowlist("D3 path.rs unwrap #   \n").is_err());
-    assert!(parse_allowlist("D9 path.rs unwrap # x\n").is_err());
-    assert!(parse_allowlist("D3 path.rs # x\n").is_err());
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 #[test]
 fn scoping_matches_policy() {
-    // Full rules in simulation/framework/experiment library code.
-    assert_eq!(
-        classify("crates/core/src/framework.rs"),
-        Some(RuleSet::FULL)
-    );
-    assert_eq!(classify("crates/sim-btrfs/src/fs.rs"), Some(RuleSet::FULL));
-    assert_eq!(classify("src/lib.rs"), Some(RuleSet::FULL));
-    // Bench harness: wall-clock and ambient-state rules (the pool's
-    // `thread::scope` is waived centrally, not descoped).
-    assert_eq!(
-        classify("crates/bench/src/figs/fig9_cpu_overhead.rs"),
-        Some(RuleSet::BENCH)
-    );
-    assert_eq!(classify("crates/bench/src/pool.rs"), Some(RuleSet::BENCH));
+    // Library code of the simulation, framework, experiments and bench.
+    assert!(is_library("crates/core/src/framework.rs"));
+    assert!(is_library("crates/sim-btrfs/src/fs.rs"));
+    assert!(is_library("src/lib.rs"));
+    assert!(is_library("crates/bench/src/pool.rs"));
     // Out of scope: tests, benches, examples, fixtures, the linter.
-    assert_eq!(classify("tests/end_to_end.rs"), None);
-    assert_eq!(classify("crates/core/src/framework_tests.rs"), None);
-    assert_eq!(classify("crates/bench/benches/overhead.rs"), None);
-    assert_eq!(classify("examples/quickstart.rs"), None);
-    assert_eq!(classify("crates/xtask/src/main.rs"), None);
-    assert_eq!(classify("crates/xtask/tests/fixtures/d3_panics.rs"), None);
+    assert!(!is_library("tests/end_to_end.rs"));
+    assert!(!is_library("crates/core/src/framework_tests.rs"));
+    assert!(!is_library("crates/bench/benches/overhead.rs"));
+    assert!(!is_library("examples/quickstart.rs"));
+    assert!(!is_library("crates/xtask/src/main.rs"));
+    assert!(!is_library(
+        "crates/xtask/tests/fixtures/waivers/crates/sim-core/src/lib.rs"
+    ));
 }
 
-#[test]
-fn rules_skip_cfg_test_items() {
-    let src = r#"
-        pub fn ok() -> u64 { 1 }
-        #[cfg(test)]
-        mod tests {
-            #[test]
-            fn t() {
-                let mut m = std::collections::HashMap::new();
-                m.insert(1, 2);
-                assert_eq!(*m.get(&1).unwrap(), 2);
-                panic!("fine in tests");
-            }
+/// The probe crate for `moved_rules_fail_under_clippy`. Every line
+/// ending in `// want:` must trip exactly the lints it names; every
+/// other line must stay silent — the `#[expect]`-waived forms and the
+/// test module, which `clippy.toml`'s `allow-*-in-tests` lets panic.
+/// Each `clippy.toml` entry has a line of its own.
+const PROBE: &str = r#"// D1: wall clock.
+pub fn d1() {
+    let _t = std::time::Instant::now(); // want: clippy::disallowed_methods clippy::disallowed_types
+    let _t = std::time::SystemTime::now(); // want: clippy::disallowed_methods clippy::disallowed_types
+}
+
+// D2: hash order.
+pub fn d2_map(m: &std::collections::HashMap<u32, u32>) -> usize { // want: clippy::disallowed_types
+    m.len()
+}
+pub fn d2_set(s: &std::collections::HashSet<u32>) -> usize { // want: clippy::disallowed_types
+    s.len()
+}
+
+// D3: panics.
+pub fn d3(x: Option<u32>, r: Result<u32, String>) -> u32 {
+    if x == Some(0) {
+        panic!("zero"); // want: clippy::panic
+    }
+    let a = x.unwrap(); // want: clippy::unwrap_used
+    let b = r.expect("ok"); // want: clippy::expect_used
+    a + b
+}
+
+// D4: ambient state.
+pub fn d4_threads() {
+    drop(std::thread::spawn(|| {})); // want: clippy::disallowed_methods
+    std::thread::scope(|_| {}); // want: clippy::disallowed_methods
+}
+pub fn d4_env() -> bool {
+    let v = std::env::var("X").is_ok(); // want: clippy::disallowed_methods
+    let o = std::env::var_os("Y").is_some(); // want: clippy::disallowed_methods
+    v || o
+}
+pub fn d4_exit() {
+    std::process::exit(1) // want: clippy::exit
+}
+pub static mut COUNTER: u32 = 0;
+pub fn d4_static_mut() {
+    unsafe { COUNTER += 1 } // want: unsafe_code
+}
+
+// E1: discarded results, both shapes.
+pub fn fallible() -> Result<(), String> {
+    Ok(())
+}
+pub fn e1() {
+    let _ = fallible(); // want: clippy::let_underscore_must_use
+    fallible().ok(); // want: clippy::unused_result_ok
+}
+
+// W1: a stale waiver and a bare one.
+#[expect(clippy::panic, reason = "stale: nothing here panics")] // want: unfulfilled_lint_expectations
+pub fn w1_stale() {}
+#[allow(dead_code)] // want: clippy::allow_attributes clippy::allow_attributes_without_reason
+fn w1_bare() {}
+
+// Waived forms: silent.
+#[expect(clippy::disallowed_methods, reason = "probe: the sanctioned pool")]
+pub fn waived_thread() {
+    drop(std::thread::spawn(|| {}));
+}
+#[expect(clippy::disallowed_types, reason = "probe: the sanctioned stopwatch")]
+pub fn waived_clock(t: std::time::Instant) -> u128 {
+    t.elapsed().as_nanos()
+}
+#[expect(clippy::let_underscore_must_use, reason = "probe: a best-effort call")]
+pub fn waived_discard() {
+    let _ = fallible();
+}
+#[expect(clippy::unwrap_used, reason = "probe: a checked invariant")]
+pub fn waived_unwrap(x: Option<u32>) -> u32 {
+    x.unwrap()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn tests_may_panic() {
+        let x = std::hint::black_box(Some(1u32));
+        assert_eq!(x.unwrap(), x.expect("some"));
+        if x.is_none() {
+            panic!("none");
         }
-    "#;
-    let v = lint_source("lib.rs", src, RuleSet::FULL, &[]);
-    assert!(v.is_empty(), "{v:?}");
+    }
+}
+"#;
+
+/// The root `[workspace.lints.*]` tables as a package's `[lints.*]`,
+/// bodies verbatim.
+fn workspace_lints(manifest: &str) -> String {
+    let mut out = String::new();
+    let mut copying = false;
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            copying = line.starts_with("[workspace.lints.");
+        }
+        if copying {
+            out.push_str(&line.replacen("[workspace.lints.", "[lints.", 1));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// `(line, lint)` of every compiler message in cargo's JSON stream:
+/// the message's lint code and its first span's line.
+fn diagnostics(stream: &str) -> BTreeSet<(usize, String)> {
+    fn after<'a>(s: &'a str, key: &str, end: char) -> Option<&'a str> {
+        let rest = &s[s.find(key)? + key.len()..];
+        Some(&rest[..rest.find(end)?])
+    }
+    stream
+        .lines()
+        .filter(|l| l.starts_with(r#"{"reason":"compiler-message""#))
+        .filter_map(|l| {
+            let code = after(l, r#""code":{"code":""#, '"')?;
+            let line = after(l, r#""line_start":"#, ',')?.parse().ok()?;
+            Some((line, code.to_string()))
+        })
+        .collect()
+}
+
+/// D1–D4, E1 and W1 are enforced by clippy, not by xtask: a throwaway
+/// crate with the workspace's `[lints]` and the repo's `clippy.toml`
+/// must trip each lint on the probe line that violates it, and nothing
+/// else. Deleting any `clippy.toml` entry or workspace lint fails this.
+#[test]
+fn moved_rules_fail_under_clippy() {
+    let root = repo_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    let lints = workspace_lints(&manifest);
+    assert!(lints.contains("[lints.rust]") && lints.contains("[lints.clippy]"));
+
+    let probe = Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy_probe");
+    std::fs::create_dir_all(probe.join("src")).expect("probe dir");
+    std::fs::write(
+        probe.join("Cargo.toml"),
+        format!(
+            "[package]\nname = \"clippy_probe\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
+             \n[workspace]\n\n{lints}"
+        ),
+    )
+    .expect("probe manifest");
+    std::fs::write(probe.join("src/lib.rs"), PROBE).expect("probe source");
+
+    // `--tests` checks the library once, with its test module compiled.
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--quiet", "--tests"])
+        .args(["--message-format=json", "--", "-D", "warnings"])
+        .current_dir(&probe)
+        .env("CARGO_TARGET_DIR", probe.join("target"))
+        .env("CLIPPY_CONF_DIR", &root)
+        .output()
+        .expect("cargo clippy runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "the probe must fail clippy");
+
+    let want: BTreeSet<(usize, String)> = PROBE
+        .lines()
+        .enumerate()
+        .filter_map(|(i, l)| Some((i + 1, l.split_once("// want: ")?.1)))
+        .flat_map(|(n, lints)| lints.split_whitespace().map(move |l| (n, l.to_string())))
+        .collect();
+    let got = diagnostics(&stdout);
+    assert_eq!(
+        got,
+        want,
+        "clippy findings (line, lint) differ from the probe's `// want:` markers\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// The `trace` cargo feature is gone and nothing may grow another: a
@@ -189,7 +212,7 @@ fn rules_skip_cfg_test_items() {
 /// cover twice.
 #[test]
 fn no_manifest_declares_a_cargo_feature() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let mut manifests = vec![root.join("Cargo.toml")];
     for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
         manifests.push(entry.expect("dir entry").path().join("Cargo.toml"));
@@ -213,12 +236,7 @@ fn no_manifest_declares_a_cargo_feature() {
 /// `cargo test` as well as CI's explicit `xtask lint` step.
 #[test]
 fn workspace_is_clean() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(PathBuf::from)
-        .expect("workspace root");
-    let report = run_lint(&root).expect("lint run");
+    let report = run_lint(&repo_root()).expect("lint run");
     assert!(report.files_checked > 50, "walker found the workspace");
     assert!(
         report.violations.is_empty(),

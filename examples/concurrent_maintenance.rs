@@ -6,9 +6,10 @@
 //! Run with: `cargo run --release --example concurrent_maintenance`
 
 use experiments::{paper_scaled, run_experiment, TaskKind};
+use sim_core::SimResult;
 use workloads::{DistKind, Personality};
 
-fn main() {
+fn main() -> SimResult<()> {
     let scale = 64;
     let util = 0.5;
     println!(
@@ -27,7 +28,7 @@ fn main() {
             duet,
         );
         cfg.fragmentation = Some((0.1, 5));
-        let r = run_experiment(&cfg).expect("experiment");
+        let r = run_experiment(&cfg)?;
         println!("{}:", if duet { "DUET-ENABLED" } else { "BASELINE" });
         for t in &r.tasks {
             println!(
@@ -52,4 +53,5 @@ fn main() {
         "The paper's observation: baselines contend and fail to finish, while\n\
          Duet tasks share one pass over the data and complete with less I/O."
     );
+    Ok(())
 }

@@ -5,12 +5,12 @@
 //! Run with: `cargo run --release --example f2fs_gc`
 
 use experiments::{run_gc_experiment, GcExperimentConfig};
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimResult};
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
 use workloads::{DistKind, FileSetConfig, Personality, WorkloadConfig};
 
-fn main() {
+fn main() -> SimResult<()> {
     println!("fileserver workload on the log-structured filesystem;");
     println!("background cleaner, baseline vs Duet\n");
     println!("util   baseline_ms  duet_ms  duet_cached_blocks/segment");
@@ -41,8 +41,8 @@ fn main() {
             duration: SimDuration::from_secs(30),
             seed: 11,
         };
-        let base = run_gc_experiment(&cfg(false)).expect("baseline");
-        let duet = run_gc_experiment(&cfg(true)).expect("duet");
+        let base = run_gc_experiment(&cfg(false))?;
+        let duet = run_gc_experiment(&cfg(true))?;
         println!(
             "{:>4.0}%  {:>11.2}  {:>7.2}  {:>10.1}",
             util * 100.0,
@@ -56,4 +56,5 @@ fn main() {
          Duet cleaning gets faster — it picks segments whose blocks are\n\
          cached, skipping the synchronous reads."
     );
+    Ok(())
 }

@@ -5,9 +5,10 @@
 //! Run with: `cargo run --release --example opportunistic_rsync`
 
 use experiments::{paper_scaled, run_rsync_experiment, speedup};
+use sim_core::SimResult;
 use workloads::{DistKind, Personality};
 
-fn main() {
+fn main() -> SimResult<()> {
     let scale = 64;
     println!(
         "rsync of the full file set (1/{scale} of 50 GB) with an unthrottled\n\
@@ -22,8 +23,8 @@ fn main() {
         vec![],
         true,
     );
-    let base = run_rsync_experiment(&cfg, false).expect("baseline rsync");
-    let duet = run_rsync_experiment(&cfg, true).expect("duet rsync");
+    let base = run_rsync_experiment(&cfg, false)?;
+    let duet = run_rsync_experiment(&cfg, true)?;
     println!(
         "baseline rsync: {:>8}  ({} source blocks read from disk)",
         base.completion, base.metrics.blocks_read
@@ -38,4 +39,5 @@ fn main() {
         "\nspeedup: {:.2}x  (the paper reports ~2x at 100% overlap)",
         speedup(base.completion, duet.completion)
     );
+    Ok(())
 }

@@ -19,27 +19,26 @@
 use duet::Duet;
 use duet_tasks::{pump_btrfs, Backup, BtrfsCtx, BtrfsTask, TaskMode};
 use sim_btrfs::BtrfsSim;
-use sim_core::{DeviceId, SimInstant, PAGE_SIZE};
+use sim_core::{DeviceId, SimInstant, SimResult, PAGE_SIZE};
 use sim_disk::{Disk, HddModel};
 
 const T0: SimInstant = SimInstant::EPOCH;
 
-fn build_fs() -> BtrfsSim {
+fn build_fs() -> SimResult<BtrfsSim> {
     let disk = Disk::new(Box::new(HddModel::sas_10k(1 << 17)));
     // Cache is ~12 % of the data: incidental sharing between the
     // misaligned passes is negligible.
     let mut fs = BtrfsSim::new(DeviceId(0), disk, 256);
     for i in 0..64 {
-        fs.populate_file(fs.root(), &format!("f{i:03}"), 32 * PAGE_SIZE)
-            .expect("populate");
+        fs.populate_file(fs.root(), &format!("f{i:03}"), 32 * PAGE_SIZE)?;
     }
-    fs
+    Ok(fs)
 }
 
 /// Runs two concurrent backups in the given mode; returns total blocks
 /// read from the device.
-fn run_pair(mode: TaskMode) -> (u64, String) {
-    let mut fs = build_fs();
+fn run_pair(mode: TaskMode) -> SimResult<(u64, String)> {
+    let mut fs = build_fs()?;
     let mut duet = Duet::with_defaults();
     let mut a = Backup::new(mode);
     let mut b = Backup::new(mode);
@@ -47,14 +46,12 @@ fn run_pair(mode: TaskMode) -> (u64, String) {
         fs: &mut fs,
         duet: &mut duet,
         now: T0,
-    })
-    .expect("start a");
+    })?;
     b.start(BtrfsCtx {
         fs: &mut fs,
         duet: &mut duet,
         now: T0,
-    })
-    .expect("start b");
+    })?;
     // Stagger: the first task runs alone until halfway. The second is
     // registered and keeps *polling* — consuming hints is CPU work, and
     // cached pages must be grabbed before they evict.
@@ -63,15 +60,13 @@ fn run_pair(mode: TaskMode) -> (u64, String) {
             fs: &mut fs,
             duet: &mut duet,
             now: T0,
-        })
-        .expect("lead");
+        })?;
         pump_btrfs(&mut fs, &mut duet);
         b.poll(BtrfsCtx {
             fs: &mut fs,
             duet: &mut duet,
             now: T0,
-        })
-        .expect("poll b");
+        })?;
     }
     let (mut da, mut db) = (false, false);
     while !(da && db) {
@@ -81,8 +76,7 @@ fn run_pair(mode: TaskMode) -> (u64, String) {
                     fs: &mut fs,
                     duet: &mut duet,
                     now: T0,
-                })
-                .expect("step a")
+                })?
                 .complete;
             pump_btrfs(&mut fs, &mut duet);
         }
@@ -92,26 +86,25 @@ fn run_pair(mode: TaskMode) -> (u64, String) {
                     fs: &mut fs,
                     duet: &mut duet,
                     now: T0,
-                })
-                .expect("step b")
+                })?
                 .complete;
             pump_btrfs(&mut fs, &mut duet);
         }
     }
     let status = duet.status();
     let total = a.metrics().blocks_read + b.metrics().blocks_read;
-    (total, status)
+    Ok((total, status))
 }
 
-fn main() {
+fn main() -> SimResult<()> {
     let data_blocks = 64 * 32;
     println!("two concurrent backups of {data_blocks} blocks of data\n");
-    let (base, _) = run_pair(TaskMode::Baseline);
+    let (base, _) = run_pair(TaskMode::Baseline)?;
     println!(
         "baseline (both in fixed inode order): {base} blocks read ({:.1} passes)",
         base as f64 / data_blocks as f64
     );
-    let (duet_reads, status) = run_pair(TaskMode::Duet);
+    let (duet_reads, status) = run_pair(TaskMode::Duet)?;
     println!(
         "duet (out-of-order via hints):        {duet_reads} blocks read ({:.1} passes)",
         duet_reads as f64 / data_blocks as f64
@@ -121,4 +114,5 @@ fn main() {
         100.0 * (1.0 - duet_reads as f64 / base as f64)
     );
     println!("\nframework status after the Duet run:\n{status}");
+    Ok(())
 }

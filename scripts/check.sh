@@ -6,6 +6,13 @@
 #   →  bench run smoke (tiny scale, 2 jobs)
 #   →  duetbench package gate + benchmark-contract smoke
 #
+# The clippy step is where the determinism, panic-safety and waiver
+# rules (D1-D4, E1, W1: root `[workspace.lints]` + `clippy.toml`,
+# DESIGN.md §7) fail; `cargo test` does not re-lint the workspace for
+# them, it only proves on a probe crate that each can still fail. The
+# xtask step checks what only this repo knows: layering (L1), trace
+# spans (S1/S2), fault sites (F1/F2) and its own waivers.
+#
 # `cargo test --workspace` is where every suite runs, once: the
 # differential fuzz (containers, Duet vs its reference) and the fault
 # matrix at their in-code default seeds (0xd1ffba5e, 0xd0e7f457 —

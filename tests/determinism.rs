@@ -1,7 +1,7 @@
 //! Golden determinism tests: the simulation is a pure function of its
 //! configuration. Running the same preset twice must produce
-//! byte-identical results — the property the D1/D2/D4 lint rules
-//! (`cargo run -p xtask -- lint`) exist to protect — and those bytes
+//! byte-identical results — the property the D1/D2/D4 rules
+//! (`clippy.toml`) exist to protect — and those bytes
 //! are the committed fixtures of `experiments::golden::FIXTURES`.
 
 use duet_repro::experiments::golden::{self, FIXTURES};
@@ -12,6 +12,10 @@ fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a missing fixture fails the calling test"
+)]
 fn committed(file: &str) -> String {
     std::fs::read_to_string(fixture_dir().join(file)).expect(file)
 }
@@ -24,6 +28,11 @@ fn committed(file: &str) -> String {
 /// "behaviour did not change" (a container swapped under the hood, an
 /// iteration order leak) are this one check. Regenerate deliberately with
 /// `cargo run --release -p bench -- golden` (DESIGN.md §12.2).
+#[expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "test helper: each row's failure fails its own test"
+)]
 fn check_row(file: &str) {
     let (_, produce) = FIXTURES
         .iter()
