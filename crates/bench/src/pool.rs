@@ -4,8 +4,8 @@
 //! Every sweep cell is a self-contained, single-threaded discrete-event
 //! run: it shares no mutable state with its neighbours, takes its
 //! entire input from an `ExperimentConfig`, and is bit-reproducible
-//! (seeded RNG, virtual time — enforced by the xtask determinism lint
-//! and the golden tests). Cell results therefore cannot depend on
+//! (seeded RNG, virtual time — enforced by the clippy determinism
+//! lints and the golden tests). Cell results therefore cannot depend on
 //! execution order, and the pool exploits that: workers pull cell
 //! indices from a shared cursor, write results into a slot keyed by the
 //! index, and the caller receives them in input order. Output is

@@ -7,7 +7,7 @@ use crate::session::{Item, ItemId, Session, SessionId, TaskScope};
 use sim_cache::FsIntrospect;
 use sim_cache::{PageEvent, PageKey, PageMeta};
 use sim_core::fault::{FaultHandle, FaultSite};
-use sim_core::trace::{TraceHandle, TraceLayer};
+use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{InodeNr, SimError, SimResult, PAGE_SIZE};
 
 /// Framework configuration.
@@ -201,7 +201,7 @@ impl Duet {
         self.sessions[slot] = Some(Session::new(scope, mask));
         self.slots.set(slot, Some(mask));
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::Duet, "register");
+            trace.tick(TraceKind::DuetRegister);
         }
         // Registration scan: initialize a descriptor for each relevant
         // cached page, flagged present (and possibly dirty).
@@ -249,7 +249,7 @@ impl Duet {
         self.sessions[slot] = None;
         self.slots.set(slot, None);
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::Duet, "deregister");
+            trace.tick(TraceKind::DuetDeregister);
         }
         // Strip the session's flags from every descriptor; free those
         // left with nothing pending.
@@ -278,7 +278,7 @@ impl Duet {
         self.sessions[slot] = Some(Session::new(scope, mask));
         self.slots.set(slot, Some(mask));
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::Duet, "churn");
+            trace.tick(TraceKind::DuetChurn);
         }
         for meta in fs.cached_pages() {
             self.scan_page(slot, meta, fs);
@@ -377,14 +377,14 @@ impl Duet {
         if self.descs.is_empty() && self.faults.is_none() && self.slots.is_empty() {
             self.stats.events_processed += 1;
             if let Some(trace) = &self.trace {
-                trace.tick(TraceLayer::Duet, "event");
+                trace.tick(TraceKind::DuetEvent);
             }
             return;
         }
         self.maybe_churn(fs);
         self.stats.events_processed += 1;
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::Duet, "event");
+            trace.tick(TraceKind::DuetEvent);
         }
         let ((pre_e, pre_m), (post_e, post_m)) = transition(ev, meta.dirty);
         let interest = Self::interest_of(ev);
@@ -423,7 +423,7 @@ impl Duet {
             // The event folds into an existing descriptor: the state
             // merge of §4.2 (one descriptor accumulates many events).
             if let Some(trace) = &self.trace {
-                trace.tick(TraceLayer::Duet, "merge");
+                trace.tick(TraceKind::DuetMerge);
             }
             d.cur_exists = post_e;
             d.cur_modified = post_m;
@@ -536,8 +536,8 @@ impl Duet {
         }
         self.stats.items_fetched += out.len() as u64;
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::Duet, "fetch");
-            trace.tick_n(TraceLayer::Duet, "hint", out.len() as u64);
+            trace.tick(TraceKind::DuetFetch);
+            trace.tick_n(TraceKind::DuetHint, out.len() as u64);
         }
         Ok(out)
     }

@@ -13,7 +13,7 @@ use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, Tas
 use duet::{EventMask, ItemFlags, ItemId, TaskScope};
 use sim_btrfs::SnapshotId;
 use sim_cache::PageKey;
-use sim_core::trace::TraceLayer;
+use sim_core::trace::TraceKind;
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult, SparseBitmap, PAGE_SIZE};
 use sim_disk::IoClass;
 
@@ -141,7 +141,7 @@ impl Backup {
                 self.ship(1);
                 self.opportunistic += 1;
                 if let Some(t) = ctx.fs.trace() {
-                    t.event(TraceLayer::Task, "backup.ship", ctx.now, || {
+                    t.event(TraceKind::BackupShip, ctx.now, || {
                         vec![("block", block.raw().into()), ("src", "hint".into())]
                     });
                 }
@@ -183,7 +183,7 @@ impl BtrfsTask for Backup {
         let span = ctx
             .fs
             .trace()
-            .map(|t| t.ctx_begin(TraceLayer::Task, "backup.step", ctx.now, Vec::new));
+            .map(|t| t.ctx_begin(TraceKind::BackupStep, ctx.now, Vec::new));
         let mut finish = ctx.now;
         let mut processed = 0u64;
         while processed < CHUNK_PAGES {
@@ -239,7 +239,7 @@ impl BtrfsTask for Backup {
                 self.backed.set(sb.raw());
                 self.ship(1);
                 if let Some(t) = ctx.fs.trace() {
-                    t.event(TraceLayer::Task, "backup.ship", ctx.now, || {
+                    t.event(TraceKind::BackupShip, ctx.now, || {
                         vec![("block", sb.raw().into()), ("src", "scan".into())]
                     });
                 }

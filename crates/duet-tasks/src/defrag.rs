@@ -12,7 +12,7 @@
 
 use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
 use duet::{EventMask, ItemId, Priority, ResidencyTracker, TaskScope};
-use sim_core::trace::TraceLayer;
+use sim_core::trace::TraceKind;
 use sim_core::{InodeNr, SimResult};
 use sim_disk::IoClass;
 use std::collections::BTreeSet;
@@ -158,7 +158,7 @@ impl Defrag {
         self.done_io += planned_io;
         self.files_defragged += 1;
         if let Some(t) = ctx.fs.trace() {
-            t.event(TraceLayer::Task, "defrag.reloc", ctx.now, || {
+            t.event(TraceKind::DefragReloc, ctx.now, || {
                 vec![("ino", ino.raw().into()), ("src", src.into())]
             });
         }
@@ -205,7 +205,7 @@ impl BtrfsTask for Defrag {
         let span = ctx
             .fs
             .trace()
-            .map(|t| t.ctx_begin(TraceLayer::Task, "defrag.step", ctx.now, Vec::new));
+            .map(|t| t.ctx_begin(TraceKind::DefragStep, ctx.now, Vec::new));
         let end_span = |ctx: &BtrfsCtx<'_>, at| {
             if let (Some(t), Some(id)) = (ctx.fs.trace(), span) {
                 t.ctx_end(id, at);

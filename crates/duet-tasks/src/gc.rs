@@ -13,7 +13,7 @@
 
 use crate::task::{HintSession, StepResult, TaskMode};
 use duet::{Duet, EventMask, ItemFlags, TaskScope};
-use sim_core::trace::TraceLayer;
+use sim_core::trace::TraceKind;
 use sim_core::{SegmentNr, SimInstant, SimResult};
 use sim_disk::IoClass;
 use sim_f2fs::{cleaning_cost, CleanResult, F2fsSim, SegState, VictimPolicy};
@@ -179,7 +179,7 @@ impl GarbageCollector {
             TaskMode::Baseline => 0,
         };
         let span = ctx.fs.trace().map(|t| {
-            t.ctx_begin(TraceLayer::Task, "gc.clean", ctx.now, || {
+            t.ctx_begin(TraceKind::GcClean, ctx.now, || {
                 vec![
                     ("seg", victim.into()),
                     ("cached", cached_hint.into()),

@@ -18,7 +18,7 @@
 use crate::task::{HintSession, StepResult, TaskMetrics, TaskMode};
 use duet::{Duet, EventMask, ItemId, Priority, ResidencyTracker, TaskScope};
 use sim_btrfs::BtrfsSim;
-use sim_core::trace::TraceLayer;
+use sim_core::trace::TraceKind;
 use sim_core::{InodeNr, SimError, SimInstant, SimResult, PAGE_SIZE};
 use sim_disk::IoClass;
 use std::collections::{BTreeMap, BTreeSet};
@@ -311,7 +311,7 @@ impl Rsync {
         let span = ctx
             .src
             .trace()
-            .map(|t| t.ctx_begin(TraceLayer::Task, "rsync.step", ctx.now, Vec::new));
+            .map(|t| t.ctx_begin(TraceKind::RsyncStep, ctx.now, Vec::new));
         if pages_now > 0 {
             // Sender: read the chunk at the source.
             let r = ctx.src.read(
@@ -347,7 +347,7 @@ impl Rsync {
             self.tracker.forget(ino);
             self.active = None;
             if let Some(t) = ctx.src.trace() {
-                t.event(TraceLayer::Task, "rsync.send", ctx.now, || {
+                t.event(TraceKind::RsyncSend, ctx.now, || {
                     vec![("ino", ino.raw().into()), ("src", item_src.into())]
                 });
             }

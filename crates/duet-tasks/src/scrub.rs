@@ -16,7 +16,7 @@
 use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
 use duet::{EventMask, ItemFlags, TaskScope};
 use sim_btrfs::Run;
-use sim_core::trace::TraceLayer;
+use sim_core::trace::TraceKind;
 use sim_core::{BlockNr, SimResult, SparseBitmap, PAGE_SIZE};
 use sim_disk::IoClass;
 
@@ -147,7 +147,7 @@ impl Scrubber {
                             self.opportunistic -= 1;
                         }
                         if let Some(t) = ctx.fs.trace() {
-                            t.event(TraceLayer::Task, "scrub.unverify", ctx.now, || {
+                            t.event(TraceKind::ScrubUnverify, ctx.now, || {
                                 vec![("block", block.raw().into()), ("src", "hint".into())]
                             });
                         }
@@ -156,7 +156,7 @@ impl Scrubber {
                     // Verified by the read path: scrubbed for free.
                     self.opportunistic += 1;
                     if let Some(t) = ctx.fs.trace() {
-                        t.event(TraceLayer::Task, "scrub.verify", ctx.now, || {
+                        t.event(TraceKind::ScrubVerify, ctx.now, || {
                             vec![("block", block.raw().into()), ("src", "hint".into())]
                         });
                     }
@@ -189,7 +189,7 @@ impl BtrfsTask for Scrubber {
         let span = ctx
             .fs
             .trace()
-            .map(|t| t.ctx_begin(TraceLayer::Task, "scrub.step", ctx.now, Vec::new));
+            .map(|t| t.ctx_begin(TraceKind::ScrubStep, ctx.now, Vec::new));
         let mut finish = ctx.now;
         let mut examined = 0u64;
         // Collect the blocks in this chunk that still need verification.
@@ -269,7 +269,7 @@ impl BtrfsTask for Scrubber {
         for b in to_scrub {
             self.verified.set(b.raw());
             if let Some(t) = ctx.fs.trace() {
-                t.event(TraceLayer::Task, "scrub.verify", ctx.now, || {
+                t.event(TraceKind::ScrubVerify, ctx.now, || {
                     vec![("block", b.raw().into()), ("src", "scan".into())]
                 });
             }

@@ -28,7 +28,7 @@ use duet_tasks::{
 };
 use sim_btrfs::BtrfsSim;
 use sim_core::fault::{replay_line, FaultHandle, FaultPlan, FaultSite};
-use sim_core::trace::{TraceEvent, TraceHandle, TraceLayer};
+use sim_core::trace::{TraceEvent, TraceHandle, TraceKind};
 use sim_core::{BlockNr, DeviceId, InodeNr, SimError, SimInstant, SimResult, SimRng, PAGE_SIZE};
 use sim_disk::{Disk, HddModel, IoClass, IoKind, IoRequest, RetryPolicy};
 use sim_f2fs::{F2fsSim, VictimPolicy};
@@ -289,7 +289,7 @@ pub fn localize_pair(
     let base_proj = project_effects(task, &base_events);
     // Lockstep replay over the ordered union of effect keys: the first
     // key where the two sides disagree is the divergence.
-    let keys: BTreeSet<&(&'static str, u64)> = duet_proj.keys().chain(base_proj.keys()).collect();
+    let keys: BTreeSet<&(TraceKind, u64)> = duet_proj.keys().chain(base_proj.keys()).collect();
     for &&(kind, entity) in &keys {
         let d = duet_proj.get(&(kind, entity));
         let b = base_proj.get(&(kind, entity));
@@ -302,12 +302,12 @@ pub fn localize_pair(
         let ev = last_effect(&base_events, kind, field, entity)
             .or_else(|| last_effect(&duet_events, kind, field, entity));
         let (site, chain) = match ev {
-            Some((events, e)) => (format!("{}/{}", e.layer, e.kind), span_chain(events, e)),
-            None => (format!("task/{kind}"), Vec::new()),
+            Some((events, e)) => (site_of(e), span_chain(events, e)),
+            None => (format!("task/{}", kind.name()), Vec::new()),
         };
         return Ok(Some(Divergence {
             task,
-            kind: kind.to_string(),
+            kind: kind.name().to_string(),
             entity,
             duet: d.cloned(),
             baseline: b.cloned(),
@@ -332,9 +332,9 @@ pub fn localize_pair(
 }
 
 /// The entity field name of an effect kind.
-fn entity_field(kind: &str) -> &'static str {
+fn entity_field(kind: TraceKind) -> &'static str {
     match kind {
-        "scrub.verify" | "backup.ship" => "block",
+        TraceKind::ScrubVerify | TraceKind::BackupShip => "block",
         _ => "ino",
     }
 }
@@ -342,50 +342,47 @@ fn entity_field(kind: &str) -> &'static str {
 /// Projects a run's event stream onto the task's per-entity effect
 /// vocabulary. The result maps `(effect kind, entity)` to the entity's
 /// final effect payload.
-fn project_effects(
-    task: OracleTask,
-    events: &[TraceEvent],
-) -> BTreeMap<(&'static str, u64), String> {
+fn project_effects(task: OracleTask, events: &[TraceEvent]) -> BTreeMap<(TraceKind, u64), String> {
     let mut m = BTreeMap::new();
     for ev in events {
-        if ev.layer != TraceLayer::Task {
-            continue;
-        }
         match (task, ev.kind) {
-            (OracleTask::Scrub, "scrub.verify") => {
+            (OracleTask::Scrub, TraceKind::ScrubVerify) => {
                 if let Some(b) = ev.field_u64("block") {
-                    m.insert(("scrub.verify", b), "verified".to_string());
+                    m.insert((TraceKind::ScrubVerify, b), "verified".to_string());
                 }
             }
             // A dirtied block's earlier verification is withdrawn: the
             // projection tracks the *final* verified set.
-            (OracleTask::Scrub, "scrub.unverify") => {
+            (OracleTask::Scrub, TraceKind::ScrubUnverify) => {
                 if let Some(b) = ev.field_u64("block") {
-                    m.remove(&("scrub.verify", b));
+                    m.remove(&(TraceKind::ScrubVerify, b));
                 }
             }
-            (OracleTask::Backup, "backup.ship") => {
+            (OracleTask::Backup, TraceKind::BackupShip) => {
                 if let Some(b) = ev.field_u64("block") {
-                    m.insert(("backup.ship", b), "shipped".to_string());
+                    m.insert((TraceKind::BackupShip, b), "shipped".to_string());
                 }
             }
-            (OracleTask::Defrag, "defrag.reloc") => {
+            (OracleTask::Defrag, TraceKind::DefragReloc) => {
                 if let Some(ino) = ev.field_u64("ino") {
-                    m.insert(("defrag.reloc", ino), "rewritten".to_string());
+                    m.insert((TraceKind::DefragReloc, ino), "rewritten".to_string());
                 }
             }
-            (OracleTask::Rsync, "rsync.send") => {
+            (OracleTask::Rsync, TraceKind::RsyncSend) => {
                 if let Some(ino) = ev.field_u64("ino") {
-                    m.insert(("rsync.send", ino), "sent".to_string());
+                    m.insert((TraceKind::RsyncSend, ino), "sent".to_string());
                 }
             }
-            (OracleTask::Gc, "gc.final") => {
+            (OracleTask::Gc, TraceKind::GcFinal) => {
                 if let (Some(ino), Some(size), Some(mapped)) = (
                     ev.field_u64("ino"),
                     ev.field_u64("size"),
                     ev.field_u64("mapped"),
                 ) {
-                    m.insert(("gc.final", ino), format!("size={size} mapped={mapped}"));
+                    m.insert(
+                        (TraceKind::GcFinal, ino),
+                        format!("size={size} mapped={mapped}"),
+                    );
                 }
             }
             _ => {}
@@ -398,17 +395,20 @@ fn project_effects(
 /// the stream it came from (for span-chain resolution).
 fn last_effect<'a>(
     events: &'a [TraceEvent],
-    kind: &str,
+    kind: TraceKind,
     field: &str,
     entity: u64,
 ) -> Option<(&'a [TraceEvent], &'a TraceEvent)> {
     events
         .iter()
         .rev()
-        .find(|e| {
-            e.layer == TraceLayer::Task && e.kind == kind && e.field_u64(field) == Some(entity)
-        })
+        .find(|e| e.kind == kind && e.field_u64(field) == Some(entity))
         .map(|e| (events, e))
+}
+
+/// An event's originating site, `layer/kind`.
+fn site_of(e: &TraceEvent) -> String {
+    format!("{}/{}", e.kind.layer(), e.kind.name())
 }
 
 /// Walks an event's enclosing context spans, innermost first.
@@ -423,7 +423,7 @@ fn span_chain(events: &[TraceEvent], ev: &TraceEvent) -> Vec<String> {
         let Some(pe) = by_span.get(&p.0) else {
             break;
         };
-        chain.push(format!("{}/{}", pe.layer, pe.kind));
+        chain.push(site_of(pe));
         cur = pe.parent;
         if chain.len() >= 16 {
             break; // Defensive bound; context nesting is shallow.
@@ -868,7 +868,7 @@ fn run_gc(
     // final logical file state, emitted here as synthetic events.
     if let Some(t) = fs.trace() {
         for &(ino, size, mapped) in &state {
-            t.event(TraceLayer::Task, "gc.final", T0, || {
+            t.event(TraceKind::GcFinal, T0, || {
                 vec![
                     ("ino", ino.into()),
                     ("size", size.into()),

@@ -30,7 +30,7 @@ use crate::snapshot::{SnapFile, Snapshot, SnapshotId};
 use sim_cache::{PageCache, PageKey, PageMeta};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::ids::byte_range_end;
-use sim_core::trace::{TraceHandle, TraceLayer};
+use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{
     BlockNr,
     DeviceId,
@@ -287,7 +287,7 @@ impl BtrfsSim {
     fn cow_allocate(&mut self, ino: InodeNr, page0: u64, npages: u64) -> SimResult<Vec<Run>> {
         let runs = self.alloc.alloc_exact(npages)?;
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::Btrfs, "alloc");
+            trace.tick(TraceKind::BtrfsAlloc);
         }
         self.install(ino, page0, &runs)?;
         Ok(runs)
@@ -304,7 +304,7 @@ impl BtrfsSim {
         stats: &mut OpStats,
     ) -> SimResult<()> {
         if let Some(trace) = &self.trace {
-            trace.event(TraceLayer::Btrfs, "submit", now, || {
+            trace.event(TraceKind::BtrfsSubmit, now, || {
                 vec![
                     ("op", kind.label().into()),
                     ("class", class.label().into()),
@@ -418,14 +418,14 @@ impl BtrfsSim {
         for (_, b) in &missing {
             if let Err(e) = self.blocks.verify_checksum(*b) {
                 if let Some(trace) = &self.trace {
-                    trace.event(TraceLayer::Btrfs, "checksum.fail", now, || {
+                    trace.event(TraceKind::BtrfsChecksumFail, now, || {
                         vec![("block", b.raw().into()), ("ino", ino.raw().into())]
                     });
                 }
                 return Err(e);
             }
             if let Some(trace) = &self.trace {
-                trace.tick(TraceLayer::Btrfs, "checksum.ok");
+                trace.tick(TraceKind::BtrfsChecksumOk);
             }
         }
         let runs = coalesce(missing.iter().map(|(_, b)| *b).collect());
@@ -706,14 +706,14 @@ impl BtrfsSim {
         match self.blocks.verify_checksum(b) {
             Ok(()) => {
                 if let Some(trace) = &self.trace {
-                    trace.tick(TraceLayer::Btrfs, "checksum.ok");
+                    trace.tick(TraceKind::BtrfsChecksumOk);
                 }
                 Ok(false)
             }
             Err(SimError::ChecksumMismatch(_)) => {
                 self.blocks.repair(b)?;
                 if let Some(trace) = &self.trace {
-                    trace.tick(TraceLayer::Btrfs, "repair");
+                    trace.tick(TraceKind::BtrfsRepair);
                 }
                 Ok(true)
             }

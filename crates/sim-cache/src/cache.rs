@@ -15,7 +15,7 @@ use crate::page::{PageEvent, PageKey, PageMeta};
 use sim_core::dmap::{DSet, Slab, NIL};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::pagetable::PageTable;
-use sim_core::trace::{TraceHandle, TraceLayer};
+use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{BlockNr, InodeNr};
 use std::collections::VecDeque;
 
@@ -332,15 +332,12 @@ impl PageCache {
 
     fn push_event(&mut self, meta: PageMeta, ev: PageEvent) {
         if let Some(trace) = &self.trace {
-            // One literal tick per arm: the kind registry (lint S2)
-            // audits emission sites against DESIGN.md §10.1, which a
-            // computed kind string would defeat.
-            match ev {
-                PageEvent::Added => trace.tick(TraceLayer::Cache, "add"),
-                PageEvent::Removed => trace.tick(TraceLayer::Cache, "remove"),
-                PageEvent::Dirtied => trace.tick(TraceLayer::Cache, "dirty"),
-                PageEvent::Flushed => trace.tick(TraceLayer::Cache, "flush"),
-            }
+            trace.tick(match ev {
+                PageEvent::Added => TraceKind::CacheAdd,
+                PageEvent::Removed => TraceKind::CacheRemove,
+                PageEvent::Dirtied => TraceKind::CacheDirty,
+                PageEvent::Flushed => TraceKind::CacheFlush,
+            });
         }
         self.events.push_back((meta, ev));
     }
@@ -532,7 +529,7 @@ impl PageCache {
             }
             self.stats.evictions += 1;
             if let Some(trace) = &self.trace {
-                trace.tick(TraceLayer::Cache, "evict");
+                trace.tick(TraceKind::CacheEvict);
             }
             evicted.push(before);
         }
@@ -599,7 +596,7 @@ impl PageCache {
             if let Some(faults) = &self.faults {
                 if faults.fire(FaultSite::CacheWritebackFail) {
                     if let Some(trace) = &self.trace {
-                        trace.tick(TraceLayer::Cache, "writeback.fail");
+                        trace.tick(TraceKind::CacheWritebackFail);
                     }
                     continue;
                 }

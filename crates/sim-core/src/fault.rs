@@ -20,7 +20,7 @@ use crate::error::{SimError, SimResult};
 use crate::knobs::strict_u64;
 use crate::rng::SimRng;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -50,8 +50,8 @@ pub enum FaultSite {
     DuetSessionChurn,
     /// Drives the API-misuse exerciser that walks every `SimError` arm.
     /// Not plan-driven: the exerciser fires it at full rate, and in a
-    /// grid preset it would make the matrix's fired-faults guard vacuous.
-    // lint: allow(F1): fired by the error-vocabulary exerciser, not by a preset
+    /// grid preset it would make the matrix's fired-faults guard vacuous
+    /// (a test keeps it out of every preset and the other sites in one).
     ApiChaos,
 }
 
@@ -165,25 +165,30 @@ impl FaultPlan {
     }
 
     /// Parse a spec produced by [`FaultPlan::spec`] (or written by hand).
-    /// `"quiet"` and the empty string yield the quiet plan.
+    /// `"quiet"` and the empty string yield the quiet plan. Each entry is
+    /// `site=ppm` with ppm plain digits up to one million, and names a
+    /// site at most once: a spec is never silently rewritten, so a parsed
+    /// plan's [`spec`](FaultPlan::spec) is the one that was given.
     pub fn parse(spec: &str) -> SimResult<FaultPlan> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "quiet" {
             return Ok(FaultPlan::quiet());
         }
         let mut plan = FaultPlan::quiet();
+        let mut seen = BTreeSet::new();
         for part in spec.split(',') {
             let part = part.trim();
-            let (label, rate) = part.split_once('=').ok_or_else(|| {
-                SimError::InvalidArgument(format!("fault spec entry '{part}' is not site=ppm"))
-            })?;
-            let site = FaultSite::from_label(label).ok_or_else(|| {
-                SimError::InvalidArgument(format!("unknown fault site '{label}'"))
-            })?;
-            let ppm: u32 = rate.parse().map_err(|_| {
-                SimError::InvalidArgument(format!("bad ppm '{rate}' for fault site '{label}'"))
-            })?;
-            plan = plan.with_ppm(site, ppm);
+            let bad =
+                |why: &str| SimError::InvalidArgument(format!("fault spec entry '{part}' {why}"));
+            let (label, rate) = part.split_once('=').ok_or_else(|| bad("is not site=ppm"))?;
+            let site = FaultSite::from_label(label).ok_or_else(|| bad("names no fault site"))?;
+            let ppm = strict_u64(rate, 10)
+                .filter(|&ppm| ppm <= PPM_SCALE)
+                .ok_or_else(|| bad("wants a ppm of 0..=1000000"))?;
+            if !seen.insert(site) {
+                return Err(bad("repeats its site"));
+            }
+            plan = plan.with_ppm(site, ppm as u32);
         }
         Ok(plan)
     }
@@ -386,9 +391,40 @@ mod tests {
         }
         assert_eq!(FaultPlan::parse("quiet").unwrap(), FaultPlan::quiet());
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::quiet());
-        assert!(FaultPlan::parse("bogus-site=5").is_err());
-        assert!(FaultPlan::parse("disk-eio").is_err());
-        assert!(FaultPlan::parse("disk-eio=notanumber").is_err());
+        // Malformed entries are errors naming the entry, never rewrites:
+        // a sign, a rate past one million (once capped to it) and a
+        // repeated site (once last-wins) included.
+        for bad in [
+            "bogus-site=5",
+            "disk-eio",
+            "disk-eio=notanumber",
+            "disk-eio=+5",
+            "disk-eio=-5",
+            "disk-eio=",
+            "disk-eio=2000000",
+            "disk-eio=5,disk-eio=7",
+            "disk-eio=0,disk-eio=7",
+        ] {
+            let Err(SimError::InvalidArgument(msg)) = FaultPlan::parse(bad) else {
+                panic!("{bad:?} must be rejected");
+            };
+            let entry = bad.rsplit(',').next().unwrap_or(bad);
+            assert!(msg.contains(&format!("'{entry}'")), "{bad:?}: {msg}");
+        }
+        let full = FaultPlan::parse("disk-eio=1000000").unwrap();
+        assert_eq!(full.spec(), "disk-eio=1000000");
+    }
+
+    /// Every plan-driven site is armed by some preset, so the preset grid
+    /// reaches its hook; `ApiChaos`, which the exerciser fires, by none.
+    #[test]
+    fn presets_arm_every_site_but_api_chaos() {
+        for site in FaultSite::ALL {
+            let armed = FaultPlan::PRESETS
+                .iter()
+                .any(|name| FaultPlan::preset(name).unwrap().ppm(site) > 0);
+            assert_eq!(armed, site != FaultSite::ApiChaos, "{site}");
+        }
     }
 
     #[test]
@@ -409,7 +445,7 @@ mod tests {
         let a = FaultHandle::new(0xDEAD_BEEF, plan.clone());
         let b = FaultHandle::new(0xDEAD_BEEF, plan);
         for i in 0..4096u64 {
-            let site = FaultSite::ALL[(i % 9) as usize];
+            let site = FaultSite::ALL[i as usize % FaultSite::ALL.len()];
             assert_eq!(a.fire(site), b.fire(site));
         }
         assert_eq!(a.total_fired(), b.total_fired());

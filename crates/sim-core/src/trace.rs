@@ -61,16 +61,6 @@ pub enum TraceLayer {
 }
 
 impl TraceLayer {
-    /// Every layer, in a fixed order.
-    pub const ALL: [TraceLayer; 6] = [
-        TraceLayer::Disk,
-        TraceLayer::Cache,
-        TraceLayer::Btrfs,
-        TraceLayer::F2fs,
-        TraceLayer::Duet,
-        TraceLayer::Task,
-    ];
-
     /// Stable textual name used in dumps and counter keys.
     pub fn label(self) -> &'static str {
         match self {
@@ -87,6 +77,144 @@ impl TraceLayer {
 impl fmt::Display for TraceLayer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// Every event kind library code may emit, one variant per row of the
+/// DESIGN.md §10.1 kind registry (a test keeps the two equal). The kind
+/// implies its layer, so a record carries the kind alone; a kind that
+/// is not a variant does not compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TraceKind {
+    DiskIo,
+    DiskRetry,
+    DiskRetryExhausted,
+    CacheAdd,
+    CacheRemove,
+    CacheDirty,
+    CacheFlush,
+    CacheEvict,
+    CacheWritebackFail,
+    BtrfsAlloc,
+    BtrfsSubmit,
+    BtrfsChecksumOk,
+    BtrfsChecksumFail,
+    BtrfsRepair,
+    F2fsLogAppend,
+    F2fsSsr,
+    F2fsSubmit,
+    F2fsClean,
+    DuetRegister,
+    DuetDeregister,
+    DuetChurn,
+    DuetEvent,
+    DuetMerge,
+    DuetFetch,
+    DuetHint,
+    BackupStep,
+    BackupShip,
+    DefragStep,
+    DefragReloc,
+    ScrubStep,
+    ScrubVerify,
+    ScrubUnverify,
+    RsyncStep,
+    RsyncSend,
+    GcClean,
+    GcFinal,
+}
+
+impl TraceKind {
+    /// Every kind, in registry order.
+    pub const ALL: [TraceKind; 36] = [
+        TraceKind::DiskIo,
+        TraceKind::DiskRetry,
+        TraceKind::DiskRetryExhausted,
+        TraceKind::CacheAdd,
+        TraceKind::CacheRemove,
+        TraceKind::CacheDirty,
+        TraceKind::CacheFlush,
+        TraceKind::CacheEvict,
+        TraceKind::CacheWritebackFail,
+        TraceKind::BtrfsAlloc,
+        TraceKind::BtrfsSubmit,
+        TraceKind::BtrfsChecksumOk,
+        TraceKind::BtrfsChecksumFail,
+        TraceKind::BtrfsRepair,
+        TraceKind::F2fsLogAppend,
+        TraceKind::F2fsSsr,
+        TraceKind::F2fsSubmit,
+        TraceKind::F2fsClean,
+        TraceKind::DuetRegister,
+        TraceKind::DuetDeregister,
+        TraceKind::DuetChurn,
+        TraceKind::DuetEvent,
+        TraceKind::DuetMerge,
+        TraceKind::DuetFetch,
+        TraceKind::DuetHint,
+        TraceKind::BackupStep,
+        TraceKind::BackupShip,
+        TraceKind::DefragStep,
+        TraceKind::DefragReloc,
+        TraceKind::ScrubStep,
+        TraceKind::ScrubVerify,
+        TraceKind::ScrubUnverify,
+        TraceKind::RsyncStep,
+        TraceKind::RsyncSend,
+        TraceKind::GcClean,
+        TraceKind::GcFinal,
+    ];
+
+    /// The layer the kind belongs to.
+    pub fn layer(self) -> TraceLayer {
+        self.row().0
+    }
+
+    /// Stable name within the layer, used in dumps and counter keys.
+    pub fn name(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The kind's registry row: `(layer, name)`.
+    fn row(self) -> (TraceLayer, &'static str) {
+        match self {
+            TraceKind::DiskIo => (TraceLayer::Disk, "io"),
+            TraceKind::DiskRetry => (TraceLayer::Disk, "retry"),
+            TraceKind::DiskRetryExhausted => (TraceLayer::Disk, "retry.exhausted"),
+            TraceKind::CacheAdd => (TraceLayer::Cache, "add"),
+            TraceKind::CacheRemove => (TraceLayer::Cache, "remove"),
+            TraceKind::CacheDirty => (TraceLayer::Cache, "dirty"),
+            TraceKind::CacheFlush => (TraceLayer::Cache, "flush"),
+            TraceKind::CacheEvict => (TraceLayer::Cache, "evict"),
+            TraceKind::CacheWritebackFail => (TraceLayer::Cache, "writeback.fail"),
+            TraceKind::BtrfsAlloc => (TraceLayer::Btrfs, "alloc"),
+            TraceKind::BtrfsSubmit => (TraceLayer::Btrfs, "submit"),
+            TraceKind::BtrfsChecksumOk => (TraceLayer::Btrfs, "checksum.ok"),
+            TraceKind::BtrfsChecksumFail => (TraceLayer::Btrfs, "checksum.fail"),
+            TraceKind::BtrfsRepair => (TraceLayer::Btrfs, "repair"),
+            TraceKind::F2fsLogAppend => (TraceLayer::F2fs, "log_append"),
+            TraceKind::F2fsSsr => (TraceLayer::F2fs, "ssr"),
+            TraceKind::F2fsSubmit => (TraceLayer::F2fs, "submit"),
+            TraceKind::F2fsClean => (TraceLayer::F2fs, "clean"),
+            TraceKind::DuetRegister => (TraceLayer::Duet, "register"),
+            TraceKind::DuetDeregister => (TraceLayer::Duet, "deregister"),
+            TraceKind::DuetChurn => (TraceLayer::Duet, "churn"),
+            TraceKind::DuetEvent => (TraceLayer::Duet, "event"),
+            TraceKind::DuetMerge => (TraceLayer::Duet, "merge"),
+            TraceKind::DuetFetch => (TraceLayer::Duet, "fetch"),
+            TraceKind::DuetHint => (TraceLayer::Duet, "hint"),
+            TraceKind::BackupStep => (TraceLayer::Task, "backup.step"),
+            TraceKind::BackupShip => (TraceLayer::Task, "backup.ship"),
+            TraceKind::DefragStep => (TraceLayer::Task, "defrag.step"),
+            TraceKind::DefragReloc => (TraceLayer::Task, "defrag.reloc"),
+            TraceKind::ScrubStep => (TraceLayer::Task, "scrub.step"),
+            TraceKind::ScrubVerify => (TraceLayer::Task, "scrub.verify"),
+            TraceKind::ScrubUnverify => (TraceLayer::Task, "scrub.unverify"),
+            TraceKind::RsyncStep => (TraceLayer::Task, "rsync.step"),
+            TraceKind::RsyncSend => (TraceLayer::Task, "rsync.send"),
+            TraceKind::GcClean => (TraceLayer::Task, "gc.clean"),
+            TraceKind::GcFinal => (TraceLayer::Task, "gc.final"),
+        }
     }
 }
 
@@ -153,10 +281,8 @@ pub struct TraceEvent {
     pub at: SimInstant,
     /// Virtual extent (zero for instant events).
     pub dur: SimDuration,
-    /// Originating layer.
-    pub layer: TraceLayer,
-    /// Stable kind label, e.g. `"io"`, `"evict"`, `"scrub.verify"`.
-    pub kind: &'static str,
+    /// What happened; it names the originating layer too.
+    pub kind: TraceKind,
     /// This record's span id, if it is a span.
     pub span: Option<SpanId>,
     /// Enclosing context span, if any.
@@ -192,8 +318,8 @@ impl TraceEvent {
             self.seq,
             self.at.as_nanos(),
             self.dur.as_nanos(),
-            self.layer.label(),
-            self.kind
+            self.kind.layer().label(),
+            self.kind.name()
         ));
         if let Some(SpanId(id)) = self.span {
             s.push_str(&format!(",\"span\":{id}"));
@@ -241,18 +367,28 @@ fn json_value(v: &FieldValue) -> String {
     }
 }
 
-/// An open context span (begun, not yet ended).
+/// An open context span: what [`TraceHandle::ctx_begin`] returns and
+/// [`TraceHandle::ctx_end`] consumes. It is neither `Copy` nor `Clone`,
+/// so a context is ended at most once, and one never ended is an unused
+/// value the compiler reports.
 #[derive(Debug)]
-struct OpenSpan {
-    layer: TraceLayer,
-    kind: &'static str,
+#[must_use = "a context span is closed by passing it to `TraceHandle::ctx_end`"]
+pub struct OpenSpan {
+    id: SpanId,
+    kind: TraceKind,
     start: SimInstant,
     parent: Option<SpanId>,
     fields: Vec<Field>,
 }
 
+/// A kind's whole-run counter key: counters sort by layer label, then
+/// by name.
+fn counter_key(kind: TraceKind) -> (&'static str, &'static str) {
+    (kind.layer().label(), kind.name())
+}
+
 /// What a [`TraceHandle`]'s clones share: the ring, the whole-run
-/// counters and the context-span bookkeeping.
+/// counters and the stack of open context spans.
 #[derive(Debug)]
 struct TraceState {
     capacity: usize,
@@ -262,7 +398,6 @@ struct TraceState {
     dropped: u64,
     counters: BTreeMap<(&'static str, &'static str), u64>,
     ctx: Vec<SpanId>,
-    open: BTreeMap<u64, OpenSpan>,
 }
 
 impl TraceState {
@@ -275,7 +410,6 @@ impl TraceState {
             dropped: 0,
             counters: BTreeMap::new(),
             ctx: Vec::new(),
-            open: BTreeMap::new(),
         }
     }
 
@@ -286,21 +420,16 @@ impl TraceState {
 
     /// Stamps the record with the next sequence number, counts it and
     /// appends it to the ring, rotating the oldest event out when full.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one argument per record field, passed through from the emitters"
-    )]
     fn record(
         &mut self,
-        layer: TraceLayer,
-        kind: &'static str,
+        kind: TraceKind,
         at: SimInstant,
         dur: SimDuration,
         span: Option<SpanId>,
         parent: Option<SpanId>,
         fields: Vec<Field>,
     ) {
-        *self.counters.entry((layer.label(), kind)).or_insert(0) += 1;
+        *self.counters.entry(counter_key(kind)).or_insert(0) += 1;
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -309,7 +438,6 @@ impl TraceState {
             seq: self.next_seq,
             at,
             dur,
-            layer,
             kind,
             span,
             parent,
@@ -351,92 +479,75 @@ impl TraceHandle {
 
     /// Counts an occurrence without storing an event — for hooks too
     /// hot to keep in the ring (per-page checksums, hint deliveries).
-    pub fn tick(&self, layer: TraceLayer, kind: &'static str) {
-        self.tick_n(layer, kind, 1);
+    pub fn tick(&self, kind: TraceKind) {
+        self.tick_n(kind, 1);
     }
 
     /// Counts `n` occurrences at once (batched hint deliveries).
-    pub fn tick_n(&self, layer: TraceLayer, kind: &'static str, n: u64) {
+    pub fn tick_n(&self, kind: TraceKind, n: u64) {
         *self
             .inner
             .borrow_mut()
             .counters
-            .entry((layer.label(), kind))
+            .entry(counter_key(kind))
             .or_insert(0) += n;
     }
 
     /// Records an instant event under the current context span.
-    pub fn event<F>(&self, layer: TraceLayer, kind: &'static str, at: SimInstant, fields: F)
+    pub fn event<F>(&self, kind: TraceKind, at: SimInstant, fields: F)
     where
         F: FnOnce() -> Vec<Field>,
     {
         let mut st = self.inner.borrow_mut();
         let parent = st.ctx.last().copied();
-        st.record(layer, kind, at, SimDuration::ZERO, None, parent, fields());
+        st.record(kind, at, SimDuration::ZERO, None, parent, fields());
     }
 
     /// Records a completed span (known start and extent) under the
     /// current context span, returning its id.
-    pub fn span<F>(
-        &self,
-        layer: TraceLayer,
-        kind: &'static str,
-        start: SimInstant,
-        dur: SimDuration,
-        fields: F,
-    ) -> SpanId
+    pub fn span<F>(&self, kind: TraceKind, start: SimInstant, dur: SimDuration, fields: F) -> SpanId
     where
         F: FnOnce() -> Vec<Field>,
     {
         let mut st = self.inner.borrow_mut();
         let id = st.new_span();
         let parent = st.ctx.last().copied();
-        st.record(layer, kind, start, dur, Some(id), parent, fields());
+        st.record(kind, start, dur, Some(id), parent, fields());
         id
     }
 
-    /// Opens a context span: until the matching [`TraceHandle::ctx_end`],
-    /// every emitted record carries this span as its parent. Used by
-    /// tasks to bracket one work item (with its provenance fields).
-    pub fn ctx_begin<F>(
-        &self,
-        layer: TraceLayer,
-        kind: &'static str,
-        at: SimInstant,
-        fields: F,
-    ) -> SpanId
+    /// Opens a context span: until it is passed to
+    /// [`TraceHandle::ctx_end`], every emitted record carries it as its
+    /// parent. Used by tasks to bracket one work item (with its
+    /// provenance fields).
+    pub fn ctx_begin<F>(&self, kind: TraceKind, at: SimInstant, fields: F) -> OpenSpan
     where
         F: FnOnce() -> Vec<Field>,
     {
         let mut st = self.inner.borrow_mut();
         let id = st.new_span();
-        let open = OpenSpan {
-            layer,
+        let parent = st.ctx.last().copied();
+        st.ctx.push(id);
+        OpenSpan {
+            id,
             kind,
             start: at,
-            parent: st.ctx.last().copied(),
+            parent,
             fields: fields(),
-        };
-        st.open.insert(id.0, open);
-        st.ctx.push(id);
-        id
+        }
     }
 
     /// Closes a context span, emitting its record with the measured
     /// extent. Closing out of order is tolerated (the id is removed
     /// from wherever it sits in the context stack).
-    pub fn ctx_end(&self, id: SpanId, at: SimInstant) {
+    pub fn ctx_end(&self, open: OpenSpan, at: SimInstant) {
         let mut st = self.inner.borrow_mut();
-        st.ctx.retain(|&s| s != id);
-        let Some(open) = st.open.remove(&id.0) else {
-            return;
-        };
+        st.ctx.retain(|&s| s != open.id);
         st.record(
-            open.layer,
             open.kind,
             open.start,
             at.saturating_duration_since(open.start),
-            Some(id),
+            Some(open.id),
             open.parent,
             open.fields,
         );
@@ -504,19 +615,18 @@ mod tests {
     #[test]
     fn events_carry_context_parents() {
         let tr = TraceHandle::new(64);
-        let item = tr.ctx_begin(TraceLayer::Task, "scrub.item", T0, || {
-            vec![("src", "scan".into())]
-        });
-        tr.event(TraceLayer::Task, "scrub.verify", T0 + ms(1), || {
+        let item = tr.ctx_begin(TraceKind::ScrubStep, T0, || vec![("src", "scan".into())]);
+        let id = item.id;
+        tr.event(TraceKind::ScrubVerify, T0 + ms(1), || {
             vec![("block", 7u64.into())]
         });
         tr.ctx_end(item, T0 + ms(2));
         let evs = tr.events();
         assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, "scrub.verify");
-        assert_eq!(evs[0].parent, Some(item));
-        assert_eq!(evs[1].kind, "scrub.item");
-        assert_eq!(evs[1].span, Some(item));
+        assert_eq!(evs[0].kind, TraceKind::ScrubVerify);
+        assert_eq!(evs[0].parent, Some(id));
+        assert_eq!(evs[1].kind, TraceKind::ScrubStep);
+        assert_eq!(evs[1].span, Some(id));
         assert_eq!(evs[1].dur, ms(2));
         assert_eq!(evs[1].field_str("src"), Some("scan"));
     }
@@ -525,9 +635,9 @@ mod tests {
     fn ring_rotation_keeps_counters_exact() {
         let tr = TraceHandle::new(4);
         for i in 0..10u64 {
-            tr.event(TraceLayer::Cache, "add", T0, || vec![("ino", i.into())]);
+            tr.event(TraceKind::CacheAdd, T0, || vec![("ino", i.into())]);
         }
-        tr.tick(TraceLayer::Duet, "hint");
+        tr.tick(TraceKind::DuetHint);
         assert_eq!(tr.len(), 4);
         assert_eq!(tr.dropped(), 6);
         let counters = tr.counters();
@@ -542,7 +652,7 @@ mod tests {
     #[test]
     fn jsonl_is_stable_and_escaped() {
         let tr = TraceHandle::new(16);
-        tr.span(TraceLayer::Disk, "io", T0 + ms(1), ms(3), || {
+        tr.span(TraceKind::DiskIo, T0 + ms(1), ms(3), || {
             vec![
                 ("kind", "read".into()),
                 ("block", 42u64.into()),
@@ -561,8 +671,8 @@ mod tests {
     fn handle_shares_one_buffer_and_clear_resets() {
         let tr = TraceHandle::new(16);
         let tr2 = tr.clone();
-        tr.event(TraceLayer::Btrfs, "submit", T0, Vec::new);
-        tr2.event(TraceLayer::Btrfs, "submit", T0, Vec::new);
+        tr.event(TraceKind::BtrfsSubmit, T0, Vec::new);
+        tr2.event(TraceKind::BtrfsSubmit, T0, Vec::new);
         assert_eq!(tr.len(), 2);
         tr.clear();
         assert!(tr2.is_empty());
@@ -573,24 +683,78 @@ mod tests {
     #[test]
     fn out_of_order_ctx_end_is_tolerated() {
         let tr = TraceHandle::new(16);
-        let a = tr.ctx_begin(TraceLayer::Task, "a", T0, Vec::new);
-        let b = tr.ctx_begin(TraceLayer::Task, "b", T0, Vec::new);
+        let a = tr.ctx_begin(TraceKind::GcClean, T0, Vec::new);
+        let b = tr.ctx_begin(TraceKind::ScrubStep, T0, Vec::new);
+        let b_id = b.id;
         tr.ctx_end(a, T0 + ms(1));
         // `b` is still the context even though its parent closed first.
-        tr.event(TraceLayer::Task, "x", T0, Vec::new);
+        tr.event(TraceKind::ScrubVerify, T0, Vec::new);
         tr.ctx_end(b, T0 + ms(2));
-        tr.ctx_end(b, T0 + ms(3)); // double-end: no-op
         let evs = tr.events();
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[1].parent, Some(b));
-        assert_eq!(evs[2].span, Some(b));
+        assert_eq!(evs[1].parent, Some(b_id));
+        assert_eq!(evs[2].span, Some(b_id));
     }
 
     #[test]
-    fn layer_labels_are_unique() {
-        let mut labels: Vec<&str> = TraceLayer::ALL.iter().map(|l| l.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), TraceLayer::ALL.len());
+    fn kind_rows_are_unique() {
+        let mut rows: Vec<_> = TraceKind::ALL.iter().map(|&k| counter_key(k)).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        assert_eq!(rows.len(), TraceKind::ALL.len());
+    }
+
+    /// The `(layer, kind)` rows of DESIGN.md's "Kind registry" table: the
+    /// backticked first two cells of every table row between that
+    /// heading and the next one.
+    fn registry_rows(design: &str) -> Vec<(String, String)> {
+        let cell =
+            |c: Option<&str>| Some(c?.trim().strip_prefix('`')?.strip_suffix('`')?.to_string());
+        design
+            .lines()
+            .skip_while(|l| l.trim() != "#### Kind registry")
+            .skip(1)
+            .take_while(|l| !l.starts_with('#'))
+            .filter_map(|l| {
+                let mut cells = l.strip_prefix('|')?.split('|');
+                Some((cell(cells.next())?, cell(cells.next())?))
+            })
+            .collect()
+    }
+
+    fn all_rows() -> Vec<(String, String)> {
+        TraceKind::ALL
+            .iter()
+            .map(|k| (k.layer().label().to_string(), k.name().to_string()))
+            .collect()
+    }
+
+    /// The registry DESIGN.md §10.1 documents is exactly `TraceKind::ALL`,
+    /// row for row and in order: no undocumented kind, no stale row.
+    #[test]
+    fn design_registry_is_trace_kind_all() {
+        let design = include_str!("../../../DESIGN.md");
+        assert_eq!(registry_rows(design), all_rows());
+    }
+
+    #[test]
+    fn registry_check_catches_a_missing_and_an_extra_row() {
+        let doc = |rows: &[(String, String)]| {
+            let table: String = rows
+                .iter()
+                .map(|(layer, kind)| format!("| `{layer}` | `{kind}` | meaning |\n"))
+                .collect();
+            format!(
+                "#### Kind registry\n\n| layer | kind | meaning |\n|---|---|---|\n{table}\n\
+                 ### 10.2 Span model\n\n| `task` | `elsewhere` | another section's table |\n"
+            )
+        };
+        let all = all_rows();
+        // The row under the next heading is not part of the registry.
+        assert_eq!(registry_rows(&doc(&all)), all);
+        assert_ne!(registry_rows(&doc(&all[1..])), all);
+        let mut extra = all.clone();
+        extra.push(("task".into(), "rogue.kind".into()));
+        assert_ne!(registry_rows(&doc(&extra)), all);
     }
 }

@@ -37,7 +37,7 @@ pub use scheduler::{RetryPolicy, SchedulerPolicy};
 pub use ssd::SsdModel;
 
 use sim_core::fault::{FaultHandle, FaultSite};
-use sim_core::trace::{TraceHandle, TraceLayer};
+use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{BlockNr, SimDuration, SimError, SimInstant, SimResult};
 
 /// Mechanical breakdown of one request's service time. The trace plane
@@ -237,7 +237,7 @@ impl Disk {
                 Err(SimError::TransientIo(b)) => {
                     if attempt >= policy.max_attempts {
                         if let Some(trace) = &self.trace {
-                            trace.event(TraceLayer::Disk, "retry.exhausted", at, || {
+                            trace.event(TraceKind::DiskRetryExhausted, at, || {
                                 vec![("block", b.raw().into()), ("attempts", attempt.into())]
                             });
                         }
@@ -245,7 +245,7 @@ impl Disk {
                     }
                     let backoff = policy.backoff_after(attempt - 1);
                     if let Some(trace) = &self.trace {
-                        trace.event(TraceLayer::Disk, "retry", at, || {
+                        trace.event(TraceKind::DiskRetry, at, || {
                             vec![
                                 ("block", b.raw().into()),
                                 ("attempt", attempt.into()),
@@ -278,7 +278,7 @@ impl Disk {
         self.busy_until = finish;
         self.metrics.record(req, service);
         if let Some(trace) = &self.trace {
-            trace.span(TraceLayer::Disk, "io", start, service, || {
+            trace.span(TraceKind::DiskIo, start, service, || {
                 let mut fields = vec![
                     ("op", req.kind.label().into()),
                     ("class", req.class.label().into()),
@@ -403,7 +403,7 @@ mod tests {
     mod trace {
         use super::*;
         use sim_core::fault::{FaultHandle, FaultPlan, FaultSite};
-        use sim_core::trace::{TraceHandle, TraceLayer};
+        use sim_core::trace::{TraceHandle, TraceKind};
 
         #[test]
         fn io_span_carries_service_breakdown() {
@@ -414,8 +414,7 @@ mod tests {
             let evs = tr.events();
             assert_eq!(evs.len(), 1);
             let ev = &evs[0];
-            assert_eq!(ev.layer, TraceLayer::Disk);
-            assert_eq!(ev.kind, "io");
+            assert_eq!(ev.kind, TraceKind::DiskIo);
             assert_eq!(ev.field_str("op"), Some("read"));
             assert_eq!(ev.field_u64("block"), Some(500_000));
             assert_eq!(ev.field_u64("nblocks"), Some(16));
@@ -442,10 +441,10 @@ mod tests {
             let evs = tr.events();
             // 3 retries then exhaustion under the 4-attempt default.
             assert_eq!(evs.len(), 4);
-            assert_eq!(evs[0].kind, "retry");
+            assert_eq!(evs[0].kind, TraceKind::DiskRetry);
             assert_eq!(evs[0].field_u64("block"), Some(7));
             assert_eq!(evs[0].field_u64("backoff_ns"), Some(500_000));
-            assert_eq!(evs[3].kind, "retry.exhausted");
+            assert_eq!(evs[3].kind, TraceKind::DiskRetryExhausted);
             assert_eq!(evs[3].field_u64("attempts"), Some(4));
         }
 

@@ -21,7 +21,7 @@ use sim_cache::{PageCache, PageKey, PageMeta};
 use sim_core::dmap::DMap;
 use sim_core::fault::FaultHandle;
 use sim_core::ids::byte_range_end;
-use sim_core::trace::{TraceHandle, TraceLayer};
+use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{
     BlockNr,
     DeviceId,
@@ -462,9 +462,9 @@ impl F2fsSim {
     fn flush_page(&mut self, ino: InodeNr, idx: PageIndex) -> SimResult<(BlockNr, bool)> {
         let (new_block, ssr) = self.log_alloc()?;
         if let Some(trace) = &self.trace {
-            trace.tick(TraceLayer::F2fs, "log_append");
+            trace.tick(TraceKind::F2fsLogAppend);
             if ssr {
-                trace.tick(TraceLayer::F2fs, "ssr");
+                trace.tick(TraceKind::F2fsSsr);
             }
         }
         if let Some(old_b) = self.set_mapping(ino, idx, new_block)? {
@@ -497,7 +497,7 @@ impl F2fsSim {
             return Ok(());
         }
         if let Some(trace) = &self.trace {
-            trace.event(TraceLayer::F2fs, "submit", now, || {
+            trace.event(TraceKind::F2fsSubmit, now, || {
                 vec![
                     ("op", "write".into()),
                     ("class", class.label().into()),
@@ -540,7 +540,7 @@ impl F2fsSim {
             return Ok(stats);
         }
         if let Some(trace) = &self.trace {
-            trace.event(TraceLayer::F2fs, "submit", now, || {
+            trace.event(TraceKind::F2fsSubmit, now, || {
                 vec![
                     ("op", "read".into()),
                     ("class", class.label().into()),
@@ -657,7 +657,7 @@ impl F2fsSim {
         let victims = self.valid_blocks_of(seg);
         let valid_blocks = victims.len() as u32;
         if let Some(trace) = &self.trace {
-            trace.event(TraceLayer::F2fs, "clean", now, || {
+            trace.event(TraceKind::F2fsClean, now, || {
                 vec![("seg", seg.raw().into()), ("valid", valid_blocks.into())]
             });
         }

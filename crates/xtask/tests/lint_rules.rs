@@ -1,32 +1,14 @@
-//! The lint's own acceptance tests: scope policy, the rules that moved
-//! to clippy still fail, and — the point of the exercise — the
+//! The lint's own acceptance tests: the layering check fires on the
+//! fixture's illegal edges, the CLI takes no flags, the rules that live
+//! in clippy still fail there, and — the point of the exercise — the
 //! workspace itself is clean.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use xtask::rules::{is_library, run_lint};
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-#[test]
-fn scoping_matches_policy() {
-    // Library code of the simulation, framework, experiments and bench.
-    assert!(is_library("crates/core/src/framework.rs"));
-    assert!(is_library("crates/sim-btrfs/src/fs.rs"));
-    assert!(is_library("src/lib.rs"));
-    assert!(is_library("crates/bench/src/pool.rs"));
-    // Out of scope: tests, benches, examples, fixtures, the linter.
-    assert!(!is_library("tests/end_to_end.rs"));
-    assert!(!is_library("crates/core/src/framework_tests.rs"));
-    assert!(!is_library("crates/bench/benches/overhead.rs"));
-    assert!(!is_library("examples/quickstart.rs"));
-    assert!(!is_library("crates/xtask/src/main.rs"));
-    assert!(!is_library(
-        "crates/xtask/tests/fixtures/waivers/crates/sim-core/src/lib.rs"
-    ));
 }
 
 /// The probe crate for `moved_rules_fail_under_clippy`. Every line
@@ -232,20 +214,67 @@ fn no_manifest_declares_a_cargo_feature() {
 }
 
 /// The acceptance criterion: the workspace itself lints clean. This
-/// test is what keeps the repo honest — a reintroduced violation fails
-/// `cargo test` as well as CI's explicit `xtask lint` step.
+/// test is what keeps the repo honest — an upward edge fails `cargo
+/// test` as well as CI's explicit `xtask lint` step.
 #[test]
 fn workspace_is_clean() {
-    let report = run_lint(&repo_root()).expect("lint run");
-    assert!(report.files_checked > 50, "walker found the workspace");
-    assert!(
-        report.violations.is_empty(),
-        "workspace lint violations:\n{}",
-        report
-            .violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+    let (checked, violations) = xtask::lint(&repo_root()).expect("lint run");
+    assert!(checked >= 11, "found the workspace's crates: {checked}");
+    let listing: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    assert!(violations.is_empty(), "{}", listing.join("\n"));
+}
+
+/// The fixture under `tests/fixtures/layering` holds one upward edge, one
+/// sideways edge and an `xtask` edge; each is reported at its entry.
+#[test]
+fn l1_fires_on_upward_sideways_and_xtask_edges() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering");
+    let (checked, violations) = xtask::lint(&fixture).expect("fixture lints");
+    assert_eq!(checked, 3);
+    let got: Vec<(&str, usize, &str)> = violations
+        .iter()
+        .map(|v| (v.path.as_str(), v.line, v.dep.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("crates/sim-btrfs/Cargo.toml", 6, "duet"),
+            ("crates/sim-cache/Cargo.toml", 6, "sim-disk"),
+            ("crates/xtask/Cargo.toml", 5, "sim-core"),
+        ]
     );
+    assert!(
+        violations[0].message.starts_with("upward"),
+        "{}",
+        violations[0]
+    );
+    assert!(
+        violations[1].message.starts_with("sideways"),
+        "{}",
+        violations[1]
+    );
+}
+
+/// `xtask lint` is the whole interface: the flags of the old analyzer
+/// are usage errors, not aliases, and produce no report.
+#[test]
+fn removed_flags_are_rejected() {
+    for args in [
+        &["--format=json"][..],
+        &["--explain", "L1"],
+        &["--explain=D3"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .arg("lint")
+            .args(args)
+            .output()
+            .expect("the binary was built for this test");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: cargo run -p xtask -- lint"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} produced a report");
+    }
 }

@@ -2,16 +2,19 @@
 # The full CI gate, runnable locally and fully offline (the workspace
 # has no external dependencies, so no registry access is needed).
 #
-#   fmt --check  →  clippy -D warnings  →  xtask lint  →  cargo test
+#   fmt --check  →  clippy -D warnings  →  xtask lint (layering)  →  cargo test
 #   →  bench run smoke (tiny scale, 2 jobs)
 #   →  duetbench package gate + benchmark-contract smoke
 #
 # The clippy step is where the determinism, panic-safety and waiver
 # rules (D1-D4, E1, W1: root `[workspace.lints]` + `clippy.toml`,
-# DESIGN.md §7) fail; `cargo test` does not re-lint the workspace for
-# them, it only proves on a probe crate that each can still fail. The
-# xtask step checks what only this repo knows: layering (L1), trace
-# spans (S1/S2), fault sites (F1/F2) and its own waivers.
+# DESIGN.md §7) fail, and an unclosed trace context span (an unused
+# `OpenSpan`); `cargo test` does not re-lint the workspace for them, it
+# only proves on a probe crate that each can still fail. The xtask step
+# is the layering check: every crate's manifest dependencies point
+# strictly down the stack (DESIGN.md §11). Trace kinds and fault sites
+# fail in `cargo test`: the §10.1 registry ≡ `TraceKind::ALL`, every
+# kind emitted, every `FaultSite` a row of the fault matrix that fires.
 #
 # `cargo test --workspace` is where every suite runs, once: the
 # differential fuzz (containers, Duet vs its reference) and the fault
@@ -37,7 +40,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo run -p xtask -- lint"
+echo "==> cargo run -p xtask -- lint (layering)"
 cargo run -q -p xtask -- lint
 
 echo "==> cargo test --workspace"
