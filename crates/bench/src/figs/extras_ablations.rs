@@ -7,9 +7,7 @@
 //! 3. **Opportunistic processing vs cache locality** (§6.5's closing
 //!    observation): Duet with a tiny cache still saves most of its I/O,
 //!    showing the benefit comes from reordering, not from caching.
-//! 4. **Informed cache replacement** (the paper's §2 future-work
-//!    note): protecting pages with unconsumed hints from eviction.
-//! 5. **Hint granularity**: page-level hints vs the file-level hints an
+//! 4. **Hint granularity**: page-level hints vs the file-level hints an
 //!    inotify-based task could build (§3.3).
 
 use crate::sweeps::PROFILED;
@@ -144,44 +142,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     }
     cache.save(sink)?;
 
-    // 4. Informed cache replacement (the paper's §2 future-work note,
-    //    implemented here as an extension): protect pages with
-    //    unconsumed hints from eviction. With the default 20 ms fetch
-    //    cadence hints are consumed long before eviction and protection
-    //    is moot; the effect appears when tasks poll rarely, so the
-    //    ablation sweeps the poll period.
-    let mut informed = Report::new(
-        "ablation_informed_replacement",
-        &["poll_period_ms", "io_saved_plain", "io_saved_informed"],
-    );
-    informed.print_header(sink);
-    let polls = [20u64, 200, 1000];
-    let informed_cells: Vec<(u64, bool)> = polls
-        .iter()
-        .flat_map(|&p| [false, true].into_iter().map(move |inf| (p, inf)))
-        .collect();
-    let informed_runs =
-        pool::try_run_indexed(informed_cells.len(), pool::jobs(), |i| -> SimResult<f64> {
-            let (poll_ms, inf) = informed_cells[i];
-            let mut cfg = paper_scaled(
-                scale,
-                Personality::WebServer,
-                DistKind::Uniform,
-                1.0,
-                0.6,
-                vec![TaskKind::Backup],
-                true,
-            );
-            cfg.poll_period = SimDuration::from_millis(poll_ms);
-            cfg.informed_replacement = inf;
-            Ok(run_experiment_with(&cfg, &PROFILED)?.io_saved())
-        })?;
-    for (&poll_ms, pair) in polls.iter().zip(informed_runs.chunks(2)) {
-        informed.row(sink, &[poll_ms.to_string(), pct(pair[0]), pct(pair[1])]);
-    }
-    informed.save(sink)?;
-
-    // 5. Hint granularity: page-level hints (Duet) vs degraded
+    // 4. Hint granularity: page-level hints (Duet) vs degraded
     //    file-level hints (what an inotify-based task could build,
     //    §3.3). Page granularity enables prioritizing by resident
     //    fraction.
@@ -222,12 +183,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
          policies; larger grace periods trade maintenance throughput for\n\
          workload isolation; savings survive even tiny caches (reordering,\n\
          not locality, is what pays — §6.5); page-level hints beat\n\
-         file-level hints once the task cannot process everything.\n\
-         Informed replacement (bounded to a quarter of the cache so it\n\
-         cannot degenerate into pinning) shows no measurable gain — the\n\
-         pending-hint population outnumbers any safe protection budget,\n\
-         which is consistent with the paper's reliance on prompt polling\n\
-         instead of pinning (§3.1).",
+         file-level hints once the task cannot process everything.",
     );
     Ok(())
 }

@@ -4,8 +4,8 @@
 //! flat descriptor table replaced, kept deliberately simple: one
 //! ordered map walked as often as is convenient (an existence
 //! pre-lookup, an entry lookup and a separate free pass per event),
-//! `set_done` on a file and `pending_pages` by scanning everything, no
-//! per-file index, no cached masks. It shares the per-page flag arithmetic
+//! `set_done` on a file by scanning everything, no per-file index, no
+//! cached masks. It shares the per-page flag arithmetic
 //! ([`Descriptor`]) and the session record with the real framework —
 //! what it checks is everything the table rebuild touched: which
 //! descriptors exist, when they are freed, what each fetch returns and
@@ -451,16 +451,6 @@ impl Model {
         self.descs.len() as u64 * Descriptor::memory_bytes(self.cfg.max_sessions) + bitmaps
     }
 
-    fn pending_pages(&self, max: usize) -> Vec<PageKey> {
-        let masks = self.masks();
-        self.descs
-            .iter()
-            .filter(|(_, d)| d.pending_any(&masks))
-            .map(|(key, _)| *key)
-            .take(max)
-            .collect()
-    }
-
     /// What [`Duet::canonical`] builds, from the ordered map.
     fn canonical(&self) -> Canonical<'_> {
         Canonical {
@@ -848,13 +838,6 @@ fn replay(log: &[Op], skip_cancellation: bool) -> Result<(), String> {
             duet.memory_bytes().to_string(),
             model.memory_bytes().to_string(),
         )?;
-        for max in [0, 2, usize::MAX] {
-            check(
-                "pending_pages",
-                format!("{:?}", duet.pending_pages(max)),
-                format!("{:?}", model.pending_pages(max)),
-            )?;
-        }
         for slot in 0..=SLOTS as u32 {
             let sid = SessionId(slot);
             check(

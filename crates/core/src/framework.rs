@@ -781,22 +781,6 @@ impl Duet {
         out
     }
 
-    /// Pages with pending notifications for any session, up to `max`.
-    ///
-    /// Powers the *informed cache replacement* extension (named as
-    /// future work in §2 of the paper): the cache can deprioritize
-    /// evicting pages whose hints no task has consumed yet.
-    pub fn pending_pages(&self, max: usize) -> Vec<PageKey> {
-        // The first `max` in (inode, index) order: the table walks in
-        // key order, whatever order the descriptors arrived in.
-        self.descs
-            .iter()
-            .filter(|(_, d)| d.pending_any(&self.slots))
-            .map(|(key, _)| key)
-            .take(max)
-            .collect()
-    }
-
     /// Panics unless the descriptor table and its per-file index agree.
     #[cfg(test)]
     pub(crate) fn assert_index_consistent(&self) {

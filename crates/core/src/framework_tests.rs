@@ -819,32 +819,6 @@ fn status_reports_sessions_and_counters() {
 }
 
 #[test]
-fn pending_pages_reports_unconsumed_hints() {
-    let mut fs = MockFs::new();
-    let f = fs.add(10, ROOT, "f");
-    let mut duet = Duet::with_defaults();
-    let sid = duet
-        .register(
-            TaskScope::File {
-                registered_dir: ROOT,
-            },
-            EventMask::EXISTS,
-            &fs,
-        )
-        .unwrap();
-    for i in 0..5 {
-        duet.handle_page_event(meta(f, i, Some(i), false), PageEvent::Added, &fs);
-    }
-    assert_eq!(duet.pending_pages(100).len(), 5);
-    assert_eq!(duet.pending_pages(3).len(), 3, "cap respected");
-    let _ = duet.fetch(sid, 100, &fs).unwrap();
-    assert!(
-        duet.pending_pages(100).is_empty(),
-        "consumed hints drop out"
-    );
-}
-
-#[test]
 fn delete_clears_bitmap_state() {
     let mut fs = MockFs::new();
     let f = fs.add(10, ROOT, "f");
@@ -1002,21 +976,15 @@ fn three_descriptors(other_arrives_first: bool) -> Duet {
 }
 
 #[test]
-fn equality_and_pending_pages_do_not_depend_on_arrival_order() {
+fn equality_does_not_depend_on_arrival_order() {
     let (x, y) = (three_descriptors(true), three_descriptors(false));
     // Not vacuous: the two tables really are laid out differently —
     // the same pages sit in different slab slots, and the slot freed
     // by the deregistration differs — so a derived `==` would fail.
     assert_ne!(x.layout(), y.layout());
     assert!(x == y);
-    let first_two: Vec<PageKey> = (1..=2)
-        .map(|i| PageKey::new(InodeNr(10), PageIndex(i)))
-        .collect();
     for duet in [&x, &y] {
         assert_eq!(duet.descriptor_count(), 3);
-        assert_eq!(duet.pending_pages(2), first_two, "first two in key order");
-        assert_eq!(duet.pending_pages(0), []);
-        assert_eq!(duet.pending_pages(usize::MAX).len(), 3);
     }
 }
 

@@ -60,10 +60,9 @@ pub struct ExperimentConfig {
     /// without residency counts there is nothing to prioritize by.
     /// For the hint-granularity ablation.
     pub defrag_file_granularity: bool,
-    /// Informed cache replacement (an extension beyond the paper, named
-    /// as future work in its §2): eviction deprioritizes pages whose
-    /// Duet notifications have not been consumed yet. Advisory only —
-    /// never pins pages.
+    /// Must be `false`: informed cache replacement was removed, and
+    /// [`crate::run_experiment_with`] rejects `true`. The field is kept
+    /// only because the frozen benchmark mirror asserts it is false.
     pub informed_replacement: bool,
     /// Age the layout: relocate files in random order so that inode
     /// order no longer matches physical order. On an aged filesystem
@@ -76,50 +75,9 @@ pub struct ExperimentConfig {
     pub seed: u64,
 }
 
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            device: DeviceKind::Hdd,
-            capacity_blocks: 1 << 19, // 2 GiB device
-            cache_pages: 4096,        // 16 MiB cache
-            fileset: FileSetConfig {
-                num_files: 2000,
-                mean_file_bytes: 128 * 1024,
-                sigma: 0.5,
-            },
-            workload: None,
-            tasks: vec![TaskKind::Scrub],
-            duet: true,
-            policy: SchedulerPolicy::default_cfq(),
-            duration: SimDuration::from_mins(5),
-            fragmentation: None,
-            poll_period: SimDuration::from_millis(20),
-            defrag_file_granularity: false,
-            informed_replacement: false,
-            scatter_layout: false,
-            seed: 42,
-        }
-    }
-}
-
 impl ExperimentConfig {
     /// End instant of the run.
     pub fn end(&self) -> SimInstant {
         SimInstant::EPOCH + self.duration
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_coherent() {
-        let cfg = ExperimentConfig::default();
-        // The file set must fit the device with room for COW churn.
-        let data_blocks =
-            cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes / sim_core::PAGE_SIZE;
-        assert!(data_blocks * 2 < cfg.capacity_blocks);
-        assert_eq!(cfg.end(), SimInstant::EPOCH + cfg.duration);
     }
 }

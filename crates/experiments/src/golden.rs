@@ -279,14 +279,13 @@ pub fn cache_event_log(seed: u64, ops: u64) -> String {
                 }
             }
             _ => {
-                // Advisory protection over a pseudo-random slice, then
-                // an insert that may have to respect it.
-                let base = rng.gen_range(0, 12);
-                c.set_protected(
-                    (0..8).map(|i| PageKey::new(InodeNr(base), PageIndex(i))),
-                    16,
-                );
-                out.push_str(&format!("protect {}\n", c.protected_len()));
+                // A read-only probe of some file's first page: no LRU
+                // move, no hit or miss counted.
+                let probe = PageKey::new(InodeNr(rng.gen_range(0, 12)), PageIndex(0));
+                out.push_str(&format!(
+                    "peek {}\n",
+                    c.peek(probe).as_ref().map(meta_str).unwrap_or("-".into())
+                ));
             }
         }
         if op % 16 == 0 {

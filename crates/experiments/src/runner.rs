@@ -136,11 +136,18 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> SimResult<ExperimentResult> {
     run_experiment_with(cfg, &RunOptions::default())
 }
 
-/// [`run_experiment`] under `opts`.
+/// [`run_experiment`] under `opts`. Rejects a configuration that sets
+/// `informed_replacement`, which no run implements.
 pub fn run_experiment_with(
     cfg: &ExperimentConfig,
     opts: &RunOptions<'_>,
 ) -> SimResult<ExperimentResult> {
+    if cfg.informed_replacement {
+        return Err(SimError::InvalidArgument(
+            "ExperimentConfig::informed_replacement = true: informed cache replacement was removed"
+                .into(),
+        ));
+    }
     let profiled_busy_per_op = if opts.profiled {
         ProfileCache::global().get_or_profile(cfg)?
     } else {
@@ -212,7 +219,6 @@ pub(crate) fn run_prepared(
     let mut now = SimInstant::EPOCH;
     let mut last_wb = now;
     let mut last_poll = now;
-    let mut last_protect = now;
     let mut completion: Vec<Option<SimInstant>> = vec![None; tasks.len()];
     let mut rr = 0usize; // Round-robin cursor over incomplete tasks.
     let mut peak_memory = 0u64;
@@ -236,18 +242,6 @@ pub(crate) fn run_prepared(
                 }
             }
             last_poll = now;
-        }
-        // Informed replacement: the *framework* (not the tasks) refreshes
-        // the advisory protection set from still-pending notifications on
-        // its own fast cadence — in the kernel this would happen in the
-        // event hooks themselves.
-        if cfg.informed_replacement
-            && now.saturating_duration_since(last_protect) >= SimDuration::from_millis(10)
-        {
-            let max = cfg.cache_pages / 4;
-            let pending = duet.pending_pages(max);
-            fs.cache_mut().set_protected(pending, max);
-            last_protect = now;
         }
         // Foreground operation due?
         let next_wl = workload.as_ref().map(|w| w.next_op_time());

@@ -228,21 +228,18 @@ fn gc_experiment_duet_cleans_faster_or_equal() {
     assert!(duet.mean_cached >= 0.0);
 }
 
+/// Informed cache replacement is gone: a configuration that asks for it
+/// fails, naming the field, instead of running without it.
 #[test]
-fn informed_replacement_never_hurts_savings() {
-    // The future-work extension must at minimum not reduce savings.
-    let mut plain = small_cfg(vec![TaskKind::Backup], true, 0.5);
-    plain.informed_replacement = false;
-    let mut informed = plain.clone();
-    informed.informed_replacement = true;
-    let a = run_experiment(&plain).unwrap();
-    let b = run_experiment(&informed).unwrap();
-    assert!(
-        b.io_saved() + 0.05 >= a.io_saved(),
-        "informed {:.3} vs plain {:.3}",
-        b.io_saved(),
-        a.io_saved()
-    );
+fn informed_replacement_is_rejected() {
+    let mut cfg = small_cfg(vec![TaskKind::Backup], true, 0.5);
+    cfg.informed_replacement = true;
+    match run_experiment(&cfg) {
+        Err(sim_core::SimError::InvalidArgument(why)) => {
+            assert!(why.contains("informed_replacement"), "{why}")
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
 }
 
 #[test]

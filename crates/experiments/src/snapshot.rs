@@ -35,7 +35,7 @@ use crate::runner::build_disk;
 use duet::Duet;
 use sim_btrfs::BtrfsSim;
 use sim_core::snapshot::SnapshotStore;
-use sim_core::{SimResult, SimRng};
+use sim_core::{SimError, SimResult, SimRng};
 use std::cell::RefCell;
 use workloads::{populate_fileset, Workload};
 
@@ -114,8 +114,20 @@ pub struct PreparedStack {
 /// Builds the setup prefix from scratch: population (free of simulated
 /// I/O), layout aging, pre-fragmentation, event drain, metric reset.
 /// This is the single source of truth for the prefix — the runner
-/// always goes through it, forked or fresh.
+/// always goes through it, forked or fresh. A `fragmentation` whose
+/// fraction is outside `[0, 1]` (or NaN), or whose piece count is 0, is
+/// an error; a warm fork needs no check of its own, because its key
+/// holds the same fraction bits and piece count as the build that
+/// passed this one.
 pub fn prepare(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
+    if let Some((fraction, pieces)) = cfg.fragmentation {
+        if !(0.0..=1.0).contains(&fraction) || pieces == 0 {
+            return Err(SimError::InvalidArgument(format!(
+                "fragmentation = ({fraction}, {pieces}): the fraction must lie in [0, 1] \
+                 and the piece count must be positive"
+            )));
+        }
+    }
     let disk = build_disk(cfg.device, cfg.capacity_blocks);
     let mut fs = BtrfsSim::new(sim_core::DeviceId(0), disk, cfg.cache_pages);
     let duet = Duet::with_defaults();
@@ -148,7 +160,7 @@ pub fn prepare(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
     if let Some((fraction, pieces)) = cfg.fragmentation {
         let files = fs.inodes().files_by_inode();
         let mut rng = SimRng::new(cfg.seed.wrapping_add(0xF7A6));
-        let k = ((files.len() as f64 * fraction).round() as usize).min(files.len());
+        let k = (files.len() as f64 * fraction).round() as usize;
         let mut order: Vec<_> = files.clone();
         rng.shuffle(&mut order);
         for &ino in &order[..k] {
@@ -222,11 +234,34 @@ mod tests {
         let mut b = cfg(0.9);
         b.tasks = vec![TaskKind::Backup, TaskKind::Defrag];
         b.duet = false;
-        b.informed_replacement = true;
         assert_eq!(setup_key(&a), setup_key(&b), "same prefix, one build");
         let mut c = cfg(0.1);
         c.seed += 1;
         assert_ne!(setup_key(&a), setup_key(&c), "seed changes the prefix");
+    }
+
+    /// A fraction above 1, a negative or NaN fraction and a zero piece
+    /// count each fail naming the value, instead of being clamped to all
+    /// files, saturated to none or fragmenting nothing.
+    #[test]
+    fn a_bad_fragmentation_is_rejected() {
+        for (bad, shown) in [
+            ((1.5, 5), "(1.5, 5)"),
+            ((-0.1, 5), "(-0.1, 5)"),
+            ((f64::NAN, 5), "(NaN, 5)"),
+            ((0.1, 0), "(0.1, 0)"),
+        ] {
+            let mut c = cfg(0.5);
+            c.fragmentation = Some(bad);
+            match prepare(&c) {
+                Err(SimError::InvalidArgument(why)) => assert!(why.contains(shown), "{why}"),
+                Err(e) => panic!("{shown}: wrong error {e}"),
+                Ok(_) => panic!("{shown} was accepted"),
+            }
+        }
+        let mut c = cfg(0.5);
+        c.fragmentation = Some((1.0, 1));
+        assert!(prepare(&c).is_ok(), "the bounds themselves are valid");
     }
 
     #[test]

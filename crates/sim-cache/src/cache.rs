@@ -12,7 +12,7 @@
 //! requests, then record the flush here.
 
 use crate::page::{PageEvent, PageKey, PageMeta};
-use sim_core::dmap::{DSet, Slab, NIL};
+use sim_core::dmap::{Slab, NIL};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::pagetable::PageTable;
 use sim_core::trace::{TraceHandle, TraceKind};
@@ -102,13 +102,6 @@ pub struct PageCache {
     dirty_finger: u32,
     events: VecDeque<(PageMeta, PageEvent)>,
     stats: CacheStats,
-    /// Pages deprioritized for eviction (informed replacement): pages
-    /// whose Duet notifications have not been consumed yet. An
-    /// *extension* beyond the paper, which names informed cache
-    /// replacement as future work (§2). Protection is advisory — a
-    /// protected page is still evicted when nothing else is available,
-    /// so this never degenerates into pinning (which §3.1 avoids).
-    protected: DSet<PageKey>,
     /// Fault-injection handle; `None` (or a quiet plan) behaves
     /// byte-identically to an unfaulted cache.
     faults: Option<FaultHandle>,
@@ -141,7 +134,6 @@ impl PageCache {
             dirty_finger: NIL,
             events: VecDeque::new(),
             stats: CacheStats::default(),
-            protected: DSet::new(),
             faults: None,
             trace: None,
         }
@@ -157,21 +149,6 @@ impl PageCache {
     /// contents, events and statistics are unaffected.
     pub fn set_trace(&mut self, trace: Option<TraceHandle>) {
         self.trace = trace;
-    }
-
-    /// Replaces the advisory protection set (informed replacement).
-    /// Keys beyond `max` are ignored so protection can never cover the
-    /// whole cache.
-    pub fn set_protected<I: IntoIterator<Item = PageKey>>(&mut self, keys: I, max: usize) {
-        self.protected.clear();
-        for k in keys.into_iter().take(max) {
-            self.protected.insert(k);
-        }
-    }
-
-    /// Number of currently protected keys.
-    pub fn protected_len(&self) -> usize {
-        self.protected.len()
     }
 
     /// Resolves a key to its slab handle.
@@ -452,8 +429,8 @@ impl PageCache {
     /// decide it in O(1).
     pub(crate) const CLEAN_SCAN: usize = 1024;
 
-    /// The victim with nothing protected: the oldest clean page if it
-    /// lies inside the window, else the LRU head.
+    /// The victim: the oldest clean page if it lies inside the window,
+    /// else the LRU head.
     fn victim(&self) -> u32 {
         let c = self.first_clean;
         if c == NIL {
@@ -475,42 +452,10 @@ impl PageCache {
         }
     }
 
-    /// The victim under informed replacement: the oldest clean,
-    /// unprotected page within the window; then the oldest clean
-    /// protected one; then the LRU head.
-    fn protected_victim(&self) -> u32 {
-        let scan = Self::CLEAN_SCAN.min(self.slab.len() - 1);
-        let mut clean_protected = NIL;
-        let mut h = self.lru_head;
-        let mut seen = 0usize;
-        while h != NIL && seen < scan {
-            let node = &self.slab[h];
-            if !node.dirty {
-                if !self.protected.contains(&node.key) {
-                    return h;
-                }
-                if clean_protected == NIL {
-                    clean_protected = h;
-                }
-            }
-            h = node.next;
-            seen += 1;
-        }
-        if clean_protected != NIL {
-            clean_protected
-        } else {
-            self.lru_head
-        }
-    }
-
     fn evict_into(&mut self, target: usize, evicted: &mut Vec<PageMeta>) {
         // `target` ≥ 1, so at least two pages are resident here.
         while self.slab.len() > target {
-            let victim = if self.protected.is_empty() {
-                self.victim()
-            } else {
-                self.protected_victim()
-            };
+            let victim = self.victim();
             let key = self.slab[victim].key;
             let taken = self.index.remove(key.ino, key.index);
             debug_assert_eq!(taken, Some(victim), "page table out of step");
@@ -907,32 +852,6 @@ mod tests {
             let flushed = clean_taken(finger);
             assert_eq!(evict_one(&mut c), flushed, "flushed, {dirty_ahead} ahead");
         }
-    }
-
-    #[test]
-    fn protected_pages_evicted_last() {
-        let mut c = PageCache::new(4);
-        for i in 0..4 {
-            c.insert(key(1, i), None, false);
-        }
-        c.drain_events();
-        // Protect the two oldest pages.
-        c.set_protected([key(1, 0), key(1, 1)], 16);
-        assert_eq!(c.protected_len(), 2);
-        let evicted = c.insert(key(2, 0), None, false);
-        assert_eq!(evicted[0].key, key(1, 2), "oldest unprotected chosen");
-        // With everything protected, protection is advisory: the LRU
-        // clean page still goes (no pinning).
-        c.set_protected((0..4).map(|i| key(1, i)).chain([key(2, 0)]), 16);
-        let evicted = c.insert(key(2, 1), None, false);
-        assert_eq!(evicted[0].key, key(1, 0));
-    }
-
-    #[test]
-    fn protection_cap_enforced() {
-        let mut c = PageCache::new(4);
-        c.set_protected((0..100).map(|i| key(9, i)), 10);
-        assert_eq!(c.protected_len(), 10);
     }
 
     #[test]

@@ -23,13 +23,6 @@ impl PageKey {
     }
 }
 
-impl sim_core::DetHash for PageKey {
-    #[inline]
-    fn det_hash(&self, seed: u64) -> u64 {
-        (self.ino, self.index).det_hash(seed)
-    }
-}
-
 /// Snapshot of a page's cache state, passed along with events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMeta {
