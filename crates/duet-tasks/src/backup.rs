@@ -162,7 +162,7 @@ impl BtrfsTask for Backup {
         self.snap = Some(snap);
         {
             let s = ctx.fs.snapshot(snap)?;
-            self.files = s.files.keys().copied().collect();
+            self.files = s.files.keys().collect();
             self.total_pages = s.total_pages();
         }
         let scope = TaskScope::Block {
@@ -190,7 +190,7 @@ impl BtrfsTask for Backup {
             let Some(&ino) = self.files.get(self.file_idx) else {
                 break;
             };
-            let f = &ctx.fs.snapshot(snap)?.files[&ino];
+            let f = &ctx.fs.snapshot(snap)?.files[ino];
             let file_pages = f.size_pages();
             if self.page_in_file >= file_pages {
                 self.file_idx += 1;

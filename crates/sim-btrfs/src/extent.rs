@@ -9,7 +9,6 @@
 
 use sim_core::{BlockNr, PageIndex};
 use sim_disk::Run;
-use std::collections::BTreeMap;
 
 /// One extent: `len` pages starting at logical page `logical`, stored at
 /// physical blocks `physical .. physical+len`.
@@ -44,13 +43,14 @@ impl Extent {
 
 /// Sorted extent map of one file.
 ///
-/// The FIBMAP translation is a floor query (`range(..=p).next_back()`)
-/// and COW splits walk neighbours — ordered state, so a [`BTreeMap`]
-/// (DESIGN.md §12.1).
+/// The FIBMAP translation is a floor query and COW splits touch
+/// neighbours — ordered state. A file holds a handful of extents (4.5
+/// on average at seed 42), so a `Vec` sorted by logical start serves
+/// both with a binary search over one allocation (DESIGN.md §12.1).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtentMap {
-    /// logical start -> extent.
-    map: BTreeMap<u64, Extent>,
+    /// Non-overlapping extents in ascending logical order.
+    map: Vec<Extent>,
 }
 
 impl ExtentMap {
@@ -71,17 +71,21 @@ impl ExtentMap {
 
     /// Total mapped pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.map.values().map(|e| e.len).sum()
+        self.map.iter().map(|e| e.len).sum()
+    }
+
+    /// The last extent starting at or before page `p`.
+    #[inline]
+    fn floor(&self, p: u64) -> Option<&Extent> {
+        let at = self.map.partition_point(|e| e.logical <= p);
+        self.map.get(at.checked_sub(1)?)
     }
 
     /// Physical block of a logical page, if mapped. This is the FIBMAP
     /// translation of §4.2.
     pub fn block_of(&self, page: PageIndex) -> Option<BlockNr> {
         let p = page.raw();
-        self.map
-            .range(..=p)
-            .next_back()
-            .and_then(|(_, e)| e.block_of(p))
+        self.floor(p).and_then(|e| e.block_of(p))
     }
 
     /// A lookup position for callers that translate many pages of this
@@ -95,7 +99,7 @@ impl ExtentMap {
 
     /// Iterates extents in logical order.
     pub fn iter(&self) -> impl Iterator<Item = &Extent> + '_ {
-        self.map.values()
+        self.map.iter()
     }
 
     /// Removes the logical range `[start, start+len)`, returning the
@@ -107,51 +111,38 @@ impl ExtentMap {
             return Vec::new();
         }
         let end = start + len;
-        let mut removed = Vec::new();
-        // Collect keys of extents overlapping [start, end): their
-        // logical start is < end, and their end is > start.
-        let overlapping: Vec<u64> = self
-            .map
-            .range(..end)
-            .rev()
-            .take_while(|(_, e)| e.logical + e.len > start)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in overlapping {
-            let Some(e) = self.map.remove(&key) else {
-                continue;
-            };
-            let e_end = e.logical + e.len;
-            // Left remainder.
-            if e.logical < start {
-                self.map.insert(
-                    e.logical,
-                    Extent {
-                        logical: e.logical,
-                        physical: e.physical,
-                        len: start - e.logical,
-                    },
-                );
-            }
-            // Right remainder.
-            if e_end > end {
-                let skip = end - e.logical;
-                self.map.insert(
-                    end,
-                    Extent {
-                        logical: end,
-                        physical: BlockNr(e.physical.raw() + skip),
-                        len: e_end - end,
-                    },
-                );
-            }
-            // Middle: the unmapped run.
-            let cut_from = start.max(e.logical);
-            removed.push(Run {
-                start: e.physical.offset(cut_from - e.logical),
-                len: end.min(e_end) - cut_from,
-            });
+        // The extents overlapping [start, end) are a contiguous slice:
+        // those ending after `start` and starting before `end`.
+        let lo = self.map.partition_point(|e| e.logical + e.len <= start);
+        let hi = self.map.partition_point(|e| e.logical < end);
+        if lo >= hi {
+            return Vec::new();
         }
+        let removed = self.map[lo..hi]
+            .iter()
+            .rev()
+            .map(|e| {
+                let cut_from = start.max(e.logical);
+                Run {
+                    start: e.physical.offset(cut_from - e.logical),
+                    len: end.min(e.logical + e.len) - cut_from,
+                }
+            })
+            .collect();
+        // Only the first can keep a left remainder, only the last a
+        // right one.
+        let (first, last) = (self.map[lo], self.map[hi - 1]);
+        let left = (first.logical < start).then(|| Extent {
+            logical: first.logical,
+            physical: first.physical,
+            len: start - first.logical,
+        });
+        let right = (last.logical + last.len > end).then(|| Extent {
+            logical: end,
+            physical: last.physical.offset(end - last.logical),
+            len: last.logical + last.len - end,
+        });
+        self.map.splice(lo..hi, left.into_iter().chain(right));
         removed
     }
 
@@ -173,41 +164,38 @@ impl ExtentMap {
         displaced
     }
 
-    /// Inserts an extent, merging with physically and logically adjacent
-    /// neighbours when possible.
+    /// Inserts an extent into a hole, merging with physically and
+    /// logically adjacent neighbours when possible.
     fn insert_extent(&mut self, e: Extent) {
         debug_assert!(e.len > 0);
-        let mut e = e;
-        // Merge with predecessor if contiguous both logically and
-        // physically.
-        if let Some((&pk, &prev)) = self.map.range(..e.logical).next_back() {
-            if prev.logical + prev.len == e.logical
-                && prev.physical.raw() + prev.len == e.physical.raw()
-            {
-                self.map.remove(&pk);
-                e = Extent {
-                    logical: prev.logical,
-                    physical: prev.physical,
-                    len: prev.len + e.len,
-                };
+        let adjacent = |a: &Extent, b: &Extent| {
+            a.logical + a.len == b.logical && a.physical.raw() + a.len == b.physical.raw()
+        };
+        let at = self.map.partition_point(|x| x.logical < e.logical);
+        let next_merges = self.map.get(at).is_some_and(|next| adjacent(&e, next));
+        match at.checked_sub(1) {
+            Some(p) if adjacent(&self.map[p], &e) => {
+                self.map[p].len += e.len;
+                if next_merges {
+                    self.map[p].len += self.map.remove(at).len;
+                }
             }
-        }
-        // Merge with successor.
-        if let Some((&nk, &next)) = self.map.range(e.logical + e.len..).next() {
-            if e.logical + e.len == next.logical && e.physical.raw() + e.len == next.physical.raw()
-            {
-                self.map.remove(&nk);
-                e.len += next.len;
+            _ if next_merges => {
+                let next = &mut self.map[at];
+                next.logical = e.logical;
+                next.physical = e.physical;
+                next.len += e.len;
             }
+            _ => self.map.insert(at, e),
         }
-        self.map.insert(e.logical, e);
     }
 
     /// Removes all extents, returning every mapped physical run.
     pub fn clear(&mut self) -> Vec<Run> {
-        let runs = self.map.values().map(Extent::run).collect();
-        self.map.clear();
-        runs
+        std::mem::take(&mut self.map)
+            .iter()
+            .map(Extent::run)
+            .collect()
     }
 }
 
@@ -223,12 +211,13 @@ pub struct ExtentCursor<'a> {
 
 impl ExtentCursor<'_> {
     /// Physical block of a logical page, if mapped.
+    #[inline]
     pub fn block_of(&mut self, page: PageIndex) -> Option<BlockNr> {
         let p = page.raw();
         if let Some(b) = self.last.and_then(|e| e.block_of(p)) {
             return Some(b);
         }
-        self.last = self.map.map.range(..=p).next_back().map(|(_, e)| *e);
+        self.last = self.map.floor(p).copied();
         self.last.and_then(|e| e.block_of(p))
     }
 }
@@ -236,6 +225,10 @@ impl ExtentCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::check::{differential, DiffConfig};
+    use sim_core::fault::seed_from_env;
+    use sim_core::SimRng;
+    use std::collections::BTreeMap;
 
     fn run(start: u64, len: u64) -> Run {
         Run {
@@ -349,46 +342,161 @@ mod tests {
         assert!(m.is_empty());
     }
 
-    // Randomized reference test driven by the deterministic `SimRng`
-    // (the workspace builds offline, with no proptest dep).
-    mod properties {
-        use super::*;
-        use sim_core::SimRng;
-        use std::collections::BTreeMap;
+    // ----- differential suite (DESIGN.md §13) --------------------------
 
-        /// The extent map agrees with a reference page->block map
-        /// under arbitrary write sequences, and every displaced
-        /// block was previously mapped in the written range.
-        #[test]
-        fn matches_reference_map() {
-            for case in 0..64u64 {
-                let mut rng = SimRng::new(0xE77E ^ case);
-                let mut m = ExtentMap::new();
-                let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-                let mut next_phys = 0u64;
-                for _ in 0..rng.gen_range(1, 60) {
-                    let start = rng.gen_range(0, 64);
-                    let len = rng.gen_range(1, 16);
-                    let phys = next_phys;
-                    next_phys += len;
-                    let displaced = m.map_range(start, &[run(phys * 1000, len)]);
-                    // Reference bookkeeping.
-                    let mut expected_displaced: Vec<u64> = Vec::new();
-                    for p in start..start + len {
-                        if let Some(old) = reference.insert(p, phys * 1000 + (p - start)) {
-                            expected_displaced.push(old);
-                        }
-                    }
-                    let mut got: Vec<u64> = blocks(&displaced).iter().map(|b| b.raw()).collect();
-                    got.sort_unstable();
-                    expected_displaced.sort_unstable();
-                    assert_eq!(got, expected_displaced);
-                }
-                for (page, block) in &reference {
-                    assert_eq!(m.block_of(PageIndex(*page)), Some(BlockNr(*block)));
-                }
-                assert_eq!(m.mapped_pages(), reference.len() as u64);
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Map `len` pages at `start` onto blocks from `phys`.
+        Map {
+            start: u64,
+            len: u64,
+            phys: u64,
+        },
+        Unmap {
+            start: u64,
+            len: u64,
+        },
+        Clear,
+    }
+
+    /// Pages fall in `0..64`. Half the writes put page `p` at block
+    /// `1000 + p`, so neighbouring writes are physically adjacent and
+    /// merge; the rest land anywhere.
+    fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
+        let start = rng.gen_range(0, 64);
+        let len = rng.gen_range(1, 16);
+        match rng.gen_range(0, 12) {
+            0..=3 => Op::Map {
+                start,
+                len,
+                phys: 1000 + start,
+            },
+            4..=7 => Op::Map {
+                start,
+                len,
+                phys: 5000 + rng.gen_range(0, 64) * 20,
+            },
+            8..=10 => Op::Unmap { start, len },
+            _ => Op::Clear,
+        }
+    }
+
+    type Model = BTreeMap<u64, u64>;
+
+    /// The model's pages in `[start, end)` as maximal runs, logically
+    /// and physically consecutive — what a map that merges every
+    /// mergeable neighbour holds as extents.
+    fn model_runs(model: &Model, start: u64, end: u64) -> Vec<Extent> {
+        let mut runs: Vec<Extent> = Vec::new();
+        for (&p, &b) in model.range(start..end) {
+            match runs.last_mut() {
+                Some(e) if e.logical + e.len == p && e.physical.raw() + e.len == b => e.len += 1,
+                _ => runs.push(Extent {
+                    logical: p,
+                    physical: BlockNr(b),
+                    len: 1,
+                }),
             }
         }
+        runs
+    }
+
+    /// What unmapping `[start, end)` must return: the model's runs
+    /// there, last first.
+    fn model_unmap(model: &mut Model, start: u64, end: u64) -> Vec<Run> {
+        let runs = model_runs(model, start, end);
+        model.retain(|&p, _| !(start..end).contains(&p));
+        runs.iter().rev().map(Extent::run).collect()
+    }
+
+    /// Replays a log against an `ExtentMap` and a page → block model:
+    /// the runs each op returns, then every page's translation (plain
+    /// and through one cursor), the extents and the page count.
+    /// `forward_unmap` is the sabotage: `unmap_range`'s runs are taken
+    /// in ascending order.
+    fn replay(log: &[Op], forward_unmap: bool) -> Result<(), String> {
+        let mut m = ExtentMap::new();
+        let mut model = Model::new();
+        for (i, &op) in log.iter().enumerate() {
+            let agree = |what: &str, got: String, want: String| {
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "op {i} {op:?}: {what} diverged\n  map:   {got}\n  model: {want}"
+                    ))
+                }
+            };
+            match op {
+                Op::Map { start, len, phys } => {
+                    let got = m.map_range(start, &[run(phys, len)]);
+                    let want = model_unmap(&mut model, start, start + len);
+                    model.extend((0..len).map(|k| (start + k, phys + k)));
+                    agree("displaced", format!("{got:?}"), format!("{want:?}"))?;
+                }
+                Op::Unmap { start, len } => {
+                    let mut got = m.unmap_range(start, len);
+                    if forward_unmap {
+                        got.reverse();
+                    }
+                    let want = model_unmap(&mut model, start, start + len);
+                    agree("unmapped", format!("{got:?}"), format!("{want:?}"))?;
+                }
+                Op::Clear => {
+                    let got = m.clear();
+                    let mut want = model_unmap(&mut model, 0, u64::MAX);
+                    want.reverse();
+                    agree("cleared", format!("{got:?}"), format!("{want:?}"))?;
+                }
+            }
+            let mut cursor = m.cursor();
+            for p in 0..82 {
+                let want = model.get(&p).map(|&b| BlockNr(b));
+                agree(
+                    &format!("block_of page {p}"),
+                    format!(
+                        "{:?} {:?}",
+                        m.block_of(PageIndex(p)),
+                        cursor.block_of(PageIndex(p))
+                    ),
+                    format!("{want:?} {want:?}"),
+                )?;
+            }
+            let extents: Vec<Extent> = m.iter().copied().collect();
+            agree(
+                "extents",
+                format!("{extents:?}"),
+                format!("{:?}", model_runs(&model, 0, u64::MAX)),
+            )?;
+            agree(
+                "mapped_pages",
+                m.mapped_pages().to_string(),
+                model.len().to_string(),
+            )?;
+        }
+        Ok(())
+    }
+
+    fn diff_config(name: &'static str) -> DiffConfig {
+        let seed = seed_from_env("DUET_CHECK_SEED", 0xE77E_7AB1).unwrap_or_else(|e| panic!("{e}"));
+        DiffConfig::new(name, seed)
+    }
+
+    /// Every mergeable pair is merged, so the extents are exactly the
+    /// model's maximal runs.
+    #[test]
+    fn extent_map_matches_the_page_model() {
+        let cfg = diff_config("extentmap-vs-pages").cases(32).ops(400);
+        differential(&cfg, gen_op, |log| replay(log, false)).unwrap();
+    }
+
+    /// The can-fail proof: runs unmapped in the wrong order are caught
+    /// by a log of two separate extents and an unmap across both.
+    #[test]
+    fn differential_suite_detects_unmapped_runs_out_of_order() {
+        let cfg = diff_config("extentmap-sabotage").cases(4).ops(200);
+        let failure = differential(&cfg, gen_op, |log| replay(log, true)).unwrap_err();
+        assert_eq!(failure.ops.len(), 3, "map + map + unmap: {failure}");
+        assert!(failure.message.contains("unmapped diverged"), "{failure}");
     }
 }

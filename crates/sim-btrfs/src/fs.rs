@@ -34,6 +34,7 @@ use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{
     BlockNr,
     DeviceId,
+    InoMap,
     InodeNr,
     PageIndex,
     SimError,
@@ -397,16 +398,17 @@ impl BtrfsSim {
             return Ok(stats);
         }
         let end = byte_range_end(offset, len_bytes)?;
-        let size_pages = self.inodes.get(ino)?.size_pages();
+        let node = self.inodes.get(ino)?;
         let p0 = offset / PAGE_SIZE;
-        let p1 = end.div_ceil(PAGE_SIZE).min(size_pages);
+        let p1 = end.div_ceil(PAGE_SIZE).min(node.size_pages());
+        let mut extents = node.extents.cursor();
         let mut missing: Vec<(PageIndex, BlockNr)> = Vec::new();
         for p in p0..p1 {
             let idx = PageIndex(p);
             let key = PageKey::new(ino, idx);
             if self.cache.lookup(key).is_some() {
                 stats.cache_hits += 1;
-            } else if let Some(b) = self.inodes.get(ino)?.extents.block_of(idx) {
+            } else if let Some(b) = extents.block_of(idx) {
                 missing.push((idx, b));
             }
             // Unmapped pages (holes) read as zeroes with no I/O.
@@ -606,17 +608,14 @@ impl BtrfsSim {
     pub fn create_snapshot(&mut self) -> SimResult<SnapshotId> {
         let id = SnapshotId(self.next_snap);
         self.next_snap += 1;
-        let mut files = BTreeMap::new();
-        let file_inos = self.inodes.files_by_inode();
-        for ino in file_inos {
-            let node = self.inodes.get(ino)?;
-            let path = self.inodes.path_of(ino)?;
+        let mut files = InoMap::new();
+        for node in self.inodes.files() {
             let snap = SnapFile {
                 extents: node.extents.clone(),
                 size_bytes: node.size_bytes,
-                path,
+                path: self.inodes.path_of(node.ino)?,
             };
-            files.insert(ino, snap);
+            files.insert(node.ino, snap);
         }
         for e in files.values().flat_map(|f| f.extents.iter()) {
             self.blocks.ref_run(e.run())?;
@@ -655,7 +654,7 @@ impl BtrfsSim {
         Ok(self
             .snapshot(id)?
             .files
-            .get(&ino)
+            .get(ino)
             .and_then(|f| f.extents.block_of(index)))
     }
 
@@ -795,20 +794,16 @@ impl BtrfsSim {
 
     /// Mean extent count across all files (filesystem fragmentation).
     pub fn mean_extents_per_file(&self) -> f64 {
-        let files = self.inodes.files_by_inode();
-        if files.is_empty() {
+        let (files, total) = self
+            .inodes
+            .files()
+            .fold((0usize, 0usize), |(files, total), n| {
+                (files + 1, total + n.extents.extent_count())
+            });
+        if files == 0 {
             return 0.0;
         }
-        let total: usize = files
-            .iter()
-            .map(|&i| {
-                self.inodes
-                    .get(i)
-                    .map(|n| n.extents.extent_count())
-                    .unwrap_or(0)
-            })
-            .sum();
-        total as f64 / files.len() as f64
+        total as f64 / files as f64
     }
 
     /// Full-filesystem consistency check (fsck): verifies that

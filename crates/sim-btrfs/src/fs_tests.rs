@@ -235,6 +235,43 @@ fn snapshot_total_pages() {
     assert_eq!(fs.snapshot(snap).unwrap().files.len(), 2);
 }
 
+/// Every walk by inode is ascending by construction: after deletes and
+/// re-creations leave holes in the numbering, the file list, the inode
+/// walk and the snapshot's file table (the backup plan's order) come
+/// back sorted with no sort anywhere on the way.
+#[test]
+fn inode_walks_are_ascending_across_holes() {
+    let mut fs = make_fs(1024, 64);
+    let root = fs.root();
+    let dir = fs.mkdir(root, "d").unwrap();
+    let mut files: Vec<InodeNr> = (0..8)
+        .map(|i| {
+            let parent = if i % 3 == 0 { dir } else { root };
+            fs.populate_file(parent, &format!("f{i}"), page_bytes(1))
+                .unwrap()
+        })
+        .collect();
+    for at in [6, 2, 0] {
+        fs.delete_file(files.remove(at)).unwrap();
+    }
+    files.push(fs.populate_file(root, "f0", page_bytes(2)).unwrap());
+    files.push(fs.populate_file(dir, "g", page_bytes(1)).unwrap());
+    fs.delete_file(files.remove(3)).unwrap();
+    let ascending = |v: &[InodeNr]| v.windows(2).all(|w| w[0] < w[1]);
+    let by_inode = fs.inodes().files_by_inode();
+    assert!(ascending(&by_inode), "{by_inode:?}");
+    let mut want = files.clone();
+    want.sort_unstable();
+    assert_eq!(by_inode, want);
+    let all: Vec<InodeNr> = fs.inodes().iter().map(|n| n.ino).collect();
+    assert!(ascending(&all), "{all:?}");
+    assert_eq!(all.len(), files.len() + 2, "files, root and d");
+    let snap = fs.create_snapshot().unwrap();
+    let planned: Vec<InodeNr> = fs.snapshot(snap).unwrap().files.keys().collect();
+    assert_eq!(planned, want);
+    fs.check_consistency().unwrap();
+}
+
 #[test]
 fn defrag_merges_extents() {
     let mut fs = make_fs(4096, 256);

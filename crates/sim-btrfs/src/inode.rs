@@ -9,7 +9,7 @@
 
 use crate::extent::ExtentMap;
 use sim_core::dmap::DMap;
-use sim_core::{InodeNr, SimError, SimResult};
+use sim_core::{InoMap, InodeNr, SimError, SimResult};
 
 /// Whether an inode is a regular file or a directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,16 +69,13 @@ impl Inode {
 
 /// The inode table and namespace of one filesystem.
 ///
-/// The table itself is a deterministic hash map ([`DMap`]): inode
-/// lookups are the hottest namespace operation and need no order. The
-/// order-sensitive views are explicit snapshots — [`files_by_inode`]
-/// sorts by inode number, [`Inode::children_sorted`] by name — so the
-/// migration off `BTreeMap` left every observable order unchanged.
-///
-/// [`files_by_inode`]: InodeTable::files_by_inode
+/// The table is indexed by inode number ([`InoMap`]): numbers are
+/// handed out densely and never reused, so a lookup is one load and
+/// every walk is in ascending inode order. Directory children are a
+/// name-keyed [`DMap`]; [`Inode::children_sorted`] restores name order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InodeTable {
-    inodes: DMap<InodeNr, Inode>,
+    inodes: InoMap<Inode>,
     next: u64,
     root: InodeNr,
 }
@@ -87,7 +84,7 @@ impl InodeTable {
     /// Creates a table containing only the root directory.
     pub fn new() -> Self {
         let root = InodeNr(1);
-        let mut inodes = DMap::new();
+        let mut inodes = InoMap::new();
         inodes.insert(
             root,
             Inode {
@@ -124,17 +121,17 @@ impl InodeTable {
 
     /// Looks up an inode.
     pub fn get(&self, ino: InodeNr) -> SimResult<&Inode> {
-        self.inodes.get(&ino).ok_or(SimError::NoSuchInode(ino))
+        self.inodes.get(ino).ok_or(SimError::NoSuchInode(ino))
     }
 
     /// Looks up an inode mutably.
     pub fn get_mut(&mut self, ino: InodeNr) -> SimResult<&mut Inode> {
-        self.inodes.get_mut(&ino).ok_or(SimError::NoSuchInode(ino))
+        self.inodes.get_mut(ino).ok_or(SimError::NoSuchInode(ino))
     }
 
     /// Returns `true` if the inode exists.
     pub fn exists(&self, ino: InodeNr) -> bool {
-        self.inodes.contains_key(&ino)
+        self.inodes.contains_key(ino)
     }
 
     fn validate_name(name: &str) -> SimResult<()> {
@@ -188,7 +185,7 @@ impl InodeTable {
         let parent = node.parent;
         let name = node.name.clone();
         self.get_mut(parent)?.children.remove(&name);
-        self.inodes.remove(&ino).ok_or(SimError::NoSuchInode(ino))
+        self.inodes.remove(ino).ok_or(SimError::NoSuchInode(ino))
     }
 
     /// Moves `ino` under `new_parent` as `new_name`.
@@ -279,14 +276,12 @@ impl InodeTable {
     /// of the Btrfs backup tool ("processes files by inode number",
     /// Table 3).
     pub fn files_by_inode(&self) -> Vec<InodeNr> {
-        let mut v: Vec<InodeNr> = self
-            .inodes
-            .values()
-            .filter(|n| n.kind == InodeKind::File)
-            .map(|n| n.ino)
-            .collect();
-        v.sort_unstable();
-        v
+        self.files().map(|n| n.ino).collect()
+    }
+
+    /// Every file inode, in ascending inode order.
+    pub fn files(&self) -> impl Iterator<Item = &Inode> + '_ {
+        self.inodes.values().filter(|n| n.kind == InodeKind::File)
     }
 
     /// Depth-first pre-order walk of the subtree at `dir`, visiting
@@ -313,7 +308,7 @@ impl InodeTable {
         Ok(out)
     }
 
-    /// Iterates over all inodes in unspecified (deterministic) order.
+    /// Iterates over all inodes in ascending inode order.
     pub fn iter(&self) -> impl Iterator<Item = &Inode> + '_ {
         self.inodes.values()
     }
@@ -408,9 +403,14 @@ mod tests {
 
     #[test]
     fn files_by_inode_sorted() {
-        let (t, _, f1, f2) = setup();
-        let files = t.files_by_inode();
-        assert_eq!(files, vec![f1, f2]);
+        let (mut t, dir, f1, f2) = setup();
+        assert_eq!(t.files_by_inode(), vec![f1, f2]);
+        // A hole below and above: the walks stay ascending.
+        t.remove(f1).unwrap();
+        let f3 = t.create(dir, "c.txt", InodeKind::File).unwrap();
+        assert_eq!(t.files_by_inode(), vec![f2, f3]);
+        let all: Vec<InodeNr> = t.iter().map(|n| n.ino).collect();
+        assert_eq!(all, vec![t.root(), dir, f2, f3]);
     }
 
     #[test]

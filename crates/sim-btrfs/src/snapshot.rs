@@ -9,8 +9,7 @@
 //! [`BlockTable`](crate::blocktable::BlockTable).
 
 use crate::extent::ExtentMap;
-use sim_core::InodeNr;
-use std::collections::BTreeMap;
+use sim_core::InoMap;
 use std::fmt;
 
 /// Identifier of a snapshot.
@@ -46,8 +45,9 @@ impl SnapFile {
 pub struct Snapshot {
     /// Snapshot identifier.
     pub id: SnapshotId,
-    /// Files at snapshot time, keyed by their (live) inode number.
-    pub files: BTreeMap<InodeNr, SnapFile>,
+    /// Files at snapshot time, keyed by their (live) inode number and
+    /// walked in ascending inode order.
+    pub files: InoMap<SnapFile>,
 }
 
 impl Snapshot {

@@ -15,7 +15,8 @@
 //!   log-normal file sizes).
 //! - [`bitmap`]: a sparse chunked bitmap, our analogue of the red-black
 //!   tree of bitmap ranges that the Duet kernel implementation uses for
-//!   its `done` and `relevant` bitmaps (§4.2 of the paper). It reports
+//!   its `done` and `relevant` bitmaps (§4.2 of the paper), its chunks
+//!   in a directory indexed by chunk number. It reports
 //!   its own memory footprint so the §6.4 memory-overhead experiment can
 //!   be reproduced.
 //! - [`stats`]: mean / standard deviation / confidence intervals and
@@ -34,6 +35,9 @@
 //!   plus a slab arena ([`dmap::Slab`]) with stable `u32` handles — the
 //!   hot-path replacements for the B-tree maps that PR 1's determinism
 //!   pass left on the page-cache inner loops.
+//! - [`inomap`]: [`InoMap`], a map keyed by inode number that indexes a
+//!   `Vec` directly — the inode tables, a snapshot's file table and the
+//!   page table's file directory.
 //! - [`pagetable`]: the per-file page table ([`pagetable::PageTable`],
 //!   `(inode, page index)` → `u32` handle in per-file 64-slot chunks)
 //!   that the page cache and Duet's descriptor table are both built on.
@@ -44,9 +48,11 @@
 //! - [`knobs`]: the strict parser behind the `DUET_SCALE`, `DUET_JOBS`
 //!   and `DUET_TRACE` environment knobs.
 //!
-//! Ordered state (the Btrfs extent maps and free-space map) lives in
-//! std's `BTreeMap`; [`dmap`] is only for unordered point-lookup tables
-//! on a measured hot path (DESIGN.md §12.1).
+//! State keyed by a small dense id is a `Vec` indexed by it; ordered
+//! state is a sorted `Vec` when per-file small (the Btrfs extent maps)
+//! and std's `BTreeMap` otherwise (the free-space map); [`dmap`] is
+//! only for unordered point-lookup tables on a measured hot path
+//! (DESIGN.md §12.1).
 
 pub mod bitmap;
 pub mod check;
@@ -55,6 +61,7 @@ pub mod dmap;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod inomap;
 pub mod knobs;
 pub mod pagetable;
 pub mod rng;
@@ -74,6 +81,7 @@ pub use ids::{
     PageIndex,
     SegmentNr, //
 };
+pub use inomap::InoMap;
 pub use pagetable::PageTable;
 pub use rng::SimRng;
 pub use trace::{SpanId, TraceEvent, TraceHandle, TraceLayer};

@@ -7,14 +7,15 @@
 //! [`Slab`]s and index them here: the page cache (resident pages) and
 //! Duet's descriptor table (merged descriptors).
 //!
-//! A file's handles sit in 64-slot chunks keyed by `index >> 6`, so
-//! chunk order is page order: a per-file walk needs no sort, and memory
-//! follows the entries, not the span of their indices. An emptied chunk
-//! and an emptied file are dropped at once.
+//! Files are found by inode number in an [`InoMap`], the way the kernel
+//! reaches an `address_space` by pointer. A file's handles sit in
+//! 64-slot chunks keyed by `index >> 6` in a `Vec` sorted by chunk
+//! number, so chunk order is page order: every walk is ascending with
+//! no sort, and memory follows the entries, not the span of their
+//! indices. An emptied chunk and an emptied file are dropped at once.
 
-use crate::dmap::{DMap, Slab, NIL};
-use crate::{InodeNr, PageIndex};
-use std::collections::BTreeMap;
+use crate::dmap::{Slab, NIL};
+use crate::{InoMap, InodeNr, PageIndex};
 
 /// A file's table covers its index space in chunks of this many
 /// consecutive pages.
@@ -32,10 +33,27 @@ struct Chunk {
 /// One file's entries.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FilePages {
-    /// Chunk number → handle into [`PageTable::chunks`].
-    chunks: BTreeMap<u64, u32>,
+    /// `(chunk number, handle into [`PageTable::chunks`])`, sorted by
+    /// chunk number. A file holds a few chunks, so a binary search over
+    /// one allocation beats a tree.
+    chunks: Vec<(u64, u32)>,
     /// Entries across all chunks.
     count: usize,
+}
+
+impl FilePages {
+    /// Where chunk `nr` sits in [`FilePages::chunks`], or where it
+    /// would go.
+    #[inline]
+    fn find(&self, nr: u64) -> Result<usize, usize> {
+        self.chunks.binary_search_by_key(&nr, |&(n, _)| n)
+    }
+
+    /// The handle of chunk `nr`, if the file has it.
+    #[inline]
+    fn chunk(&self, nr: u64) -> Option<u32> {
+        self.find(nr).ok().map(|at| self.chunks[at].1)
+    }
 }
 
 /// Splits a page index into its chunk number and the slot within it.
@@ -58,7 +76,7 @@ fn retain_in(
     mut keep: impl FnMut(PageIndex, u32) -> bool,
 ) {
     let mut dropped = 0;
-    file.chunks.retain(|&nr, &mut c| {
+    file.chunks.retain(|&(nr, c)| {
         let ch = &mut chunks[c];
         for slot in 0..CHUNK_SLOTS {
             let h = ch.slots[slot];
@@ -95,9 +113,8 @@ fn retain_in(
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PageTable {
-    /// Inode → that file's chunks. A run along a file hashes one small
-    /// key and then walks neighbouring slots.
-    files: DMap<InodeNr, FilePages>,
+    /// Inode → that file's chunks.
+    files: InoMap<FilePages>,
     /// Backing store for the files' chunks.
     chunks: Slab<Chunk>,
 }
@@ -112,7 +129,7 @@ impl PageTable {
     #[inline]
     pub fn get(&self, ino: InodeNr, index: PageIndex) -> Option<u32> {
         let (chunk, slot) = chunk_of(index);
-        let &c = self.files.get(&ino)?.chunks.get(&chunk)?;
+        let c = self.files.get(ino)?.chunk(chunk)?;
         let h = self.chunks[c].slots[slot];
         (h != NIL).then_some(h)
     }
@@ -132,13 +149,17 @@ impl PageTable {
         // empty.
         let (chunk, slot) = chunk_of(index);
         let file = self.files.get_or_insert_with(ino, FilePages::default);
-        let chunks = &mut self.chunks;
-        let c = *file.chunks.entry(chunk).or_insert_with(|| {
-            chunks.insert(Chunk {
-                slots: [NIL; CHUNK_SLOTS],
-                used: 0,
-            })
-        });
+        let c = match file.find(chunk) {
+            Ok(at) => file.chunks[at].1,
+            Err(at) => {
+                let c = self.chunks.insert(Chunk {
+                    slots: [NIL; CHUNK_SLOTS],
+                    used: 0,
+                });
+                file.chunks.insert(at, (chunk, c));
+                c
+            }
+        };
         let ch = &mut self.chunks[c];
         let h = ch.slots[slot];
         if h != NIL {
@@ -157,8 +178,9 @@ impl PageTable {
     #[inline]
     pub fn remove(&mut self, ino: InodeNr, index: PageIndex) -> Option<u32> {
         let (chunk, slot) = chunk_of(index);
-        let file = self.files.get_mut(&ino)?;
-        let &c = file.chunks.get(&chunk)?;
+        let file = self.files.get_mut(ino)?;
+        let at = file.find(chunk).ok()?;
+        let c = file.chunks[at].1;
         let ch = &mut self.chunks[c];
         let h = std::mem::replace(&mut ch.slots[slot], NIL);
         if h == NIL {
@@ -167,24 +189,24 @@ impl PageTable {
         ch.used -= 1;
         if ch.used == 0 {
             self.chunks.remove(c);
-            file.chunks.remove(&chunk);
+            file.chunks.remove(at);
         }
         file.count -= 1;
         if file.count == 0 {
-            self.files.remove(&ino);
+            self.files.remove(ino);
         }
         Some(h)
     }
 
     /// Number of entries of one file (O(1)).
     pub fn len_of(&self, ino: InodeNr) -> usize {
-        self.files.get(&ino).map_or(0, |file| file.count)
+        self.files.get(ino).map_or(0, |file| file.count)
     }
 
     /// One file's entries, in page order.
     pub fn file(&self, ino: InodeNr) -> impl Iterator<Item = (PageIndex, u32)> + '_ {
         self.files
-            .get(&ino)
+            .get(ino)
             .into_iter()
             .flat_map(|file| self.entries_of(file))
     }
@@ -193,7 +215,7 @@ impl PageTable {
         &'a self,
         file: &'a FilePages,
     ) -> impl Iterator<Item = (PageIndex, u32)> + 'a {
-        file.chunks.iter().flat_map(|(&nr, &c)| {
+        file.chunks.iter().flat_map(|&(nr, c)| {
             self.chunks[c]
                 .slots
                 .iter()
@@ -203,42 +225,34 @@ impl PageTable {
         })
     }
 
-    /// Every entry in `(inode, index)` order. Files sit in hash order,
-    /// so this sorts them; within a file, pages are stored in order.
+    /// Every entry in `(inode, index)` order, as stored.
     pub fn iter(&self) -> impl Iterator<Item = (InodeNr, PageIndex, u32)> + '_ {
-        let mut files: Vec<(&InodeNr, &FilePages)> = self.files.iter().collect();
-        files.sort_unstable_by_key(|&(ino, _)| *ino);
-        files
-            .into_iter()
-            .flat_map(|(&ino, file)| self.entries_of(file).map(move |(index, h)| (ino, index, h)))
+        self.files
+            .iter()
+            .flat_map(|(ino, file)| self.entries_of(file).map(move |(index, h)| (ino, index, h)))
     }
 
     /// Shows `keep` one file's entries in page order and clears those it
     /// rejects. Cost is proportional to that file's chunks, not to the
     /// table.
     pub fn retain_file(&mut self, ino: InodeNr, keep: impl FnMut(PageIndex, u32) -> bool) {
-        let Some(file) = self.files.get_mut(&ino) else {
+        let Some(file) = self.files.get_mut(ino) else {
             return;
         };
         retain_in(&mut self.chunks, file, keep);
         if file.count == 0 {
-            self.files.remove(&ino);
+            self.files.remove(ino);
         }
     }
 
-    /// Shows `keep` every entry and clears those it rejects. Files are
-    /// visited in hash order.
+    /// Shows `keep` every entry in `(inode, index)` order and clears
+    /// those it rejects.
     pub fn retain(&mut self, mut keep: impl FnMut(InodeNr, PageIndex, u32) -> bool) {
-        let mut emptied = Vec::new();
-        for (&ino, file) in self.files.iter_mut() {
-            retain_in(&mut self.chunks, file, |index, h| keep(ino, index, h));
-            if file.count == 0 {
-                emptied.push(ino);
-            }
-        }
-        for ino in &emptied {
-            self.files.remove(ino);
-        }
+        let chunks = &mut self.chunks;
+        self.files.retain(|ino, file| {
+            retain_in(chunks, file, |index, h| keep(ino, index, h));
+            file.count > 0
+        });
     }
 
     /// Panics unless every counter matches a scan, no empty chunk or
@@ -246,10 +260,14 @@ impl PageTable {
     /// tests, which check their payloads against [`PageTable::iter`].
     pub fn assert_consistent(&self) {
         let mut chunks = 0;
-        for (&ino, file) in self.files.iter() {
+        for (ino, file) in self.files.iter() {
             assert!(file.count > 0, "empty page table kept for {ino}");
+            assert!(
+                file.chunks.windows(2).all(|w| w[0].0 < w[1].0),
+                "chunks of {ino} out of order"
+            );
             let mut in_file = 0;
-            for (&nr, &c) in &file.chunks {
+            for &(nr, c) in &file.chunks {
                 let chunk = &self.chunks[c];
                 let used = chunk.slots.iter().filter(|&&h| h != NIL).count();
                 assert!(used > 0, "empty chunk {nr} kept for {ino}");
@@ -268,6 +286,7 @@ mod tests {
     use super::*;
     use crate::check::{differential, DiffConfig};
     use crate::SimRng;
+    use std::collections::BTreeMap;
 
     /// Memory follows the entries, not the span of their indices: a
     /// table dense in the page index would need 2²⁴ slots here.
@@ -399,8 +418,6 @@ mod tests {
                         got.push((ino, index, h));
                         h % m != 0
                     });
-                    // Files are visited in hash order: compare the set.
-                    got.sort_unstable();
                     let want: Vec<(InodeNr, PageIndex, u32)> = model
                         .iter()
                         .map(|(&(ino, index), &h)| (ino, index, h))

@@ -25,6 +25,7 @@ use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{
     BlockNr,
     DeviceId,
+    InoMap,
     InodeNr,
     PageIndex,
     SegmentNr,
@@ -77,10 +78,10 @@ pub struct F2fsSim {
     /// Per-block owner (ino, page), NO_OWNER if invalid.
     owner_ino: Vec<u64>,
     owner_idx: Vec<u64>,
-    /// Inode table: a deterministic hash map — lookups are the hot
-    /// path; the key-sorted view is the [`files`](F2fsSim::files)
-    /// snapshot, which preserves the old B-tree iteration order.
-    inodes: DMap<InodeNr, F2fsInode>,
+    /// Inode table, indexed by inode number: numbers are handed out
+    /// densely and never reused, so a lookup is one load and every walk
+    /// is in ascending inode order.
+    inodes: InoMap<F2fsInode>,
     /// Name → inode, probed with borrowed `&str` keys.
     names: DMap<String, InodeNr>,
     next_ino: u64,
@@ -120,7 +121,7 @@ impl F2fsSim {
             valid: vec![false; capacity as usize],
             owner_ino: vec![NO_OWNER; capacity as usize],
             owner_idx: vec![0; capacity as usize],
-            inodes: DMap::new(),
+            inodes: InoMap::new(),
             names: DMap::new(),
             next_ino: 1,
             head_seg: SegmentNr(0),
@@ -296,7 +297,7 @@ impl F2fsSim {
 
     /// Returns `true` if the file exists.
     pub fn exists(&self, ino: InodeNr) -> bool {
-        self.inodes.contains_key(&ino)
+        self.inodes.contains_key(ino)
     }
 
     /// Current on-disk block of a file page (the F2fs node-table
@@ -304,29 +305,27 @@ impl F2fsSim {
     /// files.
     pub fn mapping_of(&self, ino: InodeNr, index: PageIndex) -> Option<BlockNr> {
         self.inodes
-            .get(&ino)
+            .get(ino)
             .and_then(|n| n.map.get(index.raw() as usize).copied().flatten())
     }
 
-    /// All file inodes.
+    /// All file inodes, in ascending inode order.
     pub fn files(&self) -> Vec<InodeNr> {
-        let mut v: Vec<InodeNr> = self.inodes.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.inodes.keys().collect()
     }
 
     fn get(&self, ino: InodeNr) -> SimResult<&F2fsInode> {
-        self.inodes.get(&ino).ok_or(SimError::NoSuchInode(ino))
+        self.inodes.get(ino).ok_or(SimError::NoSuchInode(ino))
     }
 
     fn get_mut(&mut self, ino: InodeNr) -> SimResult<&mut F2fsInode> {
-        self.inodes.get_mut(&ino).ok_or(SimError::NoSuchInode(ino))
+        self.inodes.get_mut(ino).ok_or(SimError::NoSuchInode(ino))
     }
 
     /// Deletes a file: all its blocks become invalid; cached pages are
     /// dropped.
     pub fn delete_file(&mut self, ino: InodeNr) -> SimResult<()> {
-        let node = self.inodes.remove(&ino).ok_or(SimError::NoSuchInode(ino))?;
+        let node = self.inodes.remove(ino).ok_or(SimError::NoSuchInode(ino))?;
         self.names.remove(&node.name);
         self.cache.remove_file(ino);
         for b in node.map.into_iter().flatten() {
@@ -487,7 +486,7 @@ impl F2fsSim {
         let mut blocks: Vec<BlockNr> = Vec::with_capacity(pages.len());
         for m in pages {
             // Pages of deleted files may still drain from the cache.
-            if !self.inodes.contains_key(&m.key.ino) {
+            if !self.inodes.contains_key(m.key.ino) {
                 continue;
             }
             let (b, _ssr) = self.flush_page(m.key.ino, m.key.index)?;
@@ -744,7 +743,7 @@ impl F2fsSim {
                     return fail(format!("mapped block {b} is invalid"));
                 }
                 match self.owner_of(*b) {
-                    Some((o_ino, o_idx)) if o_ino == *ino && o_idx.raw() == p as u64 => {}
+                    Some((o_ino, o_idx)) if o_ino == ino && o_idx.raw() == p as u64 => {}
                     other => {
                         return fail(format!("block {b}: owner {other:?} != ({ino}, pg {p})"));
                     }
@@ -1038,9 +1037,9 @@ mod tests {
         fs.check_consistency().unwrap();
     }
 
-    /// `files()` is the key-sorted snapshot over the `DMap` inode
-    /// table: ascending inode order regardless of creation, deletion
-    /// and re-creation history.
+    /// `files()` walks the inode table in ascending inode order, with
+    /// no sort, whatever the creation, deletion and re-creation
+    /// history.
     #[test]
     fn files_snapshot_is_inode_sorted_after_churn() {
         let mut fs = make_fs(8, 16, 64);
@@ -1052,8 +1051,10 @@ mod tests {
         fs.delete_file(live.remove(0)).unwrap();
         live.push(fs.populate_file("g0", pb(1)).unwrap());
         live.push(fs.populate_file("g1", pb(1)).unwrap());
+        let files = fs.files();
+        assert!(files.windows(2).all(|w| w[0] < w[1]), "{files:?}");
         live.sort_unstable();
-        assert_eq!(fs.files(), live);
+        assert_eq!(files, live);
         fs.check_consistency().unwrap();
     }
 
