@@ -299,8 +299,9 @@ mod tests {
     }
 
     /// The fork tests cannot pass vacuously at any layer: exactly one
-    /// mutation in the filesystem, the framework, the workload or the
-    /// copy-on-write block table makes the stacks unequal.
+    /// mutation in the filesystem, the framework, the workload, the
+    /// copy-on-write block table or the namespace makes the stacks
+    /// unequal.
     #[test]
     fn one_mutation_in_any_layer_breaks_equality() {
         let base = prepare(&cfg(0.5)).expect("fresh");
@@ -336,5 +337,17 @@ mod tests {
             .expect("write");
         assert!(s.fs.blocks() != base.fs.blocks(), "one write");
         assert!(obtain(&cfg(0.5)).expect("fork") == base, "written through");
+
+        // One rename inside a forked stack changes a directory's name
+        // table and nothing else of that directory: its inode alone must
+        // already differ, and the pristine must not see the rename.
+        let mut s = obtain(&cfg(0.5)).expect("fork");
+        let ino = s.fs.inodes().files_by_inode()[0];
+        let parent = s.fs.inodes().get(ino).expect("file").parent;
+        s.fs.rename(ino, parent, "renamed").expect("rename");
+        assert!(s != base, "one rename");
+        let dir = |s: &PreparedStack| s.fs.inodes().get(parent).expect("dir").clone();
+        assert!(dir(&s) != dir(&base), "one name-table entry");
+        assert!(obtain(&cfg(0.5)).expect("fork") == base, "renamed through");
     }
 }

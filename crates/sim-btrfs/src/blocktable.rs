@@ -34,9 +34,9 @@
 //! their chunks once per chunk-sized segment of the run, not once per
 //! block.
 
-use sim_core::dmap::DSet;
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult};
 use sim_disk::{coalesce, Run};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -119,7 +119,7 @@ pub struct BlockTable {
     /// repair sets the bit, and nothing clears it.
     checksum_ok: Column<Bits>,
     /// Blocks with injected silent corruption.
-    corrupted: DSet<u64>,
+    corrupted: BTreeSet<u64>,
 }
 
 /// Splits a block range at chunk boundaries: `(chunk, slots)` per
@@ -151,7 +151,7 @@ impl BlockTable {
             refcount: Column::new(chunks, [0; CHUNK_LEN]),
             backref: Column::new(chunks, [NO_BACKREF; CHUNK_LEN]),
             checksum_ok: Column::new(chunks, [0; CHUNK_LEN / 64]),
-            corrupted: DSet::new(),
+            corrupted: BTreeSet::new(),
         }
     }
 

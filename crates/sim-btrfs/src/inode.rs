@@ -8,8 +8,8 @@
 //! associated bookkeeping.
 
 use crate::extent::ExtentMap;
-use sim_core::dmap::DMap;
 use sim_core::{InoMap, InodeNr, SimError, SimResult};
+use std::collections::BTreeMap;
 
 /// Whether an inode is a regular file or a directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,10 +31,9 @@ pub struct Inode {
     pub size_bytes: u64,
     /// Data layout (files only; empty for directories).
     pub extents: ExtentMap,
-    /// Children by name (directories only). A deterministic hash map:
-    /// point lookups are O(1); order-sensitive consumers go through
-    /// [`Inode::children_sorted`], which restores the B-tree name order.
-    pub children: DMap<String, InodeNr>,
+    /// Children by name (directories only), iterated in name order —
+    /// rsync's traversal order (Table 3).
+    pub children: BTreeMap<String, InodeNr>,
     /// Parent directory (the root is its own parent).
     pub parent: InodeNr,
     /// Name within the parent (empty for the root).
@@ -51,20 +50,6 @@ impl Inode {
     pub fn is_dir(&self) -> bool {
         self.kind == InodeKind::Dir
     }
-
-    /// Name-sorted snapshot of the children — the iteration order the
-    /// directory had when `children` was a `BTreeMap`, for consumers
-    /// whose traversal order is observable (rsync walks in name order,
-    /// Table 3). O(k log k) on the cold path; point lookups stay O(1).
-    pub fn children_sorted(&self) -> Vec<(&str, InodeNr)> {
-        let mut v: Vec<(&str, InodeNr)> = self
-            .children
-            .iter()
-            .map(|(name, &ino)| (name.as_str(), ino))
-            .collect();
-        v.sort_unstable_by_key(|&(name, _)| name);
-        v
-    }
 }
 
 /// The inode table and namespace of one filesystem.
@@ -72,7 +57,7 @@ impl Inode {
 /// The table is indexed by inode number ([`InoMap`]): numbers are
 /// handed out densely and never reused, so a lookup is one load and
 /// every walk is in ascending inode order. Directory children are a
-/// name-keyed [`DMap`]; [`Inode::children_sorted`] restores name order.
+/// name-keyed `BTreeMap`, so they iterate in name order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InodeTable {
     inodes: InoMap<Inode>,
@@ -92,7 +77,7 @@ impl InodeTable {
                 kind: InodeKind::Dir,
                 size_bytes: 0,
                 extents: ExtentMap::new(),
-                children: DMap::new(),
+                children: BTreeMap::new(),
                 parent: root,
                 name: String::new(),
             },
@@ -160,7 +145,7 @@ impl InodeTable {
                 kind,
                 size_bytes: 0,
                 extents: ExtentMap::new(),
-                children: DMap::new(),
+                children: BTreeMap::new(),
                 parent,
                 name: name.to_string(),
             },
@@ -294,7 +279,7 @@ impl InodeTable {
         }
         let mut out = Vec::new();
         let push_children = |stack: &mut Vec<InodeNr>, n: &Inode| {
-            stack.extend(n.children_sorted().into_iter().rev().map(|(_, i)| i));
+            stack.extend(n.children.values().rev());
         };
         let mut stack: Vec<InodeNr> = Vec::new();
         push_children(&mut stack, node);
@@ -435,47 +420,31 @@ mod tests {
         assert!(t.walk_depth_first(f1).is_err());
     }
 
-    /// `children_sorted` is the key-sorted snapshot the `DMap`
-    /// migration promised: creation order and rename history must be
-    /// unobservable — only the current names matter.
+    /// rsync walks a directory in name order (Table 3): creation
+    /// order, rename and unlink history must be unobservable — only the
+    /// current names matter.
     #[test]
-    fn children_sorted_is_name_ordered_whatever_the_history() {
+    fn walk_is_name_ordered_whatever_the_history() {
         let mut t = InodeTable::new();
         let dir = t.create(t.root(), "d", InodeKind::Dir).unwrap();
         // Created deliberately out of name order.
         let z = t.create(dir, "zeta", InodeKind::File).unwrap();
         let a = t.create(dir, "alpha", InodeKind::File).unwrap();
         let m = t.create(dir, "mid", InodeKind::File).unwrap();
-        let names = |t: &InodeTable| -> Vec<(String, InodeNr)> {
-            t.get(dir)
-                .unwrap()
-                .children_sorted()
-                .into_iter()
-                .map(|(n, i)| (n.to_string(), i))
-                .collect()
+        let walk = |t: &InodeTable| -> Vec<InodeNr> {
+            let w = t.walk_depth_first(dir).unwrap();
+            w.into_iter().map(|(i, _)| i).collect()
         };
-        assert_eq!(
-            names(&t),
-            vec![
-                ("alpha".to_string(), a),
-                ("mid".to_string(), m),
-                ("zeta".to_string(), z)
-            ]
-        );
+        assert_eq!(walk(&t), vec![a, m, z]);
         // A rename re-slots the entry under its new name.
         t.rename(z, dir, "beta").unwrap();
-        assert_eq!(
-            names(&t),
-            vec![
-                ("alpha".to_string(), a),
-                ("beta".to_string(), z),
-                ("mid".to_string(), m)
-            ]
-        );
-        // And the rsync-order walk follows the new name order too.
-        let walk = t.walk_depth_first(dir).unwrap();
-        let inos: Vec<InodeNr> = walk.iter().map(|(i, _)| *i).collect();
-        assert_eq!(inos, vec![a, z, m]);
+        assert_eq!(walk(&t), vec![a, z, m]);
+        // An unlink leaves no trace, and a later create lands at its
+        // name slot, not at the end.
+        t.remove(a).unwrap();
+        assert_eq!(walk(&t), vec![z, m]);
+        let k = t.create(dir, "kappa", InodeKind::File).unwrap();
+        assert_eq!(walk(&t), vec![z, k, m]);
     }
 
     /// Rename across directories: the entry leaves the old parent's
@@ -485,8 +454,8 @@ mod tests {
         let (mut t, dir, f1, _) = setup();
         let other = t.create(t.root(), "other", InodeKind::Dir).unwrap();
         t.rename(f1, other, "zz.txt").unwrap();
-        assert!(t.get(dir).unwrap().children_sorted().is_empty());
-        let got = t.get(other).unwrap().children_sorted();
-        assert_eq!(got, vec![("zz.txt", f1)]);
+        assert!(t.get(dir).unwrap().children.is_empty());
+        let got = &t.get(other).unwrap().children;
+        assert_eq!(*got, BTreeMap::from([("zz.txt".to_string(), f1)]));
     }
 }

@@ -12,9 +12,9 @@
 //! requests, then record the flush here.
 
 use crate::page::{PageEvent, PageKey, PageMeta};
-use sim_core::dmap::{Slab, NIL};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::pagetable::PageTable;
+use sim_core::slab::{Slab, NIL};
 use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{BlockNr, InodeNr};
 use std::collections::VecDeque;

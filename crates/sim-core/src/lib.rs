@@ -30,14 +30,11 @@
 //! - [`trace`]: the virtual-time structured tracing plane — ring-buffered
 //!   events and spans from every layer, with a JSONL dump and whole-run
 //!   counters.
-//! - [`dmap`]: deterministic O(1) hash containers ([`dmap::DMap`],
-//!   [`dmap::DSet`]) with seeded hashing and insertion-order iteration,
-//!   plus a slab arena ([`dmap::Slab`]) with stable `u32` handles — the
-//!   hot-path replacements for the B-tree maps that PR 1's determinism
-//!   pass left on the page-cache inner loops.
 //! - [`inomap`]: [`InoMap`], a map keyed by inode number that indexes a
 //!   `Vec` directly — the inode tables, a snapshot's file table and the
 //!   page table's file directory.
+//! - [`slab`]: a slab arena ([`Slab`]) with stable `u32` handles, the
+//!   backing store of the page cache's LRU chains and the page table.
 //! - [`pagetable`]: the per-file page table ([`pagetable::PageTable`],
 //!   `(inode, page index)` → `u32` handle in per-file 64-slot chunks)
 //!   that the page cache and Duet's descriptor table are both built on.
@@ -49,15 +46,14 @@
 //!   and `DUET_TRACE` environment knobs.
 //!
 //! State keyed by a small dense id is a `Vec` indexed by it; ordered
-//! state is a sorted `Vec` when per-file small (the Btrfs extent maps)
-//! and std's `BTreeMap` otherwise (the free-space map); [`dmap`] is
-//! only for unordered point-lookup tables on a measured hot path
+//! or name-keyed state is a sorted `Vec` when per-file small (the Btrfs
+//! extent maps) and std's `BTreeMap`/`BTreeSet` otherwise (the
+//! free-space map, directory name tables, the corrupted-block set)
 //! (DESIGN.md §12.1).
 
 pub mod bitmap;
 pub mod check;
 pub mod clock;
-pub mod dmap;
 pub mod error;
 pub mod fault;
 pub mod ids;
@@ -65,13 +61,13 @@ pub mod inomap;
 pub mod knobs;
 pub mod pagetable;
 pub mod rng;
+pub mod slab;
 pub mod snapshot;
 pub mod stats;
 pub mod trace;
 
 pub use bitmap::SparseBitmap;
 pub use clock::{SimDuration, SimInstant};
-pub use dmap::{DMap, DSet, DetHash, Slab};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultHandle, FaultPlan, FaultSite};
 pub use ids::{
@@ -84,7 +80,18 @@ pub use ids::{
 pub use inomap::InoMap;
 pub use pagetable::PageTable;
 pub use rng::SimRng;
+pub use slab::Slab;
 pub use trace::{SpanId, TraceEvent, TraceHandle, TraceLayer};
+
+/// Kept only because the frozen `benchmark/src/kernels.rs` imports this
+/// name for its `k_dmap_ns` kernel; the next `[benchmark]` PR deletes
+/// kernel and alias together. No other code may name it.
+pub type DMap<K, V> = std::collections::BTreeMap<K, V>;
+
+/// Kept only because the frozen `benchmark/src/kernels.rs` imports this
+/// name for its `k_dset_ns` kernel; the next `[benchmark]` PR deletes
+/// kernel and alias together. No other code may name it.
+pub type DSet<K> = std::collections::BTreeSet<K>;
 
 /// Kept only because the frozen `benchmark/src/kernels.rs` imports this
 /// name for its `k_omap_ns` kernel; the next `[benchmark]` PR deletes

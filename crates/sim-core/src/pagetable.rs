@@ -14,7 +14,7 @@
 //! no sort, and memory follows the entries, not the span of their
 //! indices. An emptied chunk and an emptied file are dropped at once.
 
-use crate::dmap::{Slab, NIL};
+use crate::slab::{Slab, NIL};
 use crate::{InoMap, InodeNr, PageIndex};
 
 /// A file's table covers its index space in chunks of this many

@@ -18,7 +18,6 @@
 
 use crate::segment::{segment_of, segment_start, SegState, SegmentInfo};
 use sim_cache::{PageCache, PageKey, PageMeta};
-use sim_core::dmap::DMap;
 use sim_core::fault::FaultHandle;
 use sim_core::ids::byte_range_end;
 use sim_core::trace::{TraceHandle, TraceKind};
@@ -35,6 +34,7 @@ use sim_core::{
     PAGE_SIZE, //
 };
 use sim_disk::{coalesce, Disk, IoClass, IoKind, OpStats, RetryPolicy};
+use std::collections::BTreeMap;
 
 /// Result of cleaning one segment (Table 6's measured quantity).
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +83,7 @@ pub struct F2fsSim {
     /// is in ascending inode order.
     inodes: InoMap<F2fsInode>,
     /// Name → inode, probed with borrowed `&str` keys.
-    names: DMap<String, InodeNr>,
+    names: BTreeMap<String, InodeNr>,
     next_ino: u64,
     /// Log head: segment and next offset within it.
     head_seg: SegmentNr,
@@ -122,7 +122,7 @@ impl F2fsSim {
             owner_ino: vec![NO_OWNER; capacity as usize],
             owner_idx: vec![0; capacity as usize],
             inodes: InoMap::new(),
-            names: DMap::new(),
+            names: BTreeMap::new(),
             next_ino: 1,
             head_seg: SegmentNr(0),
             head_off: 0,
@@ -1020,8 +1020,8 @@ mod tests {
     }
 
     /// Deleting a file frees its name for re-creation, and the lookup
-    /// then resolves to the *new* inode — the backward-shift deletion
-    /// of the `DMap` name table must leave no stale entry behind.
+    /// then resolves to the *new* inode — the name table must leave no
+    /// stale entry behind.
     #[test]
     fn name_lookup_after_delete_and_recreate() {
         let mut fs = make_fs(8, 16, 64);

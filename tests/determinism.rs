@@ -135,14 +135,13 @@ fn extent_oplog_is_independent_of_fault_seed_env() {
     }
 }
 
-/// The same independence for the two ordered structures directly (the
-/// test is named after the container they once shared; both hold a
-/// `BTreeMap`): the order in which runs are freed into a `FreeSpace`,
-/// or disjoint extents mapped into an `ExtentMap`, and the seed
-/// environment are all unobservable — the state, its sorted iteration
-/// and every later allocation depend on the key set alone.
+/// The same independence for the two ordered structures directly: the
+/// order in which runs are freed into a `FreeSpace`, or disjoint
+/// extents mapped into an `ExtentMap`, and the seed environment are all
+/// unobservable — the state, its sorted iteration and every later
+/// allocation depend on the key set alone.
 #[test]
-fn dordmap_iteration_is_seed_and_insertion_order_independent() {
+fn ordered_maps_are_seed_and_insertion_order_independent() {
     use duet_repro::sim_btrfs::{Extent, ExtentMap, FreeSpace, Run};
     use duet_repro::sim_core::BlockNr;
     // 64 disjoint runs in 8-block slots; every third fills its slot and
