@@ -18,6 +18,7 @@
 use bench::figs::{self, HarnessSpec};
 use bench::harness::Stopwatch;
 use bench::{pool, scale_from_env, BenchError, Sink};
+use std::convert::Infallible;
 
 struct Outcome {
     spec: &'static HarnessSpec,
@@ -25,7 +26,7 @@ struct Outcome {
     err: Option<String>,
     wall_ms: f64,
     /// Simulated operations the harness credited to its sink (0 for
-    /// harnesses that do not run sweep cells).
+    /// the two that simulate nothing, fig1 and fig9).
     ops: u64,
 }
 
@@ -120,8 +121,8 @@ pub fn run(names: &[&str]) -> Result<(), String> {
     );
     let total = Stopwatch::start();
     let (serial, parallel): (Vec<_>, Vec<_>) = selected.iter().copied().partition(|h| h.wall_clock);
-    let mut outcomes = pool::run_indexed(parallel.len(), jobs, |i| {
-        run_one(parallel[i], Sink::buffer())
+    let Ok(mut outcomes) = pool::try_run_indexed(parallel.len(), jobs, |i| {
+        Ok::<_, Infallible>(run_one(parallel[i], Sink::buffer()))
     });
     for o in &outcomes {
         println!(

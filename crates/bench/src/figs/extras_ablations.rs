@@ -10,12 +10,12 @@
 //! 4. **Hint granularity**: page-level hints vs the file-level hints an
 //!    inotify-based task could build (§3.3).
 
-use crate::sweeps::PROFILED;
-use crate::{f2, pct, pool, BenchResult, Report, Sink};
+use crate::sweeps::cells;
+use crate::{f2, pct, BenchResult, Report, Sink};
 use experiments::{
-    paper_scaled, run_experiment_with, run_gc_experiment, GcExperimentConfig, TaskKind,
+    paper_scaled, run_experiment_with, run_gc_experiment_with, GcExperimentConfig, TaskKind,
 };
-use sim_core::{SimDuration, SimResult};
+use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
 use workloads::{DistKind, FileSetConfig, Personality, WorkloadConfig};
@@ -32,7 +32,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         .into_iter()
         .flat_map(|p| [false, true].into_iter().map(move |d| (p, d)))
         .collect();
-    let gc_runs = pool::try_run_indexed(gc_cells.len(), pool::jobs(), |i| {
+    let gc_runs = cells("ablation_gc_policy", gc_cells.len(), sink, |i, opts| {
         let (policy, duet) = gc_cells[i];
         let cfg = GcExperimentConfig {
             nsegs: 512,
@@ -60,7 +60,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             duration: SimDuration::from_secs(30),
             seed: 11,
         };
-        run_gc_experiment(&cfg)
+        let r = run_gc_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for (&(policy, duet), r) in gc_cells.iter().zip(&gc_runs) {
         gc.row(
@@ -82,7 +84,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     );
     grace.print_header(sink);
     let graces = [1u64, 4, 8, 16, 32];
-    let grace_runs = pool::try_run_indexed(graces.len(), pool::jobs(), |i| {
+    let grace_runs = cells("ablation_grace_period", graces.len(), sink, |i, opts| {
         let mut cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -95,7 +97,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         cfg.policy = SchedulerPolicy::CfqIdle {
             grace: SimDuration::from_millis(graces[i]),
         };
-        run_experiment_with(&cfg, &PROFILED)
+        let r = run_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for (&grace_ms, r) in graces.iter().zip(&grace_runs) {
         grace.row(
@@ -117,7 +121,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     );
     cache.print_header(sink);
     let divisors = [1u64, 4, 16, 64];
-    let cache_runs = pool::try_run_indexed(divisors.len(), pool::jobs(), |i| -> SimResult<_> {
+    let cache_runs = cells("ablation_tiny_cache", divisors.len(), sink, |i, opts| {
         let mut cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -128,7 +132,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             true,
         );
         cfg.cache_pages = (cfg.cache_pages as u64 / divisors[i]).max(128) as usize;
-        Ok((cfg.cache_pages, run_experiment_with(&cfg, &PROFILED)?))
+        let r = run_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok(((cfg.cache_pages, r), ops))
     })?;
     for (cache_pages, r) in &cache_runs {
         cache.row(
@@ -155,12 +161,12 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     // cannot finish, so the *order* in which queued files are taken
     // decides how much resident data it exploits.
     let utils = [0.7, 0.8, 0.9];
-    let gran_cells: Vec<(f64, bool)> = utils
+    let pairs: Vec<(f64, bool)> = utils
         .iter()
         .flat_map(|&u| [false, true].into_iter().map(move |g| (u, g)))
         .collect();
-    let gran_runs = pool::try_run_indexed(gran_cells.len(), pool::jobs(), |i| -> SimResult<f64> {
-        let (util, file_gran) = gran_cells[i];
+    let gran_runs = cells("ablation_hint_granularity", pairs.len(), sink, |i, opts| {
+        let (util, file_gran) = pairs[i];
         let mut cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -172,7 +178,8 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         );
         cfg.fragmentation = Some((1.0, 8));
         cfg.defrag_file_granularity = file_gran;
-        Ok(run_experiment_with(&cfg, &PROFILED)?.io_saved())
+        let r = run_experiment_with(&cfg, opts)?;
+        Ok((r.io_saved(), r.workload_ops))
     })?;
     for (&util, pair) in utils.iter().zip(gran_runs.chunks(2)) {
         gran.row(sink, &[f2(util), pct(pair[0]), pct(pair[1])]);

@@ -11,8 +11,9 @@
 //! to SSR (no cleaner runs in either case). SSR turns the sequential
 //! log into scattered writes, inflating latency and device busy time.
 
-use crate::{f2, pool, BenchResult, Report, Sink};
-use experiments::{run_gc_experiment, GcExperimentConfig};
+use crate::sweeps::cells;
+use crate::{f2, BenchResult, Report, Sink};
+use experiments::{run_gc_experiment_with, GcExperimentConfig};
 use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
@@ -67,9 +68,11 @@ pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
     // Roomy: data fills ~25 % of the device. Tight: data fills ~85 %;
     // COW logging exhausts the free segments within the window.
     let setups = [(1024u32, 512usize), (160, 512)];
-    let runs = pool::try_run_indexed(setups.len(), pool::jobs(), |i| {
+    let runs = cells("extras_f2fs_ssr", setups.len(), sink, |i, opts| {
         let (nsegs, files) = setups[i];
-        run_gc_experiment(&cfg(nsegs, files))
+        let r = run_gc_experiment_with(&cfg(nsegs, files), opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     let (roomy, tight) = (&runs[0], &runs[1]);
     for (label, r) in [("roomy (log appends)", roomy), ("tight (SSR)", tight)] {

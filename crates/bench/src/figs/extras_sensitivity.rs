@@ -10,8 +10,8 @@
 //!    marginal effect on savings (out-of-order processing, not cache
 //!    locality, provides most of the benefit).
 
-use crate::sweeps::PROFILED;
-use crate::{f2, pct, pool, BenchResult, Report, Sink};
+use crate::sweeps::cells;
+use crate::{f2, pct, BenchResult, Report, Sink};
 use experiments::{paper_scaled, run_experiment_with, TaskKind};
 use sim_disk::SchedulerPolicy;
 use workloads::{DistKind, Personality};
@@ -39,7 +39,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ("with scrub", &[TaskKind::Scrub]),
         ("with backup", &[TaskKind::Backup]),
     ];
-    let lat_runs = pool::try_run_indexed(setups.len(), pool::jobs(), |i| {
+    let lat_runs = cells("extras_latency_impact", setups.len(), sink, |i, opts| {
         let cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -49,7 +49,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             setups[i].1.to_vec(),
             true,
         );
-        run_experiment_with(&cfg, &PROFILED)
+        let r = run_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for ((label, _), r) in setups.iter().zip(&lat_runs) {
         lat.row(
@@ -75,7 +77,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ("cfq-idle", SchedulerPolicy::default_cfq()),
         ("deadline (no priority)", SchedulerPolicy::NoPriority),
     ];
-    let prio_runs = pool::try_run_indexed(policies.len(), pool::jobs(), |i| {
+    let prio_runs = cells("extras_prioritization", policies.len(), sink, |i, opts| {
         let mut cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -86,7 +88,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             true,
         );
         cfg.policy = policies[i].1;
-        run_experiment_with(&cfg, &PROFILED)
+        let r = run_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for ((label, _), r) in policies.iter().zip(&prio_runs) {
         prio.row(
@@ -108,7 +112,7 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
     );
     cache.print_header(sink);
     let fracs = [0.01, 0.02, 0.04, 0.08, 0.16];
-    let cache_runs = pool::try_run_indexed(fracs.len(), pool::jobs(), |i| {
+    let cache_runs = cells("extras_cache_size", fracs.len(), sink, |i, opts| {
         let mut cfg = paper_scaled(
             scale,
             Personality::WebServer,
@@ -121,7 +125,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
         cfg.cache_pages =
             ((data_bytes as f64 * fracs[i]) as u64 / sim_core::PAGE_SIZE).max(256) as usize;
-        run_experiment_with(&cfg, &PROFILED)
+        let r = run_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for (&frac, r) in fracs.iter().zip(&cache_runs) {
         cache.row(

@@ -41,8 +41,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             vec![],
             true,
         );
-        // 0: this harness credits no simulated ops to its sink.
-        Ok((run_rsync_experiment_with(&cfg, duet, opts)?, 0))
+        let r = run_rsync_experiment_with(&cfg, duet, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for (&overlap, pair) in overlaps.iter().zip(runs.chunks(2)) {
         let (base, duet) = (&pair[0], &pair[1]);

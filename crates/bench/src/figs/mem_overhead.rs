@@ -9,7 +9,7 @@
 //! This harness runs exactly that scrub experiment and reports the
 //! measured Duet memory against the worst-case estimates.
 
-use crate::sweeps::PROFILED;
+use crate::sweeps::cells;
 use crate::{f2, BenchResult, Report, Sink};
 use experiments::{paper_scaled, run_experiment_with, TaskKind};
 use sim_core::{SimError, PAGE_SIZE};
@@ -30,7 +30,12 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         true,
     );
     let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
-    let r = run_experiment_with(&cfg, &PROFILED)?;
+    let r = cells("mem_overhead", 1, sink, |_, opts| {
+        let r = run_experiment_with(&cfg, opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
+    })?
+    .remove(0);
     // Worst-case block-task bitmap: 1 bit per device block.
     let bitmap_worst = cfg.capacity_blocks / 8;
     // Worst-case descriptors: 2 × cache pages × descriptor size (N=16).

@@ -113,24 +113,27 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         // for a fraction of the wall time. Forked setup prefixes
         // (experiments::snapshot) make the bisection's repeat builds
         // nearly free on top of that. The inner runs share the cell's
-        // trace handle, so their counters accumulate.
+        // trace handle, so their counters accumulate, and the cell
+        // credits the ops of every probe (each up to its early stop).
         let probe = RunOptions {
             stop_when_tasks_done: true,
             ..*opts
         };
+        let mut ops = 0;
         let completes = |util: f64| -> SimResult<bool> {
             let mut cfg = paper_scaled(scale, personality, dist, overlap, util, vec![task], duet);
             if task == TaskKind::Defrag {
                 cfg.fragmentation = Some((0.1, 5));
             }
-            Ok(run_experiment_with(&cfg, &probe)?.all_completed())
+            let r = run_experiment_with(&cfg, &probe)?;
+            ops += r.workload_ops;
+            Ok(r.all_completed())
         };
         let label = match max_utilization(completes)? {
             Some(u) => pct(u),
             None => "never".into(),
         };
-        // No ops credited: a probe's truncated window has none to report.
-        Ok((label, 0))
+        Ok((label, ops))
     })?;
     let per_row = tasks.len() * 2;
     for ((label, ..), vals) in rows.iter().zip(values.chunks(per_row)) {

@@ -73,8 +73,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         .collect();
     let runs = cells("table6_gc_cleaning", grid.len(), sink, |i, opts| {
         let (util, duet) = grid[i];
-        // 0: this harness credits no simulated ops to its sink.
-        Ok((run_gc_experiment_with(&gc_cfg(scale, util, duet), opts)?, 0))
+        let r = run_gc_experiment_with(&gc_cfg(scale, util, duet), opts)?;
+        let ops = r.workload_ops;
+        Ok((r, ops))
     })?;
     for (&util, pair) in utils.iter().zip(runs.chunks(2)) {
         let (base, duet) = (&pair[0], &pair[1]);

@@ -36,10 +36,10 @@ pub(crate) fn knob(knob: Knob) -> Option<u64> {
     knob.read().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Start-up check of the `bench` binary: a malformed `DUET_SCALE`,
-/// `DUET_JOBS` or `DUET_TRACE` is reported on stderr,
-/// naming the variable and the value, and becomes exit status 2 —
-/// before any work is done, never a silent default.
+/// Start-up check of the `bench` binary: any malformed knob of
+/// `sim_core::knobs`, the two replay seeds included, is reported on
+/// stderr, naming the variable and the value, and becomes exit status 2
+/// — before any work is done, never a silent default.
 pub fn check_env() -> Result<(), ExitCode> {
     sim_core::knobs::check_all().map_err(|e| {
         eprintln!("error: {e}");

@@ -9,8 +9,10 @@
 //! execution order, and the pool exploits that: workers pull cell
 //! indices from a shared cursor, write results into a slot keyed by the
 //! index, and the caller receives them in input order. Output is
-//! byte-identical at any worker count, including 1 (`try_run_indexed`
-//! and `run_indexed` short-circuit to a plain loop when `jobs <= 1`).
+//! byte-identical at any worker count, including 1 ([`try_run_indexed`]
+//! short-circuits to a plain loop when `jobs <= 1`). Its two callers
+//! are `sweeps::run_cells`, which every simulating harness goes
+//! through, and `bench run`, which fans out whole harnesses.
 //!
 //! This is the single sanctioned use of OS threads in the workspace
 //! (the `#[expect]` on [`try_run_indexed`] is the one D4 thread
@@ -39,26 +41,10 @@ pub fn jobs() -> usize {
 }
 
 /// Runs `f(0..n)` on up to `jobs` workers and returns the results in
-/// index order. `f` must be pure with respect to index order (every
-/// sweep cell is); the output is then identical at any `jobs`.
-pub fn run_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let out = try_run_indexed(n, jobs, |i| Ok::<T, Never>(f(i)));
-    match out {
-        Ok(v) => v,
-    }
-}
-
-/// An empty error type so `run_indexed` can share the fallible
-/// machinery without inventing error values.
-enum Never {}
-
-/// Like [`run_indexed`], but `f` is fallible: returns the first error
-/// by *index* (not completion) order, after all in-flight work drains —
-/// so error reporting is as deterministic as the results.
+/// index order, or the first error by *index* (not completion) order,
+/// after all in-flight work drains. `f` must be pure with respect to
+/// index order (every sweep cell is); results and error are then
+/// identical at any `jobs`.
 #[expect(
     clippy::disallowed_methods,
     reason = "D4: the one sanctioned pool; index-keyed slots keep output byte-identical at any width"
@@ -113,20 +99,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// `f(i)` for every `i < n` at `jobs` workers; none of them fails.
+    fn squares(n: usize, jobs: usize) -> Vec<usize> {
+        let Ok(v) = try_run_indexed(n, jobs, |i| Ok::<_, Infallible>(i * i));
+        v
+    }
 
     #[test]
     fn results_arrive_in_index_order_at_any_width() {
         let sequential: Vec<usize> = (0..97).map(|i| i * i).collect();
         for jobs in [1, 2, 4, 9] {
-            let parallel = run_indexed(97, jobs, |i| i * i);
-            assert_eq!(parallel, sequential, "jobs={jobs}");
+            assert_eq!(squares(97, jobs), sequential, "jobs={jobs}");
         }
     }
 
     #[test]
     fn empty_and_single_inputs_work() {
-        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(1, 4, |i| i + 10), vec![10]);
+        assert_eq!(squares(0, 4), Vec::<usize>::new());
+        assert_eq!(squares(1, 4), vec![0]);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! the one place that runs such a grid: cells execute on up to `jobs`
 //! workers through [`pool::try_run_indexed`] and come back in grid
 //! order, so the rendered report is byte-identical to a sequential run.
-//! Every cell runs [`PROFILED`] and, when `traced`, with a private
+//! Every cell runs `PROFILED` and, when `traced`, with a private
 //! trace handle whose counters are merged in cell-index order.
 //! [`Swept::credit`] then books the simulated ops on the harness's
 //! [`Sink`] and saves the merged counters as `results/<name>_trace.csv`
-//! (see [`crate::trace`]). Harnesses call [`cells`], which does both at
-//! the `DUET_JOBS` / `DUET_TRACE` settings.
+//! (see [`crate::trace`]). Every harness that simulates calls [`cells`],
+//! which does both at the `DUET_JOBS` / `DUET_TRACE` settings: a cell
+//! is one experiment, a bisection of them, or a whole single-run
+//! harness, and it credits the `workload_ops` of every run it made.
 //!
 //! [`GOLDEN_GRIDS`] pins one small grid of each shape against a
 //! committed fixture, at any worker count.
@@ -27,10 +29,10 @@ pub fn util_grid() -> Vec<f64> {
     (0..=10).map(|i| i as f64 / 10.0).collect()
 }
 
-/// How every harness runs its experiments: with the §6.1.2 profiled
+/// How every cell runs its experiments: with the §6.1.2 profiled
 /// throttle (one memoized calibration pass per workload shape, not one
 /// per cell).
-pub const PROFILED: RunOptions<'static> = RunOptions {
+const PROFILED: RunOptions<'static> = RunOptions {
     trace: None,
     profiled: true,
     stop_when_tasks_done: false,

@@ -1,28 +1,34 @@
 //! The `bench` binary end to end: strict env knobs, the harness
 //! registry behind `bench run`, and the summary it writes.
 //!
-//! The three knobs a run reads are checked at start-up, whatever the
-//! subcommand: a malformed `DUET_SCALE`, `DUET_JOBS` or `DUET_TRACE`
-//! exits with status 2 and names the variable and the value, before
-//! any work is done. (Each used to be silently ignored —
-//! `DUET_TRACE=off` even turned tracing *on*; the parser's own cases
-//! are in `sim_core::knobs`.)
+//! The five knobs are checked at start-up, whatever the subcommand: a
+//! malformed `DUET_SCALE`, `DUET_JOBS`, `DUET_TRACE`, `DUET_FAULT_SEED`
+//! or `DUET_CHECK_SEED` exits with status 2 and names the variable and
+//! the value, before any work is done. (Each used to be silently
+//! ignored — `DUET_TRACE=off` even turned tracing *on*; the parser's
+//! own cases are in `sim_core::knobs`.)
 
+use sim_core::knobs::Knob;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-
-const KNOBS: [&str; 3] = ["DUET_SCALE", "DUET_JOBS", "DUET_TRACE"];
 
 /// Runs `bench <args>` in cargo's per-test scratch directory (`bench
 /// run` writes `results/` under its cwd) with only `env`'s knobs set.
+fn bench(args: &[&str], env: &[(&str, &str)]) -> Output {
+    bench_in(Path::new(env!("CARGO_TARGET_TMPDIR")), args, env)
+}
+
+/// [`bench`] with `dir` as its cwd, for a test whose `results/` must
+/// not race another test's.
 #[expect(
     clippy::expect_used,
     reason = "test helper: a binary that cannot start fails the calling test"
 )]
-fn bench(args: &[&str], env: &[(&str, &str)]) -> Output {
+fn bench_in(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bench"));
-    cmd.args(args).current_dir(env!("CARGO_TARGET_TMPDIR"));
-    for var in KNOBS {
-        cmd.env_remove(var);
+    cmd.args(args).current_dir(dir);
+    for knob in Knob::ALL {
+        cmd.env_remove(knob.var());
     }
     cmd.envs(env.iter().copied())
         .output()
@@ -40,6 +46,8 @@ fn malformed_knobs_exit_2_naming_variable_and_value() {
             ("DUET_TRACE", "off"),
             ("DUET_TRACE", "false"),
             ("DUET_TRACE", ""),
+            ("DUET_FAULT_SEED", "0xZZ"),
+            ("DUET_CHECK_SEED", "+7"),
         ] {
             let out = bench(&[sub], &[(var, value)]);
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -164,4 +172,40 @@ fn run_writes_csvs_and_the_sweeps_summary() {
     for csv in unset {
         assert_eq!(csv.lines().count(), 12, "header + 11 utilizations: {csv}");
     }
+}
+
+/// `mem_overhead` makes one run, and goes through the sweep-cell driver
+/// like every harness that simulates: under `DUET_TRACE=1` it writes
+/// its trace counters and credits its exact simulated ops, and both are
+/// the same bytes at one worker and at two.
+#[test]
+fn a_single_run_harness_traces_and_credits_its_ops() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("single_run");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let run = |jobs: &str| {
+        let env = [
+            ("DUET_SCALE", "512"),
+            ("DUET_JOBS", jobs),
+            ("DUET_TRACE", "1"),
+        ];
+        let out = bench_in(&dir, &["run", "mem_overhead"], &env);
+        assert!(out.status.success(), "jobs {jobs}: {out:?}");
+        let read = |file: &str| {
+            std::fs::read_to_string(dir.join("results").join(file))
+                .unwrap_or_else(|e| panic!("jobs {jobs}: {file}: {e}"))
+        };
+        let summary = read("BENCH_sweeps.json");
+        let row = summary
+            .lines()
+            .find(|l| l.contains("\"name\": \"mem_overhead\""))
+            .unwrap_or_else(|| panic!("mem_overhead missing: {summary}"));
+        assert!(
+            row.contains("\"ops\": 903,") && row.contains("\"ok\": true"),
+            "jobs {jobs}: {row}"
+        );
+        let trace = read("mem_overhead_trace.csv");
+        assert!(trace.lines().count() > 1, "no counters: {trace}");
+        (read("mem_overhead.csv"), trace)
+    };
+    assert_eq!(run("1"), run("2"));
 }

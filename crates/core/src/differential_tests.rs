@@ -22,7 +22,7 @@ use crate::framework::{Duet, DuetConfig, DuetStats};
 use crate::session::{Item, ItemId, Session, SessionId, TaskScope};
 use sim_cache::{FsIntrospect, PageEvent, PageKey, PageMeta};
 use sim_core::check::{differential, DiffConfig};
-use sim_core::fault::seed_from_env;
+use sim_core::knobs::Knob;
 use sim_core::{BlockNr, DeviceId, InodeNr, PageIndex, SimError, SimResult, SimRng, PAGE_SIZE};
 use std::collections::BTreeMap;
 
@@ -864,7 +864,10 @@ fn replay(log: &[Op], skip_cancellation: bool) -> Result<(), String> {
 
 #[test]
 fn duet_matches_the_naive_reference() {
-    let seed = seed_from_env("DUET_CHECK_SEED", 0xD1FF_BA5E).unwrap_or_else(|e| panic!("{e}"));
+    let seed = Knob::CheckSeed
+        .read()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(0xD1FF_BA5E);
     differential(
         &DiffConfig::new("duet-vs-reference", seed)
             .cases(24)

@@ -884,43 +884,15 @@ fn run_gc(
 
 /// Drives deliberate API misuse and forced faults against small
 /// fixtures, returning the set of [`SimError`] labels observed. The
-/// choice and order of probes is itself fault-driven (the
-/// [`FaultSite::ApiChaos`] stream), and the fault matrix asserts the
-/// result covers [`SimError::ALL_LABELS`] — i.e. every error variant in
-/// the vocabulary is constructible and observable.
+/// probes run once each, in a fixed order (a set has no order to
+/// observe), and the fault matrix asserts the result covers
+/// [`SimError::ALL_LABELS`] — i.e. every error variant in the
+/// vocabulary is constructible and observable.
 pub fn exercise_error_vocabulary(seed: u64) -> BTreeSet<&'static str> {
-    let chaos = FaultHandle::new(
-        seed,
-        FaultPlan::quiet().with_ppm(FaultSite::ApiChaos, 1_000_000),
-    );
-    let nprobes = 13u64;
-    let mut seen: BTreeSet<&'static str> = BTreeSet::new();
-    // Each round the chaos stream picks one probe; a few extra rounds
-    // guarantee coverage regardless of the draw order.
-    let mut remaining: BTreeSet<u64> = (0..nprobes).collect();
-    let mut rounds = 0;
-    while !remaining.is_empty() && rounds < 1024 {
-        rounds += 1;
-        if !chaos.fire(FaultSite::ApiChaos) {
-            continue;
-        }
-        let pick = chaos.amplitude(FaultSite::ApiChaos, 0, nprobes);
-        let probe = if remaining.contains(&pick) {
-            remaining.take(&pick).unwrap_or(pick)
-        } else {
-            match remaining.iter().next().copied() {
-                Some(p) => {
-                    remaining.remove(&p);
-                    p
-                }
-                None => break,
-            }
-        };
-        if let Some(err) = run_probe(probe, seed) {
-            seen.insert(err.label());
-        }
-    }
-    seen
+    (0..13)
+        .filter_map(|probe| run_probe(probe, seed))
+        .map(|err| err.label())
+        .collect()
 }
 
 /// Runs one misuse probe and returns the error it produced.

@@ -17,7 +17,10 @@
 //! Equivalence is not assumed, it is checked: [`PreparedStack`] and
 //! every type under it (disk model, cache, filesystem trees, Duet,
 //! workload RNG streams) derive `PartialEq`, and the tests in this
-//! module pin fork ≡ fresh with `==`. End to end, the runner's tests
+//! module pin fork ≡ fresh with `==`; the few hand-written impls (the
+//! trace and fault handles, `Disk`) exist where representation is not
+//! state, and destructure their type exhaustively so a new field does
+//! not compile until it is named. End to end, the runner's tests
 //! run the golden presets on the stack [`prepare`] builds — never
 //! stored, never cloned — and demand the forked run's golden bytes.
 //!
@@ -34,7 +37,6 @@ use crate::config::ExperimentConfig;
 use crate::runner::build_disk;
 use duet::Duet;
 use sim_btrfs::BtrfsSim;
-use sim_core::snapshot::SnapshotStore;
 use sim_core::{SimError, SimResult, SimRng};
 use std::cell::RefCell;
 use workloads::{populate_fileset, Workload};
@@ -173,9 +175,52 @@ pub fn prepare(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
     Ok(PreparedStack { fs, duet, workload })
 }
 
+/// A bounded memo of pristine snapshots, FIFO-evicted. A hit hands out
+/// a clone (the fork); the pristine copy is never handed out mutably,
+/// so every fork starts from the same state.
+#[derive(Debug)]
+struct SnapshotStore<K, T> {
+    /// Insertion-ordered (oldest first) pristine snapshots.
+    entries: Vec<(K, T)>,
+    cap: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl<K: PartialEq, T: Clone> SnapshotStore<K, T> {
+    /// A store holding at most `cap` pristine snapshots (min 1).
+    fn with_capacity(cap: usize) -> Self {
+        SnapshotStore {
+            entries: Vec::new(),
+            cap: cap.max(1),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Returns a fork of the snapshot for `key`, building (and
+    /// memoizing) the pristine state with `build` on a miss. The
+    /// returned value is always a fresh, independent clone — mutating
+    /// it cannot affect later forks of the same key.
+    fn fork_or_build<E>(&mut self, key: K, build: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
+            self.hits += 1;
+            return Ok(self.entries[i].1.clone());
+        }
+        let pristine = build()?;
+        self.misses += 1;
+        if self.entries.len() >= self.cap {
+            self.entries.remove(0);
+        }
+        let fork = pristine.clone();
+        self.entries.push((key, pristine));
+        Ok(fork)
+    }
+}
+
 thread_local! {
-    /// One memo per sweep worker: the stack holds non-`Send` handles,
-    /// and per-thread stores need no locking.
+    /// One memo per sweep worker: the stack holds non-`Send` (`Rc`-based
+    /// trace and fault) handles, and per-thread stores need no locking.
     static STORE: RefCell<SnapshotStore<SetupKey, PreparedStack>> =
         RefCell::new(SnapshotStore::with_capacity(STORE_CAP));
 }
@@ -195,14 +240,14 @@ pub fn obtain(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
 pub fn warm_stats() -> (u64, u64) {
     STORE.with(|s| {
         let s = s.borrow();
-        (s.hits(), s.misses())
+        (s.hits, s.misses)
     })
 }
 
 /// Drops this thread's resident snapshots (for memory-sensitive
 /// callers and test isolation; counters are kept).
 pub fn clear_store() {
-    STORE.with(|s| s.borrow_mut().clear());
+    STORE.with(|s| s.borrow_mut().entries.clear());
 }
 
 #[cfg(test)]
@@ -226,6 +271,41 @@ mod tests {
             vec![TaskKind::Scrub],
             true,
         )
+    }
+
+    #[test]
+    fn store_forks_are_independent_of_the_pristine_state() {
+        let mut store: SnapshotStore<u32, Vec<u64>> = SnapshotStore::with_capacity(2);
+        let built: Result<Vec<u64>, ()> = store.fork_or_build(7, || Ok(vec![1, 2, 3]));
+        let mut fork = built.unwrap();
+        fork.push(99); // Mutating a fork...
+        let again: Vec<u64> = store.fork_or_build(7, || Err(())).unwrap();
+        assert_eq!(again, vec![1, 2, 3], "...must not taint later forks");
+        assert_eq!(store.hits, 1);
+        assert_eq!(store.misses, 1);
+    }
+
+    #[test]
+    fn store_evicts_fifo_at_capacity() {
+        let mut store: SnapshotStore<u32, u32> = SnapshotStore::with_capacity(2);
+        for k in 0..3u32 {
+            assert_eq!(store.fork_or_build(k, || Ok::<_, ()>(k * 10)), Ok(k * 10));
+        }
+        assert_eq!(store.entries.len(), 2);
+        // Key 0 was evicted: rebuilding it is a miss.
+        let rebuilt: u32 = store.fork_or_build(0, || Ok::<_, ()>(42)).unwrap();
+        assert_eq!(rebuilt, 42);
+        assert_eq!(store.misses, 4);
+        assert_eq!(store.hits, 0);
+    }
+
+    #[test]
+    fn build_errors_propagate_and_memoize_nothing() {
+        let mut store: SnapshotStore<u32, u32> = SnapshotStore::with_capacity(2);
+        let err: Result<u32, &str> = store.fork_or_build(1, || Err("boom"));
+        assert_eq!(err, Err("boom"));
+        assert!(store.entries.is_empty());
+        assert_eq!(store.misses, 0, "failed builds are not counted");
     }
 
     #[test]

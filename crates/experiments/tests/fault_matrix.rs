@@ -18,7 +18,8 @@
 use experiments::oracle::{
     check_pair, check_pair_with, exercise_error_vocabulary, Meddle, OracleTask,
 };
-use sim_core::fault::{seed_from_env, FaultPlan, FaultSite};
+use sim_core::fault::{FaultPlan, FaultSite};
+use sim_core::knobs::Knob;
 use sim_core::SimError;
 
 const DEFAULT_SEED: u64 = 0xD0E7_F457;
@@ -28,7 +29,10 @@ const DEFAULT_SEED: u64 = 0xD0E7_F457;
     reason = "test helper: a malformed DUET_FAULT_SEED fails the calling test"
 )]
 fn seed() -> u64 {
-    seed_from_env("DUET_FAULT_SEED", DEFAULT_SEED).unwrap_or_else(|e| panic!("{e}"))
+    Knob::FaultSeed
+        .read()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(DEFAULT_SEED)
 }
 
 /// The full grid: 5 tasks × 5 preset plans (1 quiet + 4 adversarial).
@@ -93,12 +97,10 @@ fn sabotaged_task_is_caught_with_replay_line() {
     }
 }
 
-/// A site's solo row: the rate it runs alone at, or `None` for
-/// `ApiChaos`, which sits on the API-misuse exerciser rather than the
-/// task path. No `_` arm: a new `FaultSite` does not compile until it has
-/// a row here.
-fn solo_ppm(site: FaultSite) -> Option<u32> {
-    Some(match site {
+/// A site's solo row: the rate it runs alone at. No `_` arm: a new
+/// `FaultSite` does not compile until it has a row here.
+fn solo_ppm(site: FaultSite) -> u32 {
+    match site {
         FaultSite::DiskTransientIo => 150_000,
         FaultSite::DiskLatencySpike => 250_000,
         // Latent corruption only triggers on write-path runs and
@@ -110,28 +112,20 @@ fn solo_ppm(site: FaultSite) -> Option<u32> {
         FaultSite::DuetSessionExhaustion => 1_000_000,
         FaultSite::DuetPathUnavailable => 500_000,
         FaultSite::DuetSessionChurn => 250_000,
-        FaultSite::ApiChaos => return None,
-    })
+    }
 }
 
 /// Solo rows: every fault site is exercised in isolation at an
 /// aggressive rate and must (a) actually fire and (b) keep Duet
 /// equivalent to baseline. The preset grid mixes sites, so a silently
 /// disconnected hook could hide behind a noisy plan; a solo plan
-/// cannot. `ApiChaos`'s row is that a full-rate chaos stream drives the
-/// exerciser (`error_vocabulary_is_complete` asserts its coverage).
+/// cannot.
 #[test]
 fn every_fault_site_fires_and_matches_in_isolation() {
     let seed = seed();
     let mut failures = Vec::new();
     for site in FaultSite::ALL {
-        let Some(ppm) = solo_ppm(site) else {
-            if exercise_error_vocabulary(seed).is_empty() {
-                failures.push(format!("[{site}] full-rate chaos observed no error"));
-            }
-            continue;
-        };
-        let plan = FaultPlan::quiet().with_ppm(site, ppm);
+        let plan = FaultPlan::quiet().with_ppm(site, solo_ppm(site));
         let mut fired = 0u64;
         for task in OracleTask::ALL {
             match check_pair(task, seed, &plan) {

@@ -226,7 +226,7 @@ impl ExtentCursor<'_> {
 mod tests {
     use super::*;
     use sim_core::check::{differential, DiffConfig};
-    use sim_core::fault::seed_from_env;
+    use sim_core::knobs::Knob;
     use sim_core::SimRng;
     use std::collections::BTreeMap;
 
@@ -478,7 +478,10 @@ mod tests {
     }
 
     fn diff_config(name: &'static str) -> DiffConfig {
-        let seed = seed_from_env("DUET_CHECK_SEED", 0xE77E_7AB1).unwrap_or_else(|e| panic!("{e}"));
+        let seed = Knob::CheckSeed
+            .read()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(0xE77E_7AB1);
         DiffConfig::new(name, seed)
     }
 

@@ -15,7 +15,7 @@
 use sim_btrfs::blocktable::CHUNK_BLOCKS;
 use sim_btrfs::{BackRef, BlockTable, Run};
 use sim_core::check::{differential, DiffConfig};
-use sim_core::fault::seed_from_env;
+use sim_core::knobs::Knob;
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimRng};
 use std::collections::BTreeSet;
 
@@ -264,7 +264,10 @@ fn replay(log: &[Op], stale_backrefs: bool) -> Result<(), String> {
 
 #[test]
 fn block_table_matches_the_flat_model() {
-    let seed = seed_from_env("DUET_CHECK_SEED", 0xB10C_7AB1).unwrap_or_else(|e| panic!("{e}"));
+    let seed = Knob::CheckSeed
+        .read()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(0xB10C_7AB1);
     let cfg = DiffConfig::new("run_ops_differential", seed).ops(400);
     differential(&cfg, gen_op, |log| replay(log, false)).unwrap();
 }

@@ -12,7 +12,7 @@
 
 use crate::{CacheStats, PageCache, PageEvent, PageKey, PageMeta};
 use sim_core::check::{differential, DiffConfig};
-use sim_core::fault::seed_from_env;
+use sim_core::knobs::Knob;
 use sim_core::{BlockNr, InodeNr, PageIndex, SimRng};
 
 #[derive(Debug, Clone, Copy)]
@@ -350,7 +350,10 @@ fn replay(log: &[Op], capacity: usize, sabotage: Sabotage) -> Result<(), String>
 }
 
 fn check_seed() -> u64 {
-    seed_from_env("DUET_CHECK_SEED", 0xCAC4_ED1F).unwrap_or_else(|e| panic!("{e}"))
+    Knob::CheckSeed
+        .read()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(0xCAC4_ED1F)
 }
 
 #[test]

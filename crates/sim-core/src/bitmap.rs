@@ -572,8 +572,10 @@ mod tests {
     }
 
     fn diff_config(name: &'static str) -> DiffConfig {
-        let seed = crate::fault::seed_from_env("DUET_CHECK_SEED", 0xB17_3A9)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let seed = crate::knobs::Knob::CheckSeed
+            .read()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(0xB17_3A9);
         DiffConfig::new(name, seed)
     }
 

@@ -48,16 +48,11 @@ pub enum FaultSite {
     /// A session is deregistered and re-registered mid-run, losing its
     /// queued events and progress bitmaps.
     DuetSessionChurn,
-    /// Drives the API-misuse exerciser that walks every `SimError` arm.
-    /// Not plan-driven: the exerciser fires it at full rate, and in a
-    /// grid preset it would make the matrix's fired-faults guard vacuous
-    /// (a test keeps it out of every preset and the other sites in one).
-    ApiChaos,
 }
 
 impl FaultSite {
     /// Every site, in a fixed order.
-    pub const ALL: [FaultSite; 9] = [
+    pub const ALL: [FaultSite; 8] = [
         FaultSite::DiskTransientIo,
         FaultSite::DiskLatencySpike,
         FaultSite::DiskLatentError,
@@ -66,7 +61,6 @@ impl FaultSite {
         FaultSite::DuetSessionExhaustion,
         FaultSite::DuetPathUnavailable,
         FaultSite::DuetSessionChurn,
-        FaultSite::ApiChaos,
     ];
 
     /// The stable textual name used in plan specs.
@@ -80,7 +74,6 @@ impl FaultSite {
             FaultSite::DuetSessionExhaustion => "duet-nosession",
             FaultSite::DuetPathUnavailable => "duet-nopath",
             FaultSite::DuetSessionChurn => "duet-churn",
-            FaultSite::ApiChaos => "api-chaos",
         }
     }
 
@@ -102,7 +95,6 @@ impl FaultSite {
             FaultSite::DuetSessionExhaustion => 0xa076_1d64_78bd_642f,
             FaultSite::DuetPathUnavailable => 0xe703_7ed1_a0b4_28db,
             FaultSite::DuetSessionChurn => 0x8ebc_6af0_9c88_c6e3,
-            FaultSite::ApiChaos => 0x5895_89e7_d470_3aeb,
         }
     }
 }
@@ -256,36 +248,6 @@ pub fn replay_line(seed: u64, plan: &FaultPlan) -> String {
     )
 }
 
-/// Reads a replay seed from the environment variable `var` (decimal or
-/// `0x`-prefixed hex); `default` when the variable is unset. The
-/// fault-matrix and differential suites honour `DUET_FAULT_SEED` /
-/// `DUET_CHECK_SEED` through this.
-///
-/// # Errors
-///
-/// A malformed value is an error naming the variable and the value,
-/// never the default: a mistyped replay seed must not "reproduce" a
-/// different run.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "D4: the one reader of DUET_FAULT_SEED/DUET_CHECK_SEED; a mistyped replay seed is an error"
-)]
-pub fn seed_from_env(var: &str, default: u64) -> Result<u64, String> {
-    match std::env::var(var) {
-        Ok(raw) => parse_seed(var, &raw),
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(format!("{var}={raw:?}: not valid UTF-8")),
-    }
-}
-
-fn parse_seed(var: &str, raw: &str) -> Result<u64, String> {
-    let parsed = match raw.strip_prefix("0x") {
-        Some(hex) => strict_u64(hex, 16),
-        None => strict_u64(raw, 10),
-    };
-    parsed.ok_or_else(|| format!("{var}={raw:?}: expected a decimal or 0x-prefixed hex u64 seed"))
-}
-
 /// What a [`FaultHandle`]'s clones share: the replay pair, one lazily
 /// created RNG stream per site, and the per-site tallies.
 #[derive(Debug)]
@@ -415,15 +377,15 @@ mod tests {
         assert_eq!(full.spec(), "disk-eio=1000000");
     }
 
-    /// Every plan-driven site is armed by some preset, so the preset grid
-    /// reaches its hook; `ApiChaos`, which the exerciser fires, by none.
+    /// Every site is armed by some preset, so the preset grid reaches
+    /// its hook.
     #[test]
-    fn presets_arm_every_site_but_api_chaos() {
+    fn every_site_is_armed_by_some_preset() {
         for site in FaultSite::ALL {
             let armed = FaultPlan::PRESETS
                 .iter()
                 .any(|name| FaultPlan::preset(name).unwrap().ppm(site) > 0);
-            assert_eq!(armed, site != FaultSite::ApiChaos, "{site}");
+            assert!(armed, "{site}");
         }
     }
 
@@ -483,22 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_env_parsing() {
-        // Unset is the one case that yields the default.
-        assert_eq!(seed_from_env("DUET_FAULT_SEED_UNSET_FOR_TEST", 42), Ok(42));
-        assert_eq!(parse_seed("DUET_FAULT_SEED", "12"), Ok(12));
-        assert_eq!(parse_seed("DUET_CHECK_SEED", "0xd1ffba5e"), Ok(0xD1FF_BA5E));
-        // A malformed seed used to fall back to the default silently.
-        for bad in ["0xZZ", "", "12 ", " 12", "0x", "-1", "+7", "0x+ff", "1e3"] {
-            let err = parse_seed("DUET_FAULT_SEED", bad).unwrap_err();
-            assert!(
-                err.contains("DUET_FAULT_SEED") && err.contains(&format!("{bad:?}")),
-                "{bad:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
     fn labels_round_trip() {
         for site in FaultSite::ALL {
             assert_eq!(FaultSite::from_label(site.label()), Some(site));
@@ -508,12 +454,12 @@ mod tests {
 
     #[test]
     fn handle_shares_one_injector() {
-        let plan = FaultPlan::quiet().with_ppm(FaultSite::ApiChaos, 1_000_000);
+        let plan = FaultPlan::quiet().with_ppm(FaultSite::DiskTransientIo, 1_000_000);
         let h = FaultHandle::new(1, plan);
         let h2 = h.clone();
-        assert!(h.fire(FaultSite::ApiChaos));
-        assert!(h2.fire(FaultSite::ApiChaos));
-        assert_eq!(h.fired(FaultSite::ApiChaos), 2);
-        assert_eq!(h2.trials(FaultSite::ApiChaos), 2);
+        assert!(h.fire(FaultSite::DiskTransientIo));
+        assert!(h2.fire(FaultSite::DiskTransientIo));
+        assert_eq!(h.fired(FaultSite::DiskTransientIo), 2);
+        assert_eq!(h2.trials(FaultSite::DiskTransientIo), 2);
     }
 }

@@ -1,13 +1,15 @@
-//! The three environment knobs a run reads — `DUET_SCALE`, `DUET_JOBS`,
-//! `DUET_TRACE` — behind one strict parser.
+//! The five environment knobs — `DUET_SCALE`, `DUET_JOBS`, `DUET_TRACE`
+//! and the replay seeds `DUET_FAULT_SEED` and `DUET_CHECK_SEED` —
+//! behind one strict parser.
 //!
 //! A malformed value is never ignored: `DUET_SCALE=abc` quietly running
-//! at the default scale or `DUET_TRACE=off` turning tracing *on*
-//! produces numbers for a configuration nobody asked for. Entry points call [`check_all`]
-//! before doing any work and exit with status 2 on an error; the
-//! readers go through the same parser ([`Knob::read`]), so code reached
-//! without that check (tests, library users) still gets an error
-//! instead of a fallback.
+//! at the default scale, `DUET_TRACE=off` turning tracing *on* or a
+//! mistyped replay seed "reproducing" the default seed's run produces
+//! numbers for a configuration nobody asked for. Entry points call
+//! [`check_all`] before doing any work and exit with status 2 on an
+//! error; the readers go through the same parser ([`Knob::read`]), so
+//! code reached without that check (tests, library users) still gets an
+//! error instead of a fallback.
 
 /// One environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,11 +21,22 @@ pub enum Knob {
     /// `DUET_TRACE`: `1` makes the sweep harnesses aggregate per-layer
     /// trace counters next to their CSVs, `0` (or unset) does not.
     Trace,
+    /// `DUET_FAULT_SEED`: the fault matrix's seed, decimal or `0x` hex.
+    FaultSeed,
+    /// `DUET_CHECK_SEED`: the differential suites' base seed, decimal
+    /// or `0x` hex.
+    CheckSeed,
 }
 
 impl Knob {
     /// Every knob, in the order [`check_all`] reports them.
-    pub const ALL: [Knob; 3] = [Knob::Scale, Knob::Jobs, Knob::Trace];
+    pub const ALL: [Knob; 5] = [
+        Knob::Scale,
+        Knob::Jobs,
+        Knob::Trace,
+        Knob::FaultSeed,
+        Knob::CheckSeed,
+    ];
 
     /// The environment variable's name.
     pub fn var(self) -> &'static str {
@@ -31,6 +44,8 @@ impl Knob {
             Knob::Scale => "DUET_SCALE",
             Knob::Jobs => "DUET_JOBS",
             Knob::Trace => "DUET_TRACE",
+            Knob::FaultSeed => "DUET_FAULT_SEED",
+            Knob::CheckSeed => "DUET_CHECK_SEED",
         }
     }
 
@@ -40,20 +55,29 @@ impl Knob {
         let Some(raw) = raw else {
             return Ok(None);
         };
-        let (accepted, wants) = match self {
-            Knob::Scale | Knob::Jobs => (1..=u64::MAX, "a positive integer"),
-            Knob::Trace => (0..=1, "0 (off) or 1 (on)"),
+        let (parsed, wants) = match self {
+            Knob::Scale | Knob::Jobs => (
+                strict_u64(raw, 10).filter(|&v| v >= 1),
+                "a positive integer",
+            ),
+            Knob::Trace => (strict_u64(raw, 10).filter(|&v| v <= 1), "0 (off) or 1 (on)"),
+            Knob::FaultSeed | Knob::CheckSeed => (
+                match raw.strip_prefix("0x") {
+                    Some(hex) => strict_u64(hex, 16),
+                    None => strict_u64(raw, 10),
+                },
+                "a decimal or 0x-prefixed hex u64 seed",
+            ),
         };
-        match strict_u64(raw, 10) {
-            Some(v) if accepted.contains(&v) => Ok(Some(v)),
-            _ => Err(format!("{}={raw:?}: expected {wants}", self.var())),
-        }
+        parsed
+            .map(Some)
+            .ok_or_else(|| format!("{}={raw:?}: expected {wants}", self.var()))
     }
 
     /// Reads and parses the variable from the process environment.
     #[expect(
         clippy::disallowed_methods,
-        reason = "D4: the one reader of DUET_SCALE/JOBS/TRACE; malformed values are errors, never defaults"
+        reason = "D4: the one reader of the DUET_* knobs; malformed values are errors, never defaults"
     )]
     pub fn read(self) -> Result<Option<u64>, String> {
         match std::env::var(self.var()) {
@@ -107,7 +131,7 @@ mod tests {
         );
         let err = Knob::Jobs.parse(Some("x")).unwrap_err();
         assert!(err.contains("DUET_JOBS") && err.contains("\"x\""), "{err}");
-        for knob in Knob::ALL {
+        for knob in [Knob::Scale, Knob::Jobs, Knob::Trace] {
             for bad in [
                 "",
                 " 1",
@@ -141,6 +165,28 @@ mod tests {
                 err.contains("DUET_TRACE") && err.contains(&format!("{bad:?}")),
                 "{err}"
             );
+        }
+    }
+
+    /// Either seed is a `u64` in decimal or `0x`-prefixed hex, and
+    /// nothing else: a malformed seed used to fall back to the default
+    /// silently.
+    #[test]
+    fn seed_knobs_take_decimal_or_hex() {
+        for knob in [Knob::FaultSeed, Knob::CheckSeed] {
+            assert_eq!(knob.parse(Some("0")), Ok(Some(0)));
+            assert_eq!(knob.parse(Some("12")), Ok(Some(12)));
+            assert_eq!(knob.parse(Some("0xd1ffba5e")), Ok(Some(0xD1FF_BA5E)));
+            assert_eq!(knob.parse(Some("0xFFFFFFFFFFFFFFFF")), Ok(Some(u64::MAX)));
+            for bad in [
+                "0xZZ", "", "12 ", " 12", "0x", "0X10", "-1", "+7", "0x+ff", "1e3", "0x1_0",
+            ] {
+                let err = knob.parse(Some(bad)).unwrap_err();
+                assert!(
+                    err.contains(knob.var()) && err.contains(&format!("{bad:?}")),
+                    "{bad:?}: {err}"
+                );
+            }
         }
     }
 }

@@ -38,12 +38,9 @@
 //! - [`pagetable`]: the per-file page table ([`pagetable::PageTable`],
 //!   `(inode, page index)` → `u32` handle in per-file 64-slot chunks)
 //!   that the page cache and Duet's descriptor table are both built on.
-//! - [`snapshot`]: the snapshot/fork warm-start plane — a bounded
-//!   memo of pristine simulated-stack states
-//!   ([`snapshot::SnapshotStore`]); fork ≡ fresh is checked with the
-//!   `==` every type of the forked stack derives.
-//! - [`knobs`]: the strict parser behind the `DUET_SCALE`, `DUET_JOBS`
-//!   and `DUET_TRACE` environment knobs.
+//! - [`knobs`]: the strict parser behind all five environment knobs:
+//!   `DUET_SCALE`, `DUET_JOBS`, `DUET_TRACE` and the two replay seeds
+//!   `DUET_FAULT_SEED` and `DUET_CHECK_SEED`.
 //!
 //! State keyed by a small dense id is a `Vec` indexed by it; ordered
 //! or name-keyed state is a sorted `Vec` when per-file small (the Btrfs
@@ -62,7 +59,6 @@ pub mod knobs;
 pub mod pagetable;
 pub mod rng;
 pub mod slab;
-pub mod snapshot;
 pub mod stats;
 pub mod trace;
 

@@ -445,8 +445,10 @@ mod tests {
     }
 
     fn diff_config(name: &'static str) -> DiffConfig {
-        let seed = crate::fault::seed_from_env("DUET_CHECK_SEED", 0x9A6E_7AB1)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let seed = crate::knobs::Knob::CheckSeed
+            .read()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(0x9A6E_7AB1);
         DiffConfig::new(name, seed)
     }
 

@@ -88,6 +88,9 @@ pub struct F2fsSim {
     /// Log head: segment and next offset within it.
     head_seg: SegmentNr,
     head_off: u64,
+    /// Whether the head segment was taken by SSR rather than from the
+    /// free pool: every block allocated in it is an SSR write.
+    head_ssr: bool,
     /// Logical write counter (drives segment mtime/age).
     write_clock: u64,
     free_segs: u32,
@@ -126,6 +129,7 @@ impl F2fsSim {
             next_ino: 1,
             head_seg: SegmentNr(0),
             head_off: 0,
+            head_ssr: false,
             write_clock: 0,
             free_segs: nsegs,
             ssr_threshold: 4,
@@ -368,59 +372,45 @@ impl F2fsSim {
 
     /// Allocates the next log block, switching to a new free segment (or
     /// an SSR slot) as needed. Returns the block and whether it was an
-    /// SSR (random, non-append) allocation.
+    /// SSR (random, non-append) allocation: every block of a segment
+    /// taken by SSR is one, not just the first.
     fn log_alloc(&mut self) -> SimResult<(BlockNr, bool)> {
-        if self.head_off < self.seg_blocks {
-            let b = segment_start(self.head_seg, self.seg_blocks).offset(self.head_off);
-            // Skip still-valid blocks when the head segment was obtained
-            // through SSR (partially valid).
-            if !self.valid[b.raw() as usize] {
+        loop {
+            let start = segment_start(self.head_seg, self.seg_blocks);
+            while self.head_off < self.seg_blocks {
+                let b = start.offset(self.head_off);
                 self.head_off += 1;
-                return Ok((b, false));
+                // Skip still-valid blocks when the head segment was
+                // obtained through SSR (partially valid).
+                if !self.valid[b.raw() as usize] {
+                    return Ok((b, self.head_ssr));
+                }
             }
-            self.head_off += 1;
-            return self.log_alloc();
-        }
-        // Segment exhausted.
-        self.segs[self.head_seg.raw() as usize].state = SegState::Full;
-        // Prefer a free segment.
-        if let Some(free) = self.segs.iter().position(|s| s.state == SegState::Free) {
-            self.head_seg = SegmentNr(free as u32);
+            // Segment exhausted.
+            self.segs[self.head_seg.raw() as usize].state = SegState::Full;
+            // Prefer a free segment; else SSR: reuse the invalid slots of
+            // the fullest-but-not-full segment.
+            let (seg, ssr) = match self.segs.iter().position(|s| s.state == SegState::Free) {
+                Some(free) => {
+                    self.free_segs -= 1;
+                    (free, false)
+                }
+                None => self
+                    .segs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| {
+                        s.state == SegState::Full && (s.valid as u64) < self.seg_blocks
+                    })
+                    .min_by_key(|(_, s)| s.valid)
+                    .map(|(i, _)| (i, true))
+                    .ok_or(SimError::NoSpace)?,
+            };
+            self.segs[seg].state = SegState::Open;
+            self.head_seg = SegmentNr(seg as u32);
             self.head_off = 0;
-            self.segs[free].state = SegState::Open;
-            self.free_segs -= 1;
-            return self.log_alloc();
+            self.head_ssr = ssr;
         }
-        // SSR: reuse invalid slots of the fullest-but-not-full segment.
-        if let Some(victim) = self
-            .segs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == SegState::Full && (s.valid as u64) < self.seg_blocks)
-            .min_by_key(|(_, s)| s.valid)
-            .map(|(i, _)| i)
-        {
-            self.segs[victim].state = SegState::Open;
-            self.head_seg = SegmentNr(victim as u32);
-            self.head_off = 0;
-            // Find the first invalid slot from here.
-            return self.log_alloc_ssr();
-        }
-        Err(SimError::NoSpace)
-    }
-
-    fn log_alloc_ssr(&mut self) -> SimResult<(BlockNr, bool)> {
-        let start = segment_start(self.head_seg, self.seg_blocks).raw();
-        while self.head_off < self.seg_blocks {
-            let b = BlockNr(start + self.head_off);
-            self.head_off += 1;
-            if !self.valid[b.raw() as usize] {
-                return Ok((b, true));
-            }
-        }
-        // Exhausted this SSR segment; recurse to pick another.
-        self.segs[self.head_seg.raw() as usize].state = SegState::Full;
-        self.log_alloc()
     }
 
     /// Points page `idx` of `ino` at `block`, growing the map as needed,
@@ -950,6 +940,43 @@ mod tests {
             total_valid, 12,
             "every live page has exactly one valid block"
         );
+    }
+
+    /// `f2fs.ssr` counts SSR writes, not SSR segments: every block
+    /// flushed into a segment that was already sealed (full) when the
+    /// flush began is one. It used to tick only for the first block of
+    /// each segment SSR took.
+    #[test]
+    fn every_block_written_into_an_ssr_segment_is_counted() {
+        // 4 segments of 8 blocks; 28 pages leave 4 free slots in the
+        // head segment and no free segment.
+        let mut fs = make_fs(4, 8, 64);
+        let ino = fs.populate_file("a", pb(28)).unwrap();
+        assert_eq!(fs.free_segments(), 0);
+        let trace = TraceHandle::with_default_capacity();
+        fs.set_trace(Some(trace.clone()));
+        // Overwrite segment 0's pages: half fill the head segment, the
+        // rest go to segment 0's freshly invalidated slots by SSR.
+        fs.write(ino, 0, pb(8), NORMAL, T0).unwrap();
+        let sealed: Vec<bool> = (0..fs.nsegs())
+            .map(|s| fs.segment(SegmentNr(s)).state == SegState::Full)
+            .collect();
+        fs.background_writeback(64, NORMAL, T0).unwrap();
+        let into_sealed = (0..8)
+            .filter_map(|p| fs.mapping_of(ino, PageIndex(p)))
+            .filter(|&b| sealed[fs.segment_of_block(b).raw() as usize])
+            .count() as u64;
+        assert_eq!(into_sealed, 4, "the head took 4 pages, SSR the rest");
+        let count = |key: &str| {
+            let counters = trace.counters();
+            counters
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(0, |&(_, n)| n)
+        };
+        assert_eq!(count("f2fs.log_append"), 8);
+        assert_eq!(count("f2fs.ssr"), into_sealed);
+        fs.check_consistency().unwrap();
     }
 
     #[test]
