@@ -814,8 +814,11 @@ impl BtrfsSim {
     /// - no two live extents claim the same block;
     /// - every live block's back-reference names the page that maps it,
     ///   and a block the live tree does not map has none;
-    /// - the allocator's allocated-block count equals the number of
-    ///   referenced blocks;
+    /// - free and referenced blocks split the device: every referenced
+    ///   block lies outside the free map and every unreferenced block
+    ///   inside it;
+    /// - the allocator's own invariants hold (coalesced ranges, the
+    ///   free count, the region-max tree);
     /// - every cached page's block mapping agrees with the extent tree.
     ///
     /// Intended for tests and debugging; cost is O(data).
@@ -877,13 +880,23 @@ impl BtrfsSim {
                 return fail(format!("block {b}: refcount {got}, no extent claims it"));
             }
         }
-        let referenced = expect.len() as u64;
-        if referenced != self.alloc.allocated_blocks() {
-            return fail(format!(
-                "allocator says {} blocks allocated, {} are referenced",
-                self.alloc.allocated_blocks(),
-                referenced
-            ));
+        if let Err(why) = self.alloc.check_invariants() {
+            return fail(why);
+        }
+        // Both walks ascend: a referenced block below the next allocated
+        // one is free, an allocated block with no referenced one at or
+        // below it is leaked.
+        let mut referenced = expect.keys().copied().peekable();
+        let allocated = self.alloc.allocated_ranges();
+        for b in allocated.iter().flat_map(|r| r.blocks()) {
+            match referenced.next_if(|&r| r <= b) {
+                Some(r) if r == b => {}
+                Some(r) => return fail(format!("block {r} is referenced but free")),
+                None => return fail(format!("block {b} is allocated, nothing references it")),
+            }
+        }
+        if let Some(r) = referenced.next() {
+            return fail(format!("block {r} is referenced but free"));
         }
         // Cached pages must agree with the extent tree (pages of deleted
         // files must not linger).
@@ -911,6 +924,17 @@ impl BtrfsSim {
     #[cfg(test)]
     pub(crate) fn corrupt_refcount_for_test(&mut self, b: BlockNr) {
         self.blocks.ref_inc(b).expect("in range");
+    }
+
+    /// Test-only: return live block `b` to the free map and take a free
+    /// block elsewhere in its place, keeping the allocated count. Both
+    /// neighbours of `b` must be allocated.
+    #[cfg(test)]
+    pub(crate) fn swap_free_block_for_test(&mut self, b: BlockNr) -> BlockNr {
+        self.alloc.free_range(b, 1);
+        let taken = self.alloc.alloc(2).expect("space");
+        self.alloc.free_range(taken.start.offset(1), 1);
+        taken.start
     }
 
     /// Test-only: leave a live back-reference on a block, whatever maps

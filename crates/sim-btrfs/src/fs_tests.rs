@@ -507,6 +507,23 @@ fn fsck_catches_a_reference_on_a_free_block() {
     assert!(err.to_string().contains("no extent claims it"), "{err}");
 }
 
+/// A live block on the free map and a leaked block elsewhere keep the
+/// allocated count, so only the block-by-block split catches them.
+#[test]
+fn fsck_catches_a_live_block_on_the_free_map() {
+    let mut fs = make_fs(1024, 64);
+    let ino = fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
+    let live = fs.fibmap(ino, PageIndex(1)).unwrap().unwrap();
+    fs.check_consistency().unwrap();
+    let allocated = fs.allocated_blocks();
+    let leaked = fs.swap_free_block_for_test(live);
+    assert_ne!(leaked, live);
+    assert_eq!(fs.allocated_blocks(), allocated);
+    let err = fs.check_consistency().unwrap_err();
+    let want = format!("block {live} is referenced but free");
+    assert!(err.to_string().contains(&want), "{err}");
+}
+
 /// A block the snapshot keeps after an overwrite must have lost its
 /// live back-reference.
 #[test]
