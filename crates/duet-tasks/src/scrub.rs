@@ -28,10 +28,11 @@ pub struct Scrubber {
     mode: TaskMode,
     class: IoClass,
     hints: HintSession,
-    /// Allocated ranges at start, in physical order (the scan plan).
-    plan: Vec<Run>,
-    range_idx: usize,
-    off_in_range: u64,
+    /// Blocks allocated at start: the scan plan, scanned in physical
+    /// order.
+    plan: SparseBitmap,
+    /// Next planned block the scan examines, or `None` when done.
+    frontier: Option<BlockNr>,
     /// Blocks verified (by the scan or opportunistically).
     verified: SparseBitmap,
     total: u64,
@@ -54,9 +55,8 @@ impl Scrubber {
             mode,
             class: IoClass::Idle,
             hints: HintSession::default(),
-            plan: Vec::new(),
-            range_idx: 0,
-            off_in_range: 0,
+            plan: SparseBitmap::new(),
+            frontier: None,
             verified: SparseBitmap::new(),
             total: 0,
             own_read: 0,
@@ -80,36 +80,28 @@ impl Scrubber {
         self.skip_repair = true;
     }
 
-    /// Absolute block at the scan frontier, or `None` when done.
-    fn frontier(&self) -> Option<BlockNr> {
-        self.plan
-            .get(self.range_idx)
-            .map(|r| r.start.offset(self.off_in_range))
+    /// Makes `runs` — disjoint and ascending, as the allocator lists
+    /// them — the scan plan, with the frontier at its first block.
+    fn set_plan(&mut self, runs: &[Run]) {
+        self.plan.clear_all();
+        for r in runs {
+            self.plan.set_range(r.start.raw(), r.start.raw() + r.len);
+        }
+        self.total = self.plan.count();
+        self.frontier = self.plan.next_set(0).map(BlockNr);
     }
 
-    /// Whether the sequential scan has already passed this block.
-    /// Binary search over the (physically sorted) plan: this runs once
-    /// per `Dirtied` notification.
+    /// Moves the frontier past `b`, to the next planned block.
+    fn advance_past(&mut self, b: BlockNr) {
+        self.frontier = self.plan.next_set(b.raw() + 1).map(BlockNr);
+    }
+
+    /// Whether the sequential scan has already passed this planned
+    /// block: the scan visits planned blocks in ascending order, so
+    /// exactly those below the frontier. Runs once per `Dirtied`
+    /// notification.
     fn passed(&self, b: BlockNr) -> bool {
-        // First run starting strictly after b, minus one = the run that
-        // could contain b.
-        let i = self.plan.partition_point(|r| r.start.raw() <= b.raw());
-        if i == 0 {
-            // Before the first run: treated as passed only if the scan
-            // is past the beginning (gaps are never scanned).
-            return self.range_idx > 0 || self.off_in_range > 0;
-        }
-        let idx = i - 1;
-        let r = &self.plan[idx];
-        if b.raw() < r.start.raw() + r.len {
-            // Inside run `idx`.
-            idx < self.range_idx
-                || (idx == self.range_idx && b.raw() - r.start.raw() < self.off_in_range)
-        } else {
-            // In the gap after run `idx`: passed once the scan moved
-            // beyond that run.
-            idx < self.range_idx
-        }
+        self.frontier.is_none_or(|f| b < f)
     }
 
     /// Whether a block belongs to the scan plan. Blocks allocated after
@@ -117,12 +109,7 @@ impl Scrubber {
     /// are outside the plan: verifying them is not planned work, so
     /// they must not count as savings.
     fn in_plan(&self, b: BlockNr) -> bool {
-        let i = self.plan.partition_point(|r| r.start.raw() <= b.raw());
-        if i == 0 {
-            return false;
-        }
-        let r = &self.plan[i - 1];
-        b.raw() < r.start.raw() + r.len
+        self.plan.test(b.raw())
     }
 
     fn drain_events(&mut self, ctx: &mut BtrfsCtx<'_>) -> SimResult<()> {
@@ -172,8 +159,7 @@ impl BtrfsTask for Scrubber {
     }
 
     fn start(&mut self, ctx: BtrfsCtx<'_>) -> SimResult<()> {
-        self.plan = ctx.fs.allocated_ranges();
-        self.total = self.plan.iter().map(|r| r.len).sum();
+        self.set_plan(&ctx.fs.allocated_ranges());
         let scope = TaskScope::Block {
             device: ctx.fs.device(),
         };
@@ -195,18 +181,14 @@ impl BtrfsTask for Scrubber {
         // Collect the blocks in this chunk that still need verification.
         let mut to_scrub: Vec<BlockNr> = Vec::new();
         while examined < CHUNK_BLOCKS {
-            let Some(b) = self.frontier() else {
+            let Some(b) = self.frontier else {
                 break;
             };
             if !self.verified.test(b.raw()) {
                 to_scrub.push(b);
             }
             examined += 1;
-            self.off_in_range += 1;
-            if self.off_in_range >= self.plan[self.range_idx].len {
-                self.range_idx += 1;
-                self.off_in_range = 0;
-            }
+            self.advance_past(b);
         }
         // Verify (and repair) every block of the chunk first: the
         // scrubber owns the checksum-failure path, whereas an ordinary
@@ -277,7 +259,7 @@ impl BtrfsTask for Scrubber {
         if let (Some(t), Some(id)) = (ctx.fs.trace(), span) {
             t.ctx_end(id, finish);
         }
-        let complete = self.frontier().is_none();
+        let complete = self.frontier.is_none();
         Ok(StepResult { finish, complete })
     }
 
@@ -449,5 +431,196 @@ mod tests {
         // should issue a single coalesced read.
         let reqs = fs.disk().metrics().idle.read_ops;
         assert!(reqs <= 2, "expected coalesced reads, got {reqs} requests");
+    }
+
+    /// The scan plan — a bitmap of planned blocks and a frontier block —
+    /// against the run list and binary searches it replaced: random
+    /// disjoint ascending plans whose runs straddle word and bitmap
+    /// chunk boundaries, frontier advances, and probes. After every op
+    /// the frontier, `in_plan` and, on planned blocks, `passed` must
+    /// agree at every run edge, around the frontier and at the probe.
+    mod plan {
+        use super::*;
+        use sim_core::check::{differential, DiffConfig};
+        use sim_core::knobs::Knob;
+        use sim_core::SimRng;
+
+        /// Bits per `SparseBitmap` chunk, so plans cross its chunks.
+        const BITMAP_CHUNK: u64 = 32 * 1024;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// Start a scrub over these runs.
+            Plan(Vec<Run>),
+            /// The scan examines this many more blocks.
+            Advance(u64),
+            /// Ask about one block.
+            Probe(u64),
+        }
+
+        fn gen_op(rng: &mut SimRng, i: u64) -> Op {
+            match (i, rng.gen_range(0, 16)) {
+                (0, _) | (_, 0) => {
+                    let mut at = match rng.gen_range(0, 3) {
+                        0 => 0,
+                        1 => rng.gen_range(0, 200),
+                        _ => BITMAP_CHUNK - rng.gen_range(1, 300),
+                    };
+                    let runs = (0..rng.gen_range(0, 10)).map(|_| {
+                        at += match rng.gen_range(0, 8) {
+                            0 => BITMAP_CHUNK,
+                            _ => rng.gen_range(1, 70),
+                        };
+                        let run = Run {
+                            start: BlockNr(at),
+                            len: rng.gen_range(1, 140),
+                        };
+                        at += run.len;
+                        run
+                    });
+                    Op::Plan(runs.collect())
+                }
+                (_, 1..=9) => Op::Advance(rng.gen_range(1, 80)),
+                _ => Op::Probe(rng.gen_range(0, 3 * BITMAP_CHUNK)),
+            }
+        }
+
+        /// The run list and the binary searches the bitmap replaced.
+        #[derive(Default)]
+        struct Runs {
+            plan: Vec<Run>,
+            range_idx: usize,
+            off_in_range: u64,
+            /// The sabotage: a run's membership reaches one block past
+            /// its end.
+            past_end: bool,
+        }
+
+        impl Runs {
+            fn frontier(&self) -> Option<BlockNr> {
+                self.plan
+                    .get(self.range_idx)
+                    .map(|r| r.start.offset(self.off_in_range))
+            }
+
+            fn advance(&mut self) {
+                self.off_in_range += 1;
+                if self.off_in_range >= self.plan[self.range_idx].len {
+                    self.range_idx += 1;
+                    self.off_in_range = 0;
+                }
+            }
+
+            fn passed(&self, b: BlockNr) -> bool {
+                let i = self.plan.partition_point(|r| r.start.raw() <= b.raw());
+                if i == 0 {
+                    return self.range_idx > 0 || self.off_in_range > 0;
+                }
+                let idx = i - 1;
+                let r = &self.plan[idx];
+                if b.raw() < r.start.raw() + r.len {
+                    idx < self.range_idx
+                        || (idx == self.range_idx && b.raw() - r.start.raw() < self.off_in_range)
+                } else {
+                    idx < self.range_idx
+                }
+            }
+
+            fn in_plan(&self, b: BlockNr) -> bool {
+                let i = self.plan.partition_point(|r| r.start.raw() <= b.raw());
+                if i == 0 {
+                    return false;
+                }
+                let r = &self.plan[i - 1];
+                let end = r.start.raw() + r.len + u64::from(self.past_end);
+                b.raw() < end
+            }
+        }
+
+        /// The first block of `probes` where the two disagree.
+        fn diverged(
+            task: &Scrubber,
+            model: &Runs,
+            probes: impl Iterator<Item = u64>,
+        ) -> Option<String> {
+            if task.frontier != model.frontier() {
+                let want = model.frontier();
+                return Some(format!("frontier {:?} vs {want:?}", task.frontier));
+            }
+            probes.map(BlockNr).find_map(|b| {
+                let got = (task.in_plan(b), task.in_plan(b) && task.passed(b));
+                let want = (model.in_plan(b), model.in_plan(b) && model.passed(b));
+                (got != want).then(|| format!("{b}: (in_plan, passed) {got:?} vs {want:?}"))
+            })
+        }
+
+        fn replay(log: &[Op], past_end: bool) -> Result<(), String> {
+            let mut task = Scrubber::new(TaskMode::Duet);
+            let mut model = Runs {
+                past_end,
+                ..Runs::default()
+            };
+            for (i, op) in log.iter().enumerate() {
+                let mut probe = None;
+                match op {
+                    Op::Plan(runs) => {
+                        task.set_plan(runs);
+                        model = Runs {
+                            plan: runs.clone(),
+                            past_end,
+                            ..Runs::default()
+                        };
+                        let total: u64 = runs.iter().map(|r| r.len).sum();
+                        if task.total != total {
+                            return Err(format!("op {i}: total {} vs {total}", task.total));
+                        }
+                    }
+                    &Op::Advance(n) => {
+                        for _ in 0..n {
+                            let (Some(b), Some(_)) = (task.frontier, model.frontier()) else {
+                                break;
+                            };
+                            task.advance_past(b);
+                            model.advance();
+                        }
+                    }
+                    &Op::Probe(b) => probe = Some(b),
+                }
+                let edges = model.plan.iter().flat_map(|r| {
+                    let (start, end) = (r.start.raw(), r.start.raw() + r.len);
+                    [start.saturating_sub(1), start, end - 1, end]
+                });
+                let near = model
+                    .frontier()
+                    .map(|f| f.raw().saturating_sub(1)..f.raw() + 2);
+                let probes = edges.chain(near.into_iter().flatten()).chain(probe);
+                if let Some(what) = diverged(&task, &model, probes) {
+                    return Err(format!("op {i} {op:?}: plans diverged at {what}"));
+                }
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn the_bitmap_plan_matches_the_run_list() {
+            let seed = Knob::CheckSeed
+                .read()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(0x5C2B_F207);
+            let cfg = DiffConfig::new("scrub_plan_differential", seed).ops(200);
+            differential(&cfg, gen_op, |log| replay(log, false)).unwrap();
+        }
+
+        /// The harness can fail: a run list whose runs reach one block
+        /// past their end is caught, and the log shrinks to the plan.
+        #[test]
+        fn a_plan_one_past_its_run_ends_is_caught() {
+            let cfg = DiffConfig::new("scrub_plan_past_run_end", 0x0FF1)
+                .cases(4)
+                .ops(200);
+            let failure = differential(&cfg, gen_op, |log| replay(log, true)).unwrap_err();
+            assert_eq!(failure.ops.len(), 1, "{failure}");
+            assert!(failure.message.contains("in_plan"), "{failure}");
+        }
     }
 }

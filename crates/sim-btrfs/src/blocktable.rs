@@ -26,13 +26,21 @@
 //! pointers, not blocks. The first write into a chunk that another table
 //! (or another slot of this one) still holds copies that chunk
 //! (`Rc::make_mut`), and only in the column written: a snapshot's
-//! reference copies 16 KiB of counts and leaves the chunk's
-//! back-references (64 KiB) and checksum bits (512 B) shared, where a
+//! reference copies 8 KiB of counts and leaves the chunk's
+//! back-references (32 KiB) and checksum bits (512 B) shared, where a
 //! COW write copies all three. So a fork stays independent of its
 //! pristine and of every other fork, and a table costs memory per chunk
 //! written, not per block of the device. The run operations resolve
 //! their chunks once per chunk-sized segment of the run, not once per
 //! block.
+//!
+//! A block costs 10⅛ B: a `u16` reference count, and a back-reference
+//! packed into one `u64`, the inode in the high 32 bits and the page
+//! in the low 32. So a back-reference names an inode below 2³² − 1 (the
+//! all-ones word means "none") and a page below 2³², and a block has at
+//! most 65 535 referents. A value that does not fit is an
+//! `InvalidArgument`, returned before anything is written; a count
+//! never wraps.
 
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult};
 use sim_disk::{coalesce, Run};
@@ -49,11 +57,38 @@ pub struct BackRef {
     pub index: PageIndex,
 }
 
-/// The back-reference of a block the live tree does not reference.
-const NO_BACKREF: BackRef = BackRef {
-    ino: InodeNr(u64::MAX),
-    index: PageIndex(0),
-};
+/// The packed back-reference of a block the live tree does not
+/// reference. No inode packs to it: inode numbers stop below
+/// `u32::MAX`.
+const NO_BACKREF: u64 = u64::MAX;
+
+/// Most referents a block can have: the count is a `u16`.
+const MAX_REFS: u16 = u16::MAX;
+
+/// Packs `ino`'s page `page` into one word, if both fit.
+fn pack(ino: InodeNr, page: u64) -> SimResult<u64> {
+    if ino.raw() >= u64::from(u32::MAX) {
+        return Err(SimError::InvalidArgument(format!(
+            "{ino}: a back-reference holds inode numbers below {}",
+            u32::MAX
+        )));
+    }
+    if page > u64::from(u32::MAX) {
+        return Err(SimError::InvalidArgument(format!(
+            "{ino} page {page}: a back-reference holds pages up to {}",
+            u32::MAX
+        )));
+    }
+    Ok((ino.raw() << 32) | page)
+}
+
+/// The back-reference a word other than `NO_BACKREF` packs.
+fn unpack(packed: u64) -> BackRef {
+    BackRef {
+        ino: InodeNr(packed >> 32),
+        index: PageIndex(packed & u64::from(u32::MAX)),
+    }
+}
 
 const CHUNK_SHIFT: u32 = 12;
 const CHUNK_LEN: usize = 1 << CHUNK_SHIFT;
@@ -62,6 +97,16 @@ const SLOT_MASK: usize = CHUNK_LEN - 1;
 /// Blocks per chunk: the unit a fork shares and a first write copies.
 /// Chosen by measurement (EXPERIMENTS.md "Host cost"); not a knob.
 pub const CHUNK_BLOCKS: u64 = CHUNK_LEN as u64;
+
+/// A chunk of reference counts.
+type Counts = [u16; CHUNK_LEN];
+/// A chunk of packed back-references.
+type Backrefs = [u64; CHUNK_LEN];
+
+/// Bytes a first write copies from the reference-count column.
+pub const REFCOUNT_CHUNK_BYTES: usize = std::mem::size_of::<Counts>();
+/// Bytes a first write copies from the back-reference column.
+pub const BACKREF_CHUNK_BYTES: usize = std::mem::size_of::<Backrefs>();
 
 /// One bit per block of a chunk.
 type Bits = [u64; CHUNK_LEN / 64];
@@ -111,10 +156,10 @@ impl<C: Clone> Column<C> {
 pub struct BlockTable {
     capacity: u64,
     /// Number of referents (live tree + snapshots) of each block.
-    refcount: Column<[u32; CHUNK_LEN]>,
-    /// Live back-reference of each block; `NO_BACKREF` if the live tree
-    /// does not reference it.
-    backref: Column<[BackRef; CHUNK_LEN]>,
+    refcount: Column<Counts>,
+    /// Live back-reference of each block, packed; `NO_BACKREF` if the
+    /// live tree does not reference it.
+    backref: Column<Backrefs>,
     /// Whether each block's stored checksum is good: a write or a
     /// repair sets the bit, and nothing clears it.
     checksum_ok: Column<Bits>,
@@ -140,6 +185,11 @@ fn segments(range: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> 
 /// Block `s` of chunk `c`.
 fn block(c: usize, s: usize) -> BlockNr {
     BlockNr(((c << CHUNK_SHIFT) + s) as u64)
+}
+
+/// The error for a count that is already at `MAX_REFS`.
+fn too_many_refs(b: BlockNr) -> SimError {
+    SimError::InvalidArgument(format!("{b}: more than {MAX_REFS} references"))
 }
 
 impl BlockTable {
@@ -185,24 +235,40 @@ impl BlockTable {
         Ok((i >> CHUNK_SHIFT, i & SLOT_MASK))
     }
 
+    /// The first block of `range` whose count cannot take one more
+    /// reference, as an error.
+    fn check_headroom(&self, range: Range<usize>) -> SimResult<()> {
+        for (c, slots) in segments(range) {
+            let counts = &self.refcount.chunks[c][slots.clone()];
+            if let Some(i) = counts.iter().position(|&n| n == MAX_REFS) {
+                return Err(too_many_refs(block(c, slots.start + i)));
+            }
+        }
+        Ok(())
+    }
+
     /// Stamps a freshly allocated run backing pages `first_page..` of
     /// live file `ino`: every block is written, gains one reference and
-    /// points back at its page.
+    /// points back at its page. A page or inode a back-reference cannot
+    /// hold, or a block already at the most referents, fails the whole
+    /// run before any block changes.
     pub fn stamp_run(&mut self, run: Run, ino: InodeNr, first_page: u64) -> SimResult<()> {
         let range = self.check_run(run)?;
-        let mut page = first_page;
+        let Some(last) = run.len.checked_sub(1) else {
+            return Ok(());
+        };
+        pack(ino, first_page.saturating_add(last))?;
+        let mut packed = pack(ino, first_page)?;
+        self.check_headroom(range.clone())?;
         for (c, slots) in segments(range.clone()) {
             let refcount = self.refcount.chunk_mut(c);
             let backref = self.backref.chunk_mut(c);
             let checksum_ok = self.checksum_ok.chunk_mut(c);
             for s in slots {
                 refcount[s] += 1;
-                backref[s] = BackRef {
-                    ino,
-                    index: PageIndex(page),
-                };
+                backref[s] = packed;
                 set_bit(checksum_ok, s);
-                page += 1;
+                packed += 1;
             }
         }
         // The rewrite replaces any corrupted content.
@@ -215,9 +281,12 @@ impl BlockTable {
     }
 
     /// Adds one reference to every block of a run (a snapshot starts
-    /// sharing it).
+    /// sharing it), or to none if some block is already at the most
+    /// referents.
     pub fn ref_run(&mut self, run: Run) -> SimResult<()> {
-        for (c, slots) in segments(self.check_run(run)?) {
+        let range = self.check_run(run)?;
+        self.check_headroom(range.clone())?;
+        for (c, slots) in segments(range) {
             for n in &mut self.refcount.chunk_mut(c)[slots] {
                 *n += 1;
             }
@@ -287,10 +356,14 @@ impl BlockTable {
         self.corrupted.len()
     }
 
-    /// Increments a block's reference count.
+    /// Increments a block's reference count, unless it is already at
+    /// the most referents.
     pub fn ref_inc(&mut self, b: BlockNr) -> SimResult<()> {
         let (c, s) = self.slot(b)?;
-        self.refcount.chunk_mut(c)[s] += 1;
+        let n = self.refcount.chunks[c][s]
+            .checked_add(1)
+            .ok_or_else(|| too_many_refs(b))?;
+        self.refcount.chunk_mut(c)[s] = n;
         Ok(())
     }
 
@@ -312,27 +385,29 @@ impl BlockTable {
     /// Current reference count.
     pub fn refcount_of(&self, b: BlockNr) -> SimResult<u32> {
         let (c, s) = self.slot(b)?;
-        Ok(self.refcount.chunks[c][s])
+        Ok(u32::from(self.refcount.chunks[c][s]))
     }
 
-    /// Sets the live back-reference for a block.
+    /// Sets the live back-reference for a block, if it can hold it.
     pub fn set_backref(&mut self, b: BlockNr, br: BackRef) -> SimResult<()> {
         let (c, s) = self.slot(b)?;
-        self.backref.chunk_mut(c)[s] = br;
+        self.backref.chunk_mut(c)[s] = pack(br.ino, br.index.raw())?;
         Ok(())
     }
 
     /// Clears the live back-reference (the live tree no longer points at
     /// this block; a snapshot still might).
     pub fn clear_backref(&mut self, b: BlockNr) -> SimResult<()> {
-        self.set_backref(b, NO_BACKREF)
+        let (c, s) = self.slot(b)?;
+        self.backref.chunk_mut(c)[s] = NO_BACKREF;
+        Ok(())
     }
 
     /// Live back-reference of a block, if any.
     pub fn backref_of(&self, b: BlockNr) -> SimResult<Option<BackRef>> {
         let (c, s) = self.slot(b)?;
-        let br = self.backref.chunks[c][s];
-        Ok((br.ino != NO_BACKREF.ino).then_some(br))
+        let packed = self.backref.chunks[c][s];
+        Ok((packed != NO_BACKREF).then(|| unpack(packed)))
     }
 
     /// Every block with a non-zero reference count, with the count, in
@@ -341,7 +416,7 @@ impl BlockTable {
     pub(crate) fn referenced(&self) -> impl Iterator<Item = (BlockNr, u32)> + '_ {
         self.refcount.written().flat_map(|(c, counts)| {
             let slots = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
-            slots.map(move |(s, &n)| (block(c, s), n))
+            slots.map(move |(s, &n)| (block(c, s), u32::from(n)))
         })
     }
 
@@ -349,11 +424,8 @@ impl BlockTable {
     /// likewise.
     pub(crate) fn backrefs(&self) -> impl Iterator<Item = (BlockNr, BackRef)> + '_ {
         self.backref.written().flat_map(|(c, brs)| {
-            let slots = brs
-                .iter()
-                .enumerate()
-                .filter(|&(_, br)| br.ino != NO_BACKREF.ino);
-            slots.map(move |(s, &br)| (block(c, s), br))
+            let slots = brs.iter().enumerate().filter(|&(_, &p)| p != NO_BACKREF);
+            slots.map(move |(s, &p)| (block(c, s), unpack(p)))
         })
     }
 }
@@ -461,6 +533,68 @@ mod tests {
     fn refcount_underflow_panics() {
         let mut t = BlockTable::new(16);
         t.ref_dec(BlockNr(0)).unwrap();
+    }
+
+    /// A count stops at 65 535: the next reference, alone or in a run,
+    /// is an error that names the block and changes nothing.
+    #[test]
+    fn a_full_count_refuses_another_reference() {
+        let mut t = BlockTable::new(16);
+        let b = BlockNr(9);
+        for _ in 0..MAX_REFS {
+            t.ref_inc(b).unwrap();
+        }
+        assert_eq!(t.refcount_of(b), Ok(65_535));
+        let before = t.clone();
+        let full = Err(too_many_refs(b));
+        assert_eq!(t.ref_inc(b), full);
+        let run = Run {
+            start: BlockNr(8),
+            len: 3,
+        };
+        assert_eq!(t.ref_run(run), full);
+        assert_eq!(t.stamp_run(run, InodeNr(1), 0), full);
+        assert_eq!(t, before, "a refused reference changes nothing");
+        assert_eq!(t.refcount_of(b), Ok(65_535));
+        assert_eq!(t.refcount_of(BlockNr(8)), Ok(0), "nor the run's head");
+        let named = SimError::InvalidArgument("blk#9: more than 65535 references".into());
+        assert_eq!(full, Err(named));
+    }
+
+    /// A back-reference holds inodes below 2^32 - 1 and pages below
+    /// 2^32, at the very edge too; anything wider is refused before a
+    /// block changes.
+    #[test]
+    fn backrefs_pack_to_the_edge_and_no_further() {
+        let mut t = BlockTable::new(16);
+        let edge = BackRef {
+            ino: InodeNr(u64::from(u32::MAX) - 1),
+            index: PageIndex(u64::from(u32::MAX)),
+        };
+        t.set_backref(BlockNr(0), edge).unwrap();
+        assert_eq!(t.backref_of(BlockNr(0)), Ok(Some(edge)));
+        let two = Run {
+            start: BlockNr(1),
+            len: 2,
+        };
+        t.stamp_run(two, edge.ino, u64::from(u32::MAX) - 1).unwrap();
+        assert_eq!(t.backref_of(BlockNr(2)), Ok(Some(edge)));
+        let before = t.clone();
+        let wide = [
+            (InodeNr(u64::from(u32::MAX)), 0),
+            (InodeNr(1), u64::from(u32::MAX)),
+            (InodeNr(1), u64::MAX),
+        ];
+        for (ino, page) in wide {
+            let err = t.stamp_run(two, ino, page).unwrap_err();
+            assert!(matches!(err, SimError::InvalidArgument(_)), "{err}");
+        }
+        let past = BackRef {
+            ino: InodeNr(1),
+            index: PageIndex(1 << 32),
+        };
+        assert!(t.set_backref(BlockNr(3), past).is_err());
+        assert_eq!(t, before, "a refused back-reference changes nothing");
     }
 
     #[test]

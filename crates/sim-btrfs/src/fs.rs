@@ -283,10 +283,23 @@ impl BtrfsSim {
         self.release(&displaced, true)
     }
 
+    /// Allocates fresh blocks for pages `page0..page0 + npages`, which
+    /// must end within what a back-reference holds (pages below 2^32):
+    /// a range past it is refused before the allocator moves, so the
+    /// free map, the extent maps and the block table stay in step.
+    fn alloc_pages(&mut self, page0: u64, npages: u64) -> SimResult<Vec<Run>> {
+        match page0.checked_add(npages) {
+            Some(end) if end <= 1 << 32 => self.alloc.alloc_exact(npages),
+            _ => Err(SimError::InvalidArgument(format!(
+                "pages {page0}..+{npages}: a file ends at page 2^32"
+            ))),
+        }
+    }
+
     /// Allocates and installs fresh blocks for `npages` pages of file
     /// `ino` starting at logical page `page0`.
     fn cow_allocate(&mut self, ino: InodeNr, page0: u64, npages: u64) -> SimResult<Vec<Run>> {
-        let runs = self.alloc.alloc_exact(npages)?;
+        let runs = self.alloc_pages(page0, npages)?;
         if let Some(trace) = &self.trace {
             trace.tick(TraceKind::BtrfsAlloc);
         }
@@ -767,7 +780,7 @@ impl BtrfsSim {
         let mut stats = self.read(ino, 0, size, class, now)?;
         // Phase 2: rewrite into fresh space — first fit hands back one
         // contiguous run whenever one exists.
-        let runs = self.alloc.alloc_exact(pages)?;
+        let runs = self.alloc_pages(0, pages)?;
         self.install(ino, 0, &runs)?;
         // Refresh cached pages onto the new blocks, dirty.
         self.cache_dirty(ino, 0, &runs, class, now, &mut stats)?;

@@ -544,6 +544,28 @@ fn fsck_catches_a_backref_the_live_tree_no_longer_maps() {
     assert!(err.to_string().contains("does not map it"), "{err}");
 }
 
+/// A file ends where a back-reference's page field does: a write past
+/// page 2^32 - 1 is refused before any block is allocated.
+#[test]
+fn a_write_past_page_two_to_the_32_is_refused_whole() {
+    let mut fs = make_fs(1024, 64);
+    let ino = fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
+    let allocated = fs.allocated_blocks();
+    let err = fs.write(ino, 1 << 44, PAGE_SIZE, NORMAL, T0).unwrap_err();
+    assert!(matches!(err, SimError::InvalidArgument(_)), "{err}");
+    assert_eq!(fs.allocated_blocks(), allocated, "no block was taken");
+    fs.check_consistency().unwrap();
+    let last = (1 << 44) - PAGE_SIZE;
+    fs.write(ino, last, PAGE_SIZE, NORMAL, T0).unwrap();
+    let br = fs.backref_of(
+        fs.fibmap(ino, PageIndex(u64::from(u32::MAX)))
+            .unwrap()
+            .unwrap(),
+    );
+    assert_eq!(br.unwrap().unwrap().index, PageIndex(u64::from(u32::MAX)));
+    fs.check_consistency().unwrap();
+}
+
 // Randomized churn test driven by the deterministic `SimRng` (the
 // workspace builds offline, with no proptest dep).
 mod properties {

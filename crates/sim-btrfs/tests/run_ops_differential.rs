@@ -9,10 +9,13 @@
 //! it was at the fork — a fork never writes through. The freed runs
 //! must be exactly the blocks that reached zero, and
 //! `sim_disk::coalesce` must turn any block list into its maximal
-//! ascending runs. Driven by `sim_core::check::differential`: a failure
-//! prints the replay seed and a shrunk op log.
+//! ascending runs. Stamps also draw the widest inode and pages a packed
+//! back-reference holds, and just past them: the table must refuse
+//! those whole, as the model predicts. Driven by
+//! `sim_core::check::differential`: a failure prints the replay seed
+//! and a shrunk op log.
 
-use sim_btrfs::blocktable::CHUNK_BLOCKS;
+use sim_btrfs::blocktable::{BACKREF_CHUNK_BYTES, CHUNK_BLOCKS, REFCOUNT_CHUNK_BYTES};
 use sim_btrfs::{BackRef, BlockTable, Run};
 use sim_core::check::{differential, DiffConfig};
 use sim_core::knobs::Knob;
@@ -64,7 +67,7 @@ fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
     };
     let block = window.start.offset(rng.gen_range(0, window.len));
     match rng.gen_range(0, 20) {
-        0..=6 => Op::Stamp(window, InodeNr(rng.gen_range(1, 5)), rng.gen_range(0, 64)),
+        0..=6 => Op::Stamp(window, gen_ino(rng), gen_page(rng, window.len)),
         7..=9 => Op::Share(window),
         10..=14 => Op::Release(window, rng.gen_range(0, 2) == 0),
         15 => Op::Corrupt(block),
@@ -78,7 +81,42 @@ fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
     }
 }
 
+/// Widest inode a back-reference holds.
+const EDGE_INO: u64 = u32::MAX as u64 - 1;
+/// Widest page a back-reference holds.
+const EDGE_PAGE: u64 = u32::MAX as u64;
+
+/// Mostly small inodes; sometimes the widest, or one past it.
+fn gen_ino(rng: &mut SimRng) -> InodeNr {
+    InodeNr(match rng.gen_range(0, 16) {
+        0..=1 => EDGE_INO,
+        2 => EDGE_INO + 1,
+        _ => rng.gen_range(1, 5),
+    })
+}
+
+/// First page of a `len`-page stamp: mostly small; sometimes a run
+/// that ends on the widest page, or the widest page itself, which
+/// only a one-page run fits.
+fn gen_page(rng: &mut SimRng, len: u64) -> u64 {
+    match rng.gen_range(0, 16) {
+        0..=1 => EDGE_PAGE + 1 - len,
+        2 => EDGE_PAGE,
+        _ => rng.gen_range(0, 64),
+    }
+}
+
 const NO_BACKREF: u64 = u64::MAX;
+
+/// A deliberate defect in the model, which the suite must catch.
+#[derive(Clone, Copy, PartialEq)]
+enum Sabotage {
+    None,
+    /// A live release leaves the back-reference behind.
+    StaleBackrefs,
+    /// The page is packed into 31 bits: its top bit is lost.
+    DropPageTopBit,
+}
 
 /// The flat layout: one slot per block in each column.
 #[derive(Clone)]
@@ -90,12 +128,11 @@ struct Flat {
     /// cleared.
     checksum_ok: Vec<bool>,
     corrupted: BTreeSet<u64>,
-    /// The sabotage: a live release leaves the back-reference behind.
-    stale_backrefs: bool,
+    sabotage: Sabotage,
 }
 
 impl Flat {
-    fn new(capacity: u64, stale_backrefs: bool) -> Flat {
+    fn new(capacity: u64, sabotage: Sabotage) -> Flat {
         let n = capacity as usize;
         Flat {
             refcount: vec![0; n],
@@ -103,12 +140,21 @@ impl Flat {
             backref_idx: vec![0; n],
             checksum_ok: vec![false; n],
             corrupted: BTreeSet::new(),
-            stale_backrefs,
+            sabotage,
         }
     }
 
+    /// Whether a back-reference holds every page of the stamp.
+    fn fits(run: Run, ino: InodeNr, first_page: u64) -> bool {
+        ino.raw() <= EDGE_INO && first_page + run.len - 1 <= EDGE_PAGE
+    }
+
     fn stamp_run(&mut self, run: Run, ino: InodeNr, first_page: u64) {
-        for (b, page) in run.blocks().zip(first_page..) {
+        let top_bit = 1 << 31;
+        for (b, mut page) in run.blocks().zip(first_page..) {
+            if self.sabotage == Sabotage::DropPageTopBit {
+                page &= !top_bit;
+            }
             let i = b.raw() as usize;
             self.checksum_ok[i] = true;
             self.corrupted.remove(&b.raw());
@@ -130,7 +176,7 @@ impl Flat {
         for b in run.blocks() {
             let i = b.raw() as usize;
             self.refcount[i] -= 1;
-            if live && !self.stale_backrefs {
+            if live && self.sabotage != Sabotage::StaleBackrefs {
                 self.backref_ino[i] = NO_BACKREF;
             }
             if self.refcount[i] == 0 {
@@ -196,19 +242,24 @@ fn is_maximal_cover(runs: &[Run], blocks: &[BlockNr]) -> bool {
     !runs.windows(2).any(touching) && expanded.eq(blocks.iter().copied())
 }
 
-fn replay(log: &[Op], stale_backrefs: bool) -> Result<(), String> {
+fn replay(log: &[Op], sabotage: Sabotage) -> Result<(), String> {
     let mut table = BlockTable::new(CAPACITY);
-    let mut model = Flat::new(CAPACITY, stale_backrefs);
+    let mut model = Flat::new(CAPACITY, sabotage);
     // Each fork's original, and the model as it was at the fork.
     let mut forked: Vec<(BlockTable, Flat)> = Vec::new();
     for (i, op) in log.iter().enumerate() {
         let fail = |what: &str| format!("op {i} {op:?}: {what}");
         let err = |e: SimError| fail(&e.to_string());
         match op {
-            &Op::Stamp(run, ino, page) => {
+            &Op::Stamp(run, ino, page) if Flat::fits(run, ino, page) => {
                 table.stamp_run(run, ino, page).map_err(err)?;
                 model.stamp_run(run, ino, page);
             }
+            // Too wide for a back-reference: refused, the model untouched.
+            &Op::Stamp(run, ino, page) => match table.stamp_run(run, ino, page) {
+                Err(SimError::InvalidArgument(_)) => {}
+                got => return Err(fail(&format!("stamp too wide, got {got:?}"))),
+            },
             &Op::Share(run) => {
                 table.ref_run(run).map_err(err)?;
                 model.ref_run(run);
@@ -269,7 +320,15 @@ fn block_table_matches_the_flat_model() {
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(0xB10C_7AB1);
     let cfg = DiffConfig::new("run_ops_differential", seed).ops(400);
-    differential(&cfg, gen_op, |log| replay(log, false)).unwrap();
+    differential(&cfg, gen_op, |log| replay(log, Sabotage::None)).unwrap();
+}
+
+/// A chunk of counts is 8 KiB and a chunk of back-references 32 KiB:
+/// what a snapshot's reference and a COW write copy per chunk.
+#[test]
+fn a_chunk_is_eight_and_thirty_two_kib() {
+    assert_eq!(REFCOUNT_CHUNK_BYTES, 8 * 1024);
+    assert_eq!(BACKREF_CHUNK_BYTES, 32 * 1024);
 }
 
 /// The harness can fail: a model whose live release forgets to clear
@@ -280,7 +339,22 @@ fn a_model_with_stale_backrefs_is_caught() {
     let cfg = DiffConfig::new("run_ops_vs_stale_model", 0x57A1E)
         .cases(4)
         .ops(400);
-    let failure = differential(&cfg, gen_op, |log| replay(log, true)).unwrap_err();
+    let failure =
+        differential(&cfg, gen_op, |log| replay(log, Sabotage::StaleBackrefs)).unwrap_err();
     assert!(failure.ops.len() <= 3, "{failure}");
+    assert!(failure.message.contains("diverged"), "{failure}");
+}
+
+/// A packing that keeps 31 bits of the page is caught at the edge
+/// pages, and the log shrinks to the one stamp that reaches them.
+#[test]
+fn a_packing_that_drops_the_page_top_bit_is_caught() {
+    let cfg = DiffConfig::new("run_ops_vs_31_bit_pages", 0x70B17)
+        .cases(4)
+        .ops(400);
+    let sabotage = Sabotage::DropPageTopBit;
+    let failure = differential(&cfg, gen_op, |log| replay(log, sabotage)).unwrap_err();
+    assert_eq!(failure.ops.len(), 1, "{failure}");
+    assert!(failure.ops[0].starts_with("Stamp"), "{failure}");
     assert!(failure.message.contains("diverged"), "{failure}");
 }

@@ -252,29 +252,24 @@ impl SparseBitmap {
         })
     }
 
-    /// Returns the first set bit at or after `index`, if any.
+    /// Returns the first set bit at or after `index`, if any. Starts at
+    /// `index`'s own word, so stepping through a run of set bits costs
+    /// one word per step.
     pub fn next_set(&self, index: u64) -> Option<u64> {
-        let start_chunk = (index / CHUNK_BITS) as usize;
-        for (chunk, c) in self.chunks.iter().enumerate().skip(start_chunk) {
-            let Some(c) = c else { continue };
-            let base = chunk as u64 * CHUNK_BITS;
-            for (wi, &w) in c.words.iter().enumerate() {
-                if w == 0 {
-                    continue;
-                }
-                let word_base = base + wi as u64 * 64;
-                // Skip words entirely before the query point.
-                if word_base + 64 <= index {
-                    continue;
-                }
-                let mut bits = w;
-                if index > word_base {
-                    bits &= !0u64 << (index - word_base);
-                }
-                if bits != 0 {
-                    return Some(word_base + bits.trailing_zeros() as u64);
+        let (first, mut word, _) = Self::locate(index);
+        let mut mask = !0u64 << (index % 64);
+        for (chunk, c) in self.chunks.iter().enumerate().skip(first) {
+            if let Some(c) = c {
+                for (wi, &w) in c.words.iter().enumerate().skip(word) {
+                    let bits = w & mask;
+                    if bits != 0 {
+                        let at = wi as u64 * 64 + u64::from(bits.trailing_zeros());
+                        return Some(chunk as u64 * CHUNK_BITS + at);
+                    }
+                    mask = !0;
                 }
             }
+            (word, mask) = (0, !0);
         }
         None
     }
