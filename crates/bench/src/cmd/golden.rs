@@ -4,7 +4,7 @@
 //! [`experiments::golden::FIXTURES`] lists the root fixtures
 //! (experiment golden CSVs, the rsync line, the trace digests, the
 //! scripted cache/prioqueue/extent op-mix logs) and
-//! [`bench::sweeps::GOLDEN_GRIDS`] the two sweep grids. Run from the
+//! [`bench::cell::GOLDEN_GRIDS`] the two sweep grids. Run from the
 //! repo root:
 //!
 //! ```text
@@ -32,7 +32,7 @@ pub fn run() -> Result<(), String> {
     for (file, produce) in experiments::golden::FIXTURES {
         write("tests/fixtures", file, produce())?;
     }
-    for (file, produce) in bench::sweeps::GOLDEN_GRIDS {
+    for (file, produce) in bench::cell::GOLDEN_GRIDS {
         write("crates/bench/tests/fixtures", file, produce(1))?;
     }
     println!("all fixtures written");

@@ -10,31 +10,44 @@
 //! 4. **Hint granularity**: page-level hints vs the file-level hints an
 //!    inotify-based task could build (§3.3).
 
-use crate::sweeps::cells;
+use crate::cell::{each, webserver, Cell, Ran, Sim, MISMATCH};
 use crate::{f2, pct, BenchResult, Report, Sink};
-use experiments::{
-    paper_scaled, run_experiment_with, run_gc_experiment_with, GcExperimentConfig, TaskKind,
-};
+use experiments::{ExperimentConfig, ExperimentResult, GcExperimentConfig, TaskKind};
 use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
 use workloads::{DistKind, FileSetConfig, Personality, WorkloadConfig};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
-    // 1. Victim policy ablation.
-    let mut gc = Report::new(
-        "ablation_gc_policy",
-        &["policy", "mode", "mean_cleaning_ms", "cleanings"],
-    );
-    gc.print_header(sink);
-    let gc_cells: Vec<(VictimPolicy, bool)> = [VictimPolicy::Greedy, VictimPolicy::CostBenefit]
-        .into_iter()
-        .flat_map(|p| [false, true].into_iter().map(move |d| (p, d)))
-        .collect();
-    let gc_runs = cells("ablation_gc_policy", gc_cells.len(), sink, |i, opts| {
-        let (policy, duet) = gc_cells[i];
-        let cfg = GcExperimentConfig {
+/// Victim policies of the GC ablation, each baseline then Duet.
+const GC_CELLS: [(VictimPolicy, bool); 4] = [
+    (VictimPolicy::Greedy, false),
+    (VictimPolicy::Greedy, true),
+    (VictimPolicy::CostBenefit, false),
+    (VictimPolicy::CostBenefit, true),
+];
+
+/// CFQ idle grace periods, in milliseconds.
+const GRACES: [u64; 5] = [1, 4, 8, 16, 32];
+
+/// Page-cache shrink factors.
+const DIVISORS: [u64; 4] = [1, 4, 16, 64];
+
+/// Utilizations of the hint-granularity ablation, each with page then
+/// file hints.
+const GRAN_UTILS: [f64; 3] = [0.7, 0.8, 0.9];
+
+/// The scrubber's cache at `divisor`-th of the paper's size.
+fn tiny_cache(scale: u64, divisor: u64) -> ExperimentConfig {
+    let mut cfg = webserver(scale, 1.0, 0.5, &[TaskKind::Scrub], true);
+    cfg.cache_pages = (cfg.cache_pages as u64 / divisor).max(128) as usize;
+    cfg
+}
+
+/// The four ablations' cells, in report order.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    let gc = GC_CELLS.map(|(victim_policy, duet)| Cell {
+        report: "ablation_gc_policy",
+        sim: Sim::Gc(GcExperimentConfig {
             nsegs: 512,
             seg_blocks: 512,
             cache_pages: 8192,
@@ -53,18 +66,57 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
                 seed: 11,
             },
             duet,
-            victim_policy: policy,
+            victim_policy,
             gc_window: 512,
             gc_interval: SimDuration::from_millis(200),
             policy: SchedulerPolicy::default_cfq(),
             duration: SimDuration::from_secs(30),
             seed: 11,
+        }),
+    });
+    let grace = GRACES.map(|grace_ms| {
+        let mut cfg = webserver(scale, 1.0, 0.5, &[TaskKind::Scrub, TaskKind::Backup], true);
+        cfg.policy = SchedulerPolicy::CfqIdle {
+            grace: SimDuration::from_millis(grace_ms),
         };
-        let r = run_gc_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for (&(policy, duet), r) in gc_cells.iter().zip(&gc_runs) {
+        Cell::btrfs("ablation_grace_period", cfg)
+    });
+    let cache =
+        DIVISORS.map(|divisor| Cell::btrfs("ablation_tiny_cache", tiny_cache(scale, divisor)));
+    // A fully fragmented filesystem at high utilization: the defrag
+    // cannot finish, so the *order* in which queued files are taken
+    // decides how much resident data it exploits.
+    let gran = GRAN_UTILS.iter().flat_map(|&util| {
+        [false, true].map(|file_gran| {
+            let mut cfg = webserver(scale, 1.0, util, &[TaskKind::Defrag], true);
+            cfg.fragmentation = Some((1.0, 8));
+            cfg.defrag_file_granularity = file_gran;
+            Cell::btrfs("ablation_hint_granularity", cfg)
+        })
+    });
+    gc.into_iter()
+        .chain(grace)
+        .chain(cache)
+        .chain(gran)
+        .collect()
+}
+
+/// One report per ablation.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
+    let (gc_runs, rest) = results.split_at(GC_CELLS.len());
+    let (grace_runs, rest) = rest.split_at(GRACES.len());
+    let (cache_runs, gran_runs) = rest.split_at(DIVISORS.len());
+
+    // 1. Victim policy ablation.
+    let mut gc = Report::new(
+        "ablation_gc_policy",
+        &["policy", "mode", "mean_cleaning_ms", "cleanings"],
+    );
+    gc.print_header(sink);
+    for (&(policy, duet), r) in GC_CELLS.iter().zip(gc_runs) {
+        let Ran::Gc(r) = r else {
+            return Err(MISMATCH.into());
+        };
         gc.row(
             sink,
             &[
@@ -75,7 +127,6 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    gc.save(sink)?;
 
     // 2. Grace-period sensitivity.
     let mut grace = Report::new(
@@ -83,25 +134,8 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         &["grace_ms", "work_completed", "io_saved", "workload_ops"],
     );
     grace.print_header(sink);
-    let graces = [1u64, 4, 8, 16, 32];
-    let grace_runs = cells("ablation_grace_period", graces.len(), sink, |i, opts| {
-        let mut cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            0.5,
-            vec![TaskKind::Scrub, TaskKind::Backup],
-            true,
-        );
-        cfg.policy = SchedulerPolicy::CfqIdle {
-            grace: SimDuration::from_millis(graces[i]),
-        };
-        let r = run_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for (&grace_ms, r) in graces.iter().zip(&grace_runs) {
+    for (&grace_ms, r) in GRACES.iter().zip(grace_runs) {
+        let r = r.btrfs()?;
         grace.row(
             sink,
             &[
@@ -112,7 +146,6 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    grace.save(sink)?;
 
     // 3. Reordering vs cache locality: shrink the cache drastically.
     let mut cache = Report::new(
@@ -120,33 +153,17 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         &["cache_pages", "io_saved", "work_completed"],
     );
     cache.print_header(sink);
-    let divisors = [1u64, 4, 16, 64];
-    let cache_runs = cells("ablation_tiny_cache", divisors.len(), sink, |i, opts| {
-        let mut cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            0.5,
-            vec![TaskKind::Scrub],
-            true,
-        );
-        cfg.cache_pages = (cfg.cache_pages as u64 / divisors[i]).max(128) as usize;
-        let r = run_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok(((cfg.cache_pages, r), ops))
-    })?;
-    for (cache_pages, r) in &cache_runs {
+    for (&divisor, r) in DIVISORS.iter().zip(cache_runs) {
+        let r = r.btrfs()?;
         cache.row(
             sink,
             &[
-                cache_pages.to_string(),
+                tiny_cache(scale, divisor).cache_pages.to_string(),
                 pct(r.io_saved()),
                 pct(r.work_completed()),
             ],
         );
     }
-    cache.save(sink)?;
 
     // 4. Hint granularity: page-level hints (Duet) vs degraded
     //    file-level hints (what an inotify-based task could build,
@@ -157,34 +174,10 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         &["utilization", "saved_page_hints", "saved_file_hints"],
     );
     gran.print_header(sink);
-    // A fully fragmented filesystem at high utilization: the defrag
-    // cannot finish, so the *order* in which queued files are taken
-    // decides how much resident data it exploits.
-    let utils = [0.7, 0.8, 0.9];
-    let pairs: Vec<(f64, bool)> = utils
-        .iter()
-        .flat_map(|&u| [false, true].into_iter().map(move |g| (u, g)))
-        .collect();
-    let gran_runs = cells("ablation_hint_granularity", pairs.len(), sink, |i, opts| {
-        let (util, file_gran) = pairs[i];
-        let mut cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            util,
-            vec![TaskKind::Defrag],
-            true,
-        );
-        cfg.fragmentation = Some((1.0, 8));
-        cfg.defrag_file_granularity = file_gran;
-        let r = run_experiment_with(&cfg, opts)?;
-        Ok((r.io_saved(), r.workload_ops))
-    })?;
-    for (&util, pair) in utils.iter().zip(gran_runs.chunks(2)) {
+    let saved = each(gran_runs, ExperimentResult::io_saved)?;
+    for (&util, pair) in GRAN_UTILS.iter().zip(saved.chunks(2)) {
         gran.row(sink, &[f2(util), pct(pair[0]), pct(pair[1])]);
     }
-    gran.save(sink)?;
     sink.line(
         "\nExpected: the cached-block cost adjustment helps under both victim\n\
          policies; larger grace periods trade maintenance throughput for\n\
@@ -192,5 +185,5 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
          not locality, is what pays — §6.5); page-level hints beat\n\
          file-level hints once the task cannot process everything.",
     );
-    Ok(())
+    Ok(vec![gc, grace, cache, gran])
 }

@@ -11,9 +11,9 @@
 //! to SSR (no cleaner runs in either case). SSR turns the sequential
 //! log into scattered writes, inflating latency and device busy time.
 
-use crate::sweeps::cells;
+use crate::cell::{Cell, Ran, Sim, MISMATCH};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{run_gc_experiment_with, GcExperimentConfig};
+use experiments::GcExperimentConfig;
 use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
@@ -49,12 +49,26 @@ fn cfg(nsegs: u32, data_files: usize) -> GcExperimentConfig {
     }
 }
 
-/// Runs the harness. `scale` is unused: the segment counts are absolute
-/// (the tight/roomy contrast is the experiment).
-pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "extras_f2fs_ssr";
+
+/// The roomy then the tight filesystem. `scale` is unused: the segment
+/// counts are absolute (the tight/roomy contrast is the experiment).
+pub fn cells(_scale: u64) -> Vec<Cell> {
+    // Roomy: data fills ~25 % of the device. Tight: data fills ~85 %;
+    // COW logging exhausts the free segments within the window.
+    [(1024, 512), (160, 512)]
+        .map(|(nsegs, files)| Cell {
+            report: NAME,
+            sim: Sim::Gc(cfg(nsegs, files)),
+        })
+        .to_vec()
+}
+
+/// Latency, utilization and ops of both, and the SSR cost.
+pub fn render(_scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line("extras_f2fs_ssr: fileserver latency with and without clean segments");
     let mut report = Report::new(
-        "extras_f2fs_ssr",
+        NAME,
         &[
             "setup",
             "latency_ms",
@@ -65,16 +79,9 @@ pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ],
     );
     report.print_header(sink);
-    // Roomy: data fills ~25 % of the device. Tight: data fills ~85 %;
-    // COW logging exhausts the free segments within the window.
-    let setups = [(1024u32, 512usize), (160, 512)];
-    let runs = cells("extras_f2fs_ssr", setups.len(), sink, |i, opts| {
-        let (nsegs, files) = setups[i];
-        let r = run_gc_experiment_with(&cfg(nsegs, files), opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    let (roomy, tight) = (&runs[0], &runs[1]);
+    let [Ran::Gc(roomy), Ran::Gc(tight)] = results else {
+        return Err(MISMATCH.into());
+    };
     for (label, r) in [("roomy (log appends)", roomy), ("tight (SSR)", tight)] {
         report.row(
             sink,
@@ -88,7 +95,6 @@ pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    report.save(sink)?;
     let inc = 100.0 * (tight.workload_latency_ms.0 / roomy.workload_latency_ms.0 - 1.0);
     let ops_drop = 100.0 * (1.0 - tight.workload_ops as f64 / roomy.workload_ops as f64);
     sink.line(format!(
@@ -97,5 +103,5 @@ pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
          rate; our throttle instead holds utilization fixed, so the same\n\
          cost appears as {ops_drop:.0}% fewer operations in the window."
     ));
-    Ok(())
+    Ok(vec![report])
 }

@@ -10,15 +10,57 @@
 //!    marginal effect on savings (out-of-order processing, not cache
 //!    locality, provides most of the benefit).
 
-use crate::sweeps::cells;
+use crate::cell::{each, webserver, Cell, Ran};
 use crate::{f2, pct, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_with, TaskKind};
+use experiments::TaskKind;
 use sim_disk::SchedulerPolicy;
-use workloads::{DistKind, Personality};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+/// Maintenance setups of the latency measurement.
+const SETUPS: [(&str, &[TaskKind]); 3] = [
+    ("no maintenance", &[]),
+    ("with scrub", &[TaskKind::Scrub]),
+    ("with backup", &[TaskKind::Backup]),
+];
+
+/// Schedulers of the prioritization ablation.
+fn policies() -> [(&'static str, SchedulerPolicy); 2] {
+    [
+        ("cfq-idle", SchedulerPolicy::default_cfq()),
+        ("deadline (no priority)", SchedulerPolicy::NoPriority),
+    ]
+}
+
+/// Page-cache sizes, as fractions of the data set.
+const FRACS: [f64; 5] = [0.01, 0.02, 0.04, 0.08, 0.16];
+
+/// The latency setups, the schedulers, then the cache sizes.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    let latency = SETUPS.map(|(_, tasks)| {
+        Cell::btrfs(
+            "extras_latency_impact",
+            webserver(scale, 1.0, 0.5, tasks, true),
+        )
+    });
+    let prio = policies().map(|(_, policy)| {
+        let mut cfg = webserver(scale, 1.0, 0.6, &[TaskKind::Scrub], true);
+        cfg.policy = policy;
+        Cell::btrfs("extras_prioritization", cfg)
+    });
+    let cache = FRACS.map(|frac| {
+        let mut cfg = webserver(scale, 1.0, 0.5, &[TaskKind::Scrub, TaskKind::Backup], true);
+        let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
+        cfg.cache_pages =
+            ((data_bytes as f64 * frac) as u64 / sim_core::PAGE_SIZE).max(256) as usize;
+        Cell::btrfs("extras_cache_size", cfg)
+    });
+    latency.into_iter().chain(prio).chain(cache).collect()
+}
+
+/// One report per check.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!("extras: §6.5 sensitivity, scale 1/{scale}"));
+    let (lat_runs, rest) = results.split_at(SETUPS.len());
+    let (prio_runs, cache_runs) = rest.split_at(policies().len());
 
     // 1. Workload latency impact at 50 % utilization: the paper reports
     //    11.67 ± 0.12 ms without maintenance, 11.60 ± 0.25 ms with
@@ -34,26 +76,8 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ],
     );
     lat.print_header(sink);
-    let setups: [(&str, &[TaskKind]); 3] = [
-        ("no maintenance", &[]),
-        ("with scrub", &[TaskKind::Scrub]),
-        ("with backup", &[TaskKind::Backup]),
-    ];
-    let lat_runs = cells("extras_latency_impact", setups.len(), sink, |i, opts| {
-        let cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            0.5,
-            setups[i].1.to_vec(),
-            true,
-        );
-        let r = run_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for ((label, _), r) in setups.iter().zip(&lat_runs) {
+    for ((label, _), r) in SETUPS.iter().zip(lat_runs) {
+        let r = r.btrfs()?;
         lat.row(
             sink,
             &[
@@ -65,7 +89,6 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    lat.save(sink)?;
 
     // 2. Prioritization ablation.
     let mut prio = Report::new(
@@ -73,26 +96,8 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         &["scheduler", "io_saved", "work_completed", "workload_ops"],
     );
     prio.print_header(sink);
-    let policies = [
-        ("cfq-idle", SchedulerPolicy::default_cfq()),
-        ("deadline (no priority)", SchedulerPolicy::NoPriority),
-    ];
-    let prio_runs = cells("extras_prioritization", policies.len(), sink, |i, opts| {
-        let mut cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            0.6,
-            vec![TaskKind::Scrub],
-            true,
-        );
-        cfg.policy = policies[i].1;
-        let r = run_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for ((label, _), r) in policies.iter().zip(&prio_runs) {
+    for ((label, _), r) in policies().iter().zip(prio_runs) {
+        let r = r.btrfs()?;
         prio.row(
             sink,
             &[
@@ -103,7 +108,6 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    prio.save(sink)?;
 
     // 3. Page-cache size sweep.
     let mut cache = Report::new(
@@ -111,35 +115,14 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         &["cache_fraction_of_data", "io_saved", "work_completed"],
     );
     cache.print_header(sink);
-    let fracs = [0.01, 0.02, 0.04, 0.08, 0.16];
-    let cache_runs = cells("extras_cache_size", fracs.len(), sink, |i, opts| {
-        let mut cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            0.5,
-            vec![TaskKind::Scrub, TaskKind::Backup],
-            true,
-        );
-        let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
-        cfg.cache_pages =
-            ((data_bytes as f64 * fracs[i]) as u64 / sim_core::PAGE_SIZE).max(256) as usize;
-        let r = run_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for (&frac, r) in fracs.iter().zip(&cache_runs) {
-        cache.row(
-            sink,
-            &[f2(frac), pct(r.io_saved()), pct(r.work_completed())],
-        );
+    let saved = each(cache_runs, |r| (r.io_saved(), r.work_completed()))?;
+    for (&frac, (io_saved, completed)) in FRACS.iter().zip(saved) {
+        cache.row(sink, &[f2(frac), pct(io_saved), pct(completed)]);
     }
-    cache.save(sink)?;
     sink.line(
         "\nPaper shape: latency/throughput impact of idle-priority \
          maintenance is small; removing prioritization hurts savings; \
          cache size has a marginal effect.",
     );
-    Ok(())
+    Ok(vec![lat, prio, cache])
 }

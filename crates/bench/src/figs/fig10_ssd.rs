@@ -6,54 +6,41 @@
 //! because the workload's higher throughput creates more overlap while
 //! the backup's 64 KiB random reads run no faster.
 
-use crate::sweeps::{cells, util_grid, util_rows};
+use crate::cell::{util_grid, util_report, webserver, Cell, Ran};
 use crate::{BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_with, DeviceKind, TaskKind};
-use workloads::{DistKind, Personality};
+use experiments::{DeviceKind, ExperimentResult, TaskKind};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "fig10_ssd";
+
+/// The cells of a row, in order, and the report's columns they fill.
+const VARIANTS: [(TaskKind, DeviceKind, &str); 4] = [
+    (TaskKind::Scrub, DeviceKind::Hdd, "scrub_saved_hdd"),
+    (TaskKind::Scrub, DeviceKind::Ssd, "scrub_saved_ssd"),
+    (TaskKind::Backup, DeviceKind::Hdd, "backup_saved_hdd"),
+    (TaskKind::Backup, DeviceKind::Ssd, "backup_saved_ssd"),
+];
+
+/// Scrubbing and backup, each alone under the webserver at 100 %
+/// overlap, on either device, at every utilization.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    util_grid()
+        .into_iter()
+        .flat_map(|util| {
+            VARIANTS.map(|(task, device, _)| {
+                let mut cfg = webserver(scale, 1.0, util, &[task], true);
+                cfg.device = device;
+                Cell::btrfs(NAME, cfg)
+            })
+        })
+        .collect()
+}
+
+/// The I/O saved per utilization, task and device.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig10: scrub and backup on HDD vs SSD, webserver, scale 1/{scale}"
     ));
-    let mut report = Report::new(
-        "fig10_ssd",
-        &[
-            "utilization",
-            "scrub_saved_hdd",
-            "scrub_saved_ssd",
-            "backup_saved_hdd",
-            "backup_saved_ssd",
-        ],
-    );
-    report.print_header(sink);
-    let utils = util_grid();
-    let variants = [
-        (TaskKind::Scrub, DeviceKind::Hdd),
-        (TaskKind::Scrub, DeviceKind::Ssd),
-        (TaskKind::Backup, DeviceKind::Hdd),
-        (TaskKind::Backup, DeviceKind::Ssd),
-    ];
-    let grid: Vec<(f64, TaskKind, DeviceKind)> = utils
-        .iter()
-        .flat_map(|&u| variants.iter().map(move |&(t, d)| (u, t, d)))
-        .collect();
-    let saved = cells("fig10_ssd", grid.len(), sink, |i, opts| {
-        let (util, task, device) = grid[i];
-        let mut cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            1.0,
-            util,
-            vec![task],
-            true,
-        );
-        cfg.device = device;
-        let result = run_experiment_with(&cfg, opts)?;
-        Ok((result.io_saved(), result.workload_ops))
-    })?;
-    util_rows(&mut report, sink, &utils, &saved, variants.len());
-    report.save(sink)?;
-    Ok(())
+    let columns = VARIANTS.map(|(.., column)| column);
+    let report = util_report(NAME, &columns, results, ExperimentResult::io_saved, sink)?;
+    Ok(vec![report])
 }

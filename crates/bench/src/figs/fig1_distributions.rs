@@ -4,12 +4,13 @@
 //! Prints the cumulative fraction of accesses going to the top-X % of
 //! files, for the three trace devices and the uniform distribution.
 
+use crate::cell::Ran;
 use crate::{f2, BenchResult, Report, Sink};
 use workloads::{cdf_at, ms_trace_weights};
 
-/// Runs the harness. `scale` is unused: the figure is a property of the
-/// access distributions, not of the simulated device.
-pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
+/// Computes the figure. `scale` is unused: the figure is a property of
+/// the access distributions, not of the simulated device.
+pub fn render(_scale: u64, _: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     let n = 50_000;
     let fractions = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0];
     let mut report = Report::new(
@@ -37,11 +38,10 @@ pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    report.save(sink)?;
     sink.line(
         "\nPaper shape: the trace devices are highly skewed (most accesses \
          hit a small fraction of files); Filebench's uniform policy is the \
          diagonal.",
     );
-    Ok(())
+    Ok(vec![report])
 }

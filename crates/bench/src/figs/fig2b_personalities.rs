@@ -12,20 +12,48 @@
 //! - both: "using the skewed file access distribution reduces the I/O
 //!   saved by 15-30 %".
 
-use crate::sweeps::cells;
+use crate::cell::{each, Cell, Ran};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_with, TaskKind};
+use experiments::{paper_scaled, ExperimentResult, TaskKind};
 use workloads::{DistKind, Personality};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
-    let util = 0.6;
+const NAME: &str = "fig2b_personalities";
+
+/// The device utilization every cell runs at.
+const UTIL: f64 = 0.6;
+
+const TASKS: [TaskKind; 2] = [TaskKind::Scrub, TaskKind::Backup];
+
+/// The report's workload columns, in cell order.
+const COMBOS: [(Personality, DistKind); 4] = [
+    (Personality::WebServer, DistKind::Uniform),
+    (Personality::WebProxy, DistKind::Uniform),
+    (Personality::FileServer, DistKind::Uniform),
+    (Personality::WebServer, DistKind::MsTrace(0)),
+];
+
+/// Scrubbing and backup, each alone at 100 % overlap, under every
+/// personality and distribution of the report.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    TASKS
+        .iter()
+        .flat_map(|&task| {
+            COMBOS.map(|(personality, dist)| {
+                let cfg = paper_scaled(scale, personality, dist, 1.0, UTIL, vec![task], true);
+                Cell::btrfs(NAME, cfg)
+            })
+        })
+        .collect()
+}
+
+/// The I/O saved per task and workload, and the two ratios §6.2 quotes.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig2b: I/O saved by personality and distribution at {:.0}% utilization, scale 1/{scale}",
-        util * 100.0
+        UTIL * 100.0
     ));
     let mut report = Report::new(
-        "fig2b_personalities",
+        NAME,
         &[
             "task",
             "webserver",
@@ -37,24 +65,8 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ],
     );
     report.print_header(sink);
-    let combos = [
-        (Personality::WebServer, DistKind::Uniform),
-        (Personality::WebProxy, DistKind::Uniform),
-        (Personality::FileServer, DistKind::Uniform),
-        (Personality::WebServer, DistKind::MsTrace(0)),
-    ];
-    let tasks = [TaskKind::Scrub, TaskKind::Backup];
-    let grid: Vec<(TaskKind, Personality, DistKind)> = tasks
-        .iter()
-        .flat_map(|&t| combos.iter().map(move |&(p, d)| (t, p, d)))
-        .collect();
-    let saved = cells("fig2b_personalities", grid.len(), sink, |i, opts| {
-        let (task, personality, dist) = grid[i];
-        let cfg = paper_scaled(scale, personality, dist, 1.0, util, vec![task], true);
-        let result = run_experiment_with(&cfg, opts)?;
-        Ok((result.io_saved(), result.workload_ops))
-    })?;
-    for (task, s) in tasks.iter().zip(saved.chunks(combos.len())) {
+    let saved = each(results, ExperimentResult::io_saved)?;
+    for (task, s) in TASKS.iter().zip(saved.chunks(COMBOS.len())) {
         let (web, proxy, file, web_ms) = (s[0], s[1], s[2], s[3]);
         report.row(
             sink,
@@ -69,10 +81,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    report.save(sink)?;
     sink.line(
         "\nPaper shape: webproxy ≈ webserver; fileserver well below both \
          (~40%); the skewed distribution costs 15-30% of the savings.",
     );
-    Ok(())
+    Ok(vec![report])
 }

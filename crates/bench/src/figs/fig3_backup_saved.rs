@@ -5,27 +5,21 @@
 //! *lower* utilization — backup is random-I/O bound and takes longer,
 //! giving the workload more time to touch shared data.
 
-use crate::sweeps::saved_sweep;
-use crate::{BenchResult, Sink};
-use experiments::{DeviceKind, TaskKind};
-use workloads::{DistKind, Personality};
+use crate::cell::{grid, saved_report, util_grid, Cell, Ran, SAVED};
+use crate::{BenchResult, Report, Sink};
+use experiments::TaskKind::Backup;
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "fig3_backup_saved";
+
+/// Backup under the webserver, at every utilization × overlap.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    grid(NAME, scale, &util_grid(), &SAVED, &[Backup], None)
+}
+
+/// The I/O saved per utilization (rows) and overlap (columns).
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig3: backup + webserver, scale 1/{scale} of the paper setup"
     ));
-    let report = saved_sweep(
-        "fig3_backup_saved",
-        scale,
-        DeviceKind::Hdd,
-        Personality::WebServer,
-        DistKind::Uniform,
-        &[0.25, 0.5, 0.75, 1.0],
-        &[TaskKind::Backup],
-        None,
-        sink,
-    )?;
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![saved_report(NAME, results, sink)?])
 }

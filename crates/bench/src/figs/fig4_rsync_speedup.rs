@@ -4,18 +4,37 @@
 //! Expected shape (§6.2): speedup grows with overlap, reaching about
 //! 2× at 100 % (all source reads saved; destination writes remain).
 
-use crate::sweeps::cells;
+use crate::cell::{webserver, Cell, Ran, Sim, MISMATCH};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_rsync_experiment_with, speedup};
-use workloads::{DistKind, Personality};
+use experiments::speedup;
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "fig4_rsync_speedup";
+
+const OVERLAPS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+
+/// rsync against the unthrottled webserver at every overlap, baseline
+/// then Duet.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    OVERLAPS
+        .iter()
+        .flat_map(|&overlap| {
+            // Unthrottled: rsync runs at normal priority (§6.2).
+            let cfg = webserver(scale, overlap, 1.0, &[], true);
+            [false, true].map(|duet| Cell {
+                report: NAME,
+                sim: Sim::Rsync(cfg.clone(), duet),
+            })
+        })
+        .collect()
+}
+
+/// Transfer times and the speedup per overlap.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig4: rsync speedup vs overlap, webserver unthrottled, scale 1/{scale}"
     ));
     let mut report = Report::new(
-        "fig4_rsync_speedup",
+        NAME,
         &[
             "overlap",
             "baseline_secs",
@@ -25,28 +44,10 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ],
     );
     report.print_header(sink);
-    let overlaps = [0.25, 0.5, 0.75, 1.0];
-    let grid: Vec<(f64, bool)> = overlaps
-        .iter()
-        .flat_map(|&o| [false, true].into_iter().map(move |d| (o, d)))
-        .collect();
-    let runs = cells("fig4_rsync_speedup", grid.len(), sink, |i, opts| {
-        let (overlap, duet) = grid[i];
-        let cfg = paper_scaled(
-            scale,
-            Personality::WebServer,
-            DistKind::Uniform,
-            overlap,
-            1.0, // Unthrottled: rsync runs at normal priority (§6.2).
-            vec![],
-            true,
-        );
-        let r = run_rsync_experiment_with(&cfg, duet, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for (&overlap, pair) in overlaps.iter().zip(runs.chunks(2)) {
-        let (base, duet) = (&pair[0], &pair[1]);
+    for (&overlap, pair) in OVERLAPS.iter().zip(results.chunks(2)) {
+        let [Ran::Rsync(base), Ran::Rsync(duet)] = pair else {
+            return Err(MISMATCH.into());
+        };
         report.row(
             sink,
             &[
@@ -58,6 +59,5 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![report])
 }

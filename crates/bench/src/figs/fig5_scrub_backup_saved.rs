@@ -5,25 +5,19 @@
 //! one pass over the data, saving ≥ 50 % of total maintenance I/O;
 //! higher utilization and overlap push savings further.
 
-use crate::sweeps::saved_sweep;
-use crate::{BenchResult, Sink};
-use experiments::{DeviceKind, TaskKind};
-use workloads::{DistKind, Personality};
+use crate::cell::{grid, saved_report, util_grid, Cell, Ran, SAVED};
+use crate::{BenchResult, Report, Sink};
+use experiments::TaskKind::{Backup, Scrub};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "fig5_scrub_backup_saved";
+
+/// Scrubbing and backup under the webserver, at every utilization × overlap.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    grid(NAME, scale, &util_grid(), &SAVED, &[Scrub, Backup], None)
+}
+
+/// The I/O saved per utilization (rows) and overlap (columns).
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!("fig5: scrub + backup + webserver, scale 1/{scale}"));
-    let report = saved_sweep(
-        "fig5_scrub_backup_saved",
-        scale,
-        DeviceKind::Hdd,
-        Personality::WebServer,
-        DistKind::Uniform,
-        &[0.25, 0.5, 0.75, 1.0],
-        &[TaskKind::Scrub, TaskKind::Backup],
-        None,
-        sink,
-    )?;
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![saved_report(NAME, results, sink)?])
 }

@@ -4,24 +4,29 @@
 //! Expected shape (§6.3): the baseline pair stops completing beyond
 //! ~30 % utilization; Duet sustains completion to 70–90 %.
 
-use crate::sweeps::completed_sweep;
-use crate::{BenchResult, Sink};
-use experiments::TaskKind;
-use workloads::Personality;
+use crate::cell::{completed_report, grid, util_grid, Cell, Ran, COMPLETED};
+use crate::{BenchResult, Report, Sink};
+use experiments::TaskKind::{Backup, Scrub};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "fig6_scrub_backup_completed";
+
+/// Scrubbing and backup under the webserver at 100 % overlap, baseline
+/// and Duet, at every utilization.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    grid(
+        NAME,
+        scale,
+        &util_grid(),
+        &COMPLETED,
+        &[Scrub, Backup],
+        None,
+    )
+}
+
+/// The work completed per utilization, baseline and Duet.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig6: work completed, scrub + backup + webserver, scale 1/{scale}"
     ));
-    let report = completed_sweep(
-        "fig6_scrub_backup_completed",
-        scale,
-        Personality::WebServer,
-        &[TaskKind::Scrub, TaskKind::Backup],
-        None,
-        sink,
-    )?;
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![completed_report(NAME, results, sink)?])
 }

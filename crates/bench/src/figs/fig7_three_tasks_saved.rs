@@ -5,27 +5,29 @@
 //! over the data; defragmentation writes cannot be saved), rising to
 //! ~80 % with the read-mostly webserver.
 
-use crate::sweeps::saved_sweep;
-use crate::{BenchResult, Sink};
-use experiments::{DeviceKind, TaskKind};
-use workloads::{DistKind, Personality};
+use crate::cell::{grid, saved_report, util_grid, Cell, Ran, SAVED};
+use crate::{BenchResult, Report, Sink};
+use experiments::TaskKind::{Backup, Defrag, Scrub};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "fig7_three_tasks_saved";
+
+/// Scrubbing, backup and defragmentation on a 10 % fragmented
+/// filesystem under the webserver, at every utilization × overlap.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    grid(
+        NAME,
+        scale,
+        &util_grid(),
+        &SAVED,
+        &[Scrub, Backup, Defrag],
+        Some((0.1, 5)),
+    )
+}
+
+/// The I/O saved per utilization (rows) and overlap (columns).
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig7: scrub + backup + defrag + webserver, scale 1/{scale}"
     ));
-    let report = saved_sweep(
-        "fig7_three_tasks_saved",
-        scale,
-        DeviceKind::Hdd,
-        Personality::WebServer,
-        DistKind::Uniform,
-        &[0.25, 0.5, 0.75, 1.0],
-        &[TaskKind::Scrub, TaskKind::Backup, TaskKind::Defrag],
-        Some((0.1, 5)),
-        sink,
-    )?;
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![saved_report(NAME, results, sink)?])
 }

@@ -12,9 +12,11 @@
 //! them as the CPU share a 12 events/ms stream would consume.
 //!
 //! This is the one *wall-clock* harness (`HarnessSpec::wall_clock`):
-//! its CSV is a hardware measurement, so `bench run` runs it alone,
-//! after the parallel batch, and excludes it from byte-identity claims.
+//! its CSV is a hardware measurement, so it reads no cells — its render
+//! is the measurement, which `bench run` starts only once every cell has
+//! run — and it is excluded from byte-identity claims.
 
+use crate::cell::Ran;
 use crate::harness::Stopwatch;
 use crate::synthfs::{drain, SynthEvents, SynthFs, SYNTH_ROOT};
 use crate::{f2, BenchResult, Report, Sink};
@@ -53,9 +55,9 @@ fn run_case(mask: EventMask, fetch_every_ms: Option<u64>) -> SimResult<f64> {
     Ok(t0.elapsed_ns() as f64 / total_events as f64)
 }
 
-/// Runs the harness. `scale` is unused: the measurement replays a fixed
-/// event stream.
-pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
+/// Measures the figure. `scale` is unused: the measurement replays a
+/// fixed event stream.
+pub fn render(_scale: u64, _: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "fig9: Duet bookkeeping cost, {EVENTS_PER_MS} events/ms stream"
     ));
@@ -93,11 +95,10 @@ pub fn run(_scale: u64, sink: &mut Sink) -> BenchResult<()> {
             );
         }
     }
-    report.save(sink)?;
     sink.line(
         "\nPaper shape: overhead in the low single-digit percent range; \
          state notifications slightly cheaper (events merge/cancel); \
          fetch frequency has little effect.",
     );
-    Ok(())
+    Ok(vec![report])
 }

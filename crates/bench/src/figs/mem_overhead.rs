@@ -9,38 +9,36 @@
 //! This harness runs exactly that scrub experiment and reports the
 //! measured Duet memory against the worst-case estimates.
 
-use crate::sweeps::cells;
+use crate::cell::{webserver, Cell, Ran};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{paper_scaled, run_experiment_with, TaskKind};
+use experiments::{ExperimentConfig, TaskKind};
 use sim_core::{SimError, PAGE_SIZE};
-use workloads::{DistKind, Personality};
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "mem_overhead";
+
+/// Scrubbing at 60 % utilization with 100 % workload overlap.
+fn cfg(scale: u64) -> ExperimentConfig {
+    webserver(scale, 1.0, 0.6, &[TaskKind::Scrub], true)
+}
+
+/// The one scrub experiment.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    vec![Cell::btrfs(NAME, cfg(scale))]
+}
+
+/// The measured Duet memory against the worst-case estimates.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "mem_overhead: Duet memory accounting, scale 1/{scale}"
     ));
-    let cfg = paper_scaled(
-        scale,
-        Personality::WebServer,
-        DistKind::Uniform,
-        1.0,
-        0.6,
-        vec![TaskKind::Scrub],
-        true,
-    );
+    let cfg = cfg(scale);
     let data_bytes = cfg.fileset.num_files as u64 * cfg.fileset.mean_file_bytes;
-    let r = cells("mem_overhead", 1, sink, |_, opts| {
-        let r = run_experiment_with(&cfg, opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?
-    .remove(0);
+    let r = results[0].btrfs()?;
     // Worst-case block-task bitmap: 1 bit per device block.
     let bitmap_worst = cfg.capacity_blocks / 8;
     // Worst-case descriptors: 2 × cache pages × descriptor size (N=16).
     let desc_worst = 2 * cfg.cache_pages as u64 * 40;
-    let mut report = Report::new("mem_overhead", &["quantity", "bytes", "relative"]);
+    let mut report = Report::new(NAME, &["quantity", "bytes", "relative"]);
     report.print_header(sink);
     report.row(
         sink,
@@ -110,10 +108,9 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             String::new(),
         ],
     );
-    report.save(sink)?;
     sink.line(
         "\nPaper comparison: measured bitmap+descriptor memory stays well \
          below the worst case, and descriptors stay bounded by the cache.",
     );
-    Ok(())
+    Ok(vec![report])
 }

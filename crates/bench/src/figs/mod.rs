@@ -1,10 +1,12 @@
-//! Harness bodies for every table and figure, callable in-process.
-//!
-//! Each submodule exposes `run(scale, sink) -> BenchResult<()>`; the
-//! [`ALL`] registry is what `bench run [harness…]` selects from and
-//! fans out across cores.
+//! Every table and figure of the evaluation as a harness: the
+//! [`Cell`]s it reads plus a render from their results to its reports
+//! (fig1 and fig9 read none; their render is the whole body). [`ALL`] is
+//! what `bench run [harness…]` selects from, and [`crate::suite`] runs
+//! them.
 
-use crate::{BenchResult, Sink};
+use crate::cell::{Cell, Ran};
+use crate::suite::solo;
+use crate::{BenchResult, Report, Sink};
 
 pub mod extras_ablations;
 pub mod extras_f2fs_ssr;
@@ -24,16 +26,19 @@ pub mod mem_overhead;
 pub mod table5_max_util;
 pub mod table6_gc_cleaning;
 
-/// A harness entry point.
-pub type Harness = fn(u64, &mut Sink) -> BenchResult<()>;
-
 /// One registered harness.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessSpec {
     /// Harness/CSV name.
     pub name: &'static str,
-    /// The harness body.
-    pub run: Harness,
+    /// Runs the harness alone: a batch of its cells, rendered into the
+    /// sink, its CSVs saved under `results/`.
+    pub run: fn(u64, &mut Sink) -> BenchResult<()>,
+    /// The cells it reads at a scale.
+    pub cells: fn(u64) -> Vec<Cell>,
+    /// Its render: from its cells' results, in its cell order, to the
+    /// reports it saves.
+    pub render: fn(u64, &[&Ran], &mut Sink) -> BenchResult<Vec<Report>>,
     /// The scale the harness runs at when `DUET_SCALE` is unset.
     pub default_scale: u64,
     /// Whether the harness *measures wall-clock time* (fig9): its CSV
@@ -42,45 +47,49 @@ pub struct HarnessSpec {
     pub wall_clock: bool,
 }
 
-const fn spec(name: &'static str, run: Harness, default_scale: u64) -> HarnessSpec {
-    HarnessSpec {
-        name,
-        run,
-        default_scale,
-        wall_clock: false,
-    }
+/// The registry entry of the harness in module `$m`, named after it; a
+/// harness that simulates nothing has no `cells`.
+macro_rules! harness {
+    ($m:ident, $default_scale:expr) => {
+        HarnessSpec {
+            cells: $m::cells,
+            ..harness!($m, $default_scale, plain)
+        }
+    };
+    ($m:ident, $default_scale:expr, plain) => {
+        HarnessSpec {
+            name: stringify!($m),
+            run: |scale, sink| solo(stringify!($m), scale, sink),
+            cells: |_| Vec::new(),
+            render: $m::render,
+            default_scale: $default_scale,
+            wall_clock: false,
+        }
+    };
 }
 
 /// Every harness, in the canonical `bench run` order.
 pub const ALL: &[HarnessSpec] = &[
-    spec("fig1_distributions", fig1_distributions::run, 32),
-    spec("fig2_scrub_saved", fig2_scrub_saved::run, 32),
-    spec("fig2b_personalities", fig2b_personalities::run, 64),
-    spec("fig3_backup_saved", fig3_backup_saved::run, 32),
-    spec("fig4_rsync_speedup", fig4_rsync_speedup::run, 64),
-    spec("fig5_scrub_backup_saved", fig5_scrub_backup_saved::run, 32),
-    spec(
-        "fig6_scrub_backup_completed",
-        fig6_scrub_backup_completed::run,
-        32,
-    ),
-    spec("fig7_three_tasks_saved", fig7_three_tasks_saved::run, 32),
-    spec(
-        "fig8_three_tasks_completed",
-        fig8_three_tasks_completed::run,
-        32,
-    ),
+    harness!(fig1_distributions, 32, plain),
+    harness!(fig2_scrub_saved, 32),
+    harness!(fig2b_personalities, 64),
+    harness!(fig3_backup_saved, 32),
+    harness!(fig4_rsync_speedup, 64),
+    harness!(fig5_scrub_backup_saved, 32),
+    harness!(fig6_scrub_backup_completed, 32),
+    harness!(fig7_three_tasks_saved, 32),
+    harness!(fig8_three_tasks_completed, 32),
     HarnessSpec {
         wall_clock: true,
-        ..spec("fig9_cpu_overhead", fig9_cpu_overhead::run, 32)
+        ..harness!(fig9_cpu_overhead, 32, plain)
     },
-    spec("fig10_ssd", fig10_ssd::run, 32),
-    spec("table5_max_util", table5_max_util::run, 64),
-    spec("table6_gc_cleaning", table6_gc_cleaning::run, 32),
-    spec("mem_overhead", mem_overhead::run, 32),
-    spec("extras_sensitivity", extras_sensitivity::run, 32),
-    spec("extras_ablations", extras_ablations::run, 64),
-    spec("extras_f2fs_ssr", extras_f2fs_ssr::run, 32),
+    harness!(fig10_ssd, 32),
+    harness!(table5_max_util, 64),
+    harness!(table6_gc_cleaning, 32),
+    harness!(mem_overhead, 32),
+    harness!(extras_sensitivity, 32),
+    harness!(extras_ablations, 64),
+    harness!(extras_f2fs_ssr, 32),
 ];
 
 /// Looks a harness up by name.
@@ -118,6 +127,15 @@ mod tests {
         for h in ALL {
             let want = if at_64.contains(&h.name) { 64 } else { 32 };
             assert_eq!(h.default_scale, want, "{}", h.name);
+        }
+    }
+
+    /// fig1 and fig9 read no cells; every other harness simulates.
+    #[test]
+    fn only_fig1_and_fig9_read_no_cells() {
+        for h in ALL {
+            let plain = ["fig1_distributions", "fig9_cpu_overhead"].contains(&h.name);
+            assert_eq!((h.cells)(512).is_empty(), plain, "{}", h.name);
         }
     }
 }

@@ -7,83 +7,64 @@
 //! uniform and MS-trace. Columns: scrubbing, backup, defragmentation —
 //! baseline and Duet.
 //!
-//! Each of the 54 cells is an independent bisection (a dozen or so
-//! experiment runs), so the cells — not the inner runs — are the unit
-//! of parallelism. The workload profile depends only on the
-//! (personality, distribution) shape, so 5 memoized calibration runs
+//! Each of the 54 cells is a bisection (a dozen or so early-stopping
+//! probes, see [`Sim::MaxUtil`]); a probe is not a full run, so the
+//! probes stay inside their cell. The workload profile depends only on
+//! the (personality, distribution) shape, so 5 memoized calibration runs
 //! serve the whole table.
 
-use crate::sweeps::cells;
+use crate::cell::{Cell, Ran, Sim, MISMATCH};
 use crate::{pct, BenchResult, Report, Sink};
-use experiments::{max_utilization, paper_scaled, run_experiment_with, RunOptions, TaskKind};
-use sim_core::SimResult;
-use workloads::{DistKind, Personality};
+use experiments::TaskKind;
+use workloads::DistKind::{self, MsTrace, Uniform};
+use workloads::Personality::{self, FileServer, WebProxy, WebServer};
 
-type CellSpec = (Personality, DistKind, f64, TaskKind, bool);
+const NAME: &str = "table5_max_util";
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+/// The table's rows: label, personality, overlap, distribution.
+const ROWS: [(&str, Personality, f64, DistKind); 9] = [
+    ("webserver 25% uniform", WebServer, 0.25, Uniform),
+    ("webserver 50% uniform", WebServer, 0.50, Uniform),
+    ("webserver 75% uniform", WebServer, 0.75, Uniform),
+    ("webserver 100% uniform", WebServer, 1.0, Uniform),
+    ("webserver 100% mstrace", WebServer, 1.0, MsTrace(0)),
+    ("webproxy 100% uniform", WebProxy, 1.0, Uniform),
+    ("webproxy 100% mstrace", WebProxy, 1.0, MsTrace(0)),
+    ("fileserver 100% uniform", FileServer, 1.0, Uniform),
+    ("fileserver 100% mstrace", FileServer, 1.0, MsTrace(0)),
+];
+
+const TASKS: [TaskKind; 3] = [TaskKind::Scrub, TaskKind::Backup, TaskKind::Defrag];
+
+/// One bisection per row, task and mode (baseline then Duet).
+pub fn cells(scale: u64) -> Vec<Cell> {
+    ROWS.iter()
+        .flat_map(|&(_, personality, overlap, dist)| {
+            TASKS.iter().flat_map(move |&task| {
+                [false, true].map(|duet| Cell {
+                    report: NAME,
+                    sim: Sim::MaxUtil {
+                        scale,
+                        personality,
+                        dist,
+                        overlap,
+                        task,
+                        duet,
+                        fragmentation: (task == TaskKind::Defrag).then_some((0.1, 5)),
+                    },
+                })
+            })
+        })
+        .collect()
+}
+
+/// The highest completing utilization per row and column.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "table5: maximum utilization, scale 1/{scale} (this sweep runs many experiments)"
     ));
-    let rows: Vec<(&str, Personality, f64, DistKind)> = vec![
-        (
-            "webserver 25% uniform",
-            Personality::WebServer,
-            0.25,
-            DistKind::Uniform,
-        ),
-        (
-            "webserver 50% uniform",
-            Personality::WebServer,
-            0.50,
-            DistKind::Uniform,
-        ),
-        (
-            "webserver 75% uniform",
-            Personality::WebServer,
-            0.75,
-            DistKind::Uniform,
-        ),
-        (
-            "webserver 100% uniform",
-            Personality::WebServer,
-            1.0,
-            DistKind::Uniform,
-        ),
-        (
-            "webserver 100% mstrace",
-            Personality::WebServer,
-            1.0,
-            DistKind::MsTrace(0),
-        ),
-        (
-            "webproxy 100% uniform",
-            Personality::WebProxy,
-            1.0,
-            DistKind::Uniform,
-        ),
-        (
-            "webproxy 100% mstrace",
-            Personality::WebProxy,
-            1.0,
-            DistKind::MsTrace(0),
-        ),
-        (
-            "fileserver 100% uniform",
-            Personality::FileServer,
-            1.0,
-            DistKind::Uniform,
-        ),
-        (
-            "fileserver 100% mstrace",
-            Personality::FileServer,
-            1.0,
-            DistKind::MsTrace(0),
-        ),
-    ];
     let mut report = Report::new(
-        "table5_max_util",
+        NAME,
         &[
             "workload",
             "scrub_base",
@@ -95,52 +76,16 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ],
     );
     report.print_header(sink);
-    let tasks = [TaskKind::Scrub, TaskKind::Backup, TaskKind::Defrag];
-    let grid: Vec<CellSpec> = rows
-        .iter()
-        .flat_map(|&(_, personality, overlap, dist)| {
-            tasks.iter().flat_map(move |&task| {
-                [false, true]
-                    .into_iter()
-                    .map(move |duet| (personality, dist, overlap, task, duet))
-            })
-        })
-        .collect();
-    let values = cells("table5_max_util", grid.len(), sink, |i, opts| {
-        let (personality, dist, overlap, task, duet) = grid[i];
-        // The completion probe stops simulating the moment the last
-        // task finishes — `all_completed()` is exactly the full run's,
-        // for a fraction of the wall time. Forked setup prefixes
-        // (experiments::snapshot) make the bisection's repeat builds
-        // nearly free on top of that. The inner runs share the cell's
-        // trace handle, so their counters accumulate, and the cell
-        // credits the ops of every probe (each up to its early stop).
-        let probe = RunOptions {
-            stop_when_tasks_done: true,
-            ..*opts
-        };
-        let mut ops = 0;
-        let completes = |util: f64| -> SimResult<bool> {
-            let mut cfg = paper_scaled(scale, personality, dist, overlap, util, vec![task], duet);
-            if task == TaskKind::Defrag {
-                cfg.fragmentation = Some((0.1, 5));
-            }
-            let r = run_experiment_with(&cfg, &probe)?;
-            ops += r.workload_ops;
-            Ok(r.all_completed())
-        };
-        let label = match max_utilization(completes)? {
-            Some(u) => pct(u),
-            None => "never".into(),
-        };
-        Ok((label, ops))
-    })?;
-    let per_row = tasks.len() * 2;
-    for ((label, ..), vals) in rows.iter().zip(values.chunks(per_row)) {
+    for ((label, ..), vals) in ROWS.iter().zip(results.chunks(TASKS.len() * 2)) {
         let mut row = vec![label.to_string()];
-        row.extend(vals.iter().cloned());
+        for r in vals {
+            row.push(match r {
+                Ran::MaxUtil(Some(u)) => pct(*u),
+                Ran::MaxUtil(None) => "never".into(),
+                _ => return Err(MISMATCH.into()),
+            });
+        }
         report.row(sink, &row);
     }
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![report])
 }

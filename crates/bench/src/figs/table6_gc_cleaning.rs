@@ -6,9 +6,9 @@
 //! grows, because more of the victim segments' valid blocks are cached
 //! and need no synchronous read.
 
-use crate::sweeps::cells;
+use crate::cell::{Cell, Ran, Sim, MISMATCH};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::{run_gc_experiment_with, GcExperimentConfig};
+use experiments::GcExperimentConfig;
 use sim_core::SimDuration;
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
@@ -49,13 +49,31 @@ fn gc_cfg(scale: u64, util: f64, duet: bool) -> GcExperimentConfig {
     }
 }
 
-/// Runs the harness at 1/`scale` of the paper setup.
-pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
+const NAME: &str = "table6_gc_cleaning";
+
+const UTILS: [f64; 4] = [0.4, 0.5, 0.6, 0.7];
+
+/// The cleaner under the fileserver at every utilization, baseline then
+/// Duet.
+pub fn cells(scale: u64) -> Vec<Cell> {
+    UTILS
+        .iter()
+        .flat_map(|&util| {
+            [false, true].map(|duet| Cell {
+                report: NAME,
+                sim: Sim::Gc(gc_cfg(scale, util, duet)),
+            })
+        })
+        .collect()
+}
+
+/// Cleaning time and count per utilization, baseline and Duet.
+pub fn render(scale: u64, results: &[&Ran], sink: &mut Sink) -> BenchResult<Vec<Report>> {
     sink.line(format!(
         "table6: F2fs segment cleaning time, fileserver, scale 1/{scale}"
     ));
     let mut report = Report::new(
-        "table6_gc_cleaning",
+        NAME,
         &[
             "utilization",
             "baseline_ms",
@@ -66,19 +84,10 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
         ],
     );
     report.print_header(sink);
-    let utils = [0.4, 0.5, 0.6, 0.7];
-    let grid: Vec<(f64, bool)> = utils
-        .iter()
-        .flat_map(|&u| [false, true].into_iter().map(move |d| (u, d)))
-        .collect();
-    let runs = cells("table6_gc_cleaning", grid.len(), sink, |i, opts| {
-        let (util, duet) = grid[i];
-        let r = run_gc_experiment_with(&gc_cfg(scale, util, duet), opts)?;
-        let ops = r.workload_ops;
-        Ok((r, ops))
-    })?;
-    for (&util, pair) in utils.iter().zip(runs.chunks(2)) {
-        let (base, duet) = (&pair[0], &pair[1]);
+    for (&util, pair) in UTILS.iter().zip(results.chunks(2)) {
+        let [Ran::Gc(base), Ran::Gc(duet)] = pair else {
+            return Err(MISMATCH.into());
+        };
         report.row(
             sink,
             &[
@@ -91,6 +100,5 @@ pub fn run(scale: u64, sink: &mut Sink) -> BenchResult<()> {
             ],
         );
     }
-    report.save(sink)?;
-    Ok(())
+    Ok(vec![report])
 }

@@ -2,19 +2,21 @@
 //!
 //! Every table and figure of the paper's evaluation has a harness in
 //! [`figs`] that regenerates it (see DESIGN.md's experiment index);
-//! `bench run [harness…]` runs them in-process. Harnesses print the
-//! series/rows to their [`Sink`] and write a CSV under `results/`. The
-//! experiment scale (relative to the paper's 50 GB / 30 min setup) is
-//! controlled by the `DUET_SCALE` environment variable; larger values
-//! run faster at lower fidelity. `DUET_JOBS` bounds the worker threads
-//! used by [`pool`] to fan independent sweep cells out across cores
-//! (results are byte-identical at any width; see DESIGN.md §8).
+//! `bench run [harness…]` runs them in-process: the distinct [`cell`]s of
+//! every requested harness once, then each harness's render, which
+//! prints its series/rows to its [`Sink`] and hands back the reports
+//! saved as CSVs under `results/`. The experiment scale (relative to the
+//! paper's 50 GB / 30 min setup) is controlled by the `DUET_SCALE`
+//! environment variable; larger values run faster at lower fidelity.
+//! `DUET_JOBS` bounds the worker threads used by [`pool`] to fan the
+//! cells out across cores (results are byte-identical at any width; see
+//! DESIGN.md §8).
 
 use sim_core::knobs::Knob;
 use std::fmt;
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Reads the scale factor from `DUET_SCALE`, with a per-harness default.
@@ -85,13 +87,12 @@ impl From<std::io::Error> for BenchError {
 /// Result alias for harness code.
 pub type BenchResult<T> = Result<T, BenchError>;
 
-/// Console output sink. `bench run` gives each parallel harness a
-/// buffered sink and prints the captured lines in a fixed order
-/// afterwards, so harnesses cannot interleave output; the wall-clock
-/// harness, which runs alone, writes straight to stdout (live).
+/// Console output sink. `bench run` renders one harness at a time, after
+/// every cell has run, into a live sink; a buffered one collects the
+/// lines instead.
 ///
-/// The sink also carries a simulated-operation counter: the sweep-cell
-/// driver calls [`Sink::add_ops`] with the cells' `workload_ops`, and
+/// The sink also carries a simulated-operation counter: rendering a
+/// harness calls [`Sink::add_ops`] with its cells' `workload_ops`, and
 /// `bench run` reads the per-harness total into
 /// `results/BENCH_sweeps.json`. Ops are simulated work — deterministic
 /// at every job count — so an exact comparison of them catches
@@ -139,14 +140,6 @@ impl Sink {
     pub fn lines(&self) -> &[String] {
         match &self.out {
             SinkOut::Live => &[],
-            SinkOut::Buffer(lines) => lines,
-        }
-    }
-
-    /// Consumes the sink, returning collected lines.
-    pub fn into_lines(self) -> Vec<String> {
-        match self.out {
-            SinkOut::Live => Vec::new(),
             SinkOut::Buffer(lines) => lines,
         }
     }
@@ -201,10 +194,9 @@ impl Report {
         &self.rows
     }
 
-    /// Writes the collected rows to `results/<name>.csv`.
-    pub fn save(&self, sink: &mut Sink) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
+    /// Writes the collected rows to `<dir>/<name>.csv`.
+    pub fn save(&self, dir: &Path, sink: &mut Sink) -> std::io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.csv", self.name));
         let mut f = fs::File::create(&path)?;
         writeln!(f, "{}", self.header.join(","))?;
@@ -274,9 +266,10 @@ mod tests {
     }
 }
 
+pub mod cell;
 pub mod figs;
 pub mod harness;
 pub mod pool;
-pub mod sweeps;
+pub mod suite;
 pub mod synthfs;
 pub mod trace;

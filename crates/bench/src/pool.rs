@@ -1,29 +1,23 @@
 //! A zero-dependency work pool for fanning independent, deterministic
 //! experiment cells out across cores.
 //!
-//! Every sweep cell is a self-contained, single-threaded discrete-event
-//! run: it shares no mutable state with its neighbours, takes its
-//! entire input from an `ExperimentConfig`, and is bit-reproducible
-//! (seeded RNG, virtual time — enforced by the clippy determinism
-//! lints and the golden tests). Cell results therefore cannot depend on
-//! execution order, and the pool exploits that: workers pull cell
-//! indices from a shared cursor, write results into a slot keyed by the
-//! index, and the caller receives them in input order. Output is
-//! byte-identical at any worker count, including 1 ([`try_run_indexed`]
-//! short-circuits to a plain loop when `jobs <= 1`). Its two callers
-//! are `sweeps::run_cells`, which every simulating harness goes
-//! through, and `bench run`, which fans out whole harnesses.
+//! Every cell is a self-contained, single-threaded discrete-event run:
+//! it shares no mutable state with its neighbours, takes its entire
+//! input from its configuration, and is bit-reproducible (seeded RNG,
+//! virtual time — enforced by the clippy determinism lints and the
+//! golden tests). Cell results therefore cannot depend on execution
+//! order, and the pool exploits that: workers pull cell indices from a
+//! shared cursor, write results into a slot keyed by the index, and the
+//! caller receives them in input order. Output is byte-identical at any
+//! worker count, including 1 ([`try_run_indexed`] short-circuits to a
+//! plain loop when `jobs <= 1`). Its one caller outside tests is
+//! `cell::Batch::run_by`, which runs every distinct cell of a
+//! `bench run` — or of one harness run alone — in a single call, so at
+//! most `jobs` workers ever exist.
 //!
 //! This is the single sanctioned use of OS threads in the workspace
 //! (the `#[expect]` on [`try_run_indexed`] is the one D4 thread
 //! waiver); simulation crates stay thread-free.
-//!
-//! Nesting note: `bench run` fans out whole harnesses while each
-//! harness fans out its own cells, so up to `jobs²` threads can briefly
-//! coexist. Worker threads only pull work and block on the slot mutex,
-//! so oversubscription costs scheduling overhead, not correctness; with
-//! the default width capped at the core count the OS time-slices them
-//! fairly and the wall-clock cost is negligible next to cell runtime.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

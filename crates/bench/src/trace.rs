@@ -1,12 +1,12 @@
 //! Opt-in trace aggregation for the figure harnesses.
 //!
-//! Setting `DUET_TRACE=1` makes the sweep-cell driver
-//! ([`crate::sweeps::run_cells`]) arm a fresh trace handle per cell and
-//! merge the per-layer/per-kind counters into a
-//! `results/<name>_trace.csv` next to the figure's CSV. The merge
-//! happens in cell-index order, which keeps the aggregate
-//! byte-identical at any `DUET_JOBS` width (the same argument as for
-//! the result grids, see DESIGN.md §8).
+//! Setting `DUET_TRACE=1` makes [`crate::cell::Batch`] arm a fresh trace
+//! handle per distinct cell; each report's per-layer/per-kind counters
+//! are the keyed sum over the cells that name it, saved as
+//! `results/<report>_trace.csv` next to the figure's CSV. A sum does not
+//! depend on the order it is taken in, so the file is byte-identical at
+//! any `DUET_JOBS` width and whether a cell was shared or not (see
+//! DESIGN.md §8).
 //!
 //! With `DUET_TRACE` unset the harnesses write no `_trace.csv`; their
 //! own CSVs read the same either way.
@@ -16,7 +16,7 @@ use sim_core::knobs::Knob;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Whether trace aggregation was requested (`DUET_TRACE=1`; see
 /// `sim_core::knobs` — anything but `0`/`1` is rejected at start-up).
@@ -27,28 +27,14 @@ pub fn enabled() -> bool {
 /// Deterministic union of per-cell counters, keyed `layer.kind`.
 #[derive(Debug, Default)]
 pub struct TraceAgg {
-    active: bool,
     counters: BTreeMap<String, u64>,
 }
 
 impl TraceAgg {
-    /// An aggregator; inert (never saves) unless `active`.
-    pub fn new(active: bool) -> Self {
-        TraceAgg {
-            active,
-            counters: BTreeMap::new(),
-        }
-    }
-
-    /// Whether this aggregator collects and saves anything.
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
-    /// Folds one cell's counters in. Call in cell-index order.
-    pub fn merge(&mut self, counters: Vec<(String, u64)>) {
+    /// Folds one cell's counters in.
+    pub fn merge(&mut self, counters: &[(String, u64)]) {
         for (k, n) in counters {
-            *self.counters.entry(k).or_insert(0) += n;
+            *self.counters.entry(k.clone()).or_insert(0) += n;
         }
     }
 
@@ -57,14 +43,10 @@ impl TraceAgg {
         self.counters.iter().map(|(k, &n)| (k.as_str(), n))
     }
 
-    /// Writes `results/<name>_trace.csv` (when active), announcing the
-    /// path on the sink like [`crate::Report::save`] does.
-    pub fn save(&self, name: &str, sink: &mut Sink) -> std::io::Result<Option<PathBuf>> {
-        if !self.active {
-            return Ok(None);
-        }
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
+    /// Writes `<dir>/<name>_trace.csv`, announcing the path on the sink
+    /// like [`crate::Report::save`] does.
+    pub fn save(&self, dir: &Path, name: &str, sink: &mut Sink) -> std::io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}_trace.csv"));
         let mut f = fs::File::create(&path)?;
         writeln!(f, "counter,count")?;
@@ -72,7 +54,7 @@ impl TraceAgg {
             writeln!(f, "{k},{n}")?;
         }
         sink.line(format!("[saved {}]", path.display()));
-        Ok(Some(path))
+        Ok(path)
     }
 }
 
@@ -82,9 +64,9 @@ mod tests {
 
     #[test]
     fn merge_is_a_keyed_sum() {
-        let mut agg = TraceAgg::new(true);
-        agg.merge(vec![("disk/read".into(), 2), ("cache/hit".into(), 5)]);
-        agg.merge(vec![("disk/read".into(), 3)]);
+        let mut agg = TraceAgg::default();
+        agg.merge(&[("disk/read".into(), 2), ("cache/hit".into(), 5)]);
+        agg.merge(&[("disk/read".into(), 3)]);
         let rows: Vec<(String, u64)> = agg.rows().map(|(k, n)| (k.to_string(), n)).collect();
         assert_eq!(
             rows,
@@ -93,14 +75,5 @@ mod tests {
                 ("disk/read".to_string(), 3 + 2)
             ]
         );
-    }
-
-    #[test]
-    fn inactive_aggregator_never_saves() {
-        let agg = TraceAgg::new(false);
-        let mut sink = Sink::buffer();
-        let saved = agg.save("unit_test_trace", &mut sink).expect("io");
-        assert!(saved.is_none());
-        assert!(sink.lines().is_empty());
     }
 }

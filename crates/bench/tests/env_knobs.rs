@@ -154,6 +154,7 @@ fn run_writes_csvs_and_the_sweeps_summary() {
     let unset = run(&[]);
     assert_eq!(run(&[("DUET_SNAPSHOT", "off")]), unset);
     let summary = std::fs::read_to_string(results.join("BENCH_sweeps.json")).expect("summary");
+    assert!(summary.contains("\"schema_version\": 3,"), "{summary}");
     assert!(summary.contains("\"scale\": 512,"), "{summary}");
     assert!(summary.contains("\"jobs\": 2,"), "{summary}");
     for (name, ops) in [
@@ -174,8 +175,68 @@ fn run_writes_csvs_and_the_sweeps_summary() {
     }
 }
 
-/// `mem_overhead` makes one run, and goes through the sweep-cell driver
-/// like every harness that simulates: under `DUET_TRACE=1` it writes
+/// `bench run` puts the harnesses it is given in registry order, whatever
+/// order they are named in: their stdout blocks, like their summary rows,
+/// come fig2 first.
+#[test]
+fn harness_output_comes_in_registry_order() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("registry_order");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = bench_in(
+        &dir,
+        &["run", "fig6_scrub_backup_completed", "fig2_scrub_saved"],
+        &[("DUET_SCALE", "512"), ("DUET_JOBS", "2")],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let headers: Vec<&str> = stdout.lines().filter(|l| l.starts_with("===== ")).collect();
+    assert_eq!(
+        headers,
+        [
+            "===== fig2_scrub_saved (DUET_SCALE=512) =====",
+            "===== fig6_scrub_backup_completed (DUET_SCALE=512) =====",
+        ],
+        "{stdout}"
+    );
+    let summary = std::fs::read_to_string(dir.join("results/BENCH_sweeps.json")).expect("summary");
+    let fig2 = summary.find("fig2_scrub_saved").expect("fig2 row");
+    let fig6 = summary
+        .find("fig6_scrub_backup_completed")
+        .expect("fig6 row");
+    assert!(fig2 < fig6, "{summary}");
+}
+
+/// fig5 and fig6 read 66 cells, 52 of them distinct (fig6's Duet
+/// column is fig5's 100 %-overlap column, and fig5's 0 % row is one run
+/// four times); the summary says so, and each harness keeps its ops.
+#[test]
+fn the_summary_counts_requested_cells_and_distinct_runs() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cells_and_runs");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = bench_in(
+        &dir,
+        &[
+            "run",
+            "fig5_scrub_backup_saved",
+            "fig6_scrub_backup_completed",
+        ],
+        &[("DUET_SCALE", "512"), ("DUET_JOBS", "2")],
+    );
+    assert!(out.status.success(), "{out:?}");
+    let summary = std::fs::read_to_string(dir.join("results/BENCH_sweeps.json")).expect("summary");
+    assert!(
+        summary.contains("\"cells\": 66,\n  \"runs\": 52,\n"),
+        "{summary}"
+    );
+    let row = summary
+        .lines()
+        .find(|l| l.contains("\"name\": \"fig6_scrub_backup_completed\""))
+        .unwrap_or_else(|| panic!("fig6 missing: {summary}"));
+    assert!(row.contains("\"ops\": 16821,"), "{row}");
+}
+
+/// `mem_overhead` makes one run, and goes through a batch of cells like
+/// every harness that simulates: under `DUET_TRACE=1` it writes
 /// its trace counters and credits its exact simulated ops, and both are
 /// the same bytes at one worker and at two.
 #[test]

@@ -25,7 +25,7 @@ pub enum TaskKind {
 }
 
 /// Full configuration of one Btrfs-model experiment run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Device model.
     pub device: DeviceKind,

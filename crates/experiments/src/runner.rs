@@ -473,7 +473,7 @@ pub fn run_rsync_experiment_with(
 }
 
 /// Configuration of an F2fs garbage-collection run (Table 6).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcExperimentConfig {
     /// Number of segments on the device.
     pub nsegs: u32,

@@ -17,7 +17,7 @@ use sim_core::{InodeNr, SimDuration, SimInstant, SimResult, SimRng, PAGE_SIZE};
 
 /// File-set shape (§6.1.3 uses 50 GB of data; scaled-down experiments
 /// shrink `num_files`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FileSetConfig {
     /// Number of data files.
     pub num_files: usize,

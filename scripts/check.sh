@@ -49,9 +49,10 @@ cargo test -q --workspace
 echo "==> bench run smoke (DUET_SCALE=512 DUET_JOBS=2 DUET_TRACE=1, time-bounded)"
 cargo build -q --release -p bench
 timeout 600 env DUET_SCALE=512 DUET_JOBS=2 DUET_TRACE=1 ./target/release/bench run \
-    fig2_scrub_saved fig6_scrub_backup_completed fig9_cpu_overhead mem_overhead > /dev/null
+    fig2_scrub_saved fig6_scrub_backup_completed fig9_cpu_overhead fig10_ssd mem_overhead > /dev/null
 test -s results/BENCH_sweeps.json
 test -s results/fig2_scrub_saved_trace.csv
+test -s results/fig10_ssd_trace.csv
 test -s results/mem_overhead_trace.csv
 
 echo "==> duetbench: package gate + benchmark-contract smoke"
