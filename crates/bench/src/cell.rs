@@ -3,7 +3,7 @@
 //! A [`Cell`] says *what* is simulated — a [`Sim`] — and names the
 //! report whose `_trace.csv` its counters go to. A [`Batch`] runs the
 //! cells of any number of readers (harnesses, see [`crate::figs`]): each
-//! equal `Sim` once, all through one [`pool::try_run_indexed`] call, with
+//! equal `Sim` once, all through one [`pool::run_indexed`] call, with
 //! a `Result` per distinct run, so a failure fails only its readers. A
 //! reader gets its results in its own cell order, and its ops and trace
 //! counters as keyed sums over its cells: the same bytes whether it
@@ -25,7 +25,6 @@ use experiments::{
 use sim_core::trace::TraceHandle;
 use sim_core::{SimError, SimResult};
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use workloads::{DistKind, Personality};
 
 /// What one cell simulates. Two cells with equal `Sim`s are one run.
@@ -33,8 +32,8 @@ use workloads::{DistKind, Personality};
 pub enum Sim {
     /// One Btrfs experiment.
     Btrfs(ExperimentConfig),
-    /// One rsync transfer, with Duet (`true`) or as the baseline.
-    Rsync(ExperimentConfig, bool),
+    /// One rsync transfer, with Duet when the config's `duet` is set.
+    Rsync(ExperimentConfig),
     /// One F2fs cleaning run.
     Gc(GcExperimentConfig),
     /// Table 5's bisection: the highest utilization, in 10 % steps, at
@@ -111,8 +110,8 @@ impl Sim {
             Sim::Btrfs(cfg) => {
                 run_experiment_with(cfg, opts).map(|r| (r.workload_ops, Ran::Btrfs(r)))
             }
-            Sim::Rsync(cfg, duet) => {
-                run_rsync_experiment_with(cfg, *duet, opts).map(|r| (r.workload_ops, Ran::Rsync(r)))
+            Sim::Rsync(cfg) => {
+                run_rsync_experiment_with(cfg, opts).map(|r| (r.workload_ops, Ran::Rsync(r)))
             }
             Sim::Gc(cfg) => run_gc_experiment_with(cfg, opts).map(|r| (r.workload_ops, Ran::Gc(r))),
             &Sim::MaxUtil {
@@ -200,7 +199,7 @@ impl Batch {
                     .collect()
             })
             .collect();
-        let Ok(runs) = pool::try_run_indexed(sims.len(), jobs, |i| {
+        let runs = pool::run_indexed(sims.len(), jobs, |i| {
             let sw = Stopwatch::start();
             // Handles are `Rc`-based and deliberately not `Send`: each is
             // built on the worker that runs the cell, and only its
@@ -218,12 +217,12 @@ impl Batch {
                 Err(e) => (0, Err(e)),
             };
             let counters = handle.map(|h| h.counters()).unwrap_or_default();
-            Ok::<_, Infallible>(Run {
+            Run {
                 ran,
                 ops,
                 counters,
                 ns: sw.elapsed_ns(),
-            })
+            }
         });
         Batch {
             readers,

@@ -6,23 +6,25 @@
 
 use crate::cell::{webserver, Cell, Ran, Sim, MISMATCH};
 use crate::{f2, BenchResult, Report, Sink};
-use experiments::speedup;
+use experiments::{speedup, ExperimentConfig};
 
 const NAME: &str = "fig4_rsync_speedup";
 
 const OVERLAPS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
 /// rsync against the unthrottled webserver at every overlap, baseline
-/// then Duet.
+/// then Duet, on an unaged layout.
 pub fn cells(scale: u64) -> Vec<Cell> {
     OVERLAPS
         .iter()
         .flat_map(|&overlap| {
-            // Unthrottled: rsync runs at normal priority (§6.2).
-            let cfg = webserver(scale, overlap, 1.0, &[], true);
             [false, true].map(|duet| Cell {
                 report: NAME,
-                sim: Sim::Rsync(cfg.clone(), duet),
+                // Unthrottled: rsync runs at normal priority (§6.2).
+                sim: Sim::Rsync(ExperimentConfig {
+                    scatter_layout: false,
+                    ..webserver(scale, overlap, 1.0, &[], duet)
+                }),
             })
         })
         .collect()

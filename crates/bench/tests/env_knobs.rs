@@ -270,3 +270,25 @@ fn a_single_run_harness_traces_and_credits_its_ops() {
     };
     assert_eq!(run("1"), run("2"));
 }
+
+/// fig4's simulated work at scale 512 is pinned. Its ops are one
+/// workload operation per rsync step, so they move if the file set or
+/// workload of the source stack does; the aged layout leaves them as
+/// they are (`experiments`' `rsync_honours_its_layout` covers that).
+#[test]
+fn fig4_credits_its_pinned_ops() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fig4");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let env = [("DUET_SCALE", "512"), ("DUET_JOBS", "2")];
+    let out = bench_in(&dir, &["run", "fig4_rsync_speedup"], &env);
+    assert!(out.status.success(), "{out:?}");
+    let summary = std::fs::read_to_string(dir.join("results/BENCH_sweeps.json")).expect("summary");
+    let row = summary
+        .lines()
+        .find(|l| l.contains("\"name\": \"fig4_rsync_speedup\""))
+        .unwrap_or_else(|| panic!("fig4 missing: {summary}"));
+    assert!(
+        row.contains("\"ops\": 31913,") && row.contains("\"ok\": true"),
+        "{row}"
+    );
+}

@@ -90,7 +90,7 @@ fn traced_sweep_counters_are_byte_identical_at_any_width() {
 fn traced_cell_jsonl_is_byte_identical_at_any_width() {
     let cells = [0.2, 0.6];
     let run = |jobs: usize| -> Vec<String> {
-        pool::try_run_indexed(cells.len(), jobs, |i| {
+        let runs = pool::run_indexed(cells.len(), jobs, |i| {
             let mut cfg = paper_scaled(
                 SCALE,
                 Personality::WebServer,
@@ -106,10 +106,9 @@ fn traced_cell_jsonl_is_byte_identical_at_any_width() {
                 trace: Some(&t),
                 ..RunOptions::default()
             };
-            run_experiment_with(&cfg, &traced)?;
-            sim_core::SimResult::Ok(t.dump_jsonl())
-        })
-        .expect("sweep")
+            run_experiment_with(&cfg, &traced).map(|_| t.dump_jsonl())
+        });
+        runs.into_iter().collect::<Result<_, _>>().expect("sweep")
     };
     let sequential = run(1);
     let parallel = run(4);

@@ -36,7 +36,7 @@ pub const FIXTURES: [Fixture; 7] = [
         Ok(golden_csv(&run_experiment(&baseline_preset())?))
     }),
     ("golden_rsync.txt", || {
-        let r = run_rsync_experiment(&rsync_preset(), true)?;
+        let r = run_rsync_experiment(&rsync_preset())?;
         Ok(golden_rsync_line(&r) + "\n")
     }),
     ("golden_trace_seed7.txt", trace_digests),
@@ -95,17 +95,20 @@ pub fn baseline_preset() -> ExperimentConfig {
 }
 
 /// The rsync preset: two filesystems plus the residency priority queue
-/// under a saturating webserver.
+/// under a saturating webserver, Duet on, unaged layout.
 pub fn rsync_preset() -> ExperimentConfig {
-    paper_scaled(
-        SCALE,
-        Personality::WebServer,
-        DistKind::Uniform,
-        1.0,
-        1.0,
-        vec![],
-        true,
-    )
+    ExperimentConfig {
+        scatter_layout: false,
+        ..paper_scaled(
+            SCALE,
+            Personality::WebServer,
+            DistKind::Uniform,
+            1.0,
+            1.0,
+            vec![],
+            true,
+        )
+    }
 }
 
 /// The traced seed-7 run, pinned by digest: its golden CSV (tracing is

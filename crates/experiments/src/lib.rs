@@ -14,10 +14,14 @@
 //!   utilization* and *speedup*;
 //! - [`presets`]: scaled-down versions of the paper's 50 GB / 300 GB /
 //!   2 GB / 30-minute setup that keep its ratios;
+//! - [`snapshot`]: [`snapshot::prepare`], the one builder of a Btrfs
+//!   stack from an [`ExperimentConfig`] (every experiment, rsync's
+//!   source and the calibration pass), and [`snapshot::obtain`], its
+//!   per-thread memo keyed by the config;
 //! - [`profile`]: the §6.1.2 unthrottled profiling pass and its memo
-//!   ([`profile::ProfileCache`]), which seeds the workload throttle of
-//!   every `profiled` run once per workload shape instead of
-//!   re-calibrating in every cell.
+//!   ([`profile::ProfileCache`], keyed by the calibration run's config),
+//!   which seeds the workload throttle of every `profiled` run once per
+//!   workload shape instead of re-calibrating in every cell.
 
 pub mod config;
 pub mod golden;
@@ -35,7 +39,7 @@ pub use oracle::{
     OracleReport, OracleTask,
 };
 pub use presets::paper_scaled;
-pub use profile::{profile_unthrottled, ProfileCache, ProfileKey};
+pub use profile::ProfileCache;
 pub use runner::{
     run_experiment,
     run_experiment_with,

@@ -32,7 +32,7 @@ use sim_core::trace::TraceHandle;
 use sim_core::{SimDuration, SimError, SimInstant, SimResult};
 use sim_disk::{Disk, HddModel, IoClass, SchedulerPolicy, SsdModel};
 use sim_f2fs::{F2fsSim, VictimPolicy};
-use workloads::{populate_fileset, Workload, WorkloadFs};
+use workloads::{Workload, WorkloadFs};
 
 /// Dirty pages beyond this fraction of the cache force writeback.
 pub(crate) const WB_HIGH_FRACTION: usize = 8; // 1/8 of the cache
@@ -176,16 +176,10 @@ pub(crate) fn run_prepared(
         mut duet,
         mut workload,
     } = stack;
-    // Per-cell throttle knobs the shared prefix deliberately excludes;
-    // neither is read during setup, so applying them after the fork is
-    // indistinguishable from applying them before it.
-    if let Some(w) = workload.as_mut() {
-        if let Some(wcfg) = cfg.workload {
-            w.set_target_util(wcfg.target_util);
-        }
-        if let Some(ns) = profiled_busy_per_op {
-            w.seed_busy_per_op(ns);
-        }
+    // The profiled throttle seed is no part of the prefix: nothing in
+    // setup reads the estimate it writes.
+    if let (Some(w), Some(ns)) = (workload.as_mut(), profiled_busy_per_op) {
+        w.seed_busy_per_op(ns);
     }
     // Arm tracing only now: population and aging are setup, not the
     // measured window (mirroring the metric reset in the prefix).
@@ -379,9 +373,11 @@ pub struct RsyncResult {
 
 /// Runs rsync (normal I/O priority) against an unthrottled foreground
 /// workload on the source device, as in §6.2: one workload operation
-/// and one rsync chunk alternate until the transfer completes.
-pub fn run_rsync_experiment(cfg: &ExperimentConfig, duet_mode: bool) -> SimResult<RsyncResult> {
-    run_rsync_experiment_with(cfg, duet_mode, &RunOptions::default())
+/// and one rsync chunk alternate until the transfer completes. The
+/// source is `cfg`'s prepared stack; rsync runs with Duet when
+/// `cfg.duet` is set.
+pub fn run_rsync_experiment(cfg: &ExperimentConfig) -> SimResult<RsyncResult> {
+    run_rsync_experiment_with(cfg, &RunOptions::default())
 }
 
 /// [`run_rsync_experiment`] under `opts`: tracing is armed on the source
@@ -389,30 +385,21 @@ pub fn run_rsync_experiment(cfg: &ExperimentConfig, duet_mode: bool) -> SimResul
 /// mirroring; tracing it would double-count every shipped block).
 pub fn run_rsync_experiment_with(
     cfg: &ExperimentConfig,
-    duet_mode: bool,
     opts: &RunOptions<'_>,
 ) -> SimResult<RsyncResult> {
     let trace = opts.trace;
-    let src_disk = build_disk(cfg.device, cfg.capacity_blocks);
+    let crate::snapshot::PreparedStack {
+        fs: mut src,
+        mut duet,
+        mut workload,
+    } = crate::snapshot::obtain(cfg)?;
     let dst_disk = build_disk(cfg.device, cfg.capacity_blocks);
-    let mut src = BtrfsSim::new(sim_core::DeviceId(0), src_disk, cfg.cache_pages);
     let mut dst = BtrfsSim::new(sim_core::DeviceId(1), dst_disk, cfg.cache_pages);
-    let mut duet = Duet::with_defaults();
-    let mut workload = match cfg.workload {
-        Some(wcfg) => Some(Workload::setup(&mut src, wcfg, cfg.fileset)?),
-        None => {
-            populate_fileset(&mut src, cfg.fileset, cfg.seed)?;
-            None
-        }
-    };
-    src.cache_mut().drain_events();
-    src.drain_fs_events();
-    src.disk_mut().reset_metrics();
     if trace.is_some() {
         src.set_trace(trace.cloned());
         duet.set_trace(trace.cloned());
     }
-    let mode = if duet_mode {
+    let mode = if cfg.duet {
         TaskMode::Duet
     } else {
         TaskMode::Baseline

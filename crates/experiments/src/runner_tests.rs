@@ -150,12 +150,19 @@ fn max_utilization_improves_with_duet() {
     assert!(d >= b, "duet max util {d} < baseline {b}");
 }
 
+/// [`small_cfg`]'s rsync transfer, unaged, with Duet or without.
+fn rsync_cfg(duet: bool) -> ExperimentConfig {
+    ExperimentConfig {
+        scatter_layout: false,
+        duration: SimDuration::from_secs(60),
+        ..small_cfg(vec![], duet, 1.0)
+    }
+}
+
 #[test]
 fn rsync_duet_speeds_up_transfer() {
-    let mut cfg = small_cfg(vec![], false, 1.0);
-    cfg.duration = SimDuration::from_secs(60);
-    let base = run_rsync_experiment(&cfg, false).unwrap();
-    let duet = run_rsync_experiment(&cfg, true).unwrap();
+    let base = run_rsync_experiment(&rsync_cfg(false)).unwrap();
+    let duet = run_rsync_experiment(&rsync_cfg(true)).unwrap();
     assert_eq!(base.metrics.done_units, base.metrics.total_units);
     assert_eq!(duet.metrics.done_units, duet.metrics.total_units);
     let s = crate::metrics::speedup(base.completion, duet.completion);
@@ -167,16 +174,42 @@ fn rsync_duet_speeds_up_transfer() {
 /// not a completion time a speedup could be computed from.
 #[test]
 fn rsync_cut_off_by_the_safety_cap_is_an_error() {
-    let mut cfg = small_cfg(vec![], false, 1.0);
-    cfg.duration = SimDuration::from_millis(1);
     for duet in [false, true] {
-        match run_rsync_experiment(&cfg, duet) {
+        let cfg = ExperimentConfig {
+            duration: SimDuration::from_millis(1),
+            ..rsync_cfg(duet)
+        };
+        match run_rsync_experiment(&cfg) {
             Err(sim_core::SimError::InvalidArgument(why)) => {
                 assert!(why.contains("safety cap of 20 × duration"), "{why}")
             }
             other => panic!("expected the cap error, got {other:?}"),
         }
     }
+}
+
+/// rsync's source is the stack its config describes: an aged layout
+/// (files split and scattered) makes the baseline's per-file reads seek,
+/// so the transfer takes longer than on the unaged one.
+#[test]
+fn rsync_honours_its_layout() {
+    let completion = |scatter_layout: bool| {
+        let cfg = ExperimentConfig {
+            scatter_layout,
+            ..paper_scaled(
+                512,
+                Personality::WebServer,
+                DistKind::Uniform,
+                0.25,
+                1.0,
+                vec![],
+                false,
+            )
+        };
+        run_rsync_experiment(&cfg).unwrap().completion
+    };
+    let (unaged, aged) = (completion(false), completion(true));
+    assert!(aged > unaged, "aged {aged} vs unaged {unaged}");
 }
 
 #[test]

@@ -3,97 +3,73 @@
 //! Every Btrfs-model experiment starts the same way: build the disk and
 //! filesystem, populate (or set up the workload over) the file set, age
 //! the layout, optionally pre-fragment, then drain events and reset
-//! device metrics. Sweeps like `table5_max_util` run dozens of cells
-//! whose configurations differ only in knobs the prefix never reads —
-//! target utilization, task list, Duet mode, scheduling policy — so the
-//! prefix used to be rebuilt per cell for no reason, and dominated the
-//! sweep's wall time.
+//! device metrics. [`prepare`] is the only code that does this: the
+//! runner's experiments, rsync's source stack and the §6.1.2
+//! calibration pass all start from it. Sweeps like `table5_max_util`
+//! run dozens of cells whose configurations differ only in knobs the
+//! prefix never reads — target utilization, task list, Duet mode,
+//! scheduling policy — so the prefix used to be rebuilt per cell for no
+//! reason, and dominated the sweep's wall time.
 //!
-//! This module captures the prefix **once** per distinct [`SetupKey`]
-//! (the setup-relevant slice of [`ExperimentConfig`]) in a per-thread
-//! [`SnapshotStore`] and hands every subsequent cell a fork: a `Clone`,
-//! independent by copy-on-write below `BlockTable` (a fork shares the
-//! pristine's block-table chunks until it writes one) and by copy above.
+//! This module captures the prefix **once** per distinct key in a
+//! per-thread [`SnapshotStore`] and hands every subsequent cell a fork:
+//! a `Clone`, independent by copy-on-write below `BlockTable` (a fork
+//! shares the pristine's block-table chunks until it writes one) and by
+//! copy above. The key is the [`ExperimentConfig`] itself with the
+//! fields the prefix never reads reset to constants, so a new config
+//! field is compared by default: forgetting one costs sharing, never
+//! correctness. [`obtain`] returns the stack for `cfg` — the workload's
+//! `target_util`, the one post-fork field the stack holds, is applied
+//! to the fork before it is handed out — so `obtain(cfg) ==
+//! prepare(cfg)` holds for every `cfg`.
+//!
 //! Equivalence is not assumed, it is checked: [`PreparedStack`] and
 //! every type under it (disk model, cache, filesystem trees, Duet,
 //! workload RNG streams) derive `PartialEq`, and the tests in this
-//! module pin fork ≡ fresh with `==`; the few hand-written impls (the
-//! trace and fault handles, `Disk`) exist where representation is not
-//! state, and destructure their type exhaustively so a new field does
-//! not compile until it is named. End to end, the runner's tests
-//! run the golden presets on the stack [`prepare`] builds — never
-//! stored, never cloned — and demand the forked run's golden bytes.
+//! module pin fork ≡ fresh with `==`, for a change of each config field;
+//! the few hand-written impls (the trace and fault handles, `Disk`)
+//! exist where representation is not state, and destructure their type
+//! exhaustively so a new field does not compile until it is named. End
+//! to end, the runner's tests run the golden presets on the stack
+//! [`prepare`] builds — never stored, never cloned — and demand the
+//! forked run's golden bytes.
 //!
-//! Two per-cell knobs are deliberately excluded from the prefix and
-//! applied *after* the fork by the runner:
-//!
-//! - the throttle target (`WorkloadConfig::target_util`) — read only by
-//!   the per-operation throttle, never during `Workload::setup`;
-//! - the profiled busy-per-op seed (`Workload::seed_busy_per_op`) —
-//!   writes only the throttle's estimate, which nothing in the prefix
-//!   reads.
+//! The profiled busy-per-op seed (`Workload::seed_busy_per_op`) is the
+//! one per-cell knob applied by the runner after [`obtain`]: it writes
+//! only the throttle's estimate, which nothing in the prefix reads.
 
 use crate::config::ExperimentConfig;
 use crate::runner::build_disk;
 use duet::Duet;
 use sim_btrfs::BtrfsSim;
-use sim_core::{SimError, SimResult, SimRng};
+use sim_core::{SimDuration, SimError, SimResult, SimRng};
+use sim_disk::SchedulerPolicy;
 use std::cell::RefCell;
-use workloads::{populate_fileset, Workload};
+use workloads::{populate_fileset, Workload, WorkloadConfig};
 
 /// Pristine prefixes kept per thread. A sweep visits its distinct
 /// prefixes in row-major order, so a handful of slots gives
 /// near-perfect reuse while bounding resident filesystem images.
 const STORE_CAP: usize = 4;
 
-/// The setup-relevant slice of an [`ExperimentConfig`]: every field the
-/// prefix reads, with the workload's `target_util` excluded (applied
-/// post-fork). Floats are keyed by bit pattern so equality is exact.
-/// Two configurations with equal keys build byte-identical prefixes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SetupKey {
-    device: crate::config::DeviceKind,
-    capacity_blocks: u64,
-    cache_pages: usize,
-    num_files: usize,
-    mean_file_bytes: u64,
-    sigma_bits: u64,
-    workload: Option<WorkloadShape>,
-    scatter_layout: bool,
-    fragmentation: Option<(u64, u64)>,
-    seed: u64,
-}
-
-/// Workload shape minus `target_util` (see [`SetupKey`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct WorkloadShape {
-    personality: workloads::Personality,
-    dist: workloads::DistKind,
-    coverage_bits: u64,
-    burst: u32,
-    append_bytes: u64,
-    seed: u64,
-}
-
-fn setup_key(cfg: &ExperimentConfig) -> SetupKey {
-    SetupKey {
-        device: cfg.device,
-        capacity_blocks: cfg.capacity_blocks,
-        cache_pages: cfg.cache_pages,
-        num_files: cfg.fileset.num_files,
-        mean_file_bytes: cfg.fileset.mean_file_bytes,
-        sigma_bits: cfg.fileset.sigma.to_bits(),
-        workload: cfg.workload.map(|w| WorkloadShape {
-            personality: w.personality,
-            dist: w.dist,
-            coverage_bits: w.coverage.to_bits(),
-            burst: w.burst,
-            append_bytes: w.append_bytes,
-            seed: w.seed,
+/// The memo key of `cfg`'s prefix: the config with every field the
+/// prefix never reads reset to a constant. Two configurations with equal
+/// keys build equal prefixes up to `target_util`, which [`obtain`] sets
+/// on the fork.
+pub(crate) fn setup_key(cfg: &ExperimentConfig) -> ExperimentConfig {
+    ExperimentConfig {
+        workload: cfg.workload.map(|w| WorkloadConfig {
+            target_util: 0.0,
+            ..w
         }),
-        scatter_layout: cfg.scatter_layout,
-        fragmentation: cfg.fragmentation.map(|(f, p)| (f.to_bits(), p)),
-        seed: cfg.seed,
+        tasks: Vec::new(),
+        duet: false,
+        policy: SchedulerPolicy::default_cfq(),
+        duration: SimDuration::ZERO,
+        poll_period: SimDuration::ZERO,
+        defrag_file_granularity: false,
+        informed_replacement: false,
+        ..cfg.clone()
     }
 }
 
@@ -115,11 +91,11 @@ pub struct PreparedStack {
 
 /// Builds the setup prefix from scratch: population (free of simulated
 /// I/O), layout aging, pre-fragmentation, event drain, metric reset.
-/// This is the single source of truth for the prefix — the runner
-/// always goes through it, forked or fresh. A `fragmentation` whose
+/// This is the single source of truth for the prefix — every Btrfs
+/// stack is built here, forked or fresh. A `fragmentation` whose
 /// fraction is outside `[0, 1]` (or NaN), or whose piece count is 0, is
 /// an error; a warm fork needs no check of its own, because its key
-/// holds the same fraction bits and piece count as the build that
+/// holds a fraction and piece count equal to those of the build that
 /// passed this one.
 pub fn prepare(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
     if let Some((fraction, pieces)) = cfg.fragmentation {
@@ -221,18 +197,29 @@ impl<K: PartialEq, T: Clone> SnapshotStore<K, T> {
 thread_local! {
     /// One memo per sweep worker: the stack holds non-`Send` (`Rc`-based
     /// trace and fault) handles, and per-thread stores need no locking.
-    static STORE: RefCell<SnapshotStore<SetupKey, PreparedStack>> =
+    static STORE: RefCell<SnapshotStore<ExperimentConfig, PreparedStack>> =
         RefCell::new(SnapshotStore::with_capacity(STORE_CAP));
 }
 
-/// The prepared stack for `cfg`: a fork of this thread's pristine
-/// snapshot when an identical prefix was already built, a fork of the
-/// fresh (and now memoized) build otherwise.
+/// The prepared stack for `cfg`, equal to [`prepare`]`(cfg)`: a fork of
+/// this thread's pristine snapshot when a prefix with the same key was
+/// already built, a fork of the fresh (and now memoized) build
+/// otherwise.
 pub fn obtain(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
-    STORE.with(|s| {
-        s.borrow_mut()
-            .fork_or_build(setup_key(cfg), || prepare(cfg))
-    })
+    obtain_by(cfg, setup_key)
+}
+
+/// [`obtain`] with `key` naming the snapshot `cfg` may fork: the tests
+/// hand it a wrong one to show that the key is checked.
+fn obtain_by(
+    cfg: &ExperimentConfig,
+    key: fn(&ExperimentConfig) -> ExperimentConfig,
+) -> SimResult<PreparedStack> {
+    let mut stack = STORE.with(|s| s.borrow_mut().fork_or_build(key(cfg), || prepare(cfg)))?;
+    if let (Some(w), Some(wcfg)) = (stack.workload.as_mut(), cfg.workload) {
+        w.set_target_util(wcfg.target_util);
+    }
+    Ok(stack)
 }
 
 /// `(hits, misses)` of this thread's snapshot store — forks served warm
@@ -253,7 +240,7 @@ pub fn clear_store() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TaskKind;
+    use crate::config::{DeviceKind, TaskKind};
     use crate::presets::paper_scaled;
     use duet::{EventMask, TaskScope};
     use sim_cache::PageKey;
@@ -308,16 +295,86 @@ mod tests {
         assert_eq!(store.misses, 0, "failed builds are not counted");
     }
 
+    fn wl(c: &mut ExperimentConfig) -> &mut WorkloadConfig {
+        c.workload.as_mut().expect("the preset has a workload")
+    }
+
+    /// The one-field changes of `cfg(0.5)` whose fork under `key` is not
+    /// the stack `prepare` builds, or — for a field the prefix never
+    /// reads — was not served from the warm snapshot. Each change starts
+    /// from a store warmed with `cfg(0.5)` alone.
+    fn wrong_forks(key: fn(&ExperimentConfig) -> ExperimentConfig) -> Vec<&'static str> {
+        type Change = (&'static str, fn(&mut ExperimentConfig));
+        let read: [Change; 16] = [
+            ("device", |c| c.device = DeviceKind::Ssd),
+            ("capacity_blocks", |c| c.capacity_blocks += 1 << 12),
+            ("cache_pages", |c| c.cache_pages += 64),
+            ("num_files", |c| c.fileset.num_files += 3),
+            ("mean_file_bytes", |c| c.fileset.mean_file_bytes /= 2),
+            ("sigma", |c| c.fileset.sigma = 0.3),
+            ("no workload", |c| c.workload = None),
+            ("personality", |c| {
+                wl(c).personality = Personality::FileServer
+            }),
+            ("dist", |c| wl(c).dist = DistKind::MsTrace(0)),
+            ("coverage", |c| wl(c).coverage = 0.5),
+            ("burst", |c| wl(c).burst = 4),
+            ("append_bytes", |c| wl(c).append_bytes *= 2),
+            ("workload seed", |c| wl(c).seed += 1),
+            ("scatter_layout", |c| c.scatter_layout = false),
+            ("fragmentation", |c| c.fragmentation = Some((0.2, 3))),
+            ("seed", |c| c.seed += 1),
+        ];
+        let post_fork: [Change; 8] = [
+            ("tasks", |c| {
+                c.tasks = vec![TaskKind::Backup, TaskKind::Defrag]
+            }),
+            ("duet", |c| c.duet = false),
+            ("policy", |c| c.policy = SchedulerPolicy::NoPriority),
+            ("duration", |c| c.duration = SimDuration::from_secs(3)),
+            ("poll_period", |c| {
+                c.poll_period = SimDuration::from_millis(5)
+            }),
+            ("defrag_file_granularity", |c| {
+                c.defrag_file_granularity = true
+            }),
+            ("informed_replacement", |c| c.informed_replacement = true),
+            ("target_util", |c| wl(c).target_util = 0.9),
+        ];
+        let changes = read.iter().map(|c| (c, false));
+        let changes = changes.chain(post_fork.iter().map(|c| (c, true)));
+        let mut wrong = Vec::new();
+        for (&(field, change), must_hit) in changes {
+            let mut changed = cfg(0.5);
+            change(&mut changed);
+            clear_store();
+            obtain(&cfg(0.5)).expect("warm");
+            let (hits, _) = warm_stats();
+            let fork = obtain_by(&changed, key).expect("obtain");
+            let hit = warm_stats().0 > hits;
+            if fork != prepare(&changed).expect("fresh") || (must_hit && !hit) {
+                wrong.push(field);
+            }
+        }
+        wrong
+    }
+
+    /// A change of any field the prefix reads builds its own stack, and
+    /// a change of any other field forks the warm one.
     #[test]
-    fn setup_key_ignores_target_util_tasks_and_duet() {
-        let a = cfg(0.1);
-        let mut b = cfg(0.9);
-        b.tasks = vec![TaskKind::Backup, TaskKind::Defrag];
-        b.duet = false;
-        assert_eq!(setup_key(&a), setup_key(&b), "same prefix, one build");
-        let mut c = cfg(0.1);
-        c.seed += 1;
-        assert_ne!(setup_key(&a), setup_key(&c), "seed changes the prefix");
+    fn every_config_field_forks_the_stack_prepare_builds() {
+        assert_eq!(wrong_forks(setup_key), Vec::<&str>::new());
+    }
+
+    /// The check above can fail: a key that drops `scatter_layout` hands
+    /// the unaged config the aged layout.
+    #[test]
+    fn a_key_without_the_layout_flag_is_caught() {
+        let sabotaged = |c: &ExperimentConfig| ExperimentConfig {
+            scatter_layout: true,
+            ..setup_key(c)
+        };
+        assert_eq!(wrong_forks(sabotaged), ["scatter_layout"]);
     }
 
     /// A fraction above 1, a negative or NaN fraction and a zero piece
@@ -349,14 +406,11 @@ mod tests {
         clear_store();
         // Pristine built at target 0.3, forked for a 0.6 cell.
         let warm = obtain(&cfg(0.3)).expect("build");
-        let mut fork = obtain(&cfg(0.6)).expect("fork");
-        if let Some(w) = fork.workload.as_mut() {
-            w.set_target_util(0.6);
-        }
+        let fork = obtain(&cfg(0.6)).expect("fork");
         let fresh = prepare(&cfg(0.6)).expect("fresh");
         assert!(
             fork == fresh,
-            "fork + retarget must be indistinguishable from a fresh build"
+            "a fork must be indistinguishable from a fresh build"
         );
         // And the pristine state was not tainted by handing out forks.
         let again = obtain(&cfg(0.3)).expect("fork again");

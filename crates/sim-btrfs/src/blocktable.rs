@@ -367,21 +367,6 @@ impl BlockTable {
         Ok(())
     }
 
-    /// Decrements a block's reference count and reports whether it
-    /// dropped to zero (i.e. the block is now free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the count is already zero — that is a filesystem
-    /// accounting bug, not a runtime condition.
-    pub fn ref_dec(&mut self, b: BlockNr) -> SimResult<bool> {
-        let (c, s) = self.slot(b)?;
-        let n = &mut self.refcount.chunk_mut(c)[s];
-        assert!(*n > 0, "refcount underflow at {b}");
-        *n -= 1;
-        Ok(*n == 0)
-    }
-
     /// Current reference count.
     pub fn refcount_of(&self, b: BlockNr) -> SimResult<u32> {
         let (c, s) = self.slot(b)?;
@@ -392,14 +377,6 @@ impl BlockTable {
     pub fn set_backref(&mut self, b: BlockNr, br: BackRef) -> SimResult<()> {
         let (c, s) = self.slot(b)?;
         self.backref.chunk_mut(c)[s] = pack(br.ino, br.index.raw())?;
-        Ok(())
-    }
-
-    /// Clears the live back-reference (the live tree no longer points at
-    /// this block; a snapshot still might).
-    pub fn clear_backref(&mut self, b: BlockNr) -> SimResult<()> {
-        let (c, s) = self.slot(b)?;
-        self.backref.chunk_mut(c)[s] = NO_BACKREF;
         Ok(())
     }
 
@@ -524,15 +501,6 @@ mod tests {
         t.ref_inc(b).unwrap();
         t.ref_inc(b).unwrap();
         assert_eq!(t.refcount_of(b).unwrap(), 2);
-        assert!(!t.ref_dec(b).unwrap());
-        assert!(t.ref_dec(b).unwrap(), "second dec frees");
-    }
-
-    #[test]
-    #[should_panic(expected = "refcount underflow")]
-    fn refcount_underflow_panics() {
-        let mut t = BlockTable::new(16);
-        t.ref_dec(BlockNr(0)).unwrap();
     }
 
     /// A count stops at 65 535: the next reference, alone or in a run,
@@ -608,8 +576,6 @@ mod tests {
         };
         t.set_backref(b, br).unwrap();
         assert_eq!(t.backref_of(b).unwrap(), Some(br));
-        t.clear_backref(b).unwrap();
-        assert_eq!(t.backref_of(b).unwrap(), None);
     }
 
     #[test]

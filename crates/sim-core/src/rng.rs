@@ -107,15 +107,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` on an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_range(0, items.len() as u64) as usize])
-        }
-    }
 }
 
 /// Zipf-like weights over `n` items with exponent `s`:
@@ -300,15 +291,5 @@ mod tests {
             (0..100).collect::<Vec<u32>>(),
             "shuffle left input unchanged"
         );
-    }
-
-    #[test]
-    fn choose_handles_empty_and_nonempty() {
-        let mut rng = SimRng::new(8);
-        let empty: [u32; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [10, 20, 30];
-        let got = *rng.choose(&items).unwrap();
-        assert!(items.contains(&got));
     }
 }

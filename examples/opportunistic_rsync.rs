@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example opportunistic_rsync`
 
-use experiments::{paper_scaled, run_rsync_experiment, speedup};
+use experiments::{paper_scaled, run_rsync_experiment, speedup, ExperimentConfig};
 use sim_core::SimResult;
 use workloads::{DistKind, Personality};
 
@@ -14,17 +14,20 @@ fn main() -> SimResult<()> {
         "rsync of the full file set (1/{scale} of 50 GB) with an unthrottled\n\
          webserver workload on the source device, 100% data overlap\n"
     );
-    let cfg = paper_scaled(
-        scale,
-        Personality::WebServer,
-        DistKind::Uniform,
-        1.0,
-        1.0, // rsync runs at normal priority against an unthrottled workload
-        vec![],
-        true,
-    );
-    let base = run_rsync_experiment(&cfg, false)?;
-    let duet = run_rsync_experiment(&cfg, true)?;
+    let cfg = |duet: bool| ExperimentConfig {
+        scatter_layout: false,
+        ..paper_scaled(
+            scale,
+            Personality::WebServer,
+            DistKind::Uniform,
+            1.0,
+            1.0, // rsync runs at normal priority against an unthrottled workload
+            vec![],
+            duet,
+        )
+    };
+    let base = run_rsync_experiment(&cfg(false))?;
+    let duet = run_rsync_experiment(&cfg(true))?;
     println!(
         "baseline rsync: {:>8}  ({} source blocks read from disk)",
         base.completion, base.metrics.blocks_read

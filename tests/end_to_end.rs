@@ -3,7 +3,9 @@
 
 use duet_repro::duet::{Duet, EventMask, ItemFlags, TaskScope};
 use duet_repro::duet_tasks::{pump_btrfs, Backup, BtrfsCtx, BtrfsTask, Defrag, Scrubber, TaskMode};
-use duet_repro::experiments::{paper_scaled, run_experiment, run_rsync_experiment, TaskKind};
+use duet_repro::experiments::{
+    paper_scaled, run_experiment, run_rsync_experiment, ExperimentConfig, TaskKind,
+};
 use duet_repro::sim_btrfs::BtrfsSim;
 use duet_repro::sim_core::{DeviceId, SimInstant, PAGE_SIZE};
 use duet_repro::sim_disk::{Disk, HddModel, IoClass};
@@ -239,17 +241,20 @@ fn duet_never_increases_maintenance_io() {
 /// both modes, and Duet is at least as fast.
 #[test]
 fn rsync_mirrors_source_and_speeds_up() {
-    let cfg = paper_scaled(
-        512,
-        Personality::WebServer,
-        DistKind::Uniform,
-        1.0,
-        1.0,
-        vec![],
-        true,
-    );
-    let base = run_rsync_experiment(&cfg, false).unwrap();
-    let duet = run_rsync_experiment(&cfg, true).unwrap();
+    let cfg = |duet: bool| ExperimentConfig {
+        scatter_layout: false,
+        ..paper_scaled(
+            512,
+            Personality::WebServer,
+            DistKind::Uniform,
+            1.0,
+            1.0,
+            vec![],
+            duet,
+        )
+    };
+    let base = run_rsync_experiment(&cfg(false)).unwrap();
+    let duet = run_rsync_experiment(&cfg(true)).unwrap();
     assert_eq!(base.metrics.done_units, base.metrics.total_units);
     assert_eq!(duet.metrics.done_units, duet.metrics.total_units);
     assert!(
