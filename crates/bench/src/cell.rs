@@ -36,20 +36,9 @@ pub enum Sim {
     Rsync(ExperimentConfig),
     /// One F2fs cleaning run.
     Gc(GcExperimentConfig),
-    /// Table 5's bisection: the highest utilization, in 10 % steps, at
-    /// which `task` still completes. Each probe is [`paper_scaled`] of
-    /// the other fields at its utilization, with `fragmentation` set on
-    /// it; the probes stop early and share the cell's trace handle and
-    /// ops.
-    MaxUtil {
-        scale: u64,
-        personality: Personality,
-        dist: DistKind,
-        overlap: f64,
-        task: TaskKind,
-        duet: bool,
-        fragmentation: Option<(f64, u64)>,
-    },
+    /// Table 5's bisection: [`max_utilization`] of the config, whose
+    /// probes share the cell's trace handle and ops.
+    MaxUtil(ExperimentConfig),
 }
 
 /// One cell: a simulation, and the report its trace counters go to.
@@ -114,32 +103,8 @@ impl Sim {
                 run_rsync_experiment_with(cfg, opts).map(|r| (r.workload_ops, Ran::Rsync(r)))
             }
             Sim::Gc(cfg) => run_gc_experiment_with(cfg, opts).map(|r| (r.workload_ops, Ran::Gc(r))),
-            &Sim::MaxUtil {
-                scale,
-                personality,
-                dist,
-                overlap,
-                task,
-                duet,
-                fragmentation,
-            } => {
-                // The completion probe stops simulating the moment the
-                // last task finishes: `all_completed()` is exactly the
-                // full run's, for a fraction of the wall time.
-                let probe = RunOptions {
-                    stop_when_tasks_done: true,
-                    ..*opts
-                };
-                let mut ops = 0;
-                let max = max_utilization(|util| {
-                    let mut cfg =
-                        paper_scaled(scale, personality, dist, overlap, util, vec![task], duet);
-                    cfg.fragmentation = fragmentation;
-                    let r = run_experiment_with(&cfg, &probe)?;
-                    ops += r.workload_ops;
-                    Ok(r.all_completed())
-                })?;
-                Ok((ops, Ran::MaxUtil(max)))
+            Sim::MaxUtil(cfg) => {
+                max_utilization(cfg, opts).map(|(max, ops)| (ops, Ran::MaxUtil(max)))
             }
         }
     }
@@ -208,9 +173,8 @@ impl Batch {
             let opts = RunOptions {
                 trace: handle.as_ref(),
                 // The §6.1.2 profiled throttle: one memoized calibration
-                // pass per workload shape, not one per cell.
+                // pass per workload shape and worker, not one per cell.
                 profiled: true,
-                stop_when_tasks_done: false,
             };
             let (ops, ran) = match sims[i].run(&opts) {
                 Ok((ops, ran)) => (ops, Ok(ran)),

@@ -7,15 +7,15 @@
 //! uniform and MS-trace. Columns: scrubbing, backup, defragmentation —
 //! baseline and Duet.
 //!
-//! Each of the 54 cells is a bisection (a dozen or so early-stopping
-//! probes, see [`Sim::MaxUtil`]); a probe is not a full run, so the
-//! probes stay inside their cell. The workload profile depends only on
-//! the (personality, distribution) shape, so 5 memoized calibration runs
-//! serve the whole table.
+//! Each of the 54 cells is a bisection (at most four early-stopping
+//! probes, see [`experiments::max_utilization`]); a probe is not a full
+//! run, so the probes stay inside their cell. The workload profile
+//! depends only on the (personality, distribution) shape, so each
+//! worker runs at most 6 calibrations for the whole table.
 
 use crate::cell::{Cell, Ran, Sim, MISMATCH};
 use crate::{pct, BenchResult, Report, Sink};
-use experiments::TaskKind;
+use experiments::{paper_scaled, TaskKind};
 use workloads::DistKind::{self, MsTrace, Uniform};
 use workloads::Personality::{self, FileServer, WebProxy, WebServer};
 
@@ -41,17 +41,15 @@ pub fn cells(scale: u64) -> Vec<Cell> {
     ROWS.iter()
         .flat_map(|&(_, personality, overlap, dist)| {
             TASKS.iter().flat_map(move |&task| {
-                [false, true].map(|duet| Cell {
-                    report: NAME,
-                    sim: Sim::MaxUtil {
-                        scale,
-                        personality,
-                        dist,
-                        overlap,
-                        task,
-                        duet,
-                        fragmentation: (task == TaskKind::Defrag).then_some((0.1, 5)),
-                    },
+                [false, true].map(|duet| {
+                    // The bisection sets the target utilization.
+                    let mut cfg =
+                        paper_scaled(scale, personality, dist, overlap, 0.5, vec![task], duet);
+                    cfg.fragmentation = (task == TaskKind::Defrag).then_some((0.1, 5));
+                    Cell {
+                        report: NAME,
+                        sim: Sim::MaxUtil(cfg),
+                    }
                 })
             })
         })

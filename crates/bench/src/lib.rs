@@ -90,17 +90,9 @@ pub type BenchResult<T> = Result<T, BenchError>;
 /// Console output sink. `bench run` renders one harness at a time, after
 /// every cell has run, into a live sink; a buffered one collects the
 /// lines instead.
-///
-/// The sink also carries a simulated-operation counter: rendering a
-/// harness calls [`Sink::add_ops`] with its cells' `workload_ops`, and
-/// `bench run` reads the per-harness total into
-/// `results/BENCH_sweeps.json`. Ops are simulated work — deterministic
-/// at every job count — so an exact comparison of them catches
-/// behaviour drift that wall time cannot.
 #[derive(Debug)]
 pub struct Sink {
     out: SinkOut,
-    ops: u64,
 }
 
 #[derive(Debug)]
@@ -114,17 +106,13 @@ enum SinkOut {
 impl Sink {
     /// A sink that prints immediately.
     pub fn live() -> Sink {
-        Sink {
-            out: SinkOut::Live,
-            ops: 0,
-        }
+        Sink { out: SinkOut::Live }
     }
 
     /// A sink that collects lines.
     pub fn buffer() -> Sink {
         Sink {
             out: SinkOut::Buffer(Vec::new()),
-            ops: 0,
         }
     }
 
@@ -142,16 +130,6 @@ impl Sink {
             SinkOut::Live => &[],
             SinkOut::Buffer(lines) => lines,
         }
-    }
-
-    /// Credits `n` simulated operations to this sink's harness.
-    pub fn add_ops(&mut self, n: u64) {
-        self.ops += n;
-    }
-
-    /// Total simulated operations credited so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
     }
 }
 

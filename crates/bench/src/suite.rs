@@ -10,9 +10,13 @@ use crate::harness::Stopwatch;
 use crate::{pool, trace, BenchError, BenchResult, Sink};
 use std::path::Path;
 
-/// Renders `spec`, reader `reader` of `batch`, into `sink`, crediting its
-/// ops and saving its reports and traces under `dir`; or fails, saving
-/// nothing, when one of its cells failed.
+/// Renders `spec`, reader `reader` of `batch`, into `sink`, saving its
+/// reports and traces under `dir`, and returns its simulated ops; or
+/// fails, saving nothing, when one of its cells failed.
+///
+/// Ops are simulated work — deterministic at every job count — so an
+/// exact comparison of them in `BENCH_sweeps.json` catches behaviour
+/// drift that wall time cannot.
 pub fn render(
     batch: &Batch,
     reader: usize,
@@ -20,16 +24,15 @@ pub fn render(
     scale: u64,
     dir: &Path,
     sink: &mut Sink,
-) -> BenchResult<()> {
+) -> BenchResult<u64> {
     let results = batch.results(reader)?;
-    sink.add_ops(batch.ops(reader));
     for report in (spec.render)(scale, &results, sink)? {
         report.save(dir, sink)?;
     }
     for (report, counters) in batch.traces(reader) {
         counters.save(dir, report, sink)?;
     }
-    Ok(())
+    Ok(batch.ops(reader))
 }
 
 /// [`HarnessSpec::run`]: the harness named `name` as a batch of one, at
@@ -37,7 +40,8 @@ pub fn render(
 pub(crate) fn solo(name: &str, scale: u64, sink: &mut Sink) -> BenchResult<()> {
     let spec = find(name).ok_or_else(|| BenchError::UnknownHarness(name.into()))?;
     let batch = Batch::run(vec![(spec.cells)(scale)], pool::jobs(), trace::enabled());
-    render(&batch, 0, spec, scale, Path::new("results"), sink)
+    render(&batch, 0, spec, scale, Path::new("results"), sink)?;
+    Ok(())
 }
 
 /// Runs every distinct cell of `harnesses` once on up to `jobs` workers
@@ -66,17 +70,18 @@ pub fn run(
         println!("\n===== {} (DUET_SCALE={scale}{alone}) =====", spec.name);
         let mut sink = Sink::live();
         let sw = Stopwatch::start();
-        if let Err(e) = render(&batch, i, spec, scale, dir, &mut sink) {
+        let ops = render(&batch, i, spec, scale, dir, &mut sink).unwrap_or_else(|e| {
             eprintln!("{} failed: {e}", spec.name);
             failed.push(spec.name);
-        }
+            0
+        });
         // A harness's wall time: its render plus the cells it reads.
         let wall_ms = sw.elapsed_ns() as f64 / 1e6 + batch.wall_ms(i);
         rows.push(format!(
             "    {{\"name\": \"{}\", \"wall_ms\": {wall_ms:.3}, \"ops\": {}, \"ok\": {}, \
              \"wall_clock\": {}}}",
             spec.name,
-            sink.ops(),
+            ops,
             !failed.contains(&spec.name),
             spec.wall_clock,
         ));

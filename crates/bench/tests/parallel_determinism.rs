@@ -132,8 +132,8 @@ fn render_all(batch: &Batch, specs: &[&HarnessSpec], dir: &Path) -> Rendered {
         .map(|(i, spec)| {
             let out = dir.join(spec.name);
             std::fs::create_dir_all(&out).expect("scratch dir");
-            let mut sink = Sink::buffer();
-            suite::render(batch, i, spec, SCALE, &out, &mut sink).expect(spec.name);
+            let ops =
+                suite::render(batch, i, spec, SCALE, &out, &mut Sink::buffer()).expect(spec.name);
             let files = std::fs::read_dir(&out)
                 .expect("rendered dir")
                 .map(|e| {
@@ -142,7 +142,7 @@ fn render_all(batch: &Batch, specs: &[&HarnessSpec], dir: &Path) -> Rendered {
                     (name, std::fs::read(e.path()).expect("file"))
                 })
                 .collect();
-            (files, sink.ops())
+            (files, ops)
         })
         .collect()
 }
@@ -235,19 +235,26 @@ fn sharing_cells_that_differ_only_in_duet_is_caught() {
     );
 }
 
-/// A harness whose cell cannot run: mem_overhead's one cell, which it
+/// A harness whose cells cannot run: mem_overhead's one cell, which it
 /// shares, plus that cell with `informed_replacement` set, which
-/// `run_experiment_with` rejects.
+/// `run_experiment_with` rejects, and that cell with a workload
+/// coverage of 0, which workload setup rejects.
 static BROKEN: HarnessSpec = HarnessSpec {
     name: "broken_harness",
     run: |_, _| Ok(()),
     cells: |scale| {
         let mut cells = figs::mem_overhead::cells(scale);
-        let mut broken = cells[0].clone();
-        if let Sim::Btrfs(cfg) = &mut broken.sim {
+        let (mut replaced, mut uncovered) = (cells[0].clone(), cells[0].clone());
+        if let Sim::Btrfs(cfg) = &mut replaced.sim {
             cfg.informed_replacement = true;
         }
-        cells.push(broken);
+        if let Sim::Btrfs(ExperimentConfig {
+            workload: Some(w), ..
+        }) = &mut uncovered.sim
+        {
+            w.coverage = 0.0;
+        }
+        cells.extend([replaced, uncovered]);
         cells
     },
     render: |_, _, _| Ok(Vec::new()),
@@ -255,9 +262,10 @@ static BROKEN: HarnessSpec = HarnessSpec {
     wall_clock: false,
 };
 
-/// A failed cell fails only the harnesses that read it: the other
-/// harness of the batch renders and is credited exactly as alone, and
-/// the batch's error names the broken harness.
+/// A failed cell, a malformed workload's included, fails only the
+/// harnesses that read it: the other harness of the batch renders and
+/// is credited exactly as alone, and the batch's error names the broken
+/// harness.
 #[test]
 fn a_failing_cell_fails_only_its_readers() {
     let good = figs::find("mem_overhead").expect("registered");
@@ -268,7 +276,7 @@ fn a_failing_cell_fails_only_its_readers() {
     );
     let summary = std::fs::read_to_string(dir.join("BENCH_sweeps.json")).expect("summary");
     assert!(
-        summary.contains("\"cells\": 3,\n  \"runs\": 2,"),
+        summary.contains("\"cells\": 4,\n  \"runs\": 3,"),
         "{summary}"
     );
     let row = |name: &str| {

@@ -8,20 +8,20 @@
 //!   [`runner::run_experiment`] for the Btrfs tasks (Figures 2, 3, 5–8,
 //!   10 and Table 5), [`runner::run_rsync_experiment`] for Figure 4,
 //!   [`runner::run_gc_experiment`] for Table 6 — each with a `_with`
-//!   form taking [`runner::RunOptions`] (trace, profiled throttle,
-//!   completion probe);
+//!   form taking [`runner::RunOptions`] (trace, profiled throttle);
 //! - [`metrics`]: the Table 4 metrics — *I/O saved*, *maximum
-//!   utilization* and *speedup*;
+//!   utilization* ([`metrics::max_utilization`], Table 5's bisection
+//!   of early-stopping completion probes) and *speedup*;
 //! - [`presets`]: scaled-down versions of the paper's 50 GB / 300 GB /
 //!   2 GB / 30-minute setup that keep its ratios;
 //! - [`snapshot`]: [`snapshot::prepare`], the one builder of a Btrfs
 //!   stack from an [`ExperimentConfig`] (every experiment, rsync's
 //!   source and the calibration pass), and [`snapshot::obtain`], its
 //!   per-thread memo keyed by the config;
-//! - [`profile`]: the §6.1.2 unthrottled profiling pass and its memo
-//!   ([`profile::ProfileCache`], keyed by the calibration run's config),
-//!   which seeds the workload throttle of every `profiled` run once per
-//!   workload shape instead of re-calibrating in every cell.
+//! - [`profile`]: the §6.1.2 unthrottled profiling pass and its
+//!   per-thread memo, keyed by the calibration run's config, which
+//!   seeds the workload throttle of every `profiled` run once per
+//!   workload shape and worker instead of re-calibrating in every cell.
 
 pub mod config;
 pub mod golden;
@@ -39,7 +39,6 @@ pub use oracle::{
     OracleReport, OracleTask,
 };
 pub use presets::paper_scaled;
-pub use profile::ProfileCache;
 pub use runner::{
     run_experiment,
     run_experiment_with,

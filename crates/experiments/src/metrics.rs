@@ -1,7 +1,10 @@
 //! Experiment results and the paper's evaluation metrics (Table 4).
 
+use crate::config::ExperimentConfig;
+use crate::runner::{run_until, RunOptions};
 use duet_tasks::TaskMetrics;
-use sim_core::{SimDuration, SimInstant, SimResult};
+use sim_core::{SimDuration, SimError, SimInstant, SimResult};
+use workloads::WorkloadConfig;
 
 /// Outcome of one maintenance task in a run.
 #[derive(Debug, Clone)]
@@ -86,12 +89,47 @@ impl ExperimentResult {
     }
 }
 
-/// Finds the **maximum utilization** (Table 4): the highest target
-/// utilization, stepped in 10 % intervals, at which `run` reports all
-/// maintenance work completed. Returns the utilization as a fraction
-/// (e.g. 0.7), or `Ok(None)` if even an idle device fails. A `run`
-/// error aborts the search and propagates (so a failed cell surfaces
-/// instead of silently truncating the table).
+/// Finds the **maximum utilization** (Table 4) of `cfg` under `opts`:
+/// the highest target utilization, stepped in 10 % intervals, at which
+/// every task in `cfg` completes within the window (`None` if even an
+/// idle device fails), and the simulated workload ops its probes ran.
+///
+/// Each probe is `cfg` with its workload's `target_util` set to the
+/// step, and without a workload at 0 % (as [`crate::paper_scaled`]
+/// builds it); `cfg`'s own target is unread. A probe stops simulating
+/// the moment its last task completes: its completion bit is exactly
+/// the full run's. A `cfg` without a workload has no utilization to
+/// vary and is `InvalidArgument`; a probe error aborts the search and
+/// propagates, so a failed cell surfaces instead of silently
+/// truncating the table.
+pub fn max_utilization(
+    cfg: &ExperimentConfig,
+    opts: &RunOptions<'_>,
+) -> SimResult<(Option<f64>, u64)> {
+    let Some(workload) = cfg.workload else {
+        return Err(SimError::InvalidArgument(
+            "max_utilization needs a workload whose utilization it can vary".into(),
+        ));
+    };
+    let mut ops = 0;
+    let max = bisect(|util| {
+        let probe = ExperimentConfig {
+            workload: (util > 0.0).then_some(WorkloadConfig {
+                target_util: util,
+                ..workload
+            }),
+            ..cfg.clone()
+        };
+        let r = run_until(&probe, opts, true)?;
+        ops += r.workload_ops;
+        Ok(r.all_completed())
+    })?;
+    Ok((max, ops))
+}
+
+/// The highest of the 11 steps 0.0, 0.1, …, 1.0 at which `run` answers
+/// `true`, or `Ok(None)` if it answers `false` at 0.0; a `run` error
+/// aborts the search and propagates.
 ///
 /// # Contract: the predicate must be monotone
 ///
@@ -109,7 +147,7 @@ impl ExperimentResult {
 /// — "completes at 0.3, fails at 0.4, completes at 0.5" reported
 /// 0.3. See the `non_monotone_predicate_is_pinned` test for the
 /// behaviour this version pins.)
-pub fn max_utilization<F>(mut run: F) -> SimResult<Option<f64>>
+fn bisect<F>(mut run: F) -> SimResult<Option<f64>>
 where
     F: FnMut(f64) -> SimResult<bool>,
 {
@@ -200,16 +238,16 @@ mod tests {
     }
 
     #[test]
-    fn max_utilization_search() {
+    fn bisection_search() {
         // Completes up to 70 %.
-        let got = max_utilization(|u| Ok(u <= 0.7 + 1e-9));
+        let got = bisect(|u| Ok(u <= 0.7 + 1e-9));
         assert_eq!(got, Ok(Some(0.7)));
         // Never completes.
-        assert_eq!(max_utilization(|_| Ok(false)), Ok(None));
+        assert_eq!(bisect(|_| Ok(false)), Ok(None));
         // Always completes.
-        assert_eq!(max_utilization(|_| Ok(true)), Ok(Some(1.0)));
+        assert_eq!(bisect(|_| Ok(true)), Ok(Some(1.0)));
         // Errors propagate instead of truncating the search.
-        let err = max_utilization(|u| {
+        let err = bisect(|u| {
             if u > 0.2 {
                 Err(sim_core::SimError::Unsupported("boom"))
             } else {
@@ -226,7 +264,7 @@ mod tests {
         // Thresholds from "fails even idle" (-1) to "always completes".
         for threshold in -1..=10i32 {
             let mut probes = 0u32;
-            let got = max_utilization(|u| {
+            let got = bisect(|u| {
                 probes += 1;
                 Ok(u <= threshold as f64 / 10.0 + 1e-9)
             })
@@ -248,7 +286,7 @@ mod tests {
     #[test]
     fn non_monotone_predicate_is_pinned() {
         let mut probed = Vec::new();
-        let got = max_utilization(|u| {
+        let got = bisect(|u| {
             probed.push((u * 10.0).round() as i32);
             Ok(u <= 0.3 + 1e-9 || (u - 0.5).abs() < 1e-9)
         })

@@ -1015,35 +1015,3 @@ fn run_probe(probe: u64, seed: u64) -> Option<SimError> {
         _ => None,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quiet_pair_matches_for_every_task() {
-        let plan = FaultPlan::quiet();
-        for task in OracleTask::ALL {
-            let report = check_pair(task, 0x0DDB411, &plan)
-                .unwrap_or_else(|e| panic!("{} diverged under quiet plan:\n{e}", task.name()));
-            assert!(!report.digest.is_empty());
-        }
-    }
-
-    #[test]
-    fn sabotaged_scrubber_is_caught() {
-        let quiet = FaultPlan::quiet();
-        let err = check_pair_with(OracleTask::Scrub, 0xBAD5EED, &quiet, Meddle::Sabotage)
-            .expect_err("skip-repair defect must diverge");
-        assert!(err.contains("replay:"), "failure must be replayable: {err}");
-        assert!(err.contains("DUET_FAULT_SEED=0xbad5eed"), "{err}");
-    }
-
-    #[test]
-    fn error_vocabulary_is_fully_observable() {
-        let seen = exercise_error_vocabulary(0xE44);
-        for label in SimError::ALL_LABELS {
-            assert!(seen.contains(label), "no probe produced {label}");
-        }
-    }
-}

@@ -12,11 +12,13 @@
 //! config, so its stack comes from [`crate::snapshot::prepare`] like
 //! every other, and that config is the memo key: it does not depend on
 //! the target utilization, the maintenance tasks, or Duet mode, so
-//! every cell of a `utilization × overlap` sweep shares one profile in
-//! [`ProfileCache`]. The pass is deterministic (seeded RNG, virtual
-//! time), so a cache hit is bit-identical to a fresh computation and
-//! concurrent sweep workers may race to fill an entry without affecting
-//! results.
+//! every cell of a `utilization × overlap` sweep shares one profile.
+//! The memo is per thread, like the snapshot store: no lock, and no
+//! state shared between sweep workers. The pass is deterministic
+//! (seeded RNG, virtual time), so a memo hit is bit-identical to a
+//! fresh computation, on any worker. A `bench run` of all harnesses
+//! meets 11 distinct calibration configs (Table 5 alone 6), at any
+//! scale, so each worker keeps them all.
 
 use crate::config::ExperimentConfig;
 use crate::runner::{WB_BATCH, WB_HIGH_FRACTION};
@@ -24,7 +26,7 @@ use crate::snapshot::{prepare, setup_key};
 use sim_btrfs::BtrfsSim;
 use sim_core::{SimError, SimInstant, SimResult};
 use sim_disk::IoClass;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::RefCell;
 use workloads::{FileSetConfig, WorkloadConfig, WorkloadFs};
 
 /// Operations executed by the calibration run. Enough for the op mix
@@ -101,77 +103,28 @@ fn calibrate(ccfg: &ExperimentConfig) -> SimResult<(f64, BtrfsSim)> {
     Ok((busy_per_op, fs))
 }
 
-/// Memoized profiles, shared by reference across sweep workers, keyed
-/// by [`calibration_config`].
-///
-/// Workers may race to fill the same key; both compute the same
-/// (deterministic) value, so whichever insert wins is irrelevant to
-/// results.
-#[derive(Debug, Default)]
-pub struct ProfileCache {
-    memo: Mutex<Vec<(ExperimentConfig, f64)>>,
+thread_local! {
+    /// One memo per sweep worker, like the snapshot store: profiles
+    /// keyed by [`calibration_config`]. A worker calibrates each config
+    /// it meets once; the pass is deterministic, so workers that each
+    /// compute a profile compute the same bits.
+    static MEMO: RefCell<Vec<(ExperimentConfig, f64)>> = const { RefCell::new(Vec::new()) };
 }
 
-impl ProfileCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ProfileCache::default()
+/// The busy-per-op profile for `cfg`: this thread's memoized value if
+/// present, computed and stored otherwise. `Ok(None)` when the
+/// configuration needs no profile (no workload, or unthrottled).
+pub(crate) fn profile(cfg: &ExperimentConfig) -> SimResult<Option<f64>> {
+    let Some(ccfg) = calibration_config(cfg) else {
+        return Ok(None);
+    };
+    let memoized = MEMO.with(|m| m.borrow().iter().find(|(k, _)| *k == ccfg).map(|&(_, v)| v));
+    if let Some(value) = memoized {
+        return Ok(Some(value));
     }
-
-    /// The process-wide cache every profiled run
-    /// ([`crate::RunOptions::profiled`]) reads. A profile depends only
-    /// on its calibration config and is bit-identical however many
-    /// times it is computed, so sharing entries across sweeps (e.g.
-    /// every `table5_max_util` cell, or a figure harness re-run in the
-    /// same process) is byte-safe and saves re-calibration. Tests that
-    /// assert on `len` should use [`ProfileCache::new`] for an isolated
-    /// instance instead.
-    pub fn global() -> &'static ProfileCache {
-        static GLOBAL: OnceLock<ProfileCache> = OnceLock::new();
-        GLOBAL.get_or_init(ProfileCache::new)
-    }
-
-    fn guard(&self) -> MutexGuard<'_, Vec<(ExperimentConfig, f64)>> {
-        match self.memo.lock() {
-            Ok(g) => g,
-            // A worker can only poison the lock by panicking between
-            // lock and unlock; the memo holds plain data, so continue.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Number of memoized profiles.
-    pub fn len(&self) -> usize {
-        self.guard().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.guard().is_empty()
-    }
-
-    /// The busy-per-op profile for `cfg`: memoized if present, computed
-    /// and stored otherwise. `Ok(None)` when the configuration needs no
-    /// profile (no workload, or unthrottled).
-    pub fn get_or_profile(&self, cfg: &ExperimentConfig) -> SimResult<Option<f64>> {
-        let Some(ccfg) = calibration_config(cfg) else {
-            return Ok(None);
-        };
-        let memoized = |memo: &[(ExperimentConfig, f64)]| {
-            memo.iter().find(|(k, _)| *k == ccfg).map(|&(_, v)| v)
-        };
-        if let Some(value) = memoized(&self.guard()) {
-            return Ok(Some(value));
-        }
-        // Computed outside the lock: a long calibration must not
-        // serialize other sweep workers.
-        let (value, _) = calibrate(&ccfg)?;
-        let mut memo = self.guard();
-        if memoized(&memo).is_none() {
-            memo.push((ccfg, value));
-        }
-        Ok(Some(value))
-    }
+    let (value, _) = calibrate(&ccfg)?;
+    MEMO.with(|m| m.borrow_mut().push((ccfg, value)));
+    Ok(Some(value))
 }
 
 #[cfg(test)]
@@ -193,22 +146,22 @@ mod tests {
         )
     }
 
+    /// Profiles this (test) thread has memoized.
+    fn memoized() -> usize {
+        MEMO.with(|m| m.borrow().len())
+    }
+
     #[test]
     fn memo_is_bit_identical_to_fresh_profile() {
-        let cache = ProfileCache::new();
-        let first = cache
-            .get_or_profile(&cfg(0.5))
+        let first = profile(&cfg(0.5))
             .expect("profile")
             .expect("throttled workload profiles");
         let ccfg = calibration_config(&cfg(0.5)).expect("throttled");
         let (fresh, _) = calibrate(&ccfg).expect("fresh profile");
-        let memoized = cache
-            .get_or_profile(&cfg(0.5))
-            .expect("memo hit")
-            .expect("present");
+        let memoized_value = profile(&cfg(0.5)).expect("memo hit").expect("present");
         assert_eq!(first.to_bits(), fresh.to_bits());
-        assert_eq!(first.to_bits(), memoized.to_bits());
-        assert_eq!(cache.len(), 1);
+        assert_eq!(first.to_bits(), memoized_value.to_bits());
+        assert_eq!(memoized(), 1);
         assert!(first > 0.0, "busy per op {first}");
     }
 
@@ -227,26 +180,17 @@ mod tests {
         let a = calibration_config(&cfg(0.1)).expect("key");
         let b = calibration_config(&cfg(0.9)).expect("key");
         assert_eq!(a, b, "profile is utilization-independent");
-        let cache = ProfileCache::new();
-        cache.get_or_profile(&cfg(0.1)).expect("profile");
-        cache.get_or_profile(&cfg(0.9)).expect("profile");
-        assert_eq!(cache.len(), 1, "one calibration for the whole sweep");
+        profile(&cfg(0.1)).expect("profile");
+        profile(&cfg(0.9)).expect("profile");
+        assert_eq!(memoized(), 1, "one calibration for the whole sweep");
     }
 
     #[test]
     fn unthrottled_and_workload_free_runs_need_no_profile() {
         assert!(calibration_config(&cfg(1.0)).is_none(), "unthrottled");
         assert!(calibration_config(&cfg(0.0)).is_none(), "no workload");
-        let cache = ProfileCache::new();
-        assert_eq!(cache.get_or_profile(&cfg(0.0)), Ok(None));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn global_cache_is_one_instance() {
-        let a: *const ProfileCache = ProfileCache::global();
-        let b: *const ProfileCache = ProfileCache::global();
-        assert_eq!(a, b, "process-wide singleton");
+        assert_eq!(profile(&cfg(0.0)), Ok(None));
+        assert_eq!(memoized(), 0);
     }
 
     #[test]

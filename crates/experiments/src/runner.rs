@@ -11,7 +11,6 @@
 
 use crate::config::{DeviceKind, ExperimentConfig, TaskKind};
 use crate::metrics::{since_epoch, ExperimentResult, TaskOutcome};
-use crate::profile::ProfileCache;
 use duet::Duet;
 use duet_tasks::{
     pump_btrfs,
@@ -99,9 +98,9 @@ fn maybe_writeback(
 
 /// How a run is driven: the switches that are independent of *what* is
 /// simulated. `RunOptions::default()` is the plain run — untraced,
-/// throttle bootstrapped from the first operation, full window — which
-/// is what [`run_experiment`], [`run_rsync_experiment`] and
-/// [`run_gc_experiment`] pass, so every result, traced or probed, comes
+/// throttle bootstrapped from the first operation — which is what
+/// [`run_experiment`], [`run_rsync_experiment`] and
+/// [`run_gc_experiment`] pass, so every result, traced or not, comes
 /// out of the same loop as the plain one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions<'a> {
@@ -115,19 +114,9 @@ pub struct RunOptions<'a> {
     /// busy-per-op estimate from the memoized calibration pass
     /// ([`crate::profile`]) instead of bootstrapping it from the first
     /// operation. The calibration pass itself is never traced. Read by
-    /// [`run_experiment_with`] only: rsync is unthrottled and the
-    /// calibration models Btrfs.
+    /// [`run_experiment_with`] and [`crate::max_utilization`] only:
+    /// rsync is unthrottled and the calibration models Btrfs.
     pub profiled: bool,
-    /// Stop the virtual-time loop the moment the last maintenance task
-    /// completes (or at the window end, whichever is first). Up to that
-    /// instant the simulation is step-for-step the full run, and
-    /// completion times are decided by then, so `all_completed()` is
-    /// exactly the full run's; every other metric covers a truncated
-    /// window and must not be used. Bisection drivers
-    /// ([`crate::max_utilization`]) probe with this and skip the dead
-    /// tail of every completing run. Read by [`run_experiment_with`]
-    /// only: rsync always stops when done, the cleaner never is.
-    pub stop_when_tasks_done: bool,
 }
 
 /// Runs one Btrfs-model experiment to completion of the window (or of
@@ -142,6 +131,16 @@ pub fn run_experiment_with(
     cfg: &ExperimentConfig,
     opts: &RunOptions<'_>,
 ) -> SimResult<ExperimentResult> {
+    run_until(cfg, opts, false)
+}
+
+/// [`run_experiment_with`], ended early when `stop_when_done`
+/// (see [`run_prepared`]).
+pub(crate) fn run_until(
+    cfg: &ExperimentConfig,
+    opts: &RunOptions<'_>,
+    stop_when_done: bool,
+) -> SimResult<ExperimentResult> {
     if cfg.informed_replacement {
         return Err(SimError::InvalidArgument(
             "ExperimentConfig::informed_replacement = true: informed cache replacement was removed"
@@ -149,7 +148,7 @@ pub fn run_experiment_with(
         ));
     }
     let profiled_busy_per_op = if opts.profiled {
-        ProfileCache::global().get_or_profile(cfg)?
+        crate::profile::profile(cfg)?
     } else {
         None
     };
@@ -158,17 +157,25 @@ pub fn run_experiment_with(
     // prefix was already built, rebuilt from scratch otherwise — the
     // two are byte-identical (see [`crate::snapshot`]).
     let stack = crate::snapshot::obtain(cfg)?;
-    run_prepared(cfg, opts, profiled_busy_per_op, stack)
+    run_prepared(cfg, opts, profiled_busy_per_op, stack, stop_when_done)
 }
 
 /// The run proper, on a prepared stack. The entry point hands it a
 /// fork from the snapshot store; a test also hands it the stack
 /// [`crate::snapshot::prepare`] just built, to hold the two together.
+///
+/// `stop_when_done` ends the loop the moment the last maintenance
+/// task completes (or at the window end, whichever is first): the
+/// completion probe of [`crate::max_utilization`]. Up to that instant
+/// the simulation is step-for-step the full run, and completion times
+/// are decided by then, so `all_completed()` is exactly the full run's;
+/// every other metric covers a truncated window.
 pub(crate) fn run_prepared(
     cfg: &ExperimentConfig,
     opts: &RunOptions<'_>,
     profiled_busy_per_op: Option<f64>,
     stack: crate::snapshot::PreparedStack,
+    stop_when_done: bool,
 ) -> SimResult<ExperimentResult> {
     let trace = opts.trace;
     let crate::snapshot::PreparedStack {
@@ -288,7 +295,7 @@ pub(crate) fn run_prepared(
                 // Completion probes have their answer the moment the
                 // last task finishes; the rest of the window cannot
                 // change it.
-                if opts.stop_when_tasks_done && completion.iter().all(Option::is_some) {
+                if stop_when_done && completion.iter().all(Option::is_some) {
                     break;
                 }
             }

@@ -4,10 +4,10 @@ use crate::config::{DeviceKind, ExperimentConfig, TaskKind};
 use crate::metrics::max_utilization;
 use crate::presets::paper_scaled;
 use crate::runner::{
-    run_experiment, run_experiment_with, run_gc_experiment, run_prepared, run_rsync_experiment,
+    run_experiment, run_gc_experiment, run_prepared, run_rsync_experiment, run_until,
     GcExperimentConfig, RunOptions,
 };
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimError};
 use sim_disk::SchedulerPolicy;
 use sim_f2fs::VictimPolicy;
 use workloads::{DistKind, FileSetConfig, Personality, WorkloadConfig};
@@ -138,16 +138,59 @@ fn higher_utilization_slows_maintenance() {
 
 #[test]
 fn max_utilization_improves_with_duet() {
-    let run_mode = |duet: bool, util: f64| -> bool {
-        run_experiment(&small_cfg(vec![TaskKind::Backup], duet, util))
-            .unwrap()
-            .all_completed()
+    let max = |duet: bool| {
+        let cfg = small_cfg(vec![TaskKind::Backup], duet, 0.5);
+        max_utilization(&cfg, &RunOptions::default()).unwrap()
     };
-    let base = max_utilization(|u| Ok(run_mode(false, u))).unwrap();
-    let duet = max_utilization(|u| Ok(run_mode(true, u))).unwrap();
+    let (base, base_ops) = max(false);
+    let (duet, duet_ops) = max(true);
     let b = base.expect("baseline completes on an idle device");
     let d = duet.expect("duet completes on an idle device");
     assert!(d >= b, "duet max util {d} < baseline {b}");
+    assert!(base_ops > 0 && duet_ops > 0, "the probes ran the workload");
+}
+
+/// Maximum utilization varies the workload's target: a config without
+/// a workload has none to vary.
+#[test]
+fn max_utilization_needs_a_workload() {
+    let cfg = small_cfg(vec![TaskKind::Backup], true, 0.0);
+    match max_utilization(&cfg, &RunOptions::default()) {
+        Err(SimError::InvalidArgument(why)) => assert!(why.contains("workload"), "{why}"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+}
+
+/// A malformed file set or workload is an `InvalidArgument` from the
+/// run, whichever part of setup reads it, never a panic.
+#[test]
+fn malformed_workload_and_file_set_configs_are_errors() {
+    type Malform = fn(&mut ExperimentConfig);
+    let cases: [(&str, Malform); 6] = [
+        ("coverage 0", |c| {
+            c.workload.as_mut().unwrap().coverage = 0.0
+        }),
+        ("coverage NaN", |c| {
+            c.workload.as_mut().unwrap().coverage = f64::NAN
+        }),
+        ("no files", |c| c.fileset.num_files = 0),
+        ("no files, no workload", |c| {
+            c.fileset.num_files = 0;
+            c.workload = None;
+        }),
+        ("empty files", |c| c.fileset.mean_file_bytes = 0),
+        ("empty appends", |c| {
+            c.workload.as_mut().unwrap().append_bytes = 0
+        }),
+    ];
+    for (what, malform) in cases {
+        let mut cfg = small_cfg(vec![TaskKind::Scrub], true, 0.5);
+        malform(&mut cfg);
+        match run_experiment(&cfg) {
+            Err(SimError::InvalidArgument(_)) => {}
+            other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+        }
+    }
 }
 
 /// [`small_cfg`]'s rsync transfer, unaged, with Duet or without.
@@ -324,17 +367,13 @@ fn no_priority_policy_reduces_savings() {
 }
 
 /// The completion probe answers exactly what the full run would: over
-/// table5's cell shapes, `stop_when_tasks_done` changes how far the
-/// loop runs, never the completion bit.
+/// table5's cell shapes, stopping when the tasks are done changes how
+/// far the loop runs, never the completion bit.
 #[test]
 fn completion_probe_equals_the_full_run() {
-    let full = RunOptions {
+    let opts = RunOptions {
         profiled: true,
         ..RunOptions::default()
-    };
-    let probe = RunOptions {
-        stop_when_tasks_done: true,
-        ..full
     };
     let (mut completed, mut incomplete, mut stopped_early) = (0, 0, 0);
     for task in [TaskKind::Scrub, TaskKind::Backup, TaskKind::Defrag] {
@@ -352,8 +391,8 @@ fn completion_probe_equals_the_full_run() {
                 if task == TaskKind::Defrag {
                     cfg.fragmentation = Some((0.1, 5));
                 }
-                let whole = run_experiment_with(&cfg, &full).unwrap();
-                let probed = run_experiment_with(&cfg, &probe).unwrap();
+                let whole = run_until(&cfg, &opts, false).unwrap();
+                let probed = run_until(&cfg, &opts, true).unwrap();
                 assert_eq!(
                     probed.all_completed(),
                     whole.all_completed(),
@@ -386,7 +425,7 @@ fn a_never_cloned_stack_runs_to_the_forked_runs_golden_bytes() {
     use crate::golden::{baseline_preset, experiment_preset, golden_csv, traced_preset};
     for cfg in [experiment_preset(), baseline_preset(), traced_preset()] {
         let fresh = crate::snapshot::prepare(&cfg).unwrap();
-        let fresh = run_prepared(&cfg, &RunOptions::default(), None, fresh).unwrap();
+        let fresh = run_prepared(&cfg, &RunOptions::default(), None, fresh, false).unwrap();
         let forked = run_experiment(&cfg).unwrap();
         assert_eq!(golden_csv(&fresh), golden_csv(&forked), "seed {}", cfg.seed);
     }

@@ -13,7 +13,7 @@ use crate::distribution::{DistKind, FileSelector};
 use crate::fsops::WorkloadFs;
 use crate::personality::{Personality, WorkloadOp};
 use sim_core::stats::OnlineStats;
-use sim_core::{InodeNr, SimDuration, SimInstant, SimResult, SimRng, PAGE_SIZE};
+use sim_core::{InodeNr, SimDuration, SimError, SimInstant, SimResult, SimRng, PAGE_SIZE};
 
 /// File-set shape (§6.1.3 uses 50 GB of data; scaled-down experiments
 /// shrink `num_files`).
@@ -102,13 +102,20 @@ pub struct WorkloadStats {
 /// Populates the experimental file set (§6.1.3) without a workload:
 /// log-normal file sizes around the configured mean, already on disk.
 /// `seed` controls the sizes; using the same seed as a
-/// [`WorkloadConfig`] reproduces the same layout.
+/// [`WorkloadConfig`] reproduces the same layout. An empty file set, or
+/// a mean size whose 16-fold cap is under one page, is
+/// `InvalidArgument`.
 pub fn populate_fileset(
     fs: &mut dyn WorkloadFs,
     fileset: FileSetConfig,
     seed: u64,
 ) -> SimResult<Vec<FileInfo>> {
-    assert!(fileset.num_files > 0, "empty file set");
+    if fileset.num_files == 0 {
+        return Err(invalid("empty file set"));
+    }
+    if fileset.mean_file_bytes.saturating_mul(16) < PAGE_SIZE {
+        return Err(invalid("mean_file_bytes must be at least PAGE_SIZE / 16"));
+    }
     let mut rng = SimRng::new(seed);
     let mu = (fileset.mean_file_bytes as f64).ln() - fileset.sigma * fileset.sigma / 2.0;
     let mut files = Vec::with_capacity(fileset.num_files);
@@ -120,6 +127,10 @@ pub fn populate_fileset(
         files.push(FileInfo { ino, size });
     }
     Ok(files)
+}
+
+fn invalid(why: &str) -> SimError {
+    SimError::InvalidArgument(why.into())
 }
 
 /// The foreground workload driver.
@@ -158,17 +169,20 @@ pub struct Workload {
 
 impl Workload {
     /// Populates the file set on `fs` and builds the workload. The
-    /// coverage subset is chosen uniformly at random.
+    /// coverage subset is chosen uniformly at random. A coverage outside
+    /// (0, 1], no append bytes or a file set [`populate_fileset`]
+    /// refuses is `InvalidArgument`.
     pub fn setup(
         fs: &mut dyn WorkloadFs,
         cfg: WorkloadConfig,
         fileset: FileSetConfig,
     ) -> SimResult<Workload> {
-        assert!(fileset.num_files > 0, "empty file set");
-        assert!(
-            cfg.coverage > 0.0 && cfg.coverage <= 1.0,
-            "coverage must be in (0, 1]"
-        );
+        if !(cfg.coverage > 0.0 && cfg.coverage <= 1.0) {
+            return Err(invalid("coverage must be in (0, 1]"));
+        }
+        if cfg.append_bytes == 0 {
+            return Err(invalid("append_bytes must be positive"));
+        }
         let files = populate_fileset(fs, fileset, cfg.seed)?;
         let mut rng = SimRng::new(cfg.seed.wrapping_add(0x5EED));
         let log_ino = fs.wl_populate("wl_weblog", cfg.append_bytes)?;
