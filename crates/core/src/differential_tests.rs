@@ -330,7 +330,11 @@ impl Model {
                         id: ItemId::Block(b),
                         offset: 0,
                         flags,
-                        moved_to: fs.fibmap(key.ino, key.index).filter(|&cur| cur != b),
+                        moved_to: if flags.contains(ItemFlags::FLUSHED) {
+                            fs.fibmap(key.ino, key.index).filter(|&cur| cur != b)
+                        } else {
+                            None
+                        },
                     },
                 });
             }

@@ -517,14 +517,20 @@ impl Duet {
                         if sess.done.test(b.raw()) {
                             d.mark_reported(slot);
                         } else {
+                            let flags = d.deliver(slot, mask);
+                            // Surface a flush's migration (log-structured
+                            // writeback) for the GC's segment counters;
+                            // no other item has one to report.
+                            let moved_to = if flags.contains(ItemFlags::FLUSHED) {
+                                fs.fibmap(key.ino, key.index).filter(|&cur| cur != b)
+                            } else {
+                                None
+                            };
                             out.push(Item {
                                 id: ItemId::Block(b),
                                 offset: 0,
-                                flags: d.deliver(slot, mask),
-                                // Surface a post-event migration
-                                // (log-structured flush) for the GC's
-                                // segment counters.
-                                moved_to: fs.fibmap(key.ino, key.index).filter(|&cur| cur != b),
+                                flags,
+                                moved_to,
                             });
                         }
                     }

@@ -443,6 +443,39 @@ fn blockless_pages_deferred_for_block_tasks() {
     assert_eq!(items[0].id, ItemId::Block(BlockNr(55)));
 }
 
+/// A page's migration rides only on the item that reports its flush:
+/// an item without `FLUSHED` carries no `moved_to`, even when the page
+/// has moved since its event.
+#[test]
+fn moved_to_rides_only_on_flushed_items() {
+    let mut fs = MockFs::new();
+    let f = fs.add(10, ROOT, "f");
+    let mut duet = Duet::with_defaults();
+    let sid = duet
+        .register(
+            TaskScope::Block { device: DEV },
+            EventMask::EXISTS | EventMask::FLUSHED,
+            &fs,
+        )
+        .unwrap();
+    let page = fs.cache_page(f, 0, Some(100), false);
+    duet.handle_page_event(page, PageEvent::Added, &fs);
+    // The page migrates to block 200 before the task fetches.
+    fs.fibmap.insert((f, PageIndex(0)), BlockNr(200));
+    let items = duet.fetch(sid, 10, &fs).unwrap();
+    assert_eq!(items.len(), 1);
+    assert_eq!(items[0].flags, ItemFlags::EXISTS);
+    assert_eq!(items[0].id, ItemId::Block(BlockNr(100)));
+    assert_eq!(items[0].moved_to, None);
+    // The flush event carries the block as of flush time, the old one.
+    duet.handle_page_event(page, PageEvent::Flushed, &fs);
+    let items = duet.fetch(sid, 10, &fs).unwrap();
+    assert_eq!(items.len(), 1);
+    assert_eq!(items[0].flags, ItemFlags::FLUSHED);
+    assert_eq!(items[0].id, ItemId::Block(BlockNr(100)));
+    assert_eq!(items[0].moved_to, Some(BlockNr(200)));
+}
+
 // ----- done tracking --------------------------------------------------------------
 
 #[test]

@@ -81,13 +81,14 @@ pub struct Item {
     pub offset: u64,
     /// Pending notifications for the page.
     pub flags: crate::events::ItemFlags,
-    /// For block tasks, the block *currently* backing the page, when it
-    /// differs from `id` — a log-structured flush migrates the page to a
-    /// new block, and the F2fs garbage collector "adjusts the in-memory
-    /// counters for both the old and new segments" (§5.4). The kernel
-    /// implementation learns both locations from the writeback context;
-    /// we surface the same information here. `None` for file tasks and
-    /// when the block is unchanged.
+    /// For a block item whose flags carry `FLUSHED`, the block
+    /// *currently* backing the page, when it differs from `id` — a
+    /// log-structured flush migrates the page to a new block, and the
+    /// F2fs garbage collector "adjusts the in-memory counters for both
+    /// the old and new segments" (§5.4). The kernel implementation
+    /// learns both locations from the writeback context; we surface the
+    /// same information here. `None` for file tasks, for items without
+    /// `FLUSHED`, and when the block is unchanged.
     pub moved_to: Option<sim_core::BlockNr>,
 }
 

@@ -31,7 +31,7 @@ use sim_core::trace::TraceHandle;
 use sim_core::{SimDuration, SimError, SimInstant, SimResult};
 use sim_disk::{Disk, HddModel, IoClass, SchedulerPolicy, SsdModel};
 use sim_f2fs::{F2fsSim, VictimPolicy};
-use workloads::{Workload, WorkloadFs};
+use workloads::{Workload, WorkloadConfig, WorkloadFs};
 
 /// Dirty pages beyond this fraction of the cache force writeback.
 pub(crate) const WB_HIGH_FRACTION: usize = 8; // 1/8 of the cache
@@ -39,6 +39,20 @@ pub(crate) const WB_HIGH_FRACTION: usize = 8; // 1/8 of the cache
 const WB_PERIOD: SimDuration = SimDuration::from_secs(1);
 /// Pages per writeback batch.
 pub(crate) const WB_BATCH: usize = 1024;
+
+/// A workload's target utilization is a share of the device's time, so
+/// it lies in (0, 1]; NaN, zero, a negative or a number past one would
+/// run a throttle that means nothing. Checked at the run entry points,
+/// not in [`Workload::setup`]: the set-up prefix builds with a target
+/// of 0 and the fork sets the real one.
+fn check_target_util(workload: Option<&WorkloadConfig>) -> SimResult<()> {
+    match workload.map(|w| w.target_util) {
+        Some(u) if !(u > 0.0 && u <= 1.0) => Err(SimError::InvalidArgument(format!(
+            "target_util {u} is not in (0, 1]"
+        ))),
+        _ => Ok(()),
+    }
+}
 
 pub(crate) fn build_disk(kind: DeviceKind, capacity: u64) -> Disk {
     match kind {
@@ -126,7 +140,8 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> SimResult<ExperimentResult> {
 }
 
 /// [`run_experiment`] under `opts`. Rejects a configuration that sets
-/// `informed_replacement`, which no run implements.
+/// `informed_replacement`, which no run implements, or a workload
+/// target outside (0, 1].
 pub fn run_experiment_with(
     cfg: &ExperimentConfig,
     opts: &RunOptions<'_>,
@@ -147,6 +162,7 @@ pub(crate) fn run_until(
                 .into(),
         ));
     }
+    check_target_util(cfg.workload.as_ref())?;
     let profiled_busy_per_op = if opts.profiled {
         crate::profile::profile(cfg)?
     } else {
@@ -394,6 +410,7 @@ pub fn run_rsync_experiment_with(
     cfg: &ExperimentConfig,
     opts: &RunOptions<'_>,
 ) -> SimResult<RsyncResult> {
+    check_target_util(cfg.workload.as_ref())?;
     let trace = opts.trace;
     let crate::snapshot::PreparedStack {
         fs: mut src,
@@ -525,13 +542,27 @@ pub fn run_gc_experiment(cfg: &GcExperimentConfig) -> SimResult<GcResult> {
 }
 
 /// [`run_gc_experiment`] under `opts`: tracing is armed on the F2fs
-/// stack and the Duet framework.
+/// stack and the Duet framework. A device that is empty or has
+/// 2³² − 1 blocks or more (which [`F2fsSim::new`] refuses), or a
+/// workload target outside (0, 1], is `InvalidArgument` before anything
+/// is built.
 pub fn run_gc_experiment_with(
     cfg: &GcExperimentConfig,
     opts: &RunOptions<'_>,
 ) -> SimResult<GcResult> {
+    check_target_util(Some(&cfg.workload))?;
+    let capacity = match u64::from(cfg.nsegs).checked_mul(cfg.seg_blocks) {
+        Some(c) if c > 0 && c < u64::from(u32::MAX) => c,
+        _ => {
+            return Err(SimError::InvalidArgument(format!(
+                "{} segments of {} blocks: an F2fs device holds 1 to {} blocks",
+                cfg.nsegs,
+                cfg.seg_blocks,
+                u32::MAX - 1
+            )))
+        }
+    };
     let trace = opts.trace;
-    let capacity = cfg.nsegs as u64 * cfg.seg_blocks;
     let disk = Disk::new(Box::new(HddModel::sas_10k(capacity)));
     let mut fs = F2fsSim::new(sim_core::DeviceId(1), disk, cfg.cache_pages, cfg.seg_blocks);
     let mut duet = Duet::with_defaults();

@@ -166,7 +166,10 @@ fn max_utilization_needs_a_workload() {
 #[test]
 fn malformed_workload_and_file_set_configs_are_errors() {
     type Malform = fn(&mut ExperimentConfig);
-    let cases: [(&str, Malform); 6] = [
+    fn util(c: &mut ExperimentConfig, u: f64) {
+        c.workload.as_mut().unwrap().target_util = u;
+    }
+    let cases: [(&str, Malform); 14] = [
         ("coverage 0", |c| {
             c.workload.as_mut().unwrap().coverage = 0.0
         }),
@@ -182,6 +185,14 @@ fn malformed_workload_and_file_set_configs_are_errors() {
         ("empty appends", |c| {
             c.workload.as_mut().unwrap().append_bytes = 0
         }),
+        ("target_util NaN", |c| util(c, f64::NAN)),
+        ("target_util 0", |c| util(c, 0.0)),
+        ("target_util -0.5", |c| util(c, -0.5)),
+        ("target_util inf", |c| util(c, f64::INFINITY)),
+        ("target_util 7", |c| util(c, 7.0)),
+        ("sigma NaN", |c| c.fileset.sigma = f64::NAN),
+        ("sigma inf", |c| c.fileset.sigma = f64::INFINITY),
+        ("sigma -0.5", |c| c.fileset.sigma = -0.5),
     ];
     for (what, malform) in cases {
         let mut cfg = small_cfg(vec![TaskKind::Scrub], true, 0.5);
@@ -189,6 +200,36 @@ fn malformed_workload_and_file_set_configs_are_errors() {
         match run_experiment(&cfg) {
             Err(SimError::InvalidArgument(_)) => {}
             other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+        }
+    }
+    let mut gc = small_gc_cfg(true);
+    gc.workload.target_util = f64::NAN;
+    match run_gc_experiment(&gc) {
+        Err(SimError::InvalidArgument(_)) => {}
+        other => panic!("GC target_util NaN: expected InvalidArgument, got {other:?}"),
+    }
+}
+
+/// A page's block address is a `u32` with the all-ones value reserved,
+/// so a GC device of 2³² − 1 blocks or more (or none) is refused before
+/// anything is built — no row here allocates its device.
+#[test]
+fn a_gc_device_f2fs_cannot_address_is_an_error() {
+    for (nsegs, seg_blocks) in [
+        (65_537, 65_535),
+        (1 << 16, 1 << 16),
+        (u32::MAX, u64::MAX),
+        (0, 256),
+        (256, 0),
+    ] {
+        let cfg = GcExperimentConfig {
+            nsegs,
+            seg_blocks,
+            ..small_gc_cfg(true)
+        };
+        match run_gc_experiment(&cfg) {
+            Err(SimError::InvalidArgument(why)) => assert!(why.contains("F2fs device"), "{why}"),
+            other => panic!("{nsegs} × {seg_blocks}: expected InvalidArgument, got {other:?}"),
         }
     }
 }
@@ -263,9 +304,9 @@ fn ssd_experiment_runs() {
     assert!(r.work_completed() > 0.9);
 }
 
-#[test]
-fn gc_experiment_duet_cleans_faster_or_equal() {
-    let gc_cfg = |duet: bool| GcExperimentConfig {
+/// A small Table 6 configuration: a 256 MiB device of 1 MiB segments.
+fn small_gc_cfg(duet: bool) -> GcExperimentConfig {
+    GcExperimentConfig {
         nsegs: 256,
         seg_blocks: 256, // 1 MiB segments
         cache_pages: 2048,
@@ -290,9 +331,13 @@ fn gc_experiment_duet_cleans_faster_or_equal() {
         policy: SchedulerPolicy::default_cfq(),
         duration: SimDuration::from_secs(30),
         seed: 3,
-    };
-    let base = run_gc_experiment(&gc_cfg(false)).unwrap();
-    let duet = run_gc_experiment(&gc_cfg(true)).unwrap();
+    }
+}
+
+#[test]
+fn gc_experiment_duet_cleans_faster_or_equal() {
+    let base = run_gc_experiment(&small_gc_cfg(false)).unwrap();
+    let duet = run_gc_experiment(&small_gc_cfg(true)).unwrap();
     assert!(base.cleanings > 0, "baseline cleaned nothing");
     assert!(duet.cleanings > 0, "duet cleaned nothing");
     assert!(

@@ -35,13 +35,14 @@
 //! block.
 //!
 //! A block costs 10⅛ B: a `u16` reference count, and a back-reference
-//! packed into one `u64`, the inode in the high 32 bits and the page
-//! in the low 32. So a back-reference names an inode below 2³² − 1 (the
-//! all-ones word means "none") and a page below 2³², and a block has at
-//! most 65 535 referents. A value that does not fit is an
-//! `InvalidArgument`, returned before anything is written; a count
-//! never wraps.
+//! packed into one `u64` by [`sim_core::owner`], the inode in the high
+//! 32 bits and the page in the low 32. So a back-reference names an
+//! inode below 2³² − 1 (the all-ones word means "none") and a page below
+//! 2³², and a block has at most 65 535 referents. A value that does not
+//! fit is an `InvalidArgument`, returned before anything is written; a
+//! count never wraps.
 
+use sim_core::owner::{pack, unpack, NO_OWNER};
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult};
 use sim_disk::{coalesce, Run};
 use std::collections::BTreeSet;
@@ -57,38 +58,14 @@ pub struct BackRef {
     pub index: PageIndex,
 }
 
-/// The packed back-reference of a block the live tree does not
-/// reference. No inode packs to it: inode numbers stop below
-/// `u32::MAX`.
-const NO_BACKREF: u64 = u64::MAX;
+impl From<(InodeNr, PageIndex)> for BackRef {
+    fn from((ino, index): (InodeNr, PageIndex)) -> Self {
+        BackRef { ino, index }
+    }
+}
 
 /// Most referents a block can have: the count is a `u16`.
 const MAX_REFS: u16 = u16::MAX;
-
-/// Packs `ino`'s page `page` into one word, if both fit.
-fn pack(ino: InodeNr, page: u64) -> SimResult<u64> {
-    if ino.raw() >= u64::from(u32::MAX) {
-        return Err(SimError::InvalidArgument(format!(
-            "{ino}: a back-reference holds inode numbers below {}",
-            u32::MAX
-        )));
-    }
-    if page > u64::from(u32::MAX) {
-        return Err(SimError::InvalidArgument(format!(
-            "{ino} page {page}: a back-reference holds pages up to {}",
-            u32::MAX
-        )));
-    }
-    Ok((ino.raw() << 32) | page)
-}
-
-/// The back-reference a word other than `NO_BACKREF` packs.
-fn unpack(packed: u64) -> BackRef {
-    BackRef {
-        ino: InodeNr(packed >> 32),
-        index: PageIndex(packed & u64::from(u32::MAX)),
-    }
-}
 
 const CHUNK_SHIFT: u32 = 12;
 const CHUNK_LEN: usize = 1 << CHUNK_SHIFT;
@@ -157,7 +134,7 @@ pub struct BlockTable {
     capacity: u64,
     /// Number of referents (live tree + snapshots) of each block.
     refcount: Column<Counts>,
-    /// Live back-reference of each block, packed; `NO_BACKREF` if the
+    /// Live back-reference of each block, packed; `NO_OWNER` if the
     /// live tree does not reference it.
     backref: Column<Backrefs>,
     /// Whether each block's stored checksum is good: a write or a
@@ -199,7 +176,7 @@ impl BlockTable {
         BlockTable {
             capacity,
             refcount: Column::new(chunks, [0; CHUNK_LEN]),
-            backref: Column::new(chunks, [NO_BACKREF; CHUNK_LEN]),
+            backref: Column::new(chunks, [NO_OWNER; CHUNK_LEN]),
             checksum_ok: Column::new(chunks, [0; CHUNK_LEN / 64]),
             corrupted: BTreeSet::new(),
         }
@@ -317,7 +294,7 @@ impl BlockTable {
                 }
             }
             if live {
-                self.backref.chunk_mut(c)[slots].fill(NO_BACKREF);
+                self.backref.chunk_mut(c)[slots].fill(NO_OWNER);
             }
         }
         Ok(coalesce(freed))
@@ -384,7 +361,7 @@ impl BlockTable {
     pub fn backref_of(&self, b: BlockNr) -> SimResult<Option<BackRef>> {
         let (c, s) = self.slot(b)?;
         let packed = self.backref.chunks[c][s];
-        Ok((packed != NO_BACKREF).then(|| unpack(packed)))
+        Ok((packed != NO_OWNER).then(|| unpack(packed).into()))
     }
 
     /// Every block with a non-zero reference count, with the count, in
@@ -401,8 +378,8 @@ impl BlockTable {
     /// likewise.
     pub(crate) fn backrefs(&self) -> impl Iterator<Item = (BlockNr, BackRef)> + '_ {
         self.backref.written().flat_map(|(c, brs)| {
-            let slots = brs.iter().enumerate().filter(|&(_, &p)| p != NO_BACKREF);
-            slots.map(move |(s, &p)| (block(c, s), unpack(p)))
+            let slots = brs.iter().enumerate().filter(|&(_, &p)| p != NO_OWNER);
+            slots.map(move |(s, &p)| (block(c, s), unpack(p).into()))
         })
     }
 }

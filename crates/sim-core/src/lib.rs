@@ -38,6 +38,8 @@
 //! - [`pagetable`]: the per-file page table ([`pagetable::PageTable`],
 //!   `(inode, page index)` → `u32` handle in per-file 64-slot chunks)
 //!   that the page cache and Duet's descriptor table are both built on.
+//! - [`owner`]: the (inode, page) a block backs packed into one `u64`
+//!   — Btrfs's back-references and F2fs's per-block owners.
 //! - [`knobs`]: the strict parser behind all five environment knobs:
 //!   `DUET_SCALE`, `DUET_JOBS`, `DUET_TRACE` and the two replay seeds
 //!   `DUET_FAULT_SEED` and `DUET_CHECK_SEED`.
@@ -56,6 +58,7 @@ pub mod fault;
 pub mod ids;
 pub mod inomap;
 pub mod knobs;
+pub mod owner;
 pub mod pagetable;
 pub mod rng;
 pub mod slab;

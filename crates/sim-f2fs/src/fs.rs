@@ -20,6 +20,7 @@ use crate::segment::{segment_of, segment_start, SegState, SegmentInfo};
 use sim_cache::{PageCache, PageKey, PageMeta};
 use sim_core::fault::FaultHandle;
 use sim_core::ids::byte_range_end;
+use sim_core::owner::{self, NO_OWNER};
 use sim_core::trace::{TraceHandle, TraceKind};
 use sim_core::{
     BlockNr,
@@ -58,11 +59,27 @@ pub struct CleanResult {
 struct F2fsInode {
     name: String,
     size_bytes: u64,
-    /// Page index → current on-disk block.
-    map: Vec<Option<BlockNr>>,
+    /// Page index → current on-disk block, as F2FS's 32-bit `block_t`;
+    /// [`HOLE`] for a page with no block.
+    map: Vec<u32>,
 }
 
-const NO_OWNER: u64 = u64::MAX;
+/// The address of a page with no block. No block has it: a device holds
+/// fewer than `u32::MAX` blocks ([`F2fsSim::new`]).
+const HOLE: u32 = u32::MAX;
+
+/// The block an address names, `None` for [`HOLE`].
+fn block_at(addr: u32) -> Option<BlockNr> {
+    (addr != HOLE).then_some(BlockNr(u64::from(addr)))
+}
+
+impl F2fsInode {
+    /// The block backing page `p`, `None` for a hole or a page past the
+    /// map.
+    fn block_of(&self, p: u64) -> Option<BlockNr> {
+        self.map.get(p as usize).copied().and_then(block_at)
+    }
+}
 
 /// The simulated log-structured filesystem.
 #[derive(Clone)]
@@ -73,11 +90,10 @@ pub struct F2fsSim {
     seg_blocks: u64,
     nsegs: u32,
     segs: Vec<SegmentInfo>,
-    /// Per-block validity.
-    valid: Vec<bool>,
-    /// Per-block owner (ino, page), NO_OWNER if invalid.
-    owner_ino: Vec<u64>,
-    owner_idx: Vec<u64>,
+    /// Per-block owner, F2FS's summary entry: the (inode, page) a
+    /// valid block backs, packed by [`sim_core::owner`]; `NO_OWNER`
+    /// exactly when the block is invalid.
+    owner: Vec<u64>,
     /// Inode table, indexed by inode number: numbers are handed out
     /// densely and never reused, so a lookup is one load and every walk
     /// is in ascending inode order.
@@ -106,12 +122,17 @@ impl F2fsSim {
     /// # Panics
     ///
     /// Panics if the disk capacity is not a positive multiple of
-    /// `seg_blocks`.
+    /// `seg_blocks`, or if it is 2³² − 1 blocks or more: a page's block
+    /// address is a `u32`, and the all-ones address means "hole".
     pub fn new(device: DeviceId, disk: Disk, cache_pages: usize, seg_blocks: u64) -> Self {
         let capacity = disk.capacity_blocks();
         assert!(
             seg_blocks > 0 && capacity.is_multiple_of(seg_blocks) && capacity > 0,
             "capacity {capacity} must be a positive multiple of segment size {seg_blocks}"
+        );
+        assert!(
+            capacity < u64::from(HOLE),
+            "capacity {capacity} must be below {HOLE} blocks"
         );
         let nsegs = (capacity / seg_blocks) as u32;
         let mut fs = F2fsSim {
@@ -121,9 +142,7 @@ impl F2fsSim {
             seg_blocks,
             nsegs,
             segs: vec![SegmentInfo::free(); nsegs as usize],
-            valid: vec![false; capacity as usize],
-            owner_ino: vec![NO_OWNER; capacity as usize],
-            owner_idx: vec![0; capacity as usize],
+            owner: vec![NO_OWNER; capacity as usize],
             inodes: InoMap::new(),
             names: BTreeMap::new(),
             next_ino: 1,
@@ -233,24 +252,19 @@ impl F2fsSim {
 
     /// Whether a block holds live data.
     pub fn is_valid(&self, b: BlockNr) -> bool {
-        self.valid[b.raw() as usize]
+        self.owner[b.raw() as usize] != NO_OWNER
     }
 
     /// The file page a valid block backs.
     pub fn owner_of(&self, b: BlockNr) -> Option<(InodeNr, PageIndex)> {
-        let i = b.raw() as usize;
-        if self.owner_ino[i] == NO_OWNER {
-            None
-        } else {
-            Some((InodeNr(self.owner_ino[i]), PageIndex(self.owner_idx[i])))
-        }
+        let packed = self.owner[b.raw() as usize];
+        (packed != NO_OWNER).then(|| owner::unpack(packed))
     }
 
     /// Valid blocks of a segment with their owners.
     pub fn valid_blocks_of(&self, seg: SegmentNr) -> Vec<(BlockNr, InodeNr, PageIndex)> {
         let start = segment_start(seg, self.seg_blocks).raw();
         (start..start + self.seg_blocks)
-            .filter(|&b| self.valid[b as usize])
             .filter_map(|b| {
                 let (ino, idx) = self.owner_of(BlockNr(b))?;
                 Some((BlockNr(b), ino, idx))
@@ -308,9 +322,7 @@ impl F2fsSim {
     /// mapping), or `None` for holes, unflushed new pages and missing
     /// files.
     pub fn mapping_of(&self, ino: InodeNr, index: PageIndex) -> Option<BlockNr> {
-        self.inodes
-            .get(ino)
-            .and_then(|n| n.map.get(index.raw() as usize).copied().flatten())
+        self.inodes.get(ino).and_then(|n| n.block_of(index.raw()))
     }
 
     /// All file inodes, in ascending inode order.
@@ -332,7 +344,7 @@ impl F2fsSim {
         let node = self.inodes.remove(ino).ok_or(SimError::NoSuchInode(ino))?;
         self.names.remove(&node.name);
         self.cache.remove_file(ino);
-        for b in node.map.into_iter().flatten() {
+        for b in node.map.into_iter().filter_map(block_at) {
             self.invalidate(b);
         }
         Ok(())
@@ -342,11 +354,10 @@ impl F2fsSim {
 
     fn invalidate(&mut self, b: BlockNr) {
         let i = b.raw() as usize;
-        if !self.valid[i] {
+        if self.owner[i] == NO_OWNER {
             return;
         }
-        self.valid[i] = false;
-        self.owner_ino[i] = NO_OWNER;
+        self.owner[i] = NO_OWNER;
         let seg = segment_of(b, self.seg_blocks);
         let s = &mut self.segs[seg.raw() as usize];
         debug_assert!(s.valid > 0, "segment valid-count underflow");
@@ -357,12 +368,12 @@ impl F2fsSim {
         }
     }
 
-    fn mark_valid(&mut self, b: BlockNr, ino: InodeNr, idx: PageIndex) {
+    /// Makes `b` valid, owned by the page `packed` names (a word from
+    /// [`owner::pack`], packed before anything changed).
+    fn mark_valid(&mut self, b: BlockNr, packed: u64) {
         let i = b.raw() as usize;
-        debug_assert!(!self.valid[i], "double-validate at {b}");
-        self.valid[i] = true;
-        self.owner_ino[i] = ino.raw();
-        self.owner_idx[i] = idx.raw();
+        debug_assert_eq!(self.owner[i], NO_OWNER, "double-validate at {b}");
+        self.owner[i] = packed;
         let seg = segment_of(b, self.seg_blocks);
         self.write_clock += 1;
         let s = &mut self.segs[seg.raw() as usize];
@@ -382,7 +393,7 @@ impl F2fsSim {
                 self.head_off += 1;
                 // Skip still-valid blocks when the head segment was
                 // obtained through SSR (partially valid).
-                if !self.valid[b.raw() as usize] {
+                if self.owner[b.raw() as usize] == NO_OWNER {
                     return Ok((b, self.head_ssr));
                 }
             }
@@ -424,9 +435,13 @@ impl F2fsSim {
         let node = self.get_mut(ino)?;
         let i = idx.raw() as usize;
         if node.map.len() <= i {
-            node.map.resize(i + 1, None);
+            node.map.resize(i + 1, HOLE);
         }
-        Ok(node.map[i].replace(block))
+        // The device is below `HOLE` blocks, so the address fits.
+        Ok(block_at(std::mem::replace(
+            &mut node.map[i],
+            block.raw() as u32,
+        )))
     }
 
     /// Submits `blocks` as maximal ascending runs, charging `stats`.
@@ -449,6 +464,7 @@ impl F2fsSim {
     /// invalidates the old copy, updates the mapping and returns the new
     /// block plus whether SSR was used.
     fn flush_page(&mut self, ino: InodeNr, idx: PageIndex) -> SimResult<(BlockNr, bool)> {
+        let packed = owner::pack(ino, idx.raw())?;
         let (new_block, ssr) = self.log_alloc()?;
         if let Some(trace) = &self.trace {
             trace.tick(TraceKind::F2fsLogAppend);
@@ -459,7 +475,7 @@ impl F2fsSim {
         if let Some(old_b) = self.set_mapping(ino, idx, new_block)? {
             self.invalidate(old_b);
         }
-        self.mark_valid(new_block, ino, idx);
+        self.mark_valid(new_block, packed);
         self.cache.set_block(PageKey::new(ino, idx), new_block);
         Ok((new_block, ssr))
     }
@@ -521,7 +537,7 @@ impl F2fsSim {
             let idx = PageIndex(p);
             if self.cache.lookup(PageKey::new(ino, idx)).is_some() {
                 stats.cache_hits += 1;
-            } else if let Some(b) = self.get(ino)?.map.get(p as usize).copied().flatten() {
+            } else if let Some(b) = self.get(ino)?.block_of(p) {
                 missing.push((idx, b));
             }
         }
@@ -551,7 +567,9 @@ impl F2fsSim {
 
     /// Writes into the cache; blocks are assigned at flush time (the
     /// log-structured delayed allocation). Old on-disk copies stay valid
-    /// until the new data is flushed.
+    /// until the new data is flushed. A write that ends past the last
+    /// page a block's owner holds (2³² − 1) is `InvalidArgument`
+    /// before the cache is touched.
     pub fn write(
         &mut self,
         ino: InodeNr,
@@ -569,12 +587,13 @@ impl F2fsSim {
         let p1 = end.div_ceil(PAGE_SIZE);
         {
             let node = self.get_mut(ino)?;
+            owner::pack(ino, p1 - 1)?;
             node.size_bytes = node.size_bytes.max(end);
         }
         let mut evicted_all = Vec::new();
         for p in p0..p1 {
             let idx = PageIndex(p);
-            let current = self.get(ino)?.map.get(p as usize).copied().flatten();
+            let current = self.get(ino)?.block_of(p);
             self.cache
                 .insert_into(PageKey::new(ino, idx), current, true, &mut evicted_all);
         }
@@ -623,9 +642,10 @@ impl F2fsSim {
         let ino = self.create_file(name)?;
         let npages = sim_core::ids::pages_for_bytes(size_bytes);
         for p in 0..npages {
+            let packed = owner::pack(ino, p)?;
             let (b, _) = self.log_alloc()?;
             self.set_mapping(ino, PageIndex(p), b)?;
-            self.mark_valid(b, ino, PageIndex(p));
+            self.mark_valid(b, packed);
         }
         self.get_mut(ino)?.size_bytes = size_bytes;
         Ok(ino)
@@ -694,7 +714,7 @@ impl F2fsSim {
         let Some(slot) = node.map.get_mut(index.raw() as usize) else {
             return Ok(());
         };
-        let Some(b) = slot.take() else {
+        let Some(b) = block_at(std::mem::replace(slot, HOLE)) else {
             return Ok(());
         };
         // Drop the cached copy too: a pending dirty page would
@@ -717,22 +737,19 @@ impl F2fsSim {
     /// Intended for tests and debugging; cost is O(device).
     pub fn check_consistency(&self) -> SimResult<()> {
         let fail = |why: String| Err(SimError::InvalidArgument(format!("f2fs fsck: {why}")));
-        let capacity = self.valid.len() as u64;
         // Mappings → blocks, each claimed exactly once with a matching
         // owner record.
-        let mut claimed = vec![false; capacity as usize];
+        let mut claimed = vec![false; self.owner.len()];
         for (ino, node) in self.inodes.iter() {
-            for (p, slot) in node.map.iter().enumerate() {
-                let Some(b) = slot else { continue };
+            for (p, &addr) in node.map.iter().enumerate() {
+                let Some(b) = block_at(addr) else { continue };
                 let i = b.raw() as usize;
                 if claimed[i] {
                     return fail(format!("block {b} mapped twice"));
                 }
                 claimed[i] = true;
-                if !self.valid[i] {
-                    return fail(format!("mapped block {b} is invalid"));
-                }
-                match self.owner_of(*b) {
+                match self.owner_of(b) {
+                    None => return fail(format!("mapped block {b} is invalid")),
                     Some((o_ino, o_idx)) if o_ino == ino && o_idx.raw() == p as u64 => {}
                     other => {
                         return fail(format!("block {b}: owner {other:?} != ({ino}, pg {p})"));
@@ -747,7 +764,7 @@ impl F2fsSim {
             let mut valid_here = 0u32;
             for b in start..start + self.seg_blocks {
                 let i = b as usize;
-                if self.valid[i] {
+                if self.owner[i] != NO_OWNER {
                     valid_here += 1;
                     if !claimed[i] {
                         return fail(format!("valid block blk#{b} has no mapping"));
@@ -836,6 +853,85 @@ mod tests {
         fs.check_consistency().unwrap();
         // The last addressable byte is still a valid request.
         assert!(fs.read(ino, u64::MAX - 1, 1, NORMAL, T0).is_ok());
+    }
+
+    /// A block's owner holds pages up to 2³² − 1: a write that ends past
+    /// that page is refused before the cache or the size moves.
+    #[test]
+    fn a_write_past_the_last_ownable_page_is_refused_whole() {
+        let mut fs = make_fs(8, 16, 64);
+        let ino = fs.populate_file("a", pb(4)).unwrap();
+        let last = u64::from(u32::MAX);
+        for (offset, len) in [(pb(last + 1), 1), (pb(last), pb(2)), (pb(2), pb(last))] {
+            let write = fs.write(ino, offset, len, NORMAL, T0);
+            assert!(
+                matches!(write, Err(SimError::InvalidArgument(_))),
+                "{write:?}"
+            );
+        }
+        assert_eq!(fs.size_of(ino).unwrap(), pb(4));
+        assert_eq!(fs.dirty_pages(), 0);
+        assert_eq!(fs.cache().len(), 0);
+        // The last page itself is writable. (It stays dirty: flushing
+        // it would grow the page map to 2³² entries.)
+        fs.write(ino, pb(last), PAGE_SIZE, NORMAL, T0).unwrap();
+        assert_eq!(fs.dirty_pages(), 1);
+        fs.check_consistency().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "must be below")]
+    fn a_device_of_u32_max_blocks_is_refused() {
+        // 65 537 × 65 535 = 2³² − 1: one block too many.
+        make_fs(65_537, 65_535, 64);
+    }
+
+    /// Breaks one piece of `fs`'s state with `corrupt`, then expects
+    /// fsck to name the fault.
+    fn fsck_catches(corrupt: impl FnOnce(&mut F2fsSim, InodeNr), names: &str) {
+        let mut fs = make_fs(8, 16, 64);
+        let ino = fs.populate_file("a", pb(4)).unwrap();
+        fs.check_consistency().unwrap();
+        corrupt(&mut fs, ino);
+        match fs.check_consistency() {
+            Err(SimError::InvalidArgument(why)) => assert!(why.contains(names), "{why}"),
+            other => panic!("expected fsck to report {names:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fsck_catches_an_owner_naming_the_wrong_page() {
+        fsck_catches(
+            |fs, ino| fs.owner[0] = owner::pack(ino, 1).unwrap(),
+            "!= (ino#1, pg 0)",
+        );
+    }
+
+    #[test]
+    fn fsck_catches_a_mapped_block_without_an_owner() {
+        fsck_catches(
+            |fs, _| {
+                fs.owner[0] = NO_OWNER;
+                fs.segs[0].valid -= 1;
+            },
+            "mapped block blk#0 is invalid",
+        );
+    }
+
+    #[test]
+    fn fsck_catches_a_valid_block_no_mapping_claims() {
+        fsck_catches(
+            |fs, ino| {
+                fs.owner[9] = owner::pack(ino, 9).unwrap();
+                fs.segs[0].valid += 1;
+            },
+            "valid block blk#9 has no mapping",
+        );
+    }
+
+    #[test]
+    fn fsck_catches_a_segment_count_off_by_one() {
+        fsck_catches(|fs, _| fs.segs[0].valid += 1, "SIT says 5 valid, counted 4");
     }
 
     #[test]

@@ -102,9 +102,9 @@ pub struct WorkloadStats {
 /// Populates the experimental file set (§6.1.3) without a workload:
 /// log-normal file sizes around the configured mean, already on disk.
 /// `seed` controls the sizes; using the same seed as a
-/// [`WorkloadConfig`] reproduces the same layout. An empty file set, or
-/// a mean size whose 16-fold cap is under one page, is
-/// `InvalidArgument`.
+/// [`WorkloadConfig`] reproduces the same layout. An empty file set, a
+/// mean size whose 16-fold cap is under one page, or a `sigma` that is
+/// not finite or is negative, is `InvalidArgument`.
 pub fn populate_fileset(
     fs: &mut dyn WorkloadFs,
     fileset: FileSetConfig,
@@ -115,6 +115,9 @@ pub fn populate_fileset(
     }
     if fileset.mean_file_bytes.saturating_mul(16) < PAGE_SIZE {
         return Err(invalid("mean_file_bytes must be at least PAGE_SIZE / 16"));
+    }
+    if !(fileset.sigma.is_finite() && fileset.sigma >= 0.0) {
+        return Err(invalid("sigma must be finite and not negative"));
     }
     let mut rng = SimRng::new(seed);
     let mu = (fileset.mean_file_bytes as f64).ln() - fileset.sigma * fileset.sigma / 2.0;

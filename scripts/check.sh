@@ -64,12 +64,16 @@ echo "==> duetbench: package gate + benchmark-contract smoke"
 # simulated statistic at seed 42. Gate it here so a change that breaks
 # that API surface or moves a pinned statistic fails now, not in the
 # next performance PR: the package's own checks, then one workload
-# under the contract's invocation — pins, mirror ≡ entry point, fsck.
+# under the contract's invocation — pins, mirror ≡ entry point, fsck —
+# for the Btrfs stack (write_cow_duet) and for the only workload on
+# sim-f2fs and the GC (f2fs_gc_write).
 benchmark/check.sh
-smoke=$(benchmark/run.sh --workload write_cow_duet --seed 42 --seconds 3 --trace 1 | tail -n 1)
-if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$smoke"; then
-    echo "duetbench contract smoke failed: ${smoke:0:160}" >&2
-    exit 1
-fi
+for workload in write_cow_duet f2fs_gc_write; do
+    smoke=$(benchmark/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | tail -n 1)
+    if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$smoke"; then
+        echo "duetbench contract smoke failed on $workload: ${smoke:0:160}" >&2
+        exit 1
+    fi
+done
 
 echo "==> all checks passed"
