@@ -44,7 +44,7 @@
 
 use sim_core::owner::{pack, unpack, NO_OWNER};
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult};
-use sim_disk::{coalesce, Run};
+use sim_disk::{coalesce_into, Run};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::rc::Rc;
@@ -297,7 +297,9 @@ impl BlockTable {
                 self.backref.chunk_mut(c)[slots].fill(NO_OWNER);
             }
         }
-        Ok(coalesce(freed))
+        let mut runs = Vec::new();
+        coalesce_into(&mut freed, &mut runs);
+        Ok(runs)
     }
 
     /// Verifies the block's checksum against its content, as the Btrfs

@@ -42,8 +42,9 @@ use sim_core::{
     SimResult,
     PAGE_SIZE, //
 };
-use sim_disk::{coalesce, Disk, IoClass, IoKind, OpStats, RetryPolicy, Run};
+use sim_disk::{coalesce_into, Disk, IoClass, IoKind, OpStats, RetryPolicy, Run};
 use std::collections::{BTreeMap, VecDeque};
+use std::mem;
 
 /// Result of defragmenting one file (see
 /// [`BtrfsSim::defrag_file`]).
@@ -63,6 +64,35 @@ pub struct DefragResult {
     pub extents_before: usize,
     /// Extent count after.
     pub extents_after: usize,
+}
+
+/// The data path's per-call lists, kept between calls so that a
+/// steady-state read, write-back or dirty eviction allocates nothing.
+/// Each use takes a list with `mem::take`, clears it and puts it back.
+/// They are not simulated state: `==` ignores them and a clone starts
+/// them empty.
+#[derive(Default)]
+struct Buffers {
+    /// A read's missing pages and the blocks behind them.
+    missing: Vec<(PageIndex, BlockNr)>,
+    /// Blocks to submit, before coalescing.
+    blocks: Vec<BlockNr>,
+    /// Their maximal runs.
+    runs: Vec<Run>,
+    /// Pages the cache evicted on insert.
+    evicted: Vec<PageMeta>,
+}
+
+impl Clone for Buffers {
+    fn clone(&self) -> Self {
+        Buffers::default()
+    }
+}
+
+impl PartialEq for Buffers {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// The simulated copy-on-write filesystem.
@@ -85,6 +115,7 @@ pub struct BtrfsSim {
     retry: RetryPolicy,
     faults: Option<FaultHandle>,
     trace: Option<TraceHandle>,
+    bufs: Buffers,
 }
 
 impl BtrfsSim {
@@ -105,6 +136,7 @@ impl BtrfsSim {
             retry: RetryPolicy::default(),
             faults: None,
             trace: None,
+            bufs: Buffers::default(),
         }
     }
 
@@ -351,6 +383,31 @@ impl BtrfsSim {
         Ok(())
     }
 
+    /// Submits `blocks` (any order, duplicates allowed) as maximal
+    /// ascending runs; nothing at all if there are none.
+    fn submit_blocks(
+        &mut self,
+        blocks: impl IntoIterator<Item = BlockNr>,
+        kind: IoKind,
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
+        let mut buf = mem::take(&mut self.bufs.blocks);
+        let mut runs = mem::take(&mut self.bufs.runs);
+        buf.clear();
+        buf.extend(blocks);
+        coalesce_into(&mut buf, &mut runs);
+        let submitted = if runs.is_empty() {
+            Ok(())
+        } else {
+            self.submit_runs(&runs, kind, class, now, stats)
+        };
+        self.bufs.blocks = buf;
+        self.bufs.runs = runs;
+        submitted
+    }
+
     /// Writes the blocks behind `pages` — flushed by the cache, or
     /// evicted dirty — to the device, coalesced.
     fn write_pages(
@@ -360,11 +417,23 @@ impl BtrfsSim {
         now: SimInstant,
         stats: &mut OpStats,
     ) -> SimResult<()> {
-        let blocks: Vec<BlockNr> = pages.iter().filter_map(|m| m.block).collect();
-        if blocks.is_empty() {
-            return Ok(());
-        }
-        self.submit_runs(&coalesce(blocks), IoKind::Write, class, now, stats)
+        let blocks = pages.iter().filter_map(|m| m.block);
+        self.submit_blocks(blocks, IoKind::Write, class, now, stats)
+    }
+
+    /// Writes the dirty ones of `evicted` — taken from `self.bufs` —
+    /// and puts the list back.
+    fn write_evicted(
+        &mut self,
+        mut evicted: Vec<PageMeta>,
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
+        evicted.retain(|m| m.dirty);
+        let written = self.write_pages(&evicted, class, now, stats);
+        self.bufs.evicted = evicted;
+        written
     }
 
     /// Enters pages `page0..` of `ino` into the cache dirty, backed by
@@ -379,18 +448,18 @@ impl BtrfsSim {
         now: SimInstant,
         stats: &mut OpStats,
     ) -> SimResult<()> {
-        let mut evicted_all = Vec::new();
+        let mut evicted = mem::take(&mut self.bufs.evicted);
+        evicted.clear();
         let mut logical = page0;
         for run in runs {
             for i in 0..run.len {
                 let key = PageKey::new(ino, PageIndex(logical + i));
                 self.cache
-                    .insert_into(key, Some(run.start.offset(i)), true, &mut evicted_all);
+                    .insert_into(key, Some(run.start.offset(i)), true, &mut evicted);
             }
             logical += run.len;
         }
-        evicted_all.retain(|m| m.dirty);
-        self.write_pages(&evicted_all, class, now, stats)
+        self.write_evicted(evicted, class, now, stats)
     }
 
     // ----- data path ---------------------------------------------------
@@ -415,7 +484,8 @@ impl BtrfsSim {
         let p0 = offset / PAGE_SIZE;
         let p1 = end.div_ceil(PAGE_SIZE).min(node.size_pages());
         let mut extents = node.extents.cursor();
-        let mut missing: Vec<(PageIndex, BlockNr)> = Vec::new();
+        let mut missing = mem::take(&mut self.bufs.missing);
+        missing.clear();
         for p in p0..p1 {
             let idx = PageIndex(p);
             let key = PageKey::new(ino, idx);
@@ -426,11 +496,26 @@ impl BtrfsSim {
             }
             // Unmapped pages (holes) read as zeroes with no I/O.
         }
+        let read = self.read_missing(ino, &missing, class, now, &mut stats);
+        self.bufs.missing = missing;
+        read.map(|()| stats)
+    }
+
+    /// The device half of [`BtrfsSim::read`]: verifies and reads the
+    /// `missing` pages of `ino`, then caches them.
+    fn read_missing(
+        &mut self,
+        ino: InodeNr,
+        missing: &[(PageIndex, BlockNr)],
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
         if missing.is_empty() {
-            return Ok(stats);
+            return Ok(());
         }
         // Verify checksums on the device read path.
-        for (_, b) in &missing {
+        for (_, b) in missing {
             if let Err(e) = self.blocks.verify_checksum(*b) {
                 if let Some(trace) = &self.trace {
                     trace.event(TraceKind::BtrfsChecksumFail, now, || {
@@ -443,17 +528,16 @@ impl BtrfsSim {
                 trace.tick(TraceKind::BtrfsChecksumOk);
             }
         }
-        let runs = coalesce(missing.iter().map(|(_, b)| *b).collect());
-        self.submit_runs(&runs, IoKind::Read, class, now, &mut stats)?;
+        let blocks = missing.iter().map(|&(_, b)| b);
+        self.submit_blocks(blocks, IoKind::Read, class, now, stats)?;
         // Populate the cache; dirty evictions are charged to this op.
-        let mut evicted_all = Vec::new();
-        for (idx, b) in missing {
+        let mut evicted = mem::take(&mut self.bufs.evicted);
+        evicted.clear();
+        for &(idx, b) in missing {
             self.cache
-                .insert_into(PageKey::new(ino, idx), Some(b), false, &mut evicted_all);
+                .insert_into(PageKey::new(ino, idx), Some(b), false, &mut evicted);
         }
-        evicted_all.retain(|m| m.dirty);
-        self.write_pages(&evicted_all, class, now, &mut stats)?;
-        Ok(stats)
+        self.write_evicted(evicted, class, now, stats)
     }
 
     /// Writes `len_bytes` at byte `offset` of file `ino`. Copy-on-write:

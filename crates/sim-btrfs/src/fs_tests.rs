@@ -159,6 +159,52 @@ fn eviction_of_dirty_pages_charges_writes() {
     assert_eq!(fs.cache().len(), 4);
 }
 
+/// The read path reuses its lists between calls, and nothing in them
+/// carries over: after a read that wrote dirty evictions and a read
+/// that failed its checksum, reading file `b` does exactly what it
+/// does on a clone taken before the failed read, whose lists start
+/// empty.
+#[test]
+fn a_failed_read_leaves_nothing_for_the_next() {
+    let mut fs = make_fs(1024, 8);
+    let a = fs.populate_file(fs.root(), "a", page_bytes(8)).unwrap();
+    let b = fs.populate_file(fs.root(), "b", page_bytes(8)).unwrap();
+    let c = fs.populate_file(fs.root(), "c", page_bytes(8)).unwrap();
+    let d = fs.create_file(fs.root(), "d").unwrap();
+    fs.write(d, 0, page_bytes(8), NORMAL, T0).unwrap();
+    let s = fs.read(c, 0, page_bytes(8), NORMAL, T0).unwrap();
+    assert!(s.blocks_written > 0, "the read evicted a dirty page of d");
+    assert!(fs == fs.clone(), "the grown lists are not compared");
+    let bad = fs.fibmap(a, PageIndex(3)).unwrap().unwrap();
+    fs.inject_corruption(bad).unwrap();
+    let mut fresh = fs.clone();
+    let err = fs.read(a, 0, page_bytes(8), NORMAL, s.finish).unwrap_err();
+    assert_eq!(err, SimError::ChecksumMismatch(bad));
+    let got = fs.read(b, 0, page_bytes(8), NORMAL, s.finish).unwrap();
+    let want = fresh.read(b, 0, page_bytes(8), NORMAL, s.finish).unwrap();
+    assert_eq!(got, want);
+    assert_eq!((got.blocks_read, got.read_reqs, got.write_reqs), (8, 1, 0));
+    assert_eq!(fs.disk().metrics(), fresh.disk().metrics());
+}
+
+/// The write path takes the same lists: a write after a read that
+/// wrote a dirty eviction does what it does on a clone whose lists
+/// start empty.
+#[test]
+fn a_write_after_a_dirty_eviction_writes_only_its_own() {
+    let mut fs = make_fs(1024, 8);
+    let c = fs.populate_file(fs.root(), "c", page_bytes(8)).unwrap();
+    let d = fs.create_file(fs.root(), "d").unwrap();
+    fs.write(d, 0, page_bytes(8), NORMAL, T0).unwrap();
+    let s = fs.read(c, 0, page_bytes(8), NORMAL, T0).unwrap();
+    assert!(s.blocks_written > 0, "the read evicted a dirty page of d");
+    let mut fresh = fs.clone();
+    let got = fs.write(c, 0, page_bytes(2), NORMAL, s.finish).unwrap();
+    let want = fresh.write(c, 0, page_bytes(2), NORMAL, s.finish).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(fs.disk().metrics(), fresh.disk().metrics());
+}
+
 #[test]
 fn append_extends_file() {
     let mut fs = make_fs(1024, 64);

@@ -8,8 +8,8 @@
 //! mutate the clone, and the original must still match the model as
 //! it was at the fork — a fork never writes through. The freed runs
 //! must be exactly the blocks that reached zero, and
-//! `sim_disk::coalesce` must turn any block list into its maximal
-//! ascending runs. Stamps also draw the widest inode and pages a packed
+//! `sim_disk::coalesce_into` must turn any block list into its maximal
+//! ascending runs, whatever its output buffer held before. Stamps also draw the widest inode and pages a packed
 //! back-reference holds, and just past them: the table must refuse
 //! those whole, as the model predicts. Driven by
 //! `sim_core::check::differential`: a failure prints the replay seed
@@ -242,6 +242,27 @@ fn is_maximal_cover(runs: &[Run], blocks: &[BlockNr]) -> bool {
     !runs.windows(2).any(touching) && expanded.eq(blocks.iter().copied())
 }
 
+/// Coalesces `blocks` into an output buffer that already holds a run,
+/// and checks the runs are maximal, ascending and cover exactly the
+/// deduplicated input.
+fn check_coalesce(blocks: &[u64]) -> Result<(), String> {
+    let mut input: Vec<BlockNr> = blocks.iter().copied().map(BlockNr).collect();
+    let mut want = input.clone();
+    want.sort_unstable();
+    want.dedup();
+    let stale = Run {
+        start: BlockNr(1000),
+        len: 3,
+    };
+    let mut runs = vec![stale];
+    sim_disk::coalesce_into(&mut input, &mut runs);
+    if is_maximal_cover(&runs, &want) {
+        Ok(())
+    } else {
+        Err(format!("{blocks:?} coalesced to {runs:?}"))
+    }
+}
+
 fn replay(log: &[Op], sabotage: Sabotage) -> Result<(), String> {
     let mut table = BlockTable::new(CAPACITY);
     let mut model = Flat::new(CAPACITY, sabotage);
@@ -288,12 +309,8 @@ fn replay(log: &[Op], sabotage: Sabotage) -> Result<(), String> {
                 forked.push((std::mem::replace(&mut table, clone), model.clone()));
             }
             Op::Coalesce(blocks) => {
-                let mut sorted: Vec<BlockNr> = blocks.iter().copied().map(BlockNr).collect();
-                let got = sim_disk::coalesce(sorted.clone());
-                sorted.sort_unstable();
-                sorted.dedup();
-                if !is_maximal_cover(&got, &sorted) {
-                    return Err(fail(&format!("coalesced to {got:?}")));
+                if let Err(what) = check_coalesce(blocks) {
+                    return Err(fail(&what));
                 }
             }
         }
@@ -321,6 +338,22 @@ fn block_table_matches_the_flat_model() {
         .unwrap_or(0xB10C_7AB1);
     let cfg = DiffConfig::new("run_ops_differential", seed).ops(400);
     differential(&cfg, gen_op, |log| replay(log, Sabotage::None)).unwrap();
+}
+
+/// The edge cases of coalescing, each into a non-empty output buffer;
+/// the op log above draws random lists through the same check.
+#[test]
+fn coalesce_into_covers_each_edge_case() {
+    let rows: [(&str, &[u64]); 5] = [
+        ("empty input", &[]),
+        ("one block", &[7]),
+        ("duplicates", &[4, 4, 5, 4, 5]),
+        ("descending input", &[9, 8, 7, 3, 2]),
+        ("two runs", &[10, 11, 12, 20, 21]),
+    ];
+    for (row, blocks) in rows {
+        check_coalesce(blocks).unwrap_or_else(|what| panic!("{row}: {what}"));
+    }
 }
 
 /// A chunk of counts is 8 KiB and a chunk of back-references 32 KiB:

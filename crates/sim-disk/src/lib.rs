@@ -13,7 +13,7 @@
 //!   counters. Utilization is reported the way `iostat %util` reports it
 //!   (§6.1.2): fraction of elapsed time the device was busy;
 //! - [`run`] — the vocabulary the filesystems above speak to it:
-//!   [`Run`], [`OpStats`], [`coalesce`] and [`Disk::submit_run`].
+//!   [`Run`], [`OpStats`], [`coalesce_into`] and [`Disk::submit_run`].
 //!
 //! Scheduling policy (CFQ idle class vs the Deadline scheduler of §6.5)
 //! is represented by [`scheduler::SchedulerPolicy`]; the experiments
@@ -32,7 +32,7 @@ pub mod ssd;
 pub use hdd::HddModel;
 pub use metrics::{ClassMetrics, DiskMetrics};
 pub use request::{IoClass, IoKind, IoRequest};
-pub use run::{coalesce, OpStats, Run};
+pub use run::{coalesce_into, OpStats, Run};
 pub use scheduler::{RetryPolicy, SchedulerPolicy};
 pub use ssd::SsdModel;
 

@@ -22,18 +22,19 @@ impl Run {
 }
 
 /// Coalesces block numbers (any order, duplicates allowed) into maximal
-/// contiguous ascending runs.
-pub fn coalesce(mut blocks: Vec<BlockNr>) -> Vec<Run> {
+/// contiguous ascending runs, written to `runs` (cleared first). Both
+/// are the caller's buffers: `blocks` is left sorted and deduplicated,
+/// and neither allocates once it has grown to the caller's sizes.
+pub fn coalesce_into(blocks: &mut Vec<BlockNr>, runs: &mut Vec<Run>) {
+    runs.clear();
     blocks.sort_unstable();
     blocks.dedup();
-    let mut runs: Vec<Run> = Vec::new();
-    for b in blocks {
+    for &b in blocks.iter() {
         match runs.last_mut() {
             Some(r) if r.start.raw() + r.len == b.raw() => r.len += 1,
             _ => runs.push(Run { start: b, len: 1 }),
         }
     }
-    runs
 }
 
 /// I/O accounting for one filesystem operation.

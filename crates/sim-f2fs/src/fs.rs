@@ -34,8 +34,9 @@ use sim_core::{
     SimResult,
     PAGE_SIZE, //
 };
-use sim_disk::{coalesce, Disk, IoClass, IoKind, OpStats, RetryPolicy};
+use sim_disk::{coalesce_into, Disk, IoClass, IoKind, OpStats, RetryPolicy, Run};
 use std::collections::BTreeMap;
+use std::mem;
 
 /// Result of cleaning one segment (Table 6's measured quantity).
 #[derive(Debug, Clone, Copy)]
@@ -81,6 +82,28 @@ impl F2fsInode {
     }
 }
 
+/// The data path's per-call lists, kept between calls so that a
+/// steady-state read, write-back or dirty eviction allocates nothing.
+/// Each use takes a list with `mem::take`, clears it and puts it back.
+/// They are not simulated state: a clone starts them empty.
+#[derive(Default)]
+struct Buffers {
+    /// A read's missing pages and the blocks behind them.
+    missing: Vec<(PageIndex, BlockNr)>,
+    /// Blocks to submit, before coalescing.
+    blocks: Vec<BlockNr>,
+    /// Their maximal runs.
+    runs: Vec<Run>,
+    /// Pages the cache evicted on insert.
+    evicted: Vec<PageMeta>,
+}
+
+impl Clone for Buffers {
+    fn clone(&self) -> Self {
+        Buffers::default()
+    }
+}
+
 /// The simulated log-structured filesystem.
 #[derive(Clone)]
 pub struct F2fsSim {
@@ -114,6 +137,7 @@ pub struct F2fsSim {
     ssr_threshold: u32,
     retry: RetryPolicy,
     trace: Option<TraceHandle>,
+    bufs: Buffers,
 }
 
 impl F2fsSim {
@@ -154,6 +178,7 @@ impl F2fsSim {
             ssr_threshold: 4,
             retry: RetryPolicy::default(),
             trace: None,
+            bufs: Buffers::default(),
         };
         fs.segs[0].state = SegState::Open;
         fs.free_segs -= 1;
@@ -444,20 +469,24 @@ impl F2fsSim {
         )))
     }
 
-    /// Submits `blocks` as maximal ascending runs, charging `stats`.
+    /// Submits `blocks` as maximal ascending runs, charging `stats`;
+    /// `blocks` is left sorted and deduplicated.
     fn submit_blocks(
         &mut self,
-        blocks: Vec<BlockNr>,
+        blocks: &mut Vec<BlockNr>,
         kind: IoKind,
         class: IoClass,
         now: SimInstant,
         stats: &mut OpStats,
     ) -> SimResult<()> {
-        for run in coalesce(blocks) {
+        let mut runs = mem::take(&mut self.bufs.runs);
+        coalesce_into(blocks, &mut runs);
+        let submitted = runs.iter().try_for_each(|&run| {
             self.disk
-                .submit_run(run, kind, class, now, self.retry, stats)?;
-        }
-        Ok(())
+                .submit_run(run, kind, class, now, self.retry, stats)
+        });
+        self.bufs.runs = runs;
+        submitted
     }
 
     /// Migrates a flushed page to the log: allocates a new block,
@@ -482,14 +511,15 @@ impl F2fsSim {
 
     fn write_out(
         &mut self,
-        pages: Vec<PageMeta>,
+        pages: &[PageMeta],
         class: IoClass,
         now: SimInstant,
         stats: &mut OpStats,
     ) -> SimResult<()> {
         // Allocate log blocks for every flushed page, then issue the
         // writes coalesced (log appends are contiguous).
-        let mut blocks: Vec<BlockNr> = Vec::with_capacity(pages.len());
+        let mut blocks = mem::take(&mut self.bufs.blocks);
+        blocks.clear();
         for m in pages {
             // Pages of deleted files may still drain from the cache.
             if !self.inodes.contains_key(m.key.ino) {
@@ -498,19 +528,37 @@ impl F2fsSim {
             let (b, _ssr) = self.flush_page(m.key.ino, m.key.index)?;
             blocks.push(b);
         }
-        if blocks.is_empty() {
-            return Ok(());
-        }
-        if let Some(trace) = &self.trace {
-            trace.event(TraceKind::F2fsSubmit, now, || {
-                vec![
-                    ("op", "write".into()),
-                    ("class", class.label().into()),
-                    ("blocks", blocks.len().into()),
-                ]
-            });
-        }
-        self.submit_blocks(blocks, IoKind::Write, class, now, stats)
+        let written = if blocks.is_empty() {
+            Ok(())
+        } else {
+            if let Some(trace) = &self.trace {
+                trace.event(TraceKind::F2fsSubmit, now, || {
+                    vec![
+                        ("op", "write".into()),
+                        ("class", class.label().into()),
+                        ("blocks", blocks.len().into()),
+                    ]
+                });
+            }
+            self.submit_blocks(&mut blocks, IoKind::Write, class, now, stats)
+        };
+        self.bufs.blocks = blocks;
+        written
+    }
+
+    /// Writes out the dirty ones of `evicted` — taken from `self.bufs`
+    /// — and puts the list back.
+    fn write_evicted(
+        &mut self,
+        mut evicted: Vec<PageMeta>,
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
+        evicted.retain(|m| m.dirty);
+        let written = self.write_out(&evicted, class, now, stats);
+        self.bufs.evicted = evicted;
+        written
     }
 
     // ----- data path -----------------------------------------------------
@@ -529,20 +577,38 @@ impl F2fsSim {
             return Ok(stats);
         }
         let end = byte_range_end(offset, len_bytes)?;
-        let size = self.get(ino)?.size_bytes;
+        let node = self.inodes.get(ino).ok_or(SimError::NoSuchInode(ino))?;
         let p0 = offset / PAGE_SIZE;
-        let p1 = end.div_ceil(PAGE_SIZE).min(size.div_ceil(PAGE_SIZE));
-        let mut missing: Vec<(PageIndex, BlockNr)> = Vec::new();
+        let p1 = end
+            .div_ceil(PAGE_SIZE)
+            .min(node.size_bytes.div_ceil(PAGE_SIZE));
+        let mut missing = mem::take(&mut self.bufs.missing);
+        missing.clear();
         for p in p0..p1 {
             let idx = PageIndex(p);
             if self.cache.lookup(PageKey::new(ino, idx)).is_some() {
                 stats.cache_hits += 1;
-            } else if let Some(b) = self.get(ino)?.block_of(p) {
+            } else if let Some(b) = node.block_of(p) {
                 missing.push((idx, b));
             }
         }
+        let read = self.read_missing(ino, &missing, class, now, &mut stats);
+        self.bufs.missing = missing;
+        read.map(|()| stats)
+    }
+
+    /// The device half of [`F2fsSim::read`]: reads the `missing` pages
+    /// of `ino`, then caches them.
+    fn read_missing(
+        &mut self,
+        ino: InodeNr,
+        missing: &[(PageIndex, BlockNr)],
+        class: IoClass,
+        now: SimInstant,
+        stats: &mut OpStats,
+    ) -> SimResult<()> {
         if missing.is_empty() {
-            return Ok(stats);
+            return Ok(());
         }
         if let Some(trace) = &self.trace {
             trace.event(TraceKind::F2fsSubmit, now, || {
@@ -553,16 +619,19 @@ impl F2fsSim {
                 ]
             });
         }
-        let blocks = missing.iter().map(|(_, b)| *b).collect();
-        self.submit_blocks(blocks, IoKind::Read, class, now, &mut stats)?;
-        let mut evicted_all = Vec::new();
-        for (idx, b) in missing {
+        let mut blocks = mem::take(&mut self.bufs.blocks);
+        blocks.clear();
+        blocks.extend(missing.iter().map(|&(_, b)| b));
+        let submitted = self.submit_blocks(&mut blocks, IoKind::Read, class, now, stats);
+        self.bufs.blocks = blocks;
+        submitted?;
+        let mut evicted = mem::take(&mut self.bufs.evicted);
+        evicted.clear();
+        for &(idx, b) in missing {
             self.cache
-                .insert_into(PageKey::new(ino, idx), Some(b), false, &mut evicted_all);
+                .insert_into(PageKey::new(ino, idx), Some(b), false, &mut evicted);
         }
-        let dirty: Vec<PageMeta> = evicted_all.into_iter().filter(|m| m.dirty).collect();
-        self.write_out(dirty, class, now, &mut stats)?;
-        Ok(stats)
+        self.write_evicted(evicted, class, now, stats)
     }
 
     /// Writes into the cache; blocks are assigned at flush time (the
@@ -590,15 +659,15 @@ impl F2fsSim {
             owner::pack(ino, p1 - 1)?;
             node.size_bytes = node.size_bytes.max(end);
         }
-        let mut evicted_all = Vec::new();
+        let mut evicted = mem::take(&mut self.bufs.evicted);
+        evicted.clear();
         for p in p0..p1 {
             let idx = PageIndex(p);
             let current = self.get(ino)?.block_of(p);
             self.cache
-                .insert_into(PageKey::new(ino, idx), current, true, &mut evicted_all);
+                .insert_into(PageKey::new(ino, idx), current, true, &mut evicted);
         }
-        let dirty: Vec<PageMeta> = evicted_all.into_iter().filter(|m| m.dirty).collect();
-        self.write_out(dirty, class, now, &mut stats)?;
+        self.write_evicted(evicted, class, now, &mut stats)?;
         Ok(stats)
     }
 
@@ -625,7 +694,7 @@ impl F2fsSim {
     ) -> SimResult<OpStats> {
         let mut stats = OpStats::none(now);
         let flushed = self.cache.writeback_batch(max_pages);
-        self.write_out(flushed, class, now, &mut stats)?;
+        self.write_out(&flushed, class, now, &mut stats)?;
         Ok(stats)
     }
 
@@ -641,6 +710,10 @@ impl F2fsSim {
     pub fn populate_file(&mut self, name: &str, size_bytes: u64) -> SimResult<InodeNr> {
         let ino = self.create_file(name)?;
         let npages = sim_core::ids::pages_for_bytes(size_bytes);
+        // No file maps more pages than the device has blocks: a larger
+        // size fails with `NoSpace` in the loop, and reserves no more.
+        let reserve = npages.min(self.owner.len() as u64) as usize;
+        self.get_mut(ino)?.map.reserve_exact(reserve);
         for p in 0..npages {
             let packed = owner::pack(ino, p)?;
             let (b, _) = self.log_alloc()?;
@@ -681,7 +754,7 @@ impl F2fsSim {
         }
         let mut stats = OpStats::none(now);
         // Synchronous read phase, coalesced.
-        self.submit_blocks(to_read, IoKind::Read, class, now, &mut stats)?;
+        self.submit_blocks(&mut to_read, IoKind::Read, class, now, &mut stats)?;
         // Mark every valid block dirty in memory for migration.
         let mut evicted_all = Vec::new();
         for (b, ino, idx) in &victims {
@@ -689,8 +762,8 @@ impl F2fsSim {
             self.cache
                 .insert_into(key, Some(*b), true, &mut evicted_all);
         }
-        let dirty: Vec<PageMeta> = evicted_all.into_iter().filter(|m| m.dirty).collect();
-        self.write_out(dirty, class, now, &mut stats)?;
+        evicted_all.retain(|m| m.dirty);
+        self.write_out(&evicted_all, class, now, &mut stats)?;
         Ok(CleanResult {
             seg,
             valid_blocks,
@@ -828,6 +901,39 @@ mod tests {
             assert_eq!(o_ino, ino);
             assert_eq!(o_idx, PageIndex(p));
         }
+    }
+
+    #[test]
+    fn populate_reserves_the_page_map_exactly() {
+        let mut fs = make_fs(8, 16, 64);
+        let ino = fs.populate_file("a", pb(100)).unwrap();
+        let map = &fs.inodes.get(ino).unwrap().map;
+        assert_eq!((map.len(), map.capacity()), (100, 100));
+    }
+
+    /// The read path reuses its lists between calls, and nothing in
+    /// them carries over: a read whose inserts wrote dirty evictions
+    /// leaves nothing for the next read to write or read.
+    #[test]
+    fn a_read_that_wrote_evictions_leaves_nothing_for_the_next() {
+        let mut fs = make_fs(8, 16, 4);
+        let a = fs.populate_file("a", pb(4)).unwrap();
+        let b = fs.populate_file("b", pb(4)).unwrap();
+        let c = fs.create_file("c").unwrap();
+        fs.write(c, 0, pb(4), NORMAL, T0).unwrap();
+        let first = fs.read(a, 0, pb(4), NORMAL, T0).unwrap();
+        assert!(
+            first.blocks_written > 0,
+            "the read evicted a dirty page of c"
+        );
+        let before = *fs.disk().metrics();
+        let second = fs.read(b, 0, pb(4), NORMAL, first.finish).unwrap();
+        assert_eq!((second.blocks_read, second.read_reqs), (4, 1));
+        assert_eq!((second.blocks_written, second.write_reqs), (0, 0));
+        let after = fs.disk().metrics();
+        assert_eq!(after.normal.blocks_written, before.normal.blocks_written);
+        assert_eq!(after.normal.write_ops, before.normal.write_ops);
+        fs.check_consistency().unwrap();
     }
 
     #[test]

@@ -65,10 +65,12 @@ echo "==> duetbench: package gate + benchmark-contract smoke"
 # that API surface or moves a pinned statistic fails now, not in the
 # next performance PR: the package's own checks, then one workload
 # under the contract's invocation — pins, mirror ≡ entry point, fsck —
-# for the Btrfs stack (write_cow_duet) and for the only workload on
-# sim-f2fs and the GC (f2fs_gc_write).
+# for the Btrfs stack (write_cow_duet), for the only workload on
+# sim-f2fs and the GC (f2fs_gc_write), and for the bypass workload, the
+# only pinned run of the baseline backup and scrub read path
+# (maint_cold_base).
 benchmark/check.sh
-for workload in write_cow_duet f2fs_gc_write; do
+for workload in write_cow_duet f2fs_gc_write maint_cold_base; do
     smoke=$(benchmark/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | tail -n 1)
     if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$smoke"; then
         echo "duetbench contract smoke failed on $workload: ${smoke:0:160}" >&2
