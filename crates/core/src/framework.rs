@@ -793,19 +793,6 @@ impl Duet {
         self.descs.assert_consistent();
     }
 
-    /// The framework's state in the shape the reference model of
-    /// `differential_tests` also builds: descriptors in key order.
-    #[cfg(test)]
-    pub(crate) fn canonical(&self) -> crate::differential_tests::Canonical<'_> {
-        use crate::differential_tests::Canonical;
-        Canonical {
-            cfg: self.cfg,
-            sessions: &self.sessions,
-            descs: self.descs.iter().collect(),
-            stats: self.stats(),
-        }
-    }
-
     /// The pages with a descriptor and the slab slots they occupy.
     #[cfg(test)]
     pub(crate) fn layout(&self) -> Vec<(PageKey, u32)> {

@@ -628,6 +628,8 @@ fn file_moved_out_reports_removed_then_ignored() {
     assert_eq!(items.len(), 1);
     assert!(items[0].flags.contains(ItemFlags::REMOVED));
     assert!(items[0].flags.contains(ItemFlags::NOT_EXISTS));
+    // Delivered once: nothing stays owed, so no descriptor is left.
+    assert_eq!(duet.descriptor_count(), 0);
     // The file is done: new events are ignored.
     duet.handle_page_event(meta(f, 1, Some(2), false), PageEvent::Added, &fs);
     assert!(duet.fetch(sid, 10, &fs).unwrap().is_empty());

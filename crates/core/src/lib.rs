@@ -73,8 +73,6 @@ pub use session::{Item, ItemId, SessionId, TaskScope};
 pub use sim_cache::FsIntrospect;
 
 #[cfg(test)]
-mod differential_tests;
+mod contract_tests;
 #[cfg(test)]
 mod framework_tests;
-#[cfg(test)]
-mod property_tests;

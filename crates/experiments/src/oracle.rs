@@ -639,8 +639,6 @@ const DEFRAG_RUN: BtrfsRun<Defrag> = BtrfsRun {
     task: Defrag::new,
     sabotage: Defrag::sabotage_skip_files,
     digest: |task, fs, files| {
-        fs.check_consistency()
-            .map_err(|e| format!("consistency check failed: {e}"))?;
         let mut layout = Vec::new();
         for &ino in files {
             layout.push((
@@ -656,7 +654,7 @@ const DEFRAG_RUN: BtrfsRun<Defrag> = BtrfsRun {
 };
 
 /// One oracle run of a [`BtrfsTask`] task: populate, age, arm faults,
-/// drive the task to completion under the op mix, digest.
+/// drive the task to completion under the op mix, fsck, digest.
 fn run_btrfs<T: BtrfsTask>(
     run: &BtrfsRun<T>,
     mode: TaskMode,
@@ -709,6 +707,8 @@ fn run_btrfs<T: BtrfsTask>(
         now: T0,
     })
     .map_err(|e| e.to_string())?;
+    fs.check_consistency()
+        .map_err(|e| format!("consistency check failed: {e}"))?;
     Ok(((run.digest)(&task, &fs, &files)?, handle.total_fired()))
 }
 

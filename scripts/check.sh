@@ -17,7 +17,8 @@
 # kind emitted, every `FaultSite` a row of the fault matrix that fires.
 #
 # `cargo test --workspace` is where every suite runs, once: the
-# differential fuzz (containers, Duet vs its reference) and the fault
+# differential fuzz (containers; Duet vs its contract model,
+# crates/core/src/contract_tests.rs) and the fault
 # matrix at their in-code default seeds (0xd1ffba5e, 0xd0e7f457 —
 # override with DUET_CHECK_SEED / DUET_FAULT_SEED to replay), the
 # oracle's sabotage localization and fork == fresh. CI adds a second,
