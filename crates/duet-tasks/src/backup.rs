@@ -282,43 +282,13 @@ impl BtrfsTask for Backup {
 mod tests {
     use super::*;
     use crate::bridge::pump_btrfs;
-    use duet::Duet;
-    use sim_btrfs::BtrfsSim;
-    use sim_core::{DeviceId, SimInstant, PAGE_SIZE};
-    use sim_disk::{Disk, HddModel};
-
-    const T0: SimInstant = SimInstant::EPOCH;
-
-    fn setup(files: u64, pages_each: u64) -> (BtrfsSim, Duet) {
-        let disk = Disk::new(Box::new(HddModel::sas_10k(1 << 16)));
-        let mut fs = BtrfsSim::new(DeviceId(0), disk, 512);
-        for i in 0..files {
-            fs.populate_file(fs.root(), &format!("f{i}"), pages_each * PAGE_SIZE)
-                .unwrap();
-        }
-        (fs, Duet::with_defaults())
-    }
-
-    fn drive(task: &mut Backup, fs: &mut BtrfsSim, duet: &mut Duet) {
-        loop {
-            let r = task.step(BtrfsCtx { fs, duet, now: T0 }).unwrap();
-            pump_btrfs(fs, duet);
-            if r.complete {
-                break;
-            }
-        }
-    }
+    use crate::testkit::{btrfs_with_files, ctx, drive, T0};
 
     #[test]
     fn baseline_reads_everything() {
-        let (mut fs, mut duet) = setup(4, 32);
+        let (mut fs, mut duet, _) = btrfs_with_files(4, 32, 512);
         let mut task = Backup::new(TaskMode::Baseline);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         drive(&mut task, &mut fs, &mut duet);
         let m = task.metrics();
         assert_eq!(m.total_units, 128);
@@ -330,15 +300,9 @@ mod tests {
 
     #[test]
     fn duet_backup_copies_cached_shared_pages() {
-        let (mut fs, mut duet) = setup(4, 32);
-        let files = fs.inodes().files_by_inode();
+        let (mut fs, mut duet, files) = btrfs_with_files(4, 32, 512);
         let mut task = Backup::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Workload reads file 2 fully: still snapshot-shared.
         fs.read(files[2], 0, 32 * PAGE_SIZE, IoClass::Normal, T0)
             .unwrap();
@@ -346,21 +310,16 @@ mod tests {
         drive(&mut task, &mut fs, &mut duet);
         let m = task.metrics();
         assert_eq!(m.done_units, 128, "all pages backed up");
+        assert_eq!(task.sent_bytes, 128 * PAGE_SIZE, "each page shipped once");
         assert!(m.saved_units >= 32, "saved {}", m.saved_units);
         assert!(m.blocks_read <= 96);
     }
 
     #[test]
     fn overwritten_blocks_not_taken_from_cache() {
-        let (mut fs, mut duet) = setup(2, 16);
-        let files = fs.inodes().files_by_inode();
+        let (mut fs, mut duet, files) = btrfs_with_files(2, 16, 512);
         let mut task = Backup::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Overwrite file 1 after the snapshot: its cached (new) pages
         // must NOT satisfy the backup — sharing is broken (§6.2).
         fs.write(files[1], 0, 16 * PAGE_SIZE, IoClass::Normal, T0)
@@ -384,27 +343,16 @@ mod tests {
 
     #[test]
     fn dirty_pages_are_skipped_by_opportunistic_path() {
-        let (mut fs, mut duet) = setup(1, 8);
-        let files = fs.inodes().files_by_inode();
+        let (mut fs, mut duet, files) = btrfs_with_files(1, 8, 512);
         let mut task = Backup::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Dirty pages in cache (write after snapshot): sharing broken
         // anyway, but the dirty-check is the first line of defence.
         fs.write(files[0], 0, 8 * PAGE_SIZE, IoClass::Normal, T0)
             .unwrap();
         pump_btrfs(&mut fs, &mut duet);
         // Drain events: nothing should be shipped opportunistically.
-        let mut ctx = BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        };
-        task.drain_events(&mut ctx).unwrap();
+        task.drain_events(&mut ctx(&mut fs, &mut duet)).unwrap();
         assert_eq!(task.opportunistic, 0);
         drive(&mut task, &mut fs, &mut duet);
         assert_eq!(task.metrics().done_units, 8);
@@ -414,40 +362,16 @@ mod tests {
     fn two_backups_would_share_via_cache() {
         // A second Duet backup benefits from the first one's reads
         // (both read through the page cache) — the §6.3 synergy.
-        let (mut fs, mut duet) = setup(2, 32);
+        let (mut fs, mut duet, _) = btrfs_with_files(2, 32, 512);
         let mut first = Backup::new(TaskMode::Duet);
-        first
-            .start(BtrfsCtx {
-                fs: &mut fs,
-                duet: &mut duet,
-                now: T0,
-            })
-            .unwrap();
+        first.start(ctx(&mut fs, &mut duet)).unwrap();
         let mut second = Backup::new(TaskMode::Duet);
-        second
-            .start(BtrfsCtx {
-                fs: &mut fs,
-                duet: &mut duet,
-                now: T0,
-            })
-            .unwrap();
+        second.start(ctx(&mut fs, &mut duet)).unwrap();
         // Interleave.
         loop {
-            let a = first
-                .step(BtrfsCtx {
-                    fs: &mut fs,
-                    duet: &mut duet,
-                    now: T0,
-                })
-                .unwrap();
+            let a = first.step(ctx(&mut fs, &mut duet)).unwrap();
             pump_btrfs(&mut fs, &mut duet);
-            let b = second
-                .step(BtrfsCtx {
-                    fs: &mut fs,
-                    duet: &mut duet,
-                    now: T0,
-                })
-                .unwrap();
+            let b = second.step(ctx(&mut fs, &mut duet)).unwrap();
             pump_btrfs(&mut fs, &mut duet);
             if a.complete && b.complete {
                 break;

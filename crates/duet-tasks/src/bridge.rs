@@ -106,6 +106,41 @@ mod tests {
         assert_eq!(items.len(), 2, "cached pages seeded on move-in");
     }
 
+    /// Every notification names a page that was really touched, and
+    /// file sessions with disjoint masks see disjoint flags: EXISTS
+    /// sees the 8 pages read from `a` and the 4 written to `b`, DIRTIED
+    /// only those 4.
+    #[test]
+    fn file_sessions_see_only_touched_pages_under_their_mask() {
+        let mut fs = btrfs();
+        let a = fs.populate_file(fs.root(), "a", 8 * PAGE_SIZE).unwrap();
+        let b = fs.populate_file(fs.root(), "b", 8 * PAGE_SIZE).unwrap();
+        let mut duet = Duet::with_defaults();
+        let scope = TaskScope::File {
+            registered_dir: fs.root(),
+        };
+        let exists_sid = duet.register(scope, EventMask::EXISTS, &fs).unwrap();
+        let dirty_sid = duet.register(scope, EventMask::DIRTIED, &fs).unwrap();
+        fs.read(a, 0, 8 * PAGE_SIZE, IoClass::Normal, SimInstant::EPOCH)
+            .unwrap();
+        fs.write(b, 0, 4 * PAGE_SIZE, IoClass::Normal, SimInstant::EPOCH)
+            .unwrap();
+        pump_btrfs(&mut fs, &mut duet);
+        let mut per_file = |sid, flag| {
+            let items = duet.fetch(sid, 64, &fs).unwrap();
+            assert!(items.iter().all(|i| i.flags == flag), "{items:?}");
+            let of = |ino| {
+                items
+                    .iter()
+                    .filter(|i| i.id.as_inode() == Some(ino))
+                    .count()
+            };
+            (of(a), of(b), items.len())
+        };
+        assert_eq!(per_file(exists_sid, ItemFlags::EXISTS), (8, 4, 12));
+        assert_eq!(per_file(dirty_sid, ItemFlags::DIRTIED), (0, 4, 4));
+    }
+
     #[test]
     fn f2fs_fibmap_tracks_flush_migration() {
         let disk = Disk::new(Box::new(HddModel::sas_10k(64)));

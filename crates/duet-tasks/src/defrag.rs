@@ -276,52 +276,41 @@ impl Defrag {
 mod tests {
     use super::*;
     use crate::bridge::pump_btrfs;
+    use crate::testkit::{btrfs_with_files, ctx, drive, T0};
     use duet::Duet;
     use sim_btrfs::BtrfsSim;
-    use sim_core::{DeviceId, SimInstant, PAGE_SIZE};
-    use sim_disk::{Disk, HddModel};
+    use sim_core::{PageIndex, PAGE_SIZE};
 
-    const T0: SimInstant = SimInstant::EPOCH;
-
-    fn setup(files: u64, pages_each: u64, fragment: &[usize]) -> (BtrfsSim, Duet, Vec<InodeNr>) {
-        let disk = Disk::new(Box::new(HddModel::sas_10k(1 << 16)));
-        let mut fs = BtrfsSim::new(DeviceId(0), disk, 512);
-        let mut inos = Vec::new();
-        for i in 0..files {
-            let ino = fs
-                .populate_file(fs.root(), &format!("f{i}"), pages_each * PAGE_SIZE)
-                .unwrap();
-            inos.push(ino);
-        }
+    /// [`btrfs_with_files`] with the files at `fragment` split into
+    /// four extents each.
+    fn fragmented(files: u64, pages: u64, fragment: &[usize]) -> (BtrfsSim, Duet, Vec<InodeNr>) {
+        let (mut fs, duet, inos) = btrfs_with_files(files, pages, 512);
         for &i in fragment {
             fs.fragment_file(inos[i], 4).unwrap();
         }
-        (fs, Duet::with_defaults(), inos)
+        (fs, duet, inos)
     }
 
-    fn drive(task: &mut Defrag, fs: &mut BtrfsSim, duet: &mut Duet) -> u32 {
-        let mut steps = 0;
-        loop {
-            let r = task.step(BtrfsCtx { fs, duet, now: T0 }).unwrap();
-            pump_btrfs(fs, duet);
-            steps += 1;
-            if r.complete {
-                return steps;
+    /// Every page of every file is still mapped, to a block whose
+    /// checksum verifies, and each file reads back whole.
+    fn assert_intact(fs: &mut BtrfsSim, inos: &[InodeNr], pages: u64) {
+        for &ino in inos {
+            let node = fs.inodes().get(ino).unwrap();
+            assert_eq!(node.extents.mapped_pages(), pages, "{ino}: pages lost");
+            for p in 0..pages {
+                let b = node.extents.block_of(PageIndex(p)).unwrap();
+                fs.blocks().verify_checksum(b).unwrap();
             }
-            assert!(steps < 10_000);
+            fs.read(ino, 0, pages * PAGE_SIZE, IoClass::Idle, T0)
+                .unwrap();
         }
     }
 
     #[test]
     fn baseline_defrags_all_fragmented_files() {
-        let (mut fs, mut duet, inos) = setup(4, 32, &[0, 2]);
+        let (mut fs, mut duet, inos) = fragmented(4, 32, &[0, 2]);
         let mut task = Defrag::new(TaskMode::Baseline);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         drive(&mut task, &mut fs, &mut duet);
         let m = task.metrics();
         assert_eq!(m.total_units, 2 * 2 * 32, "2 files x 2x32 pages");
@@ -335,30 +324,20 @@ mod tests {
         assert_eq!(m.blocks_read, 64);
         assert_eq!(m.blocks_written, 64);
         assert_eq!(m.saved_units, 0);
+        assert_intact(&mut fs, &inos, 32);
     }
 
     #[test]
     fn duet_prioritizes_resident_files_and_saves_reads() {
-        let (mut fs, mut duet, inos) = setup(4, 32, &[0, 1, 2, 3]);
+        let (mut fs, mut duet, inos) = fragmented(4, 32, &[0, 1, 2, 3]);
         let mut task = Defrag::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Workload reads file 3 fully into the cache.
         fs.read(inos[3], 0, 32 * PAGE_SIZE, IoClass::Normal, T0)
             .unwrap();
         pump_btrfs(&mut fs, &mut duet);
         // First step must pick file 3 (highest resident fraction).
-        let r = task
-            .step(BtrfsCtx {
-                fs: &mut fs,
-                duet: &mut duet,
-                now: T0,
-            })
-            .unwrap();
+        let r = task.step(ctx(&mut fs, &mut duet)).unwrap();
         pump_btrfs(&mut fs, &mut duet);
         assert!(!r.complete);
         assert_eq!(task.files_defragged, 1);
@@ -368,18 +347,17 @@ mod tests {
         assert_eq!(task.files_defragged, 4);
         let m = task.metrics();
         assert_eq!(m.done_units, m.total_units);
+        for &ino in &inos {
+            assert_eq!(fs.file_extent_count(ino).unwrap(), 1);
+        }
+        assert_intact(&mut fs, &inos, 32);
     }
 
     #[test]
     fn workload_defragmented_files_are_skipped() {
-        let (mut fs, mut duet, inos) = setup(2, 16, &[0, 1]);
+        let (mut fs, mut duet, inos) = fragmented(2, 16, &[0, 1]);
         let mut task = Defrag::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Full overwrite collapses file 0 into one extent: the task can
         // "simply ignore an overwritten file" (§3.1).
         fs.write(inos[0], 0, 16 * PAGE_SIZE, IoClass::Normal, T0)
@@ -395,14 +373,9 @@ mod tests {
 
     #[test]
     fn dirty_pages_count_as_write_savings() {
-        let (mut fs, mut duet, inos) = setup(1, 16, &[0]);
+        let (mut fs, mut duet, inos) = fragmented(1, 16, &[0]);
         let mut task = Defrag::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Workload appends to the file: dirty pages in memory.
         fs.write(inos[0], 16 * PAGE_SIZE, 4 * PAGE_SIZE, IoClass::Normal, T0)
             .unwrap();
@@ -419,22 +392,10 @@ mod tests {
 
     #[test]
     fn no_fragmentation_means_no_work() {
-        let (mut fs, mut duet, _) = setup(3, 8, &[]);
+        let (mut fs, mut duet, _) = fragmented(3, 8, &[]);
         let mut task = Defrag::new(TaskMode::Baseline);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
-        let r = task
-            .step(BtrfsCtx {
-                fs: &mut fs,
-                duet: &mut duet,
-                now: T0,
-            })
-            .unwrap();
-        assert!(r.complete);
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
+        assert_eq!(drive(&mut task, &mut fs, &mut duet), 1, "one step");
         assert_eq!(task.metrics().total_units, 0);
         assert_eq!(task.metrics().work_fraction(), 1.0);
     }

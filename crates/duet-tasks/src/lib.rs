@@ -24,6 +24,8 @@ pub mod gc;
 pub mod rsync;
 pub mod scrub;
 pub mod task;
+#[cfg(test)]
+mod testkit;
 
 pub use backup::Backup;
 pub use bridge::{pump_btrfs, pump_f2fs};

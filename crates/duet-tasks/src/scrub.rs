@@ -287,43 +287,14 @@ impl BtrfsTask for Scrubber {
 mod tests {
     use super::*;
     use crate::bridge::pump_btrfs;
-    use duet::Duet;
-    use sim_btrfs::BtrfsSim;
-    use sim_core::{DeviceId, SimInstant};
-    use sim_disk::{Disk, HddModel};
-
-    const T0: SimInstant = SimInstant::EPOCH;
-
-    fn setup(files: u64, pages_each: u64) -> (BtrfsSim, Duet) {
-        let disk = Disk::new(Box::new(HddModel::sas_10k(1 << 16)));
-        let mut fs = BtrfsSim::new(DeviceId(0), disk, 256);
-        for i in 0..files {
-            fs.populate_file(fs.root(), &format!("f{i}"), pages_each * PAGE_SIZE)
-                .unwrap();
-        }
-        (fs, Duet::with_defaults())
-    }
-
-    fn run_to_completion(task: &mut Scrubber, fs: &mut BtrfsSim, duet: &mut Duet) -> u64 {
-        task.start(BtrfsCtx { fs, duet, now: T0 }).unwrap();
-        pump_btrfs(fs, duet);
-        let mut steps = 0;
-        loop {
-            let r = task.step(BtrfsCtx { fs, duet, now: T0 }).unwrap();
-            pump_btrfs(fs, duet);
-            steps += 1;
-            if r.complete {
-                return steps;
-            }
-            assert!(steps < 10_000, "scrubber did not terminate");
-        }
-    }
+    use crate::testkit::{btrfs_with_files, ctx, drive, T0};
 
     #[test]
     fn baseline_scrubs_every_block_once() {
-        let (mut fs, mut duet) = setup(4, 64);
+        let (mut fs, mut duet, _) = btrfs_with_files(4, 64, 256);
         let mut task = Scrubber::new(TaskMode::Baseline);
-        run_to_completion(&mut task, &mut fs, &mut duet);
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
+        drive(&mut task, &mut fs, &mut duet);
         let m = task.metrics();
         assert_eq!(m.total_units, 256);
         assert_eq!(m.done_units, 256);
@@ -334,33 +305,15 @@ mod tests {
 
     #[test]
     fn duet_scrubber_skips_workload_read_blocks() {
-        let (mut fs, mut duet) = setup(4, 64);
-        let files = fs.inodes().files_by_inode();
+        let (mut fs, mut duet, files) = btrfs_with_files(4, 64, 256);
         let mut task = Scrubber::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // The "workload" reads half the files before the scan begins.
         for &f in &files[..2] {
             fs.read(f, 0, 64 * PAGE_SIZE, IoClass::Normal, T0).unwrap();
         }
         pump_btrfs(&mut fs, &mut duet);
-        loop {
-            let r = task
-                .step(BtrfsCtx {
-                    fs: &mut fs,
-                    duet: &mut duet,
-                    now: T0,
-                })
-                .unwrap();
-            pump_btrfs(&mut fs, &mut duet);
-            if r.complete {
-                break;
-            }
-        }
+        drive(&mut task, &mut fs, &mut duet);
         let m = task.metrics();
         assert_eq!(m.done_units, 256);
         assert_eq!(m.saved_units, 128, "two files scrubbed for free");
@@ -370,15 +323,9 @@ mod tests {
 
     #[test]
     fn dirtied_blocks_are_reverified_if_not_yet_passed() {
-        let (mut fs, mut duet) = setup(2, 64);
-        let files = fs.inodes().files_by_inode();
+        let (mut fs, mut duet, files) = btrfs_with_files(2, 64, 256);
         let mut task = Scrubber::new(TaskMode::Duet);
-        task.start(BtrfsCtx {
-            fs: &mut fs,
-            duet: &mut duet,
-            now: T0,
-        })
-        .unwrap();
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
         // Workload reads the *second* file (ahead of the scan), marking
         // it scrubbed...
         fs.read(files[1], 0, 64 * PAGE_SIZE, IoClass::Normal, T0)
@@ -388,19 +335,7 @@ mod tests {
         fs.write(files[1], 0, 16 * PAGE_SIZE, IoClass::Normal, T0)
             .unwrap();
         pump_btrfs(&mut fs, &mut duet);
-        loop {
-            let r = task
-                .step(BtrfsCtx {
-                    fs: &mut fs,
-                    duet: &mut duet,
-                    now: T0,
-                })
-                .unwrap();
-            pump_btrfs(&mut fs, &mut duet);
-            if r.complete {
-                break;
-            }
-        }
+        drive(&mut task, &mut fs, &mut duet);
         let m = task.metrics();
         // First file (64) read by scan. Second file: 48 blocks saved;
         // 16 were rewritten. COW moved those to *new* blocks outside
@@ -413,20 +348,22 @@ mod tests {
 
     #[test]
     fn scrubber_detects_and_repairs_corruption() {
-        let (mut fs, mut duet) = setup(1, 32);
+        let (mut fs, mut duet, _) = btrfs_with_files(1, 32, 256);
         fs.inject_corruption(BlockNr(5)).unwrap();
         fs.inject_corruption(BlockNr(17)).unwrap();
         let mut task = Scrubber::new(TaskMode::Baseline);
-        run_to_completion(&mut task, &mut fs, &mut duet);
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
+        drive(&mut task, &mut fs, &mut duet);
         assert_eq!(task.corruptions_fixed, 2);
         assert_eq!(fs.blocks().corrupted_count(), 0);
     }
 
     #[test]
     fn scrub_reads_are_sequential_and_coalesced() {
-        let (mut fs, mut duet) = setup(1, 256);
+        let (mut fs, mut duet, _) = btrfs_with_files(1, 256, 256);
         let mut task = Scrubber::new(TaskMode::Baseline);
-        run_to_completion(&mut task, &mut fs, &mut duet);
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
+        drive(&mut task, &mut fs, &mut duet);
         // One populate run = physically contiguous: each 256-block step
         // should issue a single coalesced read.
         let reqs = fs.disk().metrics().idle.read_ops;

@@ -349,6 +349,11 @@ pub(crate) fn run_prepared(
             now,
         })?;
     }
+    // fsck closes every run in builds with debug assertions (every
+    // test); release runs skip its walk of the device.
+    if cfg!(debug_assertions) {
+        fs.check_consistency()?;
+    }
 
     // Collect outcomes.
     let outcomes: Vec<TaskOutcome> = tasks
@@ -472,6 +477,10 @@ pub fn run_rsync_experiment_with(
             )));
         }
     };
+    if cfg!(debug_assertions) {
+        src.check_consistency()?;
+        dst.check_consistency()?;
+    }
     let wl_stats = workload.as_ref().map(|w| w.stats());
     Ok(RsyncResult {
         completion: since_epoch(completion),
@@ -630,6 +639,9 @@ pub fn run_gc_experiment_with(
             .max(last_gc + cfg.gc_interval);
         next = next.min(dispatch_at);
         now = next.max(now + SimDuration::from_nanos(1));
+    }
+    if cfg!(debug_assertions) {
+        fs.check_consistency()?;
     }
     let n = gc.results.len();
     let mean_cached = if n == 0 {

@@ -56,27 +56,50 @@ fn idle_device_scrub_completes_with_no_savings() {
     assert_eq!(r.workload_ops, 0);
 }
 
+/// Under a workload, Duet saves maintenance I/O and never costs any:
+/// it completes at least the baseline's work, and when it does, it
+/// reads no more maintenance blocks (fewer, when both finish).
 #[test]
-fn duet_scrub_under_workload_saves_io() {
-    let base = run_experiment(&small_cfg(vec![TaskKind::Scrub], false, 0.4)).unwrap();
-    let duet = run_experiment(&small_cfg(vec![TaskKind::Scrub], true, 0.4)).unwrap();
-    assert!(duet.io_saved() > 0.05, "duet saved {:.3}", duet.io_saved());
-    assert!(base.io_saved() == 0.0);
-    // Duet performs less maintenance I/O for the same work.
-    if base.all_completed() && duet.all_completed() {
+fn duet_under_workload_saves_maintenance_io() {
+    for task in [TaskKind::Scrub, TaskKind::Backup] {
+        let base = run_experiment(&small_cfg(vec![task], false, 0.4)).unwrap();
+        let duet = run_experiment(&small_cfg(vec![task], true, 0.4)).unwrap();
+        let (b, d) = (base.work_completed(), duet.work_completed());
         assert!(
-            duet.maintenance_blocks < base.maintenance_blocks,
-            "duet {} vs base {}",
-            duet.maintenance_blocks,
-            base.maintenance_blocks
+            duet.io_saved() > base.io_saved() + 0.05,
+            "{task:?}: saved {:.3} vs {:.3}",
+            duet.io_saved(),
+            base.io_saved()
+        );
+        // The baseline scrubber reads every block itself (the baseline
+        // backup's cache hits count as saved).
+        if task == TaskKind::Scrub {
+            assert_eq!(base.io_saved(), 0.0);
+        }
+        assert!(d + 1e-9 >= b, "{task:?}: duet work {d:.3} vs base {b:.3}");
+        if d >= b {
+            assert!(
+                duet.maintenance_blocks <= base.maintenance_blocks,
+                "{task:?}: duet {} blocks vs base {}",
+                duet.maintenance_blocks,
+                base.maintenance_blocks
+            );
+        }
+        if base.all_completed() && duet.all_completed() {
+            assert!(
+                duet.maintenance_blocks < base.maintenance_blocks,
+                "{task:?}: duet {} blocks vs base {}",
+                duet.maintenance_blocks,
+                base.maintenance_blocks
+            );
+        }
+        // Utilization throttle roughly hit its target.
+        assert!(
+            (0.25..0.55).contains(&duet.achieved_util),
+            "{task:?}: util {:.3}",
+            duet.achieved_util
         );
     }
-    // Utilization throttle roughly hit its target.
-    assert!(
-        (0.25..0.55).contains(&duet.achieved_util),
-        "util {:.3}",
-        duet.achieved_util
-    );
 }
 
 #[test]
@@ -473,5 +496,29 @@ fn a_never_cloned_stack_runs_to_the_forked_runs_golden_bytes() {
         let fresh = run_prepared(&cfg, &RunOptions::default(), None, fresh, false).unwrap();
         let forked = run_experiment(&cfg).unwrap();
         assert_eq!(golden_csv(&fresh), golden_csv(&forked), "seed {}", cfg.seed);
+    }
+}
+
+/// Every run ends in fsck when debug assertions are on: a stack whose
+/// cache disagrees with its extent tree — on a page a run with no tasks
+/// and no workload never evicts — comes back as fsck's error.
+#[cfg(debug_assertions)]
+#[test]
+fn a_run_on_a_corrupted_stack_fails_its_fsck() {
+    use sim_cache::PageKey;
+    use sim_core::{PageIndex, SimInstant, PAGE_SIZE};
+    use sim_disk::IoClass;
+    let cfg = small_cfg(vec![], false, 0.0);
+    let mut stack = crate::snapshot::prepare(&cfg).unwrap();
+    let fs = &mut stack.fs;
+    let ino = fs.inodes().files_by_inode()[0];
+    fs.read(ino, 0, PAGE_SIZE, IoClass::Normal, SimInstant::EPOCH)
+        .unwrap();
+    let other = fs.inodes().get(ino).unwrap().extents.block_of(PageIndex(1));
+    fs.cache_mut()
+        .set_block(PageKey::new(ino, PageIndex(0)), other.unwrap());
+    match run_prepared(&cfg, &RunOptions::default(), None, stack, false) {
+        Err(SimError::InvalidArgument(why)) => assert!(why.starts_with("fsck:"), "{why}"),
+        other => panic!("expected fsck to fail the run, got {other:?}"),
     }
 }

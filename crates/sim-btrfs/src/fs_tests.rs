@@ -646,10 +646,11 @@ mod properties {
     }
 
     /// Snapshots are immutable: whatever churn the live filesystem
-    /// sees — overwrites, appends, deletions, defragmentation —
-    /// every (file, page) → block mapping captured at snapshot time
-    /// stays intact and its blocks stay allocated, until the
-    /// snapshot is deleted; then all space is reclaimed.
+    /// sees — overwrites, appends, deletions and re-creation,
+    /// defragmentation — every (file, page) → block mapping captured
+    /// at snapshot time stays intact and its blocks stay allocated,
+    /// fsck holds after every op, and every live file reads back,
+    /// until the snapshot is deleted; then all space is reclaimed.
     #[test]
     fn snapshot_mappings_survive_arbitrary_churn() {
         for case in 0..48u64 {
@@ -674,41 +675,39 @@ mod properties {
                         truth.push((ino, p, fs.snapshot_block(snap, ino, PageIndex(p)).unwrap()));
                     }
                 }
-                let mut alive: Vec<bool> = vec![true; files.len()];
+                let mut created = 0;
                 for op in ops {
                     match op {
                         Churn::Write { file, page } => {
-                            let i = file as usize;
-                            if alive[i] {
-                                fs.write(files[i], page as u64 * PAGE_SIZE, PAGE_SIZE, NORMAL, T0)
-                                    .unwrap();
-                            }
+                            fs.write(
+                                files[file as usize],
+                                page as u64 * PAGE_SIZE,
+                                PAGE_SIZE,
+                                NORMAL,
+                                T0,
+                            )
+                            .unwrap();
                         }
                         Churn::Append { file } => {
-                            let i = file as usize;
-                            if alive[i] {
-                                fs.append(files[i], PAGE_SIZE, NORMAL, T0).unwrap();
-                            }
+                            fs.append(files[file as usize], PAGE_SIZE, NORMAL, T0)
+                                .unwrap();
                         }
                         Churn::Delete { file } => {
-                            let i = file as usize;
-                            if alive[i] {
-                                fs.delete_file(files[i]).unwrap();
-                                alive[i] = false;
-                            }
+                            // A new file takes its place, so allocation
+                            // reuses the space the delete freed.
+                            fs.delete_file(files[file as usize]).unwrap();
+                            created += 1;
+                            files[file as usize] = fs
+                                .populate_file(fs.root(), &format!("n{created}"), page_bytes(4))
+                                .unwrap();
                         }
                         Churn::Read { file } => {
-                            let i = file as usize;
-                            if alive[i] {
-                                let size = fs.inodes().get(files[i]).unwrap().size_bytes;
-                                fs.read(files[i], 0, size, NORMAL, T0).unwrap();
-                            }
+                            let ino = files[file as usize];
+                            let size = fs.inodes().get(ino).unwrap().size_bytes;
+                            fs.read(ino, 0, size, NORMAL, T0).unwrap();
                         }
                         Churn::Defrag { file } => {
-                            let i = file as usize;
-                            if alive[i] {
-                                fs.defrag_file(files[i], IDLE, T0).unwrap();
-                            }
+                            fs.defrag_file(files[file as usize], IDLE, T0).unwrap();
                         }
                         Churn::Writeback => {
                             fs.background_writeback(64, NORMAL, T0).unwrap();
@@ -729,11 +728,20 @@ mod properties {
                         }
                     }
                 }
-                // Deleting live files and the snapshot reclaims everything.
-                for (i, &ino) in files.iter().enumerate() {
-                    if alive[i] {
-                        fs.delete_file(ino).unwrap();
-                    }
+                // Every live file reads back from the device, flushed
+                // and dropped from the cache: each mapped block is read
+                // and passes its checksum.
+                for &ino in &files {
+                    fs.fsync(ino, NORMAL, T0).unwrap();
+                    fs.cache_mut().remove_file(ino);
+                    let node = fs.inodes().get(ino).unwrap();
+                    let (size, mapped) = (node.size_bytes, node.extents.mapped_pages());
+                    let s = fs.read(ino, 0, size, NORMAL, T0).unwrap();
+                    assert_eq!(s.blocks_read, mapped, "{ino}: read back");
+                }
+                // Deleting the files and the snapshot reclaims everything.
+                for &ino in &files {
+                    fs.delete_file(ino).unwrap();
                 }
                 fs.delete_snapshot(snap).unwrap();
                 assert_eq!(fs.allocated_blocks(), 0, "space leak");

@@ -18,10 +18,12 @@
 #
 # `cargo test --workspace` is where every suite runs, once: the
 # differential fuzz (containers; Duet vs its contract model,
-# crates/core/src/contract_tests.rs) and the fault
-# matrix at their in-code default seeds (0xd1ffba5e, 0xd0e7f457 —
-# override with DUET_CHECK_SEED / DUET_FAULT_SEED to replay), the
-# oracle's sabotage localization and fork == fresh. CI adds a second,
+# crates/core/src/contract_tests.rs, seed 0xd1ffba5e), the Btrfs and
+# F2fs random churn (tests/invariants.rs, base seed 0) and the fault
+# matrix (0xd0e7f457) at their in-code default seeds (override with
+# DUET_CHECK_SEED / DUET_FAULT_SEED to replay), the
+# oracle's sabotage localization and fork == fresh. Every experiment
+# run in it ends in fsck (debug assertions are on). CI adds a second,
 # rotating-seed pass of the seeded suites.
 #
 # Host cost (wall time, per-layer attribution, kernels) is duetbench's
