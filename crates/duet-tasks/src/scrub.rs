@@ -214,17 +214,25 @@ impl BtrfsTask for Scrubber {
         let mut i = 0;
         while i < to_scrub.len() {
             let b = to_scrub[i];
-            match ctx.fs.backref_of(b)? {
-                Some(br) => {
+            match ctx.fs.blocks().backref_run(b)? {
+                Some((br, mut backed)) => {
                     // Extend over physically-and-logically consecutive
-                    // backrefs of the same file for one coalesced read.
+                    // backrefs of the same file for one coalesced read:
+                    // `backed` blocks from `b` on continue it, and past
+                    // them the next piece may (across a chunk boundary).
                     let mut len = 1u64;
-                    while i + 1 < to_scrub.len()
-                        && to_scrub[i + 1].raw() == b.raw() + len
-                        && ctx.fs.backref_of(to_scrub[i + 1])?.is_some_and(|nbr| {
-                            nbr.ino == br.ino && nbr.index.raw() == br.index.raw() + len
-                        })
-                    {
+                    while i + 1 < to_scrub.len() && to_scrub[i + 1].raw() == b.raw() + len {
+                        if len == backed {
+                            match ctx.fs.blocks().backref_run(to_scrub[i + 1])? {
+                                Some((next, n))
+                                    if next.ino == br.ino
+                                        && next.index.raw() == br.index.raw() + len =>
+                                {
+                                    backed += n;
+                                }
+                                _ => break,
+                            }
+                        }
                         len += 1;
                         i += 1;
                     }
@@ -368,6 +376,26 @@ mod tests {
         // should issue a single coalesced read.
         let reqs = fs.disk().metrics().idle.read_ops;
         assert!(reqs <= 2, "expected coalesced reads, got {reqs} requests");
+    }
+
+    /// A coalesced read runs on across the block table's chunk boundary
+    /// (block 4096), where one piece of back-references ends and the
+    /// next continues it: every step still issues one read.
+    #[test]
+    fn a_read_runs_on_across_the_block_tables_chunk_boundary() {
+        let (mut fs, mut duet, files) = btrfs_with_files(1, 10, 256);
+        let big = fs
+            .populate_file(fs.root(), "big", 4200 * PAGE_SIZE)
+            .unwrap();
+        fs.delete_file(files[0]).unwrap();
+        let first = fs.fibmap(big, sim_core::PageIndex(0)).unwrap();
+        assert_eq!(first, Some(BlockNr(10)));
+        let mut task = Scrubber::new(TaskMode::Baseline);
+        task.start(ctx(&mut fs, &mut duet)).unwrap();
+        let steps = drive(&mut task, &mut fs, &mut duet);
+        assert_eq!(steps, 17, "4200 blocks, 256 a step");
+        assert_eq!(fs.disk().metrics().idle.read_ops, steps);
+        assert_eq!(task.metrics().blocks_read, 4200);
     }
 
     /// The scan plan — a bitmap of planned blocks and a frontier block —

@@ -920,62 +920,110 @@ impl BtrfsSim {
     ///
     /// Intended for tests and debugging; cost is O(data).
     pub fn check_consistency(&self) -> SimResult<()> {
-        use std::collections::BTreeMap;
         let fail = |why: String| Err(SimError::InvalidArgument(format!("fsck: {why}")));
-        // Expected refcounts from the live tree.
-        let mut expect: BTreeMap<BlockNr, u32> = BTreeMap::new();
-        for node in self.inodes.iter() {
-            for e in node.extents.iter() {
-                for i in 0..e.len {
-                    let b = e.physical.offset(i);
-                    let c = expect.entry(b).or_insert(0);
-                    *c += 1;
-                    if *c > 1 {
-                        return fail(format!("block {b} claimed by two live extents"));
+        // Live extents in block order, each with the page its first
+        // block backs.
+        let mut live: Vec<(Run, InodeNr, u64)> = self
+            .inodes
+            .iter()
+            .flat_map(|node| node.extents.iter().map(|e| (e.run(), node.ino, e.logical)))
+            .collect();
+        live.sort_unstable_by_key(|(run, ..)| run.start);
+        for w in live.windows(2) {
+            if w[1].0.start.raw() < w[0].0.start.raw() + w[0].0.len {
+                let b = w[1].0.start;
+                return fail(format!("block {b} claimed by two live extents"));
+            }
+        }
+        // The back-reference pieces must tile the live extents exactly,
+        // naming the pages that map them: both lists ascend, so one pass
+        // compares them run by run.
+        let mut pieces = self.blocks.backrefs();
+        let mut piece = pieces.next();
+        let orphan = |(run, br): (Run, BackRef)| {
+            let b = run.start;
+            fail(format!(
+                "block {b}: backref {br:?}, the live tree does not map it"
+            ))
+        };
+        for &(run, ino, logical) in &live {
+            if let Some(p) = piece.filter(|(p, _)| p.start < run.start) {
+                return orphan(p);
+            }
+            let end = run.start.raw() + run.len;
+            let mut at = run.start;
+            while at.raw() < end {
+                let want = BackRef {
+                    ino,
+                    index: PageIndex(logical + (at.raw() - run.start.raw())),
+                };
+                let (mut p, br) = match piece {
+                    Some((p, br)) if p.start == at && br == want => (p, br),
+                    other => {
+                        let got = other.filter(|(p, _)| p.start == at).map(|(_, br)| br);
+                        return fail(format!(
+                            "block {at}: backref {got:?} != ({ino}, pg {})",
+                            want.index.raw()
+                        ));
                     }
-                    // Back-reference must point at this page.
-                    match self.blocks.backref_of(b)? {
-                        Some(br) if br.ino == node.ino && br.index.raw() == e.logical + i => {}
-                        other => {
-                            return fail(format!(
-                                "block {b}: backref {other:?} != ({}, pg {})",
-                                node.ino,
-                                e.logical + i
-                            ));
-                        }
+                };
+                let n = p.len.min(end - at.raw());
+                at = at.offset(n);
+                p.start = at;
+                p.len -= n;
+                piece = if p.len > 0 {
+                    let index = PageIndex(br.index.raw() + n);
+                    Some((p, BackRef { index, ..br }))
+                } else {
+                    pieces.next()
+                };
+            }
+        }
+        if let Some(p) = piece {
+            return orphan(p);
+        }
+        // Expected refcounts — live and snapshot extents — as maximal
+        // runs of one count each, from the extents' sorted edges.
+        let snapshot_extents = self.snapshots.values().flat_map(|s| s.files.values());
+        let claims = live
+            .iter()
+            .map(|&(run, ..)| run)
+            .chain(snapshot_extents.flat_map(|f| f.extents.iter().map(Extent::run)));
+        let mut edges: Vec<(u64, i64)> = claims
+            .flat_map(|r| [(r.start.raw(), 1), (r.start.raw() + r.len, -1)])
+            .collect();
+        edges.sort_unstable();
+        let mut expect: Vec<(Run, u32)> = Vec::new();
+        let (mut count, mut from) = (0i64, 0u64);
+        for (at, delta) in edges {
+            if at > from && count > 0 {
+                let run = Run {
+                    start: BlockNr(from),
+                    len: at - from,
+                };
+                expect.push((run, count as u32));
+            }
+            count += delta;
+            from = at;
+        }
+        // Compare against the block table: both walks ascend.
+        let mut referenced = self.blocks.referenced();
+        for &(run, want) in &expect {
+            for b in run.blocks() {
+                match referenced.next() {
+                    Some((r, got)) if r == b && got == want => {}
+                    Some((r, got)) if r == b => {
+                        return fail(format!("block {b}: refcount {got}, expected {want}"));
                     }
+                    Some((r, got)) if r < b => {
+                        return fail(format!("block {r}: refcount {got}, no extent claims it"));
+                    }
+                    _ => return fail(format!("block {b}: refcount 0, expected {want}")),
                 }
             }
         }
-        // So far `expect` holds the live blocks only.
-        for (b, br) in self.blocks.backrefs() {
-            if !expect.contains_key(&b) {
-                return fail(format!(
-                    "block {b}: backref {br:?}, the live tree does not map it"
-                ));
-            }
-        }
-        // Snapshot references.
-        for snap in self.snapshots.values() {
-            for f in snap.files.values() {
-                for e in f.extents.iter() {
-                    for i in 0..e.len {
-                        *expect.entry(e.physical.offset(i)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        // Compare against the block table and the allocator.
-        for (&b, &want) in &expect {
-            let got = self.blocks.refcount_of(b)?;
-            if got != want {
-                return fail(format!("block {b}: refcount {got}, expected {want}"));
-            }
-        }
-        for (b, got) in self.blocks.referenced() {
-            if !expect.contains_key(&b) {
-                return fail(format!("block {b}: refcount {got}, no extent claims it"));
-            }
+        if let Some((r, got)) = referenced.next() {
+            return fail(format!("block {r}: refcount {got}, no extent claims it"));
         }
         if let Err(why) = self.alloc.check_invariants() {
             return fail(why);
@@ -983,7 +1031,7 @@ impl BtrfsSim {
         // Both walks ascend: a referenced block below the next allocated
         // one is free, an allocated block with no referenced one at or
         // below it is leaked.
-        let mut referenced = expect.keys().copied().peekable();
+        let mut referenced = expect.iter().flat_map(|(run, _)| run.blocks()).peekable();
         let allocated = self.alloc.allocated_ranges();
         for b in allocated.iter().flat_map(|r| r.blocks()) {
             match referenced.next_if(|&r| r <= b) {

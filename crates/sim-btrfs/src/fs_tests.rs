@@ -571,23 +571,49 @@ fn fsck_catches_a_live_block_on_the_free_map() {
 }
 
 /// A block the snapshot keeps after an overwrite must have lost its
-/// live back-reference.
+/// live back-reference; so must a free block past every live one.
 #[test]
 fn fsck_catches_a_backref_the_live_tree_no_longer_maps() {
+    for past_every_live_block in [false, true] {
+        let mut fs = make_fs(1024, 64);
+        let ino = fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
+        let old = fs.fibmap(ino, PageIndex(1)).unwrap().unwrap();
+        fs.create_snapshot().unwrap();
+        fs.write(ino, page_bytes(1), PAGE_SIZE, NORMAL, T0).unwrap();
+        assert_eq!(fs.backref_of(old).unwrap(), None);
+        fs.check_consistency().unwrap();
+        let stale = BackRef {
+            ino,
+            index: PageIndex(1),
+        };
+        let b = if past_every_live_block {
+            BlockNr(1000)
+        } else {
+            old
+        };
+        fs.set_backref_for_test(b, stale);
+        let err = fs.check_consistency().unwrap_err();
+        let want = format!("block {b}: backref {stale:?}, the live tree does not map it");
+        assert!(err.to_string().contains(&want), "{err}");
+    }
+}
+
+/// A live block whose back-reference names another page, or none, is
+/// caught where the pieces stop matching the extent.
+#[test]
+fn fsck_catches_a_live_block_whose_backref_names_another_page() {
     let mut fs = make_fs(1024, 64);
     let ino = fs.populate_file(fs.root(), "f", page_bytes(4)).unwrap();
-    let old = fs.fibmap(ino, PageIndex(1)).unwrap().unwrap();
-    fs.create_snapshot().unwrap();
-    fs.write(ino, page_bytes(1), PAGE_SIZE, NORMAL, T0).unwrap();
-    assert_eq!(fs.backref_of(old).unwrap(), None);
+    let b = fs.fibmap(ino, PageIndex(2)).unwrap().unwrap();
     fs.check_consistency().unwrap();
-    let stale = BackRef {
+    let wrong = BackRef {
         ino,
-        index: PageIndex(1),
+        index: PageIndex(3),
     };
-    fs.set_backref_for_test(old, stale);
+    fs.set_backref_for_test(b, wrong);
     let err = fs.check_consistency().unwrap_err();
-    assert!(err.to_string().contains("does not map it"), "{err}");
+    let want = format!("block {b}: backref Some({wrong:?}) != ({ino}, pg 2)");
+    assert!(err.to_string().contains(&want), "{err}");
 }
 
 /// A file ends where a back-reference's page field does: a write past

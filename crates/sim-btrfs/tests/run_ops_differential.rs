@@ -1,10 +1,16 @@
 //! The block table against a naive flat model of it: one per-block
 //! `Vec` per column (reference count, back-reference, checksum-good
 //! flag), each run operation a plain loop over them. Every op's window
-//! is drawn across a chunk boundary; after each op the two are compared
-//! through the public getters (`refcount_of`, `backref_of`,
-//! `verify_checksum`, `corrupted_count`) around every boundary, and
-//! over the whole device at the end. A `Fork` clones the table and the model; later ops
+//! is drawn across a chunk boundary, and a quarter of the ops aim at
+//! the last stamp, so the table's back-reference pieces are cut in the
+//! middle by live releases, split by a `set_backref` inside them, and
+//! merged by a stamp that continues them. After each op the two are
+//! compared through the public getters (`refcount_of`, `backref_of`,
+//! `backref_run`, `verify_checksum`, `corrupted_count`) around every
+//! boundary, and over the whole device at the end, where the table must
+//! also compare `==` to one rebuilt block by block from the model:
+//! equal per-block state is equal, whatever history built it. A `Fork`
+//! clones the table and the model; later ops
 //! mutate the clone, and the original must still match the model as
 //! it was at the fork — a fork never writes through. The freed runs
 //! must be exactly the blocks that reached zero, and
@@ -15,7 +21,7 @@
 //! `sim_core::check::differential`: a failure prints the replay seed
 //! and a shrunk op log.
 
-use sim_btrfs::blocktable::{BACKREF_CHUNK_BYTES, CHUNK_BLOCKS, REFCOUNT_CHUNK_BYTES};
+use sim_btrfs::blocktable::{CHUNK_BLOCKS, PIECE_BYTES, REFCOUNT_CHUNK_BYTES};
 use sim_btrfs::{BackRef, BlockTable, Run};
 use sim_core::check::{differential, DiffConfig};
 use sim_core::knobs::Knob;
@@ -36,6 +42,8 @@ enum Op {
     /// The live tree (`true`) or a snapshot lets go of a window; after
     /// `Share` this is partial release under snapshot sharing.
     Release(Run, bool),
+    /// The live back-reference of one block is set.
+    SetBackref(BlockNr, BackRef),
     /// A latent error lands on a block.
     Corrupt(BlockNr),
     /// A block is rebuilt from a good copy.
@@ -58,7 +66,76 @@ fn hot_blocks() -> impl Iterator<Item = BlockNr> {
     (0..=3).flat_map(near_boundary).map(BlockNr)
 }
 
-fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
+/// Generates the op log; remembers the last stamp it drew that fits, so
+/// it can aim at that stamp's piece.
+#[derive(Default)]
+struct Gen {
+    last: Option<(Run, InodeNr, u64)>,
+}
+
+impl Gen {
+    fn op(&mut self, rng: &mut SimRng, i: u64) -> Op {
+        if i == 0 {
+            self.last = None;
+        }
+        let aimed = match self.last {
+            Some(last) if rng.gen_range(0, 4) == 0 => aim(rng, last),
+            _ => gen_op(rng),
+        };
+        match aimed {
+            Op::Stamp(run, ino, page) if Flat::fits(run, ino, page) => {
+                self.last = Some((run, ino, page));
+            }
+            _ => {}
+        }
+        aimed
+    }
+}
+
+/// An op on the piece the stamp `(run, ino, page)` made: a live release
+/// strictly inside it, a `set_backref` inside it (to its own value or
+/// another file's), or a stamp of the same file that continues it —
+/// or, after the widest page, a stamp of the next inode from page 0.
+fn aim(rng: &mut SimRng, (run, ino, page): (Run, InodeNr, u64)) -> Op {
+    let end = run.start.raw() + run.len;
+    match rng.gen_range(0, 3) {
+        0 if run.len >= 3 => {
+            let off = rng.gen_range(1, run.len - 1);
+            let cut = Run {
+                start: run.start.offset(off),
+                len: rng.gen_range(1, run.len - off),
+            };
+            Op::Release(cut, true)
+        }
+        1 => {
+            let off = rng.gen_range(0, run.len);
+            let ino = match rng.gen_range(0, 2) {
+                0 => ino,
+                _ => InodeNr(ino.raw() % 4 + 1),
+            };
+            let br = BackRef {
+                ino,
+                index: PageIndex((page + off).min(EDGE_PAGE)),
+            };
+            Op::SetBackref(run.start.offset(off), br)
+        }
+        _ if end < CAPACITY => {
+            let next = Run {
+                start: BlockNr(end),
+                len: rng.gen_range(1, REACH + 1).min(CAPACITY - end),
+            };
+            // Past the widest page, the next inode's page 0: its
+            // packed value follows, but it continues nothing.
+            match page + run.len {
+                EDGE_PAGE_END => Op::Stamp(next, InodeNr(ino.raw() + 1), 0),
+                page => Op::Stamp(next, ino, page),
+            }
+        }
+        _ => gen_op(rng),
+    }
+}
+
+fn gen_op(rng: &mut SimRng) -> Op {
     let at = rng.gen_range(0, 4) * CHUNK_BLOCKS;
     let start = (at + rng.gen_range(0, 2 * REACH)).saturating_sub(REACH);
     let window = Run {
@@ -85,6 +162,8 @@ fn gen_op(rng: &mut SimRng, _i: u64) -> Op {
 const EDGE_INO: u64 = u32::MAX as u64 - 1;
 /// Widest page a back-reference holds.
 const EDGE_PAGE: u64 = u32::MAX as u64;
+/// One past it.
+const EDGE_PAGE_END: u64 = EDGE_PAGE + 1;
 
 /// Mostly small inodes; sometimes the widest, or one past it.
 fn gen_ino(rng: &mut SimRng) -> InodeNr {
@@ -116,6 +195,10 @@ enum Sabotage {
     StaleBackrefs,
     /// The page is packed into 31 bits: its top bit is lost.
     DropPageTopBit,
+    /// A live release that trims a piece leaves a one-block stub: the
+    /// run's first block keeps its back-reference when the block before
+    /// it continues into it.
+    TrimStub,
 }
 
 /// The flat layout: one slot per block in each column.
@@ -172,11 +255,13 @@ impl Flat {
 
     /// The blocks that reached zero, in order.
     fn release_run(&mut self, run: Run, live: bool) -> Vec<BlockNr> {
+        let stub = self.sabotage == Sabotage::TrimStub && self.continues_into(run.start);
         let mut zeroed = Vec::new();
         for b in run.blocks() {
             let i = b.raw() as usize;
             self.refcount[i] -= 1;
-            if live && self.sabotage != Sabotage::StaleBackrefs {
+            let kept = self.sabotage == Sabotage::StaleBackrefs || (stub && b == run.start);
+            if live && !kept {
                 self.backref_ino[i] = NO_BACKREF;
             }
             if self.refcount[i] == 0 {
@@ -184,6 +269,55 @@ impl Flat {
             }
         }
         zeroed
+    }
+
+    /// Whether the block before `b` backs the page before `b`'s, in the
+    /// same file.
+    fn continues_into(&self, b: BlockNr) -> bool {
+        let Some(i) = (b.raw() as usize).checked_sub(1) else {
+            return false;
+        };
+        let (ino, idx) = (self.backref_ino[i], self.backref_idx[i]);
+        ino != NO_BACKREF && ino == self.backref_ino[i + 1] && idx + 1 == self.backref_idx[i + 1]
+    }
+
+    fn set_backref(&mut self, b: BlockNr, br: BackRef) {
+        let i = b.raw() as usize;
+        self.backref_ino[i] = br.ino.raw();
+        self.backref_idx[i] = br.index.raw();
+    }
+
+    /// How many blocks from `b` on back the pages that follow `b`'s, in
+    /// the same file, up to the end of `b`'s chunk.
+    fn run_from(&self, b: BlockNr) -> u64 {
+        let chunk_end = (b.raw() / CHUNK_BLOCKS + 1) * CHUNK_BLOCKS;
+        let blocks = (b.raw()..chunk_end.min(CAPACITY)).map(BlockNr);
+        1 + blocks
+            .skip(1)
+            .take_while(|&next| self.continues_into(next))
+            .count() as u64
+    }
+
+    /// A table rebuilt block by block to the model's state: one
+    /// reference, repair, corruption and back-reference at a time.
+    fn rebuild(&self) -> Result<BlockTable, SimError> {
+        let mut t = BlockTable::new(self.refcount.len() as u64);
+        for (i, &n) in self.refcount.iter().enumerate() {
+            let b = BlockNr(i as u64);
+            if self.checksum_ok[i] {
+                t.repair(b)?;
+            }
+            for _ in 0..n {
+                t.ref_inc(b)?;
+            }
+            if let Some(br) = self.observe(b).1? {
+                t.set_backref(b, br)?;
+            }
+        }
+        for &b in &self.corrupted {
+            t.inject_corruption(BlockNr(b))?;
+        }
+        Ok(t)
     }
 
     /// A repair makes the stored checksum good, even on a block never
@@ -205,18 +339,21 @@ impl Flat {
         } else {
             Ok(())
         };
-        (Ok(self.refcount[i]), Ok(backref), verified)
+        let run = backref.map(|br| (br, self.run_from(b)));
+        (Ok(self.refcount[i]), Ok(backref), Ok(run), verified)
     }
 }
 
 type Observed = (
     Result<u32, SimError>,
     Result<Option<BackRef>, SimError>,
+    Result<Option<(BackRef, u64)>, SimError>,
     Result<(), SimError>,
 );
 
 fn observe(t: &BlockTable, b: BlockNr) -> Observed {
-    (t.refcount_of(b), t.backref_of(b), t.verify_checksum(b))
+    let (refcount, backref) = (t.refcount_of(b), t.backref_of(b));
+    (refcount, backref, t.backref_run(b), t.verify_checksum(b))
 }
 
 /// The first difference between table and model over `blocks`.
@@ -296,6 +433,10 @@ fn replay(log: &[Op], sabotage: Sabotage) -> Result<(), String> {
                     return Err(fail(&format!("freed {freed:?}, model {zeroed:?}")));
                 }
             }
+            &Op::SetBackref(b, br) => {
+                table.set_backref(b, br).map_err(err)?;
+                model.set_backref(b, br);
+            }
             &Op::Corrupt(b) => {
                 table.inject_corruption(b).map_err(err)?;
                 model.corrupted.insert(b.raw());
@@ -322,6 +463,9 @@ fn replay(log: &[Op], sabotage: Sabotage) -> Result<(), String> {
     if let Some(what) = diverged(&table, &model, everywhere()) {
         return Err(format!("end of log: table and model diverged at {what}"));
     }
+    if table != model.rebuild().map_err(|e| format!("rebuild: {e}"))? {
+        return Err("end of log: the table differs from its block-by-block rebuild".into());
+    }
     for (k, (original, then)) in forked.iter().enumerate() {
         if let Some(what) = diverged(original, then, everywhere()) {
             return Err(format!("fork {k}'s original diverged at {what}"));
@@ -337,7 +481,13 @@ fn block_table_matches_the_flat_model() {
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(0xB10C_7AB1);
     let cfg = DiffConfig::new("run_ops_differential", seed).ops(400);
-    differential(&cfg, gen_op, |log| replay(log, Sabotage::None)).unwrap();
+    let mut gen = Gen::default();
+    differential(
+        &cfg,
+        |rng, i| gen.op(rng, i),
+        |log| replay(log, Sabotage::None),
+    )
+    .unwrap();
 }
 
 /// The edge cases of coalescing, each into a non-empty output buffer;
@@ -356,12 +506,13 @@ fn coalesce_into_covers_each_edge_case() {
     }
 }
 
-/// A chunk of counts is 8 KiB and a chunk of back-references 32 KiB:
-/// what a snapshot's reference and a COW write copy per chunk.
+/// A chunk of counts is 8 KiB and a back-reference piece 16 B: what a
+/// snapshot's reference copies per chunk, and a COW write per piece of
+/// the chunk besides.
 #[test]
-fn a_chunk_is_eight_and_thirty_two_kib() {
+fn a_count_chunk_is_eight_kib_and_a_piece_sixteen_bytes() {
     assert_eq!(REFCOUNT_CHUNK_BYTES, 8 * 1024);
-    assert_eq!(BACKREF_CHUNK_BYTES, 32 * 1024);
+    assert_eq!(PIECE_BYTES, 16);
 }
 
 /// The harness can fail: a model whose live release forgets to clear
@@ -372,8 +523,9 @@ fn a_model_with_stale_backrefs_is_caught() {
     let cfg = DiffConfig::new("run_ops_vs_stale_model", 0x57A1E)
         .cases(4)
         .ops(400);
-    let failure =
-        differential(&cfg, gen_op, |log| replay(log, Sabotage::StaleBackrefs)).unwrap_err();
+    let mut gen = Gen::default();
+    let gen = |rng: &mut SimRng, i| gen.op(rng, i);
+    let failure = differential(&cfg, gen, |log| replay(log, Sabotage::StaleBackrefs)).unwrap_err();
     assert!(failure.ops.len() <= 3, "{failure}");
     assert!(failure.message.contains("diverged"), "{failure}");
 }
@@ -386,8 +538,28 @@ fn a_packing_that_drops_the_page_top_bit_is_caught() {
         .cases(4)
         .ops(400);
     let sabotage = Sabotage::DropPageTopBit;
-    let failure = differential(&cfg, gen_op, |log| replay(log, sabotage)).unwrap_err();
+    let mut gen = Gen::default();
+    let gen = |rng: &mut SimRng, i| gen.op(rng, i);
+    let failure = differential(&cfg, gen, |log| replay(log, sabotage)).unwrap_err();
     assert_eq!(failure.ops.len(), 1, "{failure}");
     assert!(failure.ops[0].starts_with("Stamp"), "{failure}");
+    assert!(failure.message.contains("diverged"), "{failure}");
+}
+
+/// A trim that leaves a one-block stub is caught, and the log shrinks
+/// to a stamp and the live release that cuts into its piece.
+#[test]
+fn a_model_whose_trim_leaves_a_stub_is_caught() {
+    let cfg = DiffConfig::new("run_ops_vs_trim_stub", 0x57AB)
+        .cases(4)
+        .ops(400);
+    let mut gen = Gen::default();
+    let gen = |rng: &mut SimRng, i| gen.op(rng, i);
+    let failure = differential(&cfg, gen, |log| replay(log, Sabotage::TrimStub)).unwrap_err();
+    assert!(failure.ops.len() <= 3, "{failure}");
+    assert!(
+        failure.ops.iter().any(|op| op.starts_with("Release")),
+        "{failure}"
+    );
     assert!(failure.message.contains("diverged"), "{failure}");
 }

@@ -66,14 +66,16 @@ echo "==> duetbench: package gate + benchmark-contract smoke"
 # from outside through a bound set of public APIs and pins every
 # simulated statistic at seed 42. Gate it here so a change that breaks
 # that API surface or moves a pinned statistic fails now, not in the
-# next performance PR: the package's own checks, then one workload
-# under the contract's invocation — pins, mirror ≡ entry point, fsck —
-# for the Btrfs stack (write_cow_duet), for the only workload on
-# sim-f2fs and the GC (f2fs_gc_write), and for the bypass workload, the
-# only pinned run of the baseline backup and scrub read path
-# (maint_cold_base).
+# next performance PR: the package's own checks, then every workload
+# of BENCHMARK.json under the contract's invocation — pins, mirror ≡
+# entry point, fsck: the hint-heavy Duet read path, whose backup looks
+# up a back-reference per hinted block (read_hot_duet); the Btrfs COW
+# write path (write_cow_duet); the only workload on sim-f2fs and the GC
+# (f2fs_gc_write); the bypass workload, the only pinned run of the
+# baseline backup and scrub read path (maint_cold_base); and Table 5's
+# bisection sweep, whose CSV is pinned (sweep_table5).
 benchmark/check.sh
-for workload in write_cow_duet f2fs_gc_write maint_cold_base; do
+for workload in read_hot_duet write_cow_duet maint_cold_base f2fs_gc_write sweep_table5; do
     smoke=$(benchmark/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | tail -n 1)
     if ! grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<<"$smoke"; then
         echo "duetbench contract smoke failed on $workload: ${smoke:0:160}" >&2
