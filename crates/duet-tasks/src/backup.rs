@@ -119,11 +119,14 @@ impl Backup {
                     continue;
                 }
                 // Back-reference check: does the cached page still carry
-                // the block the snapshot expects?
+                // the block the snapshot expects? A live back-reference
+                // names the page the live tree maps to the block (fsck
+                // holds them equal), so one snapshot lookup decides.
                 let Some(br) = ctx.fs.backref_of(block)? else {
                     continue;
                 };
-                if !ctx.fs.shared_with_snapshot(snap, br.ino, br.index)? {
+                debug_assert_eq!(ctx.fs.fibmap(br.ino, br.index), Ok(Some(block)));
+                if ctx.fs.snapshot_block(snap, br.ino, br.index)? != Some(block) {
                     continue;
                 }
                 // "Lock the page, check that it is not dirty" (§5.2):

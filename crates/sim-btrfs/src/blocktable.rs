@@ -19,42 +19,46 @@
 //!   when neither the live tree nor any snapshot references it.
 //!
 //! The table shares its state the way Btrfs snapshots share blocks, one
-//! column at a time. Each of its three columns — reference counts,
-//! back-references, checksum bits — lives in chunks of [`CHUNK_BLOCKS`]
-//! consecutive blocks behind `Rc`s: a new table points every slot at
-//! one blank chunk, and `Clone` — the snapshot plane's fork — copies
-//! pointers, not blocks. The first write into a chunk that another table
-//! (or another slot of this one) still holds copies that chunk
-//! (`Rc::make_mut`), and only in the column written: a snapshot's
-//! reference copies 8 KiB of counts and leaves the chunk's
-//! back-references and checksum bits (512 B) shared, where a COW write
-//! copies all three. So a fork stays
-//! independent of its pristine and of every other fork, and a table
-//! costs memory per chunk written, not per block of the device. The run
-//! operations resolve their chunks once per chunk-sized segment of the
-//! run, not once per block.
+//! column at a time. Each of its two columns — extent pieces, which
+//! carry the reference counts and back-references, and checksum bits —
+//! lives in chunks of [`CHUNK_BLOCKS`] consecutive blocks behind `Rc`s:
+//! a new table points every slot at one blank chunk, and `Clone` — the
+//! snapshot plane's fork — copies pointers, not blocks. The first write
+//! into a chunk that another table (or another slot of this one) still
+//! holds copies that chunk (`Rc::make_mut`), and only in the column
+//! written: a snapshot's reference copies the chunk's pieces, a few
+//! hundred bytes, and leaves its checksum bits (512 B) shared, where a
+//! COW write copies both. So a fork stays independent of its pristine
+//! and of every other fork, and a table costs memory per chunk written,
+//! not per block of the device. The run operations resolve their chunks
+//! once per chunk-sized segment of the run, not once per block.
 //!
-//! Back-references are kept per extent, as Btrfs keeps them in its
-//! extent tree, not per block: a chunk holds a sorted list of pieces,
-//! each a run of slots backing consecutive pages of one file, named by
-//! the owner of its first slot ([`PIECE_BYTES`] each). The list is
-//! canonical — no empty piece, and two neighbours that continue each
-//! other (same inode, next page) are always one piece — so equal
-//! per-block back-references make equal lists, whatever order of stamps
-//! and releases built them. A lookup is a binary search over a chunk's
-//! pieces, and a COW write or a live release copies only those, a few
-//! hundred bytes where a per-block column copied 32 KiB.
+//! Reference counts and back-references are kept per extent, as Btrfs
+//! keeps them in its extent items, not per block: a chunk holds a
+//! sorted list of pieces, each a run of slots with one count that back
+//! consecutive pages of one file, or no live page at all (a run only
+//! snapshots hold), named by the count and the owner of its first slot
+//! ([`PIECE_BYTES`] each). The list is canonical — no blank piece (no
+//! referent and no owner), and two neighbours with equal counts whose
+//! owners continue each other (same inode, next page) or are both
+//! absent are always one piece — so equal per-block state makes equal
+//! lists, whatever order of stamps, references and releases built them.
+//! A lookup is a binary search over a chunk's pieces; a run operation
+//! rewrites the pieces it covers, splitting those its edges cut, and
+//! copies only them on a first write: a few hundred bytes where
+//! per-block columns copied 8 KiB of counts and 32 KiB of
+//! back-references.
 //!
-//! A block costs 2⅛ B — a `u16` reference count and its checksum bit —
-//! and a piece 16 B. A back-reference is packed into one `u64` by
-//! [`sim_core::owner`], the inode in the high 32 bits and the page in
-//! the low 32. So it names an inode below 2³² − 1 and a page below
-//! 2³², and a block has at most 65 535 referents. A value that does not fit is an `InvalidArgument`,
+//! A block costs ⅛ B — its checksum bit — and a piece 16 B. A
+//! back-reference is packed into one `u64` by [`sim_core::owner`], the
+//! inode in the high 32 bits and the page in the low 32. So it names an
+//! inode below 2³² − 1 and a page below 2³², and a block has at most
+//! 65 535 referents. A value that does not fit is an `InvalidArgument`,
 //! returned before anything is written; a count never wraps.
 
-use sim_core::owner::{pack, unpack};
+use sim_core::owner::{pack, unpack, NO_OWNER};
 use sim_core::{BlockNr, InodeNr, PageIndex, SimError, SimResult};
-use sim_disk::{coalesce_into, Run};
+use sim_disk::Run;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::rc::Rc;
@@ -85,20 +89,19 @@ const SLOT_MASK: usize = CHUNK_LEN - 1;
 /// Chosen by measurement (EXPERIMENTS.md "Host cost"); not a knob.
 pub const CHUNK_BLOCKS: u64 = CHUNK_LEN as u64;
 
-/// A chunk of reference counts.
-type Counts = [u16; CHUNK_LEN];
-/// Bytes a first write copies from the reference-count column.
-pub const REFCOUNT_CHUNK_BYTES: usize = std::mem::size_of::<Counts>();
-/// Bytes a piece of back-references takes: what a first write copies
-/// from the back-reference column, per piece of the chunk.
+/// Bytes a piece takes: what a first write copies from the piece
+/// column, per piece of the chunk.
 pub const PIECE_BYTES: usize = std::mem::size_of::<Piece>();
 
-/// Slots `start..start + len` of a chunk, backing consecutive pages of
-/// one file: slot `start + k` backs the page `k` past `owner`'s.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Slots `start..start + len` of a chunk, alike in count and owner:
+/// each has `refs` referents (the live tree and snapshots), and slot
+/// `start + k` backs the page `k` past `owner`'s — or no live page, if
+/// `owner` is [`NO_OWNER`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Piece {
     start: u16,
     len: u16,
+    refs: u16,
     /// Packed back-reference of slot `start`.
     owner: u64,
 }
@@ -110,88 +113,135 @@ impl Piece {
 
     /// Packed back-reference of slot `s`, which the piece holds.
     fn owner_at(&self, s: usize) -> u64 {
-        self.owner + (s - usize::from(self.start)) as u64
+        if self.owner == NO_OWNER {
+            NO_OWNER
+        } else {
+            self.owner + (s - usize::from(self.start)) as u64
+        }
     }
 
     /// Whether `next` starts where this piece ends and backs the pages
-    /// that follow its own, in the same file.
-    fn continued_by(&self, next: &Piece) -> bool {
+    /// that follow this piece's, in the same file — or, like this
+    /// piece, no live page.
+    fn owner_continues_into(&self, next: &Piece) -> bool {
+        if self.end() != usize::from(next.start) {
+            return false;
+        }
+        if self.owner == NO_OWNER || next.owner == NO_OWNER {
+            return self.owner == next.owner;
+        }
         let after = self.owner + u64::from(self.len);
-        self.end() == usize::from(next.start)
-            && next.owner == after
-            && after >> 32 == self.owner >> 32
+        next.owner == after && after >> 32 == self.owner >> 32
+    }
+
+    /// Whether `next` carries this piece on with the same count, so the
+    /// two must be one.
+    fn continued_by(&self, next: &Piece) -> bool {
+        self.refs == next.refs && self.owner_continues_into(next)
+    }
+
+    /// Slots `slots`, which the piece holds, as a piece of their own.
+    fn cut(&self, slots: Range<usize>) -> Piece {
+        Piece {
+            start: slots.start as u16,
+            len: slots.len() as u16,
+            refs: self.refs,
+            owner: self.owner_at(slots.start),
+        }
+    }
+
+    /// Blocks the piece spans, in chunk `c`.
+    fn run(&self, c: usize) -> Run {
+        Run {
+            start: block(c, usize::from(self.start)),
+            len: u64::from(self.len),
+        }
     }
 }
 
-/// A chunk of back-references: its pieces in slot order, canonical —
-/// none empty, and no piece continued by the next.
+/// A chunk of pieces, in slot order and canonical: none blank, and no
+/// piece continued by the next.
 type Pieces = Vec<Piece>;
 
-/// The piece of `pieces` holding slot `s`, if any.
-fn piece_at(pieces: &[Piece], s: usize) -> Option<&Piece> {
-    let i = pieces.partition_point(|p| usize::from(p.start) <= s);
-    let p = &pieces[i.checked_sub(1)?];
-    (p.end() > s).then_some(p)
+/// Indexes of the pieces of `pieces` that hold some slot of `slots`.
+fn overlapping(pieces: &[Piece], slots: &Range<usize>) -> Range<usize> {
+    let i = pieces.partition_point(|p| p.end() <= slots.start);
+    i..i + pieces[i..].partition_point(|p| usize::from(p.start) < slots.end)
 }
 
-/// Makes `slots` back the pages that follow `owner` on, or none for
-/// `None`: trims or splits the pieces they cut, and merges the new
-/// piece with the neighbours it continues, so the list stays canonical.
-fn assign(pieces: &mut Pieces, slots: Range<usize>, owner: Option<u64>) {
-    let mut i = pieces.partition_point(|p| p.end() <= slots.start);
-    let mut j = i + pieces[i..].partition_point(|p| usize::from(p.start) < slots.end);
-    // What the cut pieces keep either side of the slots.
-    let mut left = (i < j && usize::from(pieces[i].start) < slots.start).then(|| Piece {
-        len: (slots.start - usize::from(pieces[i].start)) as u16,
-        ..pieces[i]
-    });
-    let mut right = (i < j && pieces[j - 1].end() > slots.end).then(|| {
-        let p = pieces[j - 1];
-        Piece {
-            start: slots.end as u16,
-            len: (p.end() - slots.end) as u16,
-            owner: p.owner_at(slots.end),
+/// Index of the piece of `pieces` holding slot `s`, if any.
+fn piece_index(pieces: &[Piece], s: usize) -> Option<usize> {
+    let i = pieces.partition_point(|p| usize::from(p.start) <= s);
+    let i = i.checked_sub(1)?;
+    (pieces[i].end() > s).then_some(i)
+}
+
+/// Appends `p` to the canonical list `out`: dropped if blank, merged
+/// into the last piece if it carries that on.
+fn push(out: &mut Pieces, p: Piece) {
+    if p.refs == 0 && p.owner == NO_OWNER {
+        return;
+    }
+    match out.last_mut() {
+        Some(last) if last.continued_by(&p) => last.len += p.len,
+        _ => out.push(p),
+    }
+}
+
+/// Rewrites `slots` of a chunk: every stretch of them one piece holds,
+/// and every stretch none holds (no referent, no owner), takes the
+/// count and first-slot owner `f(stretch, refs, owner of its first
+/// slot)` returns. The pieces the edges cut keep their outer parts, and
+/// the list is made canonical again.
+fn edit(
+    pieces: &mut Pieces,
+    slots: Range<usize>,
+    mut f: impl FnMut(Range<usize>, u16, u64) -> (u16, u64),
+) {
+    let hit = overlapping(pieces, &slots);
+    // One neighbour each side as well: the result may continue them.
+    let (lo, hi) = (hit.start.saturating_sub(1), (hit.end + 1).min(pieces.len()));
+    let mut out = Vec::with_capacity(2 * (hi - lo) + 1);
+    let mut apply = |out: &mut Pieces, stretch: Range<usize>, refs, owner| {
+        let (refs, owner) = f(stretch.clone(), refs, owner);
+        let (start, len) = (stretch.start as u16, stretch.len() as u16);
+        push(
+            out,
+            Piece {
+                start,
+                len,
+                refs,
+                owner,
+            },
+        );
+    };
+    // First slot of `slots` not rewritten yet.
+    let mut at = slots.start;
+    for p in &pieces[lo..hi] {
+        let (start, end) = (usize::from(p.start), p.end());
+        if start < slots.start {
+            push(&mut out, p.cut(start..end.min(slots.start)));
         }
-    });
-    let mid = owner.map(|owner| Piece {
-        start: slots.start as u16,
-        len: slots.len() as u16,
-        owner,
-    });
-    if mid.is_some() {
-        // The new piece may continue a neighbour, or be continued by one.
-        if left.is_none() && i > 0 && pieces[i - 1].end() == slots.start {
-            i -= 1;
-            left = Some(pieces[i]);
+        let (a, b) = (start.max(slots.start), end.min(slots.end));
+        if a < b {
+            if at < a {
+                apply(&mut out, at..a, 0, NO_OWNER);
+            }
+            apply(&mut out, a..b, p.refs, p.owner_at(a));
+            at = b;
         }
-        if right.is_none()
-            && pieces
-                .get(j)
-                .is_some_and(|p| usize::from(p.start) == slots.end)
-        {
-            right = Some(pieces[j]);
-            j += 1;
+        if end > slots.end {
+            if at < slots.end {
+                apply(&mut out, at..slots.end, 0, NO_OWNER);
+                at = slots.end;
+            }
+            push(&mut out, p.cut(start.max(slots.end)..end));
         }
     }
-    let mut out = [Piece::default(); 3];
-    let mut n = 0;
-    for p in [left, mid, right].into_iter().flatten() {
-        if n > 0 && out[n - 1].continued_by(&p) {
-            out[n - 1].len += p.len;
-        } else {
-            out[n] = p;
-            n += 1;
-        }
+    if at < slots.end {
+        apply(&mut out, at..slots.end, 0, NO_OWNER);
     }
-    // `out[..n]` replaces `pieces[i..j]`: overwrite in place, then close
-    // the gap or open the room.
-    let kept = n.min(j - i);
-    pieces[i..i + kept].copy_from_slice(&out[..kept]);
-    if n < j - i {
-        pieces.drain(i + n..j);
-    } else if n > j - i {
-        pieces.splice(j..j, out[kept..n].iter().copied());
-    }
+    pieces.splice(lo..hi, out);
 }
 
 /// One bit per block of a chunk.
@@ -241,11 +291,10 @@ impl<C: Clone> Column<C> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockTable {
     capacity: u64,
-    /// Number of referents (live tree + snapshots) of each block.
-    refcount: Column<Counts>,
-    /// Live back-references, as pieces; a block no piece holds is not
-    /// referenced by the live tree.
-    backref: Column<Pieces>,
+    /// Reference counts (live tree + snapshots) and live
+    /// back-references, as pieces; a block no piece holds has no
+    /// referent and backs no live page.
+    pieces: Column<Pieces>,
     /// Whether each block's stored checksum is good: a write or a
     /// repair sets the bit, and nothing clears it.
     checksum_ok: Column<Bits>,
@@ -284,8 +333,7 @@ impl BlockTable {
         let chunks = capacity.div_ceil(CHUNK_BLOCKS) as usize;
         BlockTable {
             capacity,
-            refcount: Column::new(chunks, [0; CHUNK_LEN]),
-            backref: Column::new(chunks, Vec::new()),
+            pieces: Column::new(chunks, Vec::new()),
             checksum_ok: Column::new(chunks, [0; CHUNK_LEN / 64]),
             corrupted: BTreeSet::new(),
         }
@@ -321,13 +369,21 @@ impl BlockTable {
         Ok((i >> CHUNK_SHIFT, i & SLOT_MASK))
     }
 
+    /// The piece holding slot `s` of chunk `c`, if any.
+    fn piece(&self, c: usize, s: usize) -> Option<&Piece> {
+        let pieces = &self.pieces.chunks[c];
+        piece_index(pieces, s).map(|i| &pieces[i])
+    }
+
     /// The first block of `range` whose count cannot take one more
     /// reference, as an error.
     fn check_headroom(&self, range: Range<usize>) -> SimResult<()> {
         for (c, slots) in segments(range) {
-            let counts = &self.refcount.chunks[c][slots.clone()];
-            if let Some(i) = counts.iter().position(|&n| n == MAX_REFS) {
-                return Err(too_many_refs(block(c, slots.start + i)));
+            let pieces = &self.pieces.chunks[c];
+            let hit = &pieces[overlapping(pieces, &slots)];
+            if let Some(p) = hit.iter().find(|p| p.refs == MAX_REFS) {
+                let s = slots.start.max(usize::from(p.start));
+                return Err(too_many_refs(block(c, s)));
             }
         }
         Ok(())
@@ -347,14 +403,14 @@ impl BlockTable {
         let mut packed = pack(ino, first_page)?;
         self.check_headroom(range.clone())?;
         for (c, slots) in segments(range.clone()) {
-            let refcount = self.refcount.chunk_mut(c);
             let checksum_ok = self.checksum_ok.chunk_mut(c);
             for s in slots.clone() {
-                refcount[s] += 1;
                 set_bit(checksum_ok, s);
             }
-            let len = slots.len() as u64;
-            assign(self.backref.chunk_mut(c), slots, Some(packed));
+            let (first, len) = (slots.start, slots.len() as u64);
+            edit(self.pieces.chunk_mut(c), slots, |stretch, refs, _| {
+                (refs + 1, packed + (stretch.start - first) as u64)
+            });
             packed += len;
         }
         // The rewrite replaces any corrupted content.
@@ -373,9 +429,9 @@ impl BlockTable {
         let range = self.check_run(run)?;
         self.check_headroom(range.clone())?;
         for (c, slots) in segments(range) {
-            for n in &mut self.refcount.chunk_mut(c)[slots] {
-                *n += 1;
-            }
+            edit(self.pieces.chunk_mut(c), slots, |_, refs, owner| {
+                (refs + 1, owner)
+            });
         }
         Ok(())
     }
@@ -391,24 +447,22 @@ impl BlockTable {
     /// Panics if a count is already zero — that is a filesystem
     /// accounting bug, not a runtime condition.
     pub fn release_run(&mut self, run: Run, live: bool) -> SimResult<Vec<Run>> {
-        let mut freed = Vec::new();
+        let mut freed: Vec<Run> = Vec::new();
         for (c, slots) in segments(self.check_run(run)?) {
-            let refcount = self.refcount.chunk_mut(c);
-            for s in slots.clone() {
-                let b = block(c, s);
-                assert!(refcount[s] > 0, "refcount underflow at {b}");
-                refcount[s] -= 1;
-                if refcount[s] == 0 {
-                    freed.push(b);
+            edit(self.pieces.chunk_mut(c), slots, |stretch, refs, owner| {
+                let start = block(c, stretch.start);
+                assert!(refs > 0, "refcount underflow at {start}");
+                if refs == 1 {
+                    let len = stretch.len() as u64;
+                    match freed.last_mut() {
+                        Some(r) if r.start.raw() + r.len == start.raw() => r.len += len,
+                        _ => freed.push(Run { start, len }),
+                    }
                 }
-            }
-            if live {
-                assign(self.backref.chunk_mut(c), slots, None);
-            }
+                (refs - 1, if live { NO_OWNER } else { owner })
+            });
         }
-        let mut runs = Vec::new();
-        coalesce_into(&mut freed, &mut runs);
-        Ok(runs)
+        Ok(freed)
     }
 
     /// Verifies the block's checksum against its content, as the Btrfs
@@ -448,66 +502,77 @@ impl BlockTable {
     /// the most referents.
     pub fn ref_inc(&mut self, b: BlockNr) -> SimResult<()> {
         let (c, s) = self.slot(b)?;
-        let n = self.refcount.chunks[c][s]
-            .checked_add(1)
-            .ok_or_else(|| too_many_refs(b))?;
-        self.refcount.chunk_mut(c)[s] = n;
+        if self.piece(c, s).is_some_and(|p| p.refs == MAX_REFS) {
+            return Err(too_many_refs(b));
+        }
+        edit(self.pieces.chunk_mut(c), s..s + 1, |_, refs, owner| {
+            (refs + 1, owner)
+        });
         Ok(())
     }
 
     /// Current reference count.
     pub fn refcount_of(&self, b: BlockNr) -> SimResult<u32> {
         let (c, s) = self.slot(b)?;
-        Ok(u32::from(self.refcount.chunks[c][s]))
+        Ok(self.piece(c, s).map_or(0, |p| u32::from(p.refs)))
     }
 
     /// Sets the live back-reference for a block, if it can hold it.
     pub fn set_backref(&mut self, b: BlockNr, br: BackRef) -> SimResult<()> {
         let (c, s) = self.slot(b)?;
         let packed = pack(br.ino, br.index.raw())?;
-        assign(self.backref.chunk_mut(c), s..s + 1, Some(packed));
+        edit(self.pieces.chunk_mut(c), s..s + 1, |_, refs, _| {
+            (refs, packed)
+        });
         Ok(())
     }
 
     /// Live back-reference of a block, if any.
     pub fn backref_of(&self, b: BlockNr) -> SimResult<Option<BackRef>> {
-        Ok(self.backref_run(b)?.map(|(br, _)| br))
+        let (c, s) = self.slot(b)?;
+        let owner = self.piece(c, s).map_or(NO_OWNER, |p| p.owner_at(s));
+        Ok((owner != NO_OWNER).then(|| unpack(owner).into()))
     }
 
     /// Live back-reference of a block, if any, and how many blocks from
     /// it on back the pages that follow, in the same file: one lookup
-    /// for a whole piece. The count stops at the end of the block's
-    /// chunk; the next chunk's first piece may continue it.
+    /// for a whole run of pieces, whatever their counts. The count
+    /// stops at the end of the block's chunk; the next chunk's first
+    /// piece may continue it.
     pub fn backref_run(&self, b: BlockNr) -> SimResult<Option<(BackRef, u64)>> {
         let (c, s) = self.slot(b)?;
-        let piece = piece_at(&self.backref.chunks[c], s);
-        Ok(piece.map(|p| (unpack(p.owner_at(s)).into(), (p.end() - s) as u64)))
+        let pieces = &self.pieces.chunks[c];
+        let Some(i) = piece_index(pieces, s).filter(|&i| pieces[i].owner != NO_OWNER) else {
+            return Ok(None);
+        };
+        let more = pieces[i..].windows(2);
+        let more = more
+            .take_while(|w| w[0].owner_continues_into(&w[1]))
+            .count();
+        let br = unpack(pieces[i].owner_at(s)).into();
+        Ok(Some((br, (pieces[i + more].end() - s) as u64)))
     }
 
-    /// Every block with a non-zero reference count, with the count, in
-    /// block order. Walks only the chunks written: O(data), not
-    /// O(device).
-    pub(crate) fn referenced(&self) -> impl Iterator<Item = (BlockNr, u32)> + '_ {
-        self.refcount.written().flat_map(|(c, counts)| {
-            let slots = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
-            slots.map(move |(s, &n)| (block(c, s), u32::from(n)))
+    /// Every run of blocks with one non-zero reference count, with the
+    /// count, in block order: a piece each, so a run of one count may
+    /// come in several, split where owners or chunks change. Walks only
+    /// the pieces of chunks written: O(extents), not O(device).
+    pub(crate) fn referenced(&self) -> impl Iterator<Item = (Run, u32)> + '_ {
+        self.pieces.written().flat_map(|(c, pieces)| {
+            let counted = pieces.iter().filter(|p| p.refs > 0);
+            counted.map(move |p| (p.run(c), u32::from(p.refs)))
         })
     }
 
     /// Every piece of live back-references — a run of blocks and the
     /// back-reference of its first, the rest backing the pages that
-    /// follow — in block order, split at chunk boundaries. Walks only
+    /// follow — in block order. A file's run comes in several pieces
+    /// where the count changes along it, or a chunk ends. Walks only
     /// the pieces of chunks written: O(extents), not O(device).
     pub(crate) fn backrefs(&self) -> impl Iterator<Item = (Run, BackRef)> + '_ {
-        self.backref.written().flat_map(|(c, pieces)| {
-            pieces.iter().map(move |p| {
-                let start = block(c, usize::from(p.start));
-                let run = Run {
-                    start,
-                    len: u64::from(p.len),
-                };
-                (run, unpack(p.owner).into())
-            })
+        self.pieces.written().flat_map(|(c, pieces)| {
+            let owned = pieces.iter().filter(|p| p.owner != NO_OWNER);
+            owned.map(move |p| (p.run(c), unpack(p.owner).into()))
         })
     }
 }
@@ -530,22 +595,17 @@ mod tests {
         ptrs.len()
     }
 
-    /// `shared` per column: refcount, back-reference, checksum bit.
-    fn shared_chunks(a: &BlockTable, b: &BlockTable) -> [usize; 3] {
+    /// `shared` per column: pieces, checksum bits.
+    fn shared_chunks(a: &BlockTable, b: &BlockTable) -> [usize; 2] {
         [
-            shared(&a.refcount, &b.refcount),
-            shared(&a.backref, &b.backref),
+            shared(&a.pieces, &b.pieces),
             shared(&a.checksum_ok, &b.checksum_ok),
         ]
     }
 
     /// `distinct` per column, in the same order.
-    fn distinct_chunks(t: &BlockTable) -> [usize; 3] {
-        [
-            distinct(&t.refcount),
-            distinct(&t.backref),
-            distinct(&t.checksum_ok),
-        ]
+    fn distinct_chunks(t: &BlockTable) -> [usize; 2] {
+        [distinct(&t.pieces), distinct(&t.checksum_ok)]
     }
 
     fn one(b: u64) -> Run {
@@ -716,31 +776,31 @@ mod tests {
     fn a_fork_shares_every_chunk_until_written() {
         let capacity = 3 * CHUNK_BLOCKS + 5;
         let mut pristine = BlockTable::new(capacity);
-        assert_eq!(pristine.refcount.chunks.len(), 4);
-        assert_eq!(distinct_chunks(&pristine), [1; 3], "one blank chunk");
+        assert_eq!(pristine.pieces.chunks.len(), 4);
+        assert_eq!(distinct_chunks(&pristine), [1; 2], "one blank chunk");
         pristine
             .stamp_run(one(CHUNK_BLOCKS), InodeNr(1), 0)
             .unwrap();
-        assert_eq!(distinct_chunks(&pristine), [2; 3]);
+        assert_eq!(distinct_chunks(&pristine), [2; 2]);
 
         let mut fork = pristine.clone();
         assert_eq!(
             shared_chunks(&fork, &pristine),
-            [4; 3],
+            [4; 2],
             "a fork copies none"
         );
         fork.stamp_run(one(2 * CHUNK_BLOCKS + 1), InodeNr(1), 1)
             .unwrap();
         assert_eq!(
             shared_chunks(&fork, &pristine),
-            [3; 3],
+            [3; 2],
             "one write, one copy"
         );
         fork.stamp_run(one(2 * CHUNK_BLOCKS + 2), InodeNr(1), 2)
             .unwrap();
         assert_eq!(
             shared_chunks(&fork, &pristine),
-            [3; 3],
+            [3; 2],
             "an unshared chunk is written in place"
         );
         assert_ne!(fork, pristine);
@@ -751,46 +811,12 @@ mod tests {
         );
 
         let huge = BlockTable::new(1 << 30);
-        assert_eq!(huge.refcount.chunks.len() as u64, (1 << 30) / CHUNK_BLOCKS);
-        assert_eq!(distinct_chunks(&huge), [1; 3], "memory per chunk written");
+        assert_eq!(huge.pieces.chunks.len() as u64, (1 << 30) / CHUNK_BLOCKS);
+        assert_eq!(distinct_chunks(&huge), [1; 2], "memory per chunk written");
     }
 
-    /// A snapshot's reference writes one column, so it copies one: the
-    /// chunk's counts, not its back-references or checksum bits. A
-    /// layout that keeps a chunk's columns together fails here.
-    #[test]
-    fn a_snapshot_reference_copies_only_refcounts() {
-        let mut pristine = BlockTable::new(2 * CHUNK_BLOCKS);
-        let all = Run {
-            start: BlockNr(0),
-            len: 2 * CHUNK_BLOCKS,
-        };
-        pristine.stamp_run(all, InodeNr(1), 0).unwrap();
-        let mut fork = pristine.clone();
-        let tail = Run {
-            start: BlockNr(CHUNK_BLOCKS + 8),
-            len: 8,
-        };
-        fork.ref_run(tail).unwrap();
-        assert_eq!(shared_chunks(&fork, &pristine), [1, 2, 2]);
-        fork.release_run(tail, false).unwrap();
-        assert_eq!(
-            shared_chunks(&fork, &pristine),
-            [1, 2, 2],
-            "so does its release"
-        );
-        fork.stamp_run(one(0), InodeNr(2), 0).unwrap();
-        assert_eq!(
-            shared_chunks(&fork, &pristine),
-            [0, 1, 1],
-            "a write copies all three"
-        );
-        assert_eq!(fork.refcount_of(BlockNr(CHUNK_BLOCKS + 8)), Ok(1));
-        assert_eq!(pristine.refcount_of(BlockNr(0)), Ok(1));
-    }
-
-    /// The fsck walks see exactly the blocks with a count or a
-    /// back-reference, and only in chunks written.
+    /// The fsck walks see exactly the runs with a count or a
+    /// back-reference, as pieces, and only in chunks written.
     #[test]
     fn the_walks_skip_blank_chunks() {
         let mut t = BlockTable::new(3 * CHUNK_BLOCKS);
@@ -802,10 +828,13 @@ mod tests {
         t.stamp_run(run, InodeNr(4), 10).unwrap();
         t.ref_run(one(CHUNK_BLOCKS)).unwrap();
         let edge = BlockNr(CHUNK_BLOCKS);
-        let want = vec![(BlockNr(CHUNK_BLOCKS - 1), 1), (edge, 2)];
+        let want = vec![(one(CHUNK_BLOCKS - 1), 1), (one(edge.raw()), 2)];
         assert_eq!(t.referenced().collect::<Vec<_>>(), want);
         t.release_run(run, true).unwrap();
-        assert_eq!(t.referenced().collect::<Vec<_>>(), vec![(edge, 1)]);
+        assert_eq!(
+            t.referenced().collect::<Vec<_>>(),
+            vec![(one(edge.raw()), 1)]
+        );
         assert_eq!(t.backrefs().count(), 0);
         t.set_backref(
             edge,
@@ -833,10 +862,10 @@ mod tests {
         }
     }
 
-    /// Bytes the fork's back-reference chunks take that the pristine's
-    /// do not share: the piece lists a first write copied.
-    fn private_backref_bytes(fork: &BlockTable, pristine: &BlockTable) -> usize {
-        let pairs = fork.backref.chunks.iter().zip(&pristine.backref.chunks);
+    /// Bytes the fork's piece chunks take that the pristine's do not
+    /// share: the piece lists a first write copied.
+    fn private_piece_bytes(fork: &BlockTable, pristine: &BlockTable) -> usize {
+        let pairs = fork.pieces.chunks.iter().zip(&pristine.pieces.chunks);
         let private = pairs.filter(|&(x, y)| !Rc::ptr_eq(x, y));
         private
             .map(|(x, _)| std::mem::size_of::<Pieces>() + x.capacity() * PIECE_BYTES)
@@ -846,7 +875,7 @@ mod tests {
     /// A live release in a forked chunk copies that chunk's pieces, not
     /// a block's worth of back-references each: under 2 KiB a chunk of
     /// 32 pieces, growth room included, where a per-block column copies
-    /// 32 KiB. The other two columns copy as before.
+    /// 32 KiB. The checksum bits stay shared.
     #[test]
     fn a_release_in_a_fork_copies_pieces_not_blocks() {
         const CHUNKS: u64 = 6;
@@ -869,11 +898,11 @@ mod tests {
             assert_eq!(fork.backref_of(run.start), Ok(None));
             assert!(pristine.backref_of(run.start).unwrap().is_some());
         }
-        assert_eq!(shared_chunks(&fork, &pristine), [0, 0, CHUNKS as usize]);
-        let per_touched = private_backref_bytes(&fork, &pristine) / CHUNKS as usize;
+        assert_eq!(shared_chunks(&fork, &pristine), [0, CHUNKS as usize]);
+        let per_touched = private_piece_bytes(&fork, &pristine) / CHUNKS as usize;
         assert!(per_touched < 2 * 1024, "{per_touched} B a chunk");
         assert_eq!(
-            fork.backref.chunks[0].len(),
+            fork.pieces.chunks[0].len(),
             per_chunk as usize + 1,
             "one split"
         );
@@ -926,6 +955,87 @@ mod tests {
         assert_eq!(released, whole, "a release refilled block by block");
     }
 
+    /// What a snapshot costs. `create_snapshot` takes a reference on
+    /// every extent; in a fork that copies each chunk's pieces — about
+    /// 40 runs a chunk, under 1 KiB, a bound a column of `u16` counts
+    /// misses by 8× — and leaves the checksum bits shared. A COW write
+    /// after it still copies only the chunks it writes.
+    #[test]
+    fn a_snapshot_copies_pieces_not_counts() {
+        const CHUNKS: u64 = 4;
+        let (runs, len) = (CHUNKS * 40, CHUNK_BLOCKS / 40);
+        let mut pristine = BlockTable::new(CHUNKS * CHUNK_BLOCKS);
+        stamp_pieces(&mut pristine, 0, runs, len);
+        let mut fork = pristine.clone();
+        for k in 0..runs {
+            let run = Run {
+                start: BlockNr(k * len),
+                len,
+            };
+            fork.ref_run(run).unwrap();
+        }
+        assert_eq!(shared_chunks(&fork, &pristine), [0, CHUNKS as usize]);
+        let per_chunk = private_piece_bytes(&fork, &pristine) / CHUNKS as usize;
+        assert!(per_chunk < 1024, "{per_chunk} B a chunk");
+        assert_eq!(fork.refcount_of(BlockNr(5)), Ok(2));
+        assert_eq!(pristine.refcount_of(BlockNr(5)), Ok(1));
+        let mut pieces = fork.pieces.chunks.iter().map(|p| p.len());
+        assert!(pieces.all(|n| (40..=42).contains(&n)), "about 40 a chunk");
+
+        // The device's last blocks are still free: a COW write there
+        // copies the last chunk, in both columns, and no other.
+        let mut child = fork.clone();
+        let fresh = Run {
+            start: BlockNr(CHUNKS * CHUNK_BLOCKS - 8),
+            len: 8,
+        };
+        child.stamp_run(fresh, InodeNr(9), 0).unwrap();
+        let others = CHUNKS as usize - 1;
+        assert_eq!(shared_chunks(&child, &fork), [others, others]);
+        assert_eq!(fork.refcount_of(fresh.start), Ok(0));
+    }
+
+    /// Equal per-block counts and back-references make equal tables,
+    /// whatever order built them: a snapshot reference taken and
+    /// dropped leaves no trace, and a live release re-stamped with the
+    /// same pages heals the pieces it split, shared or not.
+    #[test]
+    fn equal_counts_compare_equal_whatever_built_them() {
+        let run = |start, len| Run {
+            start: BlockNr(start),
+            len,
+        };
+        let mut fresh = BlockTable::new(2 * CHUNK_BLOCKS);
+        fresh.stamp_run(run(4000, 200), InodeNr(1), 0).unwrap();
+
+        let mut shared = fresh.clone();
+        shared.ref_run(run(4050, 30)).unwrap();
+        assert_ne!(shared, fresh);
+        let counts = [4049, 4050, 4079, 4080].map(|b| shared.refcount_of(BlockNr(b)));
+        assert_eq!(counts, [Ok(1), Ok(2), Ok(2), Ok(1)]);
+        shared.release_run(run(4050, 30), false).unwrap();
+        assert_eq!(shared, fresh, "referenced and released");
+
+        let mut restamped = fresh.clone();
+        let freed = restamped.release_run(run(4090, 20), true);
+        assert_eq!(freed, Ok(vec![run(4090, 20)]));
+        restamped.stamp_run(run(4090, 20), InodeNr(1), 90).unwrap();
+        assert_eq!(restamped, fresh, "a live release, re-stamped");
+
+        // Under a snapshot, the release leaves a snapshot-only piece
+        // between two shared ones, and frees nothing.
+        let mut snapshotted = fresh.clone();
+        snapshotted.ref_run(run(4000, 200)).unwrap();
+        let before = snapshotted.clone();
+        assert_eq!(snapshotted.release_run(run(4090, 20), true), Ok(vec![]));
+        assert_eq!(snapshotted.refcount_of(BlockNr(4095)), Ok(1));
+        assert_eq!(snapshotted.backref_of(BlockNr(4095)), Ok(None));
+        snapshotted
+            .stamp_run(run(4090, 20), InodeNr(1), 90)
+            .unwrap();
+        assert_eq!(snapshotted, before, "a shared release, re-stamped");
+    }
+
     /// `backref_run` answers for a whole piece from any block of it,
     /// and stops at the chunk's end, where the next chunk's piece
     /// carries on.
@@ -945,6 +1055,14 @@ mod tests {
         assert_eq!(t.backref_run(run.start.offset(5)), Ok(Some((br(45), 3))));
         assert_eq!(t.backref_run(BlockNr(CHUNK_BLOCKS)), Ok(Some((br(48), 4))));
         assert_eq!(t.backref_run(BlockNr(CHUNK_BLOCKS + 4)), Ok(None));
+        // A count boundary inside a file's run does not end it.
+        let head = Run {
+            start: run.start,
+            len: 3,
+        };
+        t.ref_run(head).unwrap();
+        assert_eq!(t.backref_run(run.start), Ok(Some((br(40), 8))));
+        assert_eq!(t.refcount_of(run.start.offset(3)), Ok(1));
         let end = BlockNr(2 * CHUNK_BLOCKS);
         assert_eq!(t.backref_run(end), Err(SimError::BlockOutOfRange(end)));
     }

@@ -756,9 +756,10 @@ impl BtrfsSim {
     }
 
     /// Returns `true` if page `index` of live file `ino` is still
-    /// backed by the same block as in the snapshot — the back-reference
-    /// check the opportunistic backup performs before copying a cached
-    /// page (§5.2).
+    /// backed by the same block as in the snapshot. The opportunistic
+    /// backup (§5.2) asks the cheaper question instead: it starts from a
+    /// block whose live back-reference names the page, so it compares
+    /// [`Self::snapshot_block`] with that block alone.
     pub fn shared_with_snapshot(
         &self,
         id: SnapshotId,
@@ -1006,42 +1007,79 @@ impl BtrfsSim {
             count += delta;
             from = at;
         }
-        // Compare against the block table: both walks ascend.
+        // Compare against the block table's counted pieces run by run:
+        // both walks ascend, and each is eaten from the front as the
+        // other catches up.
+        let rest = |r: Run, n: u64| Run {
+            start: r.start.offset(n),
+            len: r.len - n,
+        };
         let mut referenced = self.blocks.referenced();
+        let mut piece = referenced.next();
+        let unclaimed = |(r, got): (Run, u32)| {
+            let b = r.start;
+            fail(format!("block {b}: refcount {got}, no extent claims it"))
+        };
         for &(run, want) in &expect {
-            for b in run.blocks() {
-                match referenced.next() {
-                    Some((r, got)) if r == b && got == want => {}
-                    Some((r, got)) if r == b => {
-                        return fail(format!("block {b}: refcount {got}, expected {want}"));
+            let mut at = run;
+            while at.len > 0 {
+                let (r, got) = match piece {
+                    Some(p) if p.0.start < at.start => return unclaimed(p),
+                    Some(p) if p.0.start == at.start => p,
+                    _ => {
+                        let b = at.start;
+                        return fail(format!("block {b}: refcount 0, expected {want}"));
                     }
-                    Some((r, got)) if r < b => {
-                        return fail(format!("block {r}: refcount {got}, no extent claims it"));
-                    }
-                    _ => return fail(format!("block {b}: refcount 0, expected {want}")),
+                };
+                if got != want {
+                    let b = at.start;
+                    return fail(format!("block {b}: refcount {got}, expected {want}"));
                 }
+                let n = r.len.min(at.len);
+                at = rest(at, n);
+                piece = if r.len > n {
+                    Some((rest(r, n), got))
+                } else {
+                    referenced.next()
+                };
             }
         }
-        if let Some((r, got)) = referenced.next() {
-            return fail(format!("block {r}: refcount {got}, no extent claims it"));
+        if let Some(p) = piece {
+            return unclaimed(p);
         }
         if let Err(why) = self.alloc.check_invariants() {
             return fail(why);
         }
-        // Both walks ascend: a referenced block below the next allocated
-        // one is free, an allocated block with no referenced one at or
-        // below it is leaked.
-        let mut referenced = expect.iter().flat_map(|(run, _)| run.blocks()).peekable();
-        let allocated = self.alloc.allocated_ranges();
-        for b in allocated.iter().flat_map(|r| r.blocks()) {
-            match referenced.next_if(|&r| r <= b) {
-                Some(r) if r == b => {}
-                Some(r) => return fail(format!("block {r} is referenced but free")),
-                None => return fail(format!("block {b} is allocated, nothing references it")),
+        // The free/allocated split, run by run as well: a referenced
+        // block below the next allocated one is free, an allocated block
+        // with no referenced one at or below it is leaked.
+        let mut claims = expect.iter().map(|&(run, _)| run);
+        let mut claim = claims.next();
+        for mut a in self.alloc.allocated_ranges() {
+            while a.len > 0 {
+                let r = match claim {
+                    Some(r) if r.start < a.start => {
+                        let b = r.start;
+                        return fail(format!("block {b} is referenced but free"));
+                    }
+                    Some(r) if r.start == a.start => r,
+                    _ => {
+                        let b = a.start;
+                        return fail(format!("block {b} is allocated, nothing references it"));
+                    }
+                };
+                let n = r.len.min(a.len);
+                a = rest(a, n);
+                claim = if r.len > n {
+                    Some(rest(r, n))
+                } else {
+                    claims.next()
+                };
             }
         }
-        if let Some(r) = referenced.next() {
-            return fail(format!("block {r} is referenced but free"));
+        if let Some(r) = claim {
+            let b = r.start;
+            return fail(format!("block {b} is referenced but free"));
         }
         // Cached pages must agree with the extent tree (pages of deleted
         // files must not linger).

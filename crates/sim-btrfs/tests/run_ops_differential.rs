@@ -1,10 +1,14 @@
 //! The block table against a naive flat model of it: one per-block
 //! `Vec` per column (reference count, back-reference, checksum-good
 //! flag), each run operation a plain loop over them. Every op's window
-//! is drawn across a chunk boundary, and a quarter of the ops aim at
-//! the last stamp, so the table's back-reference pieces are cut in the
-//! middle by live releases, split by a `set_backref` inside them, and
-//! merged by a stamp that continues them. After each op the two are
+//! is drawn across a chunk boundary, and a third of the ops aim at the
+//! last stamp or the last shared window, so the table's pieces are cut
+//! in the middle by live releases, split by a `set_backref` inside
+//! them, and merged by a stamp that continues them, and their counts
+//! change part of the way along: a snapshot reference over part of a
+//! stamped run, a snapshot release or a `ref_inc` inside one, a live
+//! release inside a shared run (which leaves a piece only snapshots
+//! hold), and a stamp next to a piece with another count. After each op the two are
 //! compared through the public getters (`refcount_of`, `backref_of`,
 //! `backref_run`, `verify_checksum`, `corrupted_count`) around every
 //! boundary, and over the whole device at the end, where the table must
@@ -21,7 +25,7 @@
 //! `sim_core::check::differential`: a failure prints the replay seed
 //! and a shrunk op log.
 
-use sim_btrfs::blocktable::{CHUNK_BLOCKS, PIECE_BYTES, REFCOUNT_CHUNK_BYTES};
+use sim_btrfs::blocktable::{CHUNK_BLOCKS, PIECE_BYTES};
 use sim_btrfs::{BackRef, BlockTable, Run};
 use sim_core::check::{differential, DiffConfig};
 use sim_core::knobs::Knob;
@@ -44,6 +48,8 @@ enum Op {
     Release(Run, bool),
     /// The live back-reference of one block is set.
     SetBackref(BlockNr, BackRef),
+    /// One block gains a reference.
+    RefInc(BlockNr),
     /// A latent error lands on a block.
     Corrupt(BlockNr),
     /// A block is rebuilt from a good copy.
@@ -66,47 +72,60 @@ fn hot_blocks() -> impl Iterator<Item = BlockNr> {
     (0..=3).flat_map(near_boundary).map(BlockNr)
 }
 
-/// Generates the op log; remembers the last stamp it drew that fits, so
-/// it can aim at that stamp's piece.
+/// Generates the op log; remembers the last stamp it drew that fits
+/// and the last window it shared, so it can aim at their pieces.
 #[derive(Default)]
 struct Gen {
     last: Option<(Run, InodeNr, u64)>,
+    shared: Option<Run>,
 }
 
 impl Gen {
     fn op(&mut self, rng: &mut SimRng, i: u64) -> Op {
         if i == 0 {
-            self.last = None;
+            *self = Gen::default();
         }
         let aimed = match self.last {
-            Some(last) if rng.gen_range(0, 4) == 0 => aim(rng, last),
+            Some(last) if rng.gen_range(0, 3) == 0 => aim(rng, last, self.shared),
             _ => gen_op(rng),
         };
         match aimed {
             Op::Stamp(run, ino, page) if Flat::fits(run, ino, page) => {
                 self.last = Some((run, ino, page));
             }
+            Op::Share(run) => self.shared = Some(run),
             _ => {}
         }
         aimed
     }
 }
 
-/// An op on the piece the stamp `(run, ino, page)` made: a live release
-/// strictly inside it, a `set_backref` inside it (to its own value or
-/// another file's), or a stamp of the same file that continues it —
-/// or, after the widest page, a stamp of the next inode from page 0.
-fn aim(rng: &mut SimRng, (run, ino, page): (Run, InodeNr, u64)) -> Op {
+/// A window strictly inside `run`, which must be at least 3 long.
+fn inside(rng: &mut SimRng, run: Run) -> Run {
+    let off = rng.gen_range(1, run.len - 1);
+    Run {
+        start: run.start.offset(off),
+        len: rng.gen_range(1, run.len - off),
+    }
+}
+
+/// An op on the piece the stamp `(run, ino, page)` made, or on the
+/// count boundaries in and around it:
+///
+/// - a live release strictly inside it;
+/// - a `set_backref` inside it (to its own value or another file's);
+/// - a stamp of the same file that continues it — or, after the widest
+///   page, a stamp of the next inode from page 0;
+/// - a snapshot reference over part of it (head, tail or middle);
+/// - a snapshot release strictly inside it;
+/// - a `ref_inc` of one of its blocks;
+/// - a live release strictly inside the last shared window;
+/// - a stamp that starts where the last shared window ends, for the
+///   pages that continue the stamp's if the window lies inside it.
+fn aim(rng: &mut SimRng, (run, ino, page): (Run, InodeNr, u64), shared: Option<Run>) -> Op {
     let end = run.start.raw() + run.len;
-    match rng.gen_range(0, 3) {
-        0 if run.len >= 3 => {
-            let off = rng.gen_range(1, run.len - 1);
-            let cut = Run {
-                start: run.start.offset(off),
-                len: rng.gen_range(1, run.len - off),
-            };
-            Op::Release(cut, true)
-        }
+    match rng.gen_range(0, 8) {
+        0 if run.len >= 3 => Op::Release(inside(rng, run), true),
         1 => {
             let off = rng.gen_range(0, run.len);
             let ino = match rng.gen_range(0, 2) {
@@ -131,6 +150,35 @@ fn aim(rng: &mut SimRng, (run, ino, page): (Run, InodeNr, u64)) -> Op {
                 page => Op::Stamp(next, ino, page),
             }
         }
+        3 => {
+            let off = rng.gen_range(0, run.len);
+            let part = Run {
+                start: run.start.offset(off),
+                len: rng.gen_range(1, run.len - off + 1),
+            };
+            Op::Share(part)
+        }
+        4 if run.len >= 3 => Op::Release(inside(rng, run), false),
+        5 => Op::RefInc(run.start.offset(rng.gen_range(0, run.len))),
+        6 => match shared {
+            Some(window) if window.len >= 3 => Op::Release(inside(rng, window), true),
+            _ => gen_op(rng),
+        },
+        7 => match shared {
+            Some(window) if window.start.raw() + window.len < CAPACITY => {
+                let from = window.start.raw() + window.len;
+                let next = Run {
+                    start: BlockNr(from),
+                    len: rng.gen_range(1, REACH + 1).min(CAPACITY - from),
+                };
+                let page = match from.checked_sub(run.start.raw()) {
+                    Some(off) if from <= end => page + off,
+                    _ => gen_page(rng, next.len),
+                };
+                Op::Stamp(next, ino, page)
+            }
+            _ => gen_op(rng),
+        },
         _ => gen_op(rng),
     }
 }
@@ -199,6 +247,10 @@ enum Sabotage {
     /// run's first block keeps its back-reference when the block before
     /// it continues into it.
     TrimStub,
+    /// A snapshot reference does not split the piece its run ends in:
+    /// the block after the run gains a reference too, when the table
+    /// would hold it in one piece with the run's last block.
+    UnsplitShare,
 }
 
 /// The flat layout: one slot per block in each column.
@@ -248,9 +300,29 @@ impl Flat {
     }
 
     fn ref_run(&mut self, run: Run) {
+        let last = (run.start.raw() + run.len - 1) as usize;
+        let overrun = self.sabotage == Sabotage::UnsplitShare && self.one_piece(last);
         for b in run.blocks() {
             self.refcount[b.raw() as usize] += 1;
         }
+        if overrun {
+            self.refcount[last + 1] += 1;
+        }
+    }
+
+    /// Whether the table holds blocks `i` and `i + 1` in one piece: the
+    /// same chunk, the same count, and back-references that continue
+    /// each other or are both absent — unless both are blank.
+    fn one_piece(&self, i: usize) -> bool {
+        let j = i + 1;
+        if j == self.refcount.len() || (j as u64).is_multiple_of(CHUNK_BLOCKS) {
+            return false;
+        }
+        let owners = match (self.backref_ino[i], self.backref_ino[j]) {
+            (NO_BACKREF, NO_BACKREF) => self.refcount[i] > 0,
+            _ => self.continues_into(BlockNr(j as u64)),
+        };
+        owners && self.refcount[i] == self.refcount[j]
     }
 
     /// The blocks that reached zero, in order.
@@ -437,6 +509,10 @@ fn replay(log: &[Op], sabotage: Sabotage) -> Result<(), String> {
                 table.set_backref(b, br).map_err(err)?;
                 model.set_backref(b, br);
             }
+            &Op::RefInc(b) => {
+                table.ref_inc(b).map_err(err)?;
+                model.refcount[b.raw() as usize] += 1;
+            }
             &Op::Corrupt(b) => {
                 table.inject_corruption(b).map_err(err)?;
                 model.corrupted.insert(b.raw());
@@ -506,12 +582,10 @@ fn coalesce_into_covers_each_edge_case() {
     }
 }
 
-/// A chunk of counts is 8 KiB and a back-reference piece 16 B: what a
-/// snapshot's reference copies per chunk, and a COW write per piece of
-/// the chunk besides.
+/// A piece is 16 B, its `u16` count riding beside the slot run and
+/// the packed owner: what a first write copies, per piece of the chunk.
 #[test]
-fn a_count_chunk_is_eight_kib_and_a_piece_sixteen_bytes() {
-    assert_eq!(REFCOUNT_CHUNK_BYTES, 8 * 1024);
+fn a_piece_is_sixteen_bytes() {
     assert_eq!(PIECE_BYTES, 16);
 }
 
@@ -559,6 +633,25 @@ fn a_model_whose_trim_leaves_a_stub_is_caught() {
     assert!(failure.ops.len() <= 3, "{failure}");
     assert!(
         failure.ops.iter().any(|op| op.starts_with("Release")),
+        "{failure}"
+    );
+    assert!(failure.message.contains("diverged"), "{failure}");
+}
+
+/// A snapshot reference that does not split the piece its run ends in
+/// is caught, and the log shrinks to a stamp and a reference that ends
+/// inside it.
+#[test]
+fn a_model_whose_share_overruns_its_run_is_caught() {
+    let cfg = DiffConfig::new("run_ops_vs_unsplit_share", 0x5B1D)
+        .cases(4)
+        .ops(400);
+    let mut gen = Gen::default();
+    let gen = |rng: &mut SimRng, i| gen.op(rng, i);
+    let failure = differential(&cfg, gen, |log| replay(log, Sabotage::UnsplitShare)).unwrap_err();
+    assert!(failure.ops.len() <= 3, "{failure}");
+    assert!(
+        failure.ops.iter().any(|op| op.starts_with("Share")),
         "{failure}"
     );
     assert!(failure.message.contains("diverged"), "{failure}");
