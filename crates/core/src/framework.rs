@@ -469,6 +469,22 @@ impl Duet {
         max: usize,
         fs: &dyn FsIntrospect,
     ) -> SimResult<Vec<Item>> {
+        let mut out = Vec::new();
+        self.fetch_into(sid, max, &mut out, fs)?;
+        Ok(out)
+    }
+
+    /// [`Duet::fetch`] into a buffer the caller owns: appends up to
+    /// `max` items to `out`, so a task that fetches many times a second
+    /// (§4.2) reuses one allocation. On an error `out` is left as it
+    /// was.
+    pub fn fetch_into(
+        &mut self,
+        sid: SessionId,
+        max: usize,
+        out: &mut Vec<Item>,
+        fs: &dyn FsIntrospect,
+    ) -> SimResult<()> {
         let slot = sid.0 as usize;
         let sess = self
             .sessions
@@ -480,8 +496,9 @@ impl Duet {
         // (e.g. blockless pages re-queued) cannot spin the loop.
         let mut budget = sess.queue.len();
         self.stats.fetch_calls += 1;
-        let mut out = Vec::with_capacity(max.min(budget));
-        while out.len() < max && budget > 0 {
+        let start = out.len();
+        out.reserve(max.min(budget));
+        while out.len() - start < max && budget > 0 {
             budget -= 1;
             let Some(key) = sess.queue.pop_front() else {
                 break;
@@ -540,12 +557,13 @@ impl Duet {
                 self.descs.remove(&key);
             }
         }
-        self.stats.items_fetched += out.len() as u64;
+        let fetched = out.len() - start;
+        self.stats.items_fetched += fetched as u64;
         if let Some(trace) = &self.trace {
             trace.tick(TraceKind::DuetFetch);
-            trace.tick_n(TraceKind::DuetHint, out.len() as u64);
+            trace.tick_n(TraceKind::DuetHint, fetched as u64);
         }
-        Ok(out)
+        Ok(())
     }
 
     // ----- done tracking -------------------------------------------------------

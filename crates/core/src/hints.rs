@@ -54,54 +54,59 @@ impl ResidencyTracker {
     /// Feeds fetched items, filtered by `eligible` (e.g. membership in
     /// the task's plan), using `size_pages` to resolve fractions (may
     /// return 0 for unknown/deleted files, which dequeues them).
+    ///
+    /// Items come in runs of one file's pages. Each run's items move
+    /// that file's count in order, saturating at 0, and then the run
+    /// makes one queue update: the queue's pop order depends only on
+    /// its contents, so this leaves the state a per-item update would.
     pub fn update_with_sizes<F, G>(&mut self, items: &[Item], mut eligible: F, mut size_pages: G)
     where
         F: FnMut(InodeNr) -> bool,
         G: FnMut(InodeNr) -> u64,
     {
-        for item in items {
-            let Some(ino) = item.id.as_inode() else {
+        for run in items.chunk_by(|a, b| a.id.as_inode() == b.id.as_inode()) {
+            let Some(ino) = run[0].id.as_inode() else {
                 continue;
             };
             if !eligible(ino) {
                 continue;
             }
-            match self.policy {
+            let prio = match self.policy {
                 Priority::TouchedOnly => {
-                    if item.flags.contains(ItemFlags::EXISTS) {
-                        self.queue.upsert(ino.raw(), 1);
-                        self.last_prio.insert(ino, 1);
+                    if !run.iter().any(|i| i.flags.contains(ItemFlags::EXISTS)) {
+                        continue;
                     }
+                    1
                 }
                 Priority::ResidentPages | Priority::ResidentFraction => {
                     let count = self.resident.entry(ino).or_insert(0);
-                    if item.flags.contains(ItemFlags::EXISTS) {
-                        *count += 1;
-                    } else if item.flags.contains(ItemFlags::NOT_EXISTS) {
-                        *count = count.saturating_sub(1);
+                    for item in run {
+                        if item.flags.contains(ItemFlags::EXISTS) {
+                            *count += 1;
+                        } else if item.flags.contains(ItemFlags::NOT_EXISTS) {
+                            *count = count.saturating_sub(1);
+                        }
                     }
                     let count = *count;
-                    let prio = match self.policy {
-                        Priority::ResidentPages => count,
-                        Priority::ResidentFraction => {
-                            // Round-half-up permille; the count clamps
-                            // to the file size so a fully-resident file
-                            // reads exactly 1000‰, never 999‰.
-                            let size = size_pages(ino);
-                            (count.min(size) * 1000 + size / 2)
-                                .checked_div(size)
-                                .unwrap_or(0)
-                        }
-                        Priority::TouchedOnly => unreachable!(),
-                    };
-                    if prio == 0 {
-                        self.queue.remove(ino.raw());
-                        self.last_prio.remove(&ino);
+                    if self.policy == Priority::ResidentPages {
+                        count
                     } else {
-                        self.queue.upsert(ino.raw(), prio);
-                        self.last_prio.insert(ino, prio);
+                        // Round-half-up permille; the count clamps to
+                        // the file size so a fully-resident file reads
+                        // exactly 1000‰, never 999‰.
+                        let size = size_pages(ino);
+                        (count.min(size) * 1000 + size / 2)
+                            .checked_div(size)
+                            .unwrap_or(0)
                     }
                 }
+            };
+            if prio == 0 {
+                self.queue.remove(ino.raw());
+                self.last_prio.remove(&ino);
+            } else {
+                self.queue.upsert(ino.raw(), prio);
+                self.last_prio.insert(ino, prio);
             }
         }
     }
@@ -311,5 +316,214 @@ mod tests {
         t.forget(InodeNr(5));
         assert!(t.is_empty());
         assert_eq!(t.resident_pages(InodeNr(5)), 0);
+    }
+
+    /// Run-wise intake against per-item application. Batches interleave
+    /// short runs of a few files' items (EXISTS, NOT_EXISTS, neither)
+    /// with block items; one file is zero-size and one is outside the
+    /// plan. After every op, under all three policies, the pop sequence
+    /// of the queue, `last_prio` and the resident counts must equal a
+    /// model that applies item by item with no shared code.
+    mod runs {
+        use super::*;
+        use sim_core::check::{differential, DiffConfig};
+        use sim_core::knobs::Knob;
+        use sim_core::SimRng;
+
+        const POLICIES: [Priority; 3] = [
+            Priority::ResidentPages,
+            Priority::ResidentFraction,
+            Priority::TouchedOnly,
+        ];
+
+        /// Inode 4 is zero-size; inode 5 is outside the plan.
+        fn size_of(ino: InodeNr) -> u64 {
+            [0, 3, 7, 1, 0, 16][ino.raw() as usize]
+        }
+
+        fn eligible(ino: InodeNr) -> bool {
+            ino.raw() != 5
+        }
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            /// One fetched batch: `(inode or 0 for a block item, flag
+            /// 0 EXISTS / 1 NOT_EXISTS / 2 neither)` in order.
+            Feed(Vec<(u64, u8)>),
+            /// The task pops its best file.
+            Pop,
+        }
+
+        fn gen_op(rng: &mut SimRng, _: u64) -> Op {
+            if rng.gen_range(0, 6) == 0 {
+                return Op::Pop;
+            }
+            let mut items = Vec::new();
+            for _ in 0..rng.gen_range(1, 5) {
+                let ino = rng.gen_range(0, 6);
+                for _ in 0..rng.gen_range(1, 6) {
+                    let flag = match rng.gen_range(0, 8) {
+                        0..=3 => 0,
+                        4..=6 => 1,
+                        _ => 2,
+                    };
+                    items.push((ino, flag));
+                }
+            }
+            Op::Feed(items)
+        }
+
+        fn to_items(feed: &[(u64, u8)]) -> Vec<Item> {
+            let flags = [
+                ItemFlags::EXISTS,
+                ItemFlags::NOT_EXISTS,
+                ItemFlags::MODIFIED,
+            ];
+            let items = feed.iter().map(|&(ino, flag)| Item {
+                id: match ino {
+                    0 => ItemId::Block(BlockNr(7)),
+                    _ => ItemId::Inode(InodeNr(ino)),
+                },
+                offset: 0,
+                flags: flags[usize::from(flag)],
+                moved_to: None,
+            });
+            items.collect()
+        }
+
+        /// The tracker applied one item at a time.
+        #[derive(Default)]
+        struct PerItem {
+            /// Signed, so the sabotage can let a count go below 0.
+            resident: BTreeMap<u64, i64>,
+            queued: BTreeMap<u64, u64>,
+            last_prio: BTreeMap<u64, u64>,
+            /// The sabotage: counts do not saturate at 0.
+            unsaturated: bool,
+        }
+
+        impl PerItem {
+            fn feed(&mut self, policy: Priority, feed: &[(u64, u8)]) {
+                for &(ino, flag) in feed {
+                    if ino == 0 || !eligible(InodeNr(ino)) {
+                        continue;
+                    }
+                    let prio = if policy == Priority::TouchedOnly {
+                        if flag != 0 {
+                            continue;
+                        }
+                        1
+                    } else {
+                        let count = self.resident.entry(ino).or_insert(0);
+                        match flag {
+                            0 => *count += 1,
+                            1 if self.unsaturated || *count > 0 => *count -= 1,
+                            _ => {}
+                        }
+                        let count = (*count).max(0) as u64;
+                        let size = size_of(InodeNr(ino));
+                        match policy {
+                            Priority::ResidentPages => count,
+                            _ if size == 0 => 0,
+                            _ => (count.min(size) * 1000 + size / 2) / size,
+                        }
+                    };
+                    if prio == 0 {
+                        self.queued.remove(&ino);
+                        self.last_prio.remove(&ino);
+                    } else {
+                        self.queued.insert(ino, prio);
+                        self.last_prio.insert(ino, prio);
+                    }
+                }
+            }
+
+            fn pop(&mut self) -> Option<InodeNr> {
+                let (&ino, _) = self.queued.iter().max_by_key(|&(&ino, &p)| (p, ino))?;
+                self.queued.remove(&ino);
+                Some(InodeNr(ino))
+            }
+
+            fn pops(&self) -> Vec<InodeNr> {
+                let mut q = PerItem {
+                    queued: self.queued.clone(),
+                    ..PerItem::default()
+                };
+                std::iter::from_fn(|| q.pop()).collect()
+            }
+        }
+
+        fn pops(t: &ResidencyTracker) -> Vec<InodeNr> {
+            let mut q = t.queue.clone();
+            std::iter::from_fn(|| q.pop_max().map(|(ino, _)| InodeNr(ino))).collect()
+        }
+
+        fn replay(log: &[Op], unsaturated: bool) -> Result<(), String> {
+            for policy in POLICIES {
+                let mut t = ResidencyTracker::new(policy);
+                let mut model = PerItem {
+                    unsaturated,
+                    ..PerItem::default()
+                };
+                for (i, op) in log.iter().enumerate() {
+                    match op {
+                        Op::Feed(feed) => {
+                            t.update_with_sizes(&to_items(feed), eligible, size_of);
+                            model.feed(policy, feed);
+                        }
+                        Op::Pop => {
+                            let (got, want) = (t.pop_best(), model.pop());
+                            if got != want {
+                                return Err(format!(
+                                    "{policy:?} op {i}: popped {got:?} vs {want:?}"
+                                ));
+                            }
+                        }
+                    }
+                    let (got, want) = (pops(&t), model.pops());
+                    if got != want {
+                        return Err(format!("{policy:?} op {i}: pop order {got:?} vs {want:?}"));
+                    }
+                    let last: BTreeMap<u64, u64> =
+                        t.last_prio.iter().map(|(ino, &p)| (ino.raw(), p)).collect();
+                    if last != model.last_prio {
+                        let want = &model.last_prio;
+                        return Err(format!("{policy:?} op {i}: last_prio {last:?} vs {want:?}"));
+                    }
+                    if policy != Priority::TouchedOnly {
+                        for ino in 1..6 {
+                            let want = model.resident.get(&ino).map_or(0, |&c| c.max(0) as u64);
+                            let got = t.resident_pages(InodeNr(ino));
+                            if got != want {
+                                return Err(format!(
+                                    "{policy:?} op {i}: ino {ino} resident {got} vs {want}"
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        #[test]
+        fn run_wise_intake_matches_per_item_application() {
+            let seed = Knob::CheckSeed
+                .read()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(0x2E51_D3AC);
+            let cfg = DiffConfig::new("residency_runs_differential", seed).ops(300);
+            differential(&cfg, gen_op, |log| replay(log, false)).unwrap();
+        }
+
+        /// The harness can fail: a model whose counts go below 0 (and
+        /// so needs more EXISTS items to surface the file again) is
+        /// caught.
+        #[test]
+        fn counts_that_do_not_saturate_are_caught() {
+            let cfg = DiffConfig::new("residency_runs_unsaturated", 0x5A7).ops(300);
+            let failure = differential(&cfg, gen_op, |log| replay(log, true)).unwrap_err();
+            assert!(failure.ops.len() <= 2, "{failure}");
+        }
     }
 }

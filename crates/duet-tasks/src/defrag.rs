@@ -11,7 +11,7 @@
 //! dirty (writes that the flusher would perform anyway, §6.2).
 
 use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
-use duet::{EventMask, ItemId, Priority, ResidencyTracker, TaskScope};
+use duet::{EventMask, Item, ItemId, Priority, ResidencyTracker, TaskScope};
 use sim_core::trace::TraceKind;
 use sim_core::{InodeNr, SimResult};
 use sim_disk::IoClass;
@@ -22,6 +22,8 @@ pub struct Defrag {
     mode: TaskMode,
     class: IoClass,
     hints: HintSession,
+    /// The last batch of hints fetched, kept for its allocation.
+    batch: Vec<Item>,
     /// Fragmented files at start, in inode order (the plan).
     plan: Vec<InodeNr>,
     plan_set: BTreeSet<InodeNr>,
@@ -57,6 +59,7 @@ impl Defrag {
             mode,
             class: IoClass::Idle,
             hints: HintSession::default(),
+            batch: Vec::new(),
             plan: Vec::new(),
             plan_set: BTreeSet::new(),
             plan_idx: 0,
@@ -101,14 +104,14 @@ impl Defrag {
 
     fn update_queue(&mut self, ctx: &mut BtrfsCtx<'_>) -> SimResult<()> {
         loop {
-            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
-            if items.is_empty() {
+            self.hints.next_batch(ctx.duet, ctx.fs, &mut self.batch)?;
+            if self.batch.is_empty() {
                 return Ok(());
             }
             let plan = &self.plan_set;
             let inodes = ctx.fs.inodes();
             self.tracker.update_with_sizes(
-                &items,
+                &self.batch,
                 |ino| plan.contains(&ino),
                 |ino| inodes.get(ino).map(|n| n.size_pages()).unwrap_or(0),
             );

@@ -12,7 +12,7 @@
 //! collector" — the done primitives are unused.
 
 use crate::task::{HintSession, StepResult, TaskMode};
-use duet::{Duet, EventMask, ItemFlags, TaskScope};
+use duet::{Duet, EventMask, Item, ItemFlags, TaskScope};
 use sim_core::trace::TraceKind;
 use sim_core::{SegmentNr, SimInstant, SimResult};
 use sim_disk::IoClass;
@@ -34,6 +34,8 @@ pub struct GarbageCollector {
     class: IoClass,
     policy: VictimPolicy,
     hints: HintSession,
+    /// The last batch of hints fetched, kept for its allocation.
+    batch: Vec<Item>,
     /// Segments examined per invocation (the paper's 4096).
     window: u32,
     cursor: u32,
@@ -56,6 +58,7 @@ impl GarbageCollector {
             class: IoClass::Idle,
             policy,
             hints: HintSession::default(),
+            batch: Vec::new(),
             window: 4096,
             cursor: 0,
             cached: Vec::new(),
@@ -106,12 +109,14 @@ impl GarbageCollector {
     }
 
     fn drain_events(&mut self, ctx: &mut GcCtx<'_>) -> SimResult<()> {
+        let mut items = std::mem::take(&mut self.batch);
         loop {
-            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
+            self.hints.next_batch(ctx.duet, ctx.fs, &mut items)?;
             if items.is_empty() {
+                self.batch = items;
                 return Ok(());
             }
-            for item in items {
+            for item in &items {
                 let Some(block) = item.id.as_block() else {
                     continue;
                 };

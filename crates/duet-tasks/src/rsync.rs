@@ -16,7 +16,7 @@
 //! utilization.
 
 use crate::task::{HintSession, StepResult, TaskMetrics, TaskMode};
-use duet::{Duet, EventMask, ItemId, Priority, ResidencyTracker, TaskScope};
+use duet::{Duet, EventMask, Item, ItemId, Priority, ResidencyTracker, TaskScope};
 use sim_btrfs::BtrfsSim;
 use sim_core::trace::TraceKind;
 use sim_core::{InodeNr, SimError, SimInstant, SimResult, PAGE_SIZE};
@@ -54,6 +54,8 @@ pub struct Rsync {
     mode: TaskMode,
     class: IoClass,
     hints: HintSession,
+    /// The last batch of hints fetched, kept for its allocation.
+    batch: Vec<Item>,
     src_dir: InodeNr,
     /// Files in depth-first traversal order (the sender's order).
     plan: Vec<InodeNr>,
@@ -85,6 +87,7 @@ impl Rsync {
             mode,
             class: IoClass::Normal,
             hints: HintSession::default(),
+            batch: Vec::new(),
             src_dir,
             plan: Vec::new(),
             plan_set: BTreeSet::new(),
@@ -154,12 +157,12 @@ impl Rsync {
 
     fn update_queue(&mut self, ctx: &mut RsyncCtx<'_>) -> SimResult<()> {
         loop {
-            let items = self.hints.next_batch(ctx.duet, ctx.src)?;
-            if items.is_empty() {
+            self.hints.next_batch(ctx.duet, ctx.src, &mut self.batch)?;
+            if self.batch.is_empty() {
                 return Ok(());
             }
             let plan = &self.plan_set;
-            self.tracker.update(&items, |ino| plan.contains(&ino));
+            self.tracker.update(&self.batch, |ino| plan.contains(&ino));
         }
     }
 

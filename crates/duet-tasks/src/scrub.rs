@@ -14,7 +14,7 @@
 //! all events for done items (§4.1).
 
 use crate::task::{BtrfsCtx, BtrfsTask, HintSession, StepResult, TaskMetrics, TaskMode};
-use duet::{EventMask, ItemFlags, TaskScope};
+use duet::{EventMask, Item, ItemFlags, TaskScope};
 use sim_btrfs::Run;
 use sim_core::trace::TraceKind;
 use sim_core::{BlockNr, SimResult, SparseBitmap, PAGE_SIZE};
@@ -28,6 +28,8 @@ pub struct Scrubber {
     mode: TaskMode,
     class: IoClass,
     hints: HintSession,
+    /// The last batch of hints fetched, kept for its allocation.
+    batch: Vec<Item>,
     /// Blocks allocated at start: the scan plan, scanned in physical
     /// order.
     plan: SparseBitmap,
@@ -55,6 +57,7 @@ impl Scrubber {
             mode,
             class: IoClass::Idle,
             hints: HintSession::default(),
+            batch: Vec::new(),
             plan: SparseBitmap::new(),
             frontier: None,
             verified: SparseBitmap::new(),
@@ -114,11 +117,11 @@ impl Scrubber {
 
     fn drain_events(&mut self, ctx: &mut BtrfsCtx<'_>) -> SimResult<()> {
         loop {
-            let items = self.hints.next_batch(ctx.duet, ctx.fs)?;
-            if items.is_empty() {
+            self.hints.next_batch(ctx.duet, ctx.fs, &mut self.batch)?;
+            if self.batch.is_empty() {
                 return Ok(());
             }
-            for item in items {
+            for item in &self.batch {
                 let Some(block) = item.id.as_block() else {
                     continue;
                 };

@@ -86,8 +86,10 @@ impl HintSession {
         *self = HintSession::NoHints;
     }
 
-    /// The next batch of pending hints; empty once drained, and from
-    /// then on if there is no session or it has vanished.
+    /// Replaces `batch` with the next batch of pending hints; it is
+    /// left empty once they are drained, and from then on if there is
+    /// no session or it has vanished. The task owns `batch`, so every
+    /// fetch reuses one allocation.
     ///
     /// # Panics
     ///
@@ -96,15 +98,17 @@ impl HintSession {
         &mut self,
         duet: &mut Duet,
         fs: &dyn FsIntrospect,
-    ) -> SimResult<Vec<Item>> {
+        batch: &mut Vec<Item>,
+    ) -> SimResult<()> {
         assert!(!matches!(self, HintSession::Unopened), "step before start");
+        batch.clear();
         let Some(sid) = self.id() else {
-            return Ok(Vec::new());
+            return Ok(());
         };
-        match duet.fetch(sid, FETCH_BATCH, fs) {
+        match duet.fetch_into(sid, FETCH_BATCH, batch, fs) {
             Err(SimError::InvalidSession(_)) => {
                 self.forget();
-                Ok(Vec::new())
+                Ok(())
             }
             fetched => fetched,
         }

@@ -741,40 +741,6 @@ impl BtrfsSim {
             .ok_or_else(|| SimError::InvalidArgument(format!("{id} does not exist")))
     }
 
-    /// The block backing page `index` of file `ino` *in the snapshot*.
-    pub fn snapshot_block(
-        &self,
-        id: SnapshotId,
-        ino: InodeNr,
-        index: PageIndex,
-    ) -> SimResult<Option<BlockNr>> {
-        Ok(self
-            .snapshot(id)?
-            .files
-            .get(ino)
-            .and_then(|f| f.extents.block_of(index)))
-    }
-
-    /// Returns `true` if page `index` of live file `ino` is still
-    /// backed by the same block as in the snapshot. The opportunistic
-    /// backup (§5.2) asks the cheaper question instead: it starts from a
-    /// block whose live back-reference names the page, so it compares
-    /// [`Self::snapshot_block`] with that block alone.
-    pub fn shared_with_snapshot(
-        &self,
-        id: SnapshotId,
-        ino: InodeNr,
-        index: PageIndex,
-    ) -> SimResult<bool> {
-        let snap_block = self.snapshot_block(id, ino, index)?;
-        let live_block = match self.inodes.get(ino) {
-            Ok(node) => node.extents.block_of(index),
-            Err(SimError::NoSuchInode(_)) => None,
-            Err(e) => return Err(e),
-        };
-        Ok(snap_block.is_some() && snap_block == live_block)
-    }
-
     // ----- scrub support -------------------------------------------------
 
     /// Allocated block ranges in ascending physical order — the
@@ -884,11 +850,6 @@ impl BtrfsSim {
     }
 
     // ----- introspection --------------------------------------------------
-
-    /// Live back-reference of a block (which file page it backs).
-    pub fn backref_of(&self, b: BlockNr) -> SimResult<Option<BackRef>> {
-        self.blocks.backref_of(b)
-    }
 
     /// Mean extent count across all files (filesystem fragmentation).
     pub fn mean_extents_per_file(&self) -> f64 {

@@ -4,6 +4,7 @@
 use crate::blocktable::BackRef;
 use crate::events::FsEvent;
 use crate::fs::BtrfsSim;
+use crate::snapshot::SnapshotId;
 use sim_cache::PageEvent;
 use sim_core::{BlockNr, DeviceId, InodeNr, PageIndex, SimError, SimInstant, PAGE_SIZE};
 use sim_disk::{Disk, HddModel, IoClass};
@@ -19,6 +20,12 @@ fn make_fs(capacity_blocks: u64, cache_pages: usize) -> BtrfsSim {
 
 fn page_bytes(n: u64) -> u64 {
     n * PAGE_SIZE
+}
+
+/// The block backing page `p` of file `ino` in the snapshot.
+fn snap_block(fs: &BtrfsSim, snap: SnapshotId, ino: InodeNr, p: u64) -> Option<BlockNr> {
+    let file = fs.snapshot(snap).unwrap().files.get(ino)?;
+    file.extents.block_of(PageIndex(p))
 }
 
 #[test]
@@ -236,17 +243,15 @@ fn snapshot_shares_blocks_until_overwrite() {
     let b1 = fs.fibmap(ino, PageIndex(1)).unwrap().unwrap();
     let snap = fs.create_snapshot().unwrap();
     assert_eq!(fs.blocks().refcount_of(b1).unwrap(), 2, "live + snapshot");
-    assert!(fs.shared_with_snapshot(snap, ino, PageIndex(1)).unwrap());
+    assert_eq!(snap_block(&fs, snap, ino, 1), Some(b1));
     // Overwrite breaks sharing for that page only.
     fs.write(ino, page_bytes(1), PAGE_SIZE, NORMAL, T0).unwrap();
-    assert!(!fs.shared_with_snapshot(snap, ino, PageIndex(1)).unwrap());
-    assert!(fs.shared_with_snapshot(snap, ino, PageIndex(0)).unwrap());
+    assert_ne!(fs.fibmap(ino, PageIndex(1)).unwrap(), Some(b1));
+    let b0 = fs.fibmap(ino, PageIndex(0)).unwrap();
+    assert_eq!(snap_block(&fs, snap, ino, 0), b0);
     // The old block survives (the snapshot still references it).
     assert_eq!(fs.blocks().refcount_of(b1).unwrap(), 1);
-    assert_eq!(
-        fs.snapshot_block(snap, ino, PageIndex(1)).unwrap(),
-        Some(b1)
-    );
+    assert_eq!(snap_block(&fs, snap, ino, 1), Some(b1));
 }
 
 #[test]
@@ -260,12 +265,7 @@ fn deleting_file_preserves_snapshot_blocks() {
     // Blocks still held by the snapshot.
     assert_eq!(fs.blocks().refcount_of(b0).unwrap(), 1);
     assert_eq!(fs.allocated_blocks(), 3);
-    assert_eq!(
-        fs.snapshot_block(snap, ino, PageIndex(0)).unwrap(),
-        Some(b0)
-    );
-    // Live page no longer shared (file gone).
-    assert!(!fs.shared_with_snapshot(snap, ino, PageIndex(0)).unwrap());
+    assert_eq!(snap_block(&fs, snap, ino, 0), Some(b0));
     // Deleting the snapshot frees everything.
     fs.delete_snapshot(snap).unwrap();
     assert_eq!(fs.allocated_blocks(), 0);
@@ -448,14 +448,14 @@ fn backrefs_follow_cow() {
     let mut fs = make_fs(1024, 64);
     let ino = fs.populate_file(fs.root(), "f", page_bytes(2)).unwrap();
     let b0 = fs.fibmap(ino, PageIndex(0)).unwrap().unwrap();
-    let br = fs.backref_of(b0).unwrap().unwrap();
+    let br = fs.blocks().backref_of(b0).unwrap().unwrap();
     assert_eq!(br.ino, ino);
     assert_eq!(br.index, PageIndex(0));
     // After COW, the new block carries the backref; the old one none.
     fs.write(ino, 0, PAGE_SIZE, NORMAL, T0).unwrap();
-    assert_eq!(fs.backref_of(b0).unwrap(), None);
+    assert_eq!(fs.blocks().backref_of(b0).unwrap(), None);
     let b0_new = fs.fibmap(ino, PageIndex(0)).unwrap().unwrap();
-    assert_eq!(fs.backref_of(b0_new).unwrap().unwrap().ino, ino);
+    assert_eq!(fs.blocks().backref_of(b0_new).unwrap().unwrap().ino, ino);
 }
 
 #[test]
@@ -515,8 +515,7 @@ fn snapshot_block_absent_for_post_snapshot_files() {
     let mut fs = make_fs(1024, 64);
     let snap = fs.create_snapshot().unwrap();
     let ino = fs.populate_file(fs.root(), "new", page_bytes(2)).unwrap();
-    assert_eq!(fs.snapshot_block(snap, ino, PageIndex(0)).unwrap(), None);
-    assert!(!fs.shared_with_snapshot(snap, ino, PageIndex(0)).unwrap());
+    assert_eq!(snap_block(&fs, snap, ino, 0), None);
 }
 
 #[test]
@@ -580,7 +579,7 @@ fn fsck_catches_a_backref_the_live_tree_no_longer_maps() {
         let old = fs.fibmap(ino, PageIndex(1)).unwrap().unwrap();
         fs.create_snapshot().unwrap();
         fs.write(ino, page_bytes(1), PAGE_SIZE, NORMAL, T0).unwrap();
-        assert_eq!(fs.backref_of(old).unwrap(), None);
+        assert_eq!(fs.blocks().backref_of(old).unwrap(), None);
         fs.check_consistency().unwrap();
         let stale = BackRef {
             ino,
@@ -629,7 +628,7 @@ fn a_write_past_page_two_to_the_32_is_refused_whole() {
     fs.check_consistency().unwrap();
     let last = (1 << 44) - PAGE_SIZE;
     fs.write(ino, last, PAGE_SIZE, NORMAL, T0).unwrap();
-    let br = fs.backref_of(
+    let br = fs.blocks().backref_of(
         fs.fibmap(ino, PageIndex(u64::from(u32::MAX)))
             .unwrap()
             .unwrap(),
@@ -698,7 +697,7 @@ mod properties {
                 let mut truth = Vec::new();
                 for &ino in &files {
                     for p in 0..8u64 {
-                        truth.push((ino, p, fs.snapshot_block(snap, ino, PageIndex(p)).unwrap()));
+                        truth.push((ino, p, snap_block(&fs, snap, ino, p)));
                     }
                 }
                 let mut created = 0;
@@ -742,10 +741,7 @@ mod properties {
                     fs.check_consistency().expect("fsck");
                     // The snapshot view never changes.
                     for &(ino, p, expected) in &truth {
-                        assert_eq!(
-                            fs.snapshot_block(snap, ino, PageIndex(p)).unwrap(),
-                            expected
-                        );
+                        assert_eq!(snap_block(&fs, snap, ino, p), expected);
                         if let Some(b) = expected {
                             assert!(
                                 fs.blocks().refcount_of(b).unwrap() >= 1,

@@ -32,6 +32,7 @@ use sim_core::{
     SimError,
     SimInstant,
     SimResult,
+    SparseBitmap,
     PAGE_SIZE, //
 };
 use sim_disk::{coalesce_into, Disk, IoClass, IoKind, OpStats, RetryPolicy, Run};
@@ -132,7 +133,9 @@ pub struct F2fsSim {
     head_ssr: bool,
     /// Logical write counter (drives segment mtime/age).
     write_clock: u64,
-    free_segs: u32,
+    /// Free segments, F2FS's `free_segmap`: the log takes the lowest
+    /// one by find-first-set.
+    free: SparseBitmap,
     /// Threshold of free segments below which SSR engages.
     ssr_threshold: u32,
     retry: RetryPolicy,
@@ -174,14 +177,14 @@ impl F2fsSim {
             head_off: 0,
             head_ssr: false,
             write_clock: 0,
-            free_segs: nsegs,
+            free: SparseBitmap::new(),
             ssr_threshold: 4,
             retry: RetryPolicy::default(),
             trace: None,
             bufs: Buffers::default(),
         };
+        fs.free.set_range(1, u64::from(nsegs));
         fs.segs[0].state = SegState::Open;
-        fs.free_segs -= 1;
         fs
     }
 
@@ -256,7 +259,7 @@ impl F2fsSim {
 
     /// Number of free segments.
     pub fn free_segments(&self) -> u32 {
-        self.free_segs
+        self.free.count() as u32
     }
 
     /// Logical write clock (for age-based victim policies).
@@ -267,7 +270,7 @@ impl F2fsSim {
     /// Returns `true` when clean segments are nearly exhausted and the
     /// filesystem would resort to slack-space reuse (SSR).
     pub fn is_ssr(&self) -> bool {
-        self.free_segs <= self.ssr_threshold
+        self.free_segments() <= self.ssr_threshold
     }
 
     /// The segment a block lives in.
@@ -389,7 +392,7 @@ impl F2fsSim {
         s.valid -= 1;
         if s.valid == 0 && s.state == SegState::Full {
             s.state = SegState::Free;
-            self.free_segs += 1;
+            self.free.set(seg.raw().into());
         }
     }
 
@@ -425,11 +428,11 @@ impl F2fsSim {
             // Segment exhausted.
             self.segs[self.head_seg.raw() as usize].state = SegState::Full;
             // Prefer a free segment; else SSR: reuse the invalid slots of
-            // the fullest-but-not-full segment.
-            let (seg, ssr) = match self.segs.iter().position(|s| s.state == SegState::Free) {
+            // the least-valid full segment.
+            let (seg, ssr) = match self.free.next_set(0) {
                 Some(free) => {
-                    self.free_segs -= 1;
-                    (free, false)
+                    self.free.clear(free);
+                    (free as usize, false)
                 }
                 None => self
                     .segs
@@ -805,7 +808,7 @@ impl F2fsSim {
     /// - every valid block is owned by a live mapping (no orphans);
     /// - per-segment valid counts equal the number of valid blocks in
     ///   the segment;
-    /// - the free-segment counter matches the segment states.
+    /// - the free-segment map holds exactly the free segments.
     ///
     /// Intended for tests and debugging; cost is O(device).
     pub fn check_consistency(&self) -> SimResult<()> {
@@ -851,6 +854,12 @@ impl F2fsSim {
                     info.valid
                 ));
             }
+            if (info.state == SegState::Free) != self.free.test(seg.into()) {
+                return fail(format!(
+                    "seg#{seg}: {:?} but free map says otherwise",
+                    info.state
+                ));
+            }
             if info.state == SegState::Free {
                 free_count += 1;
                 if valid_here != 0 {
@@ -858,10 +867,10 @@ impl F2fsSim {
                 }
             }
         }
-        if free_count != self.free_segs {
+        if u64::from(free_count) != self.free.count() {
             return fail(format!(
-                "free-segment counter {} vs counted {free_count}",
-                self.free_segs
+                "free-segment map holds {} vs counted {free_count}",
+                self.free.count()
             ));
         }
         Ok(())
@@ -1038,6 +1047,22 @@ mod tests {
     #[test]
     fn fsck_catches_a_segment_count_off_by_one() {
         fsck_catches(|fs, _| fs.segs[0].valid += 1, "SIT says 5 valid, counted 4");
+    }
+
+    #[test]
+    fn fsck_catches_a_free_map_that_disagrees_with_the_states() {
+        fsck_catches(
+            |fs, _| {
+                fs.free.clear(3);
+            },
+            "seg#3: Free but free map says otherwise",
+        );
+        fsck_catches(
+            |fs, _| {
+                fs.free.set(8);
+            },
+            "free-segment map holds 8 vs counted 7",
+        );
     }
 
     #[test]

@@ -53,12 +53,13 @@ echo "==> bench run smoke (DUET_SCALE=512 DUET_JOBS=2 DUET_TRACE=1, time-bounded
 cargo build -q --release -p bench
 timeout 600 env DUET_SCALE=512 DUET_JOBS=2 DUET_TRACE=1 ./target/release/bench run \
     fig2_scrub_saved fig4_rsync_speedup fig6_scrub_backup_completed fig9_cpu_overhead fig10_ssd \
-    table5_max_util mem_overhead > /dev/null
+    table5_max_util table6_gc_cleaning mem_overhead > /dev/null
 test -s results/BENCH_sweeps.json
 test -s results/fig2_scrub_saved_trace.csv
 test -s results/fig4_rsync_speedup_trace.csv
 test -s results/fig10_ssd_trace.csv
 test -s results/table5_max_util_trace.csv
+test -s results/table6_gc_cleaning_trace.csv
 test -s results/mem_overhead_trace.csv
 
 echo "==> duetbench: package gate + benchmark-contract smoke"
@@ -69,7 +70,7 @@ echo "==> duetbench: package gate + benchmark-contract smoke"
 # next performance PR: the package's own checks, then every workload
 # of BENCHMARK.json under the contract's invocation — pins, mirror ≡
 # entry point, fsck: the hint-heavy Duet read path, whose backup looks
-# up a back-reference per hinted block (read_hot_duet); the Btrfs COW
+# up a back-reference per run of hinted blocks (read_hot_duet); the Btrfs COW
 # write path (write_cow_duet); the only workload on sim-f2fs and the GC
 # (f2fs_gc_write); the bypass workload, the only pinned run of the
 # baseline backup and scrub read path (maint_cold_base); and Table 5's
